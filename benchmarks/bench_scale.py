@@ -3,20 +3,19 @@
 Two families of cases, written to ``BENCH_scale.json`` at the repo root:
 
 * **identity** — the tiny real setting (resnet20 on synthetic CIFAR)
-  run through ``ScaleRunner`` with a virtual-client pool, at 1 and 2
-  edge aggregators, for FedAvg and SPATL; each case records whether the
-  final global state and comm ledger are byte-identical to the
-  materialized ``run_round`` baseline.
+  run through ``ScaleRunner`` with a virtual-client pool, for FedAvg and
+  SPATL; each case records whether the final global state and comm
+  ledger are byte-identical to the materialized ``run_round`` baseline.
 * **sweep** — stub populations of 1k/10k/100k clients (smoke: 300/1.5k)
-  in ``materialized`` / ``streaming`` / ``hier2`` modes.  Each case runs
-  in a *fresh subprocess* because peak RSS (``VmHWM``, see
+  in ``materialized`` / ``streaming`` modes.  Each case runs in a *fresh
+  subprocess* because peak RSS (``VmHWM``, see
   ``repro.obs.metrics.peak_rss_bytes``) is a process-lifetime high-water
-  mark: measuring three modes in one process would report the max of all
-  three.  ``VmHWM`` does reset on ``exec``, so each spawned child
-  reports its own peak rather than the parent's.  The gate checks that the three modes agree on the
-  final-state CRC at every population and that streaming peak RSS stays
-  flat (within 2x) from the smallest to the largest population — the
-  materialized cohort is the thing that grows.
+  mark: measuring both modes in one process would report the max of the
+  two.  ``VmHWM`` does reset on ``exec``, so each spawned child reports
+  its own peak rather than the parent's.  The gate checks that the modes
+  agree on the final-state CRC at every population and that streaming
+  peak RSS stays flat (within 2x) from the smallest to the largest
+  population — the materialized cohort is the thing that grows.
 
 Usage::
 
@@ -63,8 +62,8 @@ def _tiny_setting(n_clients: int, n_samples: int):
     return ds, parts, model_fn
 
 
-def identity_case(algo_name: str, edges: int, smoke: bool) -> dict:
-    """Streaming/hierarchical virtual-pool run vs materialized baseline."""
+def identity_case(algo_name: str, smoke: bool) -> dict:
+    """Streaming virtual-pool run vs materialized baseline."""
     from repro.core import SPATL, StaticSaliencyPolicy
     from repro.fl import (ClientStateStore, FedAvg, ScaleRunner,
                           ShardedClientFactory, VirtualClientPool,
@@ -91,7 +90,7 @@ def identity_case(algo_name: str, edges: int, smoke: bool) -> dict:
                                        batch_size=32, seed=5)
         pool = VirtualClientPool(factory, len(parts), store)
         algo = build(pool.clients())
-        runner = ScaleRunner(algo, pool=pool, edges=edges,
+        runner = ScaleRunner(algo, pool=pool,
                              spill_dir=Path(tmp) / "spills")
         t0 = time.perf_counter()
         for r in range(rounds):
@@ -100,8 +99,8 @@ def identity_case(algo_name: str, edges: int, smoke: bool) -> dict:
         state = serialize_state(algo.global_model.state_dict())
 
     return {"kind": "identity",
-            "name": f"identity/{algo_name}/edges{edges}",
-            "algorithm": algo_name, "edges": edges, "rounds": rounds,
+            "name": f"identity/{algo_name}",
+            "algorithm": algo_name, "rounds": rounds,
             "byte_identical": state == base_state,
             "ledger_equal":
                 algo.ledger.total_bytes() == base.ledger.total_bytes(),
@@ -140,7 +139,6 @@ def run_child(spec: dict) -> int:
                            local_epochs=1,
                            sample_ratio=spec["sample_ratio"])
             runner = ScaleRunner(algo, pool=pool,
-                                 edges=2 if mode == "hier2" else 1,
                                  eval_mode="none", wave=256,
                                  spill_dir=Path(tmp) / "spills")
             t0 = time.perf_counter()
@@ -225,15 +223,14 @@ def main(argv=None) -> int:
 
     cases = []
     for algo_name in ("fedavg", "spatl"):
-        for edges in (1, 2):
-            case = identity_case(algo_name, edges, args.smoke)
-            cases.append(case)
-            status = "OK" if case["byte_identical"] else "STATE MISMATCH"
-            print(f"{case['name']:<28} wall={case['wall_s']:7.2f}s "
-                  f"[{status}]")
+        case = identity_case(algo_name, args.smoke)
+        cases.append(case)
+        status = "OK" if case["byte_identical"] else "STATE MISMATCH"
+        print(f"{case['name']:<28} wall={case['wall_s']:7.2f}s "
+              f"[{status}]")
 
     for population in populations:
-        for mode in ("materialized", "streaming", "hier2"):
+        for mode in ("materialized", "streaming"):
             case = sweep_case(mode, population, args)
             cases.append(case)
             print(f"{case['name']:<28} "

@@ -191,9 +191,8 @@ def cmd_async_convergence(args) -> None:
 
 def cmd_scale(args) -> None:
     """Population-scale rounds: virtual clients over a spill-to-disk
-    client-state store, streaming fold aggregation at the root, and an
-    optional edge-aggregator hierarchy (DESIGN.md §13).  Byte-identical
-    to the materialized baseline round loop."""
+    client-state store and streaming fold aggregation (DESIGN.md §13).
+    Byte-identical to the materialized baseline round loop."""
     import tempfile
 
     from repro.data import dirichlet_partition
@@ -223,8 +222,7 @@ def cmd_scale(args) -> None:
     # Full (per-client) evaluation is O(population) forward passes;
     # large populations report loss only.
     eval_mode = "full" if args.population <= 256 else "none"
-    runner = ScaleRunner(algo, pool=pool, edges=args.edges,
-                         eval_mode=eval_mode)
+    runner = ScaleRunner(algo, pool=pool, eval_mode=eval_mode)
     try:
         for r in runner.run(cfg.rounds):
             print(f"round {r.round_idx:3d}  loss={r.avg_train_loss:.4f}  "
@@ -234,7 +232,7 @@ def cmd_scale(args) -> None:
         algo.close()
     counters = get_registry().snapshot()["counters"]
     print(json.dumps({
-        "population": args.population, "edges": args.edges,
+        "population": args.population,
         "store_dir": store.root, "store_entries": len(store),
         "store_bytes": store.nbytes, "resident_clients": pool.resident,
         "materializations": counters.get("scale.materializations", 0),
@@ -472,10 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--store-dir", default=None, metavar="DIR",
                        help="directory for the sharded client-state store "
                             "and spill files (default: a fresh temp dir)")
-    scale.add_argument("--edges", type=int, default=1,
-                       help="edge aggregators; 1 folds uploads straight at "
-                            "the root, N>1 routes contiguous cohort slices "
-                            "through edge partials")
     scale.add_argument("--resident", type=int, default=64,
                        help="max clients held in memory at once (LRU; "
                             "evicted state spills to the store)")

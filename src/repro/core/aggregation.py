@@ -6,8 +6,10 @@ coordinate only from the clients that *covered* it:
 
     W_global[idx] += eta * mean_{i : idx in I_i} (W_i[idx] - W_global[idx])
 
-implemented as a vectorized sum/count reduction (DESIGN.md §11):
-coverage counts via one ``np.bincount`` over the concatenated indices,
+implemented as a vectorized sum/count reduction (DESIGN.md §11) that
+folds one upload at a time (:class:`SalientAccumulator` — the batch
+entry point :func:`salient_aggregate` and the streaming SPATL fold are
+the same body): coverage counts via one ``np.bincount`` per upload,
 row sums via unique-index fancy adds (``acc[indices] += diff``) — the
 buffered ``np.add.at`` inner loop is several times slower than the
 plain gather-add-scatter it replaces, and client selections are sets of
@@ -28,11 +30,72 @@ from __future__ import annotations
 import numpy as np
 
 
+class SalientAccumulator:
+    """Running Eq. 12 state for one layer: the repo's one scatter/count body.
+
+    Holds the float64 snapshot of the pre-round global weight (every diff
+    is taken against it), the scatter-add of ``w_i * (W_i[idx] - W[idx])``
+    and the per-filter coverage denominators — integer counts when
+    unweighted, float64 sums of covering weights when ``weighted`` (added
+    in upload order, which is exactly ``np.bincount(..., weights=...)``
+    over the concatenated indices).  Uploads fold in one at a time, so a
+    batch reduction and a streaming one are the same code.
+    """
+
+    def __init__(self, global_weight: np.ndarray, weighted: bool = False):
+        self.out = np.array(global_weight, dtype=np.float64)
+        self.acc = np.zeros_like(self.out)
+        self.counts = np.zeros(self.out.shape[0],
+                               dtype=np.float64 if weighted else np.int64)
+        self.weighted = bool(weighted)
+        # The fancy-add fast path pays a fixed uniqueness check per upload;
+        # for near-scalar rows (biases, BN stats) the buffered scatter is
+        # already cheaper than that check, so only wide rows take it.
+        self._wide = int(np.prod(self.out.shape[1:], dtype=np.int64)) >= 8
+
+    def add(self, indices: np.ndarray, rows: np.ndarray,
+            weight: float = 1.0) -> None:
+        """Fold one client's ``(indices, rows)`` upload in."""
+        n_filters = self.out.shape[0]
+        indices = np.asarray(indices, dtype=np.int64)
+        rows = np.asarray(rows)
+        if rows.shape[0] != len(indices):
+            raise ValueError("upload rows/indices mismatch")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n_filters):
+            raise IndexError("salient index out of range")
+        diff = rows.astype(np.float64) - self.out[indices]
+        if self.weighted:
+            diff = float(weight) * diff
+            np.add.at(self.counts, indices.ravel(), float(weight))
+        else:
+            self.counts += np.bincount(indices.ravel(), minlength=n_filters)
+        if self._wide and indices.size == np.unique(indices).size:
+            # Unique indices: the fancy add sums the identical terms in
+            # the identical order as np.add.at, minus its buffered
+            # element-wise inner loop.
+            self.acc[indices] += diff
+        else:
+            np.add.at(self.acc, indices, diff)
+
+    def result(self, step_size: float = 1.0) -> np.ndarray:
+        """Apply the covered-coordinate means; returns the float64 tensor.
+
+        Rows no upload selected are untouched.  Single use: the mean is
+        applied to the held snapshot in place.
+        """
+        covered = self.counts > 0
+        if covered.any():
+            denom = self.counts[covered].reshape(
+                (-1,) + (1,) * (self.out.ndim - 1))
+            self.out[covered] += step_size * self.acc[covered] / denom
+        return self.out
+
+
 def salient_aggregate(global_weight: np.ndarray,
                       uploads: list[tuple[np.ndarray, np.ndarray]],
                       step_size: float = 1.0,
                       weights: list[float] | None = None) -> np.ndarray:
-    """Eq. 12 for one layer.
+    """Eq. 12 for one layer: a loop over :class:`SalientAccumulator`.
 
     Parameters
     ----------
@@ -46,64 +109,24 @@ def salient_aggregate(global_weight: np.ndarray,
         covering clients, the FedAvg-consistent choice).
     weights:
         Optional per-upload multiplicative weights (the async runtime's
-        staleness discounts, DESIGN.md §12).  The covered-coordinate mean
-        becomes a weighted mean: each covering client contributes
+        staleness discounts).  The covered-coordinate mean becomes a
+        weighted mean: each covering client contributes
         ``w_i * (W_i[idx] - W_global[idx])`` and the denominator is the
         sum of covering weights.  ``None`` keeps the exact unweighted
-        reduction (equal weights give the same *math* but travel a
-        separate code path; only ``weights=None`` is guaranteed bitwise
-        against the oracle).
+        reduction (equal weights give the same *math* but scale each diff
+        by 1.0 and count in float64; only ``weights=None`` is guaranteed
+        bitwise against the oracle).
 
-    Returns the updated dense tensor.  Rows no client selected are
-    untouched.  With ``weights=None``, bitwise-identical to
+    Returns the updated dense tensor.  With ``weights=None``,
+    bitwise-identical to
     :func:`repro.fl.reference_agg.reference_salient_aggregate`.
     """
     if weights is not None and len(weights) != len(uploads):
         raise ValueError("uploads/weights length mismatch")
-    out = np.array(global_weight, dtype=np.float64)
-    n_filters = out.shape[0]
-    acc = np.zeros_like(out)
-    # The fancy-add fast path pays a fixed uniqueness check per upload;
-    # for near-scalar rows (biases, BN stats) the buffered scatter is
-    # already cheaper than that check, so only wide rows take it.
-    row_width = 1
-    for dim in out.shape[1:]:
-        row_width *= int(dim)
-    idx_parts: list[np.ndarray] = []
-    w_parts: list[np.ndarray] = []
-    for upload_i, (indices, rows) in enumerate(uploads):
-        indices = np.asarray(indices, dtype=np.int64)
-        rows = np.asarray(rows)
-        if rows.shape[0] != len(indices):
-            raise ValueError("upload rows/indices mismatch")
-        if len(indices) and (indices.min() < 0 or indices.max() >= n_filters):
-            raise IndexError("salient index out of range")
-        idx_parts.append(indices.ravel())
-        diff = rows.astype(np.float64) - out[indices]
-        if weights is not None:
-            w = float(weights[upload_i])
-            diff = w * diff
-            w_parts.append(np.full(indices.size, w, dtype=np.float64))
-        if row_width >= 8 and indices.size == np.unique(indices).size:
-            # Unique indices: the fancy add sums the identical terms in
-            # the identical order as np.add.at, minus its buffered
-            # element-wise inner loop.
-            acc[indices] += diff
-        else:
-            np.add.at(acc, indices, diff)
-    if not idx_parts:
-        return out.astype(global_weight.dtype)
-
-    concat_idx = np.concatenate(idx_parts)
-    if weights is None:
-        counts = np.bincount(concat_idx, minlength=n_filters)
-    else:
-        counts = np.bincount(concat_idx, weights=np.concatenate(w_parts),
-                             minlength=n_filters)
-    covered = counts > 0
-    denom = counts[covered].reshape((-1,) + (1,) * (out.ndim - 1))
-    out[covered] += step_size * acc[covered] / denom
-    return out.astype(global_weight.dtype)
+    layer = SalientAccumulator(global_weight, weighted=weights is not None)
+    for i, (indices, rows) in enumerate(uploads):
+        layer.add(indices, rows, 1.0 if weights is None else weights[i])
+    return layer.result(step_size).astype(global_weight.dtype)
 
 
 def coverage_fraction(n_filters: int,

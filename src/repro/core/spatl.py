@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.aggregation import salient_aggregate
 from repro.core.gradient_control import (ControlVariate, make_correction_hook,
                                          refresh_client_variate)
 from repro.core.selection_policies import (NoSelectionPolicy, SelectionPolicy,
                                            StaticSaliencyPolicy)
 from repro.fl.base import FederatedAlgorithm
 from repro.fl.client import Client
-from repro.fl.local import train_local, weighted_average_states
+from repro.fl.local import train_local
 from repro.graph import build_graph
 from repro.models.split import SplitModel
 from repro.pruning.selector import SalientSelection, select_salient
@@ -183,133 +182,8 @@ class SPATL(FederatedAlgorithm):
             update["predictor_state"] = {k: payload[f"pred.{k}"]
                                          for k in update["predictor_state"]}
 
-    def aggregate(self, updates: list[dict], round_idx: int) -> None:
-        # Survivor correctness under dropout: Eq. 11 below already sums
-        # variate deltas over the updates it receives (survivors only) and
-        # normalises by n_all — precisely (|S|/N)*mean with |S| = survivors
-        # — so a dropped client leaves c_global untouched for its share.
-        if not updates:
-            raise ValueError("aggregate() needs >= 1 surviving update; "
-                             "skipped rounds must not reach aggregation")
-        encoder_params = dict(self.global_model.encoder.named_parameters())
-        n_all = len(self.clients)
-
-        # --- Eq. 12: index-wise salient aggregation of prunable weights ---
-        for layer in self.prunable:
-            key = layer + ".weight"
-            param = encoder_params[key]
-            uploads = [u["salient"][layer] for u in updates]
-            param.data[...] = salient_aggregate(param.data, uploads,
-                                                self.aggregation_step)
-
-        # --- dense tensors: FedAvg-style weighted average -----------------
-        dense_states = [u["dense"] for u in updates]
-        weights = [u["n"] for u in updates]
-        avg = weighted_average_states(dense_states, weights)
-        dense_param_keys = [k for k in avg if k in encoder_params]
-        for key in dense_param_keys:
-            encoder_params[key].data[...] = avg[key]
-        owners = self.global_model.encoder._buffer_owners()
-        for key, (owner, local) in owners.items():
-            if key in avg:
-                owner.set_buffer(local, avg[key])
-
-        # --- shared-predictor ablation ------------------------------------
-        if not self.use_transfer:
-            pred_avg = weighted_average_states(
-                [u["predictor_state"] for u in updates], weights)
-            self.global_model.load_predictor_state(pred_avg)
-
-        # --- Eq. 11 via server-side variate reconstruction ----------------
-        if self.use_gradient_control:
-            for name, c_val in self.c_global.values.items():
-                acc = np.zeros_like(c_val, dtype=np.float64)
-                layer = name[:-len(".weight")] if name.endswith(".weight") else None
-                for u in updates:
-                    before = u["before"][name]
-                    if layer in u["salient"]:
-                        idx, rows = u["salient"][layer]
-                        idx = np.asarray(idx, dtype=np.int64)
-                        acc[idx] += -c_val[idx] + (before[idx] - rows) / (
-                            u["eff_steps"] * self.lr)
-                    elif name in u["dense"]:
-                        acc += -c_val + (before - u["dense"][name]) / (
-                            u["eff_steps"] * self.lr)
-                # Eq. 11: c += (|S|/N) * mean(delta c_i)  ==  sum/N
-                self.c_global.values[name] = (c_val + acc / n_all).astype(c_val.dtype)
-
-    def aggregate_weighted(self, updates: list[dict], weights, round_idx: int) -> None:
-        """Staleness-weighted SPATL aggregation (async runtime, DESIGN.md §12).
-
-        The weighted variant of :meth:`aggregate`: Eq. 12 becomes a
-        weighted index-wise mean (exact under the sparse salient format —
-        the vectorized reduction takes the weights directly), dense
-        tensors and the shared-predictor ablation scale their example
-        counts, and each update's Eq. 11 variate-delta contribution is
-        discounted by its weight.  All-1.0 weights delegate to
-        :meth:`aggregate`, keeping that path bitwise-identical to the
-        synchronous loop; the weighted path is deliberately a separate
-        body so the golden-tested unweighted numerics stay untouched.
-        """
-        if len(updates) != len(weights):
-            raise ValueError("updates/weights length mismatch")
-        weights = [float(w) for w in weights]
-        if any(w <= 0.0 for w in weights):
-            raise ValueError("aggregation weights must be > 0")
-        if all(w == 1.0 for w in weights):
-            self.aggregate(updates, round_idx)
-            return
-        if not updates:
-            raise ValueError("aggregate_weighted() needs >= 1 update")
-        encoder_params = dict(self.global_model.encoder.named_parameters())
-        n_all = len(self.clients)
-
-        # --- Eq. 12, staleness-weighted index-wise mean -------------------
-        for layer in self.prunable:
-            key = layer + ".weight"
-            param = encoder_params[key]
-            uploads = [u["salient"][layer] for u in updates]
-            param.data[...] = salient_aggregate(param.data, uploads,
-                                                self.aggregation_step,
-                                                weights=weights)
-
-        # --- dense tensors: example counts scaled by the discounts --------
-        dense_states = [u["dense"] for u in updates]
-        dense_weights = [u["n"] * w for u, w in zip(updates, weights)]
-        avg = weighted_average_states(dense_states, dense_weights)
-        dense_param_keys = [k for k in avg if k in encoder_params]
-        for key in dense_param_keys:
-            encoder_params[key].data[...] = avg[key]
-        owners = self.global_model.encoder._buffer_owners()
-        for key, (owner, local) in owners.items():
-            if key in avg:
-                owner.set_buffer(local, avg[key])
-
-        # --- shared-predictor ablation ------------------------------------
-        if not self.use_transfer:
-            pred_avg = weighted_average_states(
-                [u["predictor_state"] for u in updates], dense_weights)
-            self.global_model.load_predictor_state(pred_avg)
-
-        # --- Eq. 11, per-update delta discounted by its weight ------------
-        if self.use_gradient_control:
-            for name, c_val in self.c_global.values.items():
-                acc = np.zeros_like(c_val, dtype=np.float64)
-                layer = name[:-len(".weight")] if name.endswith(".weight") else None
-                for u, w in zip(updates, weights):
-                    before = u["before"][name]
-                    if layer in u["salient"]:
-                        idx, rows = u["salient"][layer]
-                        idx = np.asarray(idx, dtype=np.int64)
-                        acc[idx] += w * (-c_val[idx] + (before[idx] - rows) / (
-                            u["eff_steps"] * self.lr))
-                    elif name in u["dense"]:
-                        acc += w * (-c_val + (before - u["dense"][name]) / (
-                            u["eff_steps"] * self.lr))
-                self.c_global.values[name] = (c_val + acc / n_all).astype(c_val.dtype)
-
-    def make_fold(self, spill, weighted: bool = False):
-        """Streaming Eq. 12/11 fold (bitwise-equal to the batch path)."""
+    def make_fold(self, spill=None, weighted: bool = False):
+        """SPATL's server step (step 6 above): the Eq. 12/11 fold."""
         from repro.fl.scale.fold import SPATLFold
         return SPATLFold(self, spill, weighted=weighted)
 

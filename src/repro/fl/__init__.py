@@ -41,8 +41,8 @@ algorithm rides on:
   :class:`SSFL` (unified subnetwork at initialization), index-free
   sparse wire sharing;
 - :mod:`repro.fl.scale` — population-scale simulation: virtual clients
-  over a spill-to-disk state store, streaming fold aggregation, and
-  hierarchical edge aggregators (DESIGN.md §13; CLI ``scale``).
+  over a spill-to-disk state store and streaming fold aggregation
+  (DESIGN.md §13; CLI ``scale``).
 """
 
 from repro.fl.comm import (CommLedger, PayloadError, payload_nbytes,
@@ -69,7 +69,7 @@ from repro.fl.topk import FedTopK
 from repro.fl.quant import (QuantConfig, quantize_payload, dequantize_payload,
                             quant_payload_nbytes, make_quant_config)
 from repro.fl.sparse_init import SalientGrads, SparseInitFL, SSFL
-from repro.fl.scale import (ClientStateStore, EdgeAggregator, ScaleRunner,
+from repro.fl.scale import (ClientStateStore, ScaleRunner,
                             ShardedClientFactory, StubClientFactory,
                             UpdateSpill, VirtualClient, VirtualClientPool)
 
@@ -102,5 +102,5 @@ __all__ = [
     "VirtualClock", "staleness_weight",
     "ClientStateStore", "VirtualClient", "VirtualClientPool",
     "ShardedClientFactory", "StubClientFactory", "UpdateSpill",
-    "EdgeAggregator", "ScaleRunner",
+    "ScaleRunner",
 ]

@@ -33,8 +33,9 @@ Server semantics:
   deadline fires first), the server folds the buffer in deterministic
   ``(dispatch_step, job)`` order.  Each update is discounted by
   ``1/(1 + staleness)^alpha`` where staleness is the number of commits
-  since its dispatch; all-fresh buffers take the *bitwise-identical*
-  synchronous :meth:`~repro.fl.base.FederatedAlgorithm.aggregate` path.
+  since its dispatch; all-fresh buffers take the unweighted fold, which
+  is *bitwise* the synchronous
+  :meth:`~repro.fl.base.FederatedAlgorithm.aggregate`.
   Commits are idempotent under deadline races: a deadline event carries
   the commit epoch it was armed for and is ignored once any commit
   advanced the epoch.
@@ -48,6 +49,7 @@ cohort order (the equivalence gate in ``benchmarks/bench_async.py``).
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import os
@@ -58,9 +60,10 @@ from typing import Any
 import numpy as np
 
 from repro.fl.base import FederatedAlgorithm
-from repro.fl.comm import deserialize_state, payload_nbytes
+from repro.fl.comm import decode_update, encode_update, payload_nbytes
 from repro.fl.faults import AsyncProfile
 from repro.fl.resilience import ClientCrashed, FaultStats
+from repro.fl.scale.fold import UpdateSpill
 from repro.fl.wire import codec_validate, state_fingerprint
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -193,7 +196,7 @@ class AsyncFederatedRunner:
     The runner owns the *protocol* (arrivals, buffering, staleness,
     admission control); the wrapped algorithm keeps owning the *math*
     (``download_payload`` / ``local_update`` / ``upload_payload`` /
-    ``aggregate`` / ``aggregate_weighted``) plus the shared
+    ``make_fold``) plus the shared
     infrastructure — its :class:`~repro.fl.comm.CommLedger` (downlink
     charged at dispatch, uplink at delivery, both keyed by the dispatch
     step so async accounting lines up with sync rounds), its
@@ -298,31 +301,21 @@ class AsyncFederatedRunner:
                    crashed=crashed)
         with tracer.span("dispatch", step=self.server_step, client=cid,
                          job=job_id) as span:
-            down = algo.download_payload(client)
-            down_bytes = payload_nbytes(down)
+            # The sync exchange's front half, keyed for this driver: the
+            # downlink is charged (and broadcast-cached) under the server
+            # step, training runs under the client's own job count.
+            down_bytes = algo._send_download(client, self.server_step,
+                                             ("async", self.server_step))
             span.set(bytes=down_bytes, crashed=crashed)
-            if tracer.enabled:
-                # Traced codec parity, exactly like the sync fault-free
-                # path: frame the (client-invariant) downlink once per
-                # step through the broadcast cache and decode zero-copy,
-                # so traced codec byte totals equal the ledger's.
-                blob = algo._broadcast.encode(
-                    down, token=("async", self.server_step), channel="down",
-                    variant=algo._bcast_variant)
-                deserialize_state(blob, copy=False)
-            algo.ledger.record_down(self.server_step, cid, down_bytes)
             if not crashed:
-                job.update = algo.local_update(client, round_for_client)
-                # Quantized uplink (DESIGN.md §16): encode once at
-                # training time, before any spill — the stashed wire
-                # dict is what fingerprints, byte charges, and (via the
-                # dequantized update tensors) buffered commits all see,
-                # so duplicate deliveries dedup against identical bytes.
-                job.update = algo.quantize_update(client, job.update,
-                                                  round_for_client)
+                # Quantized uplinks (DESIGN.md §16) are encoded here, once,
+                # before any spill — the stashed wire dict is what
+                # fingerprints, byte charges, and (via the dequantized
+                # update tensors) buffered commits all see, so duplicate
+                # deliveries dedup against identical bytes.
+                job.update = algo._train(client, round_for_client)
                 job.train_loss = algo.update_train_loss(job.update)
                 if self._store is not None:
-                    from repro.fl.comm import encode_update
                     self._store.put(f"job/{job_id}",
                                     encode_update(job.update))
                     job.update = None    # lives on disk until commit
@@ -447,26 +440,8 @@ class AsyncFederatedRunner:
         if self._store is not None:
             blob = self._store.get(f"job/{job.job_id}")
             if blob is not None:
-                from repro.fl.comm import decode_update
                 return decode_update(blob)
         return None
-
-    def _fold_commit(self, jobs: list[_Job], weights: list[float]) -> None:
-        """Commit by streaming spilled updates through the algorithm's
-        fold — one update in memory at a time, bitwise-equal to
-        ``aggregate_weighted`` over the materialized list."""
-        from repro.fl.scale.fold import UpdateSpill
-        use_weighted = not all(w == 1.0 for w in weights)
-        spill = UpdateSpill(os.path.join(
-            self._store.root, "spills", f"commit_{self._commit_epoch}.spill"))
-        fold = self.algo.make_fold(spill, weighted=use_weighted)
-        for job, w in zip(jobs, weights):
-            if use_weighted:
-                fold.add(self._job_update(job), w)
-            else:
-                fold.add(self._job_update(job))
-        fold.finalize(self.server_step)
-        spill.unlink()
 
     def _commit(self, deadline: bool = False, partial: bool = False) -> None:
         """Fold the buffer into the global state as one server step."""
@@ -482,12 +457,17 @@ class AsyncFederatedRunner:
         metrics = get_registry()
         with tracer.span("commit", step=self.server_step,
                          n_updates=len(jobs), deadline=deadline) as span:
-            if self._store is not None:
-                self._fold_commit(jobs, weights)
-            else:
-                updates = [j.update for j in jobs]
-                self.algo.aggregate_weighted(updates, weights,
-                                             self.server_step)
+            # With an update store the fold parks on disk and the
+            # generator keeps one update alive at a time; without one
+            # both are resident.  Same fold, same arithmetic.
+            parked = contextlib.nullcontext() if self._store is None else \
+                UpdateSpill(os.path.join(
+                    self._store.root, "spills",
+                    f"commit_{self._commit_epoch}.spill"))
+            with parked as spill:
+                self.algo.aggregate_weighted(
+                    (self._job_update(job) for job in jobs), weights,
+                    self.server_step, spill=spill)
             span.set(max_staleness=max(staleness),
                      mean_weight=float(np.mean(weights)))
         hist = metrics.histogram("async.staleness", bounds=STALENESS_BOUNDS)

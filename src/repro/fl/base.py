@@ -9,7 +9,9 @@ aggregate → evaluate.  Subclasses implement four hooks:
 - ``local_update(client, round_idx)`` — run local training, return an
   update object;
 - ``upload_payload(update)`` — what the client sends back (accounting);
-- ``aggregate(updates, round_idx)`` — fold uploads into the global state.
+- the server step, once: ``make_fold(spill, weighted)`` for a running
+  accumulator, or ``aggregate(updates, round_idx)`` for a batch reduce
+  (DESIGN.md §13.3).
 
 Evaluation reports the **average local top-1 accuracy across all clients**
 (participating or not), matching §V-B: "we allocate each client a local
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -253,56 +255,49 @@ class FederatedAlgorithm:
                 return stashed
         return self.upload_payload(update)
 
-    def aggregate(self, updates: list[Any], round_idx: int) -> None:
-        raise NotImplementedError
+    # ---------------------------------- aggregation (DESIGN.md §13.3)
+    def make_fold(self, spill=None, weighted: bool = False):
+        """The accumulator every driver aggregates through.
 
-    def aggregate_weighted(self, updates: list[Any],
-                           weights: Sequence[float], round_idx: int) -> None:
-        """Fold updates with per-update multiplicative weights (async path).
+        ``spill=None`` parks what finalize needs by reference; an
+        :class:`~repro.fl.scale.fold.UpdateSpill` parks it on disk.  The
+        base fold replays a batch ``aggregate`` override; algorithms
+        whose server step has a running form (FedAvg's weighted mean,
+        SPATL's Eq. 11/12) return an O(model) fold instead.
+        """
+        if type(self).aggregate is FederatedAlgorithm.aggregate:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither make_fold nor a "
+                "batch aggregate")
+        from repro.fl.scale.fold import SpillReplayFold
+        return SpillReplayFold(self, spill, weighted=weighted)
+
+    def aggregate(self, updates: Sequence[Any], round_idx: int) -> None:
+        """Fold a list of updates into the global state, unit weights."""
+        self.aggregate_weighted(updates, [1.0] * len(updates), round_idx)
+
+    def aggregate_weighted(self, updates: Iterable[Any],
+                           weights: Sequence[float], round_idx: int,
+                           spill=None) -> None:
+        """Fold ``updates`` with per-update multiplicative weights.
 
         The asynchronous runtime discounts stale updates by
         ``1/(1+staleness)^alpha`` (DESIGN.md §12).  When every weight is
-        exactly 1.0 this delegates to :meth:`aggregate` — bitwise the
+        exactly 1.0 the fold is the unweighted one — bitwise the
         synchronous path, which is what makes ``buffer_k == cohort size``
-        async runs reproduce sync runs exactly.  The default otherwise
-        scales each dict update's example count ``"n"`` by its weight, so
-        any algorithm whose aggregation is an ``"n"``-weighted mean
-        (FedAvg, FedProx, FedNova, FedTopK) discounts stale clients'
-        shares; algorithms with richer aggregation geometry (SPATL's
-        salient/index-wise path) override this.
+        async runs reproduce sync runs exactly.  ``updates`` may be a
+        generator: with a ``spill`` only one update is alive at a time.
         """
-        if len(updates) != len(weights):
-            raise ValueError("updates/weights length mismatch")
-        if all(w == 1.0 for w in weights):
-            self.aggregate(updates, round_idx)
-            return
-        scaled = []
-        for update, w in zip(updates, weights):
-            if w <= 0.0:
-                raise ValueError(f"aggregation weight must be > 0, got {w}")
-            if isinstance(update, dict) and "n" in update:
-                update = dict(update)
-                update["n"] = update["n"] * w
-            scaled.append(update)
-        self.aggregate(scaled, round_idx)
+        fold = self.make_fold(spill,
+                              weighted=not all(w == 1.0 for w in weights))
+        # strict: an updates/weights length mismatch is a ValueError
+        for update, w in zip(updates, weights, strict=True):
+            fold.add(update, w)
+        fold.finalize(round_idx)
 
     def client_eval_model(self, client: Client):
         """Model used to evaluate ``client`` (global by default)."""
         return self.global_model
-
-    def make_fold(self, spill, weighted: bool = False):
-        """Streaming-fold accumulator shadowing :meth:`aggregate`.
-
-        The population-scale loop (:mod:`repro.fl.scale`, DESIGN.md §13)
-        folds each upload as it arrives instead of materializing the
-        cohort.  The base implementation returns the lossless
-        spill-then-replay fold, which is bitwise-correct for *every*
-        algorithm; subclasses whose aggregation decomposes into
-        running accumulators (FedAvg's weighted mean, SPATL's Eq. 12
-        counts) override it with a true O(model) fold.
-        """
-        from repro.fl.scale.fold import SpillReplayFold
-        return SpillReplayFold(self, spill, weighted=weighted)
 
     # ------------------------------------------- parallel-execution hooks
     # These describe the server-side state a worker process needs to run
@@ -423,8 +418,11 @@ class FederatedAlgorithm:
                 with tracer.span("sample", round=round_idx, salt=salt):
                     selected = sample_clients(self.clients, self.sample_ratio,
                                               self.seed, round_idx, salt=salt)
-                updates, losses = self._collect_updates(selected, round_idx,
-                                                        salt, stats)
+                # Results are committed in cohort order whichever worker
+                # finished first, so every executor yields identical
+                # aggregation inputs.
+                updates, losses = self.executor.collect(
+                    self, selected, round_idx, salt, stats)
                 if self.fault_model is None or len(updates) >= quorum:
                     break
                 if salt >= self.max_round_resamples:
@@ -442,40 +440,77 @@ class FederatedAlgorithm:
                 with tracer.span("aggregate", round=round_idx,
                                  n_updates=len(updates)):
                     self.aggregate(updates, round_idx)
-            self.rounds_completed = round_idx + 1
-            self.fault_stats.merge(stats)
-            with tracer.span("evaluate", round=round_idx):
-                acc = self.evaluate_all()
-            finite = [v for v in losses if np.isfinite(v)]
-            avg_loss = float(np.mean(finite)) if finite else float("nan")
-            result = RoundResult(round_idx, avg_loss, acc, len(updates),
-                                 self.ledger.round_bytes(round_idx),
-                                 n_dropped=stats.n_dropped,
-                                 n_retries=stats.n_retries,
-                                 n_corrupt=stats.n_corrupt,
-                                 n_resamples=stats.n_resamples,
-                                 committed=committed)
-            round_span.set(val_acc=acc, n_participants=len(updates),
-                           bytes=result.round_bytes, committed=committed)
-        metrics = get_registry()
-        metrics.counter("fl.rounds", algorithm=self.name).inc()
-        metrics.counter("fl.client_updates", algorithm=self.name).inc(len(updates))
-        metrics.counter("fl.bytes", algorithm=self.name).inc(result.round_bytes)
-        metrics.gauge("fl.val_acc", algorithm=self.name).set(acc)
+            result = self._finish_round(round_idx, len(updates), losses,
+                                        stats, committed, round_span)
         if tracer.enabled:
-            metrics.histogram("fl.round_seconds",
-                              algorithm=self.name).observe(round_span.duration)
+            get_registry().histogram(
+                "fl.round_seconds",
+                algorithm=self.name).observe(round_span.duration)
         return result
 
-    def _collect_updates(self, selected: Sequence[Client], round_idx: int,
-                         salt: int, stats: FaultStats):
-        """Gather surviving updates (and their losses) from a cohort.
+    def _finish_round(self, round_idx: int, n_updates: int,
+                      losses: Sequence[float], stats: FaultStats,
+                      committed: bool, round_span, evaluate: bool = True,
+                      evict: Callable[[int], None] | None = None
+                      ) -> RoundResult:
+        """Round epilogue shared by every round driver: advance the round
+        counter, merge fault stats, evaluate, build the result, and emit
+        the round-level span attributes and counters.  ``evaluate=False``
+        reports ``nan`` accuracy; ``evict`` is forwarded to
+        :meth:`evaluate_all`."""
+        self.rounds_completed = round_idx + 1
+        self.fault_stats.merge(stats)
+        with get_tracer().span("evaluate", round=round_idx):
+            acc = self.evaluate_all(evict) if evaluate else float("nan")
+        finite = [v for v in losses if np.isfinite(v)]
+        avg_loss = float(np.mean(finite)) if finite else float("nan")
+        result = RoundResult(round_idx, avg_loss, acc, n_updates,
+                             self.ledger.round_bytes(round_idx),
+                             n_dropped=stats.n_dropped,
+                             n_retries=stats.n_retries,
+                             n_corrupt=stats.n_corrupt,
+                             n_resamples=stats.n_resamples,
+                             committed=committed)
+        round_span.set(val_acc=acc, n_participants=n_updates,
+                       bytes=result.round_bytes, committed=committed)
+        metrics = get_registry()
+        metrics.counter("fl.rounds", algorithm=self.name).inc()
+        metrics.counter("fl.client_updates", algorithm=self.name).inc(n_updates)
+        metrics.counter("fl.bytes", algorithm=self.name).inc(result.round_bytes)
+        metrics.gauge("fl.val_acc", algorithm=self.name).set(acc)
+        return result
 
-        Delegates to the configured :class:`RoundExecutor`; results are
-        committed in cohort order regardless of which worker finished
-        first, so every executor yields identical aggregation inputs.
+    def _send_download(self, client: Client, ledger_round: int,
+                       token) -> int:
+        """Fault-free downlink: build the payload, charge the ledger under
+        ``ledger_round``, and return its byte count.
+
+        When a tracer is enabled the payload also makes one pass through
+        the wire codec (result discarded) so the trace's codec spans
+        carry the ledger's byte totals.  It is client-invariant, so the
+        blob comes from the :class:`~repro.fl.wire.BroadcastCache` under
+        ``token`` (the driver's "server state unchanged since" key).
         """
-        return self.executor.collect(self, selected, round_idx, salt, stats)
+        tracer = get_tracer()
+        cid = client.client_id
+        with tracer.span("download", round=ledger_round, client=cid) as span:
+            down = self.download_payload(client)
+            down_bytes = payload_nbytes(down)
+            span.set(bytes=down_bytes)
+            if tracer.enabled:
+                blob = self._broadcast.encode(down, token=token,
+                                              channel="down",
+                                              variant=self._bcast_variant)
+                deserialize_state(blob, copy=False)
+        self.ledger.record_down(ledger_round, cid, down_bytes)
+        return down_bytes
+
+    def _train(self, client: Client, round_idx: int) -> Any:
+        """Local update plus the (once-per-update) uplink quantization."""
+        with get_tracer().span("local_update", round=round_idx,
+                               client=client.client_id):
+            update = self.local_update(client, round_idx)
+        return self.quantize_update(client, update, round_idx)
 
     def _client_exchange(self, client: Client, round_idx: int, salt: int,
                          stats: FaultStats) -> Any:
@@ -487,34 +522,15 @@ class FederatedAlgorithm:
         retraining — and a mid-training crash rolls the client's
         persistent state back to its pre-round snapshot before retrying.
 
-        When a tracer is enabled on the fault-free path, each payload
-        additionally makes one pass through the wire codec
-        (serialize → deserialize, result discarded) so the trace's codec
-        spans carry the same byte totals as the ledger.  Numerics and
-        accounting are untouched: the codec is lossless and the ledger
-        still records ``payload_nbytes`` (== the serialized length).
-        The downlink pass serves its blob from the round's
-        :class:`~repro.fl.wire.BroadcastCache` (the payload is
-        client-invariant) and the upload pass serializes into arena
-        scratch; both decode zero-copy — the spans keep their exact byte
-        counts, only the CPU cost drops.
+        When a tracer is enabled on the fault-free path, the upload makes
+        the same discarded pass through the wire codec as the download
+        (:meth:`_send_download`), serializing into arena scratch.
         """
         tracer = get_tracer()
         cid = client.client_id
         if self.fault_model is None:
-            with tracer.span("download", round=round_idx, client=cid) as span:
-                down = self.download_payload(client)
-                down_bytes = payload_nbytes(down)
-                span.set(bytes=down_bytes)
-                if tracer.enabled:
-                    blob = self._broadcast.encode(down, token=self._bcast_gen,
-                                                  channel="down",
-                                                  variant=self._bcast_variant)
-                    deserialize_state(blob, copy=False)
-            self.ledger.record_down(round_idx, cid, down_bytes)
-            with tracer.span("local_update", round=round_idx, client=cid):
-                update = self.local_update(client, round_idx)
-            update = self.quantize_update(client, update, round_idx)
+            self._send_download(client, round_idx, self._bcast_gen)
+            update = self._train(client, round_idx)
             with tracer.span("upload", round=round_idx, client=cid) as span:
                 up = self.wire_payload(update)
                 up_bytes = payload_nbytes(up)
@@ -541,15 +557,11 @@ class FederatedAlgorithm:
                         fm.check_straggler(round_idx, cid, salt, attempt,
                                            self.epochs_for(client, round_idx))
                         snapshot = client.snapshot_local_state()
-                        with tracer.span("local_update", round=round_idx,
-                                         client=cid):
-                            update = self.local_update(client, round_idx)
-                        # Quantize before the crash draw: a crash rolls the
+                        # Quantized before the crash draw: a crash rolls the
                         # client's state (incl. EF residuals) back to the
                         # pre-round snapshot, so the retrain re-quantizes
                         # from a clean slate with the same seeded codes.
-                        update = self.quantize_update(client, update,
-                                                      round_idx)
+                        update = self._train(client, round_idx)
                         try:
                             fm.check_crash(round_idx, cid, salt, attempt)
                         except ClientCrashed:
@@ -570,19 +582,23 @@ class FederatedAlgorithm:
                 stats.backoff_time += self.retry_policy.delay(attempt)
         raise failure
 
-    def evaluate_all(self) -> float:
-        """Average local validation top-1 accuracy across *all* clients."""
+    def per_client_accuracy(
+            self, evict: Callable[[int], None] | None = None) -> list[float]:
+        """Per-client local validation top-1 accuracies (the paper's
+        local-accuracy figure).  ``evict`` is called with each client's id
+        right after its evaluation (virtual populations bound residency
+        with it)."""
         accs = []
         for client in self.clients:
-            model = self.client_eval_model(client)
-            acc, _ = client.evaluate(model)
-            accs.append(acc)
-        return float(np.mean(accs))
+            accs.append(client.evaluate(self.client_eval_model(client))[0])
+            if evict is not None:
+                evict(client.client_id)
+        return accs
 
-    def per_client_accuracy(self) -> list[float]:
-        """Per-client accuracies (the paper's local-accuracy figure)."""
-        return [client.evaluate(self.client_eval_model(client))[0]
-                for client in self.clients]
+    def evaluate_all(self,
+                     evict: Callable[[int], None] | None = None) -> float:
+        """Average local validation top-1 accuracy across *all* clients."""
+        return float(np.mean(self.per_client_accuracy(evict)))
 
     def run(self, rounds: int, target_accuracy: float | None = None,
             patience: int | None = None, log: ExperimentLog | None = None,

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.fl.base import FederatedAlgorithm
 from repro.fl.client import Client
-from repro.fl.local import train_local, weighted_average_states
+from repro.fl.local import train_local
 
 
 class FedAvg(FederatedAlgorithm):
@@ -52,18 +52,6 @@ class FedAvg(FederatedAlgorithm):
                              payload: dict[str, np.ndarray]) -> None:
         update["state"] = {k: payload[k] for k in update["state"]}
 
-    def aggregate(self, updates: list[dict], round_idx: int) -> None:
-        # Under fault tolerance only *surviving* clients reach this point;
-        # weights renormalise over survivors, which is exactly FedAvg under
-        # partial participation.  An empty round is the server loop's job
-        # to skip — aggregating nothing is a bug upstream.
-        if not updates:
-            raise ValueError("aggregate() needs >= 1 surviving update; "
-                             "skipped rounds must not reach aggregation")
-        avg = weighted_average_states([u["state"] for u in updates],
-                                      [u["n"] for u in updates])
-        self.global_model.load_state_dict(avg)
-
     def cohort_local_updates(self, clients: list[Client],
                              round_idx: int) -> dict[int, dict]:
         """Batched local updates for the vectorized executor (DESIGN.md §14).
@@ -83,7 +71,7 @@ class FedAvg(FederatedAlgorithm):
                 f"{type(self).__name__} overrides local_update")
         return cohort_local_updates(self, clients, round_idx)
 
-    def make_fold(self, spill, weighted: bool = False):
-        """O(model) streaming mean (bitwise-equal to :meth:`aggregate`)."""
+    def make_fold(self, spill=None, weighted: bool = False):
+        """FedAvg's server step: the example-weighted mean fold."""
         from repro.fl.scale.fold import DictMeanFold
         return DictMeanFold(self, spill, weighted=weighted)

@@ -5,14 +5,15 @@
 hooks rather than subclassed loops — ``correction_hook`` for
 SCAFFOLD/SPATL control variates (Eq. 9), ``extra_loss`` for FedProx's
 proximal term, ``param_filter`` to restrict training to the encoder.
-:func:`weighted_average_states` is the FedAvg server-side reduction.
+:func:`weighted_average_states` is the FedAvg server-side reduction
+(batch lists and streamed spill records alike).
 Both are pure with respect to server state, which is what makes them
 safe to run inside worker processes (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ def train_local(model, client: Client, round_idx: int, epochs: int, lr: float,
                 correction_hook: Callable | None = None,
                 param_filter: Callable[[str], bool] | None = None,
                 extra_loss: Callable | None = None,
-                compiler=None) -> tuple[float, int]:
+                compiler=None) -> tuple[float, int, SGD]:
     """Run ``epochs`` of SGD on the client's shard.
 
     Parameters
@@ -85,25 +86,32 @@ def train_local(model, client: Client, round_idx: int, epochs: int, lr: float,
     return loss_avg.value, steps, opt
 
 
-def weighted_average_states(states: list[dict[str, np.ndarray]],
-                            weights: list[float]) -> dict[str, np.ndarray]:
-    """Weighted mean of aligned state dicts (FedAvg aggregation).
+def weighted_average_states(states: Iterable[dict[str, np.ndarray]],
+                            weights: Sequence[float]) -> dict[str, np.ndarray]:
+    """Weighted mean of aligned state dicts — the repo's one mean body.
 
-    Integer-typed entries (e.g. ``num_batches_tracked``) take the first
-    client's value rather than a meaningless average.
+    ``states`` may be any iterable (a list, or records streamed back from
+    a spill): each is consumed once, in order, so per key the sequence of
+    float64 additions (normalized weight times state) is the cohort
+    order whichever way the caller holds them.  Integer-typed entries
+    (e.g. ``num_batches_tracked``) take the first client's value rather
+    than a meaningless average; the result keeps the first state's key
+    order.
     """
-    if len(states) != len(weights) or not states:
-        raise ValueError("states/weights mismatch or empty")
     w = np.asarray(weights, dtype=np.float64)
+    if not w.size:
+        raise ValueError("weighted_average_states needs >= 1 state")
     w = w / w.sum()
-    out: dict[str, np.ndarray] = {}
-    for key in states[0]:
-        first = np.asarray(states[0][key])
-        if first.dtype.kind in "iu":
-            out[key] = first.copy()
-            continue
-        acc = np.zeros_like(first, dtype=np.float64)
-        for wi, state in zip(w, states):
-            acc += wi * np.asarray(state[key], dtype=np.float64)
-        out[key] = acc.astype(first.dtype)
-    return out
+    first: dict[str, np.ndarray] = {}
+    acc: dict[str, np.ndarray] = {}
+    # strict: a states/weights length mismatch is a ValueError
+    for i, (wi, state) in enumerate(zip(w, states, strict=True)):
+        if i == 0:
+            first = {key: np.asarray(value) for key, value in state.items()}
+            acc = {key: np.zeros_like(value, dtype=np.float64)
+                   for key, value in first.items()
+                   if value.dtype.kind not in "iu"}
+        for key in acc:
+            acc[key] += wi * np.asarray(state[key], dtype=np.float64)
+    return {key: acc[key].astype(value.dtype) if key in acc else value.copy()
+            for key, value in first.items()}

@@ -3,7 +3,7 @@
 SPATL's round loop is embarrassingly parallel across clients — each
 sampled client independently downloads the global state, trains locally,
 and uploads its salient parameters — yet the original
-``FederatedAlgorithm._collect_updates`` ran clients strictly
+``FederatedAlgorithm.run_round`` ran clients strictly
 sequentially, capping round wall-time at one core.  This module supplies
 the executor abstraction behind that loop (DESIGN.md §9):
 

@@ -6,15 +6,13 @@ Four pieces, composable with every algorithm and executor:
   per-client persistent state;
 - :class:`VirtualClientPool` / :class:`VirtualClient` — lazily
   materialized population over the store;
-- streaming folds (:mod:`repro.fl.scale.fold`) — O(model) incremental
-  aggregation, bitwise-equal to the batch path;
-- :class:`EdgeAggregator` + :class:`ScaleRunner` — hierarchical and
-  streaming round loops.
+- folds (:mod:`repro.fl.scale.fold`) — the incremental accumulators
+  every driver aggregates through, O(model) when spilled to disk;
+- :class:`ScaleRunner` — the streaming round loop.
 """
 
 from repro.fl.scale.fold import (DictMeanFold, SPATLFold, SpillReplayFold,
                                  StreamingFold, UpdateSpill)
-from repro.fl.scale.hierarchy import EdgeAggregator, EdgePartial, fold_partials
 from repro.fl.scale.runner import ScaleRunner
 from repro.fl.scale.store import (ClientStateStore, decode_client_state,
                                   encode_client_state)
@@ -25,6 +23,5 @@ __all__ = [
     "ClientStateStore", "encode_client_state", "decode_client_state",
     "UpdateSpill", "StreamingFold", "DictMeanFold", "SPATLFold",
     "SpillReplayFold", "VirtualClient", "VirtualClientPool",
-    "ShardedClientFactory", "StubClientFactory", "EdgeAggregator",
-    "EdgePartial", "fold_partials", "ScaleRunner",
+    "ShardedClientFactory", "StubClientFactory", "ScaleRunner",
 ]

@@ -1,54 +1,53 @@
-"""Streaming fold aggregation: commit each upload, then discard it.
+"""Fold aggregation: the one place server-side arithmetic lives.
 
-The batch server holds a full cohort of updates before aggregating —
-O(cohort · model) memory.  A :class:`StreamingFold` is an incremental
-accumulator with the same numerics: ``add(update)`` folds one upload in
-(spilling whatever a later reduction still needs to disk via
-:class:`UpdateSpill`) and ``finalize(round_idx)`` installs the result
-into the algorithm's global state.  Every fold is **bitwise-identical**
-to the batch ``aggregate`` / ``aggregate_weighted`` path it shadows —
-floating-point addition is not associative, so each fold replays the
-exact per-key / per-coordinate addition *order* of its batch
-counterpart, and golden tests plus a Hypothesis property suite gate the
-equivalence (DESIGN.md §13).
+A fold is an incremental accumulator: ``add(update, weight)`` commits
+one upload, ``finalize(round_idx)`` installs the result into the
+algorithm's global state.  Every driver aggregates through the fold its
+algorithm's ``make_fold(spill, weighted=...)`` returns (DESIGN.md §13.3):
 
-Folds are obtained through ``FederatedAlgorithm.make_fold(spill,
-weighted=...)``:
+- :class:`DictMeanFold` — the example-weighted mean over
+  ``update["state"]`` (FedAvg, FedProx, StubAvg).
+- :class:`SPATLFold` — SPATL's Eq. 12 / Eq. 11 server step.
+- :class:`SpillReplayFold` — parks every update and replays the batch
+  ``aggregate`` of an algorithm that defines one (SCAFFOLD, FedNova,
+  FedTopK, SSFL/SalientGrads).
 
-- :class:`DictMeanFold` — FedAvg-family ``weighted_average_states``
-  reductions (FedAvg, FedProx, StubAvg).  Dense states spill to disk;
-  only the example-count/weight pairs stay resident.
-- :class:`SPATLFold` — SPATL's Eq. 12 index-wise salient aggregation
-  with *running* coverage counts, eager Eq. 11 variate reconstruction,
-  and a spilled dense/predictor stream.  Server memory is O(model),
-  independent of cohort size.
-- :class:`SpillReplayFold` — lossless fallback for algorithms with
-  order-coupled aggregation geometry (SCAFFOLD, FedNova, FedTopK):
-  every update spills through the exact ``repro.fl.comm`` codec and the
-  batch path replays at finalize.  Peak memory returns to O(cohort) for
-  the duration of ``finalize`` only.
+What ``finalize`` still needs from each upload is *parked*: with no
+spill the fold keeps references to the update's own arrays (no codec
+pass, no disk — a list reduction's memory profile); with an
+:class:`UpdateSpill` it is framed to disk and streamed back, so server
+memory is O(model) independent of cohort size.  Floating-point addition
+is not associative, so every fold adds in cohort order per key / per
+coordinate whichever way the records are parked: resident and spilled
+folds are bitwise-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.fl.comm import decode_update, encode_update
+from repro.core.aggregation import SalientAccumulator
+from repro.fl.comm import PayloadError, decode_update, encode_update
+from repro.fl.local import weighted_average_states
 from repro.fl.wire import deserialize, serialize
-from repro.obs.metrics import get_registry
 
 _REC_HDR = struct.Struct("<Q")
 
 _EMPTY_MSG = ("aggregate() needs >= 1 surviving update; "
               "skipped rounds must not reach aggregation")
+_DESERIALIZE_VIEW = functools.partial(deserialize, copy=False)
 
 
 class UpdateSpill:
-    """Append-only length-prefixed blob log backing a fold's disk state."""
+    """Append-only length-prefixed blob log backing a fold's disk state.
+
+    As a context manager it unlinks its file on exit, whatever the exit.
+    """
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
@@ -63,15 +62,25 @@ class UpdateSpill:
         """Reopen an existing spill at a checkpointed position.
 
         Truncates to ``nbytes`` so records appended after the snapshot
-        are discarded — resume is byte-identical.
+        are discarded — resume is byte-identical.  A file *shorter* than
+        the checkpointed position lost records the fold already counted
+        (``truncate`` would zero-extend it and the zeros would decode as
+        data), so it is rejected.
         """
         spill = cls.__new__(cls)
         spill.path = os.fspath(path)
-        spill._file = open(spill.path, "r+b")
-        spill._file.truncate(nbytes)
-        spill._file.seek(nbytes)
         spill.n_records = int(n_records)
         spill.nbytes = int(nbytes)
+        spill._file = open(spill.path, "r+b")
+        size = os.fstat(spill._file.fileno()).st_size
+        if size < spill.nbytes:
+            spill._file.close()
+            raise PayloadError(
+                f"spill {spill.path} is {size} bytes, shorter than the "
+                f"checkpointed {spill.nbytes} bytes / {spill.n_records} "
+                "records")
+        spill._file.truncate(spill.nbytes)
+        spill._file.seek(spill.nbytes)
         return spill
 
     def append(self, blob: bytes) -> None:
@@ -85,10 +94,20 @@ class UpdateSpill:
         self._file.flush()
         fd = self._file.fileno()
         off = 0
-        for _ in range(self.n_records):
-            (blob_len,) = _REC_HDR.unpack(os.pread(fd, _REC_HDR.size, off))
-            yield os.pread(fd, blob_len, off + _REC_HDR.size)
+        for index in range(self.n_records):
+            header = os.pread(fd, _REC_HDR.size, off)
+            if len(header) < _REC_HDR.size:
+                raise self._torn("header", index, off)
+            (blob_len,) = _REC_HDR.unpack(header)
+            blob = os.pread(fd, blob_len, off + _REC_HDR.size)
+            if len(blob) < blob_len:
+                raise self._torn("body", index, off)
+            yield blob
             off += _REC_HDR.size + blob_len
+
+    def _torn(self, part: str, index: int, offset: int) -> PayloadError:
+        return PayloadError(f"spill {self.path}: record {index} has a "
+                            f"truncated {part}", offset=offset)
 
     def flush(self) -> None:
         self._file.flush()
@@ -100,28 +119,52 @@ class UpdateSpill:
         except FileNotFoundError:
             pass
 
+    def __enter__(self) -> "UpdateSpill":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.unlink()
+
 
 class StreamingFold:
     """Incremental aggregation accumulator (see module docstring).
 
     ``snapshot()`` / ``restore()`` capture and reinstall the resident
-    accumulator state for mid-round checkpointing; the spill file is
-    checkpointed separately (path + record count + byte length) by
-    :mod:`repro.fl.checkpoint`.
+    accumulator state of a *spilled* fold for mid-round checkpointing;
+    the spill file is checkpointed separately (path + record count +
+    byte length) by :mod:`repro.fl.checkpoint`.
     """
 
-    def __init__(self, algorithm, spill: UpdateSpill, weighted: bool = False):
+    def __init__(self, algorithm, spill: UpdateSpill | None = None,
+                 weighted: bool = False):
         self.algo = algorithm
         self.spill = spill
         self.weighted = bool(weighted)
-        self.n_updates = 0
-        self._pairs: list[tuple[float, float]] = []  # (n, weight)
+        self._pairs: list[tuple[float, float]] = []  # (n, weight) per add
+        self._resident: list[Any] = []               # parked, spill is None
+
+    @property
+    def n_updates(self) -> int:
+        return len(self._pairs)
 
     def _check_weight(self, weight: float) -> float:
         weight = float(weight)
         if self.weighted and weight <= 0.0:
             raise ValueError("aggregation weights must be > 0")
         return weight
+
+    def _park(self, record: Any, encode: Callable[[Any], bytes]) -> None:
+        """Keep what finalize still needs: by reference, or framed to disk."""
+        if self.spill is None:
+            self._resident.append(record)
+        else:
+            self.spill.append(encode(record))
+
+    def _parked(self, decode: Callable[[bytes], Any]) -> Iterator[Any]:
+        """The parked records, in ``add`` order (re-iterable)."""
+        if self.spill is None:
+            return iter(self._resident)
+        return (decode(blob) for blob in self.spill)
 
     def add(self, update: Any, weight: float = 1.0) -> None:
         raise NotImplementedError
@@ -144,8 +187,6 @@ class StreamingFold:
             raise ValueError(f"fold kind mismatch: checkpoint has "
                              f"{meta['kind']!r}, algorithm builds "
                              f"{type(self).__name__!r}")
-        self.weighted = bool(meta["weighted"])
-        self.n_updates = int(meta["n_updates"])
         self._pairs = [(float(n), float(w)) for n, w in arrays["pairs"]]
 
     def _final_weights(self) -> list[float]:
@@ -154,91 +195,52 @@ class StreamingFold:
         return [n for n, _ in self._pairs]
 
 
-def _stream_weighted_average(records: Iterator[dict[str, np.ndarray]],
-                             weights: list[float]) -> dict[str, np.ndarray]:
-    """:func:`repro.fl.local.weighted_average_states`, record-streamed.
-
-    The batch reduction is key-outer / state-inner; streaming is forced
-    to be state-outer / key-inner.  Per key the *sequence* of additions
-    (normalized weight times state, in cohort order) is identical, so
-    the result is bitwise-equal; the output dict is built in the first
-    state's key order so downstream ``load_state_dict`` consumers see
-    the same key order too.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    w = w / w.sum()
-    out: dict[str, np.ndarray] = {}
-    acc: dict[str, np.ndarray] = {}
-    dtypes: dict[str, np.dtype] = {}
-    for i, state in enumerate(records):
-        if i == 0:
-            for key in state:
-                first = np.asarray(state[key])
-                if first.dtype.kind in "iu":
-                    out[key] = first.copy()
-                else:
-                    out[key] = None  # placeholder holding the key's slot
-                    acc[key] = np.zeros_like(first, dtype=np.float64)
-                    dtypes[key] = first.dtype
-        for key in acc:
-            acc[key] += w[i] * np.asarray(state[key], dtype=np.float64)
-    for key in acc:
-        out[key] = acc[key].astype(dtypes[key])
-    return out
-
-
 class DictMeanFold(StreamingFold):
-    """Streaming ``weighted_average_states`` over ``update["state"]``."""
+    """Example-weighted mean over ``update["state"]`` (FedAvg's server step).
+
+    Only surviving clients reach a fold, and the weights renormalise
+    over whatever was added — exactly FedAvg under partial participation.
+    An empty round is the server loop's job to skip; finalizing nothing
+    is a bug upstream.
+    """
 
     def add(self, update: dict, weight: float = 1.0) -> None:
         weight = self._check_weight(weight)
-        self.spill.append(serialize(update["state"]))
+        self._park(update["state"], serialize)
         self._pairs.append((float(update["n"]), weight))
-        self.n_updates += 1
 
     def finalize(self, round_idx: int) -> None:
         if not self.n_updates:
             raise ValueError(_EMPTY_MSG)
-        records = (deserialize(blob, copy=False) for blob in self.spill)
-        avg = _stream_weighted_average(records, self._final_weights())
+        avg = weighted_average_states(self._parked(_DESERIALIZE_VIEW),
+                                      self._final_weights())
         self.algo.global_model.load_state_dict(avg)
-        get_registry().counter("scale.folds",
-                               algorithm=self.algo.name).inc()
 
 
 class SPATLFold(StreamingFold):
-    """Streaming SPATL aggregation: Eq. 12 + dense mean + Eq. 11.
+    """SPATL's server step: Eq. 12 + dense mean + Eq. 11, written once.
 
-    Resident state per prunable layer: the frozen float64 snapshot of
-    the global weight (Eq. 12's diffs are all taken against the
-    *pre-round* global, so it is captured at construction), the running
-    scatter-add accumulator, and running coverage counts (integer when
-    unweighted — exactly mergeable — float64 sequential adds when
-    weighted, matching ``np.bincount(..., weights=...)`` order).  Eq. 11
-    variate deltas accumulate eagerly per upload in the same per-name
-    order as the batch loop.  Dense tensors and shared-predictor states
-    spill to disk and stream through the weighted average at finalize.
+    One :class:`~repro.core.aggregation.SalientAccumulator` per prunable
+    layer, built at construction (Eq. 12's diffs are all taken against
+    the *pre-round* global).  Eq. 11 variate deltas are reconstructed
+    from each upload and summed eagerly; ``finalize`` applies
+    ``c += sum(delta c_i) / N`` — precisely ``(|S|/N) * mean`` with
+    ``|S|`` = the updates folded, so a dropped client leaves ``c_global``
+    untouched for its share.  Dense tensors and shared-predictor states
+    are parked for the weighted mean.  A staleness weight scales the
+    upload's Eq. 12 diffs and coverage, its example count, and its
+    Eq. 11 delta.
     """
 
-    def __init__(self, algorithm, spill: UpdateSpill, weighted: bool = False):
+    def __init__(self, algorithm, spill: UpdateSpill | None = None,
+                 weighted: bool = False):
         super().__init__(algorithm, spill, weighted)
         algo = algorithm
         self._params = dict(algo.global_model.encoder.named_parameters())
-        self._out: dict[str, np.ndarray] = {}
-        self._acc: dict[str, np.ndarray] = {}
-        self._counts: dict[str, np.ndarray] = {}
-        self._row_width: dict[str, int] = {}
-        for layer in algo.prunable:
-            key = layer + ".weight"
-            out = np.array(self._params[key].data, dtype=np.float64)
-            self._out[layer] = out
-            self._acc[layer] = np.zeros_like(out)
-            self._counts[layer] = np.zeros(
-                out.shape[0], dtype=np.float64 if weighted else np.int64)
-            width = 1
-            for dim in out.shape[1:]:
-                width *= int(dim)
-            self._row_width[layer] = width
+        self._layers = {
+            layer: SalientAccumulator(self._params[layer + ".weight"].data,
+                                      weighted=weighted)
+            for layer in algo.prunable}
         self._c_acc: dict[str, np.ndarray] = {}
         if algo.use_gradient_control:
             for name, c_val in algo.c_global.values.items():
@@ -249,53 +251,30 @@ class SPATLFold(StreamingFold):
         algo = self.algo
 
         # --- Eq. 12: one upload's contribution per prunable layer ------
-        for layer in algo.prunable:
-            out = self._out[layer]
-            acc = self._acc[layer]
-            indices, rows = update["salient"][layer]
-            indices = np.asarray(indices, dtype=np.int64)
-            rows = np.asarray(rows)
-            if rows.shape[0] != len(indices):
-                raise ValueError("upload rows/indices mismatch")
-            if len(indices) and (indices.min() < 0
-                                 or indices.max() >= out.shape[0]):
-                raise IndexError("salient index out of range")
-            diff = rows.astype(np.float64) - out[indices]
-            if self.weighted:
-                diff = weight * diff
-                np.add.at(self._counts[layer], indices.ravel(), weight)
-            else:
-                self._counts[layer] += np.bincount(indices.ravel(),
-                                                   minlength=out.shape[0])
-            if (self._row_width[layer] >= 8
-                    and indices.size == np.unique(indices).size):
-                acc[indices] += diff
-            else:
-                np.add.at(acc, indices, diff)
+        for layer, accumulator in self._layers.items():
+            accumulator.add(*update["salient"][layer], weight)
 
         # --- Eq. 11: eager variate-delta accumulation ------------------
-        if algo.use_gradient_control:
-            for name, c_val in algo.c_global.values.items():
-                acc = self._c_acc[name]
-                layer = name[:-len(".weight")] if name.endswith(".weight") \
-                    else None
-                before = update["before"][name]
-                if layer in update["salient"]:
-                    idx, rows = update["salient"][layer]
-                    idx = np.asarray(idx, dtype=np.int64)
-                    delta = -c_val[idx] + (before[idx] - rows) / (
-                        update["eff_steps"] * algo.lr)
-                    acc[idx] += weight * delta if self.weighted else delta
-                elif name in update["dense"]:
-                    delta = -c_val + (before - update["dense"][name]) / (
-                        update["eff_steps"] * algo.lr)
-                    acc += weight * delta if self.weighted else delta
+        for name, acc in self._c_acc.items():   # empty without variates
+            c_val = algo.c_global.values[name]
+            layer = name[:-len(".weight")] if name.endswith(".weight") \
+                else None
+            before = update["before"][name]
+            if layer in update["salient"]:
+                idx, rows = update["salient"][layer]
+                idx = np.asarray(idx, dtype=np.int64)
+                delta = -c_val[idx] + (before[idx] - rows) / (
+                    update["eff_steps"] * algo.lr)
+                acc[idx] += weight * delta if self.weighted else delta
+            elif name in update["dense"]:
+                delta = -c_val + (before - update["dense"][name]) / (
+                    update["eff_steps"] * algo.lr)
+                acc += weight * delta if self.weighted else delta
 
-        # --- dense + shared predictor spill for the finalize stream ----
-        self.spill.append(encode_update({"dense": update["dense"],
-                                         "pred": update["predictor_state"]}))
+        # --- dense + shared predictor, parked for the finalize stream --
+        self._park({"dense": update["dense"],
+                    "pred": update["predictor_state"]}, encode_update)
         self._pairs.append((float(update["n"]), weight))
-        self.n_updates += 1
 
     def finalize(self, round_idx: int) -> None:
         if not self.n_updates:
@@ -303,48 +282,34 @@ class SPATLFold(StreamingFold):
         algo = self.algo
 
         # --- Eq. 12: apply covered-coordinate means --------------------
-        for layer in algo.prunable:
-            out = self._out[layer]
-            counts = self._counts[layer]
-            covered = counts > 0
-            if covered.any():
-                denom = counts[covered].reshape((-1,) + (1,) * (out.ndim - 1))
-                out[covered] += (algo.aggregation_step
-                                 * self._acc[layer][covered] / denom)
+        for layer, accumulator in self._layers.items():
             param = self._params[layer + ".weight"]
-            param.data[...] = out.astype(param.data.dtype)
+            param.data[...] = accumulator.result(
+                algo.aggregation_step).astype(param.data.dtype)
 
         # --- dense tensors (and shared predictor) ----------------------
         weights = self._final_weights()
-        dense_avg = _stream_weighted_average(
-            (decode_update(blob)["dense"] for blob in self.spill), weights)
-        dense_param_keys = [k for k in dense_avg if k in self._params]
-        for key in dense_param_keys:
-            self._params[key].data[...] = dense_avg[key]
-        owners = algo.global_model.encoder._buffer_owners()
-        for key, (owner, local) in owners.items():
-            if key in dense_avg:
-                owner.set_buffer(local, dense_avg[key])
+        dense_avg = weighted_average_states(
+            (rec["dense"] for rec in self._parked(decode_update)), weights)
+        algo.global_model.encoder.load_state_dict(dense_avg, strict=False)
         if not algo.use_transfer:
-            pred_avg = _stream_weighted_average(
-                (decode_update(blob)["pred"] for blob in self.spill), weights)
+            pred_avg = weighted_average_states(
+                (rec["pred"] for rec in self._parked(decode_update)), weights)
             algo.global_model.load_predictor_state(pred_avg)
 
         # --- Eq. 11: c += sum(delta c_i) / N ---------------------------
-        if algo.use_gradient_control:
-            n_all = len(algo.clients)
-            for name, c_val in algo.c_global.values.items():
-                algo.c_global.values[name] = (
-                    c_val + self._c_acc[name] / n_all).astype(c_val.dtype)
-        get_registry().counter("scale.folds", algorithm=algo.name).inc()
+        for name, acc in self._c_acc.items():
+            c_val = algo.c_global.values[name]
+            algo.c_global.values[name] = (
+                c_val + acc / len(algo.clients)).astype(c_val.dtype)
 
     # -- checkpointing -------------------------------------------------
 
     def snapshot(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
         arrays, meta = super().snapshot()
-        for layer in self.algo.prunable:
-            arrays[f"acc.{layer}"] = self._acc[layer]
-            arrays[f"counts.{layer}"] = self._counts[layer]
+        for layer, accumulator in self._layers.items():
+            arrays[f"acc.{layer}"] = accumulator.acc
+            arrays[f"counts.{layer}"] = accumulator.counts
         for name, acc in self._c_acc.items():
             arrays[f"cacc.{name}"] = acc
         return arrays, meta
@@ -352,38 +317,37 @@ class SPATLFold(StreamingFold):
     def restore(self, arrays: dict[str, np.ndarray],
                 meta: dict[str, Any]) -> None:
         super().restore(arrays, meta)
-        for layer in self.algo.prunable:
-            self._acc[layer] = np.array(arrays[f"acc.{layer}"])
-            counts = np.array(arrays[f"counts.{layer}"])
-            self._counts[layer] = counts.astype(
-                np.float64 if self.weighted else np.int64)
+        for layer, accumulator in self._layers.items():
+            accumulator.acc = np.array(arrays[f"acc.{layer}"])
+            accumulator.counts = np.array(arrays[f"counts.{layer}"]).astype(
+                accumulator.counts.dtype)
         for name in list(self._c_acc):
             self._c_acc[name] = np.array(arrays[f"cacc.{name}"])
 
 
 class SpillReplayFold(StreamingFold):
-    """Lossless spill-then-replay fallback for order-coupled aggregation.
+    """Park-then-replay fold for algorithms whose server step is a batch
+    ``aggregate`` (order-coupled geometry that has no running form).
 
-    Every update passes through the exact :func:`encode_update` /
-    :func:`decode_update` codec (golden-tested lossless), so the batch
-    ``aggregate`` replay at finalize is bitwise-identical to never
-    having spilled.  Memory is O(cohort) only inside ``finalize``.
+    Spilled updates pass through the exact :func:`encode_update` /
+    :func:`decode_update` codec (golden-tested lossless), so the replay
+    at finalize is bitwise-identical to never having spilled.  Weights
+    scale each dict update's example count ``"n"``, so any ``"n"``-weighted
+    batch mean (FedNova, FedTopK, SSFL/SalientGrads) discounts stale
+    clients' shares.  Memory is O(cohort) only inside ``finalize``.
     """
 
     def add(self, update: Any, weight: float = 1.0) -> None:
         weight = self._check_weight(weight)
-        self.spill.append(encode_update(update))
+        self._park(update, encode_update)
         self._pairs.append((0.0, weight))
-        self.n_updates += 1
 
     def finalize(self, round_idx: int) -> None:
         if not self.n_updates:
             raise ValueError(_EMPTY_MSG)
-        updates = [decode_update(blob) for blob in self.spill]
+        updates = list(self._parked(decode_update))
         if self.weighted:
-            self.algo.aggregate_weighted(
-                updates, [w for _, w in self._pairs], round_idx)
-        else:
-            self.algo.aggregate(updates, round_idx)
-        get_registry().counter("scale.folds",
-                               algorithm=self.algo.name).inc()
+            for i, (update, (_, w)) in enumerate(zip(updates, self._pairs)):
+                if isinstance(update, dict) and "n" in update:
+                    updates[i] = dict(update, n=update["n"] * w)
+        self.algo.aggregate(updates, round_idx)

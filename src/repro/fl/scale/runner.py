@@ -5,10 +5,9 @@
 evaluate — but never holds a cohort of updates: each upload folds into
 the algorithm's :class:`~repro.fl.scale.fold.StreamingFold` as it
 arrives and is discarded, so server memory is O(model) + O(wave),
-independent of cohort and population size.  With ``edges > 1`` the
-cohort routes through :class:`~repro.fl.scale.hierarchy.EdgeAggregator`
-partials instead.  Both paths are byte-identical to the materialized
-baseline (golden-tested; see DESIGN.md §13 for the ordering argument).
+independent of cohort and population size — and byte-identical to the
+materialized baseline (golden-tested; see DESIGN.md §13 for the ordering
+argument).
 
 Fault injection is deliberately unsupported here: the fault-tolerant
 retry/quorum loop is the base class's job, and keeping this loop
@@ -34,15 +33,13 @@ import numpy as np
 from repro.fl.base import RoundResult, sample_clients
 from repro.fl.resilience import FaultStats
 from repro.fl.scale.fold import UpdateSpill
-from repro.fl.scale.hierarchy import EdgeAggregator, fold_partials
 from repro.fl.scale.store import ClientStateStore
-from repro.fl.scale.virtual import VirtualClientPool
-from repro.obs.metrics import get_registry
+from repro.fl.scale.virtual import VirtualClient, VirtualClientPool
 from repro.obs.trace import get_tracer
 
 
 class ScaleRunner:
-    """Streaming/hierarchical round loop over (optionally) virtual clients.
+    """Streaming round loop over (optionally) virtual clients.
 
     Parameters
     ----------
@@ -53,12 +50,10 @@ class ScaleRunner:
         The pool backing the algorithm's virtual clients, if any —
         lets the runner evict each participant right after its upload
         is folded.  ``None`` for materialized clients.
-    edges:
-        Number of edge aggregators; 1 folds uploads straight at the
-        root, >1 routes contiguous cohort slices through edge partials.
     spill_dir:
-        Directory for fold/edge spill files.  Defaults to
-        ``<store root>/spills`` with a pool, else a temp directory.
+        Directory for fold spill files.  Defaults to
+        ``<store root>/spills`` with a pool, else a temp directory the
+        runner owns and :meth:`close` removes.
     eval_mode:
         ``"full"`` evaluates every client (the paper's §V-B metric,
         O(population) time); ``"none"`` skips evaluation (benchmark
@@ -69,27 +64,28 @@ class ScaleRunner:
     """
 
     def __init__(self, algorithm, pool: VirtualClientPool | None = None,
-                 edges: int = 1, spill_dir: str | os.PathLike | None = None,
+                 spill_dir: str | os.PathLike | None = None,
                  eval_mode: str = "full", wave: int | None = None):
         if algorithm.fault_model is not None:
             raise ValueError("ScaleRunner is fault-free; use "
                              "FederatedAlgorithm.run_round for fault "
                              "injection")
-        if edges < 1:
-            raise ValueError("edges must be >= 1")
         if eval_mode not in ("full", "none"):
             raise ValueError(f"unknown eval_mode {eval_mode!r}")
         self.algo = algorithm
         self.pool = pool
-        self.edges = int(edges)
+        # per-client-id eviction hook, None for materialized clients
+        self._evict = pool.evict if pool is not None else None
         self.eval_mode = eval_mode
+        self._owned_tmp: tempfile.TemporaryDirectory | None = None
         if spill_dir is None:
             if pool is not None:
                 spill_dir = os.path.join(pool.store.root, "spills")
             else:
-                spill_dir = tempfile.mkdtemp(prefix="repro-scale-")
+                self._owned_tmp = tempfile.TemporaryDirectory(
+                    prefix="repro-scale-")
+                spill_dir = self._owned_tmp.name
         self.spill_dir = os.fspath(spill_dir)
-        os.makedirs(self.spill_dir, exist_ok=True)
         if wave is None:
             # An executor can hint its sweet-spot wave size (the
             # vectorized executor stacks this many clients per batched
@@ -106,9 +102,6 @@ class ScaleRunner:
 
     # ------------------------------------------------------------ round
 
-    def _spill_path(self, round_idx: int) -> str:
-        return os.path.join(self.spill_dir, f"round_{round_idx}.spill")
-
     def _fold_cohort(self, fold, cohort, round_idx: int,
                      stats: FaultStats) -> list[float]:
         """Exchange + fold + evict, ``wave`` clients at a time."""
@@ -120,82 +113,16 @@ class ScaleRunner:
             for update in updates:
                 fold.add(update)
             losses.extend(chunk_losses)
-            if self.pool is not None:
+            if self._evict is not None:
                 for client in chunk:
-                    self.pool.evict(client.client_id)
+                    self._evict(client.client_id)
         return losses
 
     def run_round(self, round_idx: int) -> RoundResult:
         """One streaming round; see the class docstring."""
-        tracer = get_tracer()
-        algo = self.algo
-        algo._bcast_gen += 1
-        with tracer.span("round", round=round_idx) as round_span:
-            stats = FaultStats()
-            with tracer.span("sample", round=round_idx, salt=0):
-                selected = sample_clients(algo.clients, algo.sample_ratio,
-                                          algo.seed, round_idx)
-            spill = UpdateSpill(self._spill_path(round_idx))
-            fold = algo.make_fold(spill)
-            with tracer.span("fold", round=round_idx,
-                             n_clients=len(selected), edges=self.edges):
-                if self.edges == 1:
-                    losses = self._fold_cohort(fold, selected, round_idx,
-                                               stats)
-                else:
-                    losses = []
-                    partials = []
-                    per_edge = -(-len(selected) // self.edges)  # ceil div
-                    for i, lo in enumerate(range(0, len(selected), per_edge)):
-                        edge_slice = selected[lo:lo + per_edge]
-                        edge = EdgeAggregator(i, self.spill_dir)
-                        partial = edge.process(algo, edge_slice, round_idx,
-                                               stats, pool=self.pool,
-                                               wave=self.wave)
-                        losses.extend(partial.losses)
-                        partials.append(partial)
-                    fold_partials(fold, partials)
-            with tracer.span("aggregate", round=round_idx,
-                             n_updates=fold.n_updates):
-                n_updates = fold.n_updates
-                fold.finalize(round_idx)
-            spill.unlink()
-            return self._finish_round(round_idx, n_updates, losses,
-                                      round_span, tracer)
-
-    def _finish_round(self, round_idx: int, n_updates: int,
-                      losses: list[float], round_span, tracer) -> RoundResult:
-        algo = self.algo
-        algo.rounds_completed = round_idx + 1
-        with tracer.span("evaluate", round=round_idx):
-            acc = self._evaluate()
-        finite = [v for v in losses if np.isfinite(v)]
-        avg_loss = float(np.mean(finite)) if finite else float("nan")
-        result = RoundResult(round_idx, avg_loss, acc, n_updates,
-                             algo.ledger.round_bytes(round_idx),
-                             committed=True)
-        round_span.set(val_acc=acc, n_participants=n_updates,
-                       bytes=result.round_bytes, committed=True)
-        metrics = get_registry()
-        metrics.counter("fl.rounds", algorithm=algo.name).inc()
-        metrics.counter("fl.client_updates", algorithm=algo.name).inc(n_updates)
-        metrics.counter("fl.bytes", algorithm=algo.name).inc(result.round_bytes)
-        metrics.gauge("fl.val_acc", algorithm=algo.name).set(acc)
-        return result
-
-    def _evaluate(self) -> float:
-        """``evaluate_all`` with per-client eviction (bounded residency)."""
-        if self.eval_mode == "none":
-            return float("nan")
-        algo = self.algo
-        accs = []
-        for client in algo.clients:
-            model = algo.client_eval_model(client)
-            acc, _ = client.evaluate(model)
-            accs.append(acc)
-            if self.pool is not None:
-                self.pool.evict(client.client_id)
-        return float(np.mean(accs))
+        with get_tracer().span("round", round=round_idx) as round_span:
+            self.run_round_partial(round_idx, 0)
+            return self._complete(round_span)
 
     def run(self, rounds: int) -> list[RoundResult]:
         """Run ``rounds`` consecutive rounds from the current position."""
@@ -203,54 +130,75 @@ class ScaleRunner:
                 for r in range(self.algo.rounds_completed,
                                self.algo.rounds_completed + rounds)]
 
+    def close(self) -> None:
+        """Remove the runner-owned temp spill directory, if any.
+
+        Idempotent.  A pending partial round's spill under a
+        caller-provided ``spill_dir`` stays: a saved checkpoint resumes
+        from it.
+        """
+        if self._owned_tmp is not None:
+            self._owned_tmp.cleanup()
+            self._owned_tmp = None
+
     # ------------------------------------------------ mid-round checkpoint
 
     def run_round_partial(self, round_idx: int, n_clients: int) -> None:
         """Fold the first ``n_clients`` of the round's cohort, then stop.
 
         Leaves the round pending; ``save_round_checkpoint`` can persist
-        it and ``resume_round`` finishes it.  Single-root rounds only
-        (``edges == 1``) — an edge partial mid-slice is not a
-        checkpointable boundary.
+        it and ``resume_round`` finishes it.
         """
-        if self.edges != 1:
-            raise ValueError("mid-round checkpointing requires edges == 1")
         if self._pending is not None:
             raise RuntimeError("a partial round is already pending")
         algo = self.algo
         algo._bcast_gen += 1
         stats = FaultStats()
-        selected = sample_clients(algo.clients, algo.sample_ratio,
-                                  algo.seed, round_idx)
-        spill = UpdateSpill(self._spill_path(round_idx))
-        fold = algo.make_fold(spill)
-        done, remaining = selected[:n_clients], selected[n_clients:]
-        losses = self._fold_cohort(fold, done, round_idx, stats)
+        with get_tracer().span("sample", round=round_idx, salt=0):
+            selected = sample_clients(algo.clients, algo.sample_ratio,
+                                      algo.seed, round_idx)
+        spill = UpdateSpill(os.path.join(self.spill_dir,
+                                         f"round_{round_idx}.spill"))
+        try:
+            fold = algo.make_fold(spill)
+            losses = self._fold_cohort(fold, selected[:n_clients], round_idx,
+                                       stats)
+        except BaseException:
+            spill.unlink()
+            raise
         self._pending = {"round_idx": round_idx, "fold": fold,
                          "spill": spill, "losses": losses,
-                         "remaining": [c.client_id for c in remaining],
-                         "stats": stats}
+                         "remaining": selected[n_clients:], "stats": stats}
 
     def resume_round(self) -> RoundResult:
         """Finish the pending partial round; byte-identical to a full one."""
         if self._pending is None:
             raise RuntimeError("no partial round pending")
+        with get_tracer().span(
+                "round", round=self._pending["round_idx"]) as round_span:
+            return self._complete(round_span)
+
+    def _complete(self, round_span) -> RoundResult:
+        """Fold the pending round's remaining cohort, finalize, and run
+        the base round epilogue (evaluation evicts each virtual client
+        after its turn).  The spill is unlinked on every exit path."""
         tracer = get_tracer()
         p, self._pending = self._pending, None
-        round_idx = p["round_idx"]
-        with tracer.span("round", round=round_idx) as round_span:
-            remaining = [self._client_by_id(cid) for cid in p["remaining"]]
-            losses = p["losses"] + self._fold_cohort(
-                p["fold"], remaining, round_idx, p["stats"])
-            n_updates = p["fold"].n_updates
-            p["fold"].finalize(round_idx)
-            p["spill"].unlink()
-            return self._finish_round(round_idx, n_updates, losses,
-                                      round_span, tracer)
+        round_idx, fold, stats = p["round_idx"], p["fold"], p["stats"]
+        with p["spill"]:
+            with tracer.span("fold", round=round_idx,
+                             n_clients=len(p["remaining"])):
+                losses = p["losses"] + self._fold_cohort(
+                    fold, p["remaining"], round_idx, stats)
+            with tracer.span("aggregate", round=round_idx,
+                             n_updates=fold.n_updates):
+                fold.finalize(round_idx)
+            return self.algo._finish_round(
+                round_idx, fold.n_updates, losses, stats, True, round_span,
+                evaluate=self.eval_mode == "full", evict=self._evict)
 
     def _client_by_id(self, cid: int):
         if self.pool is not None:
-            from repro.fl.scale.virtual import VirtualClient
             return VirtualClient(cid, self.pool)
         for client in self.algo.clients:
             if client.client_id == cid:
@@ -274,7 +222,7 @@ class ScaleRunner:
         p["spill"].flush()
         manifest["scale"] = {
             "round_idx": p["round_idx"],
-            "remaining": p["remaining"],
+            "remaining": [c.client_id for c in p["remaining"]],
             "losses": [float(v) for v in p["losses"]],
             "fold": fold_meta,
             "spill": {"path": p["spill"].path,
@@ -318,5 +266,6 @@ class ScaleRunner:
             self._pending = {"round_idx": int(state["round_idx"]),
                              "fold": fold, "spill": spill,
                              "losses": [float(v) for v in state["losses"]],
-                             "remaining": [int(c) for c in state["remaining"]],
+                             "remaining": [self._client_by_id(int(c))
+                                           for c in state["remaining"]],
                              "stats": FaultStats()}

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fl.base import FederatedAlgorithm
 from repro.fl.client import Client
 from repro.fl.comm import payload_nbytes
 from repro.fl.fedavg import FedAvg
@@ -104,6 +105,12 @@ class SparseInitFL(FedAvg):
         update["state"] = new_state
 
     # -------------------------------------------------------- aggregation
+    # Masked aggregation doesn't decompose into FedAvg's dict mean
+    # (unmasked coordinates must stay at init): the batch reduce below is
+    # this family's one server step, and folds park-and-replay it rather
+    # than inheriting FedAvg's mean fold.
+    make_fold = FederatedAlgorithm.make_fold
+
     def aggregate(self, updates: list[dict], round_idx: int) -> None:
         if not updates:
             raise ValueError("aggregate() needs >= 1 surviving update; "
@@ -127,13 +134,6 @@ class SparseInitFL(FedAvg):
                 avg = sum(wi * np.asarray(u["state"][name], dtype=np.float64)
                           for wi, u in zip(w, updates))
             owner.set_buffer(local, np.asarray(avg, dtype=first.dtype))
-
-    def make_fold(self, spill, weighted: bool = False):
-        """Masked aggregation doesn't decompose into FedAvg's dict mean
-        (unmasked coordinates must stay at init), so fall back to the
-        lossless spill-then-replay fold."""
-        from repro.fl.scale.fold import SpillReplayFold
-        return SpillReplayFold(self, spill, weighted=weighted)
 
 
 class SSFL(SparseInitFL):

@@ -10,8 +10,8 @@ second) and for benchmarking pure event-loop overhead without neural-net
 noise.
 
 The stub honours the full hook contract: updates are ``{"state", "n",
-"train_loss", "steps"}`` dicts (so the base class's weighted-aggregation
-default applies), every draw goes through the seeded RNG tree keyed by
+"train_loss", "steps"}`` dicts (FedAvg's, whose wire hooks and mean fold
+it inherits), every draw goes through the seeded RNG tree keyed by
 ``(round, client)`` (so results are schedule-order independent), and
 aggregation reads the *current* global state (so commit order matters —
 exactly what the invariant tests need to observe).
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fl.base import FederatedAlgorithm
-from repro.fl.local import weighted_average_states
+from repro.fl.fedavg import FedAvg
 from repro.utils.rng import spawn_rng
 
 
@@ -55,13 +54,14 @@ class StubClient:
         return 0.0, 0.0
 
 
-class StubAvg(FederatedAlgorithm):
-    """FedAvg over :class:`DictModel`: seeded noise instead of SGD."""
+class StubAvg(FedAvg):
+    """FedAvg over :class:`DictModel`: seeded noise instead of SGD.
+
+    Wire hooks and the server step (the example-weighted mean fold) are
+    FedAvg's own; only local training is replaced.
+    """
 
     name = "stubavg"
-
-    def download_payload(self, client) -> dict[str, np.ndarray]:
-        return self.global_model.state_dict()
 
     def local_update(self, client, round_idx: int) -> dict:
         rng = spawn_rng(self.seed, "stub", round_idx, client.client_id)
@@ -70,18 +70,6 @@ class StubAvg(FederatedAlgorithm):
         return {"state": state, "n": 1 + client.client_id,
                 "train_loss": float(rng.random()),
                 "steps": self.epochs_for(client, round_idx)}
-
-    def upload_payload(self, update: dict) -> dict[str, np.ndarray]:
-        return update["state"]
-
-    def aggregate(self, updates: list[dict], round_idx: int) -> None:
-        self.global_model.load_state_dict(weighted_average_states(
-            [u["state"] for u in updates], [u["n"] for u in updates]))
-
-    def make_fold(self, spill, weighted: bool = False):
-        """O(model) streaming mean (bitwise-equal to :meth:`aggregate`)."""
-        from repro.fl.scale.fold import DictMeanFold
-        return DictMeanFold(self, spill, weighted=weighted)
 
 
 def make_stub(n_clients: int = 8, dim: int = 64, seed: int = 0,

@@ -1,0 +1,191 @@
+"""Paper oracles for SPATL's server step: Eq. 12 and Eq. 11 as plain loops.
+
+The repo's byte-identity goldens pin one code path against another; these
+tests pin the single remaining aggregation body (``SalientAccumulator`` /
+``SPATLFold``, reached through ``salient_aggregate`` and
+``SPATL.aggregate*``) against the *paper's* formulas, written as naive
+float64 loops over filters and clients with no NumPy scatter tricks.
+
+Eq. 12 (index-wise salient aggregation, per filter ``f``)::
+
+    W[f] <- W[f] + eta * sum_{i: f in I_i} w_i (W_i[f] - W[f])
+                         / sum_{i: f in I_i} w_i
+
+Eq. 11 (server control variate, survivors ``S`` of ``N`` clients)::
+
+    c <- c + (1/N) * sum_{i in S} w_i * delta_c_i
+    delta_c_i = -c + (x_before - x_i) / (K_i * lr)      (Eq. 10 refresh)
+
+``w_i = 1`` in the synchronous protocol; the async runtime's staleness
+discounts make it a weighted mean / discounted sum.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import SPATL, StaticSaliencyPolicy, salient_aggregate
+from repro.fl import make_federated_clients, staleness_weight
+
+
+def eq12_oracle(global_weight, uploads, eta=1.0, weights=None):
+    """Eq. 12, one filter at a time; each listed index is one coverage."""
+    weights = [1.0] * len(uploads) if weights is None else weights
+    w_global = np.asarray(global_weight, dtype=np.float64)
+    out = w_global.copy()
+    for f in range(w_global.shape[0]):
+        num = np.zeros_like(w_global[f])
+        den = 0.0
+        for (indices, rows), w in zip(uploads, weights):
+            for pos, index in enumerate(indices):
+                if index == f:
+                    num = num + w * (np.asarray(rows[pos], np.float64)
+                                     - w_global[f])
+                    den += w
+        if den > 0:
+            out[f] = w_global[f] + eta * num / den
+    return out
+
+
+def _upload(rng, indices, row_shape):
+    indices = np.asarray(indices, dtype=np.int64)
+    return indices, rng.standard_normal(
+        (len(indices),) + row_shape).astype(np.float32)
+
+
+class TestEq12:
+    ROW_SHAPES = [(), (3,), (4, 3, 3)]   # scatter path, and the wide fast path
+
+    @pytest.mark.parametrize("row_shape", ROW_SHAPES)
+    @pytest.mark.parametrize("weights", [None, [1.0, 0.5, 0.25, 2.0]],
+                             ids=["unit", "weighted"])
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_matches_the_formula(self, row_shape, weights, eta):
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((8,) + row_shape).astype(np.float32)
+        uploads = [_upload(rng, [0, 2, 5], row_shape),
+                   _upload(rng, [2, 5, 5, 6], row_shape),   # duplicate index
+                   _upload(rng, [], row_shape),             # empty selection
+                   _upload(rng, [5, 0], row_shape)]
+        got = salient_aggregate(g, uploads, step_size=eta, weights=weights)
+        want = eq12_oracle(g, uploads, eta, weights)
+        assert got.dtype == g.dtype
+        np.testing.assert_allclose(got, want, rtol=2e-6, atol=1e-7)
+
+    def test_never_selected_filters_are_untouched_bitwise(self):
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((6, 4)).astype(np.float32)
+        uploads = [_upload(rng, [1, 4], (4,)), _upload(rng, [4], (4,))]
+        for weights in (None, [0.5, 0.25]):
+            out = salient_aggregate(g, uploads, weights=weights)
+            for f in (0, 2, 3, 5):
+                assert out[f].tobytes() == g[f].tobytes()
+
+    def test_denominator_is_per_coordinate_coverage(self):
+        """Filter 0 is covered by three clients, filter 1 by one: each
+        moves to the mean of *its* coverers, not of the cohort."""
+        g = np.zeros((2, 2), dtype=np.float32)
+        ones = np.ones((1, 2), dtype=np.float32)
+        uploads = [(np.array([0]), 3 * ones), (np.array([0]), 6 * ones),
+                   (np.array([0, 1]), np.concatenate([9 * ones, 5 * ones]))]
+        out = salient_aggregate(g, uploads)
+        np.testing.assert_array_equal(out[0], [6.0, 6.0])   # (3+6+9)/3
+        np.testing.assert_array_equal(out[1], [5.0, 5.0])   # 5/1, not 5/3
+
+    def test_weighted_mean_weights_cancel_for_a_single_coverer(self):
+        g = np.zeros((2, 2), dtype=np.float32)
+        rows = np.full((1, 2), 4.0, dtype=np.float32)
+        out = salient_aggregate(g, [(np.array([1]), rows)], weights=[0.125])
+        np.testing.assert_array_equal(out[1], [4.0, 4.0])
+
+
+def eq11_oracle(c, updates, prunable, lr, n_all, weights):
+    """Eq. 11 over the survivors' reconstructed variate deltas."""
+    out = {}
+    for name, c_val in c.items():
+        c64 = np.asarray(c_val, dtype=np.float64)
+        total = np.zeros_like(c64)
+        layer = name[:-len(".weight")] if name.endswith(".weight") else None
+        for update, w in zip(updates, weights):
+            before = np.asarray(update["before"][name], dtype=np.float64)
+            k_lr = update["eff_steps"] * lr
+            if layer in prunable:
+                indices, rows = update["salient"][layer]
+                for pos, f in enumerate(indices):
+                    total[f] += w * (-c64[f] + (
+                        before[f] - np.asarray(rows[pos], np.float64)) / k_lr)
+            elif name in update["dense"]:
+                total += w * (-c64 + (
+                    before - np.asarray(update["dense"][name],
+                                        np.float64)) / k_lr)
+        out[name] = c64 + total / n_all
+    return out
+
+
+class TestServerStepOnSPATL:
+    """Eq. 11 + Eq. 12 + the dense mean, on a real SPATL instance, with
+    two survivors of four clients (so ``|S| != N`` is exercised)."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_dataset, tiny_setting):
+        model_fn, parts = tiny_setting
+
+        def fresh():
+            clients = make_federated_clients(tiny_dataset, parts,
+                                             batch_size=32, seed=5)
+            algo = SPATL(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
+                         selection_policy=StaticSaliencyPolicy(0.4))
+            # a non-zero server variate, so the -c term of Eq. 10 matters
+            rng = np.random.default_rng(3)
+            for name, value in algo.c_global.values.items():
+                algo.c_global.values[name] = (
+                    0.01 * rng.standard_normal(value.shape)).astype(
+                        value.dtype)
+            return algo
+
+        source = fresh()
+        survivors = [source.clients[0], source.clients[2]]
+        return fresh, [source.local_update(c, 0) for c in survivors]
+
+    @pytest.mark.parametrize("weights", [
+        None, [staleness_weight(0, 0.5), staleness_weight(3, 0.5)]],
+        ids=["unit", "staleness"])
+    def test_server_step_matches_the_paper(self, trained, weights):
+        fresh, updates = trained
+        algo = fresh()
+        params = dict(algo.global_model.encoder.named_parameters())
+        w_before = {k: p.data.copy() for k, p in params.items()}
+        c_before = {k: v.copy() for k, v in algo.c_global.values.items()}
+        if weights is None:
+            algo.aggregate(updates, 0)
+        else:
+            algo.aggregate_weighted(updates, weights, 0)
+        unit = weights or [1.0, 1.0]
+
+        # Eq. 11: discounted survivor deltas over N = 4, not |S| = 2
+        want_c = eq11_oracle(c_before, updates, set(algo.prunable), algo.lr,
+                             len(algo.clients), unit)
+        assert len(algo.clients) == 4
+        for name, want in want_c.items():
+            np.testing.assert_allclose(algo.c_global.values[name], want,
+                                       rtol=1e-4, atol=1e-5, err_msg=name)
+
+        # Eq. 12 on every prunable layer
+        for layer in algo.prunable:
+            key = layer + ".weight"
+            want = eq12_oracle(w_before[key],
+                               [u["salient"][layer] for u in updates],
+                               algo.aggregation_step, weights)
+            np.testing.assert_allclose(params[key].data, want,
+                                       rtol=2e-6, atol=1e-7, err_msg=key)
+
+        # dense encoder tensors: example-count (x weight) weighted mean
+        shares = np.asarray([u["n"] * w for u, w in zip(updates, unit)],
+                            dtype=np.float64)
+        shares /= shares.sum()
+        dense_keys = [k for k in updates[0]["dense"] if k in params]
+        assert dense_keys
+        for key in dense_keys:
+            want = sum(s * np.asarray(u["dense"][key], np.float64)
+                       for s, u in zip(shares, updates))
+            np.testing.assert_allclose(params[key].data, want,
+                                       rtol=2e-6, atol=1e-7, err_msg=key)

@@ -328,6 +328,36 @@ class TestScaleMidRoundCheckpoint:
             np.testing.assert_array_equal(resumed_algo.c_global[name],
                                           ref.c_global[name], err_msg=name)
 
+    def test_torn_spill_rejected_on_load(self, tmp_path):
+        """A spill shorter than the checkpointed position (torn tail, or
+        torn inside a record header) must fail the load — re-extending it
+        with zeros would fold zeros into the FedAvg mean."""
+        import os
+
+        from repro.fl import PayloadError, ScaleRunner
+        from repro.fl.stub import make_stub
+
+        def partial(spill_dir):
+            runner = ScaleRunner(make_stub(n_clients=4, seed=2),
+                                 spill_dir=spill_dir, eval_mode="none")
+            runner.run_round_partial(0, 2)
+            path = tmp_path / f"{spill_dir.name}.npz"
+            runner.save_round_checkpoint(path)
+            spill = runner._pending["spill"]
+            return path, spill.path, spill.nbytes
+
+        for name, keep in (("tail", lambda n: n - 20),
+                           ("header", lambda n: n // 2 + 3)):
+            path, spill_path, nbytes = partial(tmp_path / name)
+            os.truncate(spill_path, keep(nbytes))
+            resumed = ScaleRunner(make_stub(n_clients=4, seed=2),
+                                  spill_dir=tmp_path / name,
+                                  eval_mode="none")
+            with pytest.raises(PayloadError, match="shorter than"):
+                resumed.load_round_checkpoint(path)
+            assert resumed._pending is None
+            assert os.path.getsize(spill_path) == keep(nbytes)
+
     def test_resume_without_pending_rejected(self, tmp_path, tiny_dataset,
                                              tiny_setting):
         from repro.fl import ScaleRunner

@@ -399,7 +399,7 @@ class TestComposition:
         base = self._serial(tiny_model_fn, tiny_dataset, tiny_setting, INT8)
         algo = _build("fedavg", tiny_model_fn,
                       _fresh_clients(tiny_dataset, tiny_setting), quant=INT8)
-        runner = ScaleRunner(algo, edges=2, spill_dir=tmp_path / "spills")
+        runner = ScaleRunner(algo, spill_dir=tmp_path / "spills")
         runner.run(ROUNDS)
         assert _final_state(algo) == _final_state(base)
         assert algo.ledger.total_bytes() == base.ledger.total_bytes()

@@ -1,11 +1,14 @@
 """Tests for the population-scale subsystem (``repro.fl.scale``).
 
-Covers the spill-to-disk client-state store, virtual-client pool,
-streaming folds, and the golden byte-identity contract: a ScaleRunner
-round — streaming, hierarchical, virtual-pooled, or process-pooled — is
-bitwise-equal to the materialized baseline ``run_round``.
+Covers the spill-to-disk client-state store, virtual-client pool, the
+folds every driver aggregates through, and the golden byte-identity
+contract: a ScaleRunner round — streaming, virtual-pooled, or
+process-pooled — is bitwise-equal to the materialized baseline
+``run_round``, and every algorithm's server step gives the same bytes
+through the list entry points, a resident fold and a disk-spill fold.
 """
 
+import os
 import pickle
 
 import numpy as np
@@ -13,15 +16,17 @@ import pytest
 
 from repro.core import SPATL, StaticSaliencyPolicy
 from repro.core.gradient_control import ControlVariate
-from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
-                      BroadcastCache, ClientStateStore, FedAvg, Scaffold,
-                      ScaleRunner, ShardedClientFactory, StubClientFactory,
-                      UpdateSpill, VirtualClientPool, make_executor,
+from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
+                      AsyncProfile, BroadcastCache, ClientStateStore, FedAvg,
+                      FederatedAlgorithm, PayloadError, Scaffold, ScaleRunner,
+                      ShardedClientFactory, StubClientFactory, UpdateSpill,
+                      VirtualClientPool, make_executor,
                       make_federated_clients, serialize_state,
-                      state_fingerprint)
+                      staleness_weight, state_fingerprint)
+from repro.fl.comm import encode_update
 from repro.fl.scale import (SpillReplayFold, decode_client_state,
                             encode_client_state)
-from repro.fl.stub import make_stub
+from repro.fl.stub import StubAvg, make_stub
 
 
 def _clients(tiny_dataset, tiny_setting):
@@ -156,6 +161,44 @@ class TestUpdateSpill:
         reattached.append(b"three")
         assert list(reattached) == [b"one", b"two", b"three"]
 
+    # One record of each kind the folds spill: a DictMeanFold state
+    # (``serialize``) and a SPATL/replay pytree (``encode_update``).
+    RECORDS = {
+        "state": lambda: serialize_state(
+            {"w": np.arange(1, 11, dtype=np.int64)}),
+        "update": lambda: encode_update(
+            {"dense": {"w": np.arange(10, dtype=np.float32)}, "pred": None}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_attach_rejects_truncated_tail(self, tmp_path, kind):
+        """A spill torn short of the checkpointed position must not be
+        zero-extended back to length (the zeros would decode as data)."""
+        spill = UpdateSpill(tmp_path / "u.spill")
+        spill.append(self.RECORDS[kind]())
+        spill.flush()
+        os.truncate(spill.path, spill.nbytes - 20)
+        with pytest.raises(PayloadError, match="shorter than"):
+            UpdateSpill.attach(spill.path, spill.n_records, spill.nbytes)
+        assert os.path.getsize(spill.path) == spill.nbytes - 20
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    @pytest.mark.parametrize("cut,part", [(3, "header"), (20, "body")])
+    def test_iter_rejects_torn_record(self, tmp_path, kind, cut, part):
+        spill = UpdateSpill(tmp_path / "u.spill")
+        spill.append(b"intact")
+        spill.append(self.RECORDS[kind]())
+        spill.flush()
+        second_at = 8 + len(b"intact")
+        os.truncate(spill.path, second_at + cut)
+        records = iter(spill)
+        assert next(records) == b"intact"
+        with pytest.raises(PayloadError) as err:
+            next(records)
+        message = str(err.value)
+        assert f"record 1 has a truncated {part}" in message
+        assert spill.path in message and err.value.offset == second_at
+
 
 # ----------------------------------------------------------- virtual pool
 
@@ -213,7 +256,7 @@ def _final_state(algo):
 
 
 class TestGoldenIdentity:
-    """Streaming / hierarchical / virtual rounds == materialized baseline."""
+    """Streaming / virtual rounds == materialized baseline."""
 
     ROUNDS = 2
 
@@ -225,7 +268,7 @@ class TestGoldenIdentity:
         return algo, log
 
     def _scale_run(self, cls, tiny_dataset, tiny_setting, tmp_path, *,
-                   edges=1, virtual=False, **kw):
+                   wave=None, virtual=False, **kw):
         model_fn, _ = tiny_setting
         if virtual:
             store = ClientStateStore(tmp_path / "store")
@@ -236,9 +279,10 @@ class TestGoldenIdentity:
             clients = _clients(tiny_dataset, tiny_setting)
         algo = cls(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
                    sample_ratio=0.7, **kw)
-        runner = ScaleRunner(algo, pool=pool, edges=edges,
+        runner = ScaleRunner(algo, pool=pool, wave=wave,
                              spill_dir=tmp_path / "spills")
         results = runner.run(self.ROUNDS)
+        assert os.listdir(tmp_path / "spills") == []  # every spill unlinked
         return algo, results
 
     def _assert_match(self, base, base_log, algo, results):
@@ -247,21 +291,23 @@ class TestGoldenIdentity:
         np.testing.assert_array_equal(results[-1].avg_val_acc,
                                       base_log["val_acc"][-1])
 
-    @pytest.mark.parametrize("edges", [1, 2])
-    def test_fedavg(self, tmp_path, tiny_dataset, tiny_setting, edges):
+    # ``wave`` = clients in flight between folds: 1 folds each upload as
+    # it arrives, 3 folds them in chunks; both are the cohort order.
+    @pytest.mark.parametrize("wave", [1, 3])
+    def test_fedavg(self, tmp_path, tiny_dataset, tiny_setting, wave):
         base, base_log = self._baseline(FedAvg, tiny_dataset, tiny_setting)
         algo, results = self._scale_run(FedAvg, tiny_dataset, tiny_setting,
-                                        tmp_path, edges=edges)
+                                        tmp_path, wave=wave)
         self._assert_match(base, base_log, algo, results)
 
-    @pytest.mark.parametrize("edges", [1, 2])
-    def test_spatl(self, tmp_path, tiny_dataset, tiny_setting, edges):
+    @pytest.mark.parametrize("wave", [1, 3])
+    def test_spatl(self, tmp_path, tiny_dataset, tiny_setting, wave):
         kw = dict(selection_policy=StaticSaliencyPolicy(0.3))
         base, base_log = self._baseline(SPATL, tiny_dataset, tiny_setting,
                                         **kw)
         kw = dict(selection_policy=StaticSaliencyPolicy(0.3))
         algo, results = self._scale_run(SPATL, tiny_dataset, tiny_setting,
-                                        tmp_path, edges=edges, **kw)
+                                        tmp_path, wave=wave, **kw)
         self._assert_match(base, base_log, algo, results)
         for name in base.c_global.names():
             np.testing.assert_array_equal(algo.c_global[name],
@@ -298,7 +344,7 @@ class TestGoldenIdentity:
 
     def test_process_pool_composition(self, tmp_path, tiny_dataset,
                                       tiny_setting):
-        """Virtual pool + hierarchy over the process-pool executor."""
+        """Virtual pool over the process-pool executor."""
         base, base_log = self._baseline(FedAvg, tiny_dataset, tiny_setting)
         model_fn, _ = tiny_setting
         store = ClientStateStore(tmp_path / "store")
@@ -306,7 +352,7 @@ class TestGoldenIdentity:
         algo = FedAvg(model_fn, pool.clients(), lr=0.05, local_epochs=1,
                       seed=0, sample_ratio=0.7, executor=make_executor(2))
         try:
-            runner = ScaleRunner(algo, pool=pool, edges=2,
+            runner = ScaleRunner(algo, pool=pool,
                                  spill_dir=tmp_path / "spills")
             results = runner.run(self.ROUNDS)
         finally:
@@ -328,6 +374,178 @@ class TestGoldenIdentity:
                       fault_model=FaultModel(drop_prob=0.5, seed=1))
         with pytest.raises(ValueError, match="fault-free"):
             ScaleRunner(algo)
+
+
+# ------------------------------------------------- composition table
+
+def _make_algorithm(name, tiny_dataset, tiny_setting):
+    if name == "stubavg":
+        return make_stub(n_clients=4, seed=3)
+    model_fn, _ = tiny_setting
+    kw = dict(lr=0.05, local_epochs=1, seed=0)
+    if name == "spatl":
+        return SPATL(model_fn, _clients(tiny_dataset, tiny_setting),
+                     selection_policy=StaticSaliencyPolicy(0.3), **kw)
+    return ALGORITHMS[name](model_fn, _clients(tiny_dataset, tiny_setting),
+                            **kw)
+
+
+def _fold_route(spill_of):
+    def route(algo, updates, weights, tmp_path):
+        spill = spill_of(tmp_path)
+        fold = algo.make_fold(spill, weighted=weights is not None)
+        for i, update in enumerate(updates):
+            if weights is None:
+                fold.add(update)
+            else:
+                fold.add(update, weights[i])
+        fold.finalize(0)
+    return route
+
+
+def _list_route(algo, updates, weights, tmp_path):
+    if weights is None:
+        algo.aggregate(updates, 0)
+    else:
+        algo.aggregate_weighted(updates, weights, 0)
+
+
+ROUTES = {
+    "list": _list_route,
+    "resident-fold": _fold_route(lambda tmp_path: None),
+    "disk-fold": _fold_route(lambda tmp_path: UpdateSpill(tmp_path / "s")),
+    # all-1.0 weights must take the unweighted route (the sync bytes)
+    "list-all-ones": lambda algo, updates, weights, tmp_path:
+        algo.aggregate_weighted(updates, [1.0] * len(updates), 0),
+}
+
+
+class TestAggregationComposition:
+    """Every algorithm's one server step, reached three ways, same bytes.
+
+    algorithm x {list entry point, resident fold, disk-spill fold} x
+    {unit, staleness weights}: the full server state (model + control
+    variates / server momentum) has one CRC per (algorithm, weights)
+    cell whichever route folded the updates.
+    """
+
+    STALE = [staleness_weight(s, 0.5) for s in (0, 2, 1, 5)]
+
+    @pytest.fixture(scope="class")
+    def updates_for(self, tiny_dataset, tiny_setting):
+        cache = {}
+
+        def get(name):
+            if name not in cache:
+                algo = _make_algorithm(name, tiny_dataset, tiny_setting)
+                cache[name] = [algo.local_update(c, 0) for c in algo.clients]
+            return cache[name]
+        return get
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unit", "staleness"])
+    @pytest.mark.parametrize("name",
+                             sorted(ALGORITHMS) + ["spatl", "stubavg"])
+    def test_routes_agree(self, tmp_path, tiny_dataset, tiny_setting,
+                          updates_for, name, weighted):
+        updates = updates_for(name)
+        weights = self.STALE[:len(updates)] if weighted else None
+        routes = [r for r in ROUTES if not (weighted and r == "list-all-ones")]
+        crcs = {}
+        for route in routes:
+            algo = _make_algorithm(name, tiny_dataset, tiny_setting)
+            before = state_fingerprint(algo.worker_sync_state())
+            ROUTES[route](algo, updates, weights, tmp_path)
+            crcs[route] = state_fingerprint(algo.worker_sync_state())
+            assert crcs[route] != before, route   # the step did something
+        assert len(set(crcs.values())) == 1, crcs
+
+    def test_staleness_weights_change_the_bytes(self, tmp_path):
+        """The weighted cells are not vacuous: discounting moves the mean."""
+        updates = None
+        crcs = []
+        for weights in (None, self.STALE):
+            algo = make_stub(n_clients=4, seed=3)
+            updates = updates or [algo.local_update(c, 0)
+                                  for c in algo.clients]
+            _list_route(algo, updates, weights, tmp_path)
+            crcs.append(state_fingerprint(algo.worker_sync_state()))
+        assert crcs[0] != crcs[1]
+
+    def test_algorithm_without_a_server_step_is_rejected(self):
+        class NoStep(StubAvg):
+            make_fold = FederatedAlgorithm.make_fold
+
+        ref = make_stub()
+        algo = NoStep(ref.model_fn, ref.clients)
+        with pytest.raises(NotImplementedError, match="neither"):
+            algo.aggregate([], 0)
+
+
+# ------------------------------------------------------- spill lifetime
+
+class _ClientTwoRaises(StubAvg):
+    def local_update(self, client, round_idx):
+        if client.client_id == 2:
+            raise RuntimeError("boom")
+        return super().local_update(client, round_idx)
+
+
+def _raising_stub():
+    ref = make_stub(n_clients=4, seed=1)
+    return _ClientTwoRaises(ref.model_fn, ref.clients, seed=1,
+                            local_epochs=1)
+
+
+class TestSpillLifetime:
+    """An exception in the exchange must not leave a spill file behind."""
+
+    def test_run_round_unlinks_on_error(self, tmp_path):
+        runner = ScaleRunner(_raising_stub(), spill_dir=tmp_path / "spills",
+                             eval_mode="none")
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run_round(0)
+        assert os.listdir(tmp_path / "spills") == []
+
+    def test_partial_and_resume_unlink_on_error(self, tmp_path):
+        runner = ScaleRunner(_raising_stub(), spill_dir=tmp_path / "spills",
+                             eval_mode="none")
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run_round_partial(0, 4)
+        assert os.listdir(tmp_path / "spills") == []
+        assert runner._pending is None
+        runner.run_round_partial(0, 2)          # clients 0, 1: fine
+        assert os.listdir(tmp_path / "spills") == ["round_0.spill"]
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.resume_round()
+        assert os.listdir(tmp_path / "spills") == []
+
+    def test_owned_temp_dir_removed_on_close(self):
+        runner = ScaleRunner(make_stub(n_clients=4), eval_mode="none")
+        owned = runner.spill_dir
+        runner.run_round(0)
+        assert os.path.isdir(owned)
+        runner.close()
+        runner.close()                           # idempotent
+        assert not os.path.exists(owned)
+
+    def test_async_store_commit_unlinks_on_error(self, tmp_path):
+        class FinalizeRaises(StubAvg):
+            def make_fold(self, spill=None, weighted=False):
+                fold = super().make_fold(spill, weighted)
+                fold.finalize = lambda round_idx: 1 / 0
+                return fold
+
+        ref = make_stub(n_clients=4, seed=1)
+        algo = FinalizeRaises(ref.model_fn, ref.clients, seed=1,
+                              local_epochs=1)
+        store = ClientStateStore(tmp_path / "updates")
+        runner = AsyncFederatedRunner(algo, AsyncProfile(seed=1),
+                                      AsyncConfig(buffer_k=2),
+                                      update_store=store)
+        with pytest.raises(ZeroDivisionError):
+            runner.run(steps=1)
+        assert os.listdir(os.path.join(store.root, "spills")) == []
 
 
 # --------------------------------------------------- async update store

@@ -1,12 +1,13 @@
-"""Property tests: streaming folds are bitwise-equal to the batch oracles.
+"""Property tests: folds are bitwise-equal however their records are held.
 
-Floating-point addition is not associative, so the streaming folds in
-:mod:`repro.fl.scale.fold` replay the *exact* per-key / per-coordinate
-addition order of their batch counterparts.  Hypothesis drives arbitrary
-cohorts — sizes, example counts, weights, magnitudes, duplicate and
-empty salient index sets — and asserts byte-for-byte equality against
-``weighted_average_states`` / ``salient_aggregate`` / the algorithm's own
-``aggregate`` and ``aggregate_weighted``.
+Floating-point addition is not associative, so the folds in
+:mod:`repro.fl.scale.fold` add in cohort order per key / per coordinate
+whether the records are resident or streamed back from disk.  Hypothesis
+drives arbitrary cohorts — sizes, example counts, weights, magnitudes,
+duplicate and empty salient index sets — and asserts byte-for-byte
+equality of the disk-spill fold against the list entry points
+(``aggregate`` / ``aggregate_weighted``), ``salient_aggregate`` and a
+key-outer loop oracle of the weighted mean.
 """
 
 import tempfile
@@ -20,8 +21,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.core.aggregation import salient_aggregate  # noqa: E402
 from repro.fl import UpdateSpill, serialize_state  # noqa: E402
 from repro.fl.local import weighted_average_states  # noqa: E402
-from repro.fl.scale.fold import (SPATLFold,  # noqa: E402
-                                 _stream_weighted_average)
+from repro.fl.reference_agg import reference_salient_aggregate  # noqa: E402
+from repro.fl.scale.fold import SPATLFold  # noqa: E402
 from repro.fl.stub import make_stub  # noqa: E402
 
 WEIGHT = st.sampled_from([0.25, 1.0, 1.0, 1.75, 3.0])
@@ -39,16 +40,34 @@ def _states(seed, n_states, dim, magnitude):
             for _ in range(n_states)]
 
 
+def _key_outer_mean(states, weights):
+    """Loop oracle: per key, add ``w_i * state_i`` in cohort order."""
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / w.sum()
+    out = {}
+    for key in states[0]:
+        first = np.asarray(states[0][key])
+        if first.dtype.kind in "iu":
+            out[key] = first.copy()
+            continue
+        acc = np.zeros_like(first, dtype=np.float64)
+        for wi, state in zip(w, states):
+            acc += wi * np.asarray(state[key], dtype=np.float64)
+        out[key] = acc.astype(first.dtype)
+    return out
+
+
 @given(seed=SEED, n_states=st.integers(1, 6), dim=st.integers(1, 16),
        magnitude=MAGNITUDE,
        weights=st.lists(WEIGHT, min_size=6, max_size=6))
 @settings(max_examples=80, deadline=None)
 def test_stream_weighted_average_bitwise(seed, n_states, dim, magnitude,
                                          weights):
+    """The one mean body, fed a one-shot stream, == the key-outer oracle."""
     states = _states(seed, n_states, dim, magnitude)
     weights = weights[:n_states]
-    batch = weighted_average_states(states, weights)
-    streamed = _stream_weighted_average(iter(states), weights)
+    batch = _key_outer_mean(states, weights)
+    streamed = weighted_average_states(iter(states), weights)
     assert list(streamed) == list(batch)  # same key order
     for key in batch:
         assert streamed[key].tobytes() == batch[key].tobytes(), key
@@ -62,7 +81,7 @@ def test_stream_weighted_average_bitwise(seed, n_states, dim, magnitude,
 @settings(max_examples=60, deadline=None)
 def test_dict_mean_fold_matches_aggregate(seed, n_updates, dim, ns,
                                           weights, weighted):
-    """FedAvg-family oracle: fold == aggregate / aggregate_weighted."""
+    """FedAvg family: disk-spill fold == the (resident) list entry points."""
     rng = np.random.default_rng(seed)
     batch_algo = make_stub(n_clients=2, dim=dim, seed=seed)
     fold_algo = make_stub(n_clients=2, dim=dim, seed=seed)
@@ -101,8 +120,9 @@ class _Encoder:
     def named_parameters(self):
         return list(self._params.items())
 
-    def _buffer_owners(self):
-        return {}
+    def load_state_dict(self, state, strict=True):
+        for key, value in state.items():
+            self._params[key].data[...] = value
 
 
 class _Model:
@@ -128,6 +148,28 @@ class _MiniSPATL:
 
 
 ROW_SHAPES = [(), (3,), (9,), (2, 5)]  # row widths 1/3/9/10: both add paths
+
+
+def _batch_eq12(weight, uploads, step, weights):
+    """Whole-cohort Eq. 12 oracle, independent of the running accumulator:
+    the sequential-scatter reference when unweighted, and its weighted
+    form — ``np.add.at`` row sums, one ``np.bincount(weights=...)`` over
+    the concatenated indices — otherwise."""
+    if weights is None:
+        return reference_salient_aggregate(weight, uploads, step_size=step)
+    out = np.array(weight, dtype=np.float64)
+    acc = np.zeros_like(out)
+    for (idx, rows), w in zip(uploads, weights):
+        np.add.at(acc, idx, w * (rows.astype(np.float64) - out[idx]))
+    counts = np.bincount(
+        np.concatenate([idx for idx, _ in uploads]),
+        weights=np.concatenate([np.full(idx.size, w)
+                                for (idx, _), w in zip(uploads, weights)]),
+        minlength=out.shape[0])
+    covered = counts > 0
+    denom = counts[covered].reshape((-1,) + (1,) * (out.ndim - 1))
+    out[covered] += step * acc[covered] / denom
+    return out.astype(weight.dtype)
 
 
 @given(seed=SEED, n_filters=st.integers(1, 12),
@@ -161,8 +203,11 @@ def test_spatl_fold_matches_salient_aggregate(seed, n_filters, shape_idx,
                                   rng.standard_normal(4).astype(np.float32)},
                         "predictor_state": {}, "n": 1 + i})
 
-    expected = salient_aggregate(weight, uploads, step_size=step,
-                                 weights=weights if weighted else None)
+    expected = _batch_eq12(weight, uploads, step,
+                           weights if weighted else None)
+    assert salient_aggregate(
+        weight, uploads, step_size=step,
+        weights=weights if weighted else None).tobytes() == expected.tobytes()
     dense_weights = [u["n"] * w for u, w in zip(updates, weights)] \
         if weighted else [u["n"] for u in updates]
     expected_dense = weighted_average_states(
