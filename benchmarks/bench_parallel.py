@@ -1,19 +1,17 @@
 """Round wall-time benchmark across execution engines (DESIGN.md §9/§14).
 
 Runs the same FedAvg workload under every requested executor — the
-in-process serial loop, process pools of increasing width (optionally
-with the shared-memory broadcast transport), and the vectorized cohort
-executor — verifies every run is byte-identical to serial, and appends
+in-process serial loop, process pools of increasing width, and the
+vectorized cohort executor — verifies every run is byte-identical to serial, and appends
 one record per invocation to ``BENCH_parallel.json`` at the repo root::
 
     python benchmarks/bench_parallel.py                    # default sweep
     python benchmarks/bench_parallel.py --executors serial process:4 \
-        process:4+shm vectorized --clients 8 --rounds 3 --scale tiny
+        vectorized --clients 8 --rounds 3 --scale tiny
     python benchmarks/bench_parallel.py --smoke --check    # CI gate
 
 Executor specs: ``serial``, ``vectorized``, ``process:N`` (pool of N
-workers), ``process:N+shm`` (same, broadcast state through shared
-memory).  Speedup is reported relative to the serial run.  On a
+workers).  Speedup is reported relative to the serial run.  On a
 single-core container expect ``process`` speedup < 1 — the measurement
 quantifies the fan-out overhead DESIGN.md §9's guidance is based on —
 while ``vectorized`` should beat serial there: batching the cohort's
@@ -47,25 +45,20 @@ DEFAULT_FLOORS = {"vectorized": 1.0, "process": 0.70}
 
 
 def parse_spec(spec: str) -> dict:
-    """``serial`` | ``vectorized`` | ``process:N`` | ``process:N+shm``."""
-    shm = spec.endswith("+shm")
-    base = spec[:-4] if shm else spec
-    kind, _, n = base.partition(":")
+    """``serial`` | ``vectorized`` | ``process:N``."""
+    kind, _, n = spec.partition(":")
     if kind not in ("serial", "process", "vectorized"):
         raise ValueError(f"unknown executor spec {spec!r}")
     if kind == "process" and not n:
         raise ValueError(f"process spec needs a width, e.g. process:2 "
                          f"(got {spec!r})")
-    if shm and kind != "process":
-        raise ValueError(f"+shm only applies to process specs (got {spec!r})")
-    return {"spec": spec, "kind": kind, "workers": int(n) if n else 1,
-            "shm": shm}
+    return {"spec": spec, "kind": kind, "workers": int(n) if n else 1}
 
 
 def make_spec_executor(spec: dict):
     """Build the executor a parsed spec describes."""
     from repro.fl.parallel import make_executor
-    return make_executor(spec["workers"], kind=spec["kind"], shm=spec["shm"])
+    return make_executor(spec["workers"], kind=spec["kind"])
 
 
 def run_once(cfg, spec: dict) -> tuple[float, bytes, list]:
@@ -101,7 +94,7 @@ def check_rows(rows: list[dict], floors: dict | None = None) -> list[str]:
         if not row.get("byte_identical_to_serial", False):
             errors.append(f"{spec}: final state diverged from serial")
             continue
-        kind = spec.split("+")[0].split(":")[0]
+        kind = spec.split(":")[0]
         floor = floors.get(kind)
         if floor is not None and row["speedup_vs_serial"] < floor:
             errors.append(f"{spec}: speedup {row['speedup_vs_serial']:.3f}x "
@@ -119,8 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--local-epochs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--executors", nargs="+",
-                        default=["serial", "process:2", "process:2+shm",
-                                 "vectorized"],
+                        default=["serial", "process:2", "vectorized"],
                         help="executor specs to sweep (serial is always "
                              "run first as the baseline)")
     parser.add_argument("--smoke", action="store_true",

@@ -15,7 +15,6 @@ from benchmarks.conftest import bench_config
 from repro.core import RLSelectionPolicy, SPATL
 from repro.data.datasets import train_val_split
 from repro.experiments.configs import make_dataset, make_setting
-from repro.graph import build_graph
 from repro.pruning.baselines import finetune
 from repro.rl import pretrain_agent
 
@@ -60,6 +59,4 @@ def test_spatl_with_rl_agent(once, benchmark):
         [round(r, 4) for r in ratios])
 
     assert log["val_acc"][-1] > log["val_acc"][0]
-    graph = build_graph(algo.global_model.encoder)
-    for sel in algo.last_selection.values():
-        assert graph.flops_ratio(sel.keep) <= cfg.flops_target + 1e-6
+    assert all(r <= cfg.flops_target + 1e-6 for r in ratios)

@@ -21,25 +21,10 @@ import argparse
 
 from repro.core import SPATL, StaticSaliencyPolicy
 from repro.data import SyntheticCIFAR10, dirichlet_partition
-from repro.fl import FedAvg, FedTopK, dequantize_state, make_federated_clients, \
-    quantize_state
-from repro.graph import build_graph
+from repro.fl import (FedAvg, FedTopK, make_federated_clients,
+                      make_quant_config)
 from repro.models import build_model
 from repro.utils.logging import render_table
-
-
-class FP16FedAvg(FedAvg):
-    """FedAvg whose uploads cross an fp16 wire (lossy but cheap)."""
-
-    name = "fedavg-fp16"
-
-    def upload_payload(self, update):
-        return quantize_state(update["state"])
-
-    def aggregate(self, updates, round_idx):
-        for u in updates:
-            u["state"] = dequantize_state(quantize_state(u["state"]))
-        super().aggregate(updates, round_idx)
 
 
 def main() -> None:
@@ -57,9 +42,10 @@ def main() -> None:
     contenders = [
         ("fedavg", lambda c: FedAvg(model_fn, c, lr=0.05, local_epochs=2,
                                     sample_ratio=0.7, seed=1)),
-        ("fedavg-fp16", lambda c: FP16FedAvg(model_fn, c, lr=0.05,
-                                             local_epochs=2,
-                                             sample_ratio=0.7, seed=1)),
+        ("fedavg-fp16", lambda c: FedAvg(model_fn, c, lr=0.05,
+                                         local_epochs=2, sample_ratio=0.7,
+                                         seed=1,
+                                         quant=make_quant_config(16))),
         ("fedtopk-25%", lambda c: FedTopK(model_fn, c, lr=0.05,
                                           local_epochs=2, sample_ratio=0.7,
                                           fraction=0.25, seed=1)),
@@ -75,10 +61,9 @@ def main() -> None:
         algo = make(clients)
         log = algo.run(rounds=args.rounds)
         flops = "-"
-        if isinstance(algo, SPATL) and algo.last_selection:
-            graph = build_graph(algo.global_model.encoder)
-            ratios = [graph.flops_ratio(s.keep)
-                      for s in algo.last_selection.values()]
+        if isinstance(algo, SPATL):
+            ratios = [r["flops_ratio"]
+                      for r in algo.inference_report().values()]
             flops = f"{(1 - sum(ratios) / len(ratios)):.0%} less"
         rows.append([name, f"{log.last('val_acc'):.3f}",
                      f"{log.meta['per_round_per_client_mb']:.3f}",

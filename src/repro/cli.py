@@ -54,7 +54,7 @@ def _cfg(args, **extra):
                      fault_seed=args.fault_seed,
                      min_clients=args.min_clients,
                      workers=args.workers, executor=args.executor,
-                     shm=args.shm, compile=args.compile,
+                     compile=args.compile,
                      quant_bits=args.quant_bits, quant_block=args.quant_block,
                      quant_ef=not args.no_quant_ef,
                      mask_density=args.mask_density)
@@ -356,12 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "vectorized batches the cohort's local "
                              "training into stacked GEMMs on one core. "
                              "All engines are byte-identical.")
-    parser.add_argument("--shm", action="store_true",
-                        help="ship the process executor's per-round "
-                             "broadcast state through a shared-memory "
-                             "segment (workers deserialize it zero-copy) "
-                             "instead of the task pickle stream; needs "
-                             "--workers >= 2")
     parser.add_argument("--compile", action="store_true",
                         help="trace-and-replay step compiler (DESIGN.md "
                              "§15): capture each local training step once "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.datasets import ArrayDataset
 from repro.models.split import SplitModel
 from repro.pruning.selector import (SalientSelection, dense_selection,
                                     selection_from_sparsity)
@@ -21,34 +20,30 @@ from repro.utils.rng import spawn_rng
 
 
 class SelectionPolicy:
-    """Interface: produce a selection for a client's freshly trained model."""
+    """Interface: produce a selection for a client's freshly trained model.
 
-    def select(self, model: SplitModel, val_data: ArrayDataset,
-               client_id: int, round_idx: int) -> SalientSelection:
+    ``select`` receives the client itself: the probe data is
+    ``client.val_data``, and a policy that keeps anything across rounds
+    keeps it in ``client.local_state`` — the one home of per-client state,
+    which is what ships to worker processes, rolls back on a crash, spills
+    to the scale store and lands in checkpoints.  Policies hold no
+    per-client dicts of their own, so clients can run in any order, in any
+    process, and stay byte-identical to serial execution.
+    """
+
+    def select(self, model: SplitModel, client,
+               round_idx: int) -> SalientSelection:
         raise NotImplementedError
 
     def communicates_sparse(self) -> bool:
         """False for the no-selection ablation (dense uploads)."""
         return True
 
-    def client_state(self, client_id: int):
-        """Per-client policy state to ship to a worker process.
-
-        Policies are either stateless (return None, the default) or keep
-        strictly per-client state (the RL policy's fine-tuned agents) —
-        that structure is what lets the parallel executor run clients in
-        any order while staying byte-identical to serial execution.
-        """
-        return None
-
-    def load_client_state(self, client_id: int, state) -> None:
-        """Install :meth:`client_state` output (no-op for stateless)."""
-
 
 class NoSelectionPolicy(SelectionPolicy):
     """Fig. 4 ablation: upload every parameter (SPATL w/o selection)."""
 
-    def select(self, model, val_data, client_id, round_idx):
+    def select(self, model, client, round_idx):
         return dense_selection(model.encoder)
 
     def communicates_sparse(self) -> bool:
@@ -64,7 +59,7 @@ class StaticSaliencyPolicy(SelectionPolicy):
         self.sparsity = sparsity
         self.criterion = criterion
 
-    def select(self, model, val_data, client_id, round_idx):
+    def select(self, model, client, round_idx):
         uniform = {n: self.sparsity for n in model.encoder.prunable_layers()}
         return selection_from_sparsity(model.encoder, uniform, self.criterion)
 
@@ -76,8 +71,8 @@ class RandomSelectionPolicy(SelectionPolicy):
         self.sparsity = sparsity
         self.seed = seed
 
-    def select(self, model, val_data, client_id, round_idx):
-        rng = spawn_rng(self.seed, "random_sel", client_id, round_idx)
+    def select(self, model, client, round_idx):
+        rng = spawn_rng(self.seed, "random_sel", client.client_id, round_idx)
         keep, masks, indices = {}, {}, {}
         params = dict(model.encoder.named_parameters())
         for name in model.encoder.prunable_layers():
@@ -93,12 +88,18 @@ class RandomSelectionPolicy(SelectionPolicy):
 class RLSelectionPolicy(SelectionPolicy):
     """The paper's agent: pre-trained PPO policy, fine-tuned online per client.
 
-    Each client receives a *clone* of the pre-trained agent; for the first
-    ``finetune_rounds`` rounds of that client's participation the clone's
-    MLP heads are fine-tuned by online PPO on the client's own model and
+    Each client starts from the pre-trained agent; for the first
+    ``finetune_rounds`` rounds of that client's participation the MLP
+    heads are fine-tuned by online PPO on the client's own model and
     validation data (§V-A: fine-tune "in the first 10 communication rounds",
     updating only the MLP).  Afterwards selection is one-shot deterministic
     inference.
+
+    The client's agent is *state*, not an object: its policy arrays, PPO
+    update count and participation count live in
+    ``client.local_state["agent"]`` and are loaded into the policy's one
+    reusable work agent for the duration of a ``select`` — the way every
+    algorithm loads the global model into its one ``_work`` model.
     """
 
     def __init__(self, pretrained: SalientParameterAgent,
@@ -112,40 +113,27 @@ class RLSelectionPolicy(SelectionPolicy):
         self.episodes_per_update = episodes_per_update
         self.s_max = s_max
         self.probe_size = probe_size
-        self._client_agents: dict[int, SalientParameterAgent] = {}
-        self._client_participations: dict[int, int] = {}
+        self._work = pretrained.clone()
 
-    def agent_for(self, client_id: int) -> SalientParameterAgent:
-        if client_id not in self._client_agents:
-            clone = self.pretrained.clone()
-            clone.seed = self.pretrained.seed * 9973 + client_id
-            self._client_agents[client_id] = clone
-        return self._client_agents[client_id]
-
-    def client_state(self, client_id: int):
-        """The client's fine-tuned agent clone and participation count."""
-        if client_id not in self._client_agents:
-            return None
-        return {"agent": self._client_agents[client_id],
-                "participations": self._client_participations.get(client_id, 0)}
-
-    def load_client_state(self, client_id: int, state) -> None:
-        """Install a shipped agent clone + participation count."""
-        if state is None:
-            return
-        self._client_agents[client_id] = state["agent"]
-        self._client_participations[client_id] = state["participations"]
-
-    def select(self, model, val_data, client_id, round_idx):
-        agent = self.agent_for(client_id)
-        seen = self._client_participations.get(client_id, 0)
+    def select(self, model, client, round_idx):
+        agent = self._work
+        agent.seed = self.pretrained.seed * 9973 + client.client_id
+        state = client.local_state.get("agent") or {
+            "policy": self.pretrained.state_dict(), "updates": 0,
+            "participations": 0}
+        agent.load_state_dict(state["policy"])
+        agent._update_count = state["updates"]
+        seen = state["participations"]
         if seen < self.finetune_rounds:
-            agent.finetune(model, val_data, updates=self.finetune_updates,
+            agent.finetune(model, client.val_data,
+                           updates=self.finetune_updates,
                            episodes_per_update=self.episodes_per_update,
                            flops_target=self.flops_target, s_max=self.s_max,
                            probe_size=self.probe_size)
-        self._client_participations[client_id] = seen + 1
-        selection, _ = agent.propose(model, val_data,
+        client.local_state["agent"] = {"policy": agent.state_dict(),
+                                       "updates": agent._update_count,
+                                       "participations": seen + 1}
+        selection, _ = agent.propose(model, client.val_data,
                                      flops_target=self.flops_target,
                                      s_max=self.s_max,
                                      probe_size=self.probe_size)

@@ -68,7 +68,6 @@ class SPATL(FederatedAlgorithm):
         self.c_global = ControlVariate.zeros_like_params(
             self.global_model.encoder.named_parameters())
         self._template_predictor = self.global_model.predictor_state()
-        self.last_selection: dict[int, SalientSelection] = {}
 
     # ------------------------------------------------------------ state
     def _effective_steps(self, tau: int) -> float:
@@ -149,9 +148,9 @@ class SPATL(FederatedAlgorithm):
             client.local_state["predictor"] = self._work.predictor_state()
         predictor_state = None if self.use_transfer else self._work.predictor_state()
 
-        selection = self.selection_policy.select(self._work, client.val_data,
-                                                 client.client_id, round_idx)
-        self.last_selection[client.client_id] = selection
+        selection = self.selection_policy.select(self._work, client,
+                                                 round_idx)
+        client.local_state["selection_keep"] = selection.keep
         salient = select_salient(self._work.encoder, selection)
         dense = {k: v for k, v in self._work.encoder.state_dict().items()
                  if k not in self._prunable_weight_keys}
@@ -203,26 +202,6 @@ class SPATL(FederatedAlgorithm):
                 if key.startswith("cv."):
                     self.c_global.values[key[len("cv."):]] = value
 
-    def client_context(self, client: Client):
-        """Ship the client's selection-policy state (RL agent clone)."""
-        return self.selection_policy.client_state(client.client_id)
-
-    def apply_client_context(self, client: Client, context) -> None:
-        """Install shipped selection-policy state on a worker replica."""
-        self.selection_policy.load_client_state(client.client_id, context)
-
-    def client_result_context(self, client: Client):
-        """Hand back policy state and the round's selection for reports."""
-        return {"policy": self.selection_policy.client_state(client.client_id),
-                "selection": self.last_selection.get(client.client_id)}
-
-    def commit_client_result_context(self, client: Client, context) -> None:
-        """Fold a worker's policy state + selection into the parent."""
-        self.selection_policy.load_client_state(client.client_id,
-                                                context["policy"])
-        if context["selection"] is not None:
-            self.last_selection[client.client_id] = context["selection"]
-
     # ------------------------------------------------------------ eval
     def client_eval_model(self, client: Client):
         self._eval.load_encoder_state(self.global_model.encoder_state())
@@ -237,10 +216,12 @@ class SPATL(FederatedAlgorithm):
         """Per-client FLOPs ratio / sparsity of the final selection (§V-D)."""
         graph = build_graph(self.global_model.encoder)
         report = {}
-        for cid, selection in self.last_selection.items():
-            report[cid] = {
-                "flops_ratio": graph.flops_ratio(selection.keep),
-                "params_ratio": graph.params_ratio(selection.keep),
-                "sparsity_ratio": selection.mean_keep(),
-            }
+        for client in self.clients:
+            keep = client.local_state.get("selection_keep")
+            if keep is not None:
+                report[client.client_id] = {
+                    "flops_ratio": graph.flops_ratio(keep),
+                    "params_ratio": graph.params_ratio(keep),
+                    "sparsity_ratio": SalientSelection(keep, {}, {}).mean_keep(),
+                }
         return report

@@ -28,7 +28,7 @@ def _run_spatl(cfg: ExperimentConfig, rounds: int | None = None,
     try:
         log = algo.run(rounds or cfg.rounds)
     finally:
-        algo.close()   # release executor pools / shm segments
+        algo.close()   # release executor pools
     log.meta["final_acc"] = log.last("val_acc")
     return log
 

@@ -87,7 +87,7 @@ def async_convergence(cfg: ExperimentConfig, algorithm: str = "fedavg",
     try:
         sync_log = sync_algo.run(rounds)
     finally:
-        sync_algo.close()   # release executor pools / shm segments
+        sync_algo.close()   # release executor pools
     sync_times = _sync_round_times(sync_algo, profile, rounds)
     sync_losses = list(sync_log["train_loss"])
     target = min(loss for loss in sync_losses if math.isfinite(loss))

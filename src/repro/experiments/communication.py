@@ -71,7 +71,7 @@ def _run_to_target(cfg: ExperimentConfig, method: str, target: float,
     try:
         return algo.run(max_rounds, target_accuracy=target)
     finally:
-        algo.close()   # release executor pools / shm segments
+        algo.close()   # release executor pools
 
 
 def table1_target_cost(cfg: ExperimentConfig, target: float = 0.6,

@@ -69,12 +69,10 @@ class ExperimentConfig:
     # Round-execution engine (DESIGN.md §9/§14): 1 = in-process serial
     # executor, N>1 fans per-client exchanges over N worker processes.
     # ``executor`` picks the engine explicitly ("auto" | "serial" |
-    # "process" | "vectorized"); ``shm=True`` routes the process pool's
-    # per-round broadcast state through shared memory.  Results are
-    # byte-identical across all engines.
+    # "process" | "vectorized").  Results are byte-identical across all
+    # engines.
     workers: int = 1
     executor: str = "auto"
-    shm: bool = False
     # Trace-and-replay step compiler (DESIGN.md §15): capture each local
     # training step once per (model, batch-signature) and replay it with
     # static memory planning.  Byte-identical to eager execution; off by
@@ -191,9 +189,8 @@ def make_algorithm(name: str, cfg: ExperimentConfig, model_fn, clients,
     quant = make_quant_config(cfg.quant_bits, cfg.quant_block, cfg.quant_ef)
     if quant is not None:
         common["quant"] = quant
-    if cfg.workers > 1 or cfg.executor != "auto" or cfg.shm:
-        common["executor"] = make_executor(cfg.workers, kind=cfg.executor,
-                                           shm=cfg.shm)
+    if cfg.workers > 1 or cfg.executor != "auto":
+        common["executor"] = make_executor(cfg.workers, kind=cfg.executor)
     if cfg.compile:
         common["compile_steps"] = True
     fault_model = make_fault_model(cfg)

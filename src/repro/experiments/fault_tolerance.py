@@ -46,7 +46,7 @@ def fault_degradation_curve(cfg: ExperimentConfig,
             try:
                 log = algo.run(rounds)
             finally:
-                algo.close()   # release executor pools / shm segments
+                algo.close()   # release executor pools
             per_rate[p] = {
                 "final_acc": log.last("val_acc"),
                 "total_gb": algo.ledger.total_gb(),

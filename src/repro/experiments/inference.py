@@ -24,7 +24,7 @@ def inference_acceleration_table(cfg: ExperimentConfig,
     try:
         log = algo.run(rounds)
     finally:
-        algo.close()   # release executor pools / shm segments
+        algo.close()   # release executor pools
     report = algo.inference_report()
     if not report:
         raise RuntimeError("no client selections were recorded")

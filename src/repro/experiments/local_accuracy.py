@@ -26,7 +26,7 @@ def local_accuracy_figure(cfg: ExperimentConfig,
         try:
             algo.run(rounds)
         finally:
-            algo.close()   # release executor pools / shm segments
+            algo.close()   # release executor pools
         accs = np.asarray(algo.per_client_accuracy())
         out[method] = {
             "per_client": accs.tolist(),

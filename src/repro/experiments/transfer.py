@@ -54,7 +54,7 @@ def transferability_table(cfg: ExperimentConfig,
         try:
             log = algo.run(rounds)
         finally:
-            algo.close()   # release executor pools / shm segments
+            algo.close()   # release executor pools
         model = algo.global_model
         acc_before = _plain_accuracy(model, transfer_test)
         acc_after = transfer_accuracy(model, transfer_train, transfer_test,

@@ -47,8 +47,7 @@ algorithm rides on:
 
 from repro.fl.comm import (CommLedger, PayloadError, payload_nbytes,
                            serialize_state, deserialize_state,
-                           sparse_payload_nbytes, quantize_state,
-                           dequantize_state)
+                           sparse_payload_nbytes)
 from repro.fl.wire import BroadcastCache, codec_validate, state_fingerprint
 from repro.fl.resilience import (ClientCrashed, ClientDropped, ClientFailure,
                                  FaultStats, RetryPolicy, StragglerTimeout,
@@ -88,7 +87,7 @@ __all__ = [
     "deserialize_state", "sparse_payload_nbytes", "Client",
     "make_federated_clients", "FederatedAlgorithm", "RoundResult",
     "sample_clients", "FedAvg", "FedProx", "FedNova", "Scaffold", "FedTopK",
-    "ALGORITHMS", "quantize_state", "dequantize_state",
+    "ALGORITHMS",
     "QuantConfig", "quantize_payload", "dequantize_payload",
     "quant_payload_nbytes", "make_quant_config",
     "SparseInitFL", "SalientGrads", "SSFL",

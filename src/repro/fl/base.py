@@ -300,12 +300,13 @@ class FederatedAlgorithm:
         return self.global_model
 
     # ------------------------------------------- parallel-execution hooks
-    # These describe the server-side state a worker process needs to run
-    # one client exchange, and the per-client state it must hand back.
-    # The base implementations cover algorithms whose only per-round
+    # ``worker_sync_state`` is the algorithm's complete server state: what
+    # a worker process needs before running any client, and what every
+    # checkpoint writer saves.  The base pair covers algorithms whose only
     # mutable server state is the global model (FedAvg, FedProx, FedTopK);
-    # subclasses with extra state (control variates, server momentum,
-    # selection-policy agents) extend them.  See DESIGN.md §9.
+    # subclasses with more (control variates, server momentum) extend it.
+    # Per-client state has the matching single home, ``client.local_state``,
+    # which always travels with the client.  See DESIGN.md §9.
 
     def worker_sync_state(self) -> dict[str, np.ndarray]:
         """Server state a worker needs before running any client this round,
@@ -340,23 +341,6 @@ class FederatedAlgorithm:
         (DESIGN.md §16) — even if ``self.quant`` is mutated mid-run.
         """
         return self.quant.key if self.quant is not None else None
-
-    def client_context(self, client: Client) -> Any:
-        """Per-client server-side state to ship *to* the worker (beyond
-        ``client.local_state``, which always travels).  None by default."""
-        return None
-
-    def apply_client_context(self, client: Client, context: Any) -> None:
-        """Install :meth:`client_context` output on a worker replica."""
-
-    def client_result_context(self, client: Client) -> Any:
-        """Per-client server-side state the worker sends *back* after the
-        exchange (e.g. updated selection-policy agents).  None by default."""
-        return None
-
-    def commit_client_result_context(self, client: Client,
-                                     context: Any) -> None:
-        """Fold a worker's :meth:`client_result_context` into the parent."""
 
     # Class-level so the "non-dict update" warning fires once per
     # algorithm class, not once per round.

@@ -1,11 +1,20 @@
 """Checkpointing for long federated runs.
 
 Paper-scale experiments run for hundreds of rounds; a crash should not
-discard them.  ``save_checkpoint`` captures everything a run needs to
-resume bit-exactly: the global model, the round counter, the communication
-ledger, per-client persistent state (control variates, private predictors
-— RL agent policies included, since they are plain state dicts), and the
-server-side control variate where the algorithm has one.
+discard them.  A checkpoint is the two state descriptions the rest of the
+system already uses, plus the run counters:
+
+- **server state** is ``algo.worker_sync_state()`` — the flat array dict
+  every algorithm already keeps complete for its worker replicas — and
+  is restored through ``load_worker_sync_state`` in the saved key order,
+  so a resumed run's sync blob is byte-identical to the uninterrupted
+  run's;
+- **client state** is each ``client.local_state`` through
+  :func:`~repro.fl.scale.store.encode_client_state`, the lossless codec
+  the spill store uses — predictors, control variates, quant/top-k
+  residuals and RL agent state alike, with no per-type code here;
+- the round counter, the communication ledger and the cumulative fault
+  statistics ride in the manifest.
 
 The asynchronous runtime (DESIGN.md §12) extends the same format:
 ``save_async_checkpoint`` additionally captures the virtual clock (time,
@@ -16,40 +25,44 @@ fingerprint registry, and the runner's counters — so a run interrupted
 *mid-buffer* resumes to a bit-identical trajectory.
 
 The format is a single ``.npz`` (arrays) plus a JSON manifest entry inside
-it, so checkpoints need no pickling of code objects and stay loadable
-across library versions.
+it carrying a ``format`` number, so checkpoints need no pickling of code
+objects; a file of another layout, without a manifest, or truncated is
+rejected with one ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.gradient_control import ControlVariate
 from repro.fl.async_runtime import (AsyncFederatedRunner, StepResult,
                                     VirtualClock, _Job)
 from repro.fl.base import FederatedAlgorithm
 from repro.fl.comm import decode_update, encode_update
 from repro.fl.resilience import FaultStats
+from repro.fl.scale.store import decode_client_state, encode_client_state
 
-
-def _flatten(prefix: str, state: dict, out: dict[str, np.ndarray]) -> None:
-    for key, value in state.items():
-        out[f"{prefix}{key}"] = np.asarray(value)
+#: On-disk layout number, written into every manifest.  1 was the
+#: prefix-flattened ``global.`` / ``c_global.`` / ``client.<id>.<key>.``
+#: layout (no ``format`` entry); 2 is ``server.*`` + ``client.<id>`` blobs.
+FORMAT = 2
 
 
 # --------------------------------------------------------------------------
-# Shared collect/apply: the algorithm-owned state (model, variates, clients,
-# fault stats, ledger) is identical between the sync and async formats.
+# Shared collect/apply: the algorithm-owned state (server state, clients,
+# fault stats, ledger) is identical between the sync, async and scale
+# checkpoints.
 # --------------------------------------------------------------------------
 
 def _collect_algo(algo: FederatedAlgorithm,
                   arrays: dict[str, np.ndarray],
                   include_clients: bool = True) -> dict:
-    """Flatten the algorithm's resumable state into ``arrays``; return the
+    """Put the algorithm's resumable state into ``arrays``; return the
     manifest fragment describing it.
 
     ``include_clients=False`` skips per-client ``local_state`` — used by
@@ -58,79 +71,49 @@ def _collect_algo(algo: FederatedAlgorithm,
     store manifest instead; walking 100k virtual clients here would
     materialize them all.
     """
-    manifest: dict = {
+    server = algo.worker_sync_state()
+    for key, value in server.items():
+        arrays[f"server.{key}"] = np.asarray(value)
+    if include_clients:
+        for client in algo.clients:
+            arrays[f"client.{client.client_id}"] = np.frombuffer(
+                encode_client_state(client.local_state), dtype=np.uint8)
+    return {
+        "format": FORMAT,
         "algorithm": algo.name,
         "rounds_completed": algo.rounds_completed,
         "n_clients": len(algo.clients),
         "includes_clients": include_clients,
-        "client_state_keys": {},
+        # npz members come back name-sorted; the sync blob's bytes depend
+        # on dict order, so the order is part of the state.
+        "server_keys": list(server),
+        # cumulative fault-tolerance counters (resumed runs keep reporting
+        # the drops/retries/corruptions that happened before the crash)
+        "fault_stats": algo.fault_stats.as_dict(),
+        "ledger": {
+            "uplink": {str(r): {str(c): n for c, n in d.items()}
+                       for r, d in algo.ledger.uplink.items()},
+            "downlink": {str(r): {str(c): n for c, n in d.items()}
+                         for r, d in algo.ledger.downlink.items()},
+        },
     }
-    _flatten("global.", algo.global_model.state_dict(), arrays)
-    if hasattr(algo, "c_global"):
-        cg = algo.c_global
-        values = cg.values if isinstance(cg, ControlVariate) else cg
-        _flatten("c_global.", values, arrays)
-        manifest["has_c_global"] = True
-        manifest["c_global_is_variate"] = isinstance(cg, ControlVariate)
-    if include_clients:
-        for client in algo.clients:
-            cid = client.client_id
-            keys = []
-            for key, value in client.local_state.items():
-                if isinstance(value, ControlVariate):
-                    _flatten(f"client.{cid}.{key}.", value.values, arrays)
-                    keys.append([key, "variate"])
-                elif isinstance(value, dict):
-                    _flatten(f"client.{cid}.{key}.", value, arrays)
-                    keys.append([key, "dict"])
-            manifest["client_state_keys"][str(cid)] = keys
-    # cumulative fault-tolerance counters (resumed runs keep reporting the
-    # drops/retries/corruptions that happened before the crash)
-    manifest["fault_stats"] = algo.fault_stats.as_dict()
-    manifest["ledger"] = {
-        "uplink": {str(r): {str(c): n for c, n in d.items()}
-                   for r, d in algo.ledger.uplink.items()},
-        "downlink": {str(r): {str(c): n for c, n in d.items()}
-                     for r, d in algo.ledger.downlink.items()},
-    }
-    return manifest
 
 
-def _apply_algo(algo: FederatedAlgorithm, data, manifest: dict) -> None:
+def _apply_algo(algo: FederatedAlgorithm, arrays: dict[str, np.ndarray],
+                manifest: dict) -> None:
     """Restore the algorithm-owned state collected by :func:`_collect_algo`."""
     if manifest["n_clients"] != len(algo.clients):
         raise ValueError(
             f"checkpoint has {manifest['n_clients']} clients, "
             f"algorithm has {len(algo.clients)}")
-    prefixes = sorted(data.files)
-
-    def collect(prefix: str) -> dict[str, np.ndarray]:
-        plen = len(prefix)
-        return {k[plen:]: data[k] for k in prefixes if k.startswith(prefix)}
-
-    algo.global_model.load_state_dict(collect("global."))
-    if manifest.get("has_c_global"):
-        values = collect("c_global.")
-        if manifest.get("c_global_is_variate"):
-            cv = ControlVariate({})
-            cv.values = values
-            algo.c_global = cv
-        else:
-            algo.c_global = values
-    if manifest.get("includes_clients", True):
+    algo.load_worker_sync_state(
+        {key: arrays[f"server.{key}"] for key in manifest["server_keys"]})
+    if manifest["includes_clients"]:
         for client in algo.clients:
-            keys = manifest["client_state_keys"].get(str(client.client_id), [])
-            client.local_state.clear()
-            for key, kind in keys:
-                payload = collect(f"client.{client.client_id}.{key}.")
-                if kind == "variate":
-                    cv = ControlVariate({})
-                    cv.values = payload
-                    client.local_state[key] = cv
-                else:
-                    client.local_state[key] = payload
+            client.local_state = decode_client_state(
+                arrays[f"client.{client.client_id}"].tobytes())
     algo.rounds_completed = manifest["rounds_completed"]
-    algo.fault_stats = FaultStats.from_dict(manifest.get("fault_stats", {}))
+    algo.fault_stats = FaultStats.from_dict(manifest["fault_stats"])
     algo.ledger.uplink.clear()
     algo.ledger.downlink.clear()
     for direction in ("uplink", "downlink"):
@@ -144,6 +127,33 @@ def _write(path: str | Path, arrays: dict[str, np.ndarray],
     arrays["__manifest__"] = np.frombuffer(
         json.dumps(manifest).encode(), dtype=np.uint8)
     np.savez_compressed(Path(path), **arrays)
+
+
+def _read(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Every array of a checkpoint plus its manifest.
+
+    Anything that is not a complete format-:data:`FORMAT` checkpoint — a
+    truncated or foreign file, a missing manifest, the pre-``format``
+    layout — raises ``ValueError`` naming the file and what was found.
+    A missing file stays ``FileNotFoundError``.
+    """
+    try:
+        with np.load(Path(path)) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
+            ValueError) as err:
+        raise ValueError(f"{path}: not a readable format-{FORMAT} "
+                         f"checkpoint ({type(err).__name__}: {err})") from err
+    raw = arrays.pop("__manifest__", None)
+    if raw is None:
+        raise ValueError(f"{path}: no __manifest__ entry; expected a "
+                         f"format-{FORMAT} checkpoint")
+    manifest = json.loads(bytes(raw).decode())
+    found = manifest.get("format", 1)
+    if found != FORMAT:
+        raise ValueError(f"{path}: checkpoint format {found}, "
+                         f"expected {FORMAT}")
+    return arrays, manifest
 
 
 # ------------------------------------------------------------- sync format
@@ -161,9 +171,7 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str | Path) -> None:
     ``algo`` must be constructed with the same model/clients topology;
     mismatches raise ``KeyError``/``ValueError``.
     """
-    with np.load(Path(path)) as data:
-        manifest = json.loads(bytes(data["__manifest__"]).decode())
-        _apply_algo(algo, data, manifest)
+    _apply_algo(algo, *_read(path))
 
 
 # ------------------------------------------------------------ async format
@@ -233,59 +241,58 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
     config the snapshot was taken under (both are validated — a resumed
     run with different knobs would silently diverge otherwise).
     """
-    with np.load(Path(path)) as data:
-        manifest = json.loads(bytes(data["__manifest__"]).decode())
-        if "async" not in manifest:
-            raise ValueError("not an async checkpoint (use load_checkpoint)")
-        state = manifest["async"]
-        for name, current in (("profile", asdict(runner.profile)),
-                              ("config", asdict(runner.config))):
-            if state[name] != json.loads(json.dumps(current)):
-                raise ValueError(
-                    f"checkpoint {name} does not match the runner's: "
-                    f"{state[name]} != {current}")
-        _apply_algo(runner.algo, data, manifest)
-        runner.clock = VirtualClock.restore(state["clock"])
-        runner.server_step = int(state["server_step"])
-        runner._commit_epoch = int(state["commit_epoch"])
-        runner._next_job = int(state["next_job"])
-        runner._started = bool(state["started"])
-        runner.stalled = bool(state["stalled"])
-        runner._client_jobs = {int(c): int(n)
-                               for c, n in state["client_jobs"].items()}
-        runner.inflight = set(state["inflight"])
-        runner.queue = list(state["queue"])
-        runner.buffer = list(state["buffer"])
-        from collections import OrderedDict
-        runner._fp_registry = OrderedDict(
-            ((int(cid), int(fp)), int(jid))
-            for cid, fp, jid in state["fp_registry"])
-        runner.dedup_evictions = int(state.get("dedup_evictions", 0))
-        runner.counters = {k: int(v) for k, v in state["counters"].items()}
-        runner.jobs = {}
-        for jid_str, meta in state["jobs"].items():
-            jid = int(jid_str)
-            update = None
-            if meta["has_update"]:
-                update = decode_update(bytes(data[f"job.{jid}.update"]))
-                if runner._store is not None:
-                    # Store mode: park the update back on disk; the job
-                    # record itself stays payload-free.
-                    runner._store.put(f"job/{jid}",
-                                      bytes(data[f"job.{jid}.update"]))
-                    update = None
-            runner.jobs[jid] = _Job(
-                job_id=jid, client_id=int(meta["client_id"]),
-                dispatch_step=int(meta["dispatch_step"]),
-                dispatch_time=float(meta["dispatch_time"]),
-                duration=float(meta["duration"]),
-                crashed=bool(meta["crashed"]), update=update,
-                train_loss=float(meta["train_loss"]),
-                fingerprint=meta["fingerprint"], up_bytes=meta["up_bytes"],
-                accepted=bool(meta["accepted"]))
-        stats = FaultStats.from_dict(state["stats"])
-        stats._drops = {int(c): kind
-                        for c, kind in state["stats_drops"].items()}
-        stats._delivered = set(state["stats_delivered"])
-        runner.stats = stats
-        runner.step_results = [StepResult(**r) for r in state["step_results"]]
+    arrays, manifest = _read(path)
+    if "async" not in manifest:
+        raise ValueError("not an async checkpoint (use load_checkpoint)")
+    state = manifest["async"]
+    for name, current in (("profile", asdict(runner.profile)),
+                          ("config", asdict(runner.config))):
+        if state[name] != json.loads(json.dumps(current)):
+            raise ValueError(
+                f"checkpoint {name} does not match the runner's: "
+                f"{state[name]} != {current}")
+    _apply_algo(runner.algo, arrays, manifest)
+    runner.clock = VirtualClock.restore(state["clock"])
+    runner.server_step = int(state["server_step"])
+    runner._commit_epoch = int(state["commit_epoch"])
+    runner._next_job = int(state["next_job"])
+    runner._started = bool(state["started"])
+    runner.stalled = bool(state["stalled"])
+    runner._client_jobs = {int(c): int(n)
+                           for c, n in state["client_jobs"].items()}
+    runner.inflight = set(state["inflight"])
+    runner.queue = list(state["queue"])
+    runner.buffer = list(state["buffer"])
+    from collections import OrderedDict
+    runner._fp_registry = OrderedDict(
+        ((int(cid), int(fp)), int(jid))
+        for cid, fp, jid in state["fp_registry"])
+    runner.dedup_evictions = int(state.get("dedup_evictions", 0))
+    runner.counters = {k: int(v) for k, v in state["counters"].items()}
+    runner.jobs = {}
+    for jid_str, meta in state["jobs"].items():
+        jid = int(jid_str)
+        update = None
+        if meta["has_update"]:
+            blob = arrays[f"job.{jid}.update"].tobytes()
+            update = decode_update(blob)
+            if runner._store is not None:
+                # Store mode: park the update back on disk; the job
+                # record itself stays payload-free.
+                runner._store.put(f"job/{jid}", blob)
+                update = None
+        runner.jobs[jid] = _Job(
+            job_id=jid, client_id=int(meta["client_id"]),
+            dispatch_step=int(meta["dispatch_step"]),
+            dispatch_time=float(meta["dispatch_time"]),
+            duration=float(meta["duration"]),
+            crashed=bool(meta["crashed"]), update=update,
+            train_loss=float(meta["train_loss"]),
+            fingerprint=meta["fingerprint"], up_bytes=meta["up_bytes"],
+            accepted=bool(meta["accepted"]))
+    stats = FaultStats.from_dict(state["stats"])
+    stats._drops = {int(c): kind
+                    for c, kind in state["stats_drops"].items()}
+    stats._delivered = set(state["stats_delivered"])
+    runner.stats = stats
+    runner.step_results = [StepResult(**r) for r in state["step_results"]]

@@ -3,12 +3,17 @@
 A :class:`Client` owns a non-IID train/validation shard (produced by the
 partitioners in :mod:`repro.data.partition`) plus ``local_state``, the
 algorithm-owned per-client storage that persists across rounds — control
-variates, private predictors, fine-tuned agent heads.  Because
-``local_state`` is plain arrays/dicts it travels losslessly through the
-wire codec, which is what lets the process-parallel executor
-(:mod:`repro.fl.parallel`) ship it to a worker and commit the mutated
-copy back byte-identically.  :func:`make_federated_clients` builds a
-cohort from a dataset and a partition.
+variates, private predictors, fine-tuned agent heads, compression
+residuals.  It is the *only* home of per-client state: algorithms and
+selection policies keep no per-client dicts of their own.  Because it is
+plain arrays, scalars and dicts, the same value ships to process-pool
+workers and back (:mod:`repro.fl.parallel`), rolls back on a simulated
+crash (:meth:`Client.snapshot_local_state`), spills to the virtual-
+population store and lands in every checkpoint
+(:func:`repro.fl.scale.store.encode_client_state`) — byte-identically,
+with no per-type code on any of those paths.
+:func:`make_federated_clients` builds a cohort from a dataset and a
+partition.
 """
 
 from __future__ import annotations
@@ -29,8 +34,11 @@ class Client:
     """One edge device: a train shard, a validation shard, and local state.
 
     ``local_state`` is algorithm-owned storage that survives across rounds —
-    SCAFFOLD keeps its control variate ``c_i`` there, SPATL keeps ``c_i``,
-    the private predictor, and the fine-tuned RL agent head.
+    SCAFFOLD keeps its control variate ``c_i`` there; SPATL keeps ``c_i``,
+    the private ``predictor``, the fine-tuned RL ``agent`` (policy arrays,
+    PPO update count, participation count) and ``selection_keep``, the
+    kept fraction per layer of its last selection; the compression
+    transports keep their error-feedback residuals.
     """
 
     client_id: int

@@ -53,9 +53,8 @@ from repro.fl import wire
 from repro.obs.trace import get_tracer
 
 __all__ = ["PayloadError", "serialize_state", "deserialize_state",
-           "payload_nbytes", "sparse_payload_nbytes", "quantize_state",
-           "dequantize_state", "encode_update", "decode_update",
-           "CommLedger"]
+           "payload_nbytes", "sparse_payload_nbytes", "encode_update",
+           "decode_update", "CommLedger"]
 
 
 def serialize_state(state: dict[str, np.ndarray],
@@ -106,54 +105,6 @@ def deserialize_state(payload: bytes, checksums: bool = False,
                            bytes=memoryview(payload).nbytes) as span:
         out = wire.deserialize(payload, checksums=checksums, copy=copy)
         span.set(entries=len(out), zero_copy=not copy)
-    return out
-
-
-def quantize_state(state: dict[str, np.ndarray],
-                   dtype=np.float16) -> dict[str, np.ndarray]:
-    """Cast floating tensors to a narrower wire dtype (lossy compression).
-
-    Halving payloads with fp16 is the simplest communication-compression
-    knob on top of salient selection.  Only floats *wider* than the
-    target are narrowed; non-float tensors (indices, bool masks, BN step
-    counters like ``num_batches_tracked``) and already-narrow floats pass
-    through bit-exactly, so a quantize → dequantize round trip is the
-    identity on every entry the cast doesn't touch.
-
-    For stochastic sub-byte quantization (int8/int4 with error
-    feedback), see :mod:`repro.fl.quant` — this helper is the simple
-    dtype-cast knob, not the low-bit codec.
-    """
-    target = np.dtype(dtype)
-    if target.kind != "f":
-        raise TypeError(f"quantize_state target must be a float dtype, "
-                        f"got {target}")
-    out = {}
-    for name, arr in state.items():
-        arr = np.asarray(arr)
-        narrow = arr.dtype.kind == "f" and arr.dtype.itemsize > target.itemsize
-        out[name] = arr.astype(target) if narrow else arr
-    return out
-
-
-def dequantize_state(state: dict[str, np.ndarray],
-                     dtype=np.float32) -> dict[str, np.ndarray]:
-    """Widen narrow floating tensors back to the compute dtype.
-
-    The inverse knob of :func:`quantize_state`: floats *narrower* than
-    the target are widened; everything else — non-floats, and floats at
-    or above the target width (so a float64 entry is never silently
-    downcast to float32 on receipt) — passes through bit-exactly.
-    """
-    target = np.dtype(dtype)
-    if target.kind != "f":
-        raise TypeError(f"dequantize_state target must be a float dtype, "
-                        f"got {target}")
-    out = {}
-    for name, arr in state.items():
-        arr = np.asarray(arr)
-        widen = arr.dtype.kind == "f" and arr.dtype.itemsize < target.itemsize
-        out[name] = arr.astype(target) if widen else arr
     return out
 
 

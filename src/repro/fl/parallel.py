@@ -11,11 +11,7 @@ the executor abstraction behind that loop (DESIGN.md §9):
   in-process loop exactly (same objects, same call order, zero overhead);
 - :class:`ProcessPoolRoundExecutor` — fans the per-client
   download → train → upload exchange over a ``ProcessPoolExecutor``
-  whose workers persist for the executor's lifetime; with ``shm=True``
-  the per-round broadcast state travels through a
-  :class:`SharedMemoryTransport` segment that workers deserialize
-  zero-copy (``wire.deserialize(copy=False)``) instead of through the
-  task-queue pickle stream.
+  whose workers persist for the executor's lifetime.
 
 (:class:`~repro.fl.vectorized.VectorizedRoundExecutor`, the third
 engine, lives in its own module; ``make_executor`` builds any of them.)
@@ -26,12 +22,13 @@ Parallel runs are **seed- and byte-identical** to serial runs because
    through ``SeedSequence`` trees, so draws are order-independent;
 2. state crossing the process boundary goes through lossless codecs: the
    global sync state and the update objects through the very wire codec
-   (:mod:`repro.fl.comm`) the simulated network uses, per-client extras
+   (:mod:`repro.fl.comm`) the simulated network uses, ``client.local_state``
    through pickle — and the sync state is framed once per round by the
    server's :class:`~repro.fl.wire.BroadcastCache` and shipped once per
    *worker* (barrier-gated preload), not once per client;
-3. the parent commits results — client ``local_state``, policy state,
-   ledger traffic, fault stats, metrics, trace spans, and finally the
+3. the parent commits results — client ``local_state`` (all the
+   per-client state there is), ledger traffic, fault stats, metrics,
+   trace spans, and finally the
    update itself — in deterministic cohort order, regardless of which
    worker finished first.
 
@@ -47,11 +44,9 @@ import contextlib
 import multiprocessing as mp
 import pickle
 import threading
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Any, Sequence
 
 from repro.fl.comm import (CommLedger, decode_update, deserialize_state,
@@ -133,7 +128,6 @@ _WORKER_ALGO: Any = None
 _WORKER_CLIENTS: dict[int, Any] = {}
 _WORKER_SYNC_VERSION: int = -1
 _WORKER_BARRIER: Any = None   # shared barrier for sync-blob preloads
-_WORKER_SHM: dict[str, Any] = {}   # attached shared-memory segments by name
 
 
 def _pickle_algorithm(algorithm: Any) -> bytes:
@@ -192,62 +186,6 @@ def _preload_sync(version: int, blob: bytes, timeout: float) -> bool:
     return True
 
 
-def _attach_shm(name: str) -> Any:
-    """This worker's mapping of the parent's segment ``name``, cached.
-
-    A new name means the parent outgrew and replaced its segment, so any
-    previously cached mapping is stale: close it (best-effort — live
-    zero-copy views pin the old mapping until they die) and attach the
-    new one.  Pool workers share the parent's resource-tracker process
-    (its fd travels through both fork and spawn), so the attach's
-    registration is a no-op on the already-tracked name and needs no
-    unregister — unregistering here would strip the *parent's* entry and
-    leak the segment if the job dies before ``unlink``.
-    """
-    shm = _WORKER_SHM.get(name)
-    if shm is not None:
-        return shm
-    for stale in list(_WORKER_SHM):
-        old = _WORKER_SHM.pop(stale)
-        try:
-            old.close()
-        except BufferError:
-            pass
-    shm = shared_memory.SharedMemory(name=name)
-    _WORKER_SHM[name] = shm
-    return shm
-
-
-def _preload_sync_shm(version: int, name: str, nbytes: int,
-                      timeout: float) -> bool:
-    """Install the round's sync state straight from shared memory.
-
-    Like :func:`_preload_sync`, but instead of carrying the blob in the
-    task pickle the worker attaches the parent's shared-memory segment
-    and deserializes **zero-copy** (``copy=False``): arrays are read-only
-    views over the segment, so the large global state is never copied
-    into the task queue nor materialised per worker.  Any failure is
-    swallowed *after* meeting the barrier — a worker that bailed early
-    would park its siblings for the full timeout — and reported as
-    False so the parent falls back to per-task blobs for the round.
-    """
-    global _WORKER_SYNC_VERSION
-    ok = True
-    try:
-        shm = _attach_shm(name)
-        with _untraced():
-            state = deserialize_state(shm.buf[:nbytes], copy=False)
-            _WORKER_ALGO.load_worker_sync_state(state)
-        _WORKER_SYNC_VERSION = version
-    except Exception:
-        ok = False
-    try:
-        _WORKER_BARRIER.wait(timeout)
-    except threading.BrokenBarrierError:
-        return False
-    return ok
-
-
 @dataclass
 class _ClientTask:
     """Everything a worker needs to run one client's exchange."""
@@ -261,7 +199,6 @@ class _ClientTask:
     bcast_token: int         # server round token for the worker's own
                              # BroadcastCache / FaultyTransport
     local_state_blob: bytes  # pickled client.local_state
-    context_blob: bytes      # pickled algorithm.client_context(client)
     traced: bool             # parent tracer enabled → record worker spans
 
 
@@ -274,7 +211,6 @@ class _ClientOutcome:
     failure: ClientFailure | None
     train_loss: float
     local_state_blob: bytes           # pickled post-exchange local_state
-    result_context_blob: bytes        # pickled client_result_context(client)
     stats: FaultStats                 # attempt-level counters from the worker
     ledger: CommLedger                # this task's traffic (merged by parent)
     metrics: MetricsRegistry          # this task's instruments (merged)
@@ -307,9 +243,6 @@ def _run_client_task(task: _ClientTask) -> _ClientOutcome:
         algo.transport.token = task.bcast_token
     client = _WORKER_CLIENTS[task.client_id]
     client.local_state = pickle.loads(task.local_state_blob)
-    context = pickle.loads(task.context_blob)
-    if context is not None:
-        algo.apply_client_context(client, context)
 
     ledger = CommLedger()
     algo.ledger = ledger
@@ -337,7 +270,6 @@ def _run_client_task(task: _ClientTask) -> _ClientOutcome:
         failure=failure,
         train_loss=train_loss,
         local_state_blob=pickle.dumps(client.local_state),
-        result_context_blob=pickle.dumps(algo.client_result_context(client)),
         stats=stats,
         ledger=ledger,
         metrics=registry,
@@ -346,65 +278,6 @@ def _run_client_task(task: _ClientTask) -> _ClientOutcome:
 
 
 # ---------------------------------------------------------------- parent
-class SharedMemoryTransport:
-    """Parent-side publisher of round sync blobs into shared memory.
-
-    One segment, reused across rounds: ``publish`` writes the blob in
-    place when it fits, or retires the segment (unlink — existing worker
-    mappings stay valid until they detach) and creates a larger one
-    under a fresh name, which is how workers detect staleness.  Workers
-    attach by the returned ``(name, nbytes)`` and deserialize zero-copy,
-    so the broadcast state crosses the process boundary without ever
-    entering the task-queue pickle stream.
-    """
-
-    def __init__(self):
-        # The live segment is kept in a one-slot holder shared with a
-        # ``weakref.finalize`` callback, so a transport dropped without
-        # ``close()`` (an executor leaked by a caller that never calls
-        # ``algo.close()``) still unlinks its segment at GC instead of
-        # stranding it until the resource tracker's shutdown sweep.
-        self._holder: dict[str, shared_memory.SharedMemory | None] = \
-            {"shm": None}
-        self._finalizer = weakref.finalize(self, self._unlink, self._holder)
-
-    @property
-    def _shm(self) -> shared_memory.SharedMemory | None:
-        return self._holder["shm"]
-
-    @property
-    def name(self) -> str | None:
-        """Current segment name (None before the first publish)."""
-        shm = self._shm
-        return shm.name if shm is not None else None
-
-    def publish(self, blob: bytes) -> tuple[str, int]:
-        """Write ``blob`` into shared memory; return ``(name, nbytes)``."""
-        n = len(blob)
-        if self._shm is None or self._shm.size < n:
-            self.close()
-            self._holder["shm"] = shared_memory.SharedMemory(create=True,
-                                                             size=max(n, 1))
-        shm = self._shm
-        shm.buf[:n] = blob
-        return shm.name, n
-
-    @staticmethod
-    def _unlink(holder: dict) -> None:
-        shm = holder.get("shm")
-        holder["shm"] = None
-        if shm is not None:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-
-    def close(self) -> None:
-        """Unmap and unlink the segment. Idempotent."""
-        self._unlink(self._holder)
-
-
 class ProcessPoolRoundExecutor(RoundExecutor):
     """Fan per-client exchanges over a pool of worker processes.
 
@@ -430,13 +303,12 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     _SYNC_BARRIER_TIMEOUT = 120.0
 
     def __init__(self, workers: int, mp_context: Any = None,
-                 broadcast: bool = True, shm: bool = False):
+                 broadcast: bool = True):
         if workers < 2:
             raise ValueError("ProcessPoolRoundExecutor needs >= 2 workers; "
                              "use SerialExecutor (or make_executor) instead")
         self.workers = workers
         self.broadcast = broadcast
-        self.shm = shm
         if mp_context is None:
             method = ("fork" if "fork" in mp.get_all_start_methods()
                       else "spawn")
@@ -451,7 +323,6 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         self._pool_algorithm: Any = None
         self._barrier: Any = None
         self._sync_version = 0
-        self._shm_transport = SharedMemoryTransport() if shm else None
 
     def _ensure_pool(self, algorithm) -> ProcessPoolExecutor:
         """The live pool for ``algorithm``, (re)building if needed.
@@ -482,24 +353,12 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         Submits ``workers`` barrier-gated preload tasks: each worker
         applies the blob, then parks at the shared barrier until all
         workers have theirs, which guarantees one preload per worker.
-        With ``shm=True`` the blob travels through the
-        :class:`SharedMemoryTransport` segment (workers read it
-        zero-copy) and the preload task carries only ``(name, nbytes)``.
         Returns False — closing the pool if it broke — when distribution
         could not be confirmed; the caller falls back to per-task blobs.
         """
-        if self._shm_transport is not None:
-            try:
-                name, nbytes = self._shm_transport.publish(sync_blob)
-            except OSError:
-                return False   # e.g. /dev/shm exhausted → per-task blobs
-            futures = [pool.submit(_preload_sync_shm, self._sync_version,
-                                   name, nbytes, self._SYNC_BARRIER_TIMEOUT)
-                       for _ in range(self.workers)]
-        else:
-            futures = [pool.submit(_preload_sync, self._sync_version,
-                                   sync_blob, self._SYNC_BARRIER_TIMEOUT)
-                       for _ in range(self.workers)]
+        futures = [pool.submit(_preload_sync, self._sync_version, sync_blob,
+                               self._SYNC_BARRIER_TIMEOUT)
+                   for _ in range(self.workers)]
         try:
             ok = all([f.result() for f in futures])
         except BrokenProcessPool:
@@ -527,8 +386,6 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                         sync_blob=None if preloaded else sync_blob,
                         bcast_token=algorithm._bcast_gen,
                         local_state_blob=pickle.dumps(client.local_state),
-                        context_blob=pickle.dumps(
-                            algorithm.client_context(client)),
                         traced=tracer.enabled)
             for client in selected
         ]
@@ -555,9 +412,6 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             # but failed its upload still mutated its local state and
             # charged the ledger for every attempt.
             client.local_state = pickle.loads(outcome.local_state_blob)
-            result_context = pickle.loads(outcome.result_context_blob)
-            if result_context is not None:
-                algorithm.commit_client_result_context(client, result_context)
             algorithm.ledger.merge(outcome.ledger)
             stats.merge(outcome.stats)
             registry.merge(outcome.metrics)
@@ -585,13 +439,10 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             self._pool = None
             self._pool_algorithm = None
             self._barrier = None
-        if self._shm_transport is not None:
-            self._shm_transport.close()
 
 
 def make_executor(workers: int, mp_context: Any = None,
-                  broadcast: bool = True, kind: str = "auto",
-                  shm: bool = False) -> RoundExecutor:
+                  broadcast: bool = True, kind: str = "auto") -> RoundExecutor:
     """Build a round executor (DESIGN.md §14's decision table, in code).
 
     ``kind`` selects the engine: ``"auto"`` (serial for ``workers <= 1``,
@@ -599,20 +450,11 @@ def make_executor(workers: int, mp_context: Any = None,
     ``workers >= 2``), or ``"vectorized"`` (batched cohort training,
     falling back to a process pool when ``workers >= 2`` — serial
     otherwise — for rounds outside the cohort kernels' envelope).
-    ``shm=True`` routes the process pool's broadcast state through a
-    :class:`SharedMemoryTransport` segment; it therefore needs a process
-    pool to exist (``workers >= 2``) and raises rather than being
-    silently ignored without one.
     """
-    if shm and (kind == "serial" or workers <= 1):
-        raise ValueError("shm=True routes broadcasts through a process "
-                         "pool's shared-memory segment and needs "
-                         f"workers >= 2 (got kind={kind!r}, "
-                         f"workers={workers})")
     if kind == "vectorized":
         from repro.fl.vectorized import VectorizedRoundExecutor
         fallback = (ProcessPoolRoundExecutor(workers, mp_context=mp_context,
-                                             broadcast=broadcast, shm=shm)
+                                             broadcast=broadcast)
                     if workers > 1 else None)
         return VectorizedRoundExecutor(fallback=fallback)
     if kind not in ("auto", "serial", "process"):
@@ -621,4 +463,4 @@ def make_executor(workers: int, mp_context: Any = None,
     if kind == "serial" or (kind == "auto" and workers <= 1):
         return SerialExecutor()
     return ProcessPoolRoundExecutor(workers, mp_context=mp_context,
-                                    broadcast=broadcast, shm=shm)
+                                    broadcast=broadcast)

@@ -22,7 +22,6 @@ byte-identical to the uninterrupted round.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -240,32 +239,31 @@ class ScaleRunner:
         a pool, the pool must sit on the same store root the checkpoint
         was taken from (shard logs are truncated back to the manifest).
         """
-        from repro.fl.checkpoint import _apply_algo
-        with np.load(Path(path)) as data:
-            manifest = json.loads(bytes(data["__manifest__"]).decode())
-            if "scale" not in manifest:
-                raise ValueError("not a scale checkpoint")
-            state = manifest["scale"]
-            _apply_algo(self.algo, data, manifest)
-            if self.pool is not None:
-                if state["store"] is None:
-                    raise ValueError("checkpoint carries no store manifest "
-                                     "but the runner has a pool")
-                self.pool.store = ClientStateStore.attach(
-                    self.pool.store.root, state["store"])
-                self.pool._resident.clear()
-            spill = UpdateSpill.attach(state["spill"]["path"],
-                                       state["spill"]["n_records"],
-                                       state["spill"]["nbytes"])
-            fold = self.algo.make_fold(spill,
-                                       weighted=bool(state["fold"]["weighted"]))
-            fold_arrays = {k[len("fold."):]: data[k] for k in data.files
-                           if k.startswith("fold.")}
-            fold.restore(fold_arrays, state["fold"])
-            self.algo._bcast_gen += 1
-            self._pending = {"round_idx": int(state["round_idx"]),
-                             "fold": fold, "spill": spill,
-                             "losses": [float(v) for v in state["losses"]],
-                             "remaining": [self._client_by_id(int(c))
-                                           for c in state["remaining"]],
-                             "stats": FaultStats()}
+        from repro.fl.checkpoint import _apply_algo, _read
+        arrays, manifest = _read(path)
+        if "scale" not in manifest:
+            raise ValueError("not a scale checkpoint")
+        state = manifest["scale"]
+        _apply_algo(self.algo, arrays, manifest)
+        if self.pool is not None:
+            if state["store"] is None:
+                raise ValueError("checkpoint carries no store manifest "
+                                 "but the runner has a pool")
+            self.pool.store = ClientStateStore.attach(
+                self.pool.store.root, state["store"])
+            self.pool._resident.clear()
+        spill = UpdateSpill.attach(state["spill"]["path"],
+                                   state["spill"]["n_records"],
+                                   state["spill"]["nbytes"])
+        fold = self.algo.make_fold(spill,
+                                   weighted=bool(state["fold"]["weighted"]))
+        fold_arrays = {k[len("fold."):]: v for k, v in arrays.items()
+                       if k.startswith("fold.")}
+        fold.restore(fold_arrays, state["fold"])
+        self.algo._bcast_gen += 1
+        self._pending = {"round_idx": int(state["round_idx"]),
+                         "fold": fold, "spill": spill,
+                         "losses": [float(v) for v in state["losses"]],
+                         "remaining": [self._client_by_id(int(c))
+                                       for c in state["remaining"]],
+                         "stats": FaultStats()}

@@ -1,7 +1,7 @@
 """Sharded spill-to-disk key-value store for virtual-client state.
 
 ``ClientStateStore`` keeps per-client state (predictor heads, SCAFFOLD
-control variates, RL policy context) on disk so a 100k-client population
+control variates, RL agent state) on disk so a 100k-client population
 costs disk, not RAM.  Values are opaque byte blobs produced by the
 lossless ``repro.fl.comm`` pytree codec; the in-memory footprint is one
 index entry per *stored* key (clients that never wrote state never touch

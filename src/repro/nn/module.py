@@ -128,9 +128,8 @@ class Module:
                 arr = np.asarray(state[name])
                 if not arr.flags.writeable:
                     # set_buffer keeps a reference, and a read-only array
-                    # here is typically a zero-copy wire view whose buffer
-                    # (e.g. a shared-memory segment) the sender may reuse;
-                    # detach so the buffer stays mutable and owned.
+                    # here is a zero-copy wire view over a blob the sender
+                    # owns; detach so the buffer stays mutable and owned.
                     arr = arr.copy()
                 owner.set_buffer(local, arr)
             elif strict:

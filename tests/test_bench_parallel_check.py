@@ -33,7 +33,7 @@ def _row(executor, speedup, identical=True):
 
 def test_good_sweep_passes(bench):
     rows = [_row("serial", 1.0), _row("process:2", 0.88),
-            _row("process:2+shm", 0.85), _row("vectorized", 1.13)]
+            _row("vectorized", 1.13)]
     assert bench.check_rows(rows) == []
 
 
@@ -64,13 +64,12 @@ def test_custom_floors_override_defaults(bench):
 
 
 def test_spec_parsing(bench):
-    assert bench.parse_spec("process:4+shm") == {
-        "spec": "process:4+shm", "kind": "process", "workers": 4,
-        "shm": True}
+    assert bench.parse_spec("process:4") == {
+        "spec": "process:4", "kind": "process", "workers": 4}
     assert bench.parse_spec("vectorized")["kind"] == "vectorized"
     with pytest.raises(ValueError):
         bench.parse_spec("process")          # missing width
     with pytest.raises(ValueError):
-        bench.parse_spec("serial+shm")       # shm needs a process pool
+        bench.parse_spec("process:2+shm")    # the shm transport is gone
     with pytest.raises(ValueError):
         bench.parse_spec("threads:2")

@@ -13,6 +13,7 @@ from repro.core.aggregation import coverage_fraction
 from repro.core.gradient_control import (make_correction_hook,
                                          refresh_client_variate,
                                          server_variate_delta)
+from repro.fl import Client
 from repro.models import build_model
 from repro.rl import SalientParameterAgent
 
@@ -257,15 +258,18 @@ class TestSelectionPolicies:
     def _model(self):
         return build_model("resnet20", input_size=12, width_mult=0.25, seed=0)
 
+    def _client(self, cid, data):
+        return Client(client_id=cid, train_data=data, val_data=data)
+
     def test_no_selection_dense(self, tiny_dataset):
         policy = NoSelectionPolicy()
-        sel = policy.select(self._model(), tiny_dataset, 0, 0)
+        sel = policy.select(self._model(), self._client(0, tiny_dataset), 0)
         assert sel.mean_keep() == pytest.approx(1.0)
         assert not policy.communicates_sparse()
 
     def test_static_policy_sparsity(self, tiny_dataset):
         policy = StaticSaliencyPolicy(0.4)
-        sel = policy.select(self._model(), tiny_dataset, 0, 0)
+        sel = policy.select(self._model(), self._client(0, tiny_dataset), 0)
         assert sel.mean_sparsity() == pytest.approx(0.4, abs=0.15)
         assert policy.communicates_sparse()
 
@@ -275,8 +279,8 @@ class TestSelectionPolicies:
 
     def test_random_policy_differs_across_clients(self, tiny_dataset):
         policy = RandomSelectionPolicy(0.5, seed=0)
-        s0 = policy.select(self._model(), tiny_dataset, 0, 0)
-        s1 = policy.select(self._model(), tiny_dataset, 1, 0)
+        s0 = policy.select(self._model(), self._client(0, tiny_dataset), 0)
+        s1 = policy.select(self._model(), self._client(1, tiny_dataset), 0)
         same = all(np.array_equal(s0.indices[k], s1.indices[k])
                    for k in s0.indices)
         assert not same
@@ -287,12 +291,21 @@ class TestSelectionPolicies:
                                    flops_target=0.8)
         model = self._model()
         val = tiny_dataset.subset(np.arange(64))
-        policy.select(model, val, 3, 0)
-        policy.select(model, val, 5, 0)
-        assert set(policy._client_agents) == {3, 5}
-        # client agents are clones, not the shared pretrained object
-        assert policy._client_agents[3] is not agent
-        assert policy._client_agents[3] is not policy._client_agents[5]
+        clients = [self._client(3, val), self._client(5, val)]
+        pretrained = agent.state_dict()
+        for client in clients:
+            policy.select(model, client, 0)
+        # the agent is per-client *state*: the client's own copy of the
+        # arrays plus its counters, not an object cached on the policy
+        states = [client.local_state["agent"] for client in clients]
+        for state in states:
+            assert state["participations"] == 1 and state["updates"] == 0
+            for name, value in pretrained.items():
+                np.testing.assert_array_equal(state["policy"][name], value)
+        assert not any(np.shares_memory(states[0]["policy"][name],
+                                        states[1]["policy"][name])
+                       for name in pretrained)
+        assert not any(isinstance(v, dict) for v in vars(policy).values())
 
 
 class TestTransfer:

@@ -44,7 +44,8 @@ def test_readme_mentions_only_known_flags():
     # the allowlist and the scrape both feed the known set
     assert "--benchmark-only" in known          # external (pytest-benchmark)
     assert "--executors" in known               # scraped from bench_parallel
-    assert "--shm" in known                     # repro.cli parser
+    assert "--executor" in known                # repro.cli parser
+    assert "--shm" not in known                 # removed with the transport
 
 
 def test_phantom_readme_flag_fails():

@@ -10,9 +10,10 @@ from repro.data import (SyntheticFEMNIST, apply_feature_noise,
                         quantity_label_skew, quantity_skew)
 from repro.data.leaf import (export_leaf_json, leaf_statistics,
                              leaf_train_test_split, load_leaf_json)
-from repro.fl import (FedAvg, FedTopK, dequantize_state, make_federated_clients,
-                      payload_nbytes, quantize_state, serialize_state,
-                      deserialize_state)
+from repro.fl import (FedAvg, FedTopK, dequantize_payload,
+                      deserialize_state, make_federated_clients,
+                      make_quant_config, payload_nbytes, quantize_payload,
+                      serialize_state)
 from repro.fl.topk import topk_mask
 from repro.utils.evaluation import (confusion_matrix, evaluate_per_class,
                                     macro_f1, per_class_accuracy,
@@ -78,41 +79,33 @@ class TestFeatureNoise:
 
 
 class TestQuantizedWire:
+    """fp16 on the wire is ``quant=make_quant_config(16)``."""
+
     def test_roundtrip_halves_floats(self):
         state = {"w": R.normal(size=(64, 64)).astype(np.float32),
                  "idx": np.arange(10, dtype=np.int32)}
-        q = quantize_state(state)
-        assert q["w"].dtype == np.float16
-        assert q["idx"].dtype == np.int32
+        q, _ = quantize_payload(state, make_quant_config(16),
+                                np.random.default_rng(0))
+        assert q["idx"] is state["idx"]
         assert payload_nbytes(q) < payload_nbytes(state) * 0.6
-        back = dequantize_state(q)
+        back = dequantize_payload(q)
         assert back["w"].dtype == np.float32
         np.testing.assert_allclose(back["w"], state["w"], atol=1e-2)
 
     def test_fp16_survives_codec(self):
-        state = quantize_state({"w": R.normal(size=(8,)).astype(np.float32)})
-        out = deserialize_state(serialize_state(state))
-        assert out["w"].dtype == np.float16
+        state = {"w": R.normal(size=(64,)).astype(np.float32)}
+        q, decoded = quantize_payload(state, make_quant_config(16),
+                                      np.random.default_rng(0))
+        out = dequantize_payload(deserialize_state(serialize_state(q)))
+        np.testing.assert_array_equal(out["w"], decoded["w"])
+        np.testing.assert_array_equal(out["w"],
+                                      state["w"].astype(np.float16))
 
     def test_fedavg_trains_through_fp16(self, tiny_dataset, tiny_setting):
-        # quantize/dequantize the aggregate each round; training survives
         model_fn, parts = tiny_setting
         clients = make_federated_clients(tiny_dataset, parts, seed=5)
-
-        class FP16FedAvg(FedAvg):
-            """FedAvg whose uploads cross an fp16 wire."""
-            name = "fedavg16"
-
-            def upload_payload(self, update):
-                return quantize_state(update["state"])
-
-            def aggregate(self, updates, round_idx):
-                for u in updates:
-                    u["state"] = dequantize_state(
-                        quantize_state(u["state"]))
-                super().aggregate(updates, round_idx)
-
-        algo = FP16FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
+        algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
+                      quant=make_quant_config(16))
         log = algo.run(rounds=3)
         assert log["val_acc"][-1] > 0.15
         # the fp16 payload must be roughly half the fp32 ledger rate

@@ -1,20 +1,221 @@
-"""Unit tests: checkpoint save/resume for FL runs (sync and async)."""
+"""Unit tests: checkpoint save/resume for FL runs (sync, async, scale)."""
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.core import SPATL, StaticSaliencyPolicy
-from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
-                      FaultModel, FedAvg, Scaffold, make_federated_clients,
+from repro.core import SPATL, RLSelectionPolicy, StaticSaliencyPolicy
+from repro.core.gradient_control import ControlVariate
+from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
+                      AsyncProfile, ClientStateStore, FaultModel, FedAvg,
+                      Scaffold, ScaleRunner, ShardedClientFactory,
+                      VirtualClientPool, make_federated_clients,
                       serialize_state, state_fingerprint)
-from repro.fl.checkpoint import (load_async_checkpoint, load_checkpoint,
-                                 save_async_checkpoint, save_checkpoint)
+from repro.fl.checkpoint import (FORMAT, load_async_checkpoint,
+                                 load_checkpoint, save_async_checkpoint,
+                                 save_checkpoint)
 from repro.fl.stub import make_stub
+from repro.rl import SalientParameterAgent
+
+HOSTILE = dict(jitter=0.3, straggler_prob=0.4, slowdown=6.0,
+               arrival_spread=1.0, churn_prob=0.15, crash_prob=0.1,
+               duplicate_prob=0.25)
 
 
 def _clients(tiny_dataset, tiny_setting):
     _, parts = tiny_setting
     return make_federated_clients(tiny_dataset, parts, batch_size=32, seed=5)
+
+
+def _pool(tiny_dataset, tiny_setting, root):
+    _, parts = tiny_setting
+    factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts,
+                                   batch_size=32, seed=5)
+    return VirtualClientPool(factory, len(parts), ClientStateStore(root))
+
+
+# --------------------------------------------------------------------------
+# Resume identity: algorithm x driver.  An interrupted run restored into a
+# freshly constructed algorithm must end in the uninterrupted run's state —
+# server state (arrays, key order, fingerprint), ledger, and every client's
+# ``local_state``.
+# --------------------------------------------------------------------------
+
+def _make_algo(name, model_fn, clients):
+    kwargs = dict(lr=0.05, local_epochs=1, seed=0)
+    if name in ALGORITHMS:
+        return ALGORITHMS[name](model_fn, clients, **kwargs)
+    if name == "spatl_rl":
+        # fine-tuning outlasts the checkpoint, so the resumed rounds only
+        # match when the agent arrays *and* its PPO update count (the
+        # rollout seed) and participation count came back
+        policy = RLSelectionPolicy(SalientParameterAgent(seed=0),
+                                   flops_target=0.8, finetune_rounds=2,
+                                   finetune_updates=1, episodes_per_update=2,
+                                   probe_size=32)
+    else:
+        policy = StaticSaliencyPolicy(0.3)
+    return SPATL(model_fn, clients, selection_policy=policy, **kwargs)
+
+
+def _resume_sync(make, tmp_path):
+    """Save at a round boundary (after 1 of 2 rounds)."""
+    ref, _ = make("ref")
+    ref.run(rounds=2)
+    first, _ = make("run")
+    first.run(rounds=1)
+    save_checkpoint(first, tmp_path / "sync.npz")
+    resumed, _ = make("run")
+    load_checkpoint(resumed, tmp_path / "sync.npz")
+    assert resumed.rounds_completed == 1
+    resumed.run(rounds=1)
+    return ref, resumed
+
+
+def _resume_async(make, tmp_path):
+    """Save mid-buffer: jobs in flight, updates parked, clock mid-step."""
+    profile = AsyncProfile(seed=5, **HOSTILE)
+    config = AsyncConfig(buffer_k=2, max_inflight=3, max_queue=3)
+    ref = AsyncFederatedRunner(make("ref")[0], profile, config)
+    ref.run(steps=4)
+    first = AsyncFederatedRunner(make("run")[0], profile, config)
+    first.pump(9)
+    assert first.buffer or first.inflight
+    save_async_checkpoint(first, tmp_path / "async.npz")
+    resumed = AsyncFederatedRunner(make("run")[0], profile, config)
+    load_async_checkpoint(resumed, tmp_path / "async.npz")
+    resumed.run(steps=4 - resumed.server_step)
+    assert resumed.counters == ref.counters
+    return ref.algo, resumed.algo
+
+
+def _resume_scale(make, tmp_path):
+    """Save mid-round: half the cohort folded, the rest still to run."""
+    def runner(tag):
+        algo, pool = make(tag)
+        return ScaleRunner(algo, pool=pool,
+                           spill_dir=tmp_path / f"spills_{tag}")
+
+    ref = runner("ref")
+    ref.run(2)
+    first = runner("run")
+    first.run_round(0)
+    first.run_round_partial(1, 2)
+    first.save_round_checkpoint(tmp_path / "scale.npz")
+    resumed = runner("run")
+    resumed.load_round_checkpoint(tmp_path / "scale.npz")
+    assert resumed.resume_round().round_idx == 1
+    return ref.algo, resumed.algo
+
+
+def _assert_same_tree(ref, got, path):
+    if isinstance(ref, ControlVariate):
+        assert isinstance(got, ControlVariate), path
+        ref, got = ref.values, got.values
+    if isinstance(ref, dict):
+        assert list(ref) == list(got), path
+        for key in ref:
+            _assert_same_tree(ref[key], got[key], f"{path}.{key}")
+    elif isinstance(ref, np.ndarray):
+        assert ref.dtype == got.dtype, path
+        np.testing.assert_array_equal(got, ref, err_msg=path)
+    else:
+        assert ref == got, path
+
+
+def _assert_same_run(ref, resumed):
+    server, got = ref.worker_sync_state(), resumed.worker_sync_state()
+    _assert_same_tree(server, got, "server")
+    assert state_fingerprint(got) == state_fingerprint(server)
+    assert resumed.ledger.uplink == ref.ledger.uplink
+    assert resumed.ledger.downlink == ref.ledger.downlink
+    assert resumed.rounds_completed == ref.rounds_completed
+    for c_ref, c_got in zip(ref.clients, resumed.clients):
+        _assert_same_tree(c_ref.local_state, c_got.local_state,
+                          f"client{c_ref.client_id}")
+
+
+@pytest.mark.parametrize("driver", ["sync", "async", "scale"])
+@pytest.mark.parametrize("name", [*ALGORITHMS, "spatl", "spatl_rl"])
+def test_resume_identity(name, driver, tmp_path, tiny_dataset, tiny_setting):
+    model_fn, _ = tiny_setting
+
+    def make(tag):
+        # the scale column runs over a virtual population, so client state
+        # resumes from the spill store's manifest rather than the .npz;
+        # "ref" and "run" (interrupted, then resumed) each own a store root
+        pool = None
+        clients = _clients(tiny_dataset, tiny_setting)
+        if driver == "scale":
+            pool = _pool(tiny_dataset, tiny_setting, tmp_path / f"store_{tag}")
+            clients = pool.clients()
+        return _make_algo(name, model_fn, clients), pool
+
+    resume = {"sync": _resume_sync, "async": _resume_async,
+              "scale": _resume_scale}[driver]
+    _assert_same_run(*resume(make, tmp_path))
+
+
+class TestCheckpointFormat:
+    """A file that is not a complete current-format checkpoint is one
+    ``ValueError`` naming the file — from every loader."""
+
+    def _saved(self, tmp_path):
+        algo = make_stub(n_clients=4, seed=2)
+        algo.run(rounds=1)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(algo, path)
+        return path
+
+    def _load_sync(self, path):
+        load_checkpoint(make_stub(n_clients=4, seed=2), path)
+
+    def _load_async(self, path):
+        load_async_checkpoint(
+            AsyncFederatedRunner(make_stub(n_clients=4, seed=2),
+                                 AsyncProfile(seed=2), AsyncConfig()), path)
+
+    def _load_scale(self, path):
+        runner = ScaleRunner(make_stub(n_clients=4, seed=2),
+                             eval_mode="none")
+        try:
+            runner.load_round_checkpoint(path)
+        finally:
+            runner.close()
+
+    def test_format_number_is_written(self, tmp_path):
+        with np.load(self._saved(tmp_path)) as data:
+            manifest = json.loads(bytes(data["__manifest__"]).decode())
+        assert manifest["format"] == FORMAT
+
+    @pytest.mark.parametrize("loader", ["sync", "async", "scale"])
+    def test_truncated_file_rejected(self, tmp_path, loader):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        with pytest.raises(ValueError, match=r"ckpt\.npz.*format-2"):
+            getattr(self, f"_load_{loader}")(path)
+
+    def test_missing_manifest_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        np.savez_compressed(path, **{"server.model.w": np.zeros(3)})
+        with pytest.raises(ValueError, match=r"ckpt\.npz.*__manifest__"):
+            self._load_sync(path)
+
+    def test_old_layout_rejected(self, tmp_path):
+        # the pre-format layout: prefix-flattened arrays, no format entry
+        path = tmp_path / "ckpt.npz"
+        manifest = {"algorithm": "stubavg", "rounds_completed": 1,
+                    "n_clients": 4, "includes_clients": True,
+                    "client_state_keys": {}, "fault_stats": {},
+                    "ledger": {"uplink": {}, "downlink": {}}}
+        np.savez_compressed(
+            path, **{"global.w": np.zeros(3),
+                     "__manifest__": np.frombuffer(
+                         json.dumps(manifest).encode(), dtype=np.uint8)})
+        with pytest.raises(ValueError,
+                           match=r"ckpt\.npz.*format 1, expected 2"):
+            self._load_sync(path)
 
 
 class TestCheckpointRoundtrip:
@@ -34,28 +235,6 @@ class TestCheckpointRoundtrip:
                                     fresh.global_model.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data, err_msg=n)
         assert fresh.ledger.total_bytes() == algo.ledger.total_bytes()
-
-    def test_resumed_run_matches_uninterrupted(self, tmp_path, tiny_dataset,
-                                               tiny_setting):
-        model_fn, _ = tiny_setting
-        # uninterrupted: 3 rounds straight
-        ref = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                     lr=0.05, local_epochs=1, seed=0)
-        ref.run(rounds=3)
-        # interrupted: 2 rounds, checkpoint, resume 1 round
-        first = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                       lr=0.05, local_epochs=1, seed=0)
-        first.run(rounds=2)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(first, path)
-        resumed = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                         lr=0.05, local_epochs=1, seed=0)
-        load_checkpoint(resumed, path)
-        resumed.run(rounds=1)
-        for (n, p1), (_, p2) in zip(ref.global_model.named_parameters(),
-                                    resumed.global_model.named_parameters()):
-            np.testing.assert_allclose(p1.data, p2.data, atol=1e-6,
-                                       err_msg=n)
 
     def test_scaffold_variates_roundtrip(self, tmp_path, tiny_dataset,
                                          tiny_setting):
@@ -251,26 +430,16 @@ class TestScaleMidRoundCheckpoint:
     round — fold accumulators, spill position, client-store manifest —
     resumes in a fresh runner byte-identical to the uninterrupted run."""
 
-    def _pool(self, tiny_dataset, tiny_setting, root):
-        from repro.fl import (ClientStateStore, ShardedClientFactory,
-                              VirtualClientPool)
-        _, parts = tiny_setting
-        factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts,
-                                       batch_size=32, seed=5)
-        return VirtualClientPool(factory, len(parts),
-                                 ClientStateStore(root))
-
     def _final(self, algo):
         return (serialize_state(dict(algo.global_model.state_dict())),
                 algo.ledger.total_bytes())
 
     def test_fedavg_with_pool_resumes_byte_identical(
             self, tmp_path, tiny_dataset, tiny_setting):
-        from repro.fl import ScaleRunner
         model_fn, _ = tiny_setting
 
         # uninterrupted reference: 2 full streaming rounds
-        ref_pool = self._pool(tiny_dataset, tiny_setting, tmp_path / "ref")
+        ref_pool = _pool(tiny_dataset, tiny_setting, tmp_path / "ref")
         ref = FedAvg(model_fn, ref_pool.clients(), lr=0.05, local_epochs=1,
                      seed=0, sample_ratio=1.0)
         ScaleRunner(ref, pool=ref_pool,
@@ -278,7 +447,7 @@ class TestScaleMidRoundCheckpoint:
 
         # interrupted: round 0, then half of round 1's cohort, snapshot
         store_root = tmp_path / "store"
-        pool = self._pool(tiny_dataset, tiny_setting, store_root)
+        pool = _pool(tiny_dataset, tiny_setting, store_root)
         doomed = FedAvg(model_fn, pool.clients(), lr=0.05, local_epochs=1,
                         seed=0, sample_ratio=1.0)
         runner = ScaleRunner(doomed, pool=pool,
@@ -289,7 +458,7 @@ class TestScaleMidRoundCheckpoint:
         runner.save_round_checkpoint(path)
 
         # fresh process: same store root, fresh pool/algorithm/runner
-        pool2 = self._pool(tiny_dataset, tiny_setting, store_root)
+        pool2 = _pool(tiny_dataset, tiny_setting, store_root)
         resumed_algo = FedAvg(model_fn, pool2.clients(), lr=0.05,
                               local_epochs=1, seed=0, sample_ratio=1.0)
         resumed = ScaleRunner(resumed_algo, pool=pool2,
@@ -301,7 +470,6 @@ class TestScaleMidRoundCheckpoint:
 
     def test_spatl_materialized_resumes_byte_identical(
             self, tmp_path, tiny_dataset, tiny_setting):
-        from repro.fl import ScaleRunner
         model_fn, _ = tiny_setting
 
         def fresh():
@@ -360,7 +528,6 @@ class TestScaleMidRoundCheckpoint:
 
     def test_resume_without_pending_rejected(self, tmp_path, tiny_dataset,
                                              tiny_setting):
-        from repro.fl import ScaleRunner
         model_fn, _ = tiny_setting
         algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
                       lr=0.05, local_epochs=1, seed=0)
@@ -372,7 +539,6 @@ class TestScaleMidRoundCheckpoint:
 
     def test_sync_checkpoint_rejected_by_scale_loader(
             self, tmp_path, tiny_dataset, tiny_setting):
-        from repro.fl import ScaleRunner
         model_fn, _ = tiny_setting
         algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
                       lr=0.05, local_epochs=1, seed=0)
@@ -382,11 +548,6 @@ class TestScaleMidRoundCheckpoint:
         runner = ScaleRunner(algo, spill_dir=tmp_path / "spills")
         with pytest.raises(ValueError, match="scale"):
             runner.load_round_checkpoint(path)
-
-
-HOSTILE = dict(jitter=0.3, straggler_prob=0.4, slowdown=6.0,
-               arrival_spread=1.0, churn_prob=0.15, crash_prob=0.1,
-               duplicate_prob=0.25)
 
 
 class TestAsyncCheckpoint:

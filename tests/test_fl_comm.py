@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.fl import (CommLedger, PayloadError, dequantize_state,
-                      deserialize_state, payload_nbytes, quantize_state,
-                      serialize_state, sparse_payload_nbytes)
+from repro.fl import (CommLedger, PayloadError, dequantize_payload,
+                      deserialize_state, make_quant_config, payload_nbytes,
+                      quantize_payload, serialize_state,
+                      sparse_payload_nbytes)
+from repro.fl.quant import QUANT_SUFFIX
 
 
 class TestCodec:
@@ -217,11 +219,22 @@ class TestDuplicateEntryRejection:
 
 
 class TestQuantization:
+    """The fp16 transport: the quant codec's ``bits=16`` record, across
+    the wire and back."""
+
+    @staticmethod
+    def _wire_and_back(state):
+        wire_dict, _ = quantize_payload(state, make_quant_config(16),
+                                        np.random.default_rng(0))
+        blob = serialize_state(wire_dict)
+        return wire_dict, dequantize_payload(deserialize_state(blob))
+
     def test_fp16_roundtrip_within_tolerance(self):
         rng = np.random.default_rng(3)
         state = {"w": rng.normal(size=(8, 4)).astype(np.float32),
                  "b": rng.normal(size=4).astype(np.float32)}
-        back = dequantize_state(quantize_state(state))
+        wire_dict, back = self._wire_and_back(state)
+        assert "w" + QUANT_SUFFIX in wire_dict
         for k in state:
             assert back[k].dtype == np.float32
             np.testing.assert_allclose(back[k], state[k], atol=1e-3,
@@ -230,68 +243,70 @@ class TestQuantization:
     def test_fp16_representable_values_are_lossless(self):
         # Values exactly representable in fp16 must survive the narrow
         # cast bit-for-bit after widening back.
-        state = {"w": np.asarray([0.0, 0.5, -1.25, 2.0, 1024.0],
-                                 dtype=np.float32)}
-        back = dequantize_state(quantize_state(state))
+        state = {"w": np.tile(np.asarray([0.0, 0.5, -1.25, 2.0, 1024.0],
+                                         dtype=np.float32), 8)}
+        wire_dict, back = self._wire_and_back(state)
+        assert "w" + QUANT_SUFFIX in wire_dict
         np.testing.assert_array_equal(back["w"], state["w"])
 
     def test_integer_and_bool_entries_pass_through(self):
-        state = {"idx": np.asarray([1, 5, 9], dtype=np.int32),
+        state = {"idx": np.arange(64, dtype=np.int32),
                  "mask": np.asarray([True, False, True]),
                  "count": np.asarray(7, dtype=np.int64)}
-        quant = quantize_state(state)
-        back = dequantize_state(quant)
+        wire_dict, back = self._wire_and_back(state)
         for k in state:
-            assert quant[k].dtype == state[k].dtype
+            assert wire_dict[k] is state[k]
             assert back[k].dtype == state[k].dtype
             np.testing.assert_array_equal(back[k], state[k], err_msg=k)
 
     def test_quantized_payload_is_smaller(self):
         state = {"w": np.zeros((32, 32), dtype=np.float32)}
-        assert payload_nbytes(quantize_state(state)) < payload_nbytes(state)
+        wire_dict, _ = self._wire_and_back(state)
+        assert payload_nbytes(wire_dict) < 0.6 * payload_nbytes(state)
 
     def test_float64_roundtrips_without_downcast(self):
-        # Regression: dequantize_state used to force float64 entries down
-        # to float32 on receipt.  An already-wide float must pass through
-        # bit-exactly; only floats *narrower* than the target widen.
-        state = {"acc": np.asarray([1.0 + 2 ** -40, -3.5], dtype=np.float64)}
-        back = dequantize_state(state)
-        assert back["acc"].dtype == np.float64
+        # A float64 entry is never silently downcast to float32 on
+        # receipt: small accumulators stay dense (the record would be
+        # larger) and bit-exact, wide tensors come back as float64.
+        state = {"acc": np.asarray([1.0 + 2 ** -40, -3.5], dtype=np.float64),
+                 "wide": np.random.default_rng(5).normal(size=64)}
+        wire_dict, back = self._wire_and_back(state)
+        assert "wide" + QUANT_SUFFIX in wire_dict
+        assert back["acc"].dtype == back["wide"].dtype == np.float64
         np.testing.assert_array_equal(back["acc"], state["acc"])
 
     def test_fp16_entry_not_renarrowed_by_quantize(self):
-        # Already-at-or-below-target floats are untouched by the narrow
-        # cast, so quantize is idempotent.
-        state = {"w": np.asarray([0.5, 2.0], dtype=np.float16)}
-        quant = quantize_state(state)
-        assert quant["w"] is state["w"]
-        again = quantize_state(quant)
-        assert again["w"] is state["w"]
+        # An already-fp16 float gains nothing from an fp16 record, so it
+        # travels dense, untouched — quantizing is idempotent.
+        state = {"w": np.linspace(-2, 2, 64).astype(np.float16)}
+        wire_dict, back = self._wire_and_back(state)
+        assert wire_dict["w"] is state["w"]
+        assert self._wire_and_back(wire_dict)[0]["w"] is state["w"]
+        assert back["w"].dtype == np.float16
 
     def test_mixed_state_full_roundtrip_restores_every_dtype(self):
         rng = np.random.default_rng(17)
         state = {
-            "w32": rng.normal(size=6).astype(np.float32),
-            "w64": rng.normal(size=6).astype(np.float64),
-            "w16": rng.normal(size=6).astype(np.float16),
+            "w32": rng.normal(size=64).astype(np.float32),
+            "w64": rng.normal(size=64).astype(np.float64),
+            "w16": rng.normal(size=64).astype(np.float16),
             "idx": np.arange(4, dtype=np.int32),
             "count": np.asarray(9, dtype=np.int64),
             "mask": np.asarray([True, False]),
         }
-        back = dequantize_state(quantize_state(state))
-        # the lossy knob funnels every wide float through fp16 and widens
-        # back to the float32 compute dtype; non-floats are untouched
-        expected = {"w32": np.float32, "w64": np.float32,
-                    "w16": np.float32, "idx": np.int32,
-                    "count": np.int64, "mask": np.bool_}
-        for name, dt in expected.items():
-            assert back[name].dtype == dt, name
-        for name in ("idx", "count", "mask"):
+        wire_dict, back = self._wire_and_back(state)
+        # only the wide floats cross as fp16 records; the record carries
+        # the original dtype, so every entry comes back as it was sent
+        assert {k for k in wire_dict if k.endswith(QUANT_SUFFIX)} \
+            == {"w32" + QUANT_SUFFIX, "w64" + QUANT_SUFFIX}
+        for name, arr in state.items():
+            assert back[name].dtype == arr.dtype, name
+        for name in ("w16", "idx", "count", "mask"):
             np.testing.assert_array_equal(back[name], state[name],
                                           err_msg=name)
 
     def test_non_float_target_rejected(self):
-        with pytest.raises(TypeError, match="float dtype"):
-            quantize_state({}, dtype=np.int8)
-        with pytest.raises(TypeError, match="float dtype"):
-            dequantize_state({}, dtype=np.int32)
+        # the width knob takes the codec's formats only
+        for bits in (12, 64, 0):
+            with pytest.raises(ValueError, match="bits must be one of"):
+                make_quant_config(bits)

@@ -12,13 +12,14 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import SPATL, StaticSaliencyPolicy
+from repro.core import SPATL, RLSelectionPolicy, StaticSaliencyPolicy
 from repro.fl import (Client, CommLedger, FaultModel, FaultyTransport, FedAvg,
                       RetryPolicy, Scaffold, StragglerTimeout,
                       TransferCorrupted, deserialize_state,
                       make_federated_clients, serialize_state)
-from repro.fl.resilience import ClientDropped, FaultStats
+from repro.fl.resilience import ClientCrashed, ClientDropped, FaultStats
 from repro.fl.wire import PayloadError
+from repro.rl import SalientParameterAgent
 
 
 @pytest.fixture
@@ -198,6 +199,44 @@ class TestRoundLoop:
         for client in clients:
             assert "c_i" not in client.local_state
         assert algo.fault_stats.n_crashes > 0
+
+    def test_crash_then_retry_rolls_back_the_rl_agent(self, tiny_dataset,
+                                                      tiny_setting):
+        """The fine-tuned agent is part of ``local_state``, so a crash
+        rolls it back with everything else: after the retry each client
+        has fine-tuned once — same arrays, PPO update count and
+        participation count as the same round without the crash."""
+        model_fn, parts = tiny_setting
+
+        class CrashFirstAttempt(FaultModel):
+            def check_crash(self, round_idx, client_id, salt, attempt):
+                if attempt == 0:
+                    raise ClientCrashed(client_id, round_idx, "forced")
+
+        def run(fault_model):
+            policy = RLSelectionPolicy(
+                SalientParameterAgent(seed=0), flops_target=0.8,
+                finetune_rounds=2, finetune_updates=1,
+                episodes_per_update=2, probe_size=32)
+            algo = SPATL(model_fn,
+                         make_federated_clients(tiny_dataset, parts, seed=5),
+                         selection_policy=policy, lr=0.05, local_epochs=1,
+                         seed=0, fault_model=fault_model,
+                         retry_policy=RetryPolicy(max_retries=1))
+            assert algo.run_round(0).committed
+            return algo
+
+        crashed, clean = run(CrashFirstAttempt(seed=4)), run(FaultModel(seed=4))
+        assert crashed.fault_stats.n_crashes == len(parts)
+        assert clean.fault_stats.n_crashes == 0
+        for retried, once in zip(crashed.clients, clean.clients):
+            got, want = retried.local_state["agent"], once.local_state["agent"]
+            assert got["updates"] == want["updates"] == 1
+            assert got["participations"] == want["participations"] == 1
+            assert list(got["policy"]) == list(want["policy"])
+            for name, value in want["policy"].items():
+                np.testing.assert_array_equal(got["policy"][name], value,
+                                              err_msg=name)
 
     def test_fault_counters_in_log(self, ten_clients, tiny_model_fn):
         algo = _fedavg(tiny_model_fn, ten_clients, sample_ratio=0.3,

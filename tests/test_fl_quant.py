@@ -187,7 +187,7 @@ def _mixed_payload(seed=0):
 
 
 class TestQuantizePayload:
-    @pytest.mark.parametrize("config", [INT8, INT4])
+    @pytest.mark.parametrize("config", [INT8, INT4, QuantConfig(bits=16)])
     def test_non_float_and_tiny_entries_pass_through(self, config):
         payload = _mixed_payload()
         wire_dict, decoded = quantize_payload(payload, config, _rng(1))

@@ -1,7 +1,8 @@
-"""Vectorized cohort executor + shared-memory transport (DESIGN.md §14).
+"""Vectorized cohort executor + process-pool lifetime (DESIGN.md §14).
 
 The contract under test: a :class:`VectorizedRoundExecutor` run — and a
-``ProcessPoolRoundExecutor(shm=True)`` run — is *byte-identical* to a
+process-pool run whose sync preload was forced onto its per-task-blob
+fallback — is *byte-identical* to a
 :class:`SerialExecutor` run: same global model bytes, same
 ``RoundResult`` fields, same fault statistics, same metric counters.
 Anything the cohort kernels cannot replicate (unsupported layers,
@@ -27,7 +28,7 @@ from repro.fl.faults import FaultModel
 from repro.fl.fedavg import FedAvg
 from repro.fl.fedprox import FedProx
 from repro.fl.parallel import (ProcessPoolRoundExecutor, SerialExecutor,
-                               SharedMemoryTransport, make_executor)
+                               make_executor)
 from repro.fl.vectorized import (CohortTrainer, CohortUnsupported,
                                  VectorizedRoundExecutor)
 from repro.core.spatl import SPATL
@@ -147,50 +148,29 @@ def test_cohort_trainer_rejects_dropout():
 
 
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
-def test_shm_executor_matches_serial(eight_client_setting, faults):
+def test_preload_fallback_matches_serial(eight_client_setting, faults):
+    """A broken preload barrier costs one round of per-task sync blobs,
+    not correctness: the round stays byte-identical to serial, and the
+    next round preloads once per worker again."""
     fault_model = _fault_model() if faults else None
     serial = _run("fedavg", eight_client_setting, SerialExecutor,
                   fault_model)
-    shm = _run("fedavg", eight_client_setting,
-               lambda: ProcessPoolRoundExecutor(2, shm=True), fault_model)
-    _assert_equivalent(serial, shm)
+    executor = ProcessPoolRoundExecutor(2)
+    distribute = executor._distribute_sync
+    preloaded = []
 
+    def break_first_preload(pool, sync_blob):
+        if not preloaded:
+            executor._barrier.abort()   # workers fail their barrier wait
+        preloaded.append(distribute(pool, sync_blob))
+        return preloaded[-1]
 
-# ------------------------------------------------------------ transport
-def test_shared_memory_transport_reuses_and_grows():
-    transport = SharedMemoryTransport()
-    try:
-        name1, n1 = transport.publish(b"abc")
-        assert (name1, n1) == (transport.name, 3)
-        name2, n2 = transport.publish(b"xy")         # fits: same segment
-        assert name2 == name1 and n2 == 2
-        big = bytes(range(256)) * 64
-        name3, n3 = transport.publish(big)           # outgrown: new segment
-        assert name3 != name1 and n3 == len(big)
-        from multiprocessing import shared_memory
-        reader = shared_memory.SharedMemory(name=name3)
-        try:
-            assert bytes(reader.buf[:n3]) == big
-        finally:
-            reader.close()
-    finally:
-        transport.close()
-    transport.close()                                # idempotent
-
-
-def test_transport_unlinks_on_gc():
-    """A transport dropped without close() (executor leaked by a caller)
-    still unlinks its segment at GC instead of stranding it until the
-    resource tracker's shutdown sweep."""
-    import gc
-    from multiprocessing import shared_memory
-
-    transport = SharedMemoryTransport()
-    name, _ = transport.publish(b"abc")
-    del transport
-    gc.collect()
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)
+    executor._distribute_sync = break_first_preload
+    pooled = _run("fedavg", eight_client_setting, lambda: executor,
+                  fault_model)
+    assert len(preloaded) >= ROUNDS
+    assert preloaded[0] is False and all(preloaded[1:])
+    _assert_equivalent(serial, pooled)
 
 
 # ------------------------------------------------------------ pool life
@@ -287,23 +267,17 @@ def test_async_runtime_composes_with_vectorized(eight_client_setting):
 def test_make_executor_kinds():
     assert isinstance(make_executor(1), SerialExecutor)
     assert isinstance(make_executor(4, kind="serial"), SerialExecutor)
-    pooled = make_executor(2, kind="process", shm=True)
-    assert isinstance(pooled, ProcessPoolRoundExecutor) and pooled.shm
+    pooled = make_executor(2, kind="process")
+    assert isinstance(pooled, ProcessPoolRoundExecutor)
     pooled.close()
     solo = make_executor(1, kind="vectorized")
     assert isinstance(solo, VectorizedRoundExecutor)
     assert isinstance(solo.fallback, SerialExecutor)
     solo.close()
-    fanned = make_executor(2, kind="vectorized", shm=True)
+    fanned = make_executor(2, kind="vectorized")
     assert isinstance(fanned.fallback, ProcessPoolRoundExecutor)
-    assert fanned.fallback.shm
     fanned.close()
     with pytest.raises(ValueError, match="unknown executor kind"):
         make_executor(2, kind="threads")
     with pytest.raises(ValueError):
         make_executor(1, kind="process")
-    # shm without a process pool is an error, not silently ignored
-    with pytest.raises(ValueError, match="workers >= 2"):
-        make_executor(1, shm=True)
-    with pytest.raises(ValueError, match="workers >= 2"):
-        make_executor(4, kind="serial", shm=True)
