@@ -26,6 +26,14 @@ regressed more than ``--check-factor`` (default 1.5x) beyond a 0.15ms
 absolute noise floor (sub-ms ops at low repeat counts jitter more than
 50% on a busy CI core), or if an e2e run was not byte-identical.
 
+Each e2e row also carries ``arena_resident_mb`` and ``gather_idx_mb``:
+the workspace arena's resident bytes and the im2col gather-index cache
+after one smoke-sized FedAvg round (train + eval) of that model.  They
+are exact byte counts of a fixed config, the same in smoke and full
+runs, so they repeat; ``--check`` fails when either exceeds the
+committed baseline by more than 10% — a memory gate that does not depend
+on the box's clock.
+
 It also enforces a speedup *floor* (``--min-speedup``, default 0.97):
 every optimized kernel must at least match its reference implementation.
 The floor always applies to the committed baseline's rows — so a "fix"
@@ -209,6 +217,18 @@ def micro_cases(repeats: int):
 # --------------------------------------------------------------------- #
 # end-to-end rounds                                                      #
 # --------------------------------------------------------------------- #
+def _fedavg(model_name: str, clients: int, samples: int, seed: int):
+    """A serial FedAvg algorithm over a fresh tiny-scale setting."""
+    from repro.experiments.configs import config_for, make_algorithm, make_setting
+    overrides = {}
+    if model_name.startswith("vgg"):
+        overrides["input_size"] = 32        # five maxpools need 32x32
+    cfg = config_for("tiny", model=model_name, n_clients=clients,
+                     n_samples=samples, sample_ratio=1.0, seed=seed,
+                     **overrides)
+    return make_algorithm("fedavg", cfg, *make_setting(cfg))
+
+
 def e2e_case(model_name: str, rounds: int, clients: int, samples: int,
              seed: int) -> dict:
     """Serial FedAvg rounds for one model, optimized vs reference.
@@ -217,21 +237,11 @@ def e2e_case(model_name: str, rounds: int, clients: int, samples: int,
     individually (min over rounds), alternating opt/ref.  Final global
     states must be byte-identical.
     """
-    from repro.experiments.configs import config_for, make_algorithm, make_setting
     from repro.fl.comm import serialize_state
     from repro.nn.reference import reference_kernels
 
-    overrides = {}
-    if model_name.startswith("vgg"):
-        overrides["input_size"] = 32        # five maxpools need 32x32
-    cfg = config_for("tiny", model=model_name, n_clients=clients,
-                     n_samples=samples, sample_ratio=1.0, seed=seed,
-                     **overrides)
-
-    model_fn, clients_opt = make_setting(cfg)
-    algo_opt = make_algorithm("fedavg", cfg, model_fn, clients_opt)
-    model_fn, clients_ref = make_setting(cfg)
-    algo_ref = make_algorithm("fedavg", cfg, model_fn, clients_ref)
+    algo_opt = _fedavg(model_name, clients, samples, seed)
+    algo_ref = _fedavg(model_name, clients, samples, seed)
 
     algo_opt.run_round(0)                       # warm-up: arenas, caches
     with reference_kernels():
@@ -256,6 +266,25 @@ def e2e_case(model_name: str, rounds: int, clients: int, samples: int,
         "ref_round_s": round(t_ref, 4),
         "speedup": round(t_ref / t_opt, 4),
         "byte_identical": state_opt == state_ref,
+    }
+
+
+SMOKE_CLIENTS, SMOKE_SAMPLES = 3, 400
+MEMORY_FIELDS = ("arena_resident_mb", "gather_idx_mb")
+
+
+def arena_footprint(model_name: str, seed: int) -> dict:
+    """Exact arena bytes after one smoke-sized round (train + eval)."""
+    from repro.tensor import workspace
+    workspace.reset()
+    algo = _fedavg(model_name, SMOKE_CLIENTS, SMOKE_SAMPLES, seed)
+    algo.run_round(0)
+    mb = 2 ** 20
+    return {
+        "arena_resident_mb":
+            round(sum(workspace.resident_bytes().values()) / mb, 3),
+        "gather_idx_mb":
+            round(workspace.shared_bytes()["conv.gather_idx"] / mb, 3),
     }
 
 
@@ -296,6 +325,14 @@ def check_regressions(record: dict, baseline_doc: str | None,
     except json.JSONDecodeError as exc:
         return failures + [f"unreadable baseline: {exc}"]
     failures.extend(floor_failures(baseline.get("micro", []), "baseline"))
+    base_e2e = {r["model"]: r for r in baseline.get("e2e", [])}
+    for row in record["e2e"]:
+        for field in MEMORY_FIELDS:
+            base_mb = base_e2e.get(row["model"], {}).get(field)
+            if base_mb is not None and row[field] > 1.10 * base_mb:
+                failures.append(
+                    f"e2e {row['model']}: {field} {row[field]} vs baseline "
+                    f"{base_mb} (> 1.10x)")
     base_micro = {m["name"]: m for m in baseline.get("micro", [])}
     for m in record["micro"]:
         base = base_micro.get(m["name"])
@@ -336,8 +373,8 @@ def main(argv=None) -> int:
 
     repeats = args.repeats or (15 if args.smoke else 50)
     rounds = args.rounds or (1 if args.smoke else 2)
-    clients = 3 if args.smoke else 10
-    samples = 400 if args.smoke else 1500
+    clients = SMOKE_CLIENTS if args.smoke else 10
+    samples = SMOKE_SAMPLES if args.smoke else 1500
 
     baseline_path = Path(args.baseline)
     baseline_doc = baseline_path.read_text() if baseline_path.exists() else None
@@ -353,11 +390,14 @@ def main(argv=None) -> int:
     e2e = []
     for model_name in args.models:
         row = e2e_case(model_name, rounds, clients, samples, args.seed)
+        row.update(arena_footprint(model_name, args.seed))
         e2e.append(row)
         status = "OK" if row["byte_identical"] else "STATE MISMATCH"
         print(f"e2e {model_name:10s} opt={row['opt_round_s']:7.2f}s/round "
               f"ref={row['ref_round_s']:7.2f}s/round "
-              f"speedup={row['speedup']:5.2f}x [{status}]")
+              f"speedup={row['speedup']:5.2f}x [{status}] "
+              f"arena={row['arena_resident_mb']}MB "
+              f"gather_idx={row['gather_idx_mb']}MB")
 
     from repro.obs.metrics import blas_env, observe_peak_rss
     record = {

@@ -275,6 +275,11 @@ def cmd_profile(args) -> None:
     print(f"codec bytes: serialize={int(codec['serialize'])} "
           f"deserialize={int(codec['deserialize'])} "
           f"ledger={algo.ledger.total_bytes()}")
+    from repro.tensor import workspace
+    held = {**workspace.resident_bytes(), **workspace.shared_bytes()}
+    top = sorted(held, key=held.get, reverse=True)
+    print("arena MB resident: "
+          + " ".join(f"{k}={held[k] / 1e6:.1f}" for k in top))
     if own_tracer:
         if args.trace_out:
             _export_trace(tracer, args.trace_out)

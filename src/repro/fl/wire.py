@@ -224,12 +224,12 @@ def serialize_scratch(state: dict[str, np.ndarray], checksums: bool = False,
     """Serialize into a workspace-arena buffer; return a sized memoryview.
 
     The returned view is **transient scratch**: it stays valid only until
-    the owner's next ``serialize_scratch`` call of a similar size, so it
-    is for encode-then-consume-then-discard paths (traced codec
-    validation, benchmarks) — never for blobs that outlive the call.
-    Buffer capacities are bucketed to powers of two so payloads whose
-    sizes drift round-to-round (salient selections) reuse a bounded set
-    of arena buffers instead of growing one per distinct size.
+    the owner's next ``serialize_scratch`` call, so it is for
+    encode-then-consume-then-discard paths (traced codec validation,
+    benchmarks) — never for blobs that outlive the call.  Capacities are
+    bucketed to powers of two so payloads whose sizes drift
+    round-to-round (salient selections) outgrow the arena base (and
+    reallocate it) at most a logarithmic number of times.
     """
     n = payload_nbytes(state, checksums=checksums)
     cap = 1 << max(6, (n - 1).bit_length())

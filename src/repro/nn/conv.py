@@ -33,33 +33,34 @@ from repro.tensor.tensor import Tensor, is_grad_enabled
 _ACTIVE_FOLDS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _FOLDED_BNS: set[int] = set()
 
-# Flat gather indices for the im2col copy, keyed by (input shape, kh, kw,
-# stride).  ``np.take`` with a precomputed int64 index matrix beats the
-# strided window copy by ~1.3-2x on the measured hot shapes (the window
-# copy's inner runs are only ``kw`` elements, so explicit indexing wins
-# over nditer) — except when the index matrix itself outgrows the last-
-# level cache, where streaming 8 bytes of index per 4-byte element loses;
-# ``_GATHER_IDX_MAX_BYTES`` gates that.  The indices are immutable and
-# shared across layers and model copies, so they are cached process-wide;
-# the handful of distinct conv input shapes in a run bounds the cache.
-_GATHER_IDX: dict[tuple, np.ndarray] = {}
+# Flat gather indices for the im2col copy, keyed by conv geometry (C, H, W,
+# kh, kw, stride) and built for the largest batch seen: row r of the index
+# matrix does not depend on N, so a smaller batch is served the row prefix.
+# ``np.take`` with a precomputed int64 index matrix beats the strided
+# window copy by ~1.3-2x on the measured hot shapes (the window copy's
+# inner runs are only ``kw`` elements) — except when the index matrix
+# itself outgrows the last-level cache, where streaming 8 bytes of index
+# per 4-byte element loses; ``_GATHER_IDX_MAX_BYTES`` gates that, per
+# request.  The indices are immutable and shared across layers and model
+# copies, so they are cached process-wide (``workspace.reset()`` drops them).
+_GATHER_IDX: dict[tuple, np.ndarray] = workspace.shared_cache("conv.gather_idx")
 _GATHER_IDX_MAX_BYTES = 24_000_000
 
 
 def _gather_indices(shape: tuple[int, int, int, int], kh: int, kw: int,
                     stride: int) -> np.ndarray:
     """(N*Ho*Wo, C*kh*kw) int64 flat indices into a C-contiguous input."""
-    key = (shape, kh, kw, stride)
+    n, c, h, w = shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    key = (c, h, w, kh, kw, stride)
     idx = _GATHER_IDX.get(key)
-    if idx is None:
-        n, c, h, w = shape
-        ho = (h - kh) // stride + 1
-        wo = (w - kw) // stride + 1
+    if idx is None or len(idx) < n * ho * wo:
         nn, hh, ww, cc, ii, jj = np.ix_(*(np.arange(d)
                                           for d in (n, ho, wo, c, kh, kw)))
         flat = ((nn * c + cc) * h + hh * stride + ii) * w + ww * stride + jj
         idx = _GATHER_IDX[key] = flat.reshape(n * ho * wo, c * kh * kw)
-    return idx
+    return idx[:n * ho * wo]
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int,
@@ -117,8 +118,8 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray,
         else:
             nb, c, h, w = xdata.shape
             pshape = (nb, c, h + 2 * padding, w + 2 * padding)
-            # Border zeroed once at allocation; only the interior is
-            # rewritten, so the zero frame persists across reuses.
+            # Border zeroed whenever the served shape changes; only the
+            # interior is rewritten, so the zero frame persists across reuses.
             xp = ws.buffer("conv2d.pad", pshape, xdata.dtype, zero="alloc")
             np.copyto(xp[:, :, padding:padding + h, padding:padding + w], xdata)
     else:
@@ -138,7 +139,7 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray,
                     out=cols)
         elif padding:
             # xp is a stable arena buffer: the strided window view over it
-            # can be built once and reused every step.
+            # is built once per shape and reused until the slot grows.
             win = ws.cached("conv2d.win", (xp.shape, xp.dtype, kh, kw, stride),
                             lambda: sliding_window_view(xp, (kh, kw), axis=(2, 3))
                             [:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5))

@@ -55,11 +55,11 @@ class SGD:
         self._velocity: dict[str, np.ndarray] = {}
         self._hooks: list[CorrectionHook] = []
         # Flat per-parameter step plan (name, param, g/decay/lrg arena
-        # buffers), resolved through the arena once on the first step and
-        # then iterated directly: arena buffers are never evicted, so the
-        # retained references stay canonical, and a plain list walk beats
-        # the per-step keyed lookups for the many tiny parameters a
-        # resnet20-scale model carries.
+        # views), resolved through the arena once on the first step and
+        # then iterated directly: the largest parameter is requested first,
+        # so each tag's base never grows and the retained views stay
+        # canonical, and a plain list walk beats the per-step keyed lookups
+        # for the many tiny parameters a resnet20-scale model carries.
         self._plan: list[tuple[str, Parameter, np.ndarray, np.ndarray,
                                np.ndarray]] | None = None
 
@@ -85,11 +85,11 @@ class SGD:
         """Apply one update to every parameter that has a gradient.
 
         In-place formulation of ``p -= lr * (scale*g + wd*p)`` (plus hooks
-        and momentum): scratch buffers come from this optimizer's
-        workspace slot and are reused across parameters of equal
-        shape/dtype — safe because each parameter's update completes
-        before the next begins.  Every ``out=`` op mirrors one allocating
-        op of the original update, same operands, same order.
+        and momentum): scratch comes from this optimizer's workspace slot,
+        one base per tag shared by every parameter as a prefix view — safe
+        because each parameter's update completes before the next begins.
+        Every ``out=`` op mirrors one allocating op of the original update,
+        same operands, same order.
         """
         scale = 1.0
         if self.max_grad_norm is not None:
@@ -99,12 +99,13 @@ class SGD:
         plan = self._plan
         if plan is None:
             ws = workspace.slot_for(self)
-            plan = self._plan = [
-                (name, p,
-                 ws.buffer("sgd.g", p.data.shape, p.data.dtype),
-                 ws.buffer("sgd.decay", p.data.shape, p.data.dtype),
-                 ws.buffer("sgd.lrg", p.data.shape, p.data.dtype))
-                for name, p in self.params]
+            bufs = {
+                id(p): tuple(ws.buffer(tag, p.data.shape, p.data.dtype)
+                             for tag in ("sgd.g", "sgd.decay", "sgd.lrg"))
+                for _, p in sorted(self.params, reverse=True,
+                                   key=lambda item: item[1].data.size)}
+            plan = self._plan = [(name, p, *bufs[id(p)])
+                                 for name, p in self.params]
         lr = self.lr
         momentum = self.momentum
         weight_decay = self.weight_decay

@@ -81,7 +81,7 @@ class Build:
         self.pgrads: dict[int, np.ndarray] = {}
         self.param_grads: list[tuple] = []
         self.pending_fusion: dict[int, Record] = {}
-        self.claimed_slots: set[int] = set()
+        self.claimed_slots: dict[int, object] = {}   # id(slot) -> slot
         self.loss_cell = [0.0]
         self.arange_n: np.ndarray | None = None
         self.fused_fwd = 0
@@ -114,7 +114,7 @@ class Build:
         if ws is not None:
             if id(ws) in self.claimed_slots:
                 raise Unsupported("module executed twice per step")
-            self.claimed_slots.add(id(ws))
+            self.claimed_slots[id(ws)] = ws
 
     # ----------------------------------------------------- contributions
     def _grad_target(self, parent, shape, name):

@@ -13,6 +13,8 @@ by :func:`repro.fl.local.train_local`:
 - Anything the planner cannot express (:class:`Unsupported`) marks the
   signature as fallback and ``try_step`` returns ``None`` forever after,
   which tells the caller to run the eager path.
+- A plan bakes in arena arrays; once a slot it claimed has grown (a
+  larger eval batch moved its ``generation``) the step is recaptured.
 
 Per-step guards keep the plan honest when runtime state the plan baked
 in could drift: SPATL channel masks, cohort-mode parameter stacking,
@@ -73,10 +75,10 @@ class StepPlan:
     """A bound, replayable training step for one input signature."""
 
     __slots__ = ("instrs", "in_buf", "lab_buf", "loss_cell", "param_grads",
-                 "all_params", "stats")
+                 "all_params", "stats", "slot_gens")
 
     def __init__(self, instrs, in_buf, lab_buf, loss_cell, param_grads,
-                 all_params, stats):
+                 all_params, stats, slots):
         self.instrs = instrs
         self.in_buf = in_buf
         self.lab_buf = lab_buf
@@ -84,6 +86,8 @@ class StepPlan:
         self.param_grads = param_grads
         self.all_params = all_params
         self.stats = stats
+        # Claimed arena slots and the generation their baked arrays are of.
+        self.slot_gens = [(ws, ws.generation) for ws in slots]
 
     def replay(self, xb: np.ndarray, yb: np.ndarray) -> float:
         np.copyto(self.in_buf, xb)
@@ -169,8 +173,11 @@ class StepCompiler:
         plan = entry.plans.get(sig)
         if plan is FALLBACK:
             return None
-        if plan is None:
-            return self._capture(model, xb, yarr, entry, sig)
+        if plan is None or any(ws.generation != gen
+                               for ws, gen in plan.slot_gens):
+            return self._capture(model, xb, yarr, entry, sig,
+                                 {} if plan is None else
+                                 {"reason": "arena_growth"})
         from repro.obs.trace import get_tracer
         tracer = get_tracer()
         if tracer.enabled:
@@ -191,7 +198,7 @@ class StepCompiler:
         return entry.plans.get(sig)
 
     # ------------------------------------------------------------------ #
-    def _capture(self, model, xb, yarr, entry, sig) -> float:
+    def _capture(self, model, xb, yarr, entry, sig, labels) -> float:
         from repro.obs.trace import get_tracer
         with get_tracer().span("compile.capture", model=type(model).__name__,
                                batch=int(xb.shape[0])):
@@ -220,7 +227,7 @@ class StepCompiler:
                 plan = FALLBACK
                 _counter("compile.fallbacks", reason=str(exc)).inc()
             else:
-                _counter("compile.captures").inc()
+                _counter("compile.captures", **labels).inc()
             entry.plans[sig] = plan
         return loss_val
 
@@ -311,4 +318,4 @@ def _build_plan(model, raw_records, topo, loss, x_in, xb, yarr) -> StepPlan:
     stats["fused_forward"] = ctx.fused_fwd
     all_params = [p for _, p in model.named_parameters()]
     return StepPlan(instrs, in_buf, lab_buf, ctx.loss_cell, ctx.param_grads,
-                    all_params, stats)
+                    all_params, stats, ctx.claimed_slots.values())

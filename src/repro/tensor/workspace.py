@@ -1,26 +1,29 @@
-"""Shape/dtype-keyed scratch-buffer arena for the training hot path.
+"""Capacity-keyed scratch-buffer arena for the training hot path.
 
 Profiling the serial FL round (``obs.profiler`` + cProfile) shows the
 kernels spend a large share of their time re-allocating the same
 megabyte-scale temporaries every step: im2col patch matrices, padded
 inputs, ``_col2im`` scatter targets, batch-norm intermediates, SGD
 update scratch.  The arena gives each *owner* (a layer or optimizer
-instance) a :class:`WorkspaceSlot` holding named buffers keyed by
-``(tag, shape, dtype)``; requesting the same buffer again returns the
-cached array instead of allocating.
+instance) a :class:`WorkspaceSlot` holding one flat base per
+``(tag, dtype)``, sized to the largest request seen; every request is
+served the C-contiguous prefix of that base, so the batch shapes a layer
+meets (partial last batch, per-client eval sizes) share one allocation.
 
 Contract
 --------
 A workspace buffer is **transient scratch**: it is valid from the call
-that requested it until the owner's *next* request for the same
-``(tag, shape, dtype)``.  The kernels rely on the engine's execution
-discipline — a layer is forwarded at most once before its backward runs
-(forward -> backward -> step, per batch) — so buffers captured by a
-backward closure are never clobbered by a second forward of the same
-layer.  Anything that must outlive the op (outputs entering the autodiff
-graph, gradients handed to ``Tensor._accumulate``, which copies on first
-accumulation) is freshly allocated or copied as before; only
-intermediates live in the arena.  See DESIGN.md §10.
+that requested it until the owner's *next* request for the same ``tag``.
+The kernels rely on the engine's execution discipline — a layer is
+forwarded at most once before its backward runs (forward -> backward ->
+step, per batch) — so buffers captured by a backward closure are never
+clobbered by a second forward of the same layer.  Anything that must
+outlive the op (outputs entering the autodiff graph, gradients handed to
+``Tensor._accumulate``, which copies on first accumulation) is freshly
+allocated or copied as before; only intermediates live in the arena.  A
+key maps to the same memory until the slot's ``generation`` moves (a base
+outgrown and reallocated); whoever keeps arena arrays across calls must
+watch it.  See DESIGN.md §10.
 
 Slots are held in a ``WeakValueDictionary``-style per-owner registry
 (:func:`slot_for`), so buffers are collected with their owner.  Hit/miss
@@ -35,14 +38,17 @@ pickled.
 
 from __future__ import annotations
 
+import math
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 __all__ = ["WorkspaceSlot", "slot_for", "stats_snapshot", "tag_stats",
-           "reset", "publish_metrics"]
+           "resident_bytes", "shared_cache", "shared_bytes", "reset",
+           "publish_metrics"]
 
 
 @dataclass
@@ -53,6 +59,7 @@ class TagStat:
     misses: int = 0
     bytes_alloc: int = 0   # bytes newly allocated on misses
     bytes_saved: int = 0   # bytes served from cache on hits
+    growths: int = 0       # misses that replaced a smaller base
 
     @property
     def hit_rate(self) -> float:
@@ -61,76 +68,87 @@ class TagStat:
 
 
 # tag -> TagStat, aggregated over every slot in this process.
-_stats: dict[str, TagStat] = {}
+_stats: defaultdict[str, TagStat] = defaultdict(TagStat)
 
 # owner -> WorkspaceSlot; weak keys so a slot dies with its layer/optimizer.
 _slots: "weakref.WeakKeyDictionary[Any, WorkspaceSlot]" = weakref.WeakKeyDictionary()
 
-
-def _stat(tag: str) -> TagStat:
-    st = _stats.get(tag)
-    if st is None:
-        st = _stats[tag] = TagStat()
-    return st
+# name -> process-wide cache of immutable arrays (``conv.gather_idx``).
+_shared: dict[str, dict] = {}
 
 
 class WorkspaceSlot:
-    """Per-owner cache of scratch buffers and derived objects.
+    """Per-owner scratch bases and derived objects.
 
-    Buffers are keyed by ``(tag, shape, dtype)``; a layer that sees a new
-    input shape (e.g. a different eval batch size) simply grows a second
-    buffer under the same tag.  Nothing is ever evicted — the working set
-    is bounded by the distinct shapes an owner processes, which for FL
-    training is the train batch shape plus at most one eval batch shape.
+    One flat base per ``(tag, dtype)`` holds the largest request seen;
+    ``buffer`` serves its C-contiguous prefix — the start address and
+    strides a dedicated array would have, so BLAS picks the same kernels.
+    Outgrowing a base reallocates it, bumps ``generation`` and drops every
+    memoized view: arrays kept from an earlier generation are dead memory.
     """
 
-    __slots__ = ("_bufs",)
+    __slots__ = ("_bases", "_views", "_cached", "_served", "generation")
 
     def __init__(self):
-        self._bufs: dict[tuple, Any] = {}
+        self._bases: dict[tuple, np.ndarray] = {}    # (tag, dtype) -> flat base
+        self._views: dict[tuple, np.ndarray] = {}    # (tag, shape, dtype) -> prefix
+        self._cached: dict[tuple, Any] = {}
+        self._served: dict[tuple, tuple] = {}        # zero="alloc": last shape
+        self.generation = 0
 
     def buffer(self, tag: str, shape: tuple[int, ...], dtype,
                zero: str = "never") -> np.ndarray:
-        """Return a cached ndarray of ``shape``/``dtype`` for ``tag``.
+        """Return the ``shape``/``dtype`` prefix view of ``tag``'s base.
 
         ``zero`` controls fill semantics:
 
         - ``"never"``  — contents are whatever the last user left (caller
           overwrites every element);
-        - ``"alloc"``  — zero-filled only when first allocated (callers
-          that always write the same sub-region and need the rest to stay
-          zero, e.g. the padded-input border);
+        - ``"alloc"``  — zeroed whenever the shape served for the tag changes,
+          the first request included (callers that always write one region
+          and need the rest to stay zero, e.g. the padded-input border);
         - ``"always"`` — zeroed on every request (scatter-add targets).
         """
         dtype = np.dtype(dtype)
         key = (tag, shape, dtype)
-        buf = self._bufs.get(key)
-        st = _stat(tag)
-        if buf is None:
-            buf = np.zeros(shape, dtype) if zero in ("alloc", "always") \
-                else np.empty(shape, dtype)
-            self._bufs[key] = buf
-            st.misses += 1
-            st.bytes_alloc += buf.nbytes
-        else:
-            if zero == "always":
-                buf[...] = 0
+        buf = self._views.get(key)
+        st = _stats[tag]
+        hit = buf is not None
+        if not hit:
+            size = math.prod(shape)
+            base = self._bases.get((tag, dtype))
+            hit = base is not None and base.size >= size
+            if not hit:
+                if base is not None:
+                    self.generation += 1
+                    st.growths += 1
+                    self._views.clear()
+                    self._cached.clear()
+                base = self._bases[tag, dtype] = np.empty(size, dtype)
+                st.misses += 1
+                st.bytes_alloc += base.nbytes
+            buf = self._views[key] = base[:size].reshape(shape)
+        if hit:
             st.hits += 1
             st.bytes_saved += buf.nbytes
+        if zero == "always":
+            buf[...] = 0
+        elif zero == "alloc" and self._served.get((tag, dtype)) != shape:
+            self._served[tag, dtype] = shape
+            buf[...] = 0
         return buf
 
     def cached(self, tag: str, key: tuple, builder: Callable[[], Any]) -> Any:
-        """Memoize a derived object (a strided view over a cached buffer,
-        a precomputed index array) under ``(tag, key)``.
+        """Memoize a derived object (a strided view over a :meth:`buffer`
+        array, a precomputed index array) under ``(tag, key)``.
 
-        Views built over :meth:`buffer` arrays stay valid because buffers
-        are never reallocated for a given key.
+        Dropped when ``generation`` moves: a view may be over a dead base.
         """
         full = (tag, key)
-        obj = self._bufs.get(full)
-        st = _stat(tag)
+        obj = self._cached.get(full)
+        st = _stats[tag]
         if obj is None:
-            obj = self._bufs[full] = builder()
+            obj = self._cached[full] = builder()
             st.misses += 1
             if isinstance(obj, np.ndarray):
                 st.bytes_alloc += obj.nbytes
@@ -156,7 +174,7 @@ def slot_for(owner: Any) -> WorkspaceSlot:
 
 def tag_stats(tag: str) -> TagStat:
     """The live :class:`TagStat` for ``tag`` (created empty if missing)."""
-    return _stat(tag)
+    return _stats[tag]
 
 
 def stats_snapshot() -> dict[str, tuple[int, int, int, int]]:
@@ -165,24 +183,52 @@ def stats_snapshot() -> dict[str, tuple[int, int, int, int]]:
             for tag, s in _stats.items()}
 
 
+def resident_bytes() -> dict[str, int]:
+    """``{tag: bytes}`` of scratch held by live slots (sum of base sizes)."""
+    out: dict[str, int] = {}
+    for slot in list(_slots.values()):
+        for (tag, _), base in slot._bases.items():
+            out[tag] = out.get(tag, 0) + base.nbytes
+    return out
+
+
+def shared_cache(name: str) -> dict:
+    """The process-wide array cache ``name`` (created empty)."""
+    return _shared.setdefault(name, {})
+
+
+def shared_bytes() -> dict[str, int]:
+    """``{name: bytes}`` held by each :func:`shared_cache`."""
+    return {n: sum(a.nbytes for a in c.values()) for n, c in _shared.items()}
+
+
 def reset() -> None:
-    """Drop every slot and zero the counters (test isolation)."""
+    """Drop every slot and shared array, zero the counters (test isolation)."""
     _slots.clear()
     _stats.clear()
+    for cache in _shared.values():
+        cache.clear()
 
 
 def publish_metrics(registry=None) -> None:
     """Export per-tag counters into an ``obs.metrics`` registry.
 
     Counter names: ``workspace.hits``, ``workspace.misses``,
-    ``workspace.bytes_saved``, each labelled ``tag=<tag>``.  Values are
-    assigned absolutely (the underlying stats are monotonic), so repeated
-    publishes are idempotent and survive registry swaps.
+    ``workspace.bytes_saved``, ``workspace.growths``, each labelled
+    ``tag=<tag>``.  Values are assigned absolutely (the underlying stats
+    are monotonic), so repeated publishes are idempotent and survive
+    registry swaps.  Where the memory sits goes out as gauges:
+    ``workspace.resident_bytes{tag=}`` and ``conv.gather_idx_bytes``.
     """
     if registry is None:
         from repro.obs.metrics import get_registry
         registry = get_registry()
+    resident = resident_bytes()
     for tag, st in _stats.items():
         registry.counter("workspace.hits", tag=tag).value = float(st.hits)
         registry.counter("workspace.misses", tag=tag).value = float(st.misses)
         registry.counter("workspace.bytes_saved", tag=tag).value = float(st.bytes_saved)
+        registry.counter("workspace.growths", tag=tag).value = float(st.growths)
+        registry.gauge("workspace.resident_bytes", tag=tag).set(resident.get(tag, 0))
+    for name, nbytes in shared_bytes().items():
+        registry.gauge(name + "_bytes").set(nbytes)

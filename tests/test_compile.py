@@ -184,6 +184,41 @@ class TestCompiledStep:
             assert misses == miss_before, (
                 f"arena miss in steady state for tag {tag!r}")
 
+    def test_arena_growth_recaptures(self, fresh_registry):
+        # An eval forward at a larger batch outgrows the slots' bases, so
+        # the arrays the batch-8 plan baked in are dead memory while its
+        # forward would re-request live memory from the slot: the plan
+        # must notice the slots' generation moved and recapture once.
+        from repro.tensor import no_grad
+        train = _batches(6)
+        (xe, _), = _batches(1, bs=16, seed=8)
+
+        def run(model, compiler):
+            opt = SGD(model.named_parameters(), lr=0.05, momentum=0.9,
+                      weight_decay=5e-4)
+            losses = []
+            for i, (xb, yb) in enumerate(train):
+                if i == 3:
+                    model.eval()
+                    with no_grad():
+                        losses.append(model(Tensor(xe)).data.copy())
+                    model.train()
+                lv = compiler.try_step(model, xb, yb) if compiler else None
+                losses.append(_eager_step(model, xb, yb) if lv is None else lv)
+                opt.step()
+            return losses
+
+        m_eager, m_comp = _make_model(), _make_model()
+        l_eager = run(m_eager, None)
+        l_comp = run(m_comp, StepCompiler())
+        assert all(np.array_equal(a, b) for a, b in zip(l_eager, l_comp))
+        assert _states_equal(m_eager.state_dict(), m_comp.state_dict())
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["compile.captures"] == 1
+        assert counters["compile.captures{reason=arena_growth}"] == 1
+        assert counters["compile.replays"] == 4
+        assert not any(k.startswith("compile.fallbacks") for k in counters)
+
     def test_stale_grads_cleared_on_replay(self):
         # A parameter gradient left over from an eager step on a different
         # signature must not survive into a compiled step's output.

@@ -85,3 +85,67 @@ def test_partial_batch_conv_backward_matches_reference():
     ref_state = train(True)
     for key in ref_state:
         assert np.array_equal(opt_state[key], ref_state[key]), key
+
+
+def _conv_fwd_bwd(x, weight, bias, ws):
+    """Output, input grad and weight grad of one padded conv2d call."""
+    from repro.nn.conv import conv2d
+    from repro.tensor import Tensor
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(weight, requires_grad=True)
+    out = conv2d(xt, wt, Tensor(bias), stride=1, padding=1, ws=ws)
+    (out * out).sum().backward()
+    return out.data.copy(), xt.grad.copy(), wt.grad.copy()
+
+
+@pytest.mark.parametrize("use_gather", [True, False])
+@pytest.mark.parametrize("shapes,grows", [
+    ([(8, 6), (5, 6), (8, 6)], False),     # partial batch and back
+    ([(8, 6), (16, 6), (8, 6)], True),     # larger eval batch: every tag grows
+    ([(6, 6), (6, 4), (6, 6)], False),     # border lands on an old interior
+])
+def test_conv_slot_shared_across_input_shapes(monkeypatch, use_gather,
+                                              shapes, grows):
+    """One slot serving alternating ``(batch, height)`` inputs (prefix
+    views of one base, pad border re-zeroed on each switch, memoized
+    window view dropped on growth) is byte-equal to the allocating
+    ``ws=None`` path — through the gather path and, with the index gate
+    shut, the ``conv2d.win`` cached-view path."""
+    from repro.nn import conv
+    from repro.tensor import workspace
+    workspace.reset()
+    if not use_gather:
+        monkeypatch.setattr(conv, "_GATHER_IDX_MAX_BYTES", 0)
+    rng = np.random.default_rng(5)
+    weight = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    bias = rng.standard_normal(4).astype(np.float32)
+    ws = workspace.slot_for(type("Owner", (), {})())
+    for n, hw in shapes:
+        # Non-zero everywhere, so a stale interior left where a border
+        # belongs would show.
+        x = (rng.standard_normal((n, 3, hw, hw)) + 3.0).astype(np.float32)
+        got = _conv_fwd_bwd(x, weight, bias, ws)
+        want = _conv_fwd_bwd(x, weight, bias, None)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (use_gather, n, hw)
+    assert ws.generation == (len(ws._bases) if grows else 0)
+    assert ("conv2d.win" in workspace.stats_snapshot()) == (not use_gather)
+
+
+def test_gather_indices_prefix_equals_fresh_build():
+    """Row r of the im2col index matrix does not depend on N, so the
+    index cached for the largest batch serves every smaller one."""
+    from repro.nn import conv
+    from repro.tensor import workspace
+    workspace.reset()
+    geom = (3, 7, 6)                      # C, H, W
+    big = conv._gather_indices((9, *geom), 3, 2, 2)
+    cached = {n: conv._gather_indices((n, *geom), 3, 2, 2).copy()
+              for n in range(1, 10)}
+    (entry,) = conv._GATHER_IDX.values()  # one entry per geometry
+    assert np.shares_memory(entry, big) and entry.shape == big.shape
+    for n, got in cached.items():
+        workspace.reset()
+        fresh = conv._gather_indices((n, *geom), 3, 2, 2)
+        assert got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, fresh), n

@@ -62,23 +62,56 @@ class TestWorkspaceSlot:
         buf[...] = 7.0
         assert np.all(view == 7.0)
 
-    def test_cohort_shapes_coexist_per_tag(self):
-        # Cohort-mode stacks k clients into one (k*n, ...) batch; the same
-        # slot then serves both the per-client and the stacked shape under
-        # one tag.  Shapes are distinct keys: alternating between them
-        # must reuse both buffers (no eviction, no reallocation) — the
-        # vectorized executor's arena behaviour depends on it.
-        ws = workspace.slot_for(Owner())
+    def test_cohort_shapes_share_one_base_per_tag(self):
+        # Cohort-mode stacks k clients into one (k*n, ...) batch, and
+        # non-IID shards end in partial batches; the same slot then serves
+        # several batch extents under one tag.  They are prefixes of one
+        # base sized to the largest: alternating between them reuses that
+        # memory (no reallocation once the largest has been seen), and
+        # ``generation`` moves exactly when the base had to grow.
+        owner = Owner()                           # keeps the slot live
+        ws = workspace.slot_for(owner)
         small = ws.buffer("t.cohort", (8, 3, 4, 4), np.float32)
+        assert ws.generation == 0                 # first allocation: no growth
         big = ws.buffer("t.cohort", (32, 3, 4, 4), np.float32)
-        assert small is not big
+        assert ws.generation == 1                 # grew past the (8, ...) base
+        assert not np.shares_memory(small, big)   # the old base is dead
+        small = ws.buffer("t.cohort", (8, 3, 4, 4), np.float32)
+        assert small.ctypes.data == big.ctypes.data
+        assert small.flags["C_CONTIGUOUS"] and small.shape == (8, 3, 4, 4)
         st = workspace.tag_stats("t.cohort")
-        hits0, misses0 = st.hits, st.misses
+        hits0, misses0, growths0 = st.hits, st.misses, st.growths
         for _ in range(3):
             assert ws.buffer("t.cohort", (32, 3, 4, 4), np.float32) is big
             assert ws.buffer("t.cohort", (8, 3, 4, 4), np.float32) is small
-        assert st.misses == misses0
+        assert (st.misses, st.growths) == (misses0, growths0)
         assert st.hits == hits0 + 6
+        assert ws.generation == 1
+        assert workspace.resident_bytes()["t.cohort"] >= big.nbytes
+
+    def test_growth_drops_cached_views(self):
+        # A memoized view may sit over the base that growth replaced, so
+        # growth forgets it and the next request rebuilds over live memory.
+        ws = workspace.slot_for(Owner())
+        buf = ws.buffer("t.gbase", (4,), np.float32)
+        view = ws.cached("t.gview", ("k",), lambda: buf[::2])
+        buf = ws.buffer("t.gbase", (8,), np.float32)
+        rebuilt = ws.cached("t.gview", ("k",), lambda: buf[::2])
+        assert rebuilt is not view
+        assert np.shares_memory(rebuilt, buf)
+
+    def test_alloc_rezeroes_when_served_shape_changes(self):
+        ws = workspace.slot_for(Owner())
+        a = ws.buffer("t.frame", (2, 4), np.float32, zero="alloc")
+        a[...] = 7
+        assert np.all(ws.buffer("t.frame", (2, 4), np.float32,
+                                zero="alloc") == 7)          # same shape: kept
+        b = ws.buffer("t.frame", (4,), np.float32, zero="alloc")
+        assert np.all(b == 0)                                # new shape: zeroed
+        b[...] = 5
+        assert np.all(ws.buffer("t.frame", (2, 4), np.float32,
+                                zero="alloc") == 0)          # and back again
+        assert ws.generation == 0
 
     def test_cached_keys_include_cohort_geometry(self):
         # Derived objects keyed by geometry tuples (e.g. maxpool.base keyed
@@ -124,6 +157,81 @@ class TestWorkspaceSlot:
         assert reg.counter("workspace.misses", tag="t.pub").value == st.misses
         assert reg.counter("workspace.bytes_saved",
                            tag="t.pub").value == st.bytes_saved
+
+
+    def test_publish_metrics_reports_residency(self):
+        from repro.nn import conv
+        from repro.obs.metrics import MetricsRegistry
+        owner = Owner()                           # keeps the slot live
+        ws = workspace.slot_for(owner)
+        ws.buffer("t.res", (4,), np.float32)
+        ws.buffer("t.res", (16,), np.float32)
+        conv._gather_indices((2, 3, 6, 6), 3, 3, 1)
+        reg = MetricsRegistry()
+        workspace.publish_metrics(reg)
+        snap = reg.snapshot()
+        st = workspace.tag_stats("t.res")
+        assert snap["counters"]["workspace.growths{tag=t.res}"] == st.growths >= 1
+        assert snap["gauges"]["workspace.resident_bytes{tag=t.res}"] \
+            == workspace.resident_bytes()["t.res"] >= 64
+        assert snap["gauges"]["conv.gather_idx_bytes"] \
+            == workspace.shared_bytes()["conv.gather_idx"] > 0
+
+    def test_reset_clears_gather_indices(self):
+        from repro.nn import conv
+        conv._gather_indices((2, 3, 6, 6), 3, 3, 1)
+        assert conv._GATHER_IDX
+        workspace.reset()
+        assert not conv._GATHER_IDX
+        assert workspace.resident_bytes() == {}
+
+    def test_sgd_plan_holds_one_base_per_tag(self):
+        # Parameters of every shape alias one base per tag; the largest is
+        # requested first, so nothing grows and no retained view is dead.
+        from repro.models import build_model
+        from repro.optim.sgd import SGD
+        model = build_model("resnet20", width_mult=0.25, input_size=16, seed=2)
+        opt = SGD(model.named_parameters(), lr=0.05, weight_decay=5e-4)
+        for _, p in model.named_parameters():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        ws = workspace.slot_for(opt)
+        assert ws.generation == 0
+        largest = max(p.data.nbytes for _, p in model.named_parameters())
+        assert {b.nbytes for b in ws._bases.values()} == {largest}
+        for _, _, *bufs in opt._plan:
+            for tag, buf in zip(("sgd.g", "sgd.decay", "sgd.lrg"), bufs):
+                assert np.shares_memory(buf, ws._bases[tag, buf.dtype])
+
+    def test_resident_bytes_set_by_largest_shape_only(self):
+        """One resnet20 driven through a non-IID client's batch sizes ends
+        holding exactly what a model that only ever saw the largest shape
+        per tag holds — an exact byte count, not a tolerance."""
+        from repro.models import build_model
+        from repro.tensor import functional as F
+
+        def drive(train_sizes, eval_sizes):
+            workspace.reset()
+            rng = np.random.default_rng(0)
+            model = build_model("resnet20", width_mult=0.25, input_size=16,
+                                seed=2)
+            for n in train_sizes:
+                model.train()
+                x = rng.standard_normal((n, 3, 16, 16)).astype(np.float32)
+                model.zero_grad()
+                F.cross_entropy(model(Tensor(x)),
+                                rng.integers(0, 10, n)).backward()
+            model.eval()
+            with no_grad():
+                for n in eval_sizes:
+                    model(Tensor(rng.standard_normal(
+                        (n, 3, 16, 16)).astype(np.float32)))
+            return workspace.resident_bytes(), workspace.shared_bytes()
+
+        mixed = drive([32, 12, 32, 7], [69, 44])
+        largest = drive([32], [69])
+        assert mixed == largest
+        assert sum(mixed[0].values()) > 0
 
 
 class TestGradientDonation:
