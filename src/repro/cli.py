@@ -53,7 +53,7 @@ def _cfg(args, **extra):
                      fault_retries=args.fault_retries,
                      fault_seed=args.fault_seed,
                      min_clients=args.min_clients,
-                     workers=args.workers, executor=args.executor,
+                     workers=args.workers,
                      compile=args.compile,
                      quant_bits=args.quant_bits, quant_block=args.quant_block,
                      quant_ef=not args.no_quant_ef,
@@ -353,14 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the per-client round loop "
                              "(1 = in-process serial executor; N>1 fans "
                              "clients over N processes, byte-identical "
-                             "results — see DESIGN.md §9)")
-    parser.add_argument("--executor", default="auto",
-                        choices=["auto", "serial", "process", "vectorized"],
-                        help="round-execution engine (DESIGN.md §14): auto "
-                             "picks serial/process from --workers; "
-                             "vectorized batches the cohort's local "
-                             "training into stacked GEMMs on one core. "
-                             "All engines are byte-identical.")
+                             "results — see DESIGN.md §9/§14)")
     parser.add_argument("--compile", action="store_true",
                         help="trace-and-replay step compiler (DESIGN.md "
                              "§15): capture each local training step once "

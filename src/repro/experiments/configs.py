@@ -68,11 +68,8 @@ class ExperimentConfig:
     min_clients: int = 1                 # round-commit quorum
     # Round-execution engine (DESIGN.md §9/§14): 1 = in-process serial
     # executor, N>1 fans per-client exchanges over N worker processes.
-    # ``executor`` picks the engine explicitly ("auto" | "serial" |
-    # "process" | "vectorized").  Results are byte-identical across all
-    # engines.
+    # Results are byte-identical across both engines.
     workers: int = 1
-    executor: str = "auto"
     # Trace-and-replay step compiler (DESIGN.md §15): capture each local
     # training step once per (model, batch-signature) and replay it with
     # static memory planning.  Byte-identical to eager execution; off by
@@ -189,8 +186,8 @@ def make_algorithm(name: str, cfg: ExperimentConfig, model_fn, clients,
     quant = make_quant_config(cfg.quant_bits, cfg.quant_block, cfg.quant_ef)
     if quant is not None:
         common["quant"] = quant
-    if cfg.workers > 1 or cfg.executor != "auto":
-        common["executor"] = make_executor(cfg.workers, kind=cfg.executor)
+    if cfg.workers != 1:
+        common["executor"] = make_executor(cfg.workers)
     if cfg.compile:
         common["compile_steps"] = True
     fault_model = make_fault_model(cfg)

@@ -52,25 +52,6 @@ class FedAvg(FederatedAlgorithm):
                              payload: dict[str, np.ndarray]) -> None:
         update["state"] = {k: payload[k] for k in update["state"]}
 
-    def cohort_local_updates(self, clients: list[Client],
-                             round_idx: int) -> dict[int, dict]:
-        """Batched local updates for the vectorized executor (DESIGN.md §14).
-
-        Bitwise-equal to per-client :meth:`local_update` calls; raises
-        :class:`~repro.nn.cohort.CohortUnsupported` (callers fall back to
-        serial) when the model or config needs kernels the cohort path
-        does not have.
-        """
-        from repro.fl.vectorized import cohort_local_updates
-        from repro.nn.cohort import CohortUnsupported
-        if type(self).local_update is not FedAvg.local_update:
-            # A subclass customised local training (e.g. FedProx's
-            # proximal correction); the batched path would silently skip
-            # that, so hand the round back to the fallback executor.
-            raise CohortUnsupported(
-                f"{type(self).__name__} overrides local_update")
-        return cohort_local_updates(self, clients, round_idx)
-
     def make_fold(self, spill=None, weighted: bool = False):
         """FedAvg's server step: the example-weighted mean fold."""
         from repro.fl.scale.fold import DictMeanFold

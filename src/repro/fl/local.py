@@ -3,8 +3,10 @@
 :func:`train_local` is the one SGD loop every algorithm's
 ``local_update`` delegates to; algorithm-specific behaviour plugs in via
 hooks rather than subclassed loops — ``correction_hook`` for
-SCAFFOLD/SPATL control variates (Eq. 9), ``extra_loss`` for FedProx's
-proximal term, ``param_filter`` to restrict training to the encoder.
+SCAFFOLD/SPATL control variates (Eq. 9) and FedProx's proximal
+gradient, ``extra_loss`` for an auxiliary differentiable loss term (no
+shipped algorithm passes one), ``param_filter`` to restrict training to
+the encoder.
 :func:`weighted_average_states` is the FedAvg server-side reduction
 (batch lists and streamed spill records alike).
 Both are pure with respect to server state, which is what makes them
@@ -37,13 +39,14 @@ def train_local(model, client: Client, round_idx: int, epochs: int, lr: float,
     ----------
     correction_hook:
         Per-step gradient correction ``(name, grad) -> grad`` — SCAFFOLD /
-        SPATL control variates plug in here (Eq. 9).
+        SPATL control variates (Eq. 9) and FedProx's proximal gradient
+        plug in here.
     param_filter:
         Restrict the optimizer to parameters whose dotted name passes the
         predicate (used for predictor-only transfer updates, Eq. 4).
     extra_loss:
         Additional differentiable loss term given the model, added to the
-        cross-entropy (FedProx's proximal term plugs in here).
+        cross-entropy.
     compiler:
         Optional :class:`~repro.tensor.compile.StepCompiler`.  When given,
         each step is attempted as a compiled replay (byte-identical to the

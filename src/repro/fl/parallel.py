@@ -13,8 +13,8 @@ the executor abstraction behind that loop (DESIGN.md §9):
   download → train → upload exchange over a ``ProcessPoolExecutor``
   whose workers persist for the executor's lifetime.
 
-(:class:`~repro.fl.vectorized.VectorizedRoundExecutor`, the third
-engine, lives in its own module; ``make_executor`` builds any of them.)
+``make_executor(workers)`` picks between them: the worker count is the
+only engine selector (DESIGN.md §14).
 
 Parallel runs are **seed- and byte-identical** to serial runs because
 
@@ -442,25 +442,16 @@ class ProcessPoolRoundExecutor(RoundExecutor):
 
 
 def make_executor(workers: int, mp_context: Any = None,
-                  broadcast: bool = True, kind: str = "auto") -> RoundExecutor:
-    """Build a round executor (DESIGN.md §14's decision table, in code).
+                  broadcast: bool = True) -> RoundExecutor:
+    """The round executor for ``workers`` (DESIGN.md §14's table, in code).
 
-    ``kind`` selects the engine: ``"auto"`` (serial for ``workers <= 1``,
-    process pool above), ``"serial"``, ``"process"`` (requires
-    ``workers >= 2``), or ``"vectorized"`` (batched cohort training,
-    falling back to a process pool when ``workers >= 2`` — serial
-    otherwise — for rounds outside the cohort kernels' envelope).
+    ``workers == 1`` is the in-process :class:`SerialExecutor`; anything
+    above is a :class:`ProcessPoolRoundExecutor` of that many workers.
+    ``workers < 1`` is an error, not a silent serial run.
     """
-    if kind == "vectorized":
-        from repro.fl.vectorized import VectorizedRoundExecutor
-        fallback = (ProcessPoolRoundExecutor(workers, mp_context=mp_context,
-                                             broadcast=broadcast)
-                    if workers > 1 else None)
-        return VectorizedRoundExecutor(fallback=fallback)
-    if kind not in ("auto", "serial", "process"):
-        raise ValueError(f"unknown executor kind {kind!r}; expected one of "
-                         "auto, serial, process, vectorized")
-    if kind == "serial" or (kind == "auto" and workers <= 1):
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return SerialExecutor()
     return ProcessPoolRoundExecutor(workers, mp_context=mp_context,
                                     broadcast=broadcast)

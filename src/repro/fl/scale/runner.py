@@ -86,16 +86,10 @@ class ScaleRunner:
                 spill_dir = self._owned_tmp.name
         self.spill_dir = os.fspath(spill_dir)
         if wave is None:
-            # An executor can hint its sweet-spot wave size (the
-            # vectorized executor stacks this many clients per batched
-            # step); otherwise keep 2x the worker count in flight so the
-            # pool never idles, or 1 for in-process execution.
-            preferred = getattr(algorithm.executor, "preferred_wave", None)
-            if preferred:
-                wave = preferred
-            else:
-                workers = getattr(algorithm.executor, "workers", None)
-                wave = 2 * workers if workers else 1
+            # Keep 2x the worker count in flight so the pool never
+            # idles, or 1 for in-process execution.
+            workers = getattr(algorithm.executor, "workers", None)
+            wave = 2 * workers if workers else 1
         self.wave = max(1, int(wave))
         self._pending: dict[str, Any] | None = None
 

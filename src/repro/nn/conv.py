@@ -256,11 +256,6 @@ class Conv2d(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        cohort = getattr(self, "_cohort_n", 0)
-        if cohort:
-            from repro.nn.cohort import conv2d_cohort
-            return conv2d_cohort(x, self.weight, self.bias, self.stride,
-                                 self.padding, cohort)
         if _ACTIVE_FOLDS and not self.training:
             fold = _ACTIVE_FOLDS.get(id(self))
             if fold is not None:

@@ -37,10 +37,6 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        cohort = getattr(self, "_cohort_n", 0)
-        if cohort:
-            from repro.nn.cohort import linear_cohort
-            return linear_cohort(x, self.weight, self.bias, cohort)
         out = x @ self.weight.T
         if self.bias is not None:
             out = out + self.bias

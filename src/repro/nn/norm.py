@@ -52,10 +52,6 @@ class _BatchNorm(Module):
         raise NotImplementedError
 
     def forward(self, x: Tensor) -> Tensor:
-        cohort = getattr(self, "_cohort_n", 0)
-        if cohort:
-            from repro.nn.cohort import batchnorm_cohort
-            return batchnorm_cohort(self, x, cohort)
         if _conv._FOLDED_BNS and not self.training \
                 and id(self) in _conv._FOLDED_BNS:
             return x        # absorbed into the preceding conv for this eval

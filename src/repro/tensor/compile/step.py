@@ -17,9 +17,9 @@ by :func:`repro.fl.local.train_local`:
   larger eval batch moved its ``generation``) the step is recaptured.
 
 Per-step guards keep the plan honest when runtime state the plan baked
-in could drift: SPATL channel masks, cohort-mode parameter stacking,
-active dropout, eval mode, and auxiliary losses all force the eager
-path for that step without invalidating the plan.
+in could drift: SPATL channel masks, active dropout, eval mode, and
+auxiliary losses all force the eager path for that step without
+invalidating the plan.
 """
 
 from __future__ import annotations
@@ -123,8 +123,6 @@ class _ModelEntry:
             return False
         for m in self.mods:
             if getattr(m, "_channel_masks", None):
-                return False
-            if getattr(m, "_cohort_n", 0):
                 return False
         for d in self.dropouts:
             if d.p > 0.0:

@@ -5,7 +5,9 @@ byte-for-byte identical to the eager step it replaces, fall back to
 eager for anything it cannot express, and never leak state between
 steps.  These tests pin that contract at both the single-step level
 (unit) and across full federated runs (golden), including faults and
-every round executor.
+both round executors; the goldens also assert that replay actually
+engaged, so a guard that sent every step back to eager cannot pass them
+as eager == eager.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 
 from repro.experiments.configs import config_for, make_algorithm, make_setting
 from repro.fl.comm import serialize_state
-from repro.models import build_model
+from repro.models import build_model, make_vgg
+from repro.nn import Dropout
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.optim.sgd import SGD
 from repro.tensor import Tensor, functional as F
@@ -122,6 +125,27 @@ class TestCompiledStep:
         assert comp.try_step(model, xb, yb) is None
         enc.clear_channel_masks()
         assert comp.try_step(model, xb, yb) is not None
+
+    def test_dropout_forces_eager_until_disabled(self, fresh_registry):
+        def vgg():
+            model = make_vgg("vgg11", width_mult=0.25, dropout=0.5, seed=11)
+            model.train()
+            return model
+
+        batches = _batches(3, size=32)
+        m_eager, m_comp = vgg(), vgg()
+        comp = StepCompiler()
+        assert _train(m_eager, batches) == _train(m_comp, batches, comp)
+        assert _states_equal(m_eager.state_dict(), m_comp.state_dict())
+        assert comp.try_step(m_comp, *batches[0]) is None
+        assert not fresh_registry.snapshot()["counters"]   # never captured
+        for m in m_comp.modules():
+            if isinstance(m, Dropout):
+                m.p = 0.0
+        _train(m_comp, batches, comp)
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["compile.captures"] == 1
+        assert counters["compile.replays"] == 2
 
     def test_unsupported_graph_falls_back_per_signature(self, fresh_registry):
         from repro.nn import Linear, Module
@@ -265,24 +289,38 @@ def _final_state(algo_name, *, compiled, rounds=2, **overrides) -> bytes:
         algo.close()
 
 
+def _assert_replay_engaged(registry):
+    """The compiled run replayed (a golden must not pass as eager == eager)."""
+    counters = registry.snapshot()["counters"]
+    assert counters["compile.replays"] > 0
+    assert counters["compile.captures"] >= 1
+    assert not [k for k in counters if k.startswith("compile.fallbacks")]
+
+
 @pytest.mark.parametrize("algo_name", ["fedavg", "spatl"])
 class TestCompiledGolden:
-    def test_serial(self, algo_name):
+    def test_serial(self, algo_name, fresh_registry):
         assert _final_state(algo_name, compiled=False) == \
             _final_state(algo_name, compiled=True)
+        _assert_replay_engaged(fresh_registry)
 
-    def test_under_faults(self, algo_name):
+    def test_under_faults(self, algo_name, fresh_registry):
         kw = dict(fault_drop_prob=0.3, fault_corrupt_prob=0.1,
                   fault_retries=1)
         assert _final_state(algo_name, compiled=False, **kw) == \
             _final_state(algo_name, compiled=True, **kw)
+        _assert_replay_engaged(fresh_registry)
 
 
-def test_process_executor_compiled_matches_eager_serial():
+def test_process_executor_compiled_matches_eager_serial(fresh_registry):
     assert _final_state("fedavg", compiled=False) == \
         _final_state("fedavg", compiled=True, workers=2)
+    _assert_replay_engaged(fresh_registry)     # merged back from the workers
 
 
-def test_vectorized_executor_unaffected_by_compile_flag():
-    assert _final_state("fedavg", compiled=False, executor="vectorized") == \
-        _final_state("fedavg", compiled=True, executor="vectorized")
+def test_vectorized_executor_unaffected_by_compile_flag(fresh_registry):
+    """SPATL in the pool, eager vs compiled workers.  (The id predates the
+    vectorized engine's removal; it is kept because the floor lists it.)"""
+    assert _final_state("spatl", compiled=False, workers=2) == \
+        _final_state("spatl", compiled=True, workers=2)
+    _assert_replay_engaged(fresh_registry)

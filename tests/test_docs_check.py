@@ -44,7 +44,8 @@ def test_readme_mentions_only_known_flags():
     # the allowlist and the scrape both feed the known set
     assert "--benchmark-only" in known          # external (pytest-benchmark)
     assert "--executors" in known               # scraped from bench_parallel
-    assert "--executor" in known                # repro.cli parser
+    assert "--workers" in known                 # repro.cli parser
+    assert "--executor" not in known            # --workers selects the engine
     assert "--shm" not in known                 # removed with the transport
 
 

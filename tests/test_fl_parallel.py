@@ -339,7 +339,9 @@ def test_avg_loss_ignores_non_finite(eight_client_setting):
 
 # ------------------------------------------------------------ factory
 def test_make_executor_dispatch():
-    assert isinstance(make_executor(0), SerialExecutor)
+    for workers in (0, -2):     # out of range is an error, not serial
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            make_executor(workers)
     assert isinstance(make_executor(1), SerialExecutor)
     pooled = make_executor(2)
     assert isinstance(pooled, ProcessPoolRoundExecutor)

@@ -14,8 +14,7 @@ The contracts under test:
 - the algorithm level — ``bits=32`` is byte-identical to the unquantized
   run (the CI golden), the ledger charges exactly the codec-reported
   bytes, and quantized runs compose byte-identically across the process
-  pool, the vectorized executor, the async runtime, and the
-  population-scale streaming folds;
+  pool, the async runtime, and the population-scale streaming folds;
 - the sparse-at-init algorithms — SSFL's zero-bootstrap magnitude mask
   and SalientGrads' charged gradient-saliency mask, index-free uplinks,
   unmasked coordinates pinned at init, and multiplicative stacking with
@@ -363,15 +362,13 @@ class TestComposition:
         algo.run(ROUNDS)
         return algo
 
-    @pytest.mark.parametrize("kind,workers", [("process", 2),
-                                              ("vectorized", 1)])
-    def test_executors_match_serial_bitwise(self, kind, workers,
-                                            tiny_model_fn, tiny_dataset,
-                                            tiny_setting):
+    @pytest.mark.parametrize("workers", [pytest.param(2, id="process-2")])
+    def test_executors_match_serial_bitwise(self, workers, tiny_model_fn,
+                                            tiny_dataset, tiny_setting):
         base = self._serial(tiny_model_fn, tiny_dataset, tiny_setting, INT4)
         algo = _build("fedavg", tiny_model_fn,
                       _fresh_clients(tiny_dataset, tiny_setting), quant=INT4,
-                      executor=make_executor(workers, kind=kind))
+                      executor=make_executor(workers))
         try:
             algo.run(ROUNDS)
         finally:
