@@ -38,7 +38,7 @@ from repro.experiments.learning_efficiency import converge_accuracy_summary
 from repro.experiments.pruning_compare import render_pruning_table
 from repro.obs import (OpProfiler, Tracer, codec_byte_totals, get_registry,
                        get_tracer, hotspot_table, round_timeline_table,
-                       set_tracer)
+                       set_tracer, step_compiler_line)
 
 
 def _cfg(args, **extra):
@@ -271,6 +271,8 @@ def cmd_profile(args) -> None:
     print(round_timeline_table(tracer))
     print()
     print(hotspot_table(profiler, n=12))
+    if cfg.compile:
+        print(step_compiler_line(tracer, get_registry().snapshot()["counters"]))
     codec = codec_byte_totals(tracer)
     print(f"codec bytes: serialize={int(codec['serialize'])} "
           f"deserialize={int(codec['deserialize'])} "

@@ -5,24 +5,103 @@ part of the communicated encoder state (as in the Non-IID benchmark's
 reference implementations), so they are registered buffers included in
 ``state_dict``.
 
-The batch-norm forward/backward routes its batch-sized intermediates
-through the layer's workspace slot and applies the elementwise chain
-in place (``out=``) — every operation keeps the operand order and
-accumulation order of the original allocating code, so training numerics
-stay byte-identical (asserted against :mod:`repro.nn.reference`).
-Under ``no_grad`` the forward skips closure/graph construction, and
-inside :func:`repro.nn.fuse.folded_inference` a BatchNorm that has been
-absorbed into its preceding conv becomes the identity (DESIGN.md §10).
+One kernel per direction (DESIGN.md §10.3): :func:`_forward_data` and
+:func:`_backward_data` hold the batch-norm arithmetic, and
+:meth:`_BatchNorm._normalize` adds the running-statistics update.  The
+eager :meth:`_BatchNorm.forward` and the step compiler's replay
+(:mod:`repro.tensor.compile.kernels`) both go through them.  Batch-sized
+intermediates live in the layer's workspace slot and the elementwise
+chain runs in place (``out=``); every operation keeps the operand order
+and accumulation order of the allocating formulation kept in
+:mod:`repro.nn.reference`, so training *and* evaluation numerics are
+byte-identical to it (asserted by the golden-state tests).  Under
+``no_grad`` the forward skips closure/graph construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import conv as _conv
 from repro.nn.module import Module, Parameter
 from repro.tensor import workspace
 from repro.tensor.tensor import Tensor, is_grad_enabled
+
+
+def _forward_data(xdata: np.ndarray, wdata: np.ndarray | None,
+                  bdata: np.ndarray | None, stats: tuple | None,
+                  axes: tuple[int, ...], shape: tuple[int, ...], eps: float,
+                  xhat: np.ndarray, sq: np.ndarray | None,
+                  out: np.ndarray | None = None):
+    """The forward kernel: ``(out, inv_std, mean, var)``.
+
+    ``stats`` is the frozen ``(mean, var)`` to normalise with (eval), or
+    ``None`` to use the batch's own (training, which needs the
+    input-shaped scratch ``sq``); either way the pair used is returned.
+    ``xhat`` (input-shaped) is filled with the normalised input — with
+    ``inv_std``, what :func:`_backward_data` needs.  ``out`` is freshly
+    allocated unless supplied.
+    """
+    if stats is None:
+        # Fused mean/var: ``np.var`` internally recomputes the keepdims
+        # mean, subtracts, squares, sums, and divides by the reduced
+        # count — replicating that exact op sequence with the same
+        # primitives lets one subtraction serve both the variance and
+        # the xhat numerator, bit-for-bit equal to separate
+        # ``mean()``/``var()`` calls.
+        mu = xdata.mean(axis=axes, keepdims=True)       # shape == `shape`
+        np.subtract(xdata, mu, out=xhat)                # x - mean
+        np.multiply(xhat, xhat, out=sq)
+        var = sq.sum(axis=axes) / (xdata.size // mu.size)
+        mean = mu.reshape(-1)
+    else:
+        mean, var = stats
+        np.subtract(xdata, mean.reshape(shape), out=xhat)
+
+    inv_std = 1.0 / np.sqrt(var.reshape(shape) + eps)
+    np.multiply(xhat, inv_std, out=xhat)
+    if wdata is None:
+        if out is None:
+            out = np.empty_like(xhat)
+        np.copyto(out, xhat)
+    else:
+        # out = xhat * w + b, in the allocating form's op order.
+        out = np.multiply(xhat, wdata.reshape(shape), out=out)
+        np.add(out, bdata.reshape(shape), out=out)
+    return out, inv_std, mean, var
+
+
+def _backward_data(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                   wdata: np.ndarray | None, axes: tuple[int, ...],
+                   shape: tuple[int, ...], training: bool,
+                   scratch: np.ndarray, db: np.ndarray | None = None,
+                   dw: np.ndarray | None = None,
+                   dx: np.ndarray | None = None) -> None:
+    """The backward kernel: fill the gradients the caller passes arrays for.
+
+    ``xhat`` / ``inv_std`` come from the matching :func:`_forward_data`
+    call and ``scratch`` is ``g``-shaped working memory; ``db`` / ``dw``
+    (per-feature) and ``dx`` (input-shaped) are overwritten, ``None``
+    skips that gradient.
+    """
+    if db is not None:
+        g.sum(axis=axes, out=db)
+    if dw is not None:
+        np.multiply(g, xhat, out=scratch)               # g * xhat
+        scratch.sum(axis=axes, out=dw)
+    if dx is not None:
+        np.multiply(g, 1.0 if wdata is None else wdata.reshape(shape), out=dx)
+        if training:
+            # Full batch-norm backward (mean/var depend on x), op-for-op
+            # (gx - gsum/n - xhat*gxhat_sum/n) * inv_std.
+            nred = g.size / inv_std.size
+            gsum = dx.sum(axis=axes, keepdims=True)
+            np.multiply(dx, xhat, out=scratch)
+            gxhat_sum = scratch.sum(axis=axes, keepdims=True)
+            np.subtract(dx, gsum / nred, out=dx)
+            np.multiply(xhat, gxhat_sum, out=scratch)
+            np.divide(scratch, nred, out=scratch)
+            np.subtract(dx, scratch, out=dx)
+        np.multiply(dx, inv_std, out=dx)
 
 
 class _BatchNorm(Module):
@@ -51,31 +130,20 @@ class _BatchNorm(Module):
     def _shape(self, x: Tensor) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def forward(self, x: Tensor) -> Tensor:
-        if _conv._FOLDED_BNS and not self.training \
-                and id(self) in _conv._FOLDED_BNS:
-            return x        # absorbed into the preceding conv for this eval
-        axes = self._axes(x)
-        shape = self._shape(x)
-        a = x
-        ws = workspace.slot_for(self)
-        # xhat = (x - mu) * inv_std, built in an arena buffer (the backward
-        # closure captures it; one forward per backward, DESIGN.md §10).
-        xhat = ws.buffer("batchnorm.xhat", x.data.shape, x.data.dtype)
+    def _normalize(self, xdata: np.ndarray, axes, shape, xhat: np.ndarray,
+                   sq: np.ndarray | None, out: np.ndarray | None = None):
+        """One forward on arrays, ``(out, inv_std)``: the kernel, plus — in
+        training mode — the batch folded into the running statistics.
+        What the eager forward and a replayed step both run."""
+        wdata = bdata = None
+        if self.affine:
+            wdata, bdata = self.weight.data, self.bias.data
+        stats = None if self.training else (self.running_mean,
+                                            self.running_var)
+        out, inv_std, mean, var = _forward_data(
+            xdata, wdata, bdata, stats, axes, shape, self.eps, xhat, sq, out)
         if self.training:
-            # Fused mean/var: ``np.var`` internally recomputes the keepdims
-            # mean, subtracts, squares, sums, and divides by the reduced
-            # count — replicating that exact op sequence with the same
-            # primitives lets one subtraction serve both the variance and
-            # the xhat numerator, bit-for-bit equal to the separate
-            # ``mean()``/``var()`` calls of the allocating path.
-            mu = x.data.mean(axis=axes, keepdims=True)   # shape == `shape`
-            np.subtract(x.data, mu, out=xhat)            # x - mean
-            sq = ws.buffer("batchnorm.scratch", x.data.shape, x.data.dtype)
-            np.multiply(xhat, xhat, out=sq)
-            var = sq.sum(axis=axes) / (x.data.size // self.num_features)
-            mean = mu.reshape(-1)
-            n = x.data.size / self.num_features
+            n = xdata.size / self.num_features
             # unbiased running var, biased batch var for normalisation
             unbiased = var * n / max(n - 1, 1)
             m = self.momentum
@@ -84,72 +152,53 @@ class _BatchNorm(Module):
             self.set_buffer("running_var",
                             (1 - m) * self.running_var + m * unbiased.astype(np.float32))
             self.set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-            np.subtract(x.data, mean.reshape(shape), out=xhat)
+        return out, inv_std
 
-        inv_std = 1.0 / np.sqrt(var.reshape(shape) + self.eps)
-        np.multiply(xhat, inv_std, out=xhat)
-
-        if self.affine:
-            w = self.weight
-            b = self.bias
-            # out = xhat * w + b with the same op order as the allocating
-            # form; out_data is fresh (it becomes the node payload).
-            out_data = np.multiply(xhat, w.data.reshape(shape))
-            np.add(out_data, b.data.reshape(shape), out=out_data)
-        else:
-            w = b = None
-            out_data = xhat.copy()
-
+    def forward(self, x: Tensor) -> Tensor:
+        axes = self._axes(x)
+        shape = self._shape(x)
+        ws = workspace.slot_for(self)
+        # Arena buffers the backward closure captures (one forward per
+        # backward, DESIGN.md §10).
+        xhat = ws.buffer("batchnorm.xhat", x.data.shape, x.data.dtype)
+        sq = None
+        if self.training:
+            sq = ws.buffer("batchnorm.scratch", x.data.shape, x.data.dtype)
+        out_data, inv_std = self._normalize(x.data, axes, shape, xhat, sq)
         out_data = out_data.astype(x.dtype, copy=False)
-        grad_needed = is_grad_enabled() and (
-            a.requires_grad or (w is not None and w.requires_grad)
-            or (b is not None and b.requires_grad))
-        if not grad_needed:
+        w, b = self.weight, self.bias
+        if not (is_grad_enabled() and (
+                x.requires_grad or (w is not None and
+                                    (w.requires_grad or b.requires_grad)))):
             return Tensor(out_data, dtype=out_data.dtype)
 
         training = self.training
-        nred = x.data.size / self.num_features
 
         def backward(g):
-            if b is not None and b.requires_grad:
-                b._accumulate(g.sum(axis=axes), donate="fresh")
             scratch = ws.buffer("batchnorm.scratch", g.shape, g.dtype)
+            db = dw = dx = None
+            if b is not None and b.requires_grad:
+                db = np.empty(b.shape, g.dtype)
             if w is not None and w.requires_grad:
-                np.multiply(g, xhat, out=scratch)           # g * xhat
-                w._accumulate(scratch.sum(axis=axes), donate="fresh")
-            if a.requires_grad:
-                gx = ws.buffer("batchnorm.gx", g.shape, g.dtype)
-                if w is not None:
-                    np.multiply(g, w.data.reshape(shape), out=gx)
-                else:
-                    np.multiply(g, 1.0, out=gx)
-                if training:
-                    # full batch-norm backward (mean/var depend on x);
-                    # op-for-op the allocating form
-                    # (gx - gsum/n - xhat*gxhat_sum/n) * inv_std.
-                    gsum = gx.sum(axis=axes, keepdims=True)
-                    np.multiply(gx, xhat, out=scratch)
-                    gxhat_sum = scratch.sum(axis=axes, keepdims=True)
-                    np.subtract(gx, gsum / nred, out=gx)
-                    np.multiply(xhat, gxhat_sum, out=scratch)
-                    np.divide(scratch, nred, out=scratch)
-                    np.subtract(gx, scratch, out=gx)
-                    np.multiply(gx, inv_std, out=gx)
-                    da = gx
-                else:
-                    np.multiply(gx, inv_std, out=gx)
-                    da = gx
-                # ``da`` is arena memory, valid until this layer's next
-                # forward; scratch donation lets non-leaf parents take it
-                # without a copy while leaves still copy (DESIGN.md §10).
-                a._accumulate(da.astype(x.dtype, copy=False),
+                dw = np.empty(w.shape, g.dtype)
+            if x.requires_grad:
+                dx = ws.buffer("batchnorm.gx", g.shape, g.dtype)
+            _backward_data(g, xhat, inv_std, None if w is None else w.data,
+                           axes, shape, training, scratch, db, dw, dx)
+            if db is not None:
+                b._accumulate(db, donate="fresh")
+            if dw is not None:
+                w._accumulate(dw, donate="fresh")
+            if dx is not None:
+                # Arena memory, valid until this layer's next backward;
+                # scratch donation lets non-leaf parents take it without
+                # a copy while leaves still copy (DESIGN.md §10).
+                x._accumulate(dx.astype(x.dtype, copy=False),
                               donate="scratch")
 
-        parents = (a,) if w is None else (a, w, b)
-        return Tensor._make(out_data, parents, backward)
+        parents = (x,) if w is None else (x, w, b)
+        return Tensor._make(out_data, parents, backward,
+                            (self, axes, shape, ws))
 
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}({self.num_features})"

@@ -11,6 +11,10 @@ configurations the models use, results are byte-identical to the
 original formulation (see :mod:`repro.nn.reference`); the overlapping
 ``np.bincount`` path accumulates in float64 and is covered by float64
 gradchecks instead.
+
+Max pooling's arithmetic is written once, in :func:`_max_forward_data`
+and :func:`_max_backward_data`: the eager :func:`max_pool2d` allocates
+the arrays they fill, the step compiler's replay passes planned ones.
 """
 
 from __future__ import annotations
@@ -32,50 +36,71 @@ def _pool_flat_base(n: int, c: int, h: int, w: int, ho: int, wo: int,
     return base + np.arange(wo).reshape(1, 1, 1, wo) * s
 
 
+def _windows(xdata: np.ndarray, k: int, s: int) -> np.ndarray:
+    """(N, C, Ho, Wo, k, k) strided view of every pooling window."""
+    return sliding_window_view(xdata, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+
+
+def _max_forward_data(windows: np.ndarray, flat: np.ndarray, arg: np.ndarray,
+                      out: np.ndarray) -> None:
+    """The max-pool forward kernel over :func:`_windows` of the input.
+
+    Fills ``flat`` (the windows, materialised contiguously), ``arg`` (intp,
+    each window's argmax in ``0..k*k``, what :func:`_max_backward_data`
+    needs) and ``out`` (the maxima).
+    """
+    np.copyto(flat, windows)
+    flat = flat.reshape(arg.shape + (-1,))
+    np.argmax(flat, axis=-1, out=arg)
+    np.copyto(out, np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
+
+
+def _max_backward_data(g: np.ndarray, arg: np.ndarray, k: int, s: int,
+                       ws: workspace.WorkspaceSlot, dx: np.ndarray) -> None:
+    """The max-pool backward kernel: route ``g`` to each window's argmax
+    cell of ``dx``, the zeroed, C-contiguous input-shaped gradient."""
+    n, c, h, w = dx.shape
+    ho, wo = arg.shape[2:]
+    ki, kj = np.divmod(arg, k)
+    base = ws.cached("maxpool.base", (n, c, h, w, ho, wo, s),
+                     lambda: _pool_flat_base(n, c, h, w, ho, wo, s))
+    flat_idx = base + ki * w + kj
+    if s >= k:
+        # Disjoint windows: each input cell gets at most one gradient,
+        # so fancy-index assignment into zeros equals the add-scatter.
+        dx.reshape(-1)[flat_idx.reshape(-1)] = np.ravel(g)
+    else:
+        # Overlapping windows can hit a cell repeatedly; bincount
+        # accumulates (in float64 — exact for the float64 gradchecks).
+        acc = np.bincount(flat_idx.reshape(-1), weights=np.ravel(g),
+                          minlength=dx.size)
+        dx[...] = acc.reshape(dx.shape)
+
+
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
                ws: workspace.WorkspaceSlot | None = None) -> Tensor:
     """Max pooling with square window; stride defaults to the window size."""
     k = kernel_size
     s = stride or k
-    n, c, h, w = x.shape
-    ho = (h - k) // s + 1
-    wo = (w - k) // s + 1
-    windows = sliding_window_view(x.data, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    # (N, C, Ho, Wo, k, k)
-    flat = windows.reshape(n, c, ho, wo, k * k)
-
+    windows = _windows(x.data, k, s)
     if not (is_grad_enabled() and x.requires_grad):
         # Inference fast path: the max alone, no argmax bookkeeping.
+        flat = windows.reshape(windows.shape[:4] + (k * k,))
         return Tensor(np.ascontiguousarray(flat.max(axis=-1)),
                       dtype=x.data.dtype)
 
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out_data = np.ascontiguousarray(out_data)
-    a = x
+    ws = ws or workspace.WorkspaceSlot()
+    flat = np.empty(windows.shape, x.data.dtype)
+    arg = np.empty(windows.shape[:4], np.intp)
+    out_data = np.empty(windows.shape[:4], x.data.dtype)
+    _max_forward_data(windows, flat, arg, out_data)
 
     def backward(g):
-        dx = np.zeros_like(a.data)
-        ki, kj = np.divmod(arg, k)
-        if ws is None:
-            base = _pool_flat_base(n, c, h, w, ho, wo, s)
-        else:
-            base = ws.cached("maxpool.base", (n, c, h, w, ho, wo, s),
-                             lambda: _pool_flat_base(n, c, h, w, ho, wo, s))
-        flat_idx = base + ki * w + kj
-        if s >= k:
-            # Disjoint windows: each input cell gets at most one gradient,
-            # so fancy-index assignment into zeros equals the add-scatter.
-            dx.reshape(-1)[flat_idx.reshape(-1)] = np.ravel(g)
-        else:
-            # Overlapping windows can hit a cell repeatedly; bincount
-            # accumulates (in float64 — exact for the float64 gradchecks).
-            acc = np.bincount(flat_idx.reshape(-1), weights=np.ravel(g),
-                              minlength=dx.size)
-            dx[...] = acc.reshape(dx.shape)
-        a._accumulate(dx, donate="fresh")
+        dx = np.zeros_like(x.data)
+        _max_backward_data(g, arg, k, s, ws, dx)
+        x._accumulate(dx, donate="fresh")
 
-    return Tensor._make(out_data, (a,), backward)
+    return Tensor._make(out_data, (x,), backward, (k, s, ws))
 
 
 def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
@@ -86,12 +111,12 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
     n, c, h, w = x.shape
     ho = (h - k) // s + 1
     wo = (w - k) // s + 1
-    windows = sliding_window_view(x.data, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    out_data = np.ascontiguousarray(windows.mean(axis=(-1, -2)))
+    out_data = np.ascontiguousarray(_windows(x.data, k, s).mean(axis=(-1, -2)))
 
     if not (is_grad_enabled() and x.requires_grad):
         return Tensor(out_data, dtype=out_data.dtype)
 
+    ws = ws or workspace.WorkspaceSlot()
     a = x
 
     def backward(g):
@@ -99,12 +124,12 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
             # Non-overlapping tiling: k*k strided assignments of the
             # scaled gradient, each writing every window's (i, j) tap in
             # one pass — no scatter, and (when the tiling covers the
-            # input exactly) nothing to zero first.  dx and the scaled
-            # gradient come from the arena when the consumer can take
-            # scratch (non-leaf input); a leaf input gets a fresh array
-            # since leaves never alias arena memory.
+            # input exactly) nothing to zero first.  dx comes from the
+            # arena when the consumer can take scratch (non-leaf input);
+            # a leaf input gets a fresh array since leaves never alias
+            # arena memory.
             covered = (h == ho * k and w == wo * k)
-            if ws is not None and a._backward is not None:
+            if a._backward is not None:
                 dx = ws.buffer("avgpool.dx", a.data.shape, a.data.dtype,
                                zero="never" if covered else "always")
                 donate = "scratch"
@@ -112,11 +137,8 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
                 dx = (np.empty_like(a.data) if covered
                       else np.zeros_like(a.data))
                 donate = "fresh"
-            if ws is not None:
-                gk = ws.buffer("avgpool.gk", g.shape, g.dtype)
-                np.divide(g, k * k, gk)
-            else:
-                gk = g / (k * k)
+            gk = ws.buffer("avgpool.gk", g.shape, g.dtype)
+            np.divide(g, k * k, gk)
             for i in range(k):
                 for j in range(k):
                     dx[:, :, i:i + s * ho:s, j:j + s * wo:s] = gk

@@ -255,10 +255,10 @@ def reference_getitem(self, idx):
 
 
 # --------------------------------------------------------------------- #
-# Client.evaluate (original graph-building eval, no no_grad / folding)   #
+# Client.evaluate (original graph-building eval, no no_grad)             #
 # --------------------------------------------------------------------- #
 def reference_evaluate(self, model, data=None, batch_size=256):
-    """Pre-PR ``Client.evaluate``: plain eval loop, no BN folding."""
+    """Pre-PR ``Client.evaluate``: plain graph-building eval loop."""
     from repro.tensor import functional as F
     from repro.utils.metrics import RunningAverage
     data = data if data is not None else self.val_data

@@ -34,7 +34,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.profiler import OpProfiler, OpStat
 from repro.obs.report import (codec_byte_totals, hotspot_table,
                               round_timeline_table, span_attr_total,
-                              span_total_seconds)
+                              span_total_seconds, step_compiler_line)
 
 __all__ = [
     "Span", "Tracer", "NullTracer", "NULL_SPAN", "get_tracer", "set_tracer",
@@ -42,5 +42,5 @@ __all__ = [
     "get_registry", "set_registry", "peak_rss_bytes", "observe_peak_rss",
     "OpProfiler", "OpStat", "hotspot_table",
     "round_timeline_table", "span_attr_total", "span_total_seconds",
-    "codec_byte_totals",
+    "codec_byte_totals", "step_compiler_line",
 ]

@@ -96,3 +96,22 @@ def codec_byte_totals(tracer) -> dict[str, float]:
     """
     return {"serialize": span_attr_total(tracer, "serialize", "bytes"),
             "deserialize": span_attr_total(tracer, "deserialize", "bytes")}
+
+
+def step_compiler_line(tracer, counters: dict[str, float]) -> str:
+    """One line on what the step compiler did in a ``--compile`` run.
+
+    Replayed steps run no ``Module.forward`` and no ``Tensor.backward``,
+    so they bypass both profiler hooks: the hotspot table of such a run
+    covers only its capture and fallback steps, and this line says where
+    the rest went.  ``counters`` is a metrics snapshot's counter dict.
+    """
+    def total(name):
+        return int(sum(v for k, v in counters.items()
+                       if k == name or k.startswith(name + "{")))
+
+    return (f"step compiler: {total('compile.captures')} captures, "
+            f"{total('compile.replays')} replays "
+            f"({span_total_seconds(tracer, 'compile.replay'):.1f} s), "
+            f"{total('compile.fallbacks')} fallbacks — replayed steps are "
+            f"not in the op table")

@@ -1,12 +1,18 @@
 """Per-op emitters: captured tape records -> planned instructions.
 
-Every emitter replays the *exact* arithmetic of its eager counterpart
-(:mod:`repro.tensor.tensor`, :mod:`repro.nn.conv`, :mod:`repro.nn.norm`,
-:mod:`repro.nn.pooling`, :mod:`repro.tensor.functional`) with outputs
-redirected into planned buffers — same operands, same operand order, same
-accumulation order, so replayed steps are byte-identical to eager steps
-(the ``out=`` forms of NumPy ufuncs/reductions/GEMMs are bitwise equal to
+An emitter owns what is the planner's — where each output lives, how long
+it lives, and how a gradient contribution reaches its parent — and none of
+the arithmetic.  The heavy ops (conv2d, batch norm, max-pool, cross
+entropy) are replayed by calling the *same* kernel functions the eager ops
+call (:func:`repro.nn.conv._forward_data` / ``_backward_data`` and their
+siblings in :mod:`repro.nn.norm`, :mod:`repro.nn.pooling`,
+:mod:`repro.tensor.functional`) with planned output buffers, so a replayed
+step is byte-identical to an eager one by construction; the cheap
+elementwise/shape ops are single ``out=`` ufunc calls (bitwise equal to
 their allocating forms, the invariant DESIGN.md §10 already relies on).
+What an op needs beyond its parent tensors — stride, axis, workspace slot —
+arrives in ``Record.args``, the tuple the op itself passed to
+``Tensor._make``; nothing is read out of a backward closure.
 
 Gradient flow mirrors :meth:`Tensor._accumulate`'s donation contract:
 
@@ -27,17 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import conv as _conv, norm as _norm, pooling as _pooling
+from repro.tensor import functional as _F
 from repro.tensor.compile.ir import Handle, PlanBuilder, Unsupported, View
 
 _POISON = object()       # value slot of a fused-away node: must never be read
-
-
-def freevars(fn) -> dict:
-    """The closure's free variables by name (op operands and geometry)."""
-    if fn.__closure__ is None:
-        return {}
-    return dict(zip(fn.__code__.co_freevars,
-                    (c.cell_contents for c in fn.__closure__)))
 
 
 def _base_of(value):
@@ -49,26 +49,22 @@ def _base_of(value):
 
 
 class Record:
-    """One captured op: output tensor, parents, backward closure."""
+    """One captured op: output tensor, parents, op name, declared operands."""
 
-    __slots__ = ("out", "parents", "backward", "op", "free")
+    __slots__ = ("out", "parents", "op", "args")
 
-    def __init__(self, out, parents, backward, op):
+    def __init__(self, out, parents, op, args):
         self.out = out
         self.parents = parents
-        self.backward = backward
         self.op = op
-        self.free = freevars(backward)
+        self.args = args
 
 
 class Build:
     """Mutable state of one plan construction (shared by all emitters)."""
 
-    def __init__(self, pb: PlanBuilder, model, x_in, in_buf, lab_buf):
+    def __init__(self, pb: PlanBuilder, x_in, in_buf, lab_buf):
         self.pb = pb
-        self.model = model
-        self.x_in = x_in
-        self.in_buf = in_buf
         self.lab_buf = lab_buf
         self.vals: dict[int, object] = {id(x_in): in_buf}
         self.gref: dict[int, object] = {}
@@ -76,16 +72,12 @@ class Build:
         self.records: dict[int, Record] = {}
         self.req_false: set[int] = set()
         self.consumer_recs: dict[int, list[Record]] = {}
-        self.params: dict[int, str] = {}
-        self.bn_by_weight: dict[int, object] = {}
-        self.pgrads: dict[int, np.ndarray] = {}
+        self.params: set[int] = set()
         self.param_grads: list[tuple] = []
         self.pending_fusion: dict[int, Record] = {}
         self.claimed_slots: dict[int, object] = {}   # id(slot) -> slot
         self.loss_cell = [0.0]
-        self.arange_n: np.ndarray | None = None
         self.fused_fwd = 0
-        self.fused_bwd = 0
 
     # ------------------------------------------------------------ values
     def val(self, t):
@@ -111,61 +103,65 @@ class Build:
         """A workspace slot driving one op per step: a second claim means
         a module ran twice (weight sharing), which the one-forward-per-
         backward arena discipline cannot replay."""
-        if ws is not None:
-            if id(ws) in self.claimed_slots:
-                raise Unsupported("module executed twice per step")
-            self.claimed_slots[id(ws)] = ws
+        if id(ws) in self.claimed_slots:
+            raise Unsupported("module executed twice per step")
+        self.claimed_slots[id(ws)] = ws
 
     # ----------------------------------------------------- contributions
-    def _grad_target(self, parent, shape, name):
-        pid = id(parent)
-        if pid in self.params:
-            buf = self.pgrads.get(pid)
-            if buf is None:
-                if tuple(shape) != parent.data.shape:
-                    raise Unsupported("parameter grad shape mismatch")
-                buf = self.pb.persistent(shape, parent.data.dtype)
-                self.pgrads[pid] = buf
-                self.param_grads.append((parent, buf))
+    def _grad_target(self, parent, name):
+        if id(parent) in self.params:
+            buf = self.pb.persistent(parent.data.shape, parent.data.dtype)
+            self.param_grads.append((parent, buf))
             return buf
-        return self.pb.alloc(shape, parent.data.dtype, name)
+        return self.pb.alloc(parent.data.shape, parent.data.dtype, name)
 
-    def contrib_compute(self, parent, shape, dtype, make, uses, name="grad"):
-        """A contribution eager computes into a fresh array.
+    def contrib_kernel(self, outs, make, uses):
+        """Contributions eager computes into fresh arrays, one instruction
+        for all of them (one backward kernel call fills several).
 
-        ``make(resolve, out_arr) -> closure`` computes the contribution
-        into ``out_arr``.  First touch computes straight into the parent's
-        gradient buffer (same values as eager's fresh-array donation);
-        later touches compute into a temporary and ``+=`` it, mirroring
-        ``self.grad += grad``.
+        ``outs`` is a list of ``(parent, dtype, name)``, ``dtype`` being
+        what eager's fresh array would have; ``make(resolve, *arrays) ->
+        closure`` computes contribution ``i`` into ``arrays[i]`` — ``None``
+        where the parent is absent or takes no gradient.  First touch
+        computes straight into the parent's gradient buffer (same values
+        as eager's fresh-array donation); later touches compute into a
+        temporary and ``+=`` it, mirroring ``self.grad += grad``.
         """
-        if not parent.requires_grad:
-            return
-        if np.dtype(dtype) != parent.data.dtype:
-            raise Unsupported("gradient dtype mismatch")
-        cur = self.gref.get(id(parent))
-        if cur is None:
-            target = self._grad_target(parent, shape, name)
+        targets, adds = [], []
+        for parent, dtype, name in outs:
+            if parent is None or not parent.requires_grad:
+                targets.append(None)
+                continue
+            if np.dtype(dtype) != parent.data.dtype:
+                raise Unsupported("gradient dtype mismatch")
+            cur = self.gref.get(id(parent))
+            if cur is None:
+                target = self.gref[id(parent)] = self._grad_target(parent, name)
+            else:
+                target = self.pb.alloc(parent.data.shape, dtype, name + ".tmp")
+                adds.append((cur, target))
+            targets.append(target)
 
-            def factory(r, make=make, target=target):
-                return make(r, r(target))
+        def factory(r):
+            inner = make(r, *(t if t is None else r(t) for t in targets))
+            if not adds:
+                return inner
+            pairs = [(r(cur), r(tmp)) for cur, tmp in adds]
 
-            self.pb.emit(factory, uses + [target])
-            self.gref[id(parent)] = target
-        else:
-            tmp = self.pb.alloc(shape, dtype, name + ".tmp")
-
-            def factory(r, make=make, tmp=tmp, cur=cur):
-                inner = make(r, r(tmp))
-                gp = r(cur)
-                tarr = r(tmp)
-
-                def run():
-                    inner()
+            def run():
+                inner()
+                for gp, tarr in pairs:
                     np.add(gp, tarr, out=gp)
-                return run
+            return run
 
-            self.pb.emit(factory, uses + [tmp, cur])
+        self.pb.emit(factory, uses + [t for t in targets if t is not None]
+                     + [cur for cur, _ in adds])
+
+    def contrib_compute(self, parent, dtype, make, uses, name="grad"):
+        """:meth:`contrib_kernel` for one parent; nothing is emitted when
+        it takes no gradient."""
+        if parent.requires_grad:
+            self.contrib_kernel([(parent, dtype, name)], make, uses)
 
     def contrib_view(self, parent, value, donate, uses, name="grad"):
         """A contribution that is existing memory (a view of the node's
@@ -182,7 +178,7 @@ class Build:
                     self.pb.touch(u)
                 self.pb.touch(value)
                 return
-            target = self._grad_target(parent, parent.data.shape, name)
+            target = self._grad_target(parent, name)
 
             def factory(r, value=value, target=target):
                 src = r(value)
@@ -205,82 +201,53 @@ class Build:
 # ===================================================================== #
 
 def fwd_conv2d(ctx: Build, rec: Record) -> None:
-    """Emit Conv2d forward via the workspace im2col path into an arena slot."""
-    f = rec.free
-    ws = f["ws"]
-    if ws is None:
-        raise Unsupported("conv2d without workspace slot")
+    """Emit the conv2d forward kernel into a planned output buffer."""
+    stride, padding, ws = rec.args
     ctx.claim_slot(ws)
-    x, weight, bias = f["x"], f["weight"], f["bias"]
-    stride, padding = f["stride"], f["padding"]
+    x, weight, *bias = rec.parents
     xref = ctx.val(x)
     out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "conv.out")
     wdata = weight.data
-    bdata = None if bias is None else bias.data
-    from repro.nn.conv import _forward_data
+    bdata = bias[0].data if bias else None
+    cols = ctx.aux[id(rec.out)] = [None]      # forward -> backward, per step
 
     def factory(r):
-        xr = r(xref)
-        oa = r(out_h)
-        return lambda: _forward_data(xr, wdata, bdata, stride, padding, ws,
-                                     out_arr=oa)
+        xr, oa = r(xref), r(out_h)
+
+        def run():
+            cols[0] = _conv._forward_data(xr, wdata, bdata, stride, padding,
+                                          ws, out_arr=oa)[1]
+        return run
 
     ctx.pb.emit(factory, [xref, out_h])
     ctx.vals[id(rec.out)] = out_h
 
 
 def fwd_batchnorm(ctx: Build, rec: Record) -> None:
-    """Emit train-mode BatchNorm forward plus its running-stat updates."""
-    f = rec.free
-    ws, w, b, x = f["ws"], f["w"], f["b"], f["x"]
-    axes, shape, nred = f["axes"], f["shape"], f["nred"]
-    if w is None or b is None:
-        raise Unsupported("batchnorm without affine parameters")
-    if not f["training"]:
-        raise Unsupported("batchnorm captured in eval mode")
-    mod = ctx.bn_by_weight.get(id(w))
-    if mod is None:
-        raise Unsupported("batchnorm module not found")
-    if rec.out.data.dtype != x.data.dtype:
+    """Emit the layer's own array-level forward (kernel + running stats)."""
+    mod, axes, shape, ws = rec.args
+    oshape, dtype = rec.out.data.shape, rec.out.data.dtype
+    if dtype != rec.parents[0].data.dtype:
         raise Unsupported("batchnorm dtype change")
     ctx.claim_slot(ws)
-    xhat = f["xhat"]                              # stable arena buffer
-    sq = ws.buffer("batchnorm.scratch", x.data.shape, x.data.dtype)
-    red_count = x.data.size // mod.num_features
-    xref = ctx.val(x)
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "bn.out")
-    inv_cell = [None]
-    wdata, bdata = w.data, b.data
+    xref = ctx.val(rec.parents[0])
+    out_h = ctx.pb.alloc(oshape, dtype, "bn.out")
+    xhat = ws.buffer("batchnorm.xhat", oshape, dtype)
+    scratch = ws.buffer("batchnorm.scratch", oshape, dtype)
+    # What the backward kernel takes; inv_std and the mode are per step.
+    saved = ctx.aux[id(rec.out)] = [xhat, scratch, None, None]
 
     def factory(r):
-        xr = r(xref)
-        oa = r(out_h)
+        xr, oa = r(xref), r(out_h)
 
         def run():
-            mu = xr.mean(axis=axes, keepdims=True)
-            np.subtract(xr, mu, out=xhat)
-            np.multiply(xhat, xhat, out=sq)
-            var = sq.sum(axis=axes) / red_count
-            mean = mu.reshape(-1)
-            unbiased = var * nred / max(nred - 1, 1)
-            m = mod.momentum
-            mod.set_buffer("running_mean",
-                           (1 - m) * mod.running_mean
-                           + m * mean.astype(np.float32))
-            mod.set_buffer("running_var",
-                           (1 - m) * mod.running_var
-                           + m * unbiased.astype(np.float32))
-            mod.set_buffer("num_batches_tracked", mod.num_batches_tracked + 1)
-            inv_std = 1.0 / np.sqrt(var.reshape(shape) + mod.eps)
-            np.multiply(xhat, inv_std, out=xhat)
-            np.multiply(xhat, wdata.reshape(shape), out=oa)
-            np.add(oa, bdata.reshape(shape), out=oa)
-            inv_cell[0] = inv_std
+            saved[2] = mod._normalize(xr, axes, shape, xhat, scratch,
+                                      out=oa)[1]
+            saved[3] = mod.training
         return run
 
     ctx.pb.emit(factory, [xref, out_h])
     ctx.vals[id(rec.out)] = out_h
-    ctx.aux[id(rec.out)] = inv_cell
 
 
 def fwd_relu(ctx: Build, rec: Record) -> None:
@@ -377,8 +344,7 @@ def fwd_matmul(ctx: Build, rec: Record) -> None:
 
 def fwd_sum(ctx: Build, rec: Record) -> None:
     """Emit a reduction matching the recorded axis/keepdims."""
-    f = rec.free
-    axis, keepdims = f["axis"], f["keepdims"]
+    axis, keepdims = rec.args
     xref = ctx.val(rec.parents[0])
     out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "sum.out")
 
@@ -411,8 +377,7 @@ def fwd_reshape(ctx: Build, rec: Record) -> None:
 
 def fwd_transpose(ctx: Build, rec: Record) -> None:
     """Emit transpose as a strided view of the parent's buffer."""
-    inv = rec.free["inv"]
-    axes = tuple(int(i) for i in np.argsort(inv))
+    axes, _ = rec.args
     xref = ctx.val(rec.parents[0])
     ctx.vals[id(rec.out)] = View(_base_of(xref),
                                  lambda r: r(xref).transpose(axes))
@@ -420,18 +385,16 @@ def fwd_transpose(ctx: Build, rec: Record) -> None:
 
 def fwd_getitem(ctx: Build, rec: Record) -> None:
     """Emit basic (slice) indexing as a view; fancy indexing is unsupported."""
-    f = rec.free
-    if not f["basic"]:
+    idx, basic = rec.args
+    if not basic:
         raise Unsupported("fancy indexing")
-    idx = f["idx"]
     xref = ctx.val(rec.parents[0])
     ctx.vals[id(rec.out)] = View(_base_of(xref), lambda r: r(xref)[idx])
 
 
 def fwd_concatenate(ctx: Build, rec: Record) -> None:
     """Emit concatenate as per-part copies into one arena slot."""
-    f = rec.free
-    axis, offsets = f["axis"], f["offsets"]
+    axis, offsets = rec.args
     srcs = [ctx.val(t) for t in rec.parents]
     out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "concat.out")
     ndim = rec.out.data.ndim
@@ -455,35 +418,19 @@ def fwd_concatenate(ctx: Build, rec: Record) -> None:
 
 
 def fwd_max_pool2d(ctx: Build, rec: Record) -> None:
-    """Emit non-overlapping max-pool forward, keeping flat argmax indices."""
-    f = rec.free
-    n, c, h, w = f["n"], f["c"], f["h"], f["w"]
-    ho, wo, k, s = f["ho"], f["wo"], f["k"], f["s"]
-    ws = f["ws"]
-    if s < k:
-        raise Unsupported("overlapping max-pool")
+    """Emit the max-pool forward kernel, keeping the argmaxes for backward."""
+    k, s, ws = rec.args
     ctx.claim_slot(ws)
     xref = ctx.val(rec.parents[0])
-    dtype = rec.out.data.dtype
-    flat_h = ctx.pb.alloc((n, c, ho, wo, k, k), dtype, "maxpool.flat")
-    arg_h = ctx.pb.alloc((n, c, ho, wo), np.intp, "maxpool.arg")
-    out_h = ctx.pb.alloc(rec.out.data.shape, dtype, "maxpool.out")
+    oshape, dtype = rec.out.data.shape, rec.out.data.dtype
+    flat_h = ctx.pb.alloc(oshape + (k, k), dtype, "maxpool.flat")
+    arg_h = ctx.pb.alloc(oshape, np.intp, "maxpool.arg")
+    out_h = ctx.pb.alloc(oshape, dtype, "maxpool.out")
 
     def factory(r):
-        from numpy.lib.stride_tricks import sliding_window_view
-        xr = r(xref)
-        windows = sliding_window_view(xr, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        flat6 = r(flat_h)
-        flat = flat6.reshape(n, c, ho, wo, k * k)
-        arg = r(arg_h)
-        oa = r(out_h)
-
-        def run():
-            np.copyto(flat6, windows)
-            np.argmax(flat, axis=-1, out=arg)
-            tal = np.take_along_axis(flat, arg[..., None], axis=-1)
-            np.copyto(oa, tal[..., 0])
-        return run
+        windows = _pooling._windows(r(xref), k, s)
+        flat, arg, oa = r(flat_h), r(arg_h), r(out_h)
+        return lambda: _pooling._max_forward_data(windows, flat, arg, oa)
 
     ctx.pb.emit(factory, [xref, flat_h, arg_h, out_h])
     ctx.vals[id(rec.out)] = out_h
@@ -491,40 +438,26 @@ def fwd_max_pool2d(ctx: Build, rec: Record) -> None:
 
 
 def fwd_cross_entropy(ctx: Build, rec: Record) -> None:
-    """Emit softmax cross-entropy (the loss root) into the scalar loss cell."""
-    f = rec.free
-    n = f["n"]
+    """Emit the cross-entropy forward kernel (the loss root) into the
+    scalar loss cell."""
     logits = rec.parents[0]
-    if ctx.lab_buf.shape != (n,):
+    if ctx.lab_buf.shape != logits.data.shape[:1]:
         raise Unsupported("label shape mismatch")
-    ctx.arange_n = np.arange(n)
-    lshape = logits.data.shape
     ldtype = logits.data.dtype
     xref = ctx.val(logits)
-    sh = ctx.pb.alloc(lshape, ldtype, "ce.shifted")
-    e = ctx.pb.alloc(lshape, ldtype, "ce.exp")
-    logp = ctx.pb.alloc(lshape, ldtype, "ce.logp")
-    soft = ctx.pb.alloc(lshape, ldtype, "ce.soft")
-    loss_cell = ctx.loss_cell
-    lab = ctx.lab_buf
-    ar = ctx.arange_n
+    logp = ctx.pb.alloc(logits.data.shape, ldtype, "ce.logp")
+    soft = ctx.pb.alloc(logits.data.shape, ldtype, "ce.soft")
+    loss_cell, lab = ctx.loss_cell, ctx.lab_buf
 
     def factory(r):
-        lg = r(xref)
-        shv, ev, lp, sf = r(sh), r(e), r(logp), r(soft)
+        lg, lp, sf = r(xref), r(logp), r(soft)
 
         def run():
-            m = lg.max(axis=1, keepdims=True)
-            np.subtract(lg, m, out=shv)
-            np.exp(shv, out=ev)
-            lse = np.log(ev.sum(axis=1, keepdims=True))
-            np.subtract(shv, lse, out=lp)
-            loss_cell[0] = float(np.asarray(-(lp[ar, lab].mean()),
-                                            dtype=ldtype))
-            np.exp(lp, out=sf)
+            loss_cell[0] = float(np.asarray(
+                _F._cross_entropy_forward(lg, lab, lp, sf), dtype=ldtype))
         return run
 
-    ctx.pb.emit(factory, [xref, sh, e, logp, soft])
+    ctx.pb.emit(factory, [xref, logp, soft])
     ctx.vals[id(rec.out)] = None
     ctx.aux[id(rec.out)] = soft
 
@@ -534,27 +467,18 @@ def fwd_cross_entropy(ctx: Build, rec: Record) -> None:
 # ===================================================================== #
 
 def bwd_cross_entropy(ctx: Build, rec: Record, g) -> None:
-    """Emit the loss-root gradient (softmax minus one-hot, seed 1.0)."""
-    # Root of the backward pass; the implicit seed is 1.0, so eager's
-    # ``grad *= float(g) / n`` is exactly ``grad *= 1.0 / n``.
-    f = rec.free
-    n = f["n"]
+    """Emit the cross-entropy backward kernel (the loss-root gradient)."""
     a = rec.parents[0]
-    soft = ctx.aux[id(rec.out)]
-    lab, ar = ctx.lab_buf, ctx.arange_n
-    inv = 1.0 / n
+    soft, lab = ctx.aux[id(rec.out)], ctx.lab_buf
+    # Root of the backward pass: the implicit seed is 1.0, so eager's
+    # ``float(g) / n`` is exactly ``1.0 / n``.
+    scale = 1.0 / a.data.shape[0]
 
     def make(r, out):
         sf = r(soft)
+        return lambda: _F._cross_entropy_backward(sf, lab, scale, out)
 
-        def run():
-            np.copyto(out, sf)
-            out[ar, lab] -= 1.0
-            np.multiply(out, inv, out=out)
-        return run
-
-    ctx.contrib_compute(a, a.data.shape, a.data.dtype, make, [soft],
-                        "ce.dlogits")
+    ctx.contrib_compute(a, a.data.dtype, make, [soft], "ce.dlogits")
 
 
 def bwd_relu(ctx: Build, rec: Record, g) -> None:
@@ -566,9 +490,7 @@ def bwd_relu(ctx: Build, rec: Record, g) -> None:
         ga, mk = r(g), r(mask_h)
         return lambda: np.multiply(ga, mk, out=out)
 
-    ctx.contrib_compute(a, rec.out.data.shape, rec.out.data.dtype, make,
-                        [g, mask_h], "relu.dx")
-    ctx.fused_bwd += 1
+    ctx.contrib_compute(a, rec.out.data.dtype, make, [g, mask_h], "relu.dx")
 
 
 def _unbroadcast_contrib(ctx: Build, rec: Record, g, parent) -> None:
@@ -586,8 +508,7 @@ def _unbroadcast_contrib(ctx: Build, rec: Record, g, parent) -> None:
             ga = r(g)
             return lambda: np.sum(ga, axis=axes, out=out)
 
-        ctx.contrib_compute(parent, pshape, parent.data.dtype, make, [g],
-                            "add.dbias")
+        ctx.contrib_compute(parent, parent.data.dtype, make, [g], "add.dbias")
         return
     raise Unsupported("unbroadcast with extent-1 axes")
 
@@ -614,8 +535,7 @@ def bwd_mul(ctx: Build, rec: Record, g) -> None:
             ga, ov = r(g), r(oref)
             return lambda: np.multiply(ga, ov, out=out)
 
-        ctx.contrib_compute(this, this.data.shape, this.data.dtype, make,
-                            [g, oref], "mul.dx")
+        ctx.contrib_compute(this, this.data.dtype, make, [g, oref], "mul.dx")
 
 
 def bwd_matmul(ctx: Build, rec: Record, g) -> None:
@@ -630,22 +550,20 @@ def bwd_matmul(ctx: Build, rec: Record, g) -> None:
             bswap = np.swapaxes(r(bref), -1, -2)
             return lambda: np.matmul(ga, bswap, out=out)
 
-        ctx.contrib_compute(a, a.data.shape, a.data.dtype, make_a,
-                            [g, bref], "matmul.da")
+        ctx.contrib_compute(a, a.data.dtype, make_a, [g, bref], "matmul.da")
     if b.requires_grad:
         def make_b(r, out):
             ga = r(g)
             aswap = np.swapaxes(r(aref), -1, -2)
             return lambda: np.matmul(aswap, ga, out=out)
 
-        ctx.contrib_compute(b, b.data.shape, b.data.dtype, make_b,
-                            [g, aref], "matmul.db")
+        ctx.contrib_compute(b, b.data.dtype, make_b, [g, aref], "matmul.db")
 
 
 def bwd_transpose(ctx: Build, rec: Record, g) -> None:
     """Emit transpose backward by inverting the recorded permutation."""
     a = rec.parents[0]
-    inv = rec.free["inv"]
+    _, inv = rec.args
     view = View(_base_of(g), lambda r: r(g).transpose(inv))
     ctx.contrib_view(a, view, None, [g], "transpose.dx")
 
@@ -660,8 +578,7 @@ def bwd_reshape(ctx: Build, rec: Record, g) -> None:
 
 def bwd_sum(ctx: Build, rec: Record, g) -> None:
     """Emit sum backward by broadcasting the gradient over the reduced axes."""
-    f = rec.free
-    axis, keepdims = f["axis"], f["keepdims"]
+    axis, keepdims = rec.args
     a = rec.parents[0]
     if a.data.dtype != rec.out.data.dtype:
         raise Unsupported("sum dtype change")
@@ -678,10 +595,9 @@ def bwd_sum(ctx: Build, rec: Record, g) -> None:
 
 def bwd_getitem(ctx: Build, rec: Record, g) -> None:
     """Emit slice backward: zero the parent gradient slot, then scatter."""
-    f = rec.free
-    if not f["basic"]:
+    idx, basic = rec.args
+    if not basic:
         raise Unsupported("fancy indexing backward")
-    idx = f["idx"]
     a = rec.parents[0]
 
     def make(r, out):
@@ -692,14 +608,12 @@ def bwd_getitem(ctx: Build, rec: Record, g) -> None:
             out[idx] = ga
         return run
 
-    ctx.contrib_compute(a, a.data.shape, a.data.dtype, make, [g],
-                        "getitem.dx")
+    ctx.contrib_compute(a, a.data.dtype, make, [g], "getitem.dx")
 
 
 def bwd_concatenate(ctx: Build, rec: Record, g) -> None:
     """Emit concatenate backward by splitting the gradient at the offsets."""
-    f = rec.free
-    axis, offsets = f["axis"], f["offsets"]
+    axis, offsets = rec.args
     ndim = rec.out.data.ndim
     for t, lo, hi in zip(rec.parents, offsets[:-1], offsets[1:]):
         if not t.requires_grad:
@@ -712,151 +626,72 @@ def bwd_concatenate(ctx: Build, rec: Record, g) -> None:
 
 
 def bwd_conv2d(ctx: Build, rec: Record, g) -> None:
-    """Emit Conv2d backward (bias sum, weight matmul, col2im input grad)."""
-    f = rec.free
-    ws = f["ws"]
-    x, weight, bias = f["x"], f["weight"], f["bias"]
-    n, ho, wo, out_c = f["n"], f["ho"], f["wo"], f["out_c"]
-    kh, kw = f["kh"], f["kw"]
-    stride, padding = f["stride"], f["padding"]
-    cols, wmat, xp_shape = f["cols"], f["wmat"], f["xp_shape"]
+    """Emit the conv2d backward kernel: bias and weight gradients into
+    planned buffers, the input gradient into the slot's scratch."""
+    stride, padding, ws = rec.args
+    x, weight, *bias = rec.parents
     dtype = rec.out.data.dtype
-    rows = n * ho * wo
-    gmat_cell: list = []
+    wdata = weight.data
+    cols = ctx.aux[id(rec.out)]
+    gmat, dcols, dxp, dx = _conv._backward_scratch(
+        ws, rec.out.data.shape, wdata.shape, x.data.shape, padding, dtype,
+        x.requires_grad)
 
-    def prep(r):
-        garr = r(g)
-        try:
-            # Same view-vs-copy decision as eager: both gradients are
-            # C-contiguous (planned buffers mirror eager's fresh arrays),
-            # so the reshape succeeds or fails identically.
-            gmat_cell.append(np.reshape(garr.transpose(0, 2, 3, 1),
-                                        (rows, out_c), copy=False))
-            return None
-        except ValueError:
-            gmbuf = ws.buffer("conv2d.gmat", (rows, out_c), garr.dtype)
-            gmat_cell.append(gmbuf)
-            gt_view = gmbuf.reshape(n, ho, wo, out_c)
-            return lambda: np.copyto(gt_view, garr.transpose(0, 2, 3, 1))
+    def make(r, db, dw):
+        ga = r(g)
 
-    ctx.pb.emit(prep, [g])
+        return lambda: _conv._backward_data(ga, cols[0], wdata, stride, gmat,
+                                            dcols, db, dw, dxp)
 
-    if bias is not None and bias.requires_grad:
-        def make_bias(r, out):
-            return lambda: np.sum(gmat_cell[0], axis=0, out=out)
-
-        ctx.contrib_compute(bias, bias.data.shape, dtype, make_bias, [g],
-                            "conv.dbias")
-
-    if weight.requires_grad:
-        def make_w(r, out):
-            o2 = out.reshape(out_c, -1)
-            return lambda: np.matmul(gmat_cell[0].T, cols, out=o2)
-
-        ctx.contrib_compute(weight, weight.data.shape, dtype, make_w, [g],
-                            "conv.dw")
-
-    if x.requires_grad:
-        dcols = ws.buffer("conv2d.dcols", (rows, wmat.shape[1]), dtype)
-        dx = ws.buffer("conv2d.dx", xp_shape, dtype, zero="always")
-        from repro.nn.conv import _col2im_into
-
-        def factory(r):
-            def run():
-                np.matmul(gmat_cell[0], wmat, out=dcols)
-                dx[...] = 0
-                _col2im_into(dcols, dx, kh, kw, stride, n, ho, wo)
-            return run
-
-        ctx.pb.emit(factory, [g])
-        dxp = dx[:, :, padding:-padding, padding:-padding] if padding else dx
-        ctx.contrib_view(x, dxp, "scratch", [], "conv.dx")
+    ctx.contrib_kernel([(bias[0] if bias else None, dtype, "conv.dbias"),
+                        (weight, dtype, "conv.dw")], make, [g])
+    if dx is not None:
+        ctx.contrib_view(x, dx, "scratch", [], "conv.dx")
 
 
 def bwd_batchnorm(ctx: Build, rec: Record, g) -> None:
-    """Emit train-mode BatchNorm backward through the saved normalizer."""
-    f = rec.free
-    ws = f["ws"]
-    a, w, b, x = f["a"], f["w"], f["b"], f["x"]
-    axes, shape, nred = f["axes"], f["shape"], f["nred"]
-    xhat = f["xhat"]
+    """Emit the batch-norm backward kernel: affine gradients into planned
+    buffers, the input gradient into the slot's scratch."""
+    _, axes, shape, ws = rec.args
+    x, *affine = rec.parents
+    w, b = affine or (None, None)
     dtype = rec.out.data.dtype
-    scratch = ws.buffer("batchnorm.scratch", rec.out.data.shape, dtype)
-    inv_cell = ctx.aux[id(rec.out)]
-
-    if b.requires_grad:
-        def make_b(r, out):
-            ga = r(g)
-            return lambda: np.sum(ga, axis=axes, out=out)
-
-        ctx.contrib_compute(b, b.data.shape, dtype, make_b, [g], "bn.dbias")
-
-    if w.requires_grad:
-        def prep_w(r):
-            ga = r(g)
-            return lambda: np.multiply(ga, xhat, out=scratch)
-
-        ctx.pb.emit(prep_w, [g])
-
-        def make_w(r, out):
-            return lambda: np.sum(scratch, axis=axes, out=out)
-
-        ctx.contrib_compute(w, w.data.shape, dtype, make_w, [g], "bn.dw")
-
-    if a.requires_grad:
+    wdata = None if w is None else w.data
+    saved = ctx.aux[id(rec.out)]
+    gx = None
+    if x.requires_grad:
         gx = ws.buffer("batchnorm.gx", rec.out.data.shape, dtype)
-        wdata = w.data
 
-        def factory(r):
-            ga = r(g)
+    def make(r, db, dw):
+        ga = r(g)
 
-            def run():
-                np.multiply(ga, wdata.reshape(shape), out=gx)
-                gsum = gx.sum(axis=axes, keepdims=True)
-                np.multiply(gx, xhat, out=scratch)
-                gxhat_sum = scratch.sum(axis=axes, keepdims=True)
-                np.subtract(gx, gsum / nred, out=gx)
-                np.multiply(xhat, gxhat_sum, out=scratch)
-                np.divide(scratch, nred, out=scratch)
-                np.subtract(gx, scratch, out=gx)
-                np.multiply(gx, inv_cell[0], out=gx)
-            return run
+        def run():
+            xhat, scratch, inv_std, training = saved
+            _norm._backward_data(ga, xhat, inv_std, wdata, axes, shape,
+                                 training, scratch, db, dw, gx)
+        return run
 
-        ctx.pb.emit(factory, [g])
-        ctx.contrib_view(a, gx, "scratch", [], "bn.dx")
+    ctx.contrib_kernel([(b, dtype, "bn.dbias"), (w, dtype, "bn.dw")], make,
+                       [g])
+    if gx is not None:
+        ctx.contrib_view(x, gx, "scratch", [], "bn.dx")
 
 
 def bwd_max_pool2d(ctx: Build, rec: Record, g) -> None:
-    """Emit max-pool backward scattering through the saved flat argmaxes."""
-    f = rec.free
-    n, c, h, w = f["n"], f["c"], f["h"], f["w"]
-    ho, wo, k, s = f["ho"], f["wo"], f["k"], f["s"]
-    ws = f["ws"]
-    if s < k:
-        raise Unsupported("overlapping max-pool backward")
+    """Emit the max-pool backward kernel through the saved argmaxes."""
+    k, s, ws = rec.args
     a = rec.parents[0]
     arg_h = ctx.aux[id(rec.out)]
-    from repro.nn.pooling import _pool_flat_base
-    if ws is not None:
-        base = ws.cached("maxpool.base", (n, c, h, w, ho, wo, s),
-                         lambda: _pool_flat_base(n, c, h, w, ho, wo, s))
-    else:
-        base = _pool_flat_base(n, c, h, w, ho, wo, s)
 
     def make(r, out):
-        ga = r(g)
-        arg = r(arg_h)
-        flat_out = out.reshape(-1)
+        ga, arg = r(g), r(arg_h)
 
         def run():
             out.fill(0)
-            ki, kj = np.divmod(arg, k)
-            flat_idx = base + ki * w + kj
-            flat_out[flat_idx.reshape(-1)] = np.ravel(ga)
+            _pooling._max_backward_data(ga, arg, k, s, ws, out)
         return run
 
-    ctx.contrib_compute(a, a.data.shape, a.data.dtype, make, [g, arg_h],
-                        "maxpool.dx")
+    ctx.contrib_compute(a, a.data.dtype, make, [g, arg_h], "maxpool.dx")
 
 
 FWD = {

@@ -31,7 +31,7 @@ import numpy as np
 from repro.tensor.compile.ir import PlanBuilder, Unsupported
 from repro.tensor.compile.kernels import BWD, FWD, Build, Record
 from repro.tensor.tensor import (Tensor, _backward_op_name,
-                                 set_graph_capture_hook)
+                                 backward_schedule, set_graph_capture_hook)
 from repro.tensor import functional as F
 
 
@@ -47,28 +47,6 @@ FALLBACK = _Fallback()
 def _counter(name: str, **labels):
     from repro.obs.metrics import get_registry
     return get_registry().counter(name, **labels)
-
-
-def _topo_order(loss: Tensor) -> list[Tensor]:
-    """The exact reverse-topological schedule :meth:`Tensor.backward`
-    uses (same DFS, same push order), snapshotted before the eager
-    backward frees the graph edges."""
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited and p.requires_grad:
-                stack.append((p, False))
-    return topo
 
 
 class StepPlan:
@@ -200,10 +178,11 @@ class StepCompiler:
         from repro.obs.trace import get_tracer
         with get_tracer().span("compile.capture", model=type(model).__name__,
                                batch=int(xb.shape[0])):
-            records: list[tuple] = []
+            records: list[Record] = []
 
-            def hook(out, parents, backward):
-                records.append((out, parents, backward))
+            def hook(out, parents, backward, args):
+                records.append(Record(out, parents,
+                                      _backward_op_name(backward), args))
 
             prev = set_graph_capture_hook(hook)
             try:
@@ -213,13 +192,13 @@ class StepCompiler:
             finally:
                 set_graph_capture_hook(prev)
             # Snapshot the backward schedule before backward() frees the
-            # graph edges (the records keep the closures alive).
-            topo = _topo_order(loss)
+            # graph edges.
+            schedule = backward_schedule(loss)
             model.zero_grad()
             loss.backward()
             loss_val = loss.item()
             try:
-                plan = _build_plan(model, records, topo, loss, x_in, xb,
+                plan = _build_plan(model, records, schedule, loss, x_in, xb,
                                    yarr)
             except Unsupported as exc:
                 plan = FALLBACK
@@ -230,27 +209,20 @@ class StepCompiler:
         return loss_val
 
 
-def _build_plan(model, raw_records, topo, loss, x_in, xb, yarr) -> StepPlan:
+def _build_plan(model, recs, schedule, loss, x_in, xb, yarr) -> StepPlan:
     if yarr.ndim != 1 or yarr.dtype.kind not in "iu":
         raise Unsupported("labels must be a 1-d integer array")
     pb = PlanBuilder()
     in_buf = pb.persistent(xb.shape, xb.dtype)
     lab_buf = pb.persistent(yarr.shape, np.int64)
-    ctx = Build(pb, model, x_in, in_buf, lab_buf)
-    ctx.params = {id(p): n for n, p in model.named_parameters()}
-    from repro.nn.norm import _BatchNorm
-    ctx.bn_by_weight = {
-        id(m.weight): m for m in model.modules()
-        if isinstance(m, _BatchNorm) and m.weight is not None}
-
-    recs: list[Record] = []
-    for out, parents, backward in raw_records:
-        rec = Record(out, parents, backward, _backward_op_name(backward))
-        recs.append(rec)
-        if out.requires_grad:
-            ctx.records[id(out)] = rec
+    ctx = Build(pb, x_in, in_buf, lab_buf)
+    all_params = [p for _, p in model.named_parameters()]
+    ctx.params = {id(p) for p in all_params}
+    for rec in recs:
+        if rec.out.requires_grad:
+            ctx.records[id(rec.out)] = rec
         else:
-            ctx.req_false.add(id(out))
+            ctx.req_false.add(id(rec.out))
 
     # Which records actually feed the loss.  A requires_grad=False
     # intermediate consumed on the path cannot be replayed (its value
@@ -299,7 +271,7 @@ def _build_plan(model, raw_records, topo, loss, x_in, xb, yarr) -> StepPlan:
 
     # Backward: the eager schedule, with each node's closure swapped for
     # its planned equivalent.
-    for node in reversed(topo):
+    for node in schedule:
         rec = ctx.records.get(id(node))
         if rec is None:
             continue
@@ -314,6 +286,5 @@ def _build_plan(model, raw_records, topo, loss, x_in, xb, yarr) -> StepPlan:
     instrs = pb.finalize()
     stats = pb.stats()
     stats["fused_forward"] = ctx.fused_fwd
-    all_params = [p for _, p in model.named_parameters()]
     return StepPlan(instrs, in_buf, lab_buf, ctx.loss_cell, ctx.param_grads,
                     all_params, stats, ctx.claimed_slots.values())

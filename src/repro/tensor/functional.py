@@ -80,29 +80,50 @@ def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarra
     return out.reshape(labels.shape + (num_classes,))
 
 
+def _cross_entropy_forward(lg: np.ndarray, labels: np.ndarray,
+                           logp: np.ndarray, soft: np.ndarray):
+    """The cross-entropy forward kernel: the mean NLL of ``lg`` (N, C)
+    against int64 ``labels`` (N,), as a NumPy scalar.
+
+    Fills the caller's two logits-shaped arrays: ``logp`` (log-softmax)
+    and ``soft`` (softmax, what :func:`_cross_entropy_backward` needs).
+    """
+    np.subtract(lg, lg.max(axis=1, keepdims=True), out=logp)     # shifted
+    np.exp(logp, out=soft)
+    np.subtract(logp, np.log(soft.sum(axis=1, keepdims=True)), out=logp)
+    np.exp(logp, out=soft)
+    return -logp[np.arange(len(labels)), labels].mean()
+
+
+def _cross_entropy_backward(soft: np.ndarray, labels: np.ndarray,
+                            scale: float, out: np.ndarray) -> None:
+    """The cross-entropy backward kernel: ``out = (soft - onehot) * scale``
+    (``scale`` is the seed gradient over the batch size)."""
+    np.copyto(out, soft)
+    out[np.arange(len(labels)), labels] -= 1.0
+    np.multiply(out, scale, out=out)
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between raw ``logits`` (N, C) and integer labels (N,).
 
     Fused log-softmax + NLL with a single backward closure; this is the loss
     used for every classification model in the reproduction (Eq. 3/4 of the
-    paper instantiate it as the local objective ``l_i``).
+    paper instantiate it as the local objective ``l_i``).  The arithmetic
+    lives in the two kernels above, which a replayed step calls too.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy expects (N, C) logits, got {logits.shape}")
     n = logits.shape[0]
     a = logits
-    m = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    loss = -logp[np.arange(n), labels].mean()
-    soft = np.exp(logp)
+    soft = np.empty_like(logits.data)
+    loss = _cross_entropy_forward(logits.data, labels,
+                                  np.empty_like(logits.data), soft)
 
     def backward(g):
-        grad = soft.copy()
-        grad[np.arange(n), labels] -= 1.0
-        grad *= float(g) / n
+        grad = np.empty_like(soft)
+        _cross_entropy_backward(soft, labels, float(g) / n, grad)
         a._accumulate(grad, donate="fresh")
 
     return Tensor._make(np.asarray(loss, dtype=logits.dtype), (a,), backward)

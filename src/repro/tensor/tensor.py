@@ -37,12 +37,14 @@ _backward_op_hook: Callable[[str, float], None] | None = None
 _op_name_cache: dict = {}
 
 # Graph-capture hook: when set, every Tensor produced through ``_make`` is
-# reported as ``(out, parents, backward)`` — including nodes created with
-# ``requires_grad=False`` results, which the step compiler must see to
-# detect per-step values it would otherwise bake in as constants.  None
-# (the default) keeps op creation on the original path: one global
-# ``is None`` check per op.
-_graph_capture_hook: Callable[["Tensor", tuple, Callable], None] | None = None
+# reported as ``(out, parents, backward, args)`` — including nodes created
+# with ``requires_grad=False`` results, which the step compiler must see to
+# detect per-step values it would otherwise bake in as constants.  ``args``
+# is whatever non-tensor operands the op declared at its ``_make`` call
+# (stride, axis, workspace slot, ...): the only channel through which a
+# replay learns them.  None (the default) keeps op creation on the original
+# path: one global ``is None`` check per op.
+_graph_capture_hook: Callable[["Tensor", tuple, Callable, tuple], None] | None = None
 
 
 def set_graph_capture_hook(hook):
@@ -152,6 +154,35 @@ def _as_array(data, dtype=None) -> np.ndarray:
     return arr
 
 
+def backward_schedule(root: "Tensor") -> list["Tensor"]:
+    """The order :meth:`Tensor.backward` runs the nodes reachable from
+    ``root`` in: reverse topological, so each node's gradient is complete
+    before its closure runs.
+
+    Gradient accumulation order — hence every byte of a step — follows
+    from this order, so the step compiler schedules its replay from the
+    same function.  Iterative DFS (recursion-free: deep graphs from
+    many-layer models would overflow Python's stack).
+    """
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited and p.requires_grad:
+                stack.append((p, False))
+    topo.reverse()
+    return topo
+
+
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` (shape of a broadcast result) back to ``shape``.
 
@@ -255,8 +286,13 @@ class Tensor:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create a result tensor, attaching graph edges if grad is enabled."""
+              backward: Callable[[np.ndarray], None],
+              args: tuple = ()) -> "Tensor":
+        """Create a result tensor, attaching graph edges if grad is enabled.
+
+        ``args`` are the op's non-tensor operands, passed on to the graph
+        capture hook and otherwise unused.
+        """
         req = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=False, dtype=data.dtype)
         out.requires_grad = req
@@ -264,7 +300,7 @@ class Tensor:
             out._parents = tuple(parents)
             out._backward = backward
         if _graph_capture_hook is not None:
-            _graph_capture_hook(out, tuple(parents), backward)
+            _graph_capture_hook(out, tuple(parents), backward, args)
         return out
 
     def _accumulate(self, grad: np.ndarray,
@@ -321,27 +357,9 @@ class Tensor:
             if grad.shape != self.shape:
                 raise ValueError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
 
-        # Topological order via iterative DFS (recursion-free: deep graphs
-        # from many-layer models would overflow Python's stack).
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
-                    stack.append((p, False))
-
         self._accumulate(grad)
         hook = _backward_op_hook
-        for node in reversed(topo):
+        for node in backward_schedule(self):
             if node._backward is not None and node.grad is not None:
                 if hook is None:
                     node._backward(node.grad)
@@ -490,7 +508,8 @@ class Tensor:
                 grad = np.broadcast_to(g, a.shape)
             a._accumulate(grad.astype(a.dtype, copy=False))
 
-        return Tensor._make(np.asarray(out_data), (a,), backward)
+        return Tensor._make(np.asarray(out_data), (a,), backward,
+                            (axis, keepdims))
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -558,7 +577,7 @@ class Tensor:
         def backward(g):
             a._accumulate(g.transpose(inv))
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (a,), backward, (axes, inv))
 
     def __getitem__(self, idx):
         a = self
@@ -579,7 +598,8 @@ class Tensor:
                 np.add.at(full, idx, g)
             a._accumulate(full, donate="fresh")
 
-        return Tensor._make(np.asarray(out_data), (a,), backward)
+        return Tensor._make(np.asarray(out_data), (a,), backward,
+                            (idx, basic))
 
     def pad2d(self, pad: int):
         """Zero-pad the last two (spatial) dims symmetrically by ``pad``."""
@@ -699,7 +719,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(lo, hi)
             t._accumulate(g[tuple(sl)])
 
-    return Tensor._make(out_data, tuple(ts), backward)
+    return Tensor._make(out_data, tuple(ts), backward, (axis, offsets))
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -3,7 +3,7 @@
 Profiling the serial FL round (``obs.profiler`` + cProfile) shows the
 kernels spend a large share of their time re-allocating the same
 megabyte-scale temporaries every step: im2col patch matrices, padded
-inputs, ``_col2im`` scatter targets, batch-norm intermediates, SGD
+inputs, col2im scatter targets, batch-norm intermediates, SGD
 update scratch.  The arena gives each *owner* (a layer or optimizer
 instance) a :class:`WorkspaceSlot` holding one flat base per
 ``(tag, dtype)``, sized to the largest request seen; every request is

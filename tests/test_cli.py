@@ -93,6 +93,7 @@ class TestObservability:
         # hotspot table names the conv ops; codec bytes line is printed
         assert "conv2d.forward" in out
         assert "codec bytes:" in out
+        assert "step compiler:" not in out      # no --compile, no line
         doc = json.loads(trace.read_text())
         events = doc["traceEvents"]
         assert events and all(e["ph"] == "X" for e in events)
@@ -100,6 +101,24 @@ class TestObservability:
         assert {"round", "serialize", "deserialize"} <= names
         snap = json.loads(metrics.read_text())
         assert snap["counters"]  # fl.* counters were recorded
+
+    def test_profile_compile_accounts_for_replayed_steps(self, capsys):
+        import re
+
+        from repro.obs import MetricsRegistry, get_registry, set_registry
+        prev = get_registry()
+        set_registry(MetricsRegistry())
+        try:
+            rc = main(["profile", "--clients", "2", "--rounds", "1",
+                       "--sample-ratio", "1.0", "--compile"])
+        finally:
+            set_registry(prev)
+        assert rc == 0
+        line = re.search(r"step compiler: (\d+) captures, (\d+) replays "
+                         r"\((\d+\.\d) s\), 0 fallbacks — replayed steps "
+                         r"are not in the op table", capsys.readouterr().out)
+        assert line, "profile --compile must say what bypassed the op table"
+        assert int(line.group(1)) >= 1 and int(line.group(2)) > 0
 
     def test_trace_out_on_regular_command(self, tmp_path, capsys):
         import json

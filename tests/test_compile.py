@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.configs import config_for, make_algorithm, make_setting
 from repro.fl.comm import serialize_state
 from repro.models import build_model, make_vgg
-from repro.nn import Dropout
+from repro.nn import Dropout, conv, norm, pooling
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.optim.sgd import SGD
 from repro.tensor import Tensor, functional as F
@@ -55,6 +55,22 @@ def _train(model, batches, compiler=None):
         opt.step()
         losses.append(lv)
     return losses
+
+
+def _vgg(dropout=0.0):
+    model = make_vgg("vgg11", width_mult=0.25, dropout=dropout, seed=11)
+    model.train()
+    return model
+
+
+# op -> (home module, shared backward kernel, position of the output array
+# the test scales after the real kernel ran).
+_SHARED_KERNELS = {
+    "conv2d": (conv, "_backward_data", 7),                  # dw
+    "batchnorm": (norm, "_backward_data", 10),              # dx
+    "max_pool2d": (pooling, "_max_backward_data", 5),       # dx
+    "cross_entropy": (F, "_cross_entropy_backward", 3),     # out
+}
 
 
 def _states_equal(a, b):
@@ -126,14 +142,73 @@ class TestCompiledStep:
         enc.clear_channel_masks()
         assert comp.try_step(model, xb, yb) is not None
 
-    def test_dropout_forces_eager_until_disabled(self, fresh_registry):
-        def vgg():
-            model = make_vgg("vgg11", width_mult=0.25, dropout=0.5, seed=11)
-            model.train()
-            return model
-
+    @pytest.mark.parametrize("op", sorted(_SHARED_KERNELS))
+    def test_eager_and_replay_share_kernels(self, op, monkeypatch,
+                                            fresh_registry):
+        # Single source: perturb the op's kernel in its home module and the
+        # eager engine and a replayed plan move together, away from the
+        # unpatched run.
         batches = _batches(3, size=32)
-        m_eager, m_comp = vgg(), vgg()
+        m_plain = _vgg()
+        l_plain = _train(m_plain, batches)
+        home, name, out_idx = _SHARED_KERNELS[op]
+        kernel = getattr(home, name)
+
+        def perturbed(*args):
+            kernel(*args)
+            args[out_idx][...] *= 1.25
+
+        monkeypatch.setattr(home, name, perturbed)
+        m_eager, m_comp = _vgg(), _vgg()
+        l_eager = _train(m_eager, batches)
+        l_comp = _train(m_comp, batches, StepCompiler())
+        assert l_eager == l_comp != l_plain
+        assert _states_equal(m_eager.state_dict(), m_comp.state_dict())
+        assert not _states_equal(m_eager.state_dict(), m_plain.state_dict())
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters["compile.captures"] == 1
+        assert counters["compile.replays"] == 2
+
+    @pytest.mark.parametrize("variant", ["non_affine_bn", "eval_mode_bn",
+                                         "overlapping_pool"])
+    def test_kernel_variants_replay_without_fallback(self, variant,
+                                                     fresh_registry):
+        # Graphs the emitters used to refuse because their hand copy of the
+        # arithmetic did not cover them; the shared kernels do.
+        from repro.nn import BatchNorm2d, Conv2d, Linear, MaxPool2d, Module
+
+        overlap = variant == "overlapping_pool"
+
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                rng = np.random.default_rng(0)
+                self.c1 = Conv2d(3, 4, 3, padding=1, rng=rng)
+                self.b1 = BatchNorm2d(4, affine=variant != "non_affine_bn")
+                self.pool = MaxPool2d(3, 2) if overlap else MaxPool2d(2, 2)
+                self.c2 = Conv2d(4, 4, 3, padding=1, bias=False, rng=rng)
+                self.b2 = BatchNorm2d(4)
+                self.lin = Linear(4 * (9 if overlap else 16), 10, rng=rng)
+
+            def forward(self, x):
+                if variant == "eval_mode_bn":
+                    self.b2.training = False     # frozen statistics
+                h = self.pool(self.b1(self.c1(x)).relu())
+                h = self.b2(self.c2(h)).relu()
+                return self.lin(h.reshape(h.shape[0], -1))
+
+        batches = _batches(4, bs=6, size=8)
+        m_eager, m_comp = Net(), Net()
+        m_eager.train(), m_comp.train()
+        assert _train(m_eager, batches) == _train(m_comp, batches,
+                                                  StepCompiler())
+        assert _states_equal(m_eager.state_dict(), m_comp.state_dict())
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters == {"compile.captures": 1, "compile.replays": 3}
+
+    def test_dropout_forces_eager_until_disabled(self, fresh_registry):
+        batches = _batches(3, size=32)
+        m_eager, m_comp = _vgg(dropout=0.5), _vgg(dropout=0.5)
         comp = StepCompiler()
         assert _train(m_eager, batches) == _train(m_comp, batches, comp)
         assert _states_equal(m_eager.state_dict(), m_comp.state_dict())

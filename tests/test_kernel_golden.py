@@ -5,7 +5,9 @@ training numerics *at all*: after identical FedAvg and SPATL rounds, the
 serialized global model state produced by the optimized kernels must be
 byte-for-byte equal to the state produced by the verbatim pre-PR
 implementations in :mod:`repro.nn.reference` — and the process-parallel
-executor must agree with both.
+executor must agree with both.  Evaluation runs the same kernels, so
+what a run *reports* (per-round accuracy and loss, ``Client.evaluate``)
+is held to the oracle with ``==`` as well.
 """
 
 import numpy as np
@@ -18,6 +20,13 @@ from repro.nn.reference import reference_kernels
 
 def _final_state(algo_name: str, *, use_reference: bool = False,
                  workers: int = 1, rounds: int = 2) -> bytes:
+    return _final(algo_name, use_reference=use_reference, workers=workers,
+                  rounds=rounds)[0]
+
+
+def _final(algo_name: str, *, use_reference: bool = False, workers: int = 1,
+           rounds: int = 2) -> tuple:
+    """``(state bytes, per-round (val acc, train loss), one evaluate())``."""
     cfg = config_for("tiny", n_clients=4, n_samples=400, rounds=rounds,
                      workers=workers, seed=0)
     if use_reference:
@@ -26,13 +35,14 @@ def _final_state(algo_name: str, *, use_reference: bool = False,
     return _run(algo_name, cfg, rounds)
 
 
-def _run(algo_name, cfg, rounds) -> bytes:
+def _run(algo_name, cfg, rounds) -> tuple:
     model_fn, clients = make_setting(cfg)
     algo = make_algorithm(algo_name, cfg, model_fn, clients)
     try:
-        for r in range(rounds):
-            algo.run_round(r)
-        return serialize_state(dict(algo.global_model.state_dict()))
+        results = [algo.run_round(r) for r in range(rounds)]
+        return (serialize_state(dict(algo.global_model.state_dict())),
+                [(res.avg_val_acc, res.avg_train_loss) for res in results],
+                clients[0].evaluate(algo.global_model))
     finally:
         algo.close()
 
@@ -40,10 +50,15 @@ def _run(algo_name, cfg, rounds) -> bytes:
 @pytest.mark.parametrize("algo_name", ["fedavg", "spatl"])
 class TestGoldenState:
     def test_serial_matches_reference(self, algo_name):
-        opt = _final_state(algo_name)
-        ref = _final_state(algo_name, use_reference=True)
-        assert opt == ref, (
+        opt_state, opt_rounds, opt_eval = _final(algo_name)
+        ref_state, ref_rounds, ref_eval = _final(algo_name,
+                                                 use_reference=True)
+        assert opt_state == ref_state, (
             f"{algo_name}: optimized kernels changed training numerics")
+        assert opt_rounds == ref_rounds, (
+            f"{algo_name}: optimized kernels changed the reported metrics")
+        assert opt_eval == ref_eval, (
+            f"{algo_name}: Client.evaluate diverged from the oracle")
 
     def test_workers2_matches_serial(self, algo_name):
         serial = _final_state(algo_name)

@@ -60,8 +60,10 @@ class TestConv2dWorkspaceGradcheck:
             lambda v: f(x0, w0, v)[3].item(), b0.copy()), atol=1e-5)
 
     def test_workspace_matches_allocating_path(self):
-        """Same values with and without an arena slot (float64, repeated
-        so the second call runs entirely on warm buffers)."""
+        """The arena kernels against the allocating oracle,
+        ``reference_conv2d`` (float64, repeated so the second call runs
+        entirely on warm buffers)."""
+        from repro.nn.reference import reference_conv2d
         ws = workspace.slot_for(_Owner())
         x0 = R.normal(size=(2, 3, 6, 7))
         w0 = R.normal(size=(4, 3, 3, 3))
@@ -71,7 +73,7 @@ class TestConv2dWorkspaceGradcheck:
             wa, wb = _t(w0), _t(w0)
             ba, bb = _t(b0), _t(b0)
             oa = (conv2d(xa, wa, ba, 2, 1, ws=ws) ** 2).sum()
-            ob = (conv2d(xb, wb, bb, 2, 1, ws=None) ** 2).sum()
+            ob = (reference_conv2d(xb, wb, bb, 2, 1) ** 2).sum()
             assert np.array_equal(oa.data, ob.data)
             oa.backward()
             ob.backward()
