@@ -32,7 +32,9 @@ after one smoke-sized FedAvg round (train + eval) of that model.  They
 are exact byte counts of a fixed config, the same in smoke and full
 runs, so they repeat; ``--check`` fails when either exceeds the
 committed baseline by more than 10% — a memory gate that does not depend
-on the box's clock.
+on the box's clock.  ``shared_mb`` / ``per_layer_mb`` split the arena by
+lifetime (DESIGN.md §10: the process-wide transient slot vs the slots
+layers and optimizers own) so the next memory issue sees what is left.
 
 It also enforces a speedup *floor* (``--min-speedup``, default 0.97):
 every optimized kernel must at least match its reference implementation.
@@ -280,9 +282,12 @@ def arena_footprint(model_name: str, seed: int) -> dict:
     algo = _fedavg(model_name, SMOKE_CLIENTS, SMOKE_SAMPLES, seed)
     algo.run_round(0)
     mb = 2 ** 20
+    resident = sum(workspace.resident_bytes().values())
+    shared = sum(workspace.resident_bytes([workspace.transient]).values())
     return {
-        "arena_resident_mb":
-            round(sum(workspace.resident_bytes().values()) / mb, 3),
+        "arena_resident_mb": round(resident / mb, 3),
+        "shared_mb": round(shared / mb, 3),
+        "per_layer_mb": round((resident - shared) / mb, 3),
         "gather_idx_mb":
             round(workspace.shared_bytes()["conv.gather_idx"] / mb, 3),
     }
@@ -397,6 +402,8 @@ def main(argv=None) -> int:
               f"ref={row['ref_round_s']:7.2f}s/round "
               f"speedup={row['speedup']:5.2f}x [{status}] "
               f"arena={row['arena_resident_mb']}MB "
+              f"(shared {row['shared_mb']} + per-layer "
+              f"{row['per_layer_mb']}) "
               f"gather_idx={row['gather_idx_mb']}MB")
 
     from repro.obs.metrics import blas_env, observe_peak_rss

@@ -280,7 +280,8 @@ def cmd_profile(args) -> None:
     from repro.tensor import workspace
     held = {**workspace.resident_bytes(), **workspace.shared_bytes()}
     top = sorted(held, key=held.get, reverse=True)
-    print("arena MB resident: "
+    shared = sum(workspace.resident_bytes([workspace.transient]).values())
+    print(f"arena MB resident ({shared / 1e6:.1f} in the transient slot): "
           + " ".join(f"{k}={held[k] / 1e6:.1f}" for k in top))
     if own_tracer:
         if args.trace_out:

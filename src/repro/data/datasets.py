@@ -81,12 +81,9 @@ def _make_prototypes(rng: np.random.Generator, num_classes: int, channels: int,
     return templates
 
 
-def _roll2d(batch: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Independently roll each (C, H, W) image by its (dy, dx) shift."""
-    out = np.empty_like(batch)
-    for i, (dy, dx) in enumerate(shifts):
-        out[i] = np.roll(batch[i], (int(dy), int(dx)), axis=(1, 2))
-    return out
+# Rows of pixel noise per ``Generator.normal`` call: the float64 draw is the
+# largest temporary, and a Generator stream is the same however it is chunked.
+_NOISE_ROWS = 256
 
 
 class SyntheticCIFAR10(ArrayDataset):
@@ -106,14 +103,19 @@ class SyntheticCIFAR10(ArrayDataset):
                                      prototypes_per_class)
         y = rng_inst.integers(0, num_classes, size=n_samples)
         proto_idx = rng_inst.integers(0, prototypes_per_class, size=n_samples)
-        x = templates[y, proto_idx].copy()
         shifts = rng_inst.integers(-size // 8, size // 8 + 1, size=(n_samples, 2))
-        x = _roll2d(x, shifts)
-        x += rng_inst.normal(0.0, noise, size=x.shape).astype(np.float32)
+        # In place — the fancy index is the one copy — to peak near 2x, not 5x.
+        x = templates[y, proto_idx]
+        for img, (dy, dx) in zip(x, shifts):
+            img[...] = np.roll(img, (int(dy), int(dx)), axis=(1, 2))
+        for lo in range(0, n_samples, _NOISE_ROWS):
+            part = x[lo:lo + _NOISE_ROWS]
+            part += rng_inst.normal(0.0, noise, size=part.shape).astype(np.float32)
         # per-channel standardisation (the usual CIFAR transform)
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
         sd = x.std(axis=(0, 2, 3), keepdims=True) + 1e-6
-        x = (x - mu) / sd
+        np.subtract(x, mu, out=x)
+        np.divide(x, sd, out=x)
         super().__init__(x, y)
         self.size = size
         self.seed = seed

@@ -10,12 +10,14 @@ One kernel per direction (DESIGN.md §10.3): :func:`_forward_data` and
 :meth:`_BatchNorm._normalize` adds the running-statistics update.  The
 eager :meth:`_BatchNorm.forward` and the step compiler's replay
 (:mod:`repro.tensor.compile.kernels`) both go through them.  Batch-sized
-intermediates live in the layer's workspace slot and the elementwise
-chain runs in place (``out=``); every operation keeps the operand order
-and accumulation order of the allocating formulation kept in
-:mod:`repro.nn.reference`, so training *and* evaluation numerics are
-byte-identical to it (asserted by the golden-state tests).  Under
-``no_grad`` the forward skips closure/graph construction.
+intermediates are arena buffers, by lifetime (DESIGN.md §10.1): a kernel's
+work array comes from ``workspace.transient``; the normalised input the
+backward reads and the input gradient donated to the parent are the
+layer's own.  The elementwise chain runs in place (``out=``), in the
+operand and accumulation order of the allocating :mod:`repro.nn.reference`,
+so training *and* evaluation numerics are byte-identical to it (asserted
+by the golden-state tests).  Under ``no_grad`` the forward skips closure/
+graph construction and the normalised input is transient too.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from repro.tensor.tensor import Tensor, is_grad_enabled
 def _forward_data(xdata: np.ndarray, wdata: np.ndarray | None,
                   bdata: np.ndarray | None, stats: tuple | None,
                   axes: tuple[int, ...], shape: tuple[int, ...], eps: float,
-                  xhat: np.ndarray, sq: np.ndarray | None,
-                  out: np.ndarray | None = None):
+                  xhat: np.ndarray, out: np.ndarray | None = None):
     """The forward kernel: ``(out, inv_std, mean, var)``.
 
     ``stats`` is the frozen ``(mean, var)`` to normalise with (eval), or
-    ``None`` to use the batch's own (training, which needs the
-    input-shaped scratch ``sq``); either way the pair used is returned.
+    ``None`` to use the batch's own (training); either way the pair used
+    is returned.
     ``xhat`` (input-shaped) is filled with the normalised input — with
     ``inv_std``, what :func:`_backward_data` needs.  ``out`` is freshly
     allocated unless supplied.
@@ -50,6 +51,8 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray | None,
         # ``mean()``/``var()`` calls.
         mu = xdata.mean(axis=axes, keepdims=True)       # shape == `shape`
         np.subtract(xdata, mu, out=xhat)                # x - mean
+        sq = workspace.transient.buffer("batchnorm.scratch", xdata.shape,
+                                        xdata.dtype)
         np.multiply(xhat, xhat, out=sq)
         var = sq.sum(axis=axes) / (xdata.size // mu.size)
         mean = mu.reshape(-1)
@@ -73,16 +76,16 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray | None,
 def _backward_data(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                    wdata: np.ndarray | None, axes: tuple[int, ...],
                    shape: tuple[int, ...], training: bool,
-                   scratch: np.ndarray, db: np.ndarray | None = None,
+                   db: np.ndarray | None = None,
                    dw: np.ndarray | None = None,
                    dx: np.ndarray | None = None) -> None:
     """The backward kernel: fill the gradients the caller passes arrays for.
 
     ``xhat`` / ``inv_std`` come from the matching :func:`_forward_data`
-    call and ``scratch`` is ``g``-shaped working memory; ``db`` / ``dw``
-    (per-feature) and ``dx`` (input-shaped) are overwritten, ``None``
-    skips that gradient.
+    call; ``db`` / ``dw`` (per-feature) and ``dx`` (input-shaped) are
+    overwritten, ``None`` skips that gradient.
     """
+    scratch = workspace.transient.buffer("batchnorm.scratch", g.shape, g.dtype)
     if db is not None:
         g.sum(axis=axes, out=db)
     if dw is not None:
@@ -131,7 +134,7 @@ class _BatchNorm(Module):
         raise NotImplementedError
 
     def _normalize(self, xdata: np.ndarray, axes, shape, xhat: np.ndarray,
-                   sq: np.ndarray | None, out: np.ndarray | None = None):
+                   out: np.ndarray | None = None):
         """One forward on arrays, ``(out, inv_std)``: the kernel, plus — in
         training mode — the batch folded into the running statistics.
         What the eager forward and a replayed step both run."""
@@ -141,7 +144,7 @@ class _BatchNorm(Module):
         stats = None if self.training else (self.running_mean,
                                             self.running_var)
         out, inv_std, mean, var = _forward_data(
-            xdata, wdata, bdata, stats, axes, shape, self.eps, xhat, sq, out)
+            xdata, wdata, bdata, stats, axes, shape, self.eps, xhat, out)
         if self.training:
             n = xdata.size / self.num_features
             # unbiased running var, biased batch var for normalisation
@@ -158,24 +161,22 @@ class _BatchNorm(Module):
         axes = self._axes(x)
         shape = self._shape(x)
         ws = workspace.slot_for(self)
-        # Arena buffers the backward closure captures (one forward per
-        # backward, DESIGN.md §10).
-        xhat = ws.buffer("batchnorm.xhat", x.data.shape, x.data.dtype)
-        sq = None
-        if self.training:
-            sq = ws.buffer("batchnorm.scratch", x.data.shape, x.data.dtype)
-        out_data, inv_std = self._normalize(x.data, axes, shape, xhat, sq)
-        out_data = out_data.astype(x.dtype, copy=False)
         w, b = self.weight, self.bias
-        if not (is_grad_enabled() and (
-                x.requires_grad or (w is not None and
-                                    (w.requires_grad or b.requires_grad)))):
+        records = is_grad_enabled() and (
+            x.requires_grad or (w is not None and
+                                (w.requires_grad or b.requires_grad)))
+        # The backward closure captures xhat (one forward per backward,
+        # DESIGN.md §10); without one it dies with this call.
+        xhat = (ws if records else workspace.transient).buffer(
+            "batchnorm.xhat", x.data.shape, x.data.dtype)
+        out_data, inv_std = self._normalize(x.data, axes, shape, xhat)
+        out_data = out_data.astype(x.dtype, copy=False)
+        if not records:
             return Tensor(out_data, dtype=out_data.dtype)
 
         training = self.training
 
         def backward(g):
-            scratch = ws.buffer("batchnorm.scratch", g.shape, g.dtype)
             db = dw = dx = None
             if b is not None and b.requires_grad:
                 db = np.empty(b.shape, g.dtype)
@@ -184,7 +185,7 @@ class _BatchNorm(Module):
             if x.requires_grad:
                 dx = ws.buffer("batchnorm.gx", g.shape, g.dtype)
             _backward_data(g, xhat, inv_std, None if w is None else w.data,
-                           axes, shape, training, scratch, db, dw, dx)
+                           axes, shape, training, db, dw, dx)
             if db is not None:
                 b._accumulate(db, donate="fresh")
             if dw is not None:

@@ -21,7 +21,7 @@ from repro.graph import build_graph
 from repro.models.split import SplitModel
 from repro.optim import SGD
 from repro.pruning.selector import SalientSelection, selection_from_sparsity
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, no_grad
 from repro.utils.rng import spawn_rng
 
 
@@ -46,12 +46,14 @@ class PruneResult:
 
 
 def evaluate(model: SplitModel, data: ArrayDataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy with whatever masks are currently installed."""
+    """Top-1 accuracy with whatever masks are currently installed (masks are
+    a tensor multiply: the same logits under ``no_grad``, without the graph)."""
     model.eval()
     correct = 0
-    for lo in range(0, len(data), batch_size):
-        logits = model(Tensor(data.x[lo:lo + batch_size]))
-        correct += int((logits.data.argmax(axis=1) == data.y[lo:lo + batch_size]).sum())
+    with no_grad():
+        for lo in range(0, len(data), batch_size):
+            xb, yb = data.x[lo:lo + batch_size], data.y[lo:lo + batch_size]
+            correct += int((model(Tensor(xb)).data.argmax(axis=1) == yb).sum())
     model.train()
     return correct / len(data)
 

@@ -12,7 +12,9 @@ elementwise/shape ops are single ``out=`` ufunc calls (bitwise equal to
 their allocating forms, the invariant DESIGN.md §10 already relies on).
 What an op needs beyond its parent tensors — stride, axis, workspace slot —
 arrives in ``Record.args``, the tuple the op itself passed to
-``Tensor._make``; nothing is read out of a backward closure.
+``Tensor._make``; nothing is read out of a backward closure.  A plan bakes
+only per-layer arena arrays (``xhat``, ``dx``, ``gx``): the kernels request
+``workspace.transient`` scratch at run time, so its growth invalidates none.
 
 Gradient flow mirrors :meth:`Tensor._accumulate`'s donation contract:
 
@@ -100,9 +102,9 @@ class Build:
         return t.data
 
     def claim_slot(self, ws) -> None:
-        """A workspace slot driving one op per step: a second claim means
-        a module ran twice (weight sharing), which the one-forward-per-
-        backward arena discipline cannot replay."""
+        """A layer's workspace slot driving one op per step: a second claim
+        means a module ran twice (weight sharing), which the one-forward-
+        per-backward arena discipline cannot replay."""
         if id(ws) in self.claimed_slots:
             raise Unsupported("module executed twice per step")
         self.claimed_slots[id(ws)] = ws
@@ -233,17 +235,15 @@ def fwd_batchnorm(ctx: Build, rec: Record) -> None:
     xref = ctx.val(rec.parents[0])
     out_h = ctx.pb.alloc(oshape, dtype, "bn.out")
     xhat = ws.buffer("batchnorm.xhat", oshape, dtype)
-    scratch = ws.buffer("batchnorm.scratch", oshape, dtype)
     # What the backward kernel takes; inv_std and the mode are per step.
-    saved = ctx.aux[id(rec.out)] = [xhat, scratch, None, None]
+    saved = ctx.aux[id(rec.out)] = [xhat, None, None]
 
     def factory(r):
         xr, oa = r(xref), r(out_h)
 
         def run():
-            saved[2] = mod._normalize(xr, axes, shape, xhat, scratch,
-                                      out=oa)[1]
-            saved[3] = mod.training
+            saved[1] = mod._normalize(xr, axes, shape, xhat, out=oa)[1]
+            saved[2] = mod.training
         return run
 
     ctx.pb.emit(factory, [xref, out_h])
@@ -633,15 +633,15 @@ def bwd_conv2d(ctx: Build, rec: Record, g) -> None:
     dtype = rec.out.data.dtype
     wdata = weight.data
     cols = ctx.aux[id(rec.out)]
-    gmat, dcols, dxp, dx = _conv._backward_scratch(
-        ws, rec.out.data.shape, wdata.shape, x.data.shape, padding, dtype,
-        x.requires_grad)
+    dxp = dx = None
+    if x.requires_grad:
+        dxp, dx = _conv._dx_scratch(ws, x.data.shape, padding, dtype)
 
     def make(r, db, dw):
         ga = r(g)
 
-        return lambda: _conv._backward_data(ga, cols[0], wdata, stride, gmat,
-                                            dcols, db, dw, dxp)
+        return lambda: _conv._backward_data(ga, cols[0], wdata, stride,
+                                            db, dw, dxp)
 
     ctx.contrib_kernel([(bias[0] if bias else None, dtype, "conv.dbias"),
                         (weight, dtype, "conv.dw")], make, [g])
@@ -666,9 +666,9 @@ def bwd_batchnorm(ctx: Build, rec: Record, g) -> None:
         ga = r(g)
 
         def run():
-            xhat, scratch, inv_std, training = saved
+            xhat, inv_std, training = saved
             _norm._backward_data(ga, xhat, inv_std, wdata, axes, shape,
-                                 training, scratch, db, dw, gx)
+                                 training, db, dw, gx)
         return run
 
     ctx.contrib_kernel([(b, dtype, "bn.dbias"), (w, dtype, "bn.dw")], make,

@@ -13,8 +13,9 @@ by :func:`repro.fl.local.train_local`:
 - Anything the planner cannot express (:class:`Unsupported`) marks the
   signature as fallback and ``try_step`` returns ``None`` forever after,
   which tells the caller to run the eager path.
-- A plan bakes in arena arrays; once a slot it claimed has grown (a
-  larger eval batch moved its ``generation``) the step is recaptured.
+- A plan bakes in per-layer arena arrays; once a slot it claimed has grown
+  (a larger batch with grad on moved its ``generation``) the step is
+  recaptured.  Transient scratch is requested per call, never baked.
 
 Per-step guards keep the plan honest when runtime state the plan baked
 in could drift: SPATL channel masks, active dropout, eval mode, and
@@ -64,7 +65,7 @@ class StepPlan:
         self.param_grads = param_grads
         self.all_params = all_params
         self.stats = stats
-        # Claimed arena slots and the generation their baked arrays are of.
+        # Claimed per-layer slots and the generation their baked arrays are of.
         self.slot_gens = [(ws, ws.generation) for ws in slots]
 
     def replay(self, xb: np.ndarray, yb: np.ndarray) -> float:

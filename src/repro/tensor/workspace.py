@@ -1,39 +1,40 @@
 """Capacity-keyed scratch-buffer arena for the training hot path.
 
-Profiling the serial FL round (``obs.profiler`` + cProfile) shows the
-kernels spend a large share of their time re-allocating the same
-megabyte-scale temporaries every step: im2col patch matrices, padded
-inputs, col2im scatter targets, batch-norm intermediates, SGD
-update scratch.  The arena gives each *owner* (a layer or optimizer
-instance) a :class:`WorkspaceSlot` holding one flat base per
-``(tag, dtype)``, sized to the largest request seen; every request is
-served the C-contiguous prefix of that base, so the batch shapes a layer
-meets (partial last batch, per-client eval sizes) share one allocation.
+The kernels would otherwise re-allocate the same megabyte-scale
+temporaries every step (im2col patch matrices, padded inputs, col2im
+scatter targets, batch-norm intermediates, SGD update scratch).  A
+:class:`WorkspaceSlot` holds one flat base per ``(tag, dtype)``, sized to
+the largest request seen; every request is served the C-contiguous prefix
+of that base, so the batch shapes a layer meets (partial last batch,
+per-client eval sizes) share one allocation.
 
 Contract
 --------
-A workspace buffer is **transient scratch**: it is valid from the call
-that requested it until the owner's *next* request for the same ``tag``.
-The kernels rely on the engine's execution discipline — a layer is
-forwarded at most once before its backward runs (forward -> backward ->
-step, per batch) — so buffers captured by a backward closure are never
-clobbered by a second forward of the same layer.  Anything that must
-outlive the op (outputs entering the autodiff graph, gradients handed to
-``Tensor._accumulate``, which copies on first accumulation) is freshly
-allocated or copied as before; only intermediates live in the arena.  A
-key maps to the same memory until the slot's ``generation`` moves (a base
-outgrown and reallocated); whoever keeps arena arrays across calls must
-watch it.  See DESIGN.md §10.
+Scratch is keyed by how long it must live (DESIGN.md §10.1 has the table):
 
-Slots are held in a ``WeakValueDictionary``-style per-owner registry
-(:func:`slot_for`), so buffers are collected with their owner.  Hit/miss
-and bytes-saved counts are kept per tag and exported through
-``obs.metrics`` via :func:`publish_metrics`; ``obs.profiler`` joins them
-onto its hotspot table.
+- **transient** — :data:`transient`, the one process-wide slot: valid until
+  the next request for the same ``tag`` *anywhere in the process*, i.e.
+  inside one kernel call.  Pad, GEMM outputs, batch-norm work arrays — and,
+  when no backward is recorded, the patch matrix and the normalised input —
+  live here, so a tag costs its largest request, not the sum over layers
+  and model copies.  Relies on one kernel running at a time per process:
+  grad mode is thread-local, the arena is not.
+- **per owner** — :func:`slot_for` (weak-keyed: a slot dies with its layer
+  or optimizer): valid until the owner's *next* request for the ``tag``.
+  What a backward closure reads (``conv2d.cols``, ``batchnorm.xhat``) and
+  what is donated to a parent (``conv2d.dx``, ``batchnorm.gx``) live here;
+  a layer is forwarded at most once before its backward runs, so a second
+  forward never clobbers what a closure captured.
 
-Everything here is process-local.  The process-pool executor forks
-workers, each of which grows its own arena — nothing is shared or
-pickled.
+Anything that must outlive the op (graph payloads, gradients handed to
+``Tensor._accumulate``) is freshly allocated or copied.  A key maps to the
+same memory until the slot's ``generation`` moves (a base outgrown and
+reallocated); whoever keeps arena arrays across calls must watch it — so
+nobody keeps :data:`transient` arrays: they are requested where used.
+
+Per-tag hit/miss and bytes-saved counts go to ``obs.metrics`` via
+:func:`publish_metrics` and onto ``obs.profiler``'s hotspot table.  All of
+it is process-local: pool workers each grow their own arena.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["WorkspaceSlot", "slot_for", "stats_snapshot", "tag_stats",
-           "resident_bytes", "shared_cache", "shared_bytes", "reset",
-           "publish_metrics"]
+__all__ = ["WorkspaceSlot", "slot_for", "transient", "stats_snapshot",
+           "tag_stats", "resident_bytes", "shared_cache", "shared_bytes",
+           "reset", "publish_metrics"]
 
 
 @dataclass
@@ -78,7 +79,7 @@ _shared: dict[str, dict] = {}
 
 
 class WorkspaceSlot:
-    """Per-owner scratch bases and derived objects.
+    """Scratch bases and derived objects of one lifetime scope.
 
     One flat base per ``(tag, dtype)`` holds the largest request seen;
     ``buffer`` serves its C-contiguous prefix — the start address and
@@ -93,20 +94,21 @@ class WorkspaceSlot:
         self._bases: dict[tuple, np.ndarray] = {}    # (tag, dtype) -> flat base
         self._views: dict[tuple, np.ndarray] = {}    # (tag, shape, dtype) -> prefix
         self._cached: dict[tuple, Any] = {}
-        self._served: dict[tuple, tuple] = {}        # zero="alloc": last shape
+        self._served: dict[tuple, tuple] = {}        # zero="alloc": last layout
         self.generation = 0
 
     def buffer(self, tag: str, shape: tuple[int, ...], dtype,
-               zero: str = "never") -> np.ndarray:
+               zero: str = "never", frame=None) -> np.ndarray:
         """Return the ``shape``/``dtype`` prefix view of ``tag``'s base.
 
         ``zero`` controls fill semantics:
 
         - ``"never"``  — contents are whatever the last user left (caller
           overwrites every element);
-        - ``"alloc"``  — zeroed whenever the shape served for the tag changes,
-          the first request included (callers that always write one region
-          and need the rest to stay zero, e.g. the padded-input border);
+        - ``"alloc"``  — zeroed whenever the ``(shape, frame)`` served for
+          the tag changes, the first request included (callers that always
+          write one region and need the rest to stay zero: the padded-input
+          border, whose extent the shape and ``frame=padding`` fix);
         - ``"always"`` — zeroed on every request (scatter-add targets).
         """
         dtype = np.dtype(dtype)
@@ -133,8 +135,8 @@ class WorkspaceSlot:
             st.bytes_saved += buf.nbytes
         if zero == "always":
             buf[...] = 0
-        elif zero == "alloc" and self._served.get((tag, dtype)) != shape:
-            self._served[tag, dtype] = shape
+        elif zero == "alloc" and self._served.get((tag, dtype)) != (shape, frame):
+            self._served[tag, dtype] = (shape, frame)
             buf[...] = 0
         return buf
 
@@ -157,6 +159,10 @@ class WorkspaceSlot:
             if isinstance(obj, np.ndarray):
                 st.bytes_saved += obj.nbytes
         return obj
+
+
+#: The one slot for scratch that dies inside a kernel call.
+transient = WorkspaceSlot()
 
 
 def slot_for(owner: Any) -> WorkspaceSlot:
@@ -183,10 +189,11 @@ def stats_snapshot() -> dict[str, tuple[int, int, int, int]]:
             for tag, s in _stats.items()}
 
 
-def resident_bytes() -> dict[str, int]:
-    """``{tag: bytes}`` of scratch held by live slots (sum of base sizes)."""
+def resident_bytes(slots=None) -> dict[str, int]:
+    """``{tag: bytes}`` of scratch (sum of base sizes) held by ``slots`` —
+    by default :data:`transient` and every live per-owner slot."""
     out: dict[str, int] = {}
-    for slot in list(_slots.values()):
+    for slot in [transient, *_slots.values()] if slots is None else slots:
         for (tag, _), base in slot._bases.items():
             out[tag] = out.get(tag, 0) + base.nbytes
     return out
@@ -205,6 +212,7 @@ def shared_bytes() -> dict[str, int]:
 def reset() -> None:
     """Drop every slot and shared array, zero the counters (test isolation)."""
     _slots.clear()
+    transient.__init__()
     _stats.clear()
     for cache in _shared.values():
         cache.clear()

@@ -66,8 +66,8 @@ def _vgg(dropout=0.0):
 # op -> (home module, shared backward kernel, position of the output array
 # the test scales after the real kernel ran).
 _SHARED_KERNELS = {
-    "conv2d": (conv, "_backward_data", 7),                  # dw
-    "batchnorm": (norm, "_backward_data", 10),              # dx
+    "conv2d": (conv, "_backward_data", 5),                  # dw
+    "batchnorm": (norm, "_backward_data", 9),               # dx
     "max_pool2d": (pooling, "_max_backward_data", 5),       # dx
     "cross_entropy": (F, "_cross_entropy_backward", 3),     # out
 }
@@ -283,40 +283,68 @@ class TestCompiledStep:
             assert misses == miss_before, (
                 f"arena miss in steady state for tag {tag!r}")
 
-    def test_arena_growth_recaptures(self, fresh_registry):
-        # An eval forward at a larger batch outgrows the slots' bases, so
-        # the arrays the batch-8 plan baked in are dead memory while its
-        # forward would re-request live memory from the slot: the plan
-        # must notice the slots' generation moved and recapture once.
-        from repro.tensor import no_grad
-        train = _batches(6)
-        (xe, _), = _batches(1, bs=16, seed=8)
+    def test_transient_slot_is_not_claimed(self, fresh_registry):
+        # Every conv and batch norm of a step works in the one transient
+        # slot.  Had the emitters claimed it, ``claim_slot``'s one-op-per-
+        # slot guard would mark every signature as fallback: correct
+        # output, never a replay.
+        from repro.tensor import workspace
+        model = _make_model()
+        comp = StepCompiler()
+        _train(model, _batches(3), comp)
+        counters = fresh_registry.snapshot()["counters"]
+        assert counters == {"compile.captures": 1, "compile.replays": 2}
+        (plan,) = comp.plan_for(model).values()
+        assert plan.slot_gens
+        assert all(ws is not workspace.transient for ws, _ in plan.slot_gens)
 
-        def run(model, compiler):
+    def test_arena_growth_recaptures(self, fresh_registry):
+        # A plan bakes per-layer arena arrays only.  An eval forward at a
+        # larger batch grows the process-wide transient scratch — which the
+        # kernels request per call, so every replay stays valid — while a
+        # larger *training* batch through the same layers outgrows their
+        # own bases: the baked arrays are dead memory, the plan must notice
+        # the slots' generation moved and recapture, once.
+        from repro.tensor import no_grad, workspace
+        train = _batches(6)
+        (xe, ye), = _batches(1, bs=16, seed=8)
+
+        def run(model, compiler, grow):
             opt = SGD(model.named_parameters(), lr=0.05, momentum=0.9,
                       weight_decay=5e-4)
             losses = []
             for i, (xb, yb) in enumerate(train):
-                if i == 3:
+                if i == 3 and grow == "eval":
                     model.eval()
                     with no_grad():
                         losses.append(model(Tensor(xe)).data.copy())
                     model.train()
+                elif i == 3:
+                    losses.append(_eager_step(model, xe, ye))
+                    opt.step()
                 lv = compiler.try_step(model, xb, yb) if compiler else None
                 losses.append(_eager_step(model, xb, yb) if lv is None else lv)
                 opt.step()
             return losses
 
-        m_eager, m_comp = _make_model(), _make_model()
-        l_eager = run(m_eager, None)
-        l_comp = run(m_comp, StepCompiler())
-        assert all(np.array_equal(a, b) for a, b in zip(l_eager, l_comp))
-        assert _states_equal(m_eager.state_dict(), m_comp.state_dict())
-        counters = fresh_registry.snapshot()["counters"]
-        assert counters["compile.captures"] == 1
-        assert counters["compile.captures{reason=arena_growth}"] == 1
-        assert counters["compile.replays"] == 4
-        assert not any(k.startswith("compile.fallbacks") for k in counters)
+        def counters_of(grow):
+            m_eager, m_comp = _make_model(), _make_model()
+            l_eager = run(m_eager, None, grow)
+            # The eager twin grew the shared scratch already: start cold so
+            # the growth happens between the compiled twin's replays.
+            workspace.reset()
+            registry = MetricsRegistry()      # the fixture restores the old one
+            set_registry(registry)
+            l_comp = run(m_comp, StepCompiler(), grow)
+            assert all(np.array_equal(a, b) for a, b in zip(l_eager, l_comp))
+            assert _states_equal(m_eager.state_dict(), m_comp.state_dict())
+            return registry.snapshot()["counters"]
+
+        assert counters_of("eval") == {"compile.captures": 1,
+                                       "compile.replays": 5}
+        assert counters_of("train") == {
+            "compile.captures": 1, "compile.replays": 4,
+            "compile.captures{reason=arena_growth}": 1}
 
     def test_stale_grads_cleared_on_replay(self):
         # A parameter gradient left over from an eager step on a different

@@ -56,6 +56,29 @@ class TestSyntheticCIFAR:
         np.testing.assert_allclose(ds.x.std(axis=(0, 2, 3)), np.ones(3),
                                    atol=1e-2)
 
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_in_place_construction_equals_one_shot_formula(self, size):
+        """Rolling into the output, chunked noise draws and in-place
+        standardisation are the one-shot formula bit for bit — for an
+        ``n_samples`` the noise chunk does not divide."""
+        from repro.data import datasets
+        from repro.utils.rng import spawn_rng
+        n = 2 * datasets._NOISE_ROWS + 37
+        ds = SyntheticCIFAR10(n_samples=n, size=size, seed=3)
+        templates = datasets._make_prototypes(
+            spawn_rng(3, "cifar", "prototypes"), 10, 3, size, 4)
+        rng = spawn_rng(3, "cifar", "instances", "train")
+        y = rng.integers(0, 10, size=n)
+        x = templates[y, rng.integers(0, 4, size=n)].copy()
+        shifts = rng.integers(-size // 8, size // 8 + 1, size=(n, 2))
+        for i, (dy, dx) in enumerate(shifts):
+            x[i] = np.roll(x[i], (int(dy), int(dx)), axis=(1, 2))
+        x += rng.normal(0.0, 0.9, size=x.shape).astype(np.float32)
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        sd = x.std(axis=(0, 2, 3), keepdims=True) + 1e-6
+        np.testing.assert_array_equal(ds.x, (x - mu) / sd)
+        np.testing.assert_array_equal(ds.y, y)
+
     def test_classes_distinguishable_by_mean_template(self):
         # nearest-class-mean classifier must beat chance by a wide margin
         ds = SyntheticCIFAR10(n_samples=1500, size=16, seed=2, noise=0.9)

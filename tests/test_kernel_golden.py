@@ -102,65 +102,111 @@ def test_partial_batch_conv_backward_matches_reference():
         assert np.array_equal(opt_state[key], ref_state[key]), key
 
 
-def _conv_fwd_bwd(x, weight, bias, ws):
-    """Output, input grad and weight grad of one padded conv2d call."""
+def _conv_fwd_bwd(x, weight, bias, ws=None, *, stride=1, padding=1,
+                  reference=False):
+    """Output, input grad and weight grad of one conv2d call — on the arena
+    kernels, or on the allocating oracle."""
     from repro.nn.conv import conv2d
+    from repro.nn.reference import reference_conv2d
     from repro.tensor import Tensor
     xt = Tensor(x, requires_grad=True)
     wt = Tensor(weight, requires_grad=True)
-    out = conv2d(xt, wt, Tensor(bias), stride=1, padding=1, ws=ws)
+    if reference:
+        out = reference_conv2d(xt, wt, Tensor(bias), stride, padding)
+    else:
+        out = conv2d(xt, wt, Tensor(bias), stride=stride, padding=padding,
+                     ws=ws)
     (out * out).sum().backward()
     return out.data.copy(), xt.grad.copy(), wt.grad.copy()
 
 
-@pytest.mark.parametrize("use_gather", [True, False])
+@pytest.mark.parametrize("padded", [True, False])
 @pytest.mark.parametrize("shapes,grows", [
     ([(8, 6), (5, 6), (8, 6)], False),     # partial batch and back
-    ([(8, 6), (16, 6), (8, 6)], True),     # larger eval batch: every tag grows
+    ([(8, 6), (16, 6), (8, 6)], True),     # larger batch: every tag grows
     ([(6, 6), (6, 4), (6, 6)], False),     # border lands on an old interior
 ])
-def test_conv_slot_shared_across_input_shapes(monkeypatch, use_gather,
-                                              shapes, grows):
-    """One slot serving alternating ``(batch, height)`` inputs (prefix
-    views of one base, pad border re-zeroed on each switch, memoized
-    window view dropped on growth) is byte-equal to the allocating
-    ``ws=None`` path — through the gather path and, with the index gate
-    shut, the ``conv2d.win`` cached-view path."""
-    from repro.nn import conv
+def test_conv_slot_shared_across_input_shapes(padded, shapes, grows):
+    """One layer slot (and the process-wide transient slot behind it)
+    serving alternating ``(batch, height)`` inputs — prefix views of one
+    base, pad border re-zeroed on each switch — is byte-equal to the
+    allocating oracle.  ``padded=False`` is the one input the gather
+    cannot index in place: an un-padded strided view, staged through the
+    same ``conv2d.pad`` buffer."""
     from repro.tensor import workspace
     workspace.reset()
-    if not use_gather:
-        monkeypatch.setattr(conv, "_GATHER_IDX_MAX_BYTES", 0)
     rng = np.random.default_rng(5)
     weight = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     bias = rng.standard_normal(4).astype(np.float32)
-    ws = workspace.slot_for(type("Owner", (), {})())
+    owner = type("Owner", (), {})()
+    ws = workspace.slot_for(owner)
     for n, hw in shapes:
         # Non-zero everywhere, so a stale interior left where a border
         # belongs would show.
-        x = (rng.standard_normal((n, 3, hw, hw)) + 3.0).astype(np.float32)
-        got = _conv_fwd_bwd(x, weight, bias, ws)
-        want = _conv_fwd_bwd(x, weight, bias, None)
+        x = (rng.standard_normal((n, 3, hw, 2 * hw)) + 3.0).astype(np.float32)
+        x = np.ascontiguousarray(x[..., ::2]) if padded else x[..., ::2]
+        got = _conv_fwd_bwd(x, weight, bias, ws, padding=int(padded))
+        want = _conv_fwd_bwd(x, weight, bias, padding=int(padded),
+                             reference=True)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w), (use_gather, n, hw)
+            assert np.array_equal(g, w), (padded, n, hw)
+    # The layer owns what its backward reads or donates, nothing else.
+    assert set(workspace.resident_bytes([ws])) == {"conv2d.cols", "conv2d.dx"}
     assert ws.generation == (len(ws._bases) if grows else 0)
-    assert ("conv2d.win" in workspace.stats_snapshot()) == (not use_gather)
+    assert "conv2d.pad" in workspace.resident_bytes([workspace.transient])
 
 
-def test_gather_indices_prefix_equals_fresh_build():
-    """Row r of the im2col index matrix does not depend on N, so the
-    index cached for the largest batch serves every smaller one."""
+def test_gather_index_is_batch_independent():
+    """Row r of sample n is row r of sample 0 plus n*C*H*W, so one
+    per-sample index serves every batch size: the forward equals the
+    oracle at every N, the cached array is the same object, and the cache
+    does not grow with N."""
     from repro.nn import conv
     from repro.tensor import workspace
     workspace.reset()
-    geom = (3, 7, 6)                      # C, H, W
-    big = conv._gather_indices((9, *geom), 3, 2, 2)
-    cached = {n: conv._gather_indices((n, *geom), 3, 2, 2).copy()
-              for n in range(1, 10)}
-    (entry,) = conv._GATHER_IDX.values()  # one entry per geometry
-    assert np.shares_memory(entry, big) and entry.shape == big.shape
-    for n, got in cached.items():
-        workspace.reset()
-        fresh = conv._gather_indices((n, *geom), 3, 2, 2)
-        assert got.flags["C_CONTIGUOUS"]
-        assert np.array_equal(got, fresh), n
+    rng = np.random.default_rng(7)
+    weight = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    bias = rng.standard_normal(4).astype(np.float32)
+    for stride in (1, 2):
+        for padding in (0, 1, 2):
+            held, seen = None, set()
+            for n in (1, 5, 64):
+                x = rng.standard_normal((n, 3, 7, 6)).astype(np.float32)
+                got = _conv_fwd_bwd(x, weight, bias, stride=stride,
+                                    padding=padding)
+                want = _conv_fwd_bwd(x, weight, bias, stride=stride,
+                                     padding=padding, reference=True)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (stride, padding, n)
+                pshape = (n, 3, 7 + 2 * padding, 6 + 2 * padding)
+                seen.add(id(conv._gather_indices(pshape, 3, 3, stride)))
+                nbytes = workspace.shared_bytes()["conv.gather_idx"]
+                assert held in (None, nbytes)
+                held = nbytes
+            assert len(seen) == 1
+    # The bound the clipping gather relies on, for every index built.
+    for (c, h, w, *_), idx in conv._GATHER_IDX.items():
+        assert idx.ndim == 2 and 0 <= idx.min() and idx.max() < c * h * w
+
+
+def test_shared_pad_border_across_paddings():
+    """A k5/p2 conv on 14x14 and a k3/p1 conv on 16x16 request the same
+    padded shape from the shared ``conv2d.pad`` buffer with borders of
+    different widths: the frame is re-zeroed on each switch."""
+    from repro.tensor import workspace
+    workspace.reset()
+    rng = np.random.default_rng(9)
+    layers = []
+    for k, p, hw in ((5, 2, 14), (3, 1, 16)):
+        layers.append((rng.standard_normal((4, 3, k, k)).astype(np.float32),
+                       rng.standard_normal(4).astype(np.float32), p, hw))
+    for _ in range(2):
+        for weight, bias, p, hw in layers:
+            x = (rng.standard_normal((6, 3, hw, hw)) + 3.0).astype(np.float32)
+            got = _conv_fwd_bwd(x, weight, bias, padding=p)
+            want = _conv_fwd_bwd(x, weight, bias, padding=p, reference=True)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (p, hw)
+    # Both layers were served the very same (6, 3, 18, 18) view.
+    assert workspace.resident_bytes([workspace.transient])["conv2d.pad"] \
+        == 6 * 3 * 18 * 18 * 4

@@ -192,3 +192,30 @@ class TestBaselines:
         state, _, val = trained_tiny_model
         acc = evaluate(_restore(state), val)
         assert 0.0 <= acc <= 1.0
+
+    def test_evaluate_builds_no_graph(self, trained_tiny_model, monkeypatch):
+        """The Eq. 7 reward evaluator runs under ``no_grad``: on a masked
+        model it creates no graph node, and — masks being a tensor
+        multiply — returns the accuracy the graph-building forward did."""
+        from repro.tensor import Tensor
+        state, _, val = trained_tiny_model
+        model = _restore(state)
+        layers = model.encoder.prunable_layers()
+        selection_from_sparsity(model.encoder,
+                                [0.5] * len(layers)).apply_to(model.encoder)
+        model.eval()
+        logits = model(Tensor(val.x))                       # with grad on
+        assert logits.requires_grad
+        with_grad = int((logits.data.argmax(axis=1) == val.y).sum()) / len(val)
+        made = []
+        make = Tensor._make
+
+        def spy(*args, **kwargs):
+            out = make(*args, **kwargs)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
+        assert evaluate(model, val) == with_grad
+        assert made and not any(made)          # ops ran, none joined a graph
+        assert model.training                  # evaluate() restores train mode

@@ -114,6 +114,18 @@ class TestWorkspaceSlot:
                                 zero="alloc") == 0)          # and back again
         assert ws.generation == 0
 
+    def test_alloc_rezeroes_when_frame_changes(self):
+        # A shared buffer is served at one shape to callers that leave
+        # different regions untouched (conv paddings 1 and 2 with equal
+        # padded shape): the frame is part of what "alloc" watches.
+        ws = workspace.WorkspaceSlot()
+        a = ws.buffer("t.pad", (4, 4), np.float32, zero="alloc", frame=1)
+        a[...] = 7
+        assert ws.buffer("t.pad", (4, 4), np.float32, zero="alloc",
+                         frame=1) is a and np.all(a == 7)
+        assert np.all(ws.buffer("t.pad", (4, 4), np.float32, zero="alloc",
+                                frame=2) == 0)
+
     def test_cached_keys_include_cohort_geometry(self):
         # Derived objects keyed by geometry tuples (e.g. maxpool.base keyed
         # by (n, c, h, w, ho, wo, s)) must not collide when cohort mode
@@ -186,6 +198,25 @@ class TestWorkspaceSlot:
         assert not conv._GATHER_IDX
         assert workspace.resident_bytes() == {}
 
+    def test_transient_slot_is_reported_and_reset(self):
+        from repro.obs.metrics import MetricsRegistry
+        workspace.reset()
+        owner = Owner()
+        workspace.slot_for(owner).buffer("t.both", (4,), np.float32)
+        workspace.transient.buffer("t.both", (6,), np.float32)
+        workspace.transient.buffer("t.only", (2,), np.float32)
+        assert workspace.resident_bytes() == {"t.both": 40, "t.only": 8}
+        reg = MetricsRegistry()
+        workspace.publish_metrics(reg)
+        gauges = reg.snapshot()["gauges"]
+        assert gauges["workspace.resident_bytes{tag=t.both}"] == 40
+        assert gauges["workspace.resident_bytes{tag=t.only}"] == 8
+        held = workspace.transient
+        workspace.reset()
+        assert workspace.transient is held       # kernels keep the reference
+        assert workspace.resident_bytes() == {}
+        assert held.generation == 0
+
     def test_sgd_plan_holds_one_base_per_tag(self):
         # Parameters of every shape alias one base per tag; the largest is
         # requested first, so nothing grows and no retained view is dead.
@@ -234,6 +265,51 @@ class TestWorkspaceSlot:
         assert mixed == largest
         assert sum(mixed[0].values()) > 0
 
+    def test_transient_scratch_is_max_not_sum(self, monkeypatch):
+        """vgg11, one bs-32 train step on one model and one ``no_grad``
+        eval on a second: every transient tag holds its largest single
+        request (not a sum over layers and model copies), the eval model's
+        layers own no patch matrix or normalised input, and the arena as a
+        whole stays under 60 MiB (50.5 here, 133.8 when scratch was keyed
+        by owner)."""
+        from repro.models import build_model
+        from repro.tensor import functional as F
+        workspace.reset()
+        largest: dict[str, int] = {}
+        served = workspace.WorkspaceSlot.buffer
+
+        def spy(self, tag, shape, dtype, *args, **kwargs):
+            buf = served(self, tag, shape, dtype, *args, **kwargs)
+            if self is workspace.transient:
+                largest[tag] = max(largest.get(tag, 0), buf.nbytes)
+            return buf
+
+        monkeypatch.setattr(workspace.WorkspaceSlot, "buffer", spy)
+        rng = np.random.default_rng(0)
+        trained, evaluated = (build_model("vgg11", width_mult=0.25,
+                                          input_size=32, seed=s)
+                              for s in (2, 3))
+        x = rng.standard_normal((32, 3, 32, 32)).astype(np.float32)
+        F.cross_entropy(trained(Tensor(x)), rng.integers(0, 10, 32)).backward()
+        evaluated.eval()
+        with no_grad():
+            evaluated(Tensor(x))
+        assert workspace.resident_bytes([workspace.transient]) == largest
+        assert {"conv2d.pad", "conv2d.out", "conv2d.gmat", "conv2d.dcols",
+                "conv2d.cols", "batchnorm.xhat",
+                "batchnorm.scratch"} == set(largest)
+        assert not workspace.resident_bytes(
+            workspace.slot_for(m) for m in evaluated.modules())
+        owned = set(workspace.resident_bytes(
+            workspace.slot_for(m) for m in trained.modules()))
+        assert {"conv2d.cols", "conv2d.dx", "batchnorm.xhat",
+                "batchnorm.gx"} <= owned
+        assert not owned & {"conv2d.pad", "conv2d.out", "conv2d.gmat",
+                            "conv2d.dcols", "batchnorm.scratch"}
+        total = (sum(workspace.resident_bytes().values())
+                 + sum(workspace.shared_bytes().values()))
+        assert total <= 60 * 2 ** 20, total
+
 
 class TestGradientDonation:
     """``_accumulate(grad, donate=...)``: 'fresh' transfers ownership
@@ -267,6 +343,22 @@ class TestGradientDonation:
         buf = np.ones(3, dtype=np.float32)
         leaf._accumulate(buf)
         assert not np.shares_memory(leaf.grad, buf)
+
+    def test_conv_output_never_aliases_transient_scratch(self):
+        """A 1x1 output map makes the NHWC -> NCHW transpose of the GEMM
+        output a no-op view; the op's payload must still be its own copy,
+        because the next conv of *any* layer overwrites that scratch."""
+        from repro.nn.conv import Conv2d
+        rng = np.random.default_rng(0)
+        first, second = (Conv2d(3, 4, 3, rng=rng) for _ in range(2))
+        x = Tensor(rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
+        for grad in (True, False):
+            x.requires_grad = grad
+            out = first(x)
+            assert out.shape == (2, 4, 1, 1)
+            kept = out.data.copy()
+            second(x)
+            np.testing.assert_array_equal(out.data, kept)
 
     def test_conv_input_grad_does_not_alias_arena(self):
         """End to end: a leaf conv input's ``.grad`` survives a second
