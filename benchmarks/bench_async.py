@@ -33,9 +33,10 @@ baseline), on counter drift vs the committed baseline (event counts are
 seed-deterministic and machine-independent), and on event-loop overhead
 beyond ``--check-factor`` of the baseline plus an absolute noise floor.
 Model-state fingerprints are recorded for *same-machine* comparison (the
-CI golden-determinism job runs the bench twice and diffs) but are never
-checked against the committed baseline — BLAS differences make training
-floats machine-specific.
+``determinism`` case runs the same seed twice in-process and ``--check``
+fails unless the two runs are identical) but are never checked against
+the committed baseline — BLAS differences make training floats
+machine-specific.
 """
 
 from __future__ import annotations

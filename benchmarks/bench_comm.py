@@ -2,20 +2,18 @@
 
 Times the zero-copy wire codec, the per-round broadcast cache, and the
 vectorized salient aggregation (DESIGN.md §11) against the verbatim
-pre-optimization implementations, at two granularities:
+pre-optimization implementations: codec passes over a full VGG-11 state
+dict (the paper's largest model) — single-buffer serialize vs the
+original join-based encoder, zero-copy vs copying deserialize, the
+serialize→deserialize round trip, broadcast-cache hits — and Eq. 12
+aggregation vs :mod:`repro.fl.reference_agg` (bitwise-checked every
+repeat), interleaved optimized/reference min-of-N so machine noise hits
+both sides equally.
 
-- **micro** — codec passes over a full VGG-11 state dict (the paper's
-  largest model): single-buffer serialize vs the original join-based
-  encoder, zero-copy vs copying deserialize, the
-  serialize→deserialize round trip, broadcast-cache hits, and Eq. 12
-  aggregation vs :mod:`repro.fl.reference_agg` (bitwise-checked every
-  repeat) — interleaved optimized/reference min-of-N so machine noise
-  hits both sides equally;
-- **e2e** — per-round wall time of ``--workers 2`` FedAvg and SPATL
-  runs at the tiny scale with broadcast caching on vs off (off
-  re-frames the sync state into every task, the pre-PR behaviour),
-  with a byte-identity check of the final global model state and a
-  ledger-total equality check between the two code paths.
+The ``--workers 2`` preload-on/off end-to-end comparison this script
+used to carry passed its verdict (preload 1.10x / 1.19x, byte-identical;
+CHANGES.md PR 19) and went with the ``broadcast=`` option it compared;
+pool end-to-end time is ``benchmarks/e2e``'s ``fedavg_resnet20_fastpath``.
 
 Writes the whole record to ``BENCH_comm.json`` at the repo root (single
 document, overwritten — the committed copy is the regression
@@ -28,8 +26,7 @@ baseline)::
 ``--check`` compares each microbench's optimized time against the
 committed baseline *before* overwriting it and exits non-zero if any
 case regressed more than ``--check-factor`` (default 1.5x) beyond a
-0.15ms absolute noise floor, or if an e2e run broke byte identity or
-ledger equality.
+0.15ms absolute noise floor.
 """
 
 from __future__ import annotations
@@ -163,72 +160,6 @@ def aggregation_cases(repeats: int):
 
 
 # --------------------------------------------------------------------- #
-# end-to-end rounds                                                      #
-# --------------------------------------------------------------------- #
-def e2e_case(algo_name: str, rounds: int, clients: int, samples: int,
-             width: float, seed: int) -> dict:
-    """``--workers 2`` rounds with broadcast caching on vs off.
-
-    The workload is deliberately communication-heavy — full-width VGG-11
-    (tens of MB per sync blob) with one local epoch over a small sample —
-    so the per-task sync framing the cache removes is a measurable share
-    of the round rather than being drowned in local-training noise;
-    ``broadcast=False`` re-frames the sync state into every task, the
-    pre-cache behaviour.
-    Both sides run a warm-up round (pool fork, arenas), then each
-    subsequent round is timed individually (min over rounds, alternating
-    sides).  Final global states must be byte-identical and ledger
-    totals equal.
-    """
-    from repro.experiments.configs import config_for, make_algorithm, \
-        make_setting
-    from repro.fl.comm import serialize_state
-    from repro.fl.parallel import ProcessPoolRoundExecutor
-
-    cfg = config_for("tiny", model="vgg11", input_size=32, width_mult=width,
-                     n_clients=clients, n_samples=samples, local_epochs=1,
-                     sample_ratio=1.0, seed=seed)
-
-    def build(broadcast):
-        model_fn, cl = make_setting(cfg)
-        return make_algorithm(algo_name, cfg, model_fn, cl,
-                              executor=ProcessPoolRoundExecutor(
-                                  2, broadcast=broadcast))
-
-    algo_on, algo_off = build(True), build(False)
-    try:
-        algo_on.run_round(0)                     # warm-up
-        algo_off.run_round(0)
-        t_on = t_off = float("inf")
-        for r in range(1, rounds + 1):
-            t0 = time.perf_counter()
-            algo_on.run_round(r)
-            t_on = min(t_on, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            algo_off.run_round(r)
-            t_off = min(t_off, time.perf_counter() - t0)
-        state_on = serialize_state(dict(algo_on.global_model.state_dict()))
-        state_off = serialize_state(dict(algo_off.global_model.state_dict()))
-        return {
-            "algorithm": algo_name,
-            "model": cfg.model,
-            "width_mult": width,
-            "workers": 2,
-            "rounds_timed": rounds,
-            "broadcast_round_s": round(t_on, 4),
-            "no_broadcast_round_s": round(t_off, 4),
-            "speedup": round(t_off / t_on, 4),
-            "byte_identical": state_on == state_off,
-            "ledger_equal": (algo_on.ledger.total_bytes()
-                             == algo_off.ledger.total_bytes()),
-            "total_bytes": algo_on.ledger.total_bytes(),
-        }
-    finally:
-        algo_on.close()
-        algo_off.close()
-
-
-# --------------------------------------------------------------------- #
 # regression gate                                                        #
 # --------------------------------------------------------------------- #
 def check_regressions(record: dict, baseline_doc: str | None,
@@ -236,19 +167,13 @@ def check_regressions(record: dict, baseline_doc: str | None,
     """Failures of the current record against the committed baseline
     (passed as the baseline file's *pre-run* text, since the run may
     have overwritten it)."""
-    failures = []
-    for row in record["e2e"]:
-        if not row["byte_identical"]:
-            failures.append(
-                f"e2e {row['algorithm']}: state not byte-identical")
-        if not row["ledger_equal"]:
-            failures.append(f"e2e {row['algorithm']}: ledger totals differ")
     if baseline_doc is None:
-        return failures + ["no committed baseline to check against"]
+        return ["no committed baseline to check against"]
     try:
         baseline = json.loads(baseline_doc)
     except json.JSONDecodeError as exc:
-        return failures + [f"unreadable baseline: {exc}"]
+        return [f"unreadable baseline: {exc}"]
+    failures = []
     base_micro = {m["name"]: m for m in baseline.get("micro", [])}
     for m in record["micro"]:
         base = base_micro.get(m["name"])
@@ -267,27 +192,19 @@ def check_regressions(record: dict, baseline_doc: str | None,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run: few repeats, one timed round")
+                        help="CI-sized run: few repeats")
     parser.add_argument("--check", action="store_true",
                         help="fail on regression vs the committed baseline")
     parser.add_argument("--check-factor", type=float, default=1.5,
                         help="allowed slowdown factor for --check")
     parser.add_argument("--repeats", type=int, default=None,
                         help="micro repeats (default 30, smoke 8)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="timed e2e rounds (default 5, smoke 1)")
-    parser.add_argument("--algos", nargs="+", default=["fedavg", "spatl"])
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=str(OUT_PATH))
     parser.add_argument("--baseline", default=str(OUT_PATH),
                         help="baseline JSON for --check (default: --out)")
     args = parser.parse_args(argv)
 
     repeats = args.repeats or (8 if args.smoke else 30)
-    rounds = args.rounds or (1 if args.smoke else 5)
-    clients = 4 if args.smoke else 8
-    samples = 64 if args.smoke else 48
-    width = 0.5 if args.smoke else 1.0
 
     baseline_path = Path(args.baseline)
     baseline_doc = baseline_path.read_text() if baseline_path.exists() \
@@ -303,18 +220,6 @@ def main(argv=None) -> int:
             print(f"{name:28s} opt={opt_ms:9.3f}ms ref={ref_ms:9.3f}ms "
                   f"speedup={ref_ms / opt_ms:6.2f}x")
 
-    e2e = []
-    for algo_name in args.algos:
-        row = e2e_case(algo_name, rounds, clients, samples, width,
-                       args.seed)
-        e2e.append(row)
-        ok = row["byte_identical"] and row["ledger_equal"]
-        status = "OK" if ok else "MISMATCH"
-        print(f"e2e {algo_name:8s} workers=2 "
-              f"broadcast={row['broadcast_round_s']:7.2f}s/round "
-              f"off={row['no_broadcast_round_s']:7.2f}s/round "
-              f"speedup={row['speedup']:5.2f}x [{status}]")
-
     from repro.obs.metrics import blas_env, observe_peak_rss
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -326,7 +231,6 @@ def main(argv=None) -> int:
         "peak_rss_bytes": observe_peak_rss(),
         "env": blas_env(),
         "micro": micro,
-        "e2e": e2e,
     }
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
@@ -337,8 +241,7 @@ def main(argv=None) -> int:
         for f in failures:
             print(f"REGRESSION: {f}")
         return 1 if failures else 0
-    return 0 if all(r["byte_identical"] and r["ledger_equal"]
-                    for r in e2e) else 1
+    return 0
 
 
 if __name__ == "__main__":

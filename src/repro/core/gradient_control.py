@@ -83,24 +83,21 @@ def refresh_client_variate(c_local: ControlVariate, c_global: ControlVariate,
     return fresh
 
 
-def server_variate_delta(c_global: ControlVariate,
-                         before: dict[str, np.ndarray],
-                         after_salient: dict[str, np.ndarray],
-                         steps: float, lr: float) -> dict[str, np.ndarray]:
-    """Server-side reconstruction of one client's ``delta c_i``.
+def server_variate_delta(c: np.ndarray, before: np.ndarray,
+                         uploaded: np.ndarray, k_eta: float,
+                         idx: np.ndarray | None = None) -> np.ndarray:
+    """Server-side reconstruction of one tensor of a client's ``delta c_i``
+    (Eq. 11's summand; ``k_eta`` is ``K * eta_l``).
 
     Because Eq. 10 gives ``delta c_i = -c + (x - y_i)/(K*eta)`` and the
     server already knows ``c``, ``x``, ``K`` and ``eta``, the uploaded
     parameters ``y_i`` are *sufficient* for the server to recompute the
     variate delta itself — SPATL therefore never uploads control-variate
     tensors, which is what keeps its per-round cost near FedAvg despite
-    using gradient control (§V-C).  Coordinates the client did not upload
-    contribute zero (no information).
+    using gradient control (§V-C).  With ``idx``, ``uploaded`` holds only
+    those (salient) rows and the delta covers only them: coordinates the
+    client did not upload contribute zero (no information).
     """
-    k_eta = max(steps, 1) * lr
-    delta: dict[str, np.ndarray] = {}
-    for name, y in after_salient.items():
-        if name not in c_global:
-            continue
-        delta[name] = -c_global[name] + (before[name] - y) / k_eta
-    return delta
+    if idx is not None:
+        c, before = c[idx], before[idx]
+    return -c + (before - uploaded) / k_eta

@@ -8,9 +8,9 @@ baselines it compares against:
 - :class:`FedNova` (Wang et al.) — normalized averaging of local progress;
 - :class:`Scaffold` (Karimireddy et al.) — full-model control variates.
 
-Every byte that crosses the (simulated) network passes through
-:mod:`repro.fl.comm`, so communication-cost tables are measured, not
-estimated.
+Every byte that crosses the (simulated) network is sent by the one
+:class:`Transport` in :mod:`repro.fl.comm` (DESIGN.md §17), so
+communication-cost tables are measured, not estimated.
 
 Beyond the baselines, the package supplies the framework plumbing every
 algorithm rides on:
@@ -45,14 +45,14 @@ algorithm rides on:
   (DESIGN.md §13; CLI ``scale``).
 """
 
-from repro.fl.comm import (CommLedger, PayloadError, payload_nbytes,
-                           serialize_state, deserialize_state,
-                           sparse_payload_nbytes)
-from repro.fl.wire import BroadcastCache, codec_validate, state_fingerprint
+from repro.fl.comm import (CommLedger, PayloadError, Transport,
+                           payload_nbytes, serialize_state,
+                           deserialize_state, sparse_payload_nbytes)
+from repro.fl.wire import BroadcastCache, state_fingerprint
 from repro.fl.resilience import (ClientCrashed, ClientDropped, ClientFailure,
                                  FaultStats, RetryPolicy, StragglerTimeout,
                                  TransferCorrupted, WorkerCrashed)
-from repro.fl.faults import AsyncProfile, FaultModel, FaultyTransport
+from repro.fl.faults import AsyncProfile, FaultModel
 from repro.fl.async_runtime import (AsyncConfig, AsyncFederatedRunner,
                                     StepResult, VirtualClock,
                                     staleness_weight)
@@ -91,12 +91,12 @@ __all__ = [
     "QuantConfig", "quantize_payload", "dequantize_payload",
     "quant_payload_nbytes", "make_quant_config",
     "SparseInitFL", "SalientGrads", "SSFL",
-    "FaultModel", "FaultyTransport", "RetryPolicy", "FaultStats",
+    "FaultModel", "Transport", "RetryPolicy", "FaultStats",
     "ClientFailure", "ClientDropped", "ClientCrashed", "StragglerTimeout",
     "TransferCorrupted", "WorkerCrashed",
     "RoundExecutor", "SerialExecutor", "ProcessPoolRoundExecutor",
     "make_executor",
-    "BroadcastCache", "codec_validate", "state_fingerprint",
+    "BroadcastCache", "state_fingerprint",
     "AsyncProfile", "AsyncConfig", "AsyncFederatedRunner", "StepResult",
     "VirtualClock", "staleness_weight",
     "ClientStateStore", "VirtualClient", "VirtualClientPool",

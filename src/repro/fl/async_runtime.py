@@ -60,11 +60,11 @@ from typing import Any
 import numpy as np
 
 from repro.fl.base import FederatedAlgorithm
-from repro.fl.comm import decode_update, encode_update, payload_nbytes
+from repro.fl.comm import decode_update, encode_update
 from repro.fl.faults import AsyncProfile
 from repro.fl.resilience import ClientCrashed, FaultStats
 from repro.fl.scale.fold import UpdateSpill
-from repro.fl.wire import codec_validate, state_fingerprint
+from repro.fl.wire import state_fingerprint
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
@@ -171,7 +171,6 @@ class _Job:
     update: Any = None          # dropped after commit to bound memory
     train_loss: float = float("nan")
     fingerprint: int | None = None   # CRC32 of the upload payload
-    up_bytes: int | None = None
     accepted: bool = False
 
 
@@ -197,14 +196,20 @@ class AsyncFederatedRunner:
     admission control); the wrapped algorithm keeps owning the *math*
     (``download_payload`` / ``local_update`` / ``upload_payload`` /
     ``make_fold``) plus the shared
-    infrastructure — its :class:`~repro.fl.comm.CommLedger` (downlink
-    charged at dispatch, uplink at delivery, both keyed by the dispatch
-    step so async accounting lines up with sync rounds), its
-    :class:`~repro.fl.wire.BroadcastCache`, and its clients.
+    infrastructure — its :class:`~repro.fl.comm.Transport` (downlink
+    sent at dispatch, uplink at delivery, both keyed by the dispatch
+    step so async accounting lines up with sync rounds; DESIGN.md §17)
+    and its clients.  Failures here come from the
+    :class:`~repro.fl.faults.AsyncProfile`; an algorithm carrying a
+    ``FaultModel`` is rejected rather than half-applied.
     """
 
     def __init__(self, algorithm: FederatedAlgorithm, profile: AsyncProfile,
                  config: AsyncConfig | None = None, update_store=None):
+        if algorithm.fault_model is not None:
+            raise ValueError("the async runtime draws its failures from "
+                             "AsyncProfile; use FederatedAlgorithm.run_round "
+                             "for FaultModel injection")
         self.algo = algorithm
         self.profile = profile
         self.config = config or AsyncConfig()
@@ -241,6 +246,7 @@ class AsyncFederatedRunner:
         if self._started:
             return
         self._started = True
+        self.algo.transport.new_round()
         for client in self.algo.clients:   # deterministic: client order
             self.clock.schedule(self.profile.first_arrival(client.client_id),
                                 "arrive", {"cid": client.client_id})
@@ -302,11 +308,11 @@ class AsyncFederatedRunner:
         with tracer.span("dispatch", step=self.server_step, client=cid,
                          job=job_id) as span:
             # The sync exchange's front half, keyed for this driver: the
-            # downlink is charged (and broadcast-cached) under the server
-            # step, training runs under the client's own job count.
-            down_bytes = algo._send_download(client, self.server_step,
-                                             ("async", self.server_step))
-            span.set(bytes=down_bytes, crashed=crashed)
+            # downlink is charged under the server step, training runs
+            # under the client's own job count.
+            algo.transport.download(self.server_step, cid,
+                                    algo.download_payload(client))
+            span.set(crashed=crashed)
             if not crashed:
                 # Quantized uplinks (DESIGN.md §16) are encoded here, once,
                 # before any spill — the stashed wire dict is what
@@ -351,12 +357,10 @@ class AsyncFederatedRunner:
             # so its entry may have been FIFO-evicted by now.
             self._bump("deduped")
             return
+        payload = None
         if job.fingerprint is None:
             payload = self.algo.wire_payload(self._job_update(job))
             job.fingerprint = state_fingerprint(payload)
-            job.up_bytes = payload_nbytes(payload)
-        else:
-            payload = None
         key = (cid, job.fingerprint)
         if self._fp_registry.get(key) is not None:
             # Wire-level dedup: an upload whose content fingerprint was
@@ -377,18 +381,15 @@ class AsyncFederatedRunner:
             get_registry().counter("async.dedup_evictions").inc()
         job.accepted = True
         self.inflight.discard(job_id)
-        tracer = get_tracer()
-        with tracer.span("buffer", step=self.server_step, client=cid,
-                         job=job_id) as span:
-            if tracer.enabled:
-                if payload is None:
-                    payload = self.algo.wire_payload(self._job_update(job))
-                codec_validate(payload, owner=self.algo)
-            self.algo.ledger.record_up(job.dispatch_step, cid, job.up_bytes)
+        with get_tracer().span("buffer", step=self.server_step, client=cid,
+                               job=job_id) as span:
+            if payload is None:   # fingerprinted by a deduped delivery
+                payload = self.algo.wire_payload(self._job_update(job))
+            self.algo.transport.upload(job.dispatch_step, cid, payload)
             self.stats.record_delivery(cid)
             self.buffer.append(job_id)
             self._bump("accepted")
-            span.set(bytes=job.up_bytes, depth=len(self.buffer),
+            span.set(depth=len(self.buffer),
                      staleness=self.server_step - job.dispatch_step,
                      duplicate=duplicate)
         get_registry().gauge("async.buffer_depth").set(len(self.buffer))
@@ -468,6 +469,7 @@ class AsyncFederatedRunner:
                 self.algo.aggregate_weighted(
                     (self._job_update(job) for job in jobs), weights,
                     self.server_step, spill=spill)
+            self.algo.transport.new_round()   # the global state moved
             span.set(max_staleness=max(staleness),
                      mean_weight=float(np.mean(weights)))
         hist = metrics.histogram("async.staleness", bounds=STALENESS_BOUNDS)

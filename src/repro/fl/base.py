@@ -35,13 +35,13 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.fl.client import Client
-from repro.fl.comm import CommLedger, deserialize_state, payload_nbytes
-from repro.fl.faults import FaultModel, FaultyTransport
+from repro.fl.comm import CommLedger, Transport
+from repro.fl.faults import FaultModel
 from repro.fl.quant import QUANT_WIRE_KEY, QuantConfig, quantize_payload
-from repro.fl.wire import BroadcastCache, codec_validate
+from repro.fl.wire import BroadcastCache
 from repro.fl.parallel import RoundExecutor, SerialExecutor
 from repro.fl.resilience import (ClientCrashed, ClientFailure, FaultStats,
-                                 RetryPolicy, TransferCorrupted)
+                                 RetryPolicy)
 from repro.models.split import SplitModel
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -123,7 +123,6 @@ class FederatedAlgorithm:
         self.max_grad_norm = max_grad_norm
         self.seed = seed
         self.global_model: SplitModel = model_fn()
-        self.ledger = CommLedger()
         self.rounds_completed = 0
         # Fault tolerance is strictly opt-in: without a fault model the
         # round loop takes the original (byte-identical) code path.
@@ -131,17 +130,9 @@ class FederatedAlgorithm:
             raise ValueError("min_clients must be >= 1")
         if max_round_resamples < 0:
             raise ValueError("max_round_resamples must be >= 0")
-        self.fault_model = fault_model
         self.retry_policy = retry_policy or RetryPolicy()
         self.min_clients = min_clients
         self.max_round_resamples = max_round_resamples
-        # Per-round broadcast-encoding cache (DESIGN.md §11): the downlink
-        # and worker-sync states are client-invariant within a round, so
-        # they are framed once under the round's generation token and the
-        # cached blob is re-sent.  The ledger still charges every client
-        # the full byte count — caching never changes accounting.
-        self._broadcast = BroadcastCache()
-        self._bcast_gen = 0
         # Low-bit uplink transport (DESIGN.md §16): with an active
         # :class:`~repro.fl.quant.QuantConfig`, each freshly trained
         # update is quantized exactly once — its wire encoding is stashed
@@ -151,11 +142,15 @@ class FederatedAlgorithm:
         # ``quant=None`` (or bits=32) keeps the original dense path
         # byte-identical.
         self.quant = quant if quant is not None and quant.active else None
-        self.transport = (FaultyTransport(fault_model, self.ledger,
-                                          broadcast=self._broadcast)
-                          if fault_model is not None else None)
-        if self.transport is not None and self.quant is not None:
-            self.transport.variant = self.quant.key
+        # The simulated network (DESIGN.md §17): owns the ledger, the
+        # fault model, the per-round broadcast-encoding cache and its
+        # round token; every driver charges, traces and corrupts bytes
+        # through it and nowhere else.  The quant config's identity is
+        # part of every cache key, so two configs can never share a
+        # cached blob.
+        self.transport = Transport(
+            fault_model, broadcast=BroadcastCache(),
+            variant=self.quant.key if self.quant is not None else None)
         self.fault_stats = FaultStats()  # cumulative over the whole run
         # Round execution engine (DESIGN.md §9).  SerialExecutor keeps the
         # original in-process loop; ProcessPoolRoundExecutor fans clients
@@ -171,6 +166,16 @@ class FederatedAlgorithm:
             self.step_compiler = StepCompiler()
         else:
             self.step_compiler = None
+
+    @property
+    def ledger(self) -> CommLedger:
+        """The transport's ledger: every byte this run has sent."""
+        return self.transport.ledger
+
+    @property
+    def fault_model(self) -> FaultModel | None:
+        """The transport's fault model (``None``: fault-free run)."""
+        return self.transport.fault_model
 
     def epochs_for(self, client: Client, round_idx: int) -> int:
         """Local epochs this client runs this round.
@@ -244,10 +249,9 @@ class FederatedAlgorithm:
         """The uplink payload as it crosses the wire.
 
         Returns the quantized encoding stashed by :meth:`quantize_update`
-        when present, else :meth:`upload_payload`.  Every uplink
-        byte-charging site (sync exchange, faulty transport, async
-        delivery) goes through this accessor so the ledger always charges
-        the true transmitted bytes.
+        when present, else :meth:`upload_payload`.  Every driver hands
+        this to ``transport.upload``, so the ledger always charges the
+        true transmitted bytes.
         """
         if isinstance(update, dict):
             stashed = update.get(QUANT_WIRE_KEY)
@@ -324,23 +328,15 @@ class FederatedAlgorithm:
         """:meth:`worker_sync_state` as wire bytes, broadcast-cached.
 
         The sync state is identical for every worker of a round, so it is
-        framed once under the round's generation token ("sync" channel of
-        the :class:`~repro.fl.wire.BroadcastCache`) — repeat calls within
+        framed once under the transport's round token ("sync" channel of
+        its :class:`~repro.fl.wire.BroadcastCache`) — repeat calls within
         a round (e.g. for a re-sampled cohort) return the cached blob.
+        Pool plumbing, not traffic: nothing is charged.
         """
-        return self._broadcast.encode(self.worker_sync_state(),
-                                      token=self._bcast_gen, channel="sync",
-                                      variant=self._bcast_variant)
-
-    @property
-    def _bcast_variant(self):
-        """Broadcast-cache variant key: the quant config's identity.
-
-        Folded into every cache key so a quantization-config change can
-        never serve a blob encoded under a different config
-        (DESIGN.md §16) — even if ``self.quant`` is mutated mid-run.
-        """
-        return self.quant.key if self.quant is not None else None
+        transport = self.transport
+        return transport.broadcast.encode(
+            self.worker_sync_state(), token=transport.token, channel="sync",
+            variant=transport.variant)
 
     # Class-level so the "non-dict update" warning fires once per
     # algorithm class, not once per round.
@@ -385,15 +381,12 @@ class FederatedAlgorithm:
         neither touches numerics, so traced runs stay seed-identical.
         """
         tracer = get_tracer()
-        # New round ⇒ new broadcast generation: global state may have
-        # mutated since the last aggregate, so cached downlink/sync
-        # encodings from earlier rounds must not be served under the old
-        # token.  Within one round the server state is constant (all
+        # Global state may have mutated since the last aggregate, so
+        # cached downlink/sync encodings from earlier rounds must not be
+        # served.  Within one round the server state is constant (all
         # mutation happens in ``aggregate``, after every collect), so one
         # token per round is exactly the right granularity.
-        self._bcast_gen += 1
-        if self.transport is not None:
-            self.transport.token = self._bcast_gen
+        self.transport.new_round()
         with tracer.span("round", round=round_idx) as round_span:
             stats = FaultStats()
             quorum = max(1, self.min_clients)
@@ -464,31 +457,6 @@ class FederatedAlgorithm:
         metrics.gauge("fl.val_acc", algorithm=self.name).set(acc)
         return result
 
-    def _send_download(self, client: Client, ledger_round: int,
-                       token) -> int:
-        """Fault-free downlink: build the payload, charge the ledger under
-        ``ledger_round``, and return its byte count.
-
-        When a tracer is enabled the payload also makes one pass through
-        the wire codec (result discarded) so the trace's codec spans
-        carry the ledger's byte totals.  It is client-invariant, so the
-        blob comes from the :class:`~repro.fl.wire.BroadcastCache` under
-        ``token`` (the driver's "server state unchanged since" key).
-        """
-        tracer = get_tracer()
-        cid = client.client_id
-        with tracer.span("download", round=ledger_round, client=cid) as span:
-            down = self.download_payload(client)
-            down_bytes = payload_nbytes(down)
-            span.set(bytes=down_bytes)
-            if tracer.enabled:
-                blob = self._broadcast.encode(down, token=token,
-                                              channel="down",
-                                              variant=self._bcast_variant)
-                deserialize_state(blob, copy=False)
-        self.ledger.record_down(ledger_round, cid, down_bytes)
-        return down_bytes
-
     def _train(self, client: Client, round_idx: int) -> Any:
         """Local update plus the (once-per-update) uplink quantization."""
         with get_tracer().span("local_update", round=round_idx,
@@ -500,31 +468,23 @@ class FederatedAlgorithm:
                          stats: FaultStats) -> Any:
         """Download → train → upload for one client, with retries.
 
-        The fault-free path is byte-identical to the original loop.  Under
-        a fault model, a completed local update is cached across attempts
-        — an upload corruption triggers a *retransmission*, never silent
+        Both transfers go through :attr:`transport`, which charges,
+        traces and (under a fault model) corrupts them.  Under a fault
+        model, a completed local update is cached across attempts — an
+        upload corruption triggers a *retransmission*, never silent
         retraining — and a mid-training crash rolls the client's
         persistent state back to its pre-round snapshot before retrying.
-
-        When a tracer is enabled on the fault-free path, the upload makes
-        the same discarded pass through the wire codec as the download
-        (:meth:`_send_download`), serializing into arena scratch.
         """
         tracer = get_tracer()
+        transport = self.transport
         cid = client.client_id
-        if self.fault_model is None:
-            self._send_download(client, round_idx, self._bcast_gen)
+        fm = self.fault_model
+        if fm is None:
+            transport.download(round_idx, cid, self.download_payload(client))
             update = self._train(client, round_idx)
-            with tracer.span("upload", round=round_idx, client=cid) as span:
-                up = self.wire_payload(update)
-                up_bytes = payload_nbytes(up)
-                span.set(bytes=up_bytes)
-                if tracer.enabled:
-                    codec_validate(up, owner=self)
-            self.ledger.record_up(round_idx, cid, up_bytes)
+            transport.upload(round_idx, cid, self.wire_payload(update))
             return update
 
-        fm = self.fault_model
         update = None
         failure: ClientFailure | None = None
         for attempt in range(self.retry_policy.max_attempts):
@@ -533,11 +493,9 @@ class FederatedAlgorithm:
                 try:
                     if update is None:
                         fm.check_available(round_idx, cid, salt, attempt)
-                        with tracer.span("download", round=round_idx,
-                                         client=cid):
-                            down = self.download_payload(client)
-                            self.transport.download(round_idx, cid, down,
-                                                    salt, attempt)
+                        transport.download(round_idx, cid,
+                                           self.download_payload(client),
+                                           salt, attempt)
                         fm.check_straggler(round_idx, cid, salt, attempt,
                                            self.epochs_for(client, round_idx))
                         snapshot = client.snapshot_local_state()
@@ -552,10 +510,8 @@ class FederatedAlgorithm:
                             client.restore_local_state(snapshot)
                             update = None
                             raise
-                    with tracer.span("upload", round=round_idx, client=cid):
-                        up = self.wire_payload(update)
-                        self.transport.upload(round_idx, cid, up, salt,
-                                              attempt)
+                    transport.upload(round_idx, cid,
+                                     self.wire_payload(update), salt, attempt)
                     return update
                 except ClientFailure as err:
                     attempt_span.set(failure=type(err).__name__)

@@ -108,6 +108,7 @@ def _apply_algo(algo: FederatedAlgorithm, arrays: dict[str, np.ndarray],
             f"algorithm has {len(algo.clients)}")
     algo.load_worker_sync_state(
         {key: arrays[f"server.{key}"] for key in manifest["server_keys"]})
+    algo.transport.new_round()   # the global state moved
     if manifest["includes_clients"]:
         for client in algo.clients:
             client.local_state = decode_client_state(
@@ -197,7 +198,6 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
             "crashed": job.crashed,
             "train_loss": job.train_loss,
             "fingerprint": job.fingerprint,
-            "up_bytes": job.up_bytes,
             "accepted": job.accepted,
             "has_update": update is not None,
         }
@@ -288,7 +288,7 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
             duration=float(meta["duration"]),
             crashed=bool(meta["crashed"]), update=update,
             train_loss=float(meta["train_loss"]),
-            fingerprint=meta["fingerprint"], up_bytes=meta["up_bytes"],
+            fingerprint=meta["fingerprint"],
             accepted=bool(meta["accepted"]))
     stats = FaultStats.from_dict(state["stats"])
     stats._drops = {int(c): kind

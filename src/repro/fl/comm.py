@@ -1,24 +1,29 @@
-"""Communication codec and byte-exact cost accounting.
+"""Communication accounting: the codec's public names, ledger and transport.
 
 The paper's communication-cost results (Tables I & II, Eq. 13:
 ``cost = sum over rounds of per-client payloads``) require counting what
 actually crosses the network.  This module provides:
 
-- a real binary wire format (``serialize_state``/``deserialize_state``) so
+- :class:`Transport` — the simulated network, and the **only** code that
+  charges the :class:`CommLedger`, opens ``serialize`` / ``deserialize``
+  spans, or corrupts a payload (DESIGN.md §17).  Every driver (sync
+  rounds, the async runtime, the population-scale runner, pool workers)
+  sends through an algorithm's one transport;
+- :class:`CommLedger` — the per-round, per-direction ledger the
+  transport writes every transfer into;
+- ``serialize_state`` / ``deserialize_state`` — the public, span-free
+  names of the wire codec in :mod:`repro.fl.wire` (DESIGN.md §11), so
   tests can prove payloads round-trip losslessly;
 - ``payload_nbytes`` — dense state-dict payload size, exactly the size of
   the serialised form;
 - ``sparse_payload_nbytes`` — salient-selection payload size: selected
   values + int32 filter indices + per-entry headers (the paper's
   "parameter and corresponding parameter index ... negligible burdens");
-- :class:`CommLedger` — per-round, per-direction ledger the server loop
-  writes every transfer into;
-- ``encode_update``/``decode_update`` — *worker payload framing*: a
-  lossless pytree codec layered on the wire format, so the parallel
-  execution engine (:mod:`repro.fl.parallel`) can ship arbitrary
+- ``encode_update`` / ``decode_update`` — *storage framing*: a lossless
+  pytree codec layered on the wire format, used to move arbitrary
   algorithm update objects (nested dicts/tuples of arrays and scalars)
-  between processes through the very same serializer the simulated
-  network uses.
+  between processes, into spill files, stores and checkpoints.  Storage
+  framing is never traffic: it charges nothing and emits no span.
 
 Wire format (little-endian): ``[u32 n_entries]`` then per entry
 ``[u16 name_len][name utf-8][u8 dtype_code][u8 ndim][u32 dims...]
@@ -26,17 +31,9 @@ Wire format (little-endian): ``[u32 n_entries]`` then per entry
 ``[u32 crc32]`` over the whole entry record (header + raw bytes), so
 bit-flips anywhere in the entry — including its name and shape — are
 *detected* at deserialisation instead of silently skewing aggregation.
-The checksummed variant is what :class:`repro.fl.faults.FaultyTransport`
-puts on the (simulated) wire; the plain variant stays byte-identical to
-the original format so fault-free accounting is unchanged.
-
-The codec core lives in :mod:`repro.fl.wire` (DESIGN.md §11): a
-zero-copy single-buffer writer, a read-only-view decode mode, and the
-per-round :class:`~repro.fl.wire.BroadcastCache`.  This module keeps the
-public entry points — :func:`serialize_state` / :func:`deserialize_state`
-wrap the wire core in the traced codec spans the observability layer
-cross-checks against the ledger — plus the sizing helpers, the ledger,
-and the pytree update framing.
+The checksummed variant is what a :class:`Transport` with a fault model
+puts on the (simulated) wire; the plain variant is what a fault-free
+transport charges for.
 """
 
 from __future__ import annotations
@@ -47,77 +44,53 @@ from typing import Any
 
 import numpy as np
 
-from repro.fl.wire import (PayloadError, payload_nbytes,
-                           sparse_payload_nbytes)
 from repro.fl import wire
+from repro.fl.resilience import TransferCorrupted
+from repro.fl.wire import (BroadcastCache, PayloadError, payload_nbytes,
+                           sparse_payload_nbytes)
 from repro.obs.trace import get_tracer
 
 __all__ = ["PayloadError", "serialize_state", "deserialize_state",
            "payload_nbytes", "sparse_payload_nbytes", "encode_update",
-           "decode_update", "CommLedger"]
+           "decode_update", "CommLedger", "Transport"]
 
 
 def serialize_state(state: dict[str, np.ndarray],
                     checksums: bool = False) -> bytes:
     """Encode a flat state dict to bytes (deterministic, key-ordered).
 
-    With ``checksums=True`` every entry record is followed by its CRC32,
-    making corruption detectable by :func:`deserialize_state`.
-
-    The encoding runs through the zero-copy single-buffer writer in
-    :mod:`repro.fl.wire` — the wire size is computed up front and every
-    header and array is written in place, so the payload is produced
-    with one data pass instead of per-entry joins.  Entry names above
-    65535 UTF-8 bytes or dimensions at or above ``2**32`` don't fit the
-    headers and raise :class:`PayloadError` naming the entry.
-
-    When tracing is enabled, the whole encode is wrapped in a
-    ``serialize`` span whose ``bytes`` attribute is the exact wire size —
-    the same number the :class:`CommLedger` records — so traces and the
-    communication tables line up byte-for-byte.
+    The public name of :func:`repro.fl.wire.serialize`.  With
+    ``checksums=True`` every entry record is followed by its CRC32,
+    making corruption detectable by :func:`deserialize_state`.  Entry
+    names above 65535 UTF-8 bytes or dimensions at or above ``2**32``
+    don't fit the headers and raise :class:`PayloadError` naming the
+    entry.
     """
-    with get_tracer().span("serialize", checksums=checksums) as span:
-        blob = wire.serialize(state, checksums=checksums)
-        span.set(bytes=len(blob), entries=len(state))
-    return blob
+    return wire.serialize(state, checksums=checksums)
 
 
 def deserialize_state(payload: bytes, checksums: bool = False,
                       copy: bool = True) -> dict[str, np.ndarray]:
     """Decode bytes produced by :func:`serialize_state`.
 
-    Every offset is validated against ``len(payload)`` before it is read,
-    so truncated or bit-flipped payloads raise :class:`PayloadError`
-    naming the entry and offset instead of a bare ``struct.error`` or a
-    silent mis-slice.  With ``checksums=True`` each entry's CRC32 is
-    verified as well.  Duplicate entry names are a structural fault too:
-    a payload that names the same entry twice would silently let the last
-    occurrence win, so it is rejected with :class:`PayloadError`.
-
-    ``copy=False`` skips the per-entry copies and returns **read-only**
-    views over ``payload`` (see :func:`repro.fl.wire.deserialize`) — the
-    fast path for decode-then-read consumers such as aggregation.
-
-    Like :func:`serialize_state`, the decode is wrapped in a traced
-    ``deserialize`` span carrying the payload's byte count.
+    The public name of :func:`repro.fl.wire.deserialize`: truncated,
+    bit-flipped or duplicate-entry payloads raise :class:`PayloadError`
+    naming the entry and offset, ``checksums=True`` verifies each
+    entry's CRC32, and ``copy=False`` returns **read-only** views over
+    ``payload`` instead of copies.
     """
-    with get_tracer().span("deserialize", checksums=checksums,
-                           bytes=memoryview(payload).nbytes) as span:
-        out = wire.deserialize(payload, checksums=checksums, copy=copy)
-        span.set(entries=len(out), zero_copy=not copy)
-    return out
+    return wire.deserialize(payload, checksums=checksums, copy=copy)
 
 
 # --------------------------------------------------------------------------
-# Worker payload framing: a pytree codec on top of the wire format.
+# Storage framing: a pytree codec on top of the wire format.
 #
 # Algorithm update objects are nested Python structures (dicts of arrays,
 # tuples of (indices, values), scalar step counts...).  The parallel
-# execution engine needs to move them between processes *losslessly* and
-# through the same serializer the simulated network uses, so traces and
-# accounting exercise one code path.  The framing flattens the structure
-# into (a) positional array entries and (b) a JSON manifest describing the
-# tree, then hands both to :func:`serialize_state`.
+# execution engine, the spill files and the checkpoints need to hold them
+# *losslessly*.  The framing flattens the structure into (a) positional
+# array entries and (b) a JSON manifest describing the tree, then hands
+# both to :func:`serialize_state`.
 
 _MANIFEST_KEY = "__pytree__"
 
@@ -268,3 +241,118 @@ class CommLedger:
                 total += self.downlink.get(r, {}).get(c, 0)
                 n += 1
         return (total / n) / 2 ** 20 if n else 0.0
+
+
+_SPAN_NAME = {"down": "download", "up": "upload"}
+
+
+class Transport:
+    """The simulated network between the server and its clients.
+
+    Three rules hold because this class is the only code that writes the
+    ledger, opens codec spans or applies a fault model (DESIGN.md §17):
+
+    - **charged where sent** — every transfer is charged to
+      :attr:`ledger` at its wire size when it is sent, so corrupted and
+      retried transfers cost real (simulated) bandwidth;
+    - **traced where charged** — each transfer is one ``download`` /
+      ``upload`` span carrying the charged ``bytes``, with a
+      ``serialize`` / ``deserialize`` span pair inside it when a codec
+      pass runs, so span byte totals equal the ledger on every driver;
+    - **storage framing is never traffic** — the codec underneath is
+      pure, so spills, stores, checkpoints and pool plumbing charge
+      nothing and emit no span.
+
+    Without a fault model a transfer costs one :func:`payload_nbytes` and
+    one ledger write, and the receiver gets ``payload`` itself; when a
+    tracer is on it also makes one discarded validating pass through the
+    codec (arena scratch, zero-copy decode) so the trace carries the
+    bytes.  With a fault model both directions go through the
+    checksummed codec, the fault model may flip bits, and the receiving
+    side runs the validating decoder — corruption is *detected*, surfacing
+    as :class:`~repro.fl.resilience.TransferCorrupted`, never accepted
+    silently; the receiver gets read-only views over the wire bytes.
+
+    The client-invariant downlink is framed once per round through
+    ``broadcast`` (a :class:`~repro.fl.wire.BroadcastCache`) under the
+    round :attr:`token`, which :meth:`new_round` moves whenever server
+    state may have changed; the encode is cached, the charge is not.
+    ``variant`` is the encoding-configuration identity (the quant
+    config's key) folded into every cache key.  Uploads are per-client
+    content and never go through the cache.
+    """
+
+    def __init__(self, fault_model=None,
+                 broadcast: BroadcastCache | None = None, variant=None):
+        self.ledger = CommLedger()
+        self.fault_model = fault_model
+        self.broadcast = broadcast
+        self.variant = variant
+        self.token = 0
+
+    def new_round(self) -> None:
+        """Server state may have changed: stop serving the cached downlink."""
+        self.token += 1
+
+    def download(self, round_idx: int, client_id: int,
+                 payload: dict[str, np.ndarray], salt: int = 0,
+                 attempt: int = 0) -> dict[str, np.ndarray]:
+        """Send ``payload`` server → client; returns it as received."""
+        return self._transfer("down", round_idx, client_id, payload, salt,
+                              attempt, self.fault_model)
+
+    def upload(self, round_idx: int, client_id: int,
+               payload: dict[str, np.ndarray], salt: int = 0,
+               attempt: int = 0) -> dict[str, np.ndarray]:
+        """Send ``payload`` client → server; returns it as received."""
+        return self._transfer("up", round_idx, client_id, payload, salt,
+                              attempt, self.fault_model)
+
+    def charge(self, direction: str, round_idx: int, client_id: int,
+               payload: dict[str, np.ndarray]) -> None:
+        """Charge out-of-band setup traffic (``direction`` ``"up"`` /
+        ``"down"``) at its plain wire size; the fault model does not
+        apply to it."""
+        self._transfer(direction, round_idx, client_id, payload, 0, 0, None)
+
+    def _transfer(self, direction, round_idx, client_id, payload, salt,
+                  attempt, fault_model):
+        tracer = get_tracer()
+        down = direction == "down"
+        record = self.ledger.record_down if down else self.ledger.record_up
+        with tracer.span(_SPAN_NAME[direction], round=round_idx,
+                         client=client_id) as span:
+            if fault_model is None and not tracer.enabled:
+                record(round_idx, client_id, payload_nbytes(payload))
+                return payload
+            checksums = fault_model is not None
+            with tracer.span("serialize", checksums=checksums) as ser:
+                if down and self.broadcast is not None:
+                    misses = self.broadcast.misses
+                    blob = self.broadcast.encode(
+                        payload, token=self.token, channel="down",
+                        checksums=checksums, variant=self.variant)
+                    # the full length is reported either way: the network
+                    # sent it, only the CPU encode was skipped
+                    ser.set(cached=self.broadcast.misses == misses)
+                elif checksums:
+                    blob = wire.serialize(payload, checksums=True)
+                else:
+                    blob = wire.serialize_scratch(payload, owner=self)
+                    ser.set(scratch=True)
+                ser.set(bytes=len(blob), entries=len(payload))
+            record(round_idx, client_id, len(blob))
+            span.set(bytes=len(blob))
+            if checksums:
+                blob = fault_model.corrupt(blob, round_idx, client_id, salt,
+                                           attempt, direction)
+            with tracer.span("deserialize", checksums=checksums,
+                             bytes=len(blob), zero_copy=True) as de:
+                try:
+                    received = wire.deserialize(blob, checksums=checksums,
+                                                copy=False)
+                except PayloadError as err:
+                    raise TransferCorrupted(client_id, round_idx, direction,
+                                            err) from err
+                de.set(entries=len(received))
+        return received if checksums else payload

@@ -10,13 +10,10 @@ seeded RNG tree (:func:`repro.utils.rng.spawn_rng`), keyed by
 reproducible, and retries/re-samples see *fresh* draws rather than
 replaying the same failure forever.
 
-:class:`FaultyTransport` routes every download/upload through the real
-wire codec with per-entry CRC32 checksums (``repro.fl.comm``), flips
-bits in the serialized bytes per the fault model, and re-decodes on the
-receiving side.  Corruption is therefore *detected* by checksum and
-structural validation, not simulated by fiat, and every transmitted
-byte — including retransmissions — is charged to the
-:class:`~repro.fl.comm.CommLedger`.
+The model only *draws* faults.  Bit corruption is applied — and detected,
+charged and traced — by the one :class:`~repro.fl.comm.Transport`
+(DESIGN.md §17); availability, straggler and crash draws are consumed by
+the round loop (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -26,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fl.comm import (CommLedger, PayloadError, deserialize_state,
-                           serialize_state)
 from repro.fl.resilience import (ClientCrashed, ClientDropped,
-                                 StragglerTimeout, TransferCorrupted)
+                                 StragglerTimeout)
 from repro.utils.rng import spawn_rng
 
 
@@ -207,65 +202,3 @@ class AsyncProfile:
             if rng.random() < self.churn_prob:
                 return float(self.absence * (0.5 + rng.random())), True
         return float(self.rejoin_delay), False
-
-
-class FaultyTransport:
-    """Wire transport that serializes, maybe-corrupts, and re-decodes.
-
-    Both directions go through the checksummed wire codec; the receiving
-    side runs the validating decoder, so every corruption surfaces as
-    :class:`TransferCorrupted` (never a silent acceptance).  Bytes are
-    charged to the ledger when they are *sent*, i.e. corrupted and
-    retried transfers cost real (simulated) bandwidth.
-
-    When a :class:`~repro.fl.wire.BroadcastCache` is attached (the server
-    loop does this), the client-invariant downlink state is framed once
-    per round under the server's round ``token`` and the cached blob is
-    re-sent to every client — the encode is cached, the ledger charge is
-    not (DESIGN.md §11).  Uploads are per-client content and always take
-    a fresh encode.  Decoding uses the zero-copy mode: the returned views
-    are backed by the immutable wire bytes, which stay alive through the
-    views' buffer references.
-    """
-
-    def __init__(self, fault_model: FaultModel, ledger: CommLedger,
-                 broadcast=None):
-        self.fault_model = fault_model
-        self.ledger = ledger
-        self.broadcast = broadcast
-        self.token = 0  # server round token; bumped by run_round
-        # Quantization-config identity; folded into broadcast-cache keys
-        # so a config change can never serve a stale cached blob.
-        self.variant = None
-
-    def download(self, round_idx: int, client_id: int,
-                 state: dict[str, np.ndarray], salt: int = 0,
-                 attempt: int = 0) -> dict[str, np.ndarray]:
-        return self._transfer(round_idx, client_id, state, salt, attempt,
-                              "down")
-
-    def upload(self, round_idx: int, client_id: int,
-               state: dict[str, np.ndarray], salt: int = 0,
-               attempt: int = 0) -> dict[str, np.ndarray]:
-        return self._transfer(round_idx, client_id, state, salt, attempt,
-                              "up")
-
-    def _transfer(self, round_idx: int, client_id: int,
-                  state: dict[str, np.ndarray], salt: int, attempt: int,
-                  direction: str) -> dict[str, np.ndarray]:
-        if direction == "down" and self.broadcast is not None:
-            blob = self.broadcast.encode(state, token=self.token,
-                                         channel="down", checksums=True,
-                                         variant=self.variant)
-        else:
-            blob = serialize_state(state, checksums=True)
-        record = (self.ledger.record_down if direction == "down"
-                  else self.ledger.record_up)
-        record(round_idx, client_id, len(blob))
-        wire_bytes = self.fault_model.corrupt(blob, round_idx, client_id,
-                                              salt, attempt, direction)
-        try:
-            return deserialize_state(wire_bytes, checksums=True, copy=False)
-        except PayloadError as err:
-            raise TransferCorrupted(client_id, round_idx, direction,
-                                    err) from err

@@ -21,11 +21,13 @@ Parallel runs are **seed- and byte-identical** to serial runs because
 1. every random draw is keyed by ``(seed, purpose, round, client, ...)``
    through ``SeedSequence`` trees, so draws are order-independent;
 2. state crossing the process boundary goes through lossless codecs: the
-   global sync state and the update objects through the very wire codec
-   (:mod:`repro.fl.comm`) the simulated network uses, ``client.local_state``
-   through pickle — and the sync state is framed once per round by the
-   server's :class:`~repro.fl.wire.BroadcastCache` and shipped once per
-   *worker* (barrier-gated preload), not once per client;
+   global sync state and the update objects through the wire codec's
+   storage framing (:mod:`repro.fl.comm` — pure, so this plumbing
+   charges nothing and emits no span; DESIGN.md §17),
+   ``client.local_state`` through pickle — and the sync state is framed
+   once per round by the server's :class:`~repro.fl.wire.BroadcastCache`
+   and shipped once per *worker* (barrier-gated preload), not once per
+   client;
 3. the parent commits results — client ``local_state`` (all the
    per-client state there is), ledger traffic, fault stats, metrics,
    trace spans, and finally the
@@ -40,7 +42,6 @@ pool is rebuilt for the next collect.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing as mp
 import pickle
 import threading
@@ -102,23 +103,6 @@ class SerialExecutor(RoundExecutor):
         return updates, losses
 
 
-@contextlib.contextmanager
-def _untraced():
-    """Silence the tracer for executor plumbing.
-
-    The sync-blob and update-framing codec calls are infrastructure, not
-    simulated network traffic: tracing them would add ``serialize`` /
-    ``deserialize`` spans a serial run does not have, and — because codec
-    spans carry byte counts — break the invariant that traced codec byte
-    totals equal the :class:`CommLedger` totals.
-    """
-    previous = set_tracer(NullTracer())
-    try:
-        yield
-    finally:
-        set_tracer(previous)
-
-
 # ---------------------------------------------------------------- worker
 # Module-level state installed once per worker process by the pool
 # initializer, then reused across tasks: the unpickled algorithm replica,
@@ -161,8 +145,7 @@ def _worker_init(algo_blob: bytes, barrier: Any = None) -> None:
 def _apply_sync(version: int, blob: bytes) -> None:
     """Decode and install one sync blob on this worker's replica."""
     global _WORKER_SYNC_VERSION
-    with _untraced():
-        _WORKER_ALGO.load_worker_sync_state(deserialize_state(blob))
+    _WORKER_ALGO.load_worker_sync_state(deserialize_state(blob))
     _WORKER_SYNC_VERSION = version
 
 
@@ -197,7 +180,7 @@ class _ClientTask:
     sync_blob: bytes | None  # encoded worker_sync_state; None when the
                              # blob was already distributed via _preload_sync
     bcast_token: int         # server round token for the worker's own
-                             # BroadcastCache / FaultyTransport
+                             # transport (its BroadcastCache key)
     local_state_blob: bytes  # pickled client.local_state
     traced: bool             # parent tracer enabled → record worker spans
 
@@ -220,11 +203,11 @@ class _ClientOutcome:
 def _run_client_task(task: _ClientTask) -> _ClientOutcome:
     """Execute one client exchange inside a worker process.
 
-    The worker re-points the replica's ledger/metrics/tracer at fresh
-    per-task instances so nothing double-counts: the parent merges each
-    outcome exactly once, in cohort order.  The sync blob is applied only
-    when its version changed, so the (large) global state deserializes
-    once per worker per round, not once per client.
+    The worker re-points the replica's transport ledger, metrics and
+    tracer at fresh per-task instances so nothing double-counts: the
+    parent merges each outcome exactly once, in cohort order.  The sync
+    blob is applied only when its version changed, so the (large) global
+    state deserializes once per worker per round, not once per client.
     """
     algo = _WORKER_ALGO
     tracer = Tracer() if task.traced else NullTracer()
@@ -235,19 +218,14 @@ def _run_client_task(task: _ClientTask) -> _ClientOutcome:
                 f"worker missed sync preload for version {task.sync_version} "
                 f"(has {_WORKER_SYNC_VERSION}) and the task carries no blob")
         _apply_sync(task.sync_version, task.sync_blob)
-    # Round token for this replica's broadcast cache: the worker's own
-    # FaultyTransport / traced downlink frame the (client-invariant)
-    # downlink once per round under this token instead of once per client.
-    algo._bcast_gen = task.bcast_token
-    if algo.transport is not None:
-        algo.transport.token = task.bcast_token
+    # Round token for this replica's transport: it frames the
+    # (client-invariant) downlink once per round under this token
+    # instead of once per client.
+    algo.transport.token = task.bcast_token
     client = _WORKER_CLIENTS[task.client_id]
     client.local_state = pickle.loads(task.local_state_blob)
 
-    ledger = CommLedger()
-    algo.ledger = ledger
-    if algo.transport is not None:
-        algo.transport.ledger = ledger
+    ledger = algo.transport.ledger = CommLedger()
     registry = MetricsRegistry()
     set_registry(registry)
 
@@ -262,8 +240,7 @@ def _run_client_task(task: _ClientTask) -> _ClientOutcome:
         failure = err
     else:
         train_loss = algo.update_train_loss(update)
-        with _untraced():
-            update_blob = encode_update(update)
+        update_blob = encode_update(update)
     return _ClientOutcome(
         client_id=task.client_id,
         update_blob=update_blob,
@@ -285,37 +262,29 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     (each worker unpickles one algorithm replica in its initializer) and
     reused across rounds.  Per-round server state is framed once through
     the algorithm's :class:`~repro.fl.wire.BroadcastCache`
-    (``encoded_sync_state``) and — with ``broadcast=True``, the default —
-    distributed once per *worker* via barrier-gated preload tasks, so
-    client tasks stay small; with ``broadcast=False`` (and automatically
-    as a per-round fallback when a preload fails) the blob rides along in
-    every task, the pre-cache behaviour.  Either way a worker applies the
-    blob at most once per round.  Results are committed strictly in
-    cohort order — see the module docstring for the determinism argument.
+    (``encoded_sync_state``) and distributed once per *worker* via
+    barrier-gated preload tasks, so client tasks stay small; when a
+    preload fails the blob rides along in every task of that round
+    instead.  Either way a worker applies the blob at most once per
+    round.  Results are committed strictly in cohort order — see the
+    module docstring for the determinism argument.
 
-    ``mp_context`` defaults to ``fork`` where available (cheap replica
+    Workers are started with ``fork`` where available (cheap replica
     setup via copy-on-write; also required for algorithm classes defined
-    in non-importable modules) and falls back to ``spawn``.
+    in non-importable modules), else ``spawn``.
     """
 
     # Deadline for workers meeting at the preload barrier; generous —
     # it only has to cover worker process startup, never training.
     _SYNC_BARRIER_TIMEOUT = 120.0
 
-    def __init__(self, workers: int, mp_context: Any = None,
-                 broadcast: bool = True):
+    def __init__(self, workers: int):
         if workers < 2:
             raise ValueError("ProcessPoolRoundExecutor needs >= 2 workers; "
                              "use SerialExecutor (or make_executor) instead")
         self.workers = workers
-        self.broadcast = broadcast
-        if mp_context is None:
-            method = ("fork" if "fork" in mp.get_all_start_methods()
-                      else "spawn")
-            mp_context = mp.get_context(method)
-        elif isinstance(mp_context, str):
-            mp_context = mp.get_context(mp_context)
-        self._mp_context = mp_context
+        self._mp_context = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._pool: ProcessPoolExecutor | None = None
         # Strong reference, compared by identity: an id()-keyed check
         # could bind a stale pool to a new algorithm allocated at a
@@ -373,18 +342,15 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         tracer = get_tracer()
         pool = self._ensure_pool(algorithm)
         self._sync_version += 1
-        with _untraced():
-            sync_blob = algorithm.encoded_sync_state()
-        preloaded = False
-        if self.broadcast:
-            preloaded = self._distribute_sync(pool, sync_blob)
-            if not preloaded:
-                pool = self._ensure_pool(algorithm)   # may have been closed
+        sync_blob = algorithm.encoded_sync_state()
+        preloaded = self._distribute_sync(pool, sync_blob)
+        if not preloaded:
+            pool = self._ensure_pool(algorithm)   # may have been closed
         tasks = [
             _ClientTask(client_id=client.client_id, round_idx=round_idx,
                         salt=salt, sync_version=self._sync_version,
                         sync_blob=None if preloaded else sync_blob,
-                        bcast_token=algorithm._bcast_gen,
+                        bcast_token=algorithm.transport.token,
                         local_state_blob=pickle.dumps(client.local_state),
                         traced=tracer.enabled)
             for client in selected
@@ -421,12 +387,10 @@ class ProcessPoolRoundExecutor(RoundExecutor):
                 stats.record_failure(outcome.failure)
                 continue
             stats.record_delivery(client.client_id)
-            with _untraced():
-                # Aggregation only reads updates, so decode them as
-                # zero-copy views over the update blob (kept alive by the
-                # views' buffer references) instead of per-array copies.
-                updates.append(decode_update(outcome.update_blob,
-                                             copy=False))
+            # Aggregation only reads updates, so decode them as zero-copy
+            # views over the update blob (kept alive by the views' buffer
+            # references) instead of per-array copies.
+            updates.append(decode_update(outcome.update_blob, copy=False))
             losses.append(outcome.train_loss)
         if broken:
             self.close()   # next collect rebuilds a healthy pool
@@ -441,8 +405,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             self._barrier = None
 
 
-def make_executor(workers: int, mp_context: Any = None,
-                  broadcast: bool = True) -> RoundExecutor:
+def make_executor(workers: int) -> RoundExecutor:
     """The round executor for ``workers`` (DESIGN.md §14's table, in code).
 
     ``workers == 1`` is the in-process :class:`SerialExecutor`; anything
@@ -453,5 +416,4 @@ def make_executor(workers: int, mp_context: Any = None,
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return SerialExecutor()
-    return ProcessPoolRoundExecutor(workers, mp_context=mp_context,
-                                    broadcast=broadcast)
+    return ProcessPoolRoundExecutor(workers)

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.core.aggregation import SalientAccumulator
+from repro.core.gradient_control import server_variate_delta
 from repro.fl.comm import PayloadError, decode_update, encode_update
 from repro.fl.local import weighted_average_states
 from repro.fl.wire import deserialize, serialize
@@ -223,10 +224,11 @@ class SPATLFold(StreamingFold):
     One :class:`~repro.core.aggregation.SalientAccumulator` per prunable
     layer, built at construction (Eq. 12's diffs are all taken against
     the *pre-round* global).  Eq. 11 variate deltas are reconstructed
-    from each upload and summed eagerly; ``finalize`` applies
-    ``c += sum(delta c_i) / N`` — precisely ``(|S|/N) * mean`` with
-    ``|S|`` = the updates folded, so a dropped client leaves ``c_global``
-    untouched for its share.  Dense tensors and shared-predictor states
+    from each upload by
+    :func:`~repro.core.gradient_control.server_variate_delta` and summed
+    eagerly; ``finalize`` applies ``c += sum(delta c_i) / N`` — precisely
+    ``(|S|/N) * mean`` with ``|S|`` = the updates folded, so a dropped
+    client leaves ``c_global`` untouched for its share.  Dense tensors and shared-predictor states
     are parked for the weighted mean.  A staleness weight scales the
     upload's Eq. 12 diffs and coverage, its example count, and its
     Eq. 11 delta.
@@ -256,6 +258,7 @@ class SPATLFold(StreamingFold):
 
         # --- Eq. 11: eager variate-delta accumulation ------------------
         for name, acc in self._c_acc.items():   # empty without variates
+            k_eta = update["eff_steps"] * algo.lr
             c_val = algo.c_global.values[name]
             layer = name[:-len(".weight")] if name.endswith(".weight") \
                 else None
@@ -263,12 +266,11 @@ class SPATLFold(StreamingFold):
             if layer in update["salient"]:
                 idx, rows = update["salient"][layer]
                 idx = np.asarray(idx, dtype=np.int64)
-                delta = -c_val[idx] + (before[idx] - rows) / (
-                    update["eff_steps"] * algo.lr)
+                delta = server_variate_delta(c_val, before, rows, k_eta, idx)
                 acc[idx] += weight * delta if self.weighted else delta
             elif name in update["dense"]:
-                delta = -c_val + (before - update["dense"][name]) / (
-                    update["eff_steps"] * algo.lr)
+                delta = server_variate_delta(c_val, before,
+                                             update["dense"][name], k_eta)
                 acc += weight * delta if self.weighted else delta
 
         # --- dense + shared predictor, parked for the finalize stream --

@@ -145,7 +145,7 @@ class ScaleRunner:
         if self._pending is not None:
             raise RuntimeError("a partial round is already pending")
         algo = self.algo
-        algo._bcast_gen += 1
+        algo.transport.new_round()
         stats = FaultStats()
         with get_tracer().span("sample", round=round_idx, salt=0):
             selected = sample_clients(algo.clients, algo.sample_ratio,
@@ -254,7 +254,6 @@ class ScaleRunner:
         fold_arrays = {k[len("fold."):]: v for k, v in arrays.items()
                        if k.startswith("fold.")}
         fold.restore(fold_arrays, state["fold"])
-        self.algo._bcast_gen += 1
         self._pending = {"round_idx": int(state["round_idx"]),
                          "fold": fold, "spill": spill,
                          "losses": [float(v) for v in state["losses"]],

@@ -117,7 +117,13 @@ class ClientStateStore:
         return zlib.crc32(key.encode("utf-8")) % self.shards
 
     def _rebuild_index(self) -> None:
-        """Replay every shard log; later records win."""
+        """Replay every shard log; later records win.
+
+        A record that runs past the end of its log is a ``put`` torn by a
+        crash: the log is truncated back to the last complete record
+        (as :meth:`attach` truncates to a manifest size), so a reopened
+        store never serves a short blob.
+        """
         self._index.clear()
         self._dead = [0] * self.shards
         for i, f in enumerate(self._files):
@@ -126,20 +132,35 @@ class ClientStateStore:
             size = self._sizes[i]
             off = 0
             while off < size:
-                hdr = os.pread(fd, _KEY_HDR.size, off)
-                if len(hdr) < _KEY_HDR.size:
+                record = self._scan_record(fd, off, size)
+                if record is None:
+                    f.truncate(off)
+                    self._sizes[i] = off
+                    get_registry().counter("scale.store_torn_tails").inc()
                     break
-                (key_len,) = _KEY_HDR.unpack(hdr)
-                key = os.pread(fd, key_len, off + _KEY_HDR.size).decode("utf-8")
-                blob_hdr_off = off + _KEY_HDR.size + key_len
-                (blob_len,) = _BLOB_HDR.unpack(
-                    os.pread(fd, _BLOB_HDR.size, blob_hdr_off))
-                blob_off = blob_hdr_off + _BLOB_HDR.size
+                key, blob_off, blob_len = record
                 prev = self._index.get(key)
                 if prev is not None:
                     self._dead[prev[0]] += self._record_nbytes(key, prev[2])
                 self._index[key] = (i, blob_off, blob_len)
                 off = blob_off + blob_len
+
+    @staticmethod
+    def _scan_record(fd: int, off: int, size: int) -> tuple[str, int, int] | None:
+        """``(key, blob_off, blob_len)`` of the record starting at ``off``,
+        or ``None`` when any part of it lies beyond ``size``."""
+        key_off = off + _KEY_HDR.size
+        if key_off > size:
+            return None
+        (key_len,) = _KEY_HDR.unpack(os.pread(fd, _KEY_HDR.size, off))
+        blob_off = key_off + key_len + _BLOB_HDR.size
+        if blob_off > size:
+            return None
+        (blob_len,) = _BLOB_HDR.unpack(
+            os.pread(fd, _BLOB_HDR.size, blob_off - _BLOB_HDR.size))
+        if blob_off + blob_len > size:
+            return None
+        return os.pread(fd, key_len, key_off).decode("utf-8"), blob_off, blob_len
 
     @staticmethod
     def _record_nbytes(key: str, blob_len: int) -> int:

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.fl.base import FederatedAlgorithm
 from repro.fl.client import Client
-from repro.fl.comm import payload_nbytes
 from repro.fl.fedavg import FedAvg
 from repro.tensor import Tensor, functional as F
 
@@ -181,8 +180,7 @@ class SalientGrads(SparseInitFL):
         total: dict[str, np.ndarray] = {}
         for client in self.clients:
             scores = self._client_saliency(client)
-            self.ledger.record_up(0, client.client_id,
-                                  payload_nbytes(scores))
+            self.transport.charge("up", 0, client.client_id, scores)
             for name, s in scores.items():
                 acc = total.get(name)
                 total[name] = s.astype(np.float64) if acc is None else acc + s
@@ -191,6 +189,5 @@ class SalientGrads(SparseInitFL):
     def _charge_mask_bootstrap(self) -> None:
         mask_payload = {f"{n}.idx": idx.astype(np.int32)
                         for n, idx in self.masks.items()}
-        nbytes = payload_nbytes(mask_payload)
         for client in self.clients:
-            self.ledger.record_down(0, client.client_id, nbytes)
+            self.transport.charge("down", 0, client.client_id, mask_payload)

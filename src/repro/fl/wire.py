@@ -12,7 +12,8 @@ model.  This module is the hot-path core behind :mod:`repro.fl.comm`
   ``memoryview`` slice assignment (no per-entry ``b"".join`` copies);
   :func:`serialize` wraps it over a fresh buffer, while
   :func:`serialize_scratch` writes into a workspace-arena buffer
-  (:mod:`repro.tensor.workspace`) for encode-then-discard paths;
+  (:mod:`repro.tensor.workspace`) for encode-then-discard paths (the
+  transport's traced validating pass);
 - **zero-copy reader** — :func:`deserialize` with ``copy=False``
   returns *read-only* ``np.frombuffer`` views over the payload instead
   of per-entry copies, for decode-then-aggregate and validate-only
@@ -21,12 +22,14 @@ model.  This module is the hot-path core behind :mod:`repro.fl.comm`
   client-invariant downlink encoding, keyed by a server-side round
   token with a CRC32 content fingerprint backstop, so the identical
   global state is framed once per round instead of once per client.
-  The :class:`~repro.fl.comm.CommLedger` still charges every client the
+  The :class:`~repro.fl.comm.Transport` still charges every client the
   full downlink bytes — caching the *encoding* never changes the
-  *accounting* (the ledger-invariance rule, DESIGN.md §11);
-- :func:`codec_validate` — one traced serialize → validating-decode
-  pass through arena scratch, emitting the codec spans whose byte
-  totals the observability layer cross-checks against the ledger.
+  *accounting* (DESIGN.md §17).
+
+The codec is pure: nothing here charges a ledger or opens a span.  Bytes
+become traffic only when a :class:`~repro.fl.comm.Transport` sends them,
+so storage users of the same functions (spills, stores, checkpoints, pool
+plumbing) are untraced by construction.
 
 Wire format (little-endian): ``[u32 n_entries]`` then per entry
 ``[u16 name_len][name utf-8][u8 dtype_code][u8 ndim][u32 dims...]
@@ -49,7 +52,6 @@ from typing import Any
 import numpy as np
 
 from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer
 from repro.tensor import workspace
 
 
@@ -225,8 +227,8 @@ def serialize_scratch(state: dict[str, np.ndarray], checksums: bool = False,
 
     The returned view is **transient scratch**: it stays valid only until
     the owner's next ``serialize_scratch`` call, so it is for
-    encode-then-consume-then-discard paths (traced codec validation,
-    benchmarks) — never for blobs that outlive the call.  Capacities are
+    encode-then-consume-then-discard paths (the transport's traced
+    validating pass, benchmarks) — never for blobs that outlive the call.  Capacities are
     bucketed to powers of two so payloads whose sizes drift
     round-to-round (salient selections) outgrow the arena base (and
     reallocate it) at most a logarithmic number of times.
@@ -375,10 +377,8 @@ class BroadcastCache:
     (uploads) must not go through the cache.
 
     Ledger invariance: the cache changes who pays the CPU for framing,
-    never who pays the bytes — callers keep charging every client the
-    full blob length.  When tracing is on, every ``encode`` emits a
-    ``serialize`` span carrying the full byte count plus a ``cached``
-    attribute, so traced codec byte totals still equal the ledger's.
+    never who pays the bytes — the :class:`~repro.fl.comm.Transport`
+    keeps charging (and tracing) every client the full blob length.
 
     Instances are picklable but ship cold (the cached blob is dropped),
     so worker replicas re-encode once rather than inflating task pickles.
@@ -425,7 +425,6 @@ class BroadcastCache:
         """
         key = (channel, checksums, variant)
         entry = self._entries.get(key)
-        cached = True
         if entry is not None:
             self._entries.move_to_end(key)
         if entry is not None and entry.token == token \
@@ -440,7 +439,6 @@ class BroadcastCache:
                 blob = entry.blob
             else:
                 self.misses += 1
-                cached = False
                 blob = serialize(state, checksums=checksums)
                 self._entries[key] = _CacheEntry(token=token,
                                                  fingerprint=fingerprint,
@@ -451,29 +449,4 @@ class BroadcastCache:
                     self.evictions += 1
                     get_registry().counter(
                         "wire.broadcast_evictions").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("serialize", checksums=checksums) as span:
-                span.set(bytes=len(blob), entries=len(state), cached=cached)
         return blob
-
-
-def codec_validate(state: dict[str, np.ndarray], checksums: bool = False,
-                   owner: Any = None) -> int:
-    """One traced pass through the codec; returns the wire byte count.
-
-    Serializes into arena scratch and runs the validating zero-copy
-    decoder, discarding the result: traced runs get ``serialize`` /
-    ``deserialize`` spans whose byte totals equal the ledger's (the
-    DESIGN.md §8 cross-check) at memcpy cost instead of
-    allocate-and-copy cost.
-    """
-    tracer = get_tracer()
-    with tracer.span("serialize", checksums=checksums) as span:
-        blob = serialize_scratch(state, checksums=checksums, owner=owner)
-        span.set(bytes=len(blob), entries=len(state), scratch=True)
-    with tracer.span("deserialize", checksums=checksums,
-                     bytes=len(blob), zero_copy=True) as span:
-        out = deserialize(blob, checksums=checksums, copy=False)
-        span.set(entries=len(out))
-    return len(blob)

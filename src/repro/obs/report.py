@@ -91,8 +91,9 @@ def codec_byte_totals(tracer) -> dict[str, float]:
 
     Returns the summed ``bytes`` attributes of the ``serialize`` and
     ``deserialize`` spans — by construction equal to the
-    :class:`~repro.fl.comm.CommLedger` totals of a traced run, which the
-    CI trace-smoke step asserts.
+    :class:`~repro.fl.comm.CommLedger` totals of a traced run on every
+    driver: the one :class:`~repro.fl.comm.Transport` opens both and
+    charges the ledger (DESIGN.md §17).
     """
     return {"serialize": span_attr_total(tracer, "serialize", "bytes"),
             "deserialize": span_attr_total(tracer, "deserialize", "bytes")}

@@ -6,18 +6,21 @@ Spans nest: a :class:`Tracer` keeps a stack so each finished span knows
 its depth and parent, which is enough to reconstruct the round timeline
 and to render a flame-graph view in ``chrome://tracing`` / Perfetto.
 
-Codec spans (``serialize`` / ``deserialize``) carry a small attribute
-taxonomy the reports rely on: ``bytes`` is always the exact wire size
-(summing it per direction equals the ``CommLedger`` totals, see
-DESIGN.md §8) and ``entries`` the state-dict entry count.  Since the
-fast transport layer (DESIGN.md §11) three markers describe *how* the
-bytes were produced without ever changing the byte counts:
-``cached=True`` on serialize spans served from the per-round
-:class:`~repro.fl.wire.BroadcastCache` (the full blob length is still
-reported — the simulated network sent it, only the CPU encode was
-skipped), ``scratch=True`` on serializes into the workspace arena, and
-``zero_copy=True`` on deserializes that returned read-only views
-instead of copies.
+Transfer and codec spans (``download`` / ``upload`` and the
+``serialize`` / ``deserialize`` pair inside them) are opened by exactly
+one piece of code, :class:`repro.fl.comm.Transport`, the same call that
+charges the ``CommLedger`` (DESIGN.md §17).  Their ``bytes`` attribute
+is always the exact wire size — summing it over either kind equals the
+ledger totals on every driver — and ``entries`` the state-dict entry
+count.  Three markers describe *how* the bytes were produced without
+ever changing the byte counts: ``cached=True`` on serialize spans served
+from the per-round :class:`~repro.fl.wire.BroadcastCache` (the full blob
+length is still reported — the simulated network sent it, only the CPU
+encode was skipped), ``scratch=True`` on serializes into the workspace
+arena, and ``zero_copy=True`` on deserializes that returned read-only
+views instead of copies.  The codec functions themselves open no span,
+so storage framing (spills, stores, checkpoints, pool plumbing) never
+appears as traffic.
 
 The process-global default tracer is a :class:`NullTracer` whose
 ``span()`` returns one shared no-op span — instrumented call sites cost a

@@ -82,25 +82,32 @@ class TestObservability:
 
     def test_profile_smoke_emits_chrome_trace(self, tmp_path, capsys):
         import json
+        import re
 
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
-        rc = main(["profile", "--clients", "2", "--rounds", "1",
-                   "--sample-ratio", "1.0", "--trace-out", str(trace),
-                   "--metrics-out", str(metrics)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        # hotspot table names the conv ops; codec bytes line is printed
-        assert "conv2d.forward" in out
-        assert "codec bytes:" in out
-        assert "step compiler:" not in out      # no --compile, no line
-        doc = json.loads(trace.read_text())
-        events = doc["traceEvents"]
-        assert events and all(e["ph"] == "X" for e in events)
-        names = {e["name"] for e in events}
-        assert {"round", "serialize", "deserialize"} <= names
-        snap = json.loads(metrics.read_text())
-        assert snap["counters"]  # fl.* counters were recorded
+        for driver_flags, driver_spans in (
+                ([], {"round"}),
+                (["--async", "--async-steps", "4", "--buffer-k", "2"],
+                 {"dispatch", "buffer", "commit"})):
+            rc = main(["profile", "--clients", "2", "--rounds", "1",
+                       "--sample-ratio", "1.0", "--trace-out", str(trace),
+                       "--metrics-out", str(metrics), *driver_flags])
+            assert rc == 0
+            out = capsys.readouterr().out
+            # hotspot table names the conv ops; codec bytes line is printed
+            assert "conv2d.forward" in out
+            codec = re.search(r"codec bytes: serialize=(\d+) "
+                              r"deserialize=(\d+) ledger=(\d+)", out)
+            assert codec and len(set(codec.groups())) == 1, out
+            assert "step compiler:" not in out      # no --compile, no line
+            doc = json.loads(trace.read_text())
+            events = doc["traceEvents"]
+            assert events and all(e["ph"] == "X" for e in events)
+            names = {e["name"] for e in events}
+            assert driver_spans | {"serialize", "deserialize"} <= names
+            snap = json.loads(metrics.read_text())
+            assert snap["counters"]  # fl.* counters were recorded
 
     def test_profile_compile_accounts_for_replayed_steps(self, capsys):
         import re

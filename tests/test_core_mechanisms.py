@@ -91,10 +91,13 @@ class TestVariateRefresh:
         fresh = refresh_client_variate(c_i, c, before, after, steps=10,
                                        lr=0.1)
         client_delta = fresh["w"] - c_i["w"]
-        server_delta = server_variate_delta(c, before, {"w": after["w"]},
-                                            steps=10, lr=0.1)
-        np.testing.assert_allclose(server_delta["w"], client_delta,
-                                   atol=1e-12)
+        server_delta = server_variate_delta(c["w"], before["w"], after["w"],
+                                            10 * 0.1)
+        np.testing.assert_allclose(server_delta, client_delta, atol=1e-12)
+        # row form: only the uploaded rows, bitwise the same arithmetic
+        rows = server_variate_delta(c["w"], before["w"], after["w"][[1]],
+                                    10 * 0.1, idx=np.asarray([1]))
+        np.testing.assert_array_equal(rows, server_delta[[1]])
 
 
 class TestSalientAggregate:

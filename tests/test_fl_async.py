@@ -15,10 +15,10 @@ import pytest
 from repro.core import SPATL, StaticSaliencyPolicy
 from repro.core.aggregation import salient_aggregate
 from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
-                      FedAvg, VirtualClock, serialize_state,
+                      FaultModel, FedAvg, VirtualClock, serialize_state,
                       state_fingerprint, staleness_weight)
 from repro.fl.stub import make_stub
-from repro.obs import Tracer, codec_byte_totals, set_tracer
+from repro.obs import Tracer, set_tracer
 
 HOSTILE = dict(jitter=0.3, straggler_prob=0.4, slowdown=6.0,
                arrival_spread=1.0, churn_prob=0.15, crash_prob=0.1,
@@ -115,6 +115,14 @@ class TestAsyncConfigValidation:
     def test_bad_values(self, kw):
         with pytest.raises(ValueError):
             AsyncConfig(**kw)
+
+    def test_fault_model_is_rejected_not_half_applied(self):
+        """The runner sends through the algorithm's transport, so a
+        ``FaultModel`` there would corrupt async transfers nobody retries;
+        async failures come from the ``AsyncProfile``."""
+        algo = make_stub(n_clients=2, fault_model=FaultModel(corrupt_prob=0.5))
+        with pytest.raises(ValueError, match="AsyncProfile"):
+            AsyncFederatedRunner(algo, AsyncProfile(seed=0))
 
 
 class TestDeterminism:
@@ -405,21 +413,6 @@ class TestWeightedSalientAggregate:
 
 
 class TestObservabilityParity:
-    def test_traced_codec_bytes_equal_ledger(self):
-        runner = _stub_runner(n_clients=8, seed=7)
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            runner.run(steps=15)
-        finally:
-            set_tracer(previous)
-        codec = codec_byte_totals(tracer)
-        total = runner.algo.ledger.total_bytes()
-        assert int(codec["serialize"]) == total
-        assert int(codec["deserialize"]) == total
-        names = {s.name for s in tracer.spans}
-        assert {"dispatch", "buffer", "commit"} <= names
-
     def test_tracing_does_not_change_results(self):
         untraced = _stub_runner(seed=9)
         untraced.run(steps=20)

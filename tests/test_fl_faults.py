@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core import SPATL, RLSelectionPolicy, StaticSaliencyPolicy
-from repro.fl import (Client, CommLedger, FaultModel, FaultyTransport, FedAvg,
-                      RetryPolicy, Scaffold, StragglerTimeout,
-                      TransferCorrupted, deserialize_state,
-                      make_federated_clients, serialize_state)
+from repro.fl import (Client, FaultModel, FedAvg, RetryPolicy, Scaffold,
+                      StragglerTimeout, TransferCorrupted, Transport,
+                      deserialize_state, make_federated_clients,
+                      serialize_state)
 from repro.fl.resilience import ClientCrashed, ClientDropped, FaultStats
 from repro.fl.wire import PayloadError
 from repro.rl import SalientParameterAgent
@@ -114,9 +114,8 @@ class TestRetryPolicy:
 class TestTransport:
     def test_every_corruption_detected(self):
         """Zero silent acceptances over many corrupted transfers."""
-        ledger = CommLedger()
         fm = FaultModel(corrupt_prob=1.0, seed=3)
-        transport = FaultyTransport(fm, ledger)
+        transport = Transport(fm)
         state = {"w": np.random.default_rng(0).normal(
             size=(4, 3, 3, 3)).astype(np.float32),
             "idx": np.arange(6, dtype=np.int32)}
@@ -136,9 +135,8 @@ class TestTransport:
         assert detected == 100  # corrupt_prob=1 mutates every transfer
 
     def test_retried_bytes_charged(self):
-        ledger = CommLedger()
-        fm = FaultModel(corrupt_prob=1.0, seed=3)
-        transport = FaultyTransport(fm, ledger)
+        transport = Transport(FaultModel(corrupt_prob=1.0, seed=3))
+        ledger = transport.ledger
         state = {"w": np.ones((8, 8), dtype=np.float32)}
         wire_len = len(serialize_state(state, checksums=True))
         for attempt in range(3):
@@ -147,8 +145,8 @@ class TestTransport:
         assert ledger.downlink[2][7] == 3 * wire_len
 
     def test_clean_transport_roundtrips(self):
-        ledger = CommLedger()
-        transport = FaultyTransport(FaultModel(seed=0), ledger)
+        transport = Transport(FaultModel(seed=0))
+        ledger = transport.ledger
         state = {"w": np.arange(6, dtype=np.float64)}
         out = transport.upload(0, 1, state)
         np.testing.assert_array_equal(out["w"], state["w"])

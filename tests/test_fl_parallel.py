@@ -152,8 +152,8 @@ def test_obs_merge_matches_serial(eight_client_setting):
     span_names_p = Counter(s.name for s in parallel["tracer"].spans)
     assert span_names_s == span_names_p
     # Codec spans carry byte counts; their totals must agree (and match
-    # the ledger — the §8 cross-check) despite the extra plumbing codec
-    # traffic parallel execution adds, which is deliberately untraced.
+    # the ledger, DESIGN.md §17): the pool's sync-blob and update framing
+    # runs the same pure codec but is storage, not traffic.
     for direction in ("serialize", "deserialize"):
         tot_s = sum(s.attrs.get("bytes", 0)
                     for s in serial["tracer"].spans if s.name == direction)

@@ -81,6 +81,31 @@ class TestClientStateStore:
         assert reopened.get("b") == b"second"
         assert len(reopened) == 2
 
+    def test_reopen_after_torn_put_recovers_last_complete_record(
+            self, tmp_path):
+        """A crash mid-``put`` leaves a partial final record.  Wherever the
+        log was cut, reopening serves every complete record, never a
+        short blob, and keeps appending from the last complete one."""
+        store = ClientStateStore(tmp_path / "s", shards=1)
+        store.put("client/1", b"a" * 100)
+        store.put("client/2", b"b" * 100)
+        store.close()
+        log = tmp_path / "s" / "shard_0000.log"
+        whole = log.read_bytes()
+        record = len(whole) // 2
+        for lost in range(1, record + 1):
+            log.write_bytes(whole[:len(whole) - lost])
+            reopened = ClientStateStore(tmp_path / "s", shards=1)
+            assert reopened.get("client/1") == b"a" * 100, lost
+            assert "client/2" not in reopened, lost
+            assert reopened.nbytes == log.stat().st_size == record, lost
+            reopened.put("client/2", b"c" * 100)
+            reopened.close()
+            again = ClientStateStore(tmp_path / "s", shards=1)
+            assert again.get("client/2") == b"c" * 100, lost
+            assert len(again) == 2
+            again.close()
+
     def test_compaction_keeps_live_records(self, tmp_path):
         store = ClientStateStore(tmp_path / "s", shards=1,
                                  auto_compact=False)

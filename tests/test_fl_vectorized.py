@@ -283,9 +283,11 @@ def test_make_executor_kinds():
     """``workers`` is the only engine selector."""
     assert type(make_executor(1)) is SerialExecutor
     for workers in (2, 3):
-        pooled = make_executor(workers, broadcast=False)
+        pooled = make_executor(workers)
         assert type(pooled) is ProcessPoolRoundExecutor
-        assert pooled.workers == workers and pooled.broadcast is False
+        assert pooled.workers == workers
         pooled.close()
-    with pytest.raises(TypeError):
-        make_executor(2, kind="process")
+    for retired in ({"kind": "process"}, {"broadcast": False},
+                    {"mp_context": "spawn"}):
+        with pytest.raises(TypeError):
+            make_executor(2, **retired)

@@ -21,11 +21,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.fl import wire
-from repro.fl.comm import (CommLedger, PayloadError, decode_update,
+from repro.fl.comm import (PayloadError, Transport, decode_update,
                            deserialize_state, encode_update, payload_nbytes,
                            serialize_state, sparse_payload_nbytes)
-from repro.fl.faults import FaultModel, FaultyTransport
-from repro.fl.wire import BroadcastCache, codec_validate, state_fingerprint
+from repro.fl.faults import FaultModel
+from repro.fl.wire import BroadcastCache, state_fingerprint
 from repro.obs.trace import tracing
 
 
@@ -416,16 +416,24 @@ class TestBroadcastCache:
         assert clone.misses == 1                    # replica re-encodes once
 
     def test_traced_encode_reports_full_bytes_with_cached_marker(self):
+        """The cache opens no span of its own; the transport that sends
+        its blobs reports each one's full length, cached or not."""
         cache = BroadcastCache()
         state = _rand_state(11)
+        transport = Transport(broadcast=cache)
         with tracing() as tracer:
-            blob = cache.encode(state, token=1)
-            cache.encode(state, token=1)
+            for cid in range(2):
+                transport.download(0, cid, state)
         spans = [s for s in tracer.spans if s.name == "serialize"]
         assert [s.attrs["cached"] for s in spans] == [False, True]
         # ledger invariance: the cached span still carries the full length
-        assert all(s.attrs["bytes"] == len(blob) for s in spans)
+        n = payload_nbytes(state)
+        assert all(s.attrs["bytes"] == n for s in spans)
         assert all(s.attrs["entries"] == len(state) for s in spans)
+        assert transport.ledger.downlink == {0: {0: n, 1: n}}
+        with tracing() as tracer:
+            cache.encode(state, token=transport.token)
+        assert tracer.spans == []
 
     def test_state_fingerprint_discriminates(self):
         a = {"w": np.arange(4, dtype=np.float32)}
@@ -439,17 +447,50 @@ class TestBroadcastCache:
 
 class TestCodecValidate:
     def test_emits_matched_span_pair_with_exact_bytes(self):
+        """A traced fault-free transfer makes one validating pass through
+        arena scratch, inside the span that carries the charged bytes."""
         state = _rand_state(12)
+        transport = Transport()
         with tracing() as tracer:
-            n = codec_validate(state)
-        assert n == payload_nbytes(state)
+            assert transport.upload(3, 7, state) is state
+        n = payload_nbytes(state)
+        assert transport.ledger.uplink == {3: {7: n}}
         ser = [s for s in tracer.spans if s.name == "serialize"]
         de = [s for s in tracer.spans if s.name == "deserialize"]
-        assert len(ser) == 1 and len(de) == 1
+        up = [s for s in tracer.spans if s.name == "upload"]
+        assert len(ser) == 1 and len(de) == 1 and len(up) == 1
         assert ser[0].attrs["bytes"] == de[0].attrs["bytes"] == n
+        assert up[0].attrs == {"round": 3, "client": 7, "bytes": n}
         assert ser[0].attrs["scratch"] is True
         assert de[0].attrs["zero_copy"] is True
         assert ser[0].attrs["entries"] == de[0].attrs["entries"] == len(state)
+        assert ser[0].depth == de[0].depth == up[0].depth + 1
+
+    def test_untraced_transfer_only_sizes_and_charges(self, monkeypatch):
+        """Off the traced path the codec is never entered: one
+        ``payload_nbytes``, one ledger write."""
+        def boom(*args, **kwargs):
+            raise AssertionError("untraced fault-free transfer hit the codec")
+        for name in ("serialize", "serialize_scratch", "deserialize"):
+            monkeypatch.setattr(wire, name, boom)
+        state = _rand_state(12)
+        transport = Transport(broadcast=BroadcastCache())
+        assert transport.download(0, 1, state) is state
+        transport.charge("up", 0, 1, state)
+        n = payload_nbytes(state)
+        assert transport.ledger.round_bytes(0) == 2 * n
+        assert transport.broadcast.misses == 0
+
+    def test_setup_charge_ignores_the_fault_model(self):
+        """``charge`` is plain-size and fault-exempt (SalientGrads'
+        bootstrap bytes do not depend on the fault configuration)."""
+        state = _rand_state(12)
+        transport = Transport(FaultModel(corrupt_prob=1.0, seed=3))
+        for direction in ("up", "down"):
+            transport.charge(direction, 0, 2, state)
+        n = payload_nbytes(state)
+        assert transport.ledger.uplink == transport.ledger.downlink \
+            == {0: {2: n}}
 
 
 # --------------------------------------------------------------------- #
@@ -460,13 +501,11 @@ class TestFaultyTransportBroadcast:
              "b": np.ones(4, dtype=np.float64)}
 
     def _download_all(self, broadcast):
-        ledger = CommLedger()
-        transport = FaultyTransport(FaultModel(seed=0), ledger,
-                                    broadcast=broadcast)
+        transport = Transport(FaultModel(seed=0), broadcast=broadcast)
         transport.token = 1
         decoded = [transport.download(0, cid, self.STATE)
                    for cid in range(5)]
-        return ledger, decoded
+        return transport.ledger, decoded
 
     def test_cached_downlink_charges_every_client_full_bytes(self):
         plain_ledger, plain = self._download_all(None)
@@ -481,9 +520,7 @@ class TestFaultyTransportBroadcast:
 
     def test_upload_never_goes_through_the_cache(self):
         cache = BroadcastCache()
-        ledger = CommLedger()
-        transport = FaultyTransport(FaultModel(seed=0), ledger,
-                                    broadcast=cache)
+        transport = Transport(FaultModel(seed=0), broadcast=cache)
         transport.token = 1
         transport.upload(0, 0, self.STATE)
         transport.upload(0, 1, {"w": np.zeros(3, dtype=np.float32)})
@@ -497,28 +534,38 @@ class TestFaultyTransportBroadcast:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: broadcast caching changes neither bytes nor parameters     #
+# end-to-end: how the sync blob reaches workers changes neither bytes    #
+# nor parameters                                                         #
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
 def test_workers2_broadcast_off_matches_on(tiny_dataset, tiny_setting,
                                            faults):
+    """The barrier-gated preload is the one way the sync blob travels;
+    per-task blobs survive only as its automatic fallback.  A run forced
+    onto the fallback every round equals a preloaded one, and the old
+    ``broadcast=`` selector is gone."""
     from repro.data import dirichlet_partition
     from repro.fl import make_federated_clients
     from repro.fl.fedavg import FedAvg
     from repro.fl.parallel import ProcessPoolRoundExecutor
+
+    with pytest.raises(TypeError):
+        ProcessPoolRoundExecutor(2, broadcast=False)
 
     model_fn, _ = tiny_setting
     parts = dirichlet_partition(tiny_dataset.y, 4, beta=0.5, seed=3)
     fault_model = (FaultModel(drop_prob=0.2, corrupt_prob=0.05, seed=21)
                    if faults else None)
 
-    def run(broadcast):
+    def run(preload):
         clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
                                          seed=5)
+        executor = ProcessPoolRoundExecutor(2)
+        if not preload:
+            executor._distribute_sync = lambda pool, sync_blob: False
         algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1,
                       sample_ratio=1.0, seed=0, fault_model=fault_model,
-                      executor=ProcessPoolRoundExecutor(
-                          2, broadcast=broadcast))
+                      executor=executor)
         try:
             results = [algo.run_round(r) for r in range(2)]
         finally:

@@ -1,13 +1,21 @@
 """Unit tests: the repro.obs subsystem (tracer, metrics, profiler, reports)."""
 
+import functools
 import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.core import SPATL, StaticSaliencyPolicy
 from repro.data import SyntheticCIFAR10
-from repro.fl import FedAvg, make_federated_clients, serialize_state
+from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
+                      ClientStateStore, FaultModel, FedAvg, SalientGrads,
+                      ScaleRunner, ShardedClientFactory, Transport,
+                      VirtualClientPool, make_executor,
+                      deserialize_state, make_federated_clients,
+                      payload_nbytes, serialize_state)
+from repro.fl.checkpoint import save_checkpoint
 from repro.models import build_model
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
@@ -26,6 +34,99 @@ def _tiny_setting(n_clients=2, seed=0):
     model_fn = lambda: build_model("resnet20", num_classes=10, input_size=12,
                                    width_mult=0.25, seed=seed + 1)
     return model_fn, clients
+
+
+# ------------------------------------------------------------------------
+# The ledger-reconciliation matrix (DESIGN.md §17): one driver per entry,
+# each run under every algorithm of ``_RECONCILED_ALGOS``.  A driver takes
+# ``build(clients=None, **algo_kwargs) -> algorithm`` (4 fresh clients by
+# default) and a scratch directory, runs traced, and returns the algorithm.
+
+_RECONCILED_ALGOS = {
+    "fedavg": FedAvg,
+    "spatl": functools.partial(SPATL,
+                               selection_policy=StaticSaliencyPolicy(0.5)),
+    # charges its mask bootstrap at construction, outside any round
+    "salientgrads": functools.partial(SalientGrads, density=0.3),
+}
+
+
+def _drive_sync(build, tmp_path):
+    algo = build()
+    algo.run(2)
+    return algo
+
+
+def _drive_faults(build, tmp_path):
+    algo = build(fault_model=FaultModel(drop_prob=0.2, corrupt_prob=0.3,
+                                        seed=4))
+    algo.run(2)
+    assert algo.fault_stats.n_corrupt > 0    # retransmissions were charged
+    return algo
+
+
+def _drive_pool(build, tmp_path):
+    algo = build(executor=make_executor(2))
+    try:
+        algo.run(2)
+    finally:
+        algo.close()
+    return algo
+
+
+def _drive_async(build, tmp_path, update_store=None):
+    algo = build()
+    profile = AsyncProfile(seed=2, jitter=0.3, straggler_prob=0.4,
+                           crash_prob=0.2, duplicate_prob=0.5)
+    AsyncFederatedRunner(algo, profile,
+                         AsyncConfig(buffer_k=2, max_inflight=4),
+                         update_store=update_store).run(steps=3)
+    return algo
+
+
+def _drive_async_store(build, tmp_path):
+    store = ClientStateStore(tmp_path / "jobs")
+    try:
+        return _drive_async(build, tmp_path, store)
+    finally:
+        store.close()
+
+
+def _drive_scale(build, tmp_path):
+    algo = build(sample_ratio=0.5)
+    ScaleRunner(algo, eval_mode="none",
+                spill_dir=tmp_path / "spills").run_round(0)
+    return algo
+
+
+def _drive_scale_pool(build, tmp_path):
+    ds = SyntheticCIFAR10(n_samples=160, size=12, seed=0)
+    factory = ShardedClientFactory(
+        dataset=ds, parts=[np.arange(i * 40, (i + 1) * 40) for i in range(4)],
+        batch_size=20, seed=0)
+    store = ClientStateStore(tmp_path / "store")
+    pool = VirtualClientPool(factory, 4, store, resident_limit=1)
+    algo = build(clients=pool.clients(), sample_ratio=0.5)
+    try:
+        ScaleRunner(algo, pool=pool, eval_mode="none").run(2)
+    finally:
+        store.close()
+    return algo
+
+
+def _drive_checkpoint(build, tmp_path):
+    algo = build()
+    algo.run(1)
+    save_checkpoint(algo, tmp_path / "mid.npz")
+    algo.run(1)
+    return algo
+
+
+_RECONCILED_DRIVERS = {
+    "sync": _drive_sync, "faults": _drive_faults, "pool": _drive_pool,
+    "async": _drive_async, "async_store": _drive_async_store,
+    "scale": _drive_scale, "scale_pool": _drive_scale_pool,
+    "checkpoint": _drive_checkpoint}
 
 
 class TestTracer:
@@ -229,18 +330,32 @@ class TestTracedFederatedRun:
         assert traced_log["train_loss"] == plain_log["train_loss"]
         assert tracer.spans and prof.stats
 
-    def test_codec_span_bytes_match_ledger(self):
-        model_fn, clients = _tiny_setting()
-        algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
+    @pytest.mark.parametrize("driver,algorithm", [
+        *((d, a) for d in _RECONCILED_DRIVERS for a in ("fedavg", "spatl")),
+        ("sync", "salientgrads")])
+    def test_codec_span_bytes_match_ledger(self, driver, algorithm,
+                                           tmp_path):
+        """Σ serialize == Σ deserialize == ledger == Σ download+upload
+        bytes, whichever driver sends and whatever storage framing
+        (spill, store, checkpoint, pool plumbing) runs beside it."""
+        model_fn, default_clients = _tiny_setting(n_clients=4)
+
+        def build(clients=None, **kwargs):
+            return _RECONCILED_ALGOS[algorithm](
+                model_fn, default_clients if clients is None else clients,
+                lr=0.05, local_epochs=1, seed=0, **kwargs)
+
         with tracing() as tracer:
-            algo.run(2)
-        totals = codec_byte_totals(tracer)
-        assert totals["serialize"] == algo.ledger.total_bytes()
-        assert totals["deserialize"] == algo.ledger.total_bytes()
-        # phase spans carry the same per-transfer byte attributes
-        updown = (span_attr_total(tracer, "download", "bytes")
-                  + span_attr_total(tracer, "upload", "bytes"))
-        assert updown == algo.ledger.total_bytes()
+            algo = _RECONCILED_DRIVERS[driver](build, tmp_path)
+            # no driver swaps the process-global tracer behind the run's back
+            assert get_tracer() is tracer
+        total = algo.ledger.total_bytes()
+        assert total > 0
+        assert codec_byte_totals(tracer) == {"serialize": total,
+                                             "deserialize": total}
+        # transfer spans carry the same per-transfer byte attributes
+        assert (span_attr_total(tracer, "download", "bytes")
+                + span_attr_total(tracer, "upload", "bytes")) == total
 
     def test_round_timeline_covers_phases(self):
         model_fn, clients = _tiny_setting()
@@ -253,10 +368,17 @@ class TestTracedFederatedRun:
             assert phase in table
 
     def test_serialize_span_bytes_equal_wire_length(self):
+        """The span lives where bytes cross the network: a transport
+        transfer reports the exact wire length, the bare codec nothing."""
         state = {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
                  "b": np.zeros(3, dtype=np.float32)}
         with tracing() as tracer:
             blob = serialize_state(state)
+            deserialize_state(blob)
+        assert tracer.spans == []
+        assert len(blob) == payload_nbytes(state)
+        with tracing() as tracer:
+            Transport().download(0, 0, state)
         spans = [s for s in tracer.spans if s.name == "serialize"]
         assert len(spans) == 1
         assert spans[0].attrs["bytes"] == len(blob)
