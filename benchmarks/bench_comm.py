@@ -10,6 +10,13 @@ aggregation vs :mod:`repro.fl.reference_agg` (bitwise-checked every
 repeat), interleaved optimized/reference min-of-N so machine noise hits
 both sides equally.
 
+The ``downlink`` section runs {fedavg, scaffold, spatl static, spatl RL}
+x {resnet20, vgg11} for four full-participation rounds and records, per
+round, the bytes a full-state downlink would have cost against what the
+versioned row delta (DESIGN.md §5.1) charged, plus what one payload
+costs to build (state comparison + delta, once per round) and to serve
+again from the per-base memo.  Byte counts are exact and repeat.
+
 The ``--workers 2`` preload-on/off end-to-end comparison this script
 used to carry passed its verdict (preload 1.10x / 1.19x, byte-identical;
 CHANGES.md PR 19) and went with the ``broadcast=`` option it compared;
@@ -26,7 +33,9 @@ baseline)::
 ``--check`` compares each microbench's optimized time against the
 committed baseline *before* overwriting it and exits non-zero if any
 case regressed more than ``--check-factor`` (default 1.5x) beyond a
-0.15ms absolute noise floor.
+0.15ms absolute noise floor — or if a delta downlink exceeds its full
+state, SPATL's round >= 1 delta is not smaller than it, or round 0
+differs from it.
 """
 
 from __future__ import annotations
@@ -160,6 +169,72 @@ def aggregation_cases(repeats: int):
 
 
 # --------------------------------------------------------------------- #
+# delta downlink                                                         #
+# --------------------------------------------------------------------- #
+DOWNLINK_ALGOS = (("fedavg", "fedavg", {}), ("scaffold", "scaffold", {}),
+                  ("spatl_static", "spatl", {}),
+                  ("spatl_rl", "spatl", {"use_rl_policy": True}))
+DOWNLINK_MODELS = (("resnet20", {}), ("vgg11", {"input_size": 32}))
+DOWNLINK_ROUNDS = 4
+
+
+def downlink_cases(smoke: bool):
+    """Yield one record per algorithm x model: full vs delta downlink
+    bytes per round, and the payload build / memo-hit time."""
+    import statistics
+
+    from repro.experiments.configs import (config_for, make_algorithm,
+                                           make_setting)
+    from repro.fl import payload_nbytes
+
+    n_clients = 2 if smoke else 4
+    for label, algorithm, algo_cfg in DOWNLINK_ALGOS:
+        for model, model_cfg in DOWNLINK_MODELS:
+            cfg = config_for("tiny", seed=0, model=model, n_clients=n_clients,
+                             n_samples=80 * n_clients, sample_ratio=1.0,
+                             local_epochs=1, **model_cfg, **algo_cfg)
+            model_fn, clients = make_setting(cfg)
+            algo = make_algorithm(algorithm, cfg, model_fn, clients)
+            full, delta, build_ms, hit_ms = [], [], [], []
+            for r in range(DOWNLINK_ROUNDS):
+                algo.transport.new_round()
+                t0 = time.perf_counter()
+                algo.download_payload(clients[0])
+                t1 = time.perf_counter()
+                algo.download_payload(clients[1])
+                t2 = time.perf_counter()
+                build_ms.append((t1 - t0) * 1e3)
+                hit_ms.append((t2 - t1) * 1e3)
+                full.append(n_clients * payload_nbytes(algo.downlink_state()))
+                algo.run_round(r)
+                delta.append(sum(algo.ledger.downlink[r].values()))
+            algo.close()
+            yield {"name": f"{label}.{model}", "clients": n_clients,
+                   "full_bytes": full, "delta_bytes": delta,
+                   "steady_ratio": round(delta[-1] / full[-1], 4),
+                   "build_ms": round(statistics.median(build_ms), 3),
+                   "memo_hit_ms": round(statistics.median(hit_ms), 4)}
+
+
+def check_downlink(rows: list[dict]) -> list[str]:
+    """Failures of the delta downlink's three byte invariants."""
+    failures = []
+    for row in rows:
+        full, delta = row["full_bytes"], row["delta_bytes"]
+        if delta[0] != full[0]:
+            failures.append(f"downlink {row['name']}: round 0 sent "
+                            f"{delta[0]} B, the full state is {full[0]} B")
+        for r, (d, f) in enumerate(zip(delta, full)):
+            if d > f:
+                failures.append(f"downlink {row['name']}: round {r} delta "
+                                f"{d} B exceeds the full state {f} B")
+            elif r and row["name"].startswith("spatl") and d == f:
+                failures.append(f"downlink {row['name']}: round {r} delta "
+                                f"is not smaller than the full state {f} B")
+    return failures
+
+
+# --------------------------------------------------------------------- #
 # regression gate                                                        #
 # --------------------------------------------------------------------- #
 def check_regressions(record: dict, baseline_doc: str | None,
@@ -220,6 +295,15 @@ def main(argv=None) -> int:
             print(f"{name:28s} opt={opt_ms:9.3f}ms ref={ref_ms:9.3f}ms "
                   f"speedup={ref_ms / opt_ms:6.2f}x")
 
+    downlink = []
+    for row in downlink_cases(args.smoke):
+        downlink.append(row)
+        mb = 2 ** 20 * row["clients"]
+        print(f"downlink {row['name']:22s} full={row['full_bytes'][-1] / mb:7.3f}"
+              f" delta={row['delta_bytes'][-1] / mb:7.3f} MB/client/round "
+              f"({row['steady_ratio']:.3f}x) build={row['build_ms']:.2f}ms "
+              f"hit={row['memo_hit_ms']:.3f}ms")
+
     from repro.obs.metrics import blas_env, observe_peak_rss
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -231,6 +315,7 @@ def main(argv=None) -> int:
         "peak_rss_bytes": observe_peak_rss(),
         "env": blas_env(),
         "micro": micro,
+        "downlink": downlink,
     }
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
@@ -238,6 +323,7 @@ def main(argv=None) -> int:
 
     if args.check:
         failures = check_regressions(record, baseline_doc, args.check_factor)
+        failures += check_downlink(downlink)
         for f in failures:
             print(f"REGRESSION: {f}")
         return 1 if failures else 0

@@ -1,10 +1,16 @@
 #!/usr/bin/env python
 """Communication accounting across all five FL protocols (§V-C, Eq. 13).
 
-Runs one round of each algorithm on the same setting and breaks per-client
-traffic into uplink/downlink bytes, then extrapolates the full-size
-(paper-architecture) per-round payloads through the same codec — the "Cost
-Round/Client" column of Tables I and II.
+Runs three rounds of each algorithm on the same setting and breaks
+per-client traffic into uplink/downlink bytes, then extrapolates the
+full-size (paper-architecture) per-round payloads through the same codec —
+the "Cost Round/Client" column of Tables I and II.
+
+Round 0 is the *cold* figure: every client is new, so everyone downloads
+the full state.  From round 1 on a returning client is sent only the rows
+that changed since it last synced (DESIGN.md §5.1), which is the
+*steady-state* figure a long run pays — the one the full-size
+extrapolation uses.
 
 Usage::
 
@@ -19,6 +25,11 @@ from repro.models import paper_model_size_mb
 from repro.utils.logging import render_table
 
 METHODS = ("fedavg", "fedprox", "fednova", "scaffold", "spatl")
+ROUNDS = 3
+
+
+def _mb_per_client(per_client: dict[int, int]) -> float:
+    return sum(per_client.values()) / len(per_client) / 2 ** 20
 
 
 def main() -> None:
@@ -32,23 +43,26 @@ def main() -> None:
 
     rows = []
     spatl_ratio = None
+    last = ROUNDS - 1
     for method in METHODS:
         model_fn, clients = make_setting(cfg)
         algo = make_algorithm(method, cfg, model_fn, clients)
-        algo.run_round(0)
-        up = sum(algo.ledger.uplink[0].values()) / len(clients) / 2 ** 20
-        down = sum(algo.ledger.downlink[0].values()) / len(clients) / 2 ** 20
-        rows.append([method, f"{down:.3f}", f"{up:.3f}",
-                     f"{down + up:.3f}"])
+        algo.run(ROUNDS)
+        cold = _mb_per_client(algo.ledger.downlink[0])
+        down = _mb_per_client(algo.ledger.downlink[last])
+        up = _mb_per_client(algo.ledger.uplink[last])
+        rows.append([method, f"{cold:.3f}", f"{down:.3f}", f"{up:.3f}",
+                     f"{cold + up:.3f}", f"{down + up:.3f}"])
         if method == "fedavg":
             fedavg_total = down + up
         if method == "spatl":
             spatl_ratio = (down + up) / fedavg_total * 2.0
 
-    print(render_table(["method", "down MB/client", "up MB/client",
-                        "total MB/client"], rows,
-                       title=f"Measured one-round traffic ({args.model}, "
-                             f"scaled width {cfg.width_mult})"))
+    print(render_table(["method", "cold down", "steady down", "up",
+                        "cold total", "steady total"], rows,
+                       title=f"Measured MB/client/round ({args.model}, "
+                             f"scaled width {cfg.width_mult}; cold = round "
+                             f"0, steady = round {last})"))
 
     base = paper_model_size_mb(args.model)
     full_rows = [[m, f"{paper_scale_mb_per_round(m, args.model, spatl_ratio):.2f}"]
@@ -59,8 +73,11 @@ def main() -> None:
         title=f"Implied full-size per-round payloads "
               f"({args.model}: encoder {base:.2f} MB fp32)"))
     print("\nShape to notice: SCAFFOLD/FedNova pay ~2x FedAvg for their "
-          "control state; SPATL's salient upload + server-side variate "
-          "reconstruction lands between FedAvg and the 2x protocols.")
+          "control state, cold or steady — they rewrite every row every "
+          "round.  SPATL's salient upload + server-side variate "
+          "reconstruction lands between FedAvg and the 2x protocols, and "
+          "its steady-state downlink drops below the cold one: filters no "
+          "upload covered, and their control-variate rows, are not re-sent.")
 
 
 if __name__ == "__main__":

@@ -36,9 +36,9 @@ from repro.experiments.configs import (make_algorithm, make_dataset,
 from repro.experiments.inference import render_inference_table
 from repro.experiments.learning_efficiency import converge_accuracy_summary
 from repro.experiments.pruning_compare import render_pruning_table
-from repro.obs import (OpProfiler, Tracer, codec_byte_totals, get_registry,
-                       get_tracer, hotspot_table, round_timeline_table,
-                       set_tracer, step_compiler_line)
+from repro.obs import (OpProfiler, Tracer, codec_byte_totals, downlink_line,
+                       get_registry, get_tracer, hotspot_table,
+                       round_timeline_table, set_tracer, step_compiler_line)
 
 
 def _cfg(args, **extra):
@@ -271,8 +271,10 @@ def cmd_profile(args) -> None:
     print(round_timeline_table(tracer))
     print()
     print(hotspot_table(profiler, n=12))
+    counters = get_registry().snapshot()["counters"]
     if cfg.compile:
-        print(step_compiler_line(tracer, get_registry().snapshot()["counters"]))
+        print(step_compiler_line(tracer, counters))
+    print(downlink_line(counters))
     codec = codec_byte_totals(tracer)
     print(f"codec bytes: serialize={int(codec['serialize'])} "
           f"deserialize={int(codec['deserialize'])} "

@@ -2,8 +2,12 @@
 
 Protocol per round, per selected client:
 
-1. **Download** — dense global encoder, plus the server control variate
-   ``c`` when gradient control is on.
+1. **Download** — the global encoder, plus the server control variate
+   ``c`` when gradient control is on (:meth:`SPATL.downlink_state`).  A
+   client that never synced gets all of it; a returning client gets only
+   the rows that changed since the version it last synced at — Eq. 12
+   rewrites just the filters some upload covered and Eq. 11 moves ``c``
+   on those same rows, so the rest is not re-sent (DESIGN.md §5.1).
 2. **Local update** (Eq. 3) — the client composes the downloaded encoder
    with its *private* predictor and trains both; encoder gradients are
    corrected by ``(c - c_i)`` (Eq. 9).  The predictor never leaves the
@@ -99,7 +103,7 @@ class SPATL(FederatedAlgorithm):
         return client.local_state["c_i"]
 
     # ------------------------------------------------------------ hooks
-    def download_payload(self, client: Client) -> dict[str, np.ndarray]:
+    def downlink_state(self) -> dict[str, np.ndarray]:
         payload = {f"enc.{k}": v for k, v in self.global_model.encoder_state().items()}
         if self.use_gradient_control:
             payload.update(self.c_global.as_state("c."))

@@ -17,8 +17,9 @@ algorithm rides on:
 
 - :mod:`repro.fl.wire` — the fast transport core behind
   :mod:`repro.fl.comm`: zero-copy codec, arena-backed scratch
-  serialization, and the per-round :class:`BroadcastCache`
-  (DESIGN.md §11);
+  serialization, the per-round :class:`BroadcastCache`
+  (DESIGN.md §11), and the versioned row-delta downlink
+  (:class:`RowVersions` / :func:`apply_delta`, DESIGN.md §5.1);
 - :mod:`repro.fl.parallel` — pluggable round executors: the default
   in-process :class:`SerialExecutor` and a
   :class:`ProcessPoolRoundExecutor` that fans per-client work over worker
@@ -48,7 +49,8 @@ algorithm rides on:
 from repro.fl.comm import (CommLedger, PayloadError, Transport,
                            payload_nbytes, serialize_state,
                            deserialize_state, sparse_payload_nbytes)
-from repro.fl.wire import BroadcastCache, state_fingerprint
+from repro.fl.wire import (BroadcastCache, RowVersions, apply_delta,
+                           state_fingerprint)
 from repro.fl.resilience import (ClientCrashed, ClientDropped, ClientFailure,
                                  FaultStats, RetryPolicy, StragglerTimeout,
                                  TransferCorrupted, WorkerCrashed)
@@ -96,7 +98,7 @@ __all__ = [
     "TransferCorrupted", "WorkerCrashed",
     "RoundExecutor", "SerialExecutor", "ProcessPoolRoundExecutor",
     "make_executor",
-    "BroadcastCache", "state_fingerprint",
+    "BroadcastCache", "state_fingerprint", "RowVersions", "apply_delta",
     "AsyncProfile", "AsyncConfig", "AsyncFederatedRunner", "StepResult",
     "VirtualClock", "staleness_weight",
     "ClientStateStore", "VirtualClient", "VirtualClientPool",

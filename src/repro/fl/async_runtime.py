@@ -310,8 +310,7 @@ class AsyncFederatedRunner:
             # The sync exchange's front half, keyed for this driver: the
             # downlink is charged under the server step, training runs
             # under the client's own job count.
-            algo.transport.download(self.server_step, cid,
-                                    algo.download_payload(client))
+            algo._download(client, self.server_step)
             span.set(crashed=crashed)
             if not crashed:
                 # Quantized uplinks (DESIGN.md §16) are encoded here, once,

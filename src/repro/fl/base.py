@@ -4,8 +4,10 @@ The loop follows the standard synchronous FL protocol of the paper's
 Figure 1: sample clients → download global state → local updates → upload →
 aggregate → evaluate.  Subclasses implement four hooks:
 
-- ``download_payload(client)`` — what the server sends (for accounting and
-  for the client's starting state);
+- ``downlink_state()`` — everything the server sends a client that has
+  never synced.  ``download_payload(client)``, written once here, turns
+  it into what *this* client is actually sent: the rows that changed
+  since the version it last synced at (DESIGN.md §5.1);
 - ``local_update(client, round_idx)`` — run local training, return an
   update object;
 - ``upload_payload(update)`` — what the client sends back (accounting);
@@ -190,8 +192,32 @@ class FederatedAlgorithm:
         return int(self.local_epochs)
 
     # ------------------------------------------------------------ hooks
-    def download_payload(self, client: Client) -> dict[str, np.ndarray]:
+    def downlink_state(self) -> dict[str, np.ndarray]:
+        """The full downlink state: what a never-synced client is sent."""
         raise NotImplementedError
+
+    def download_payload(self, client: Client) -> dict[str, np.ndarray]:
+        """What ``client`` is sent now: :meth:`downlink_state` as a row
+        delta against ``client.local_state["synced"]``, the version it
+        last synced at (absent: the full state).  The one build site of
+        the downlink — its return value is the dict handed to
+        ``transport.download``, once per charged transfer."""
+        return self.transport.versions.payload(
+            self.downlink_state, client.local_state.get("synced"))
+
+    def _download(self, client: Client, round_idx: int, salt: int = 0,
+                  attempt: int = 0) -> dict[str, np.ndarray]:
+        """The exchange's front half, for every driver: build the client's
+        delta, send it, and only then advance the client's base — so a
+        dropped or corrupted download leaves the base where it was and
+        the retry re-sends the same delta.  The only writer of
+        ``local_state["synced"]``."""
+        base = client.local_state.get("synced")
+        received = self.transport.download(
+            round_idx, client.client_id, self.download_payload(client), salt,
+            attempt, base=base)
+        client.local_state["synced"] = self.transport.versions.version
+        return received
 
     def local_update(self, client: Client, round_idx: int) -> Any:
         raise NotImplementedError
@@ -306,23 +332,35 @@ class FederatedAlgorithm:
     # ------------------------------------------- parallel-execution hooks
     # ``worker_sync_state`` is the algorithm's complete server state: what
     # a worker process needs before running any client, and what every
-    # checkpoint writer saves.  The base pair covers algorithms whose only
-    # mutable server state is the global model (FedAvg, FedProx, FedTopK);
-    # subclasses with more (control variates, server momentum) extend it.
+    # checkpoint writer saves.  The base pair covers the global model and
+    # the downlink version table (``dl.*``: workers build deltas from the
+    # parent's table, they never compare states themselves) — all the
+    # mutable server state of FedAvg, FedProx and FedTopK; subclasses with
+    # more (control variates, server momentum) extend it.
     # Per-client state has the matching single home, ``client.local_state``,
     # which always travels with the client.  See DESIGN.md §9.
 
     def worker_sync_state(self) -> dict[str, np.ndarray]:
         """Server state a worker needs before running any client this round,
         as a flat array dict (shipped through :func:`serialize_state`)."""
-        return {f"model.{k}": v
-                for k, v in self.global_model.state_dict().items()}
+        state = {f"model.{k}": v
+                 for k, v in self.global_model.state_dict().items()}
+        versions = self.transport.versions
+        versions.refresh(self.downlink_state)
+        state.update({f"dl.{k}": v for k, v in versions.sync_state().items()})
+        return state
 
     def load_worker_sync_state(self, state: dict[str, np.ndarray]) -> None:
         """Install :meth:`worker_sync_state` output into this replica."""
         model_state = {k[len("model."):]: v for k, v in state.items()
                        if k.startswith("model.")}
         self.global_model.load_state_dict(model_state)
+        if "dl.version" in state:
+            # only the layout of downlink_state() is read, so subclass
+            # state that loads after this call does not matter
+            self.transport.versions.load(state["dl.version"],
+                                         state["dl.rows"],
+                                         self.downlink_state())
 
     def encoded_sync_state(self) -> bytes:
         """:meth:`worker_sync_state` as wire bytes, broadcast-cached.
@@ -381,11 +419,13 @@ class FederatedAlgorithm:
         neither touches numerics, so traced runs stay seed-identical.
         """
         tracer = get_tracer()
-        # Global state may have mutated since the last aggregate, so
-        # cached downlink/sync encodings from earlier rounds must not be
-        # served.  Within one round the server state is constant (all
-        # mutation happens in ``aggregate``, after every collect), so one
-        # token per round is exactly the right granularity.
+        # Global state may have been changed from outside since the last
+        # round, so cached downlink/sync encodings from earlier rounds
+        # must not be served.  Within one round the server state is
+        # constant until ``aggregate``, after every collect; the epilogue
+        # moves the token again for that (``_finish_round``), so whoever
+        # reads server state between rounds — a checkpoint — sees it as
+        # changed too.
         self.transport.new_round()
         with tracer.span("round", round=round_idx) as round_span:
             stats = FaultStats()
@@ -431,12 +471,15 @@ class FederatedAlgorithm:
                       evict: Callable[[int], None] | None = None
                       ) -> RoundResult:
         """Round epilogue shared by every round driver: advance the round
-        counter, merge fault stats, evaluate, build the result, and emit
-        the round-level span attributes and counters.  ``evaluate=False``
-        reports ``nan`` accuracy; ``evict`` is forwarded to
-        :meth:`evaluate_all`."""
+        counter, merge fault stats, move the transport on if the round
+        committed (aggregation changed the global state), evaluate,
+        build the result, and emit the round-level span attributes and
+        counters.  ``evaluate=False`` reports ``nan`` accuracy; ``evict``
+        is forwarded to :meth:`evaluate_all`."""
         self.rounds_completed = round_idx + 1
         self.fault_stats.merge(stats)
+        if committed:
+            self.transport.new_round()   # the global state moved
         with get_tracer().span("evaluate", round=round_idx):
             acc = self.evaluate_all(evict) if evaluate else float("nan")
         finite = [v for v in losses if np.isfinite(v)]
@@ -480,7 +523,7 @@ class FederatedAlgorithm:
         cid = client.client_id
         fm = self.fault_model
         if fm is None:
-            transport.download(round_idx, cid, self.download_payload(client))
+            self._download(client, round_idx)
             update = self._train(client, round_idx)
             transport.upload(round_idx, cid, self.wire_payload(update))
             return update
@@ -493,11 +536,14 @@ class FederatedAlgorithm:
                 try:
                     if update is None:
                         fm.check_available(round_idx, cid, salt, attempt)
-                        transport.download(round_idx, cid,
-                                           self.download_payload(client),
-                                           salt, attempt)
+                        self._download(client, round_idx, salt, attempt)
                         fm.check_straggler(round_idx, cid, salt, attempt,
                                            self.epochs_for(client, round_idx))
+                        # Taken after the download: what a device received
+                        # it keeps, base included, whatever happens to its
+                        # training — a timed-out or crashed client's retry
+                        # is sent the (empty) delta since that download,
+                        # as an async client re-arriving after a crash is.
                         snapshot = client.snapshot_local_state()
                         # Quantized before the crash draw: a crash rolls the
                         # client's state (incl. EF residuals) back to the

@@ -109,6 +109,11 @@ def _apply_algo(algo: FederatedAlgorithm, arrays: dict[str, np.ndarray],
     algo.load_worker_sync_state(
         {key: arrays[f"server.{key}"] for key in manifest["server_keys"]})
     algo.transport.new_round()   # the global state moved
+    # The loaded version table describes exactly this state: adopt it now,
+    # so a commit that runs before the next download (an async upload, a
+    # scale round resumed with nobody left to fold) is compared with it
+    # and stamped like any other.
+    algo.transport.versions.observe(algo.downlink_state())
     if manifest["includes_clients"]:
         for client in algo.clients:
             client.local_state = decode_client_state(

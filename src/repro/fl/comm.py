@@ -8,7 +8,11 @@ actually crosses the network.  This module provides:
   charges the :class:`CommLedger`, opens ``serialize`` / ``deserialize``
   spans, or corrupts a payload (DESIGN.md §17).  Every driver (sync
   rounds, the async runtime, the population-scale runner, pool workers)
-  sends through an algorithm's one transport;
+  sends through an algorithm's one transport.  It also owns the downlink
+  version table (:class:`~repro.fl.wire.RowVersions`, DESIGN.md §5.1):
+  the downlink is a row delta against the version a client last synced
+  at, and the transport's round token is what says when to look at the
+  server state again;
 - :class:`CommLedger` — the per-round, per-direction ledger the
   transport writes every transfer into;
 - ``serialize_state`` / ``deserialize_state`` — the public, span-free
@@ -46,8 +50,8 @@ import numpy as np
 
 from repro.fl import wire
 from repro.fl.resilience import TransferCorrupted
-from repro.fl.wire import (BroadcastCache, PayloadError, payload_nbytes,
-                           sparse_payload_nbytes)
+from repro.fl.wire import (BroadcastCache, PayloadError, RowVersions,
+                           payload_nbytes, sparse_payload_nbytes)
 from repro.obs.trace import get_tracer
 
 __all__ = ["PayloadError", "serialize_state", "deserialize_state",
@@ -273,13 +277,17 @@ class Transport:
     as :class:`~repro.fl.resilience.TransferCorrupted`, never accepted
     silently; the receiver gets read-only views over the wire bytes.
 
-    The client-invariant downlink is framed once per round through
-    ``broadcast`` (a :class:`~repro.fl.wire.BroadcastCache`) under the
-    round :attr:`token`, which :meth:`new_round` moves whenever server
-    state may have changed; the encode is cached, the charge is not.
-    ``variant`` is the encoding-configuration identity (the quant
-    config's key) folded into every cache key.  Uploads are per-client
-    content and never go through the cache.
+    The downlink is a row delta against the version the client last
+    synced at (:attr:`versions`, a :class:`~repro.fl.wire.RowVersions`;
+    a client that never synced gets the full state).  It is framed
+    through ``broadcast`` (a :class:`~repro.fl.wire.BroadcastCache`,
+    which serves a blob only to the base it was framed for) under the
+    round :attr:`token`, which :meth:`new_round` moves — marking the version
+    table stale with it — whenever server state may have changed; the
+    encode is cached, the charge is not.  ``variant`` is the
+    encoding-configuration identity (the quant config's key) folded into
+    every cache key.  Uploads are per-client content and never go
+    through the cache.
     """
 
     def __init__(self, fault_model=None,
@@ -289,17 +297,25 @@ class Transport:
         self.broadcast = broadcast
         self.variant = variant
         self.token = 0
+        self.versions = RowVersions()
 
     def new_round(self) -> None:
-        """Server state may have changed: stop serving the cached downlink."""
+        """Server state may have changed: stop serving the cached downlink
+        and have the version table look at the state again."""
         self.token += 1
+        self.versions.stale = True
 
     def download(self, round_idx: int, client_id: int,
                  payload: dict[str, np.ndarray], salt: int = 0,
-                 attempt: int = 0) -> dict[str, np.ndarray]:
-        """Send ``payload`` server → client; returns it as received."""
+                 attempt: int = 0, base: int | None = None
+                 ) -> dict[str, np.ndarray]:
+        """Send ``payload`` server → client; returns it as received.
+
+        ``base`` is the version ``payload`` is a delta against: clients
+        of one round at different bases are owed different payloads, so
+        the broadcast cache compares it."""
         return self._transfer("down", round_idx, client_id, payload, salt,
-                              attempt, self.fault_model)
+                              attempt, self.fault_model, base)
 
     def upload(self, round_idx: int, client_id: int,
                payload: dict[str, np.ndarray], salt: int = 0,
@@ -316,7 +332,7 @@ class Transport:
         self._transfer(direction, round_idx, client_id, payload, 0, 0, None)
 
     def _transfer(self, direction, round_idx, client_id, payload, salt,
-                  attempt, fault_model):
+                  attempt, fault_model, base=None):
         tracer = get_tracer()
         down = direction == "down"
         record = self.ledger.record_down if down else self.ledger.record_up
@@ -331,7 +347,8 @@ class Transport:
                     misses = self.broadcast.misses
                     blob = self.broadcast.encode(
                         payload, token=self.token, channel="down",
-                        checksums=checksums, variant=self.variant)
+                        checksums=checksums, variant=self.variant,
+                        base=base)
                     # the full length is reported either way: the network
                     # sent it, only the CPU encode was skipped
                     ser.set(cached=self.broadcast.misses == misses)

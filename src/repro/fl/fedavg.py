@@ -31,7 +31,7 @@ class FedAvg(FederatedAlgorithm):
         super().__init__(*args, **kwargs)
         self._work = self.model_fn()
 
-    def download_payload(self, client: Client) -> dict[str, np.ndarray]:
+    def downlink_state(self) -> dict[str, np.ndarray]:
         return self.global_model.state_dict()
 
     def local_update(self, client: Client, round_idx: int) -> dict:

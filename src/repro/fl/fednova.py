@@ -54,7 +54,7 @@ class FedNova(FederatedAlgorithm):
             if key.startswith("sm."):
                 self._server_momentum[key[len("sm."):]] = value
 
-    def download_payload(self, client: Client) -> dict[str, np.ndarray]:
+    def downlink_state(self) -> dict[str, np.ndarray]:
         payload = self.global_model.state_dict()
         payload.update({f"server_momentum.{n}": v
                         for n, v in self._server_momentum.items()})

@@ -67,7 +67,7 @@ class Scaffold(FederatedAlgorithm):
             if key.startswith("cv."):
                 self.c_global[key[len("cv."):]] = value
 
-    def download_payload(self, client: Client) -> dict[str, np.ndarray]:
+    def downlink_state(self) -> dict[str, np.ndarray]:
         payload = self.global_model.state_dict()
         payload.update({f"c.{n}": v for n, v in self.c_global.items()})
         return payload

@@ -24,7 +24,12 @@ model.  This module is the hot-path core behind :mod:`repro.fl.comm`
   global state is framed once per round instead of once per client.
   The :class:`~repro.fl.comm.Transport` still charges every client the
   full downlink bytes — caching the *encoding* never changes the
-  *accounting* (DESIGN.md §17).
+  *accounting* (DESIGN.md §17);
+- :class:`RowVersions` / :func:`apply_delta` — the versioned row-delta
+  downlink (DESIGN.md §5.1): the server tracks, per axis-0 row of every
+  downlink tensor, the version at which its bytes last changed, and a
+  returning client is sent only the rows newer than the version it last
+  synced at.
 
 The codec is pure: nothing here charges a ledger or opens a span.  Bytes
 become traffic only when a :class:`~repro.fl.comm.Transport` sends them,
@@ -47,7 +52,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -357,6 +362,7 @@ class _CacheEntry:
     fingerprint: int
     blob: bytes
     entries: int
+    base: Any = None     # the downlink version the blob is a delta against
 
 
 class BroadcastCache:
@@ -367,14 +373,21 @@ class BroadcastCache:
     pipeline re-framed it once per client.  ``encode`` caches the wire
     blob per ``channel`` under a server-supplied round ``token`` — the
     server bumps its token exactly when global state may have mutated
-    (once per ``run_round``) — with a CRC32 content fingerprint as the
+    (``Transport.new_round()``) — with a CRC32 content fingerprint as the
     cross-token key, so byte-identical states are recognised even after
     the token moves (content keying).
 
-    Contract: a channel must carry **client-invariant** content within
-    one token (true for every built-in algorithm's downlink and sync
-    states — they depend only on server state).  Per-client payloads
-    (uploads) must not go through the cache.
+    Contract: within one token, content may depend on server state and
+    on the ``base`` the payload was built for, and on nothing else.  The
+    downlink is a delta against the version a client last synced at
+    (:class:`RowVersions`), so two clients of one round may be owed
+    different payloads; an entry remembers the ``base`` it was framed
+    for and serves only that one, which makes a channel
+    **client-invariant per base** (true for every built-in algorithm's
+    downlink; sync states have no base).  A channel keeps its newest
+    blob only — a cohort at one base shares it, another base re-frames —
+    so the cache never holds one full-size blob per base.  Per-client
+    payloads (uploads) must not go through the cache.
 
     Ledger invariance: the cache changes who pays the CPU for framing,
     never who pays the bytes — the :class:`~repro.fl.comm.Transport`
@@ -413,8 +426,13 @@ class BroadcastCache:
 
     def encode(self, state: dict[str, np.ndarray], *, token: Any,
                channel: str = "down", checksums: bool = False,
-               variant: Any = None) -> bytes:
+               variant: Any = None, base: Any = None) -> bytes:
         """The wire blob for ``state``, encoded at most once per content.
+
+        ``base`` is the downlink version ``state`` is a delta against
+        (``None``: the full state).  A hit is decided by key, token,
+        base and entry count, never by content, so everything the
+        content may depend on within a token is compared here.
 
         ``variant`` is an optional hashable encoding-configuration
         identity (e.g. :attr:`repro.fl.quant.QuantConfig.key`) that is
@@ -428,7 +446,7 @@ class BroadcastCache:
         if entry is not None:
             self._entries.move_to_end(key)
         if entry is not None and entry.token == token \
-                and entry.entries == len(state):
+                and entry.base == base and entry.entries == len(state):
             self.hits += 1
             blob = entry.blob
         else:
@@ -436,6 +454,7 @@ class BroadcastCache:
             if entry is not None and entry.fingerprint == fingerprint:
                 self.content_hits += 1
                 entry.token = token
+                entry.base = base
                 blob = entry.blob
             else:
                 self.misses += 1
@@ -443,10 +462,271 @@ class BroadcastCache:
                 self._entries[key] = _CacheEntry(token=token,
                                                  fingerprint=fingerprint,
                                                  blob=blob,
-                                                 entries=len(state))
+                                                 entries=len(state),
+                                                 base=base)
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                     self.evictions += 1
                     get_registry().counter(
                         "wire.broadcast_evictions").inc()
         return blob
+
+
+# --------------------------------------------------------------------------
+# Versioned row-delta downlink (DESIGN.md §5.1).
+#
+# SPATL's Eq. 12 rewrites only the filters some upload covered, and Eq. 11
+# moves ``c`` on those same rows, so most of a returning client's download
+# would be rows it already holds bit-for-bit.  The server therefore tracks
+# the version at which each axis-0 row last changed and sends a client
+# only the rows newer than the version it last synced at.
+
+_SPARSE_SUFFIXES = (".idx", ".val")
+
+
+def _row_count(arr: np.ndarray) -> int:
+    """Axis-0 rows of a downlink tensor; a 0-d tensor is one row."""
+    return arr.shape[0] if arr.ndim else 1
+
+
+def _row_bytes(arr: np.ndarray) -> np.ndarray:
+    """A non-empty C-contiguous ``arr`` as a ``(rows, bytes per row)``
+    uint8 view: rows compare by their bytes, so ``-0.0`` differs from
+    ``+0.0`` and a NaN equals itself."""
+    return arr.reshape(_row_count(arr), -1).view(np.uint8)
+
+
+def _rows_in(payload: dict[str, np.ndarray]) -> int:
+    """Rows a delta payload carries: a ``.idx`` entry counts its indices
+    (its ``.val`` twin nothing), a dense entry all its rows."""
+    return sum(value.size if name.endswith(".idx") else _row_count(value)
+               for name, value in payload.items()
+               if not name.endswith(".val"))
+
+
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr)
+    out.flags.writeable = False
+    return out
+
+
+class RowVersions:
+    """Which downlink rows changed when, and the delta a client is owed.
+
+    ``version`` counts the observed changes of the downlink state;
+    ``row_version[name][r]`` is the version at which row ``r`` (axis 0; a
+    0-d tensor is one row) of tensor ``name`` last changed.  A client
+    that last synced at version ``base`` holds every row with
+    ``row_version <= base`` already, so :meth:`delta` sends the others
+    and :func:`apply_delta` rebuilds the full state from them —
+    losslessly, because :meth:`observe` calls a row changed iff its
+    bytes changed.
+
+    One rule decides when the table looks at the state.  The owning
+    :class:`~repro.fl.comm.Transport` sets :attr:`stale` whenever server
+    state may have moved (``new_round()``, which every state-changing
+    site calls); the next reader of the table — :meth:`payload` for a
+    download, ``worker_sync_state()`` for a worker sync or a checkpoint —
+    goes through :meth:`refresh`, which has :meth:`observe` compare the
+    state against a private copy of the last observed one, once, and
+    nobody compares again until the transport moves on.  No algorithm or
+    fold reports what it wrote.
+
+    Pool workers never compare: their replica is given the parent's
+    table through :meth:`load` (it rides in ``worker_sync_state()``, and
+    so in every checkpoint) and builds deltas from it as is.  A
+    checkpoint load into the parent follows :meth:`load` with an
+    :meth:`observe` of the state it just restored, so only a worker
+    replica is ever without a copy to compare with.
+    """
+
+    def __init__(self):
+        self.version = 0
+        self.row_version: dict[str, np.ndarray] = {}
+        self.stale = True
+        # the last observed state (read-only private copies): what the
+        # next observation is compared with and what payloads are built
+        # from, so a payload costs no state copy of its own
+        self._seen: dict[str, np.ndarray] | None = None
+        # (base, payload, rows in it) of the last build under the current
+        # observation: a sync cohort shares one base and a retry follows
+        # its failed attempt; bases in scale/async rarely repeat
+        self._memo: tuple[Any, dict[str, np.ndarray], int] | None = None
+
+    @property
+    def rows_total(self) -> int:
+        return sum(rv.size for rv in self.row_version.values())
+
+    # ---------------------------------------------------------- observing
+    def observe(self, state: dict[str, np.ndarray]) -> None:
+        """Bring the table up to date with ``state``.
+
+        With no copy to compare with — a new table, or one :meth:`load`
+        just installed next to the state it was saved with — ``state``
+        is adopted as the one the table describes.  Otherwise
+        :attr:`version` is bumped iff some row's bytes changed, and
+        exactly those rows are stamped with it.  The state's
+        layout (names, order, shapes, dtypes) is fixed from the first
+        observation on, and no name may end in ``.idx`` / ``.val``, the
+        suffixes a delta's row entries travel under.
+        """
+        arrays = {name: _wire_array(name, value)
+                  for name, value in state.items()}
+        self._memo = None    # before any copy: it may hold the last one's rows
+        if self._seen is None:
+            for name in arrays:
+                if name.endswith(_SPARSE_SUFFIXES):
+                    raise ValueError(
+                        f"downlink entry {name!r} ends in a suffix reserved "
+                        "for row-delta entries (.idx / .val)")
+            if not self.row_version:
+                self.row_version = {
+                    name: np.zeros(_row_count(arr), dtype=np.int32)
+                    for name, arr in arrays.items()}
+            self._check_layout(
+                {name: _row_count(arr) for name, arr in arrays.items()},
+                {name: rv.size for name, rv in self.row_version.items()})
+            self._seen = {name: _frozen_copy(arr)
+                          for name, arr in arrays.items()}
+        else:
+            self._check_layout(
+                {name: (arr.shape, arr.dtype) for name, arr in arrays.items()},
+                {name: (arr.shape, arr.dtype)
+                 for name, arr in self._seen.items()})
+            changed = {}
+            for name, arr in arrays.items():
+                if arr.size:
+                    rows = (_row_bytes(arr)
+                            != _row_bytes(self._seen[name])).any(axis=1)
+                    if rows.any():
+                        changed[name] = rows
+            if changed:
+                self.version += 1
+                for name, rows in changed.items():
+                    self.row_version[name][rows] = self.version
+                    # replaced, not overwritten: payloads built from the
+                    # old copy stay what they were when sent
+                    self._seen[name] = _frozen_copy(arrays[name])
+        self.stale = False
+
+    @staticmethod
+    def _check_layout(found: dict, known: dict) -> None:
+        """``found`` / ``known``: per-entry layout descriptors, in order."""
+        if list(found) != list(known):
+            raise ValueError("downlink state entries changed between "
+                             f"observations: {sorted(set(found) ^ set(known))}")
+        for name, layout in found.items():
+            if layout != known[name]:
+                raise ValueError(f"downlink entry {name!r} changed layout: "
+                                 f"{layout} after {known[name]}")
+
+    # ------------------------------------------------------------- deltas
+    def delta(self, state: dict[str, np.ndarray],
+              base: int | None) -> dict[str, np.ndarray]:
+        """What a client synced at ``base`` needs to hold ``state``.
+
+        In state order: nothing for a tensor with no row newer than
+        ``base``; the tensor itself when every row is newer; otherwise
+        ``name.idx`` (int32 rows) + ``name.val`` (those rows) iff that
+        is strictly smaller on the wire, else the tensor.  A delta is
+        therefore never larger than the full state, and ``base=None``
+        (a client that never synced) gets the full state, entry for
+        entry.
+        """
+        if base is None:
+            return dict(state)
+        if base > self.version:
+            raise ValueError(f"client synced at version {base}, server is "
+                             f"at {self.version}: not this run's client")
+        out: dict[str, np.ndarray] = {}
+        for name, value in state.items():
+            newer = self.row_version[name] > base
+            n_newer = int(np.count_nonzero(newer))
+            if n_newer == 0:
+                continue
+            if n_newer < newer.size:
+                idx = np.flatnonzero(newer).astype(np.int32)
+                rows = {name + ".idx": idx,
+                        name + ".val": np.asarray(value)[idx]}
+                if payload_nbytes(rows) < payload_nbytes({name: value}):
+                    out.update(rows)
+                    continue
+            out[name] = value
+        return out
+
+    def refresh(self, get_state: Callable[[], dict[str, np.ndarray]]
+                ) -> None:
+        """:meth:`observe` ``get_state()`` iff the transport moved on
+        since the last observation; every reader of the table calls
+        this first."""
+        if self.stale:
+            self.observe(get_state())
+
+    def payload(self, get_state: Callable[[], dict[str, np.ndarray]],
+                base: int | None) -> dict[str, np.ndarray]:
+        """The downlink payload for a client synced at ``base``.
+
+        ``get_state`` builds the algorithm's full downlink state; it is
+        called only to :meth:`refresh` (once per staleness) and on a
+        worker replica, which holds no copy to build from.  The last
+        payload built is kept until the next observation or another
+        base asks, so a cohort at one base shares one build and a retry
+        re-sends the very dict that failed.
+        """
+        self.refresh(get_state)
+        if self._memo is None or self._memo[0] != base:
+            self._memo = None     # one payload's rows alive at a time
+            source = self._seen if self._seen is not None else get_state()
+            built = self.delta(source, base)
+            self._memo = (base, built, _rows_in(built))
+        _, built, rows_sent = self._memo
+        metrics = get_registry()
+        metrics.counter("downlink.cold_sends" if base is None
+                        else "downlink.delta_sends").inc()
+        metrics.counter("downlink.rows_sent").inc(rows_sent)
+        metrics.counter("downlink.rows_total").inc(self.rows_total)
+        return built
+
+    # ------------------------------------------------ sync / checkpoints
+    def sync_state(self) -> dict[str, np.ndarray]:
+        """The table as two arrays (row versions concatenated in state
+        order), for ``worker_sync_state()``."""
+        rows = list(self.row_version.values())
+        return {"version": np.asarray(self.version, dtype=np.int64),
+                "rows": np.concatenate(rows) if rows
+                else np.zeros(0, dtype=np.int32)}
+
+    def load(self, version, rows: np.ndarray,
+             layout: dict[str, np.ndarray]) -> None:
+        """Install a :meth:`sync_state`, split by the entries of
+        ``layout`` (any full downlink state; only its row counts are
+        read).  The table is current for the state it was saved with and
+        there is no copy of that state here: a worker replica stays that
+        way and never compares; a checkpoint load passes the restored
+        state to :meth:`observe` next, before anything can change it."""
+        counts = [_row_count(np.asarray(v)) for v in layout.values()]
+        if sum(counts) != rows.size:
+            raise ValueError(f"downlink row table has {rows.size} rows, "
+                             f"the downlink state has {sum(counts)}")
+        self.version = int(version)
+        bounds = np.cumsum([0] + counts)
+        self.row_version = {
+            name: np.array(rows[lo:hi], dtype=np.int32)
+            for name, lo, hi in zip(layout, bounds[:-1], bounds[1:])}
+        self.stale = False
+        self._seen = None
+        self._memo = None
+
+
+def apply_delta(cache: dict[str, np.ndarray],
+                payload: dict[str, np.ndarray]) -> None:
+    """The client half of :meth:`RowVersions.delta`: bring ``cache`` (the
+    downlink state as last synced; ``{}`` for a client that never did) up
+    to date in place — rows scattered, dense entries replaced by copies,
+    absent entries kept."""
+    for name, value in payload.items():
+        if name.endswith(".idx"):
+            cache[name[:-len(".idx")]][value] = \
+                payload[name[:-len(".idx")] + ".val"]
+        elif not name.endswith(".val"):
+            cache[name] = np.array(value)

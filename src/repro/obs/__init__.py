@@ -32,9 +32,10 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                get_registry, observe_peak_rss,
                                peak_rss_bytes, set_registry)
 from repro.obs.profiler import OpProfiler, OpStat
-from repro.obs.report import (codec_byte_totals, hotspot_table,
-                              round_timeline_table, span_attr_total,
-                              span_total_seconds, step_compiler_line)
+from repro.obs.report import (codec_byte_totals, downlink_line,
+                              hotspot_table, round_timeline_table,
+                              span_attr_total, span_total_seconds,
+                              step_compiler_line)
 
 __all__ = [
     "Span", "Tracer", "NullTracer", "NULL_SPAN", "get_tracer", "set_tracer",
@@ -42,5 +43,5 @@ __all__ = [
     "get_registry", "set_registry", "peak_rss_bytes", "observe_peak_rss",
     "OpProfiler", "OpStat", "hotspot_table",
     "round_timeline_table", "span_attr_total", "span_total_seconds",
-    "codec_byte_totals", "step_compiler_line",
+    "codec_byte_totals", "downlink_line", "step_compiler_line",
 ]

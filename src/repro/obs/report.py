@@ -99,6 +99,25 @@ def codec_byte_totals(tracer) -> dict[str, float]:
             "deserialize": span_attr_total(tracer, "deserialize", "bytes")}
 
 
+def _counter_total(counters: dict[str, float], name: str) -> int:
+    """A counter summed over its label sets, from a metrics snapshot."""
+    return int(sum(v for k, v in counters.items()
+                   if k == name or k.startswith(name + "{")))
+
+
+def downlink_line(counters: dict[str, float]) -> str:
+    """One line on what the delta downlink sent (DESIGN.md §5.1): the
+    share of downlink rows that travelled, and how many sends were cold
+    (full state, never-synced client) against deltas.  ``counters`` is a
+    metrics snapshot's counter dict."""
+    total = _counter_total(counters, "downlink.rows_total")
+    sent = _counter_total(counters, "downlink.rows_sent")
+    share = 100.0 * sent / total if total else 0.0
+    return (f"downlink: {share:.0f} % of rows, "
+            f"{_counter_total(counters, 'downlink.cold_sends')} cold / "
+            f"{_counter_total(counters, 'downlink.delta_sends')} delta")
+
+
 def step_compiler_line(tracer, counters: dict[str, float]) -> str:
     """One line on what the step compiler did in a ``--compile`` run.
 
@@ -107,12 +126,9 @@ def step_compiler_line(tracer, counters: dict[str, float]) -> str:
     covers only its capture and fallback steps, and this line says where
     the rest went.  ``counters`` is a metrics snapshot's counter dict.
     """
-    def total(name):
-        return int(sum(v for k, v in counters.items()
-                       if k == name or k.startswith(name + "{")))
-
-    return (f"step compiler: {total('compile.captures')} captures, "
-            f"{total('compile.replays')} replays "
+    return (f"step compiler: "
+            f"{_counter_total(counters, 'compile.captures')} captures, "
+            f"{_counter_total(counters, 'compile.replays')} replays "
             f"({span_total_seconds(tracer, 'compile.replay'):.1f} s), "
-            f"{total('compile.fallbacks')} fallbacks — replayed steps are "
-            f"not in the op table")
+            f"{_counter_total(counters, 'compile.fallbacks')} fallbacks — "
+            f"replayed steps are not in the op table")

@@ -1,5 +1,6 @@
 """Unit tests: the repro.obs subsystem (tracer, metrics, profiler, reports)."""
 
+import contextlib
 import functools
 import io
 import json
@@ -14,15 +15,16 @@ from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
                       ScaleRunner, ShardedClientFactory, Transport,
                       VirtualClientPool, make_executor,
                       deserialize_state, make_federated_clients,
-                      payload_nbytes, serialize_state)
+                      payload_nbytes, serialize_state, state_fingerprint)
 from repro.fl.checkpoint import save_checkpoint
 from repro.models import build_model
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.obs import (NULL_SPAN, MetricsRegistry, NullTracer, OpProfiler,
-                       Tracer, codec_byte_totals, get_tracer, hotspot_table,
-                       round_timeline_table, set_tracer, span_attr_total,
-                       span_total_seconds, tracing)
+                       Tracer, codec_byte_totals, downlink_line, get_tracer,
+                       hotspot_table, round_timeline_table, set_registry,
+                       set_tracer, span_attr_total, span_total_seconds,
+                       tracing)
 from repro.tensor import Tensor
 from repro.tensor.tensor import set_backward_op_hook
 
@@ -356,6 +358,46 @@ class TestTracedFederatedRun:
         # transfer spans carry the same per-transfer byte attributes
         assert (span_attr_total(tracer, "download", "bytes")
                 + span_attr_total(tracer, "upload", "bytes")) == total
+
+    def test_delta_downlink_is_counted_and_tracing_does_not_move_it(self):
+        """Traced == untraced bytes and fingerprint with deltas on the
+        wire, and the build site's counters say what travelled — the same
+        on a process pool, whose workers count in their own registries."""
+        def run(traced=False, **kwargs):
+            model_fn, clients = _tiny_setting(n_clients=4)
+            algo = _RECONCILED_ALGOS["spatl"](model_fn, clients, lr=0.05,
+                                              local_epochs=1, seed=0,
+                                              **kwargs)
+            registry = MetricsRegistry()
+            previous = set_registry(registry)
+            try:
+                with tracing() if traced else contextlib.nullcontext():
+                    algo.run(3)
+            finally:
+                set_registry(previous)
+                algo.close()
+            return algo, {k: v for k, v in
+                          registry.snapshot()["counters"].items()
+                          if k.startswith("downlink.")}
+
+        plain, counters = run()
+        for other, other_counters in (run(traced=True),
+                                      run(executor=make_executor(2))):
+            assert other.ledger.downlink == plain.ledger.downlink
+            assert other.ledger.uplink == plain.ledger.uplink
+            assert state_fingerprint(other.worker_sync_state()) \
+                == state_fingerprint(plain.worker_sync_state())
+            assert other_counters == counters
+        assert counters["downlink.cold_sends"] == 4      # round 0
+        assert counters["downlink.delta_sends"] == 8     # rounds 1 and 2
+        assert 0 < counters["downlink.rows_sent"] \
+            < counters["downlink.rows_total"]
+        share = round(100 * counters["downlink.rows_sent"]
+                      / counters["downlink.rows_total"])
+        assert downlink_line(counters) \
+            == f"downlink: {share} % of rows, 4 cold / 8 delta"
+        down = plain.ledger.downlink
+        assert sum(down[1].values()) < sum(down[0].values())
 
     def test_round_timeline_covers_phases(self):
         model_fn, clients = _tiny_setting()
