@@ -271,10 +271,16 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="loop-overhead repeats (default 5, smoke 3)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=str(OUT_PATH))
+    parser.add_argument("--out", default=None,
+                        help="record to write (default: BENCH_async.json; "
+                             "with --smoke, bench_async_smoke.json in the "
+                             "cwd)")
     parser.add_argument("--baseline", default=str(OUT_PATH),
-                        help="baseline JSON for --check (default: --out)")
+                        help="baseline JSON for --check (default: the "
+                             "committed record)")
     args = parser.parse_args(argv)
+    from _harness import resolve_out
+    out = resolve_out(args.out, OUT_PATH, args.smoke)
 
     repeats = args.repeats or (3 if args.smoke else 5)
     clients = 4 if args.smoke else 8
@@ -321,7 +327,6 @@ def main(argv=None) -> int:
         "env": blas_env(),
         "cases": cases,
     }
-    out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"written to {out}")
 

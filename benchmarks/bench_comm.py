@@ -274,10 +274,16 @@ def main(argv=None) -> int:
                         help="allowed slowdown factor for --check")
     parser.add_argument("--repeats", type=int, default=None,
                         help="micro repeats (default 30, smoke 8)")
-    parser.add_argument("--out", default=str(OUT_PATH))
+    parser.add_argument("--out", default=None,
+                        help="record to write (default: BENCH_comm.json; "
+                             "with --smoke, bench_comm_smoke.json in the "
+                             "cwd)")
     parser.add_argument("--baseline", default=str(OUT_PATH),
-                        help="baseline JSON for --check (default: --out)")
+                        help="baseline JSON for --check (default: the "
+                             "committed record)")
     args = parser.parse_args(argv)
+    from _harness import resolve_out
+    out = resolve_out(args.out, OUT_PATH, args.smoke)
 
     repeats = args.repeats or (8 if args.smoke else 30)
 
@@ -317,7 +323,6 @@ def main(argv=None) -> int:
         "micro": micro,
         "downlink": downlink,
     }
-    out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"written to {out}")
 

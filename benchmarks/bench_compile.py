@@ -255,10 +255,16 @@ def main(argv=None) -> int:
                         help="timed e2e rounds (default 2, smoke 1)")
     parser.add_argument("--models", nargs="+", default=["resnet20", "vgg11"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=str(OUT_PATH))
+    parser.add_argument("--out", default=None,
+                        help="record to write (default: BENCH_compile.json; "
+                             "with --smoke, bench_compile_smoke.json in the "
+                             "cwd)")
     parser.add_argument("--baseline", default=str(OUT_PATH),
-                        help="baseline JSON for --check (default: --out)")
+                        help="baseline JSON for --check (default: the "
+                             "committed record)")
     args = parser.parse_args(argv)
+    from _harness import resolve_out
+    out = resolve_out(args.out, OUT_PATH, args.smoke)
 
     repeats = args.repeats or (10 if args.smoke else 40)
     rounds = args.rounds or (1 if args.smoke else 2)
@@ -315,7 +321,6 @@ def main(argv=None) -> int:
         "micro": micro,
         "e2e": e2e,
     }
-    out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"written to {out}")
 

@@ -122,9 +122,13 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless every row passes "
                              "check_rows() (byte-identity + speedup floors)")
-    parser.add_argument("--out", default=str(OUT_PATH),
-                        help="JSON history file to append to")
+    parser.add_argument("--out", default=None,
+                        help="JSON history file to append to (default: "
+                             "BENCH_parallel.json; with --smoke, "
+                             "bench_parallel_smoke.json in the cwd)")
     args = parser.parse_args(argv)
+    from _harness import resolve_out
+    out = resolve_out(args.out, OUT_PATH, args.smoke)
 
     if args.smoke:
         args.clients, args.rounds, args.local_epochs = 8, 3, 1
@@ -173,7 +177,6 @@ def main(argv=None) -> int:
         "env": blas_env(),
         "results": rows,
     }
-    out = Path(args.out)
     history = []
     if out.exists():
         try:

@@ -304,10 +304,16 @@ def main(argv=None) -> int:
                         help="accuracy-experiment rounds (default 10, "
                              "smoke 3)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=str(OUT_PATH))
+    parser.add_argument("--out", default=None,
+                        help="record to write (default: BENCH_quant.json; "
+                             "with --smoke, bench_quant_smoke.json in the "
+                             "cwd)")
     parser.add_argument("--baseline", default=str(OUT_PATH),
-                        help="baseline JSON for --check (default: --out)")
+                        help="baseline JSON for --check (default: the "
+                             "committed record)")
     args = parser.parse_args(argv)
+    from _harness import resolve_out
+    out = resolve_out(args.out, OUT_PATH, args.smoke)
 
     repeats = args.repeats or (8 if args.smoke else 30)
     acc_rounds = args.acc_rounds or (3 if args.smoke else 10)
@@ -363,7 +369,6 @@ def main(argv=None) -> int:
         "accuracy": accuracy,
         "golden": golden,
     }
-    out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"written to {out}")
 

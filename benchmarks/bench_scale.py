@@ -211,12 +211,17 @@ def main(argv=None) -> int:
                         help="stub model dimension for the sweep")
     parser.add_argument("--sample-ratio", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=str(OUT_PATH))
+    parser.add_argument("--out", default=None,
+                        help="record to write (default: BENCH_scale.json; "
+                             "with --smoke, bench_scale_smoke.json in the "
+                             "cwd)")
     parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child is not None:
         return run_child(json.loads(args.child))
+    from _harness import resolve_out
+    out = resolve_out(args.out, OUT_PATH, args.smoke)
 
     populations = args.populations or (
         [300, 1500] if args.smoke else [1000, 10000, 100000])
@@ -252,7 +257,6 @@ def main(argv=None) -> int:
         "env": blas_env(),
         "cases": cases,
     }
-    out = Path(args.out)
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
 

@@ -192,7 +192,8 @@ def cmd_async_convergence(args) -> None:
 def cmd_scale(args) -> None:
     """Population-scale rounds: virtual clients over a spill-to-disk
     client-state store and streaming fold aggregation (DESIGN.md §13).
-    Byte-identical to the materialized baseline round loop."""
+    Byte-identical to the materialized baseline round loop, under
+    ``--fault-*`` / ``--min-clients`` too."""
     import tempfile
 
     from repro.data import dirichlet_partition
@@ -225,19 +226,26 @@ def cmd_scale(args) -> None:
     runner = ScaleRunner(algo, pool=pool, eval_mode=eval_mode)
     try:
         for r in runner.run(cfg.rounds):
-            print(f"round {r.round_idx:3d}  loss={r.avg_train_loss:.4f}  "
-                  f"acc={r.avg_val_acc:.4f}  updates={r.n_participants}  "
-                  f"bytes={r.round_bytes}")
+            line = (f"round {r.round_idx:3d}  loss={r.avg_train_loss:.4f}  "
+                    f"acc={r.avg_val_acc:.4f}  updates={r.n_participants}  "
+                    f"bytes={r.round_bytes}")
+            if algo.fault_model is not None:
+                line += (f"  dropped={r.n_dropped}  retries={r.n_retries}  "
+                         f"corrupt={r.n_corrupt}  resamples={r.n_resamples}  "
+                         f"committed={r.committed}")
+            print(line)
     finally:
         algo.close()
     counters = get_registry().snapshot()["counters"]
+    faults = ({"fault_totals": algo.fault_stats.as_dict()}
+              if algo.fault_model is not None else {})
     print(json.dumps({
         "population": args.population,
         "store_dir": store.root, "store_entries": len(store),
         "store_bytes": store.nbytes, "resident_clients": pool.resident,
         "materializations": counters.get("scale.materializations", 0),
         "evictions": counters.get("scale.evictions", 0),
-        "peak_rss_bytes": observe_peak_rss(),
+        "peak_rss_bytes": observe_peak_rss(), **faults,
     }, indent=2))
 
 

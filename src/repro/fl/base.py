@@ -89,6 +89,151 @@ class RoundResult:
     committed: bool = True
 
 
+class Round:
+    """One synchronous round in progress — the only synchronous round
+    loop (DESIGN.md §7).  ``run_round`` builds one and finishes it;
+    :class:`~repro.fl.scale.ScaleRunner` adds a spill path, a wave size
+    and its pool's ``evict``, and may checkpoint it between
+    :meth:`advance` and :meth:`finish`.  Owns the cohort still to exchange
+    (``remaining``, sampled on the first advance), the fold the uploads go
+    into (resident when ``spill_path`` is ``None``), their losses and the
+    round's :class:`FaultStats`, whose ``n_resamples`` is the sampling salt.
+    """
+
+    def __init__(self, algo: "FederatedAlgorithm", round_idx: int,
+                 spill_path: str | None = None, wave: int | None = None,
+                 evict: Callable[[int], None] | None = None):
+        self.algo = algo
+        self.round_idx = round_idx
+        self.spill_path = spill_path
+        self.wave = wave      # clients per collect; None: the whole cohort
+        self.evict = evict    # called with a client's id once it is folded
+        self.stats = FaultStats()
+        self.remaining: list[Client] | None = None
+        self.fold = self.spill = None
+        self.losses: list[float] = []
+
+    @property
+    def salt(self) -> int:
+        return self.stats.n_resamples
+
+    def _open(self) -> None:
+        """Sample the cohort for the current salt into a fresh fold."""
+        algo = self.algo
+        with get_tracer().span("sample", round=self.round_idx,
+                               salt=self.salt):
+            self.remaining = sample_clients(algo.clients, algo.sample_ratio,
+                                            algo.seed, self.round_idx,
+                                            salt=self.salt)
+        if self.spill_path is not None:
+            from repro.fl.scale.fold import UpdateSpill
+            self.spill = UpdateSpill(self.spill_path)
+        self.fold = algo.make_fold(self.spill)
+        self.losses = []
+
+    def _drop_spill(self) -> None:
+        if self.spill is not None:
+            self.spill.unlink()
+
+    def advance(self, n: int | None = None) -> None:
+        """Exchange with the next ``n`` clients (default: all that remain),
+        ``wave`` at a time: collect, fold each upload in cohort order —
+        whichever worker finished first — then evict.  An exception
+        unlinks the spill before it propagates."""
+        if n is not None and n < 0:
+            raise ValueError(f"cannot advance by {n} clients")
+        algo = self.algo
+        try:
+            if self.remaining is None:
+                # Global state may have been changed from outside since
+                # the last round: no encoding cached earlier may be served.
+                algo.transport.new_round()
+                self._open()
+            if n is None:
+                n = len(self.remaining)
+            cohort, self.remaining = self.remaining[:n], self.remaining[n:]
+            wave = self.wave or len(cohort) or 1
+            for lo in range(0, len(cohort), wave):
+                chunk = cohort[lo:lo + wave]
+                updates, losses = algo.executor.collect(
+                    algo, chunk, self.round_idx, self.salt, self.stats)
+                for update in updates:
+                    self.fold.add(update)
+                self.losses.extend(losses)
+                if self.evict is not None:
+                    for client in chunk:
+                        self.evict(client.client_id)
+        except BaseException:
+            self._drop_spill()
+            raise
+
+    def finish(self, evaluate: bool = True) -> RoundResult:
+        """Exchange with whoever remains, settle quorum, commit.
+
+        Under a fault model each client gets ``retry_policy.max_attempts``
+        tries (``_client_exchange``); while fewer than ``min_clients``
+        uploads survive, the fold and its spill are discarded and the
+        cohort re-sampled under the next salt, ``max_round_resamples``
+        times at most, after which the round is *skipped*: nothing is
+        aggregated and the round index still advances.  The spill is
+        unlinked on every exit path.  Spans and round counters never
+        touch numerics: traced runs stay seed-identical.
+        """
+        algo, round_idx, stats = self.algo, self.round_idx, self.stats
+        tracer = get_tracer()
+        quorum = max(1, algo.min_clients)
+        with tracer.span("round", round=round_idx) as round_span:
+            try:
+                self.advance()
+                while (algo.fault_model is not None
+                       and self.fold.n_updates < quorum
+                       and self.salt < algo.max_round_resamples):
+                    self._drop_spill()
+                    stats.n_resamples += 1
+                    self._open()
+                    self.advance()
+                # Finalized once per round: a client that failed in one
+                # cohort but delivered after a re-sample is withdrawn, and
+                # re-drops of one client collapse — n_dropped counts
+                # distinct clients that never delivered, not failure events.
+                stats.finalize_drops()
+                n_updates = self.fold.n_updates
+                committed = n_updates >= quorum
+                if committed:
+                    with tracer.span("aggregate", round=round_idx,
+                                     n_updates=n_updates):
+                        self.fold.finalize(round_idx)
+            finally:
+                self._drop_spill()
+            algo.rounds_completed = round_idx + 1
+            algo.fault_stats.merge(stats)
+            if committed:
+                # The global state moved: whoever reads server state
+                # between rounds — a checkpoint — sees it as changed too.
+                algo.transport.new_round()
+            with tracer.span("evaluate", round=round_idx):
+                acc = algo.evaluate_all(self.evict) if evaluate \
+                    else float("nan")
+            finite = [v for v in self.losses if np.isfinite(v)]
+            result = RoundResult(
+                round_idx, float(np.mean(finite)) if finite else float("nan"),
+                acc, n_updates, algo.ledger.round_bytes(round_idx),
+                n_dropped=stats.n_dropped, n_retries=stats.n_retries,
+                n_corrupt=stats.n_corrupt, n_resamples=stats.n_resamples,
+                committed=committed)
+            round_span.set(val_acc=acc, n_participants=n_updates,
+                           bytes=result.round_bytes, committed=committed)
+        metrics = get_registry()
+        metrics.counter("fl.rounds", algorithm=algo.name).inc()
+        metrics.counter("fl.client_updates", algorithm=algo.name).inc(n_updates)
+        metrics.counter("fl.bytes", algorithm=algo.name).inc(result.round_bytes)
+        metrics.gauge("fl.val_acc", algorithm=algo.name).set(acc)
+        if tracer.enabled:
+            metrics.histogram("fl.round_seconds",
+                              algorithm=algo.name).observe(round_span.duration)
+        return result
+
+
 class FederatedAlgorithm:
     """Base class; see module docstring for the hook contract."""
 
@@ -404,101 +549,9 @@ class FederatedAlgorithm:
 
     # ------------------------------------------------------------ loop
     def run_round(self, round_idx: int) -> RoundResult:
-        """One synchronous round with (opt-in) fault tolerance.
-
-        Without a fault model this is the original protocol: every
-        sampled client trains and uploads.  With one, each client gets
-        ``retry_policy.max_attempts`` tries; if fewer than
-        ``min_clients`` updates survive, the cohort is re-sampled with a
-        fresh seed salt up to ``max_round_resamples`` times, after which
-        the round is *skipped* (no aggregation — the global model is
-        untouched and the round index still advances).
-
-        Each protocol phase runs inside a tracer span (no-op by default)
-        and round-level counters land in the default metrics registry;
-        neither touches numerics, so traced runs stay seed-identical.
-        """
-        tracer = get_tracer()
-        # Global state may have been changed from outside since the last
-        # round, so cached downlink/sync encodings from earlier rounds
-        # must not be served.  Within one round the server state is
-        # constant until ``aggregate``, after every collect; the epilogue
-        # moves the token again for that (``_finish_round``), so whoever
-        # reads server state between rounds — a checkpoint — sees it as
-        # changed too.
-        self.transport.new_round()
-        with tracer.span("round", round=round_idx) as round_span:
-            stats = FaultStats()
-            quorum = max(1, self.min_clients)
-            salt = 0
-            while True:
-                with tracer.span("sample", round=round_idx, salt=salt):
-                    selected = sample_clients(self.clients, self.sample_ratio,
-                                              self.seed, round_idx, salt=salt)
-                # Results are committed in cohort order whichever worker
-                # finished first, so every executor yields identical
-                # aggregation inputs.
-                updates, losses = self.executor.collect(
-                    self, selected, round_idx, salt, stats)
-                if self.fault_model is None or len(updates) >= quorum:
-                    break
-                if salt >= self.max_round_resamples:
-                    break
-                salt += 1
-                stats.n_resamples += 1
-            # Drop accounting is finalized once per round: a client that
-            # failed in one cohort iteration but delivered after a re-sample
-            # is withdrawn, and re-drops of the same client collapse to one
-            # — RoundResult.n_dropped counts distinct clients that never
-            # delivered, not failure events (those are the attempt counters).
-            stats.finalize_drops()
-            committed = len(updates) >= quorum
-            if committed:
-                with tracer.span("aggregate", round=round_idx,
-                                 n_updates=len(updates)):
-                    self.aggregate(updates, round_idx)
-            result = self._finish_round(round_idx, len(updates), losses,
-                                        stats, committed, round_span)
-        if tracer.enabled:
-            get_registry().histogram(
-                "fl.round_seconds",
-                algorithm=self.name).observe(round_span.duration)
-        return result
-
-    def _finish_round(self, round_idx: int, n_updates: int,
-                      losses: Sequence[float], stats: FaultStats,
-                      committed: bool, round_span, evaluate: bool = True,
-                      evict: Callable[[int], None] | None = None
-                      ) -> RoundResult:
-        """Round epilogue shared by every round driver: advance the round
-        counter, merge fault stats, move the transport on if the round
-        committed (aggregation changed the global state), evaluate,
-        build the result, and emit the round-level span attributes and
-        counters.  ``evaluate=False`` reports ``nan`` accuracy; ``evict``
-        is forwarded to :meth:`evaluate_all`."""
-        self.rounds_completed = round_idx + 1
-        self.fault_stats.merge(stats)
-        if committed:
-            self.transport.new_round()   # the global state moved
-        with get_tracer().span("evaluate", round=round_idx):
-            acc = self.evaluate_all(evict) if evaluate else float("nan")
-        finite = [v for v in losses if np.isfinite(v)]
-        avg_loss = float(np.mean(finite)) if finite else float("nan")
-        result = RoundResult(round_idx, avg_loss, acc, n_updates,
-                             self.ledger.round_bytes(round_idx),
-                             n_dropped=stats.n_dropped,
-                             n_retries=stats.n_retries,
-                             n_corrupt=stats.n_corrupt,
-                             n_resamples=stats.n_resamples,
-                             committed=committed)
-        round_span.set(val_acc=acc, n_participants=n_updates,
-                       bytes=result.round_bytes, committed=committed)
-        metrics = get_registry()
-        metrics.counter("fl.rounds", algorithm=self.name).inc()
-        metrics.counter("fl.client_updates", algorithm=self.name).inc(n_updates)
-        metrics.counter("fl.bytes", algorithm=self.name).inc(result.round_bytes)
-        metrics.gauge("fl.val_acc", algorithm=self.name).set(acc)
-        return result
+        """One synchronous round: a resident fold and one wave, so a
+        process pool sees the whole cohort in one ``collect``."""
+        return Round(self, round_idx).finish()
 
     def _train(self, client: Client, round_idx: int) -> Any:
         """Local update plus the (once-per-update) uplink quantization."""

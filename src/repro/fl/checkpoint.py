@@ -209,7 +209,7 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
         if update is not None:
             arrays[f"job.{jid}.update"] = np.frombuffer(
                 encode_update(update), dtype=np.uint8)
-    stats = runner.stats
+    stats = runner.stats.snapshot()
     manifest["async"] = {
         "clock": runner.clock.snapshot(),
         "server_step": runner.server_step,
@@ -226,11 +226,9 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
         "dedup_evictions": runner.dedup_evictions,
         "counters": dict(runner.counters),
         "jobs": jobs_meta,
-        "stats": stats.as_dict(),
-        # staged per-client outcome state (distinct-drop accounting is
-        # withdrawn-on-delivery, so both sides must survive a resume)
-        "stats_drops": {str(c): kind for c, kind in stats._drops.items()},
-        "stats_delivered": sorted(stats._delivered),
+        "stats": stats["counters"],
+        "stats_drops": stats["drops"],
+        "stats_delivered": stats["delivered"],
         "step_results": [asdict(r) for r in runner.step_results],
         "profile": asdict(runner.profile),
         "config": asdict(runner.config),
@@ -295,9 +293,7 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
             train_loss=float(meta["train_loss"]),
             fingerprint=meta["fingerprint"],
             accepted=bool(meta["accepted"]))
-    stats = FaultStats.from_dict(state["stats"])
-    stats._drops = {int(c): kind
-                    for c, kind in state["stats_drops"].items()}
-    stats._delivered = set(state["stats_delivered"])
-    runner.stats = stats
+    runner.stats = FaultStats.restore({"counters": state["stats"],
+                                       "drops": state["stats_drops"],
+                                       "delivered": state["stats_delivered"]})
     runner.step_results = [StepResult(**r) for r in state["step_results"]]

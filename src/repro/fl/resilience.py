@@ -9,9 +9,9 @@ mechanisms it applies:
 - :class:`RetryPolicy` — capped exponential backoff per client attempt
   (the backoff delay is *simulated* time, accumulated in
   :class:`FaultStats` rather than slept);
-- a quorum rule, enforced by ``FederatedAlgorithm.run_round``: a round
+- a quorum rule, enforced by :class:`repro.fl.base.Round`: a round
   commits only when at least ``min_clients`` updates survive, otherwise
-  it is skipped and re-sampled with a fresh seed salt.
+  it is re-sampled with a fresh seed salt and, failing that, skipped.
 
 The exception hierarchy is deliberately shallow so algorithms can catch
 :class:`ClientFailure` and stay agnostic to *why* a client was lost.
@@ -237,3 +237,18 @@ class FaultStats:
     def from_dict(cls, payload: dict) -> "FaultStats":
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
+
+    def snapshot(self) -> dict:
+        """JSON-able mid-round state: the counters plus the staged
+        per-client outcomes (drops are withdrawn on delivery, so both
+        sides must survive a resume)."""
+        return {"counters": self.as_dict(),
+                "drops": {str(c): kind for c, kind in self._drops.items()},
+                "delivered": sorted(self._delivered)}
+
+    @classmethod
+    def restore(cls, snap: dict) -> "FaultStats":
+        stats = cls.from_dict(snap["counters"])
+        stats._drops = {int(c): kind for c, kind in snap["drops"].items()}
+        stats._delivered = set(snap["delivered"])
+        return stats

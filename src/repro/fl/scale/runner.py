@@ -1,23 +1,19 @@
-"""Population-scale round loop: virtual clients + streaming folds.
+"""Population-scale rounds: virtual clients + streaming folds.
 
-:class:`ScaleRunner` drives the same protocol as
-``FederatedAlgorithm.run_round`` — sample → exchange → aggregate →
-evaluate — but never holds a cohort of updates: each upload folds into
-the algorithm's :class:`~repro.fl.scale.fold.StreamingFold` as it
-arrives and is discarded, so server memory is O(model) + O(wave),
-independent of cohort and population size — and byte-identical to the
-materialized baseline (golden-tested; see DESIGN.md §13 for the ordering
-argument).
-
-Fault injection is deliberately unsupported here: the fault-tolerant
-retry/quorum loop is the base class's job, and keeping this loop
-fault-free keeps it exactly on the baseline's golden path.
+:class:`ScaleRunner` runs the one synchronous round loop,
+:class:`~repro.fl.base.Round`, with what bounds its memory: a spill file
+under the fold, a ``wave`` (clients in flight between folds) and the
+pool's ``evict``.  Each upload folds as it arrives and is discarded, so
+server memory is O(model) + O(wave), independent of cohort and
+population size — and byte-identical to the resident one-wave round of
+``FederatedAlgorithm.run_round``, faults included (golden-tested; see
+DESIGN.md §13 for the ordering argument).
 
 Mid-round checkpointing: ``run_round_partial`` folds a prefix of the
 cohort, ``save_round_checkpoint`` snapshots algorithm state + the
-fold's accumulators + the spill position + the client-store manifest,
-and a fresh runner ``load_round_checkpoint`` + ``resume_round`` —
-byte-identical to the uninterrupted round.
+fold's accumulators + the spill position + the round's fault stats +
+the client-store manifest, and a fresh runner ``load_round_checkpoint``
++ ``resume_round`` — byte-identical to the uninterrupted round.
 """
 
 from __future__ import annotations
@@ -25,20 +21,18 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from repro.fl.base import RoundResult, sample_clients
+from repro.fl.base import Round, RoundResult
 from repro.fl.resilience import FaultStats
 from repro.fl.scale.fold import UpdateSpill
 from repro.fl.scale.store import ClientStateStore
 from repro.fl.scale.virtual import VirtualClient, VirtualClientPool
-from repro.obs.trace import get_tracer
 
 
 class ScaleRunner:
-    """Streaming round loop over (optionally) virtual clients.
+    """Streaming rounds over (optionally) virtual clients.
 
     Parameters
     ----------
@@ -65,10 +59,6 @@ class ScaleRunner:
     def __init__(self, algorithm, pool: VirtualClientPool | None = None,
                  spill_dir: str | os.PathLike | None = None,
                  eval_mode: str = "full", wave: int | None = None):
-        if algorithm.fault_model is not None:
-            raise ValueError("ScaleRunner is fault-free; use "
-                             "FederatedAlgorithm.run_round for fault "
-                             "injection")
         if eval_mode not in ("full", "none"):
             raise ValueError(f"unknown eval_mode {eval_mode!r}")
         self.algo = algorithm
@@ -91,31 +81,23 @@ class ScaleRunner:
             workers = getattr(algorithm.executor, "workers", None)
             wave = 2 * workers if workers else 1
         self.wave = max(1, int(wave))
-        self._pending: dict[str, Any] | None = None
+        self._pending: Round | None = None   # folded in part, resumable
 
     # ------------------------------------------------------------ round
 
-    def _fold_cohort(self, fold, cohort, round_idx: int,
-                     stats: FaultStats) -> list[float]:
-        """Exchange + fold + evict, ``wave`` clients at a time."""
-        losses: list[float] = []
-        for lo in range(0, len(cohort), self.wave):
-            chunk = cohort[lo:lo + self.wave]
-            updates, chunk_losses = self.algo.executor.collect(
-                self.algo, chunk, round_idx, 0, stats)
-            for update in updates:
-                fold.add(update)
-            losses.extend(chunk_losses)
-            if self._evict is not None:
-                for client in chunk:
-                    self._evict(client.client_id)
-        return losses
+    def _start(self, round_idx: int) -> Round:
+        if self._pending is not None:
+            raise RuntimeError("a partial round is already pending")
+        return Round(self.algo, round_idx, wave=self.wave, evict=self._evict,
+                     spill_path=os.path.join(self.spill_dir,
+                                             f"round_{round_idx}.spill"))
+
+    def _finish(self, round_: Round) -> RoundResult:
+        return round_.finish(evaluate=self.eval_mode == "full")
 
     def run_round(self, round_idx: int) -> RoundResult:
         """One streaming round; see the class docstring."""
-        with get_tracer().span("round", round=round_idx) as round_span:
-            self.run_round_partial(round_idx, 0)
-            return self._complete(round_span)
+        return self._finish(self._start(round_idx))
 
     def run(self, rounds: int) -> list[RoundResult]:
         """Run ``rounds`` consecutive rounds from the current position."""
@@ -142,53 +124,16 @@ class ScaleRunner:
         Leaves the round pending; ``save_round_checkpoint`` can persist
         it and ``resume_round`` finishes it.
         """
-        if self._pending is not None:
-            raise RuntimeError("a partial round is already pending")
-        algo = self.algo
-        algo.transport.new_round()
-        stats = FaultStats()
-        with get_tracer().span("sample", round=round_idx, salt=0):
-            selected = sample_clients(algo.clients, algo.sample_ratio,
-                                      algo.seed, round_idx)
-        spill = UpdateSpill(os.path.join(self.spill_dir,
-                                         f"round_{round_idx}.spill"))
-        try:
-            fold = algo.make_fold(spill)
-            losses = self._fold_cohort(fold, selected[:n_clients], round_idx,
-                                       stats)
-        except BaseException:
-            spill.unlink()
-            raise
-        self._pending = {"round_idx": round_idx, "fold": fold,
-                         "spill": spill, "losses": losses,
-                         "remaining": selected[n_clients:], "stats": stats}
+        round_ = self._start(round_idx)
+        round_.advance(n_clients)
+        self._pending = round_
 
     def resume_round(self) -> RoundResult:
         """Finish the pending partial round; byte-identical to a full one."""
         if self._pending is None:
             raise RuntimeError("no partial round pending")
-        with get_tracer().span(
-                "round", round=self._pending["round_idx"]) as round_span:
-            return self._complete(round_span)
-
-    def _complete(self, round_span) -> RoundResult:
-        """Fold the pending round's remaining cohort, finalize, and run
-        the base round epilogue (evaluation evicts each virtual client
-        after its turn).  The spill is unlinked on every exit path."""
-        tracer = get_tracer()
-        p, self._pending = self._pending, None
-        round_idx, fold, stats = p["round_idx"], p["fold"], p["stats"]
-        with p["spill"]:
-            with tracer.span("fold", round=round_idx,
-                             n_clients=len(p["remaining"])):
-                losses = p["losses"] + self._fold_cohort(
-                    fold, p["remaining"], round_idx, stats)
-            with tracer.span("aggregate", round=round_idx,
-                             n_updates=fold.n_updates):
-                fold.finalize(round_idx)
-            return self.algo._finish_round(
-                round_idx, fold.n_updates, losses, stats, True, round_span,
-                evaluate=self.eval_mode == "full", evict=self._evict)
+        round_, self._pending = self._pending, None
+        return self._finish(round_)
 
     def _client_by_id(self, cid: int):
         if self.pool is not None:
@@ -209,18 +154,19 @@ class ScaleRunner:
         arrays: dict[str, np.ndarray] = {}
         manifest = _collect_algo(self.algo, arrays,
                                  include_clients=self.pool is None)
-        fold_arrays, fold_meta = p["fold"].snapshot()
+        fold_arrays, fold_meta = p.fold.snapshot()
         for key, value in fold_arrays.items():
             arrays[f"fold.{key}"] = value
-        p["spill"].flush()
+        p.spill.flush()
         manifest["scale"] = {
-            "round_idx": p["round_idx"],
-            "remaining": [c.client_id for c in p["remaining"]],
-            "losses": [float(v) for v in p["losses"]],
+            "round_idx": p.round_idx,
+            "remaining": [c.client_id for c in p.remaining],
+            "losses": [float(v) for v in p.losses],
+            "stats": p.stats.snapshot(),
             "fold": fold_meta,
-            "spill": {"path": p["spill"].path,
-                      "n_records": p["spill"].n_records,
-                      "nbytes": p["spill"].nbytes},
+            "spill": {"path": p.spill.path,
+                      "n_records": p.spill.n_records,
+                      "nbytes": p.spill.nbytes},
             "store": (self.pool.store.snapshot_manifest()
                       if self.pool is not None else None),
         }
@@ -234,6 +180,8 @@ class ScaleRunner:
         was taken from (shard logs are truncated back to the manifest).
         """
         from repro.fl.checkpoint import _apply_algo, _read
+        if self._pending is not None:
+            raise RuntimeError("a partial round is already pending")
         arrays, manifest = _read(path)
         if "scale" not in manifest:
             raise ValueError("not a scale checkpoint")
@@ -246,17 +194,18 @@ class ScaleRunner:
             self.pool.store = ClientStateStore.attach(
                 self.pool.store.root, state["store"])
             self.pool._resident.clear()
-        spill = UpdateSpill.attach(state["spill"]["path"],
-                                   state["spill"]["n_records"],
-                                   state["spill"]["nbytes"])
-        fold = self.algo.make_fold(spill,
-                                   weighted=bool(state["fold"]["weighted"]))
-        fold_arrays = {k[len("fold."):]: v for k, v in arrays.items()
-                       if k.startswith("fold.")}
-        fold.restore(fold_arrays, state["fold"])
-        self._pending = {"round_idx": int(state["round_idx"]),
-                         "fold": fold, "spill": spill,
-                         "losses": [float(v) for v in state["losses"]],
-                         "remaining": [self._client_by_id(int(c))
-                                       for c in state["remaining"]],
-                         "stats": FaultStats()}
+        round_ = Round(self.algo, int(state["round_idx"]), wave=self.wave,
+                       evict=self._evict, spill_path=state["spill"]["path"])
+        round_.spill = UpdateSpill.attach(round_.spill_path,
+                                          state["spill"]["n_records"],
+                                          state["spill"]["nbytes"])
+        round_.fold = self.algo.make_fold(
+            round_.spill, weighted=bool(state["fold"]["weighted"]))
+        round_.fold.restore({k[len("fold."):]: v for k, v in arrays.items()
+                             if k.startswith("fold.")}, state["fold"])
+        round_.losses = [float(v) for v in state["losses"]]
+        round_.remaining = [self._client_by_id(int(c))
+                            for c in state["remaining"]]
+        if "stats" in state:   # absent before the round's stats were saved
+            round_.stats = FaultStats.restore(state["stats"])
+        self._pending = round_

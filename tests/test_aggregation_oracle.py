@@ -189,3 +189,79 @@ class TestServerStepOnSPATL:
                        for s, u in zip(shares, updates))
             np.testing.assert_allclose(params[key].data, want,
                                        rtol=2e-6, atol=1e-7, err_msg=key)
+
+
+class TestVariateRefreshOnSPATL:
+    """Eq. 10 on a real ``SPATL.local_update``, and §IV-C's claim that
+    control information costs no uplink bytes: the server's Eq. 11 summand,
+    rebuilt from the upload alone, is the client's own ``c_i+ - c_i`` on
+    exactly the uploaded rows and nothing elsewhere.
+
+    Stated float32 bound, per element: both sides are a handful of
+    correctly rounded float32 operations on ``c_i``, ``c`` and
+    ``d = (x - y_i) / (K eta)``, so they sit within
+    ``8 * 2**-23 * (|c_i| + |c| + |d|)`` of the float64 value.
+    """
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_refresh_and_server_delta_match_the_paper(
+            self, tiny_dataset, tiny_setting, momentum):
+        model_fn, parts = tiny_setting
+        clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
+                                         seed=5)
+        algo = SPATL(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
+                     momentum=momentum,
+                     selection_policy=StaticSaliencyPolicy(0.4))
+        client = clients[1]
+        rng = np.random.default_rng(7)
+        c_i = algo._client_variate(client)
+        for variate in (algo.c_global, c_i):   # so every term of Eq. 10 counts
+            for name, value in variate.values.items():
+                variate.values[name] = (0.01 * rng.standard_normal(
+                    value.shape)).astype(value.dtype)
+        c_old = {k: v.astype(np.float64) for k, v in c_i.values.items()}
+        c = {k: v.astype(np.float64) for k, v in algo.c_global.values.items()}
+
+        update = algo.local_update(client, 0)
+        k_eta = algo._effective_steps(update["steps"]) * algo.lr
+        assert update["steps"] > 1
+        assert (update["eff_steps"] == update["steps"]) == (momentum == 0.0)
+        trained = {k: p.data.astype(np.float64) for k, p in
+                   algo._work.encoder.named_parameters()}
+
+        # Eq. 10: c_i+ = c_i - c + (x - y_i) / (K eta)
+        client_delta, tol = {}, {}
+        for name, got in client.local_state["c_i"].values.items():
+            d = (update["before"][name].astype(np.float64)
+                 - trained[name]) / k_eta
+            tol[name] = 8 * 2.0 ** -23 * (np.abs(c_old[name])
+                                          + np.abs(c[name]) + np.abs(d))
+            assert np.all(np.abs(got - (c_old[name] - c[name] + d))
+                          <= tol[name]), name
+            client_delta[name] = got.astype(np.float64) - c_old[name]
+
+        # Eq. 11 summand, as the server folds it from the upload
+        fold = algo.make_fold()
+        fold.add(update)
+        assert set(fold._c_acc) == set(client_delta)
+        for name, acc in fold._c_acc.items():
+            uploaded = np.zeros(acc.shape[:1] or (1,), dtype=bool)
+            if name.endswith(".weight") and name[:-7] in update["salient"]:
+                idx = update["salient"][name[:-7]][0]
+                assert 0 < len(idx) < len(uploaded), name
+                uploaded[idx] = True
+            else:
+                assert name in update["dense"], name
+                uploaded[:] = True
+            acc = acc.reshape(len(uploaded), -1)
+            want = client_delta[name].reshape(len(uploaded), -1)
+            bound = tol[name].reshape(len(uploaded), -1)
+            assert np.all(np.abs(acc - want)[uploaded] <= bound[uploaded]), name
+            assert not acc[~uploaded].any(), name
+
+        # ... and the uplink carries parameter rows, their indices and the
+        # dense parameters only: no entry for any variate
+        salient = {f"{layer}.{part}" for layer in update["salient"]
+                   for part in ("idx", "val")}
+        assert set(algo.upload_payload(update)) \
+            == salient | set(update["dense"])

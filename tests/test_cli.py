@@ -1,5 +1,7 @@
 """Unit tests: the CLI parses and dispatches (tiny footprints)."""
 
+import json
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
@@ -63,6 +65,16 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "fedavg" in out and "spatl" in out
         assert "drop p" in out
+
+    def test_scale_composes_with_faults(self, capsys, tmp_path):
+        rc = main(["scale", "--scale", "tiny", "--population", "32",
+                   "--rounds", "2", "--fault-drop", "0.3", "--min-clients",
+                   "2", "--store-dir", str(tmp_path / "store")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("retries=") == 2 and "committed=True" in out
+        totals = json.loads(out[out.index("{"):])["fault_totals"]
+        assert totals["n_retries"] > 0
 
 
 class TestObservability:

@@ -9,7 +9,7 @@ from repro.core import SPATL, RLSelectionPolicy, StaticSaliencyPolicy
 from repro.core.gradient_control import ControlVariate
 from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
                       AsyncProfile, ClientStateStore, FaultModel, FedAvg,
-                      Scaffold, ScaleRunner, ShardedClientFactory,
+                      RetryPolicy, Scaffold, ScaleRunner, ShardedClientFactory,
                       VirtualClientPool, make_federated_clients,
                       serialize_state, state_fingerprint)
 from repro.fl.checkpoint import (FORMAT, load_async_checkpoint,
@@ -42,8 +42,18 @@ def _pool(tiny_dataset, tiny_setting, root):
 # ``local_state``.
 # --------------------------------------------------------------------------
 
-def _make_algo(name, model_fn, clients):
-    kwargs = dict(lr=0.05, local_epochs=1, seed=0)
+# The fault axis of the sync and scale columns: round 0 commits with a
+# retransmission; in round 1 client 1 is dropped while client 0 delivers
+# (where the scale cell checkpoints), quorum fails and the re-sampled
+# cohort delivers, withdrawing the staged drop.
+FAULTS = dict(fault_model=FaultModel(drop_prob=0.4, corrupt_prob=0.15,
+                                     crash_prob=0.1, seed=27),
+              min_clients=3, max_round_resamples=1,
+              retry_policy=RetryPolicy(max_retries=1))
+
+
+def _make_algo(name, model_fn, clients, **kwargs):
+    kwargs.update(lr=0.05, local_epochs=1, seed=0)
     if name in ALGORITHMS:
         return ALGORITHMS[name](model_fn, clients, **kwargs)
     if name == "spatl_rl":
@@ -102,6 +112,9 @@ def _resume_scale(make, tmp_path):
     first = runner("run")
     first.run_round(0)
     first.run_round_partial(1, 2)
+    if first.algo.fault_model is not None:
+        stats = first._pending.stats   # a client has already failed
+        assert stats._drops and stats._delivered and stats.n_retries
     first.save_round_checkpoint(tmp_path / "scale.npz")
     resumed = runner("run")
     resumed.load_round_checkpoint(tmp_path / "scale.npz")
@@ -131,15 +144,18 @@ def _assert_same_run(ref, resumed):
     assert resumed.ledger.uplink == ref.ledger.uplink
     assert resumed.ledger.downlink == ref.ledger.downlink
     assert resumed.rounds_completed == ref.rounds_completed
+    assert resumed.fault_stats.as_dict() == ref.fault_stats.as_dict()
     for c_ref, c_got in zip(ref.clients, resumed.clients):
         _assert_same_tree(c_ref.local_state, c_got.local_state,
                           f"client{c_ref.client_id}")
 
 
-@pytest.mark.parametrize("driver", ["sync", "async", "scale"])
+@pytest.mark.parametrize("driver", ["sync", "async", "scale", "sync+faults",
+                                    "scale+faults"])
 @pytest.mark.parametrize("name", [*ALGORITHMS, "spatl", "spatl_rl"])
 def test_resume_identity(name, driver, tmp_path, tiny_dataset, tiny_setting):
     model_fn, _ = tiny_setting
+    driver, _, faults = driver.partition("+")
 
     def make(tag):
         # the scale column runs over a virtual population, so client state
@@ -150,7 +166,8 @@ def test_resume_identity(name, driver, tmp_path, tiny_dataset, tiny_setting):
         if driver == "scale":
             pool = _pool(tiny_dataset, tiny_setting, tmp_path / f"store_{tag}")
             clients = pool.clients()
-        return _make_algo(name, model_fn, clients), pool
+        return _make_algo(name, model_fn, clients,
+                          **(FAULTS if faults else {})), pool
 
     resume = {"sync": _resume_sync, "async": _resume_async,
               "scale": _resume_scale}[driver]
@@ -511,7 +528,7 @@ class TestScaleMidRoundCheckpoint:
             runner.run_round_partial(0, 2)
             path = tmp_path / f"{spill_dir.name}.npz"
             runner.save_round_checkpoint(path)
-            spill = runner._pending["spill"]
+            spill = runner._pending.spill
             return path, spill.path, spill.nbytes
 
         for name, keep in (("tail", lambda n: n - 20),
@@ -525,6 +542,18 @@ class TestScaleMidRoundCheckpoint:
                 resumed.load_round_checkpoint(path)
             assert resumed._pending is None
             assert os.path.getsize(spill_path) == keep(nbytes)
+
+    def test_load_over_pending_round_rejected(self, tmp_path):
+        """Loading would drop the pending round with its spill still open."""
+        runner = ScaleRunner(make_stub(n_clients=4, seed=2),
+                             spill_dir=tmp_path / "spills", eval_mode="none")
+        runner.run_round_partial(0, 2)
+        runner.save_round_checkpoint(tmp_path / "scale.npz")
+        pending = runner._pending
+        with pytest.raises(RuntimeError, match="already pending"):
+            runner.load_round_checkpoint(tmp_path / "scale.npz")
+        assert runner._pending is pending
+        assert runner.resume_round().n_participants == 4
 
     def test_resume_without_pending_rejected(self, tmp_path, tiny_dataset,
                                              tiny_setting):

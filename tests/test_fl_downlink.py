@@ -220,7 +220,7 @@ def test_scale_resume_with_nobody_left_to_fold(kind, tmp_path, tiny_setting,
     first = runner("spills")
     first.run(1)
     first.run_round_partial(1, len(first.algo.clients))
-    assert first._pending["remaining"] == []
+    assert first._pending.remaining == []
     first.save_round_checkpoint(tmp_path / "round.npz")
     resumed = runner("spills")
     resumed.load_round_checkpoint(tmp_path / "round.npz")

@@ -8,6 +8,7 @@ process-pooled — is bitwise-equal to the materialized baseline
 through the list entry points, a resident fold and a disk-spill fold.
 """
 
+import dataclasses
 import os
 import pickle
 
@@ -17,8 +18,9 @@ import pytest
 from repro.core import SPATL, StaticSaliencyPolicy
 from repro.core.gradient_control import ControlVariate
 from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
-                      AsyncProfile, BroadcastCache, ClientStateStore, FedAvg,
-                      FederatedAlgorithm, PayloadError, Scaffold, ScaleRunner,
+                      AsyncProfile, BroadcastCache, ClientStateStore,
+                      FaultModel, FedAvg, FederatedAlgorithm, PayloadError,
+                      RetryPolicy, Scaffold, ScaleRunner,
                       ShardedClientFactory, StubClientFactory, UpdateSpill,
                       VirtualClientPool, make_executor,
                       make_federated_clients, serialize_state,
@@ -304,9 +306,12 @@ class TestGoldenIdentity:
             clients = _clients(tiny_dataset, tiny_setting)
         algo = cls(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
                    sample_ratio=0.7, **kw)
-        runner = ScaleRunner(algo, pool=pool, wave=wave,
-                             spill_dir=tmp_path / "spills")
-        results = runner.run(self.ROUNDS)
+        try:
+            runner = ScaleRunner(algo, pool=pool, wave=wave,
+                                 spill_dir=tmp_path / "spills")
+            results = runner.run(self.ROUNDS)
+        finally:
+            algo.close()
         assert os.listdir(tmp_path / "spills") == []  # every spill unlinked
         return algo, results
 
@@ -391,14 +396,63 @@ class TestGoldenIdentity:
         with pytest.raises(ValueError, match="surviving update"):
             fold.finalize(0)
 
-    def test_fault_model_rejected(self, tiny_dataset, tiny_setting):
-        from repro.fl import FaultModel
-        model_fn, _ = tiny_setting
-        algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                      lr=0.05, local_epochs=1, seed=0,
-                      fault_model=FaultModel(drop_prob=0.5, seed=1))
-        with pytest.raises(ValueError, match="fault-free"):
-            ScaleRunner(algo)
+    # -- faults compose: quorum and re-sampling belong to the one loop --
+
+    FAULTY = {"fedavg": FedAvg, "scaffold": Scaffold, "spatl": SPATL}
+
+    def _faulty_kw(self, name):
+        """One fault config for every cell: round 0 commits after one
+        re-sample, round 1 uses up its re-samples and is skipped."""
+        kw = dict(fault_model=FaultModel(drop_prob=0.45, corrupt_prob=0.15,
+                                         crash_prob=0.1, seed=26),
+                  min_clients=3, max_round_resamples=2,
+                  retry_policy=RetryPolicy(max_retries=1))
+        if name == "spatl":
+            kw["selection_policy"] = StaticSaliencyPolicy(0.3)
+        return kw
+
+    @pytest.fixture(scope="class")
+    def faulty_baseline(self, tiny_dataset, tiny_setting):
+        cache = {}
+
+        def get(name):
+            if name not in cache:
+                model_fn, _ = tiny_setting
+                algo = self.FAULTY[name](
+                    model_fn, _clients(tiny_dataset, tiny_setting), lr=0.05,
+                    local_epochs=1, seed=0, sample_ratio=0.7,
+                    **self._faulty_kw(name))
+                cache[name] = algo, [algo.run_round(r)
+                                     for r in range(self.ROUNDS)]
+            return cache[name]
+        return get
+
+    # "workers2" cells are the slow ones: each starts a process pool
+    @pytest.mark.parametrize("route", ["spilled-wave2", "virtual",
+                                       "workers2"])
+    @pytest.mark.parametrize("name", sorted(FAULTY))
+    def test_faults_compose(self, tmp_path, tiny_dataset, tiny_setting,
+                            faulty_baseline, name, route):
+        """A FaultModel run through ScaleRunner == ``run_round``: global
+        bytes, ledger, cumulative FaultStats and every RoundResult."""
+        base, base_results = faulty_baseline(name)
+        assert [r.committed for r in base_results] == [True, False]
+        assert base_results[0].n_resamples >= 1
+        assert base.fault_stats.n_retries and base.fault_stats.n_corrupt
+        kw = self._faulty_kw(name)
+        if route == "workers2":
+            kw["executor"] = make_executor(2)
+        algo, results = self._scale_run(
+            self.FAULTY[name], tiny_dataset, tiny_setting, tmp_path,
+            virtual=route == "virtual", wave=None if route == "virtual" else 2,
+            **kw)
+        assert _final_state(algo) == _final_state(base)
+        assert algo.ledger.uplink == base.ledger.uplink
+        assert algo.ledger.downlink == base.ledger.downlink
+        assert algo.fault_stats.as_dict() == base.fault_stats.as_dict()
+        np.testing.assert_equal([dataclasses.astuple(r) for r in results],
+                                [dataclasses.astuple(r)
+                                 for r in base_results])
 
 
 # ------------------------------------------------- composition table
@@ -544,6 +598,15 @@ class TestSpillLifetime:
         with pytest.raises(RuntimeError, match="boom"):
             runner.resume_round()
         assert os.listdir(tmp_path / "spills") == []
+
+    def test_negative_partial_rejected(self, tmp_path):
+        """``selected[:-1]`` would silently fold all but the last client."""
+        runner = ScaleRunner(make_stub(n_clients=4),
+                             spill_dir=tmp_path / "spills", eval_mode="none")
+        with pytest.raises(ValueError, match="-1"):
+            runner.run_round_partial(0, -1)
+        assert runner._pending is None
+        assert runner.run_round(0).n_participants == 4
 
     def test_owned_temp_dir_removed_on_close(self):
         runner = ScaleRunner(make_stub(n_clients=4), eval_mode="none")

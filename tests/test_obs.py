@@ -101,6 +101,16 @@ def _drive_scale(build, tmp_path):
     return algo
 
 
+def _drive_scale_faults(build, tmp_path):
+    algo = build(fault_model=FaultModel(drop_prob=0.2, corrupt_prob=0.3,
+                                        seed=4), min_clients=4)
+    ScaleRunner(algo, eval_mode="none", spill_dir=tmp_path / "spills",
+                wave=2).run(2)
+    # a discarded cohort's transfers stay charged, and traced
+    assert algo.fault_stats.n_corrupt > 0 < algo.fault_stats.n_resamples
+    return algo
+
+
 def _drive_scale_pool(build, tmp_path):
     ds = SyntheticCIFAR10(n_samples=160, size=12, seed=0)
     factory = ShardedClientFactory(
@@ -127,7 +137,8 @@ def _drive_checkpoint(build, tmp_path):
 _RECONCILED_DRIVERS = {
     "sync": _drive_sync, "faults": _drive_faults, "pool": _drive_pool,
     "async": _drive_async, "async_store": _drive_async_store,
-    "scale": _drive_scale, "scale_pool": _drive_scale_pool,
+    "scale": _drive_scale, "scale_faults": _drive_scale_faults,
+    "scale_pool": _drive_scale_pool,
     "checkpoint": _drive_checkpoint}
 
 
