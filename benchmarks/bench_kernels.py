@@ -5,65 +5,43 @@ verbatim pre-optimization implementations preserved in
 :mod:`repro.nn.reference`, at two granularities:
 
 - **micro** — per-op forward/backward wall time (conv2d, max/avg pool,
-  batch norm, matmul/linear, SGD step), interleaved optimized/reference
-  min-of-N so machine noise hits both sides equally;
+  batch norm, matmul/linear, SGD step), optimized/reference interleaved;
 - **e2e** — wall time of a full serial FedAvg round at the tiny scale
-  for ``resnet20`` and ``vgg11``, with a warm-up round first and a
-  byte-identity check of the final global model state between the two
-  code paths.
+  for ``resnet20`` and ``vgg11``, after a warm-up round, the two final
+  global states required byte-identical.  Each row also carries
+  ``arena_resident_mb`` / ``gather_idx_mb``: the workspace arena's
+  resident bytes and the im2col gather-index cache after one smoke-sized
+  round (train + eval) of that model — exact byte counts of a fixed
+  config, the same in smoke and full runs and on any box.  ``shared_mb``
+  / ``per_layer_mb`` split the arena by lifetime (DESIGN.md §10: the
+  process-wide transient slot vs the slots layers and optimizers own).
 
-Writes the whole record to ``BENCH_kernels.json`` at the repo root
-(single document, overwritten — the committed copy is the regression
-baseline)::
+    python benchmarks/bench_kernels.py --smoke --check    # the CI gate
 
-    python benchmarks/bench_kernels.py                # full run
-    python benchmarks/bench_kernels.py --smoke        # CI-sized
-    python benchmarks/bench_kernels.py --smoke --check  # + regression gate
-
-``--check`` compares each microbench's optimized time against the
-committed baseline *before* overwriting it and exits non-zero if any op
-regressed more than ``--check-factor`` (default 1.5x) beyond a 0.15ms
-absolute noise floor (sub-ms ops at low repeat counts jitter more than
-50% on a busy CI core), or if an e2e run was not byte-identical.
-
-Each e2e row also carries ``arena_resident_mb`` and ``gather_idx_mb``:
-the workspace arena's resident bytes and the im2col gather-index cache
-after one smoke-sized FedAvg round (train + eval) of that model.  They
-are exact byte counts of a fixed config, the same in smoke and full
-runs, so they repeat; ``--check`` fails when either exceeds the
-committed baseline by more than 10% — a memory gate that does not depend
-on the box's clock.  ``shared_mb`` / ``per_layer_mb`` split the arena by
-lifetime (DESIGN.md §10: the process-wide transient slot vs the slots
-layers and optimizers own) so the next memory issue sees what is left.
-
-It also enforces a speedup *floor* (``--min-speedup``, default 0.97):
-every optimized kernel must at least match its reference implementation.
-The floor always applies to the committed baseline's rows — so a "fix"
-that quietly makes a kernel slower than the code it replaced cannot be
-committed — and to live rows on full runs; smoke runs skip the live
-floor since single-digit-repeat timings on a shared core jitter past
-any honest threshold.  The committed baseline reflects the §10 kernels
-plus the avg-pool-backward and SGD-step micro fixes that brought those
-two rows back above parity.
+Gated (``--check``): each micro ``opt_ms`` against the last full record
+(1.5x beyond a 0.15 ms noise floor: sub-ms ops at low repeat counts
+jitter more than 50 % on a busy CI core), both byte counts against it
+(> 10 % growth — a memory gate that does not depend on the box's clock),
+and on full runs the speedup floor: every optimized kernel must at least
+match the reference it replaced, so a "fix" that quietly makes a kernel
+slower than the old code cannot be recorded.  Smoke runs skip that floor
+on their own rows (single-digit-repeat timings on a shared core jitter
+past any honest threshold) but still hold the full baseline record to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import datetime
-import json
-import os
-import platform
+import itertools
 import time
-from pathlib import Path
 
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+from _harness import SEED, Bench, Gate, interleaved, require
+
+MIN_SPEEDUP = 0.97          # full-run micro floor vs the reference kernels
+MODELS = ("resnet20", "vgg11")
+FOOTPRINT_CLIENTS, FOOTPRINT_SAMPLES = 3, 400    # the smoke-sized round
 
 
-# --------------------------------------------------------------------- #
-# timing harness                                                         #
-# --------------------------------------------------------------------- #
 @contextlib.contextmanager
 def no_donation():
     """Run with gradient donation disabled — the pre-PR ``_accumulate``
@@ -82,33 +60,11 @@ def no_donation():
         Tensor._accumulate = orig
 
 
-def interleaved(fn_opt, fn_ref, repeats: int) -> tuple[float, float]:
-    """Min-of-``repeats`` seconds for each side, alternating opt/ref each
-    iteration so drift and frequency noise land on both."""
-    t_opt = t_ref = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn_opt()
-        t_opt = min(t_opt, time.perf_counter() - t0)
-        with no_donation():
-            t0 = time.perf_counter()
-            fn_ref()
-            t_ref = min(t_ref, time.perf_counter() - t0)
-    return t_opt, t_ref
-
-
-def _clear_grads(*tensors) -> None:
-    for t in tensors:
-        t.grad = None
-
-
-# --------------------------------------------------------------------- #
-# micro cases                                                            #
-# --------------------------------------------------------------------- #
-def micro_cases(repeats: int):
-    """Yield ``(name, opt_ms, ref_ms)`` per kernel, fwd and bwd."""
+def micro_rows(size: dict):
+    """One row per kernel and direction."""
     import numpy as np
     import repro.nn.reference as R
+    from repro.models import build_model
     from repro.nn.conv import Conv2d
     from repro.nn.linear import Linear
     from repro.nn.norm import BatchNorm2d
@@ -117,6 +73,7 @@ def micro_cases(repeats: int):
     from repro.tensor.tensor import Tensor
 
     rng = np.random.default_rng(0)
+    repeats = size["repeats"]
 
     def x4(n=32, c=8, h=16, w=16):
         t = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
@@ -124,162 +81,91 @@ def micro_cases(repeats: int):
         return t
 
     def fwd_bwd(name, x, fwd_opt, fwd_ref, params=()):
-        """Time forward and backward of one autograd op, both sides."""
-        results = {}
-        for phase in ("forward", "backward"):
-            def one(step, _phase=phase):
-                _clear_grads(x, *params)
-                if _phase == "forward":
-                    t0 = time.perf_counter()
-                    out = step(x)
-                    dt = time.perf_counter() - t0
-                else:
-                    out = step(x)
-                    g = np.ones(out.shape, dtype=np.float32)
-                    t0 = time.perf_counter()
-                    out.backward(g)
-                    dt = time.perf_counter() - t0
-                return dt
+        """Forward and backward of one autograd op, both sides; the
+        backward rows time ``backward`` only, after an untimed forward."""
+        def one(step, phase):
+            for t in (x, *params):
+                t.grad = None
+            t0 = time.perf_counter()
+            out = step(x)
+            if phase == "backward":
+                g = np.ones(out.shape, dtype=np.float32)
+                t0 = time.perf_counter()
+                out.backward(g)
+            return time.perf_counter() - t0
 
-            t_opt = t_ref = float("inf")
-            for _ in range(repeats):
-                t_opt = min(t_opt, one(fwd_opt))
-                with no_donation():
-                    t_ref = min(t_ref, one(fwd_ref))
-            results[phase] = (t_opt, t_ref)
-        for phase, (t_opt, t_ref) in results.items():
-            yield f"{name}.{phase}", t_opt * 1e3, t_ref * 1e3
+        def ref(phase):
+            with no_donation():
+                return one(fwd_ref, phase)
+
+        for phase in ("forward", "backward"):
+            yield {"name": f"{name}.{phase}",
+                   **interleaved(lambda: one(fwd_opt, phase),
+                                 lambda: ref(phase), repeats,
+                                 self_timed=True)}
 
     # conv2d: the dominant op (im2col gather + GEMMs + col2im scatter).
     conv = Conv2d(8, 16, 3, stride=1, padding=1, rng=np.random.default_rng(1))
-    xc = x4()
-    yield from fwd_bwd("conv2d", xc, conv,
+    yield from fwd_bwd("conv2d", x4(), conv,
                        lambda t: R.reference_conv2d(t, conv.weight, conv.bias,
                                                     1, 1),
                        params=(conv.weight, conv.bias))
-
     # max pool: vectorized scatter vs np.add.at.
-    mp = MaxPool2d(2, 2)
-    xm = x4(c=16)
-    yield from fwd_bwd("max_pool2d", xm, mp,
+    yield from fwd_bwd("max_pool2d", x4(c=16), MaxPool2d(2, 2),
                        lambda t: R.reference_max_pool2d(t, 2, 2))
-
     # avg pool: strided-view broadcast vs python kxk loop.
-    ap = AvgPool2d(2, 2)
-    xa = x4(c=16)
-    yield from fwd_bwd("avg_pool2d", xa, ap,
+    yield from fwd_bwd("avg_pool2d", x4(c=16), AvgPool2d(2, 2),
                        lambda t: R.reference_avg_pool2d(t, 2, 2))
-
     # batch norm: fused in-place chain vs allocating forward/backward.
     bn = BatchNorm2d(8)
-    xb = x4()
-    yield from fwd_bwd("batchnorm", xb, bn,
+    yield from fwd_bwd("batchnorm", x4(), bn,
                        lambda t: R.reference_batchnorm_forward(bn, t),
                        params=(bn.weight, bn.bias))
-
     # linear / matmul: same kernel both sides, isolates gradient donation.
     lin = Linear(256, 128, rng=np.random.default_rng(2))
     xl = Tensor(rng.standard_normal((64, 256)).astype(np.float32))
     xl.requires_grad = True
-    yield from fwd_bwd("linear", xl, lin, lin,
-                       params=(lin.weight, lin.bias))
+    yield from fwd_bwd("linear", xl, lin, lin, params=(lin.weight, lin.bias))
 
     # SGD step: fully in-place update vs allocating update, over the
     # parameter set a tiny-scale resnet20 actually steps.
-    from repro.models import build_model
-    model = build_model("resnet20", num_classes=10, input_size=16,
-                        width_mult=0.25, seed=3)
-    named = list(model.named_parameters())
+    named = list(build_model("resnet20", num_classes=10, input_size=16,
+                             width_mult=0.25, seed=3).named_parameters())
     opt_new = SGD(named, lr=0.01, momentum=0.9, weight_decay=5e-4)
     opt_old = SGD(named, lr=0.01, momentum=0.9, weight_decay=5e-4)
 
-    def seed_grads():
+    def step(update):
         for _, p in named:
             p.grad = np.ones_like(p.data)
-
-    def step_opt():
-        seed_grads()
         t0 = time.perf_counter()
-        opt_new.step()
+        update()
         return time.perf_counter() - t0
 
-    def step_ref():
-        seed_grads()
-        t0 = time.perf_counter()
-        R.reference_sgd_step(opt_old)
-        return time.perf_counter() - t0
-
-    t_opt = t_ref = float("inf")
-    for _ in range(repeats):
-        t_opt = min(t_opt, step_opt())
-        t_ref = min(t_ref, step_ref())
-    yield "sgd.step", t_opt * 1e3, t_ref * 1e3
+    yield {"name": "sgd.step",
+           **interleaved(lambda: step(opt_new.step),
+                         lambda: step(lambda: R.reference_sgd_step(opt_old)),
+                         repeats, self_timed=True)}
 
 
-# --------------------------------------------------------------------- #
-# end-to-end rounds                                                      #
-# --------------------------------------------------------------------- #
-def _fedavg(model_name: str, clients: int, samples: int, seed: int):
+def _fedavg(model_name: str, clients: int, samples: int):
     """A serial FedAvg algorithm over a fresh tiny-scale setting."""
-    from repro.experiments.configs import config_for, make_algorithm, make_setting
+    from repro.experiments.configs import (config_for, make_algorithm,
+                                           make_setting)
     overrides = {}
     if model_name.startswith("vgg"):
         overrides["input_size"] = 32        # five maxpools need 32x32
     cfg = config_for("tiny", model=model_name, n_clients=clients,
-                     n_samples=samples, sample_ratio=1.0, seed=seed,
+                     n_samples=samples, sample_ratio=1.0, seed=SEED,
                      **overrides)
     return make_algorithm("fedavg", cfg, *make_setting(cfg))
 
 
-def e2e_case(model_name: str, rounds: int, clients: int, samples: int,
-             seed: int) -> dict:
-    """Serial FedAvg rounds for one model, optimized vs reference.
-
-    Both sides run a warm-up round, then each subsequent round is timed
-    individually (min over rounds), alternating opt/ref.  Final global
-    states must be byte-identical.
-    """
-    from repro.fl.comm import serialize_state
-    from repro.nn.reference import reference_kernels
-
-    algo_opt = _fedavg(model_name, clients, samples, seed)
-    algo_ref = _fedavg(model_name, clients, samples, seed)
-
-    algo_opt.run_round(0)                       # warm-up: arenas, caches
-    with reference_kernels():
-        algo_ref.run_round(0)
-
-    t_opt = t_ref = float("inf")
-    for r in range(1, rounds + 1):
-        t0 = time.perf_counter()
-        algo_opt.run_round(r)
-        t_opt = min(t_opt, time.perf_counter() - t0)
-        with reference_kernels():
-            t0 = time.perf_counter()
-            algo_ref.run_round(r)
-            t_ref = min(t_ref, time.perf_counter() - t0)
-
-    state_opt = serialize_state(dict(algo_opt.global_model.state_dict()))
-    state_ref = serialize_state(dict(algo_ref.global_model.state_dict()))
-    return {
-        "model": model_name,
-        "rounds_timed": rounds,
-        "opt_round_s": round(t_opt, 4),
-        "ref_round_s": round(t_ref, 4),
-        "speedup": round(t_ref / t_opt, 4),
-        "byte_identical": state_opt == state_ref,
-    }
-
-
-SMOKE_CLIENTS, SMOKE_SAMPLES = 3, 400
-MEMORY_FIELDS = ("arena_resident_mb", "gather_idx_mb")
-
-
-def arena_footprint(model_name: str, seed: int) -> dict:
+def arena_footprint(model_name: str) -> dict:
     """Exact arena bytes after one smoke-sized round (train + eval)."""
     from repro.tensor import workspace
     workspace.reset()
-    algo = _fedavg(model_name, SMOKE_CLIENTS, SMOKE_SAMPLES, seed)
+    # kept alive while the bytes are read: per-layer slots die with it
+    algo = _fedavg(model_name, FOOTPRINT_CLIENTS, FOOTPRINT_SAMPLES)
     algo.run_round(0)
     mb = 2 ** 20
     resident = sum(workspace.resident_bytes().values())
@@ -293,148 +179,56 @@ def arena_footprint(model_name: str, seed: int) -> dict:
     }
 
 
-# --------------------------------------------------------------------- #
-# regression gate                                                        #
-# --------------------------------------------------------------------- #
-def check_regressions(record: dict, baseline_doc: str | None,
-                      factor: float, min_speedup: float = 0.97) -> list[str]:
-    """Failures of the current record against the committed baseline
-    (passed as the baseline file's *pre-run* text, since the run may have
-    overwritten it).
+def e2e_rows(size: dict):
+    """Serial FedAvg rounds per model, optimized vs reference kernels:
+    a warm-up round each (arenas, caches), then every further round timed
+    on its own, alternating sides."""
+    from repro.fl.comm import serialize_state
+    from repro.nn.reference import reference_kernels
 
-    Besides the live-vs-baseline slowdown ratio, the gate enforces a
-    speedup *floor*: no micro row may sit below ``min_speedup`` vs the
-    reference kernels.  The floor is checked on the committed baseline
-    rows always (they were measured min-of-50 on a quiet box, so a
-    below-1.0x row there is a real regression, not jitter) and on the
-    live rows for full runs; smoke runs skip the live floor because
-    min-of-15 on a shared CI core jitters past any honest threshold.
-    """
-    failures = []
-    for row in record["e2e"]:
-        if not row["byte_identical"]:
-            failures.append(f"e2e {row['model']}: state not byte-identical")
+    for model_name in MODELS:
+        algo_opt, algo_ref = (_fedavg(model_name, size["clients"],
+                                      size["samples"]) for _ in range(2))
+        algo_opt.run_round(0)
+        with reference_kernels():
+            algo_ref.run_round(0)
+        r_opt, r_ref = itertools.count(1), itertools.count(1)
 
-    def floor_failures(micro_rows, which: str):
-        for m in micro_rows:
-            if m["speedup"] < min_speedup:
-                yield (f"micro {m['name']}: {which} speedup "
-                       f"{m['speedup']:.2f}x below the {min_speedup}x floor")
+        def ref_round():
+            with reference_kernels():
+                algo_ref.run_round(next(r_ref))
 
-    if not record.get("smoke"):
-        failures.extend(floor_failures(record["micro"], "live"))
-    if baseline_doc is None:
-        return failures + ["no committed baseline to check against"]
-    try:
-        baseline = json.loads(baseline_doc)
-    except json.JSONDecodeError as exc:
-        return failures + [f"unreadable baseline: {exc}"]
-    failures.extend(floor_failures(baseline.get("micro", []), "baseline"))
-    base_e2e = {r["model"]: r for r in baseline.get("e2e", [])}
-    for row in record["e2e"]:
-        for field in MEMORY_FIELDS:
-            base_mb = base_e2e.get(row["model"], {}).get(field)
-            if base_mb is not None and row[field] > 1.10 * base_mb:
-                failures.append(
-                    f"e2e {row['model']}: {field} {row[field]} vs baseline "
-                    f"{base_mb} (> 1.10x)")
-    base_micro = {m["name"]: m for m in baseline.get("micro", [])}
-    for m in record["micro"]:
-        base = base_micro.get(m["name"])
-        if base is None:
-            continue
-        # 0.15ms absolute slack: the committed baseline is a min-of-50
-        # on a quiet box; smoke runs are min-of-N at low N on shared CI
-        # cores, where sub-ms ops jitter well past any ratio threshold.
-        if m["opt_ms"] > factor * base["opt_ms"] + 0.15:
-            failures.append(
-                f"micro {m['name']}: {m['opt_ms']:.3f}ms vs baseline "
-                f"{base['opt_ms']:.3f}ms (> {factor}x)")
-    return failures
+        timing = interleaved(lambda: algo_opt.run_round(next(r_opt)),
+                             ref_round, size["rounds"])
+        require(serialize_state(dict(algo_opt.global_model.state_dict()))
+                == serialize_state(dict(algo_ref.global_model.state_dict())),
+                f"e2e {model_name}: optimized and reference kernels "
+                "reached different global states")
+        yield {"name": model_name, **timing, **arena_footprint(model_name)}
+
+
+def floors(record: dict) -> list[str]:
+    if record["smoke"]:
+        return []
+    return [f"micro/{r['name']}: speedup {r['speedup']:.2f}x below the "
+            f"{MIN_SPEEDUP}x floor" for r in record["rows"]
+            if r["case"] == "micro" and r["speedup"] < MIN_SPEEDUP]
+
+
+BENCH = Bench(
+    name="kernels", doc=__doc__,
+    cases=(("micro", micro_rows), ("e2e", e2e_rows)),
+    full=dict(repeats=50, rounds=2, clients=10, samples=1500),
+    smoke=dict(repeats=15, rounds=1, clients=FOOTPRINT_CLIENTS,
+               samples=FOOTPRINT_SAMPLES),
+    gates=(Gate("micro", "opt_ms", slack=0.15),
+           Gate("e2e", "arena_resident_mb", factor=1.10),
+           Gate("e2e", "gather_idx_mb", factor=1.10)),
+    floors=floors)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run: few repeats, one timed round")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on regression vs the committed baseline")
-    parser.add_argument("--check-factor", type=float, default=1.5,
-                        help="allowed slowdown factor for --check")
-    parser.add_argument("--min-speedup", type=float, default=0.97,
-                        help="--check floor: micro rows below this speedup "
-                             "vs the reference kernels fail the gate")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="micro repeats (default 50, smoke 15)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="timed e2e rounds (default 2, smoke 1)")
-    parser.add_argument("--models", nargs="+",
-                        default=["resnet20", "vgg11"])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None,
-                        help="record to write (default: BENCH_kernels.json; "
-                             "with --smoke, bench_kernels_smoke.json in the "
-                             "cwd)")
-    parser.add_argument("--baseline", default=str(OUT_PATH),
-                        help="baseline JSON for --check (default: the "
-                             "committed record)")
-    args = parser.parse_args(argv)
-    from _harness import resolve_out
-    out = resolve_out(args.out, OUT_PATH, args.smoke)
-
-    repeats = args.repeats or (15 if args.smoke else 50)
-    rounds = args.rounds or (1 if args.smoke else 2)
-    clients = SMOKE_CLIENTS if args.smoke else 10
-    samples = SMOKE_SAMPLES if args.smoke else 1500
-
-    baseline_path = Path(args.baseline)
-    baseline_doc = baseline_path.read_text() if baseline_path.exists() else None
-
-    micro = []
-    for name, opt_ms, ref_ms in micro_cases(repeats):
-        micro.append({"name": name, "opt_ms": round(opt_ms, 4),
-                      "ref_ms": round(ref_ms, 4),
-                      "speedup": round(ref_ms / opt_ms, 4)})
-        print(f"{name:22s} opt={opt_ms:8.3f}ms ref={ref_ms:8.3f}ms "
-              f"speedup={ref_ms / opt_ms:5.2f}x")
-
-    e2e = []
-    for model_name in args.models:
-        row = e2e_case(model_name, rounds, clients, samples, args.seed)
-        row.update(arena_footprint(model_name, args.seed))
-        e2e.append(row)
-        status = "OK" if row["byte_identical"] else "STATE MISMATCH"
-        print(f"e2e {model_name:10s} opt={row['opt_round_s']:7.2f}s/round "
-              f"ref={row['ref_round_s']:7.2f}s/round "
-              f"speedup={row['speedup']:5.2f}x [{status}] "
-              f"arena={row['arena_resident_mb']}MB "
-              f"(shared {row['shared_mb']} + per-layer "
-              f"{row['per_layer_mb']}) "
-              f"gather_idx={row['gather_idx_mb']}MB")
-
-    from repro.obs.metrics import blas_env, observe_peak_rss
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "smoke": args.smoke,
-        "repeats": repeats,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": __import__("numpy").__version__,
-        "peak_rss_bytes": observe_peak_rss(),
-        "env": blas_env(),
-        "micro": micro,
-        "e2e": e2e,
-    }
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"written to {out}")
-
-    if args.check:
-        failures = check_regressions(record, baseline_doc, args.check_factor,
-                                     min_speedup=args.min_speedup)
-        for f in failures:
-            print(f"REGRESSION: {f}")
-        return 1 if failures else 0
-    return 0 if all(r["byte_identical"] for r in e2e) else 1
+    return BENCH.main(argv)
 
 
 if __name__ == "__main__":

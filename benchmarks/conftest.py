@@ -6,9 +6,10 @@ assertions (who wins, by what factor) are checked with generous margins,
 and full raw numbers are recorded in ``benchmark.extra_info`` and printed.
 
 Besides pytest-benchmark's own output, every session appends one record of
-per-test wall times to ``BENCH_obs.json`` at the repo root — a
-machine-readable perf trajectory that accumulates across sessions, so
-regressions show up as history instead of anecdotes.
+per-test wall times to ``BENCH_obs.json`` at the repo root, through the
+same writer and in the same record shape as the ``bench_*.py`` histories
+(``_harness.py``) — a machine-readable perf trajectory that accumulates
+across sessions, so regressions show up as history instead of anecdotes.
 
 Environment knobs:
 
@@ -19,21 +20,19 @@ Environment knobs:
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
-import platform
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import config_for
 
+from . import _harness
+
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "tiny")
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 
-_BENCH_OBS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+_BENCH_OBS_PATH = _harness.REPO / "BENCH_obs.json"
 _WALL_TIMES: dict[str, float] = {}
 
 
@@ -66,18 +65,9 @@ def pytest_sessionfinish(session, exitstatus):
     """Append this session's wall times to the cumulative BENCH_obs.json."""
     if not _WALL_TIMES or os.environ.get("REPRO_BENCH_OBS", "1") == "0":
         return
-    history = []
-    if _BENCH_OBS_PATH.exists():
-        try:
-            history = json.loads(_BENCH_OBS_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = []                     # corrupt file: restart history
-    history.append({
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "scale": SCALE,
-        "seed": SEED,
-        "python": platform.python_version(),
-        "exit_status": int(exitstatus),
-        "wall_s": dict(sorted(_WALL_TIMES.items())),
-    })
-    _BENCH_OBS_PATH.write_text(json.dumps(history, indent=2) + "\n")
+    rows = [{"case": "wall", "name": nodeid, "wall_s": wall}
+            for nodeid, wall in sorted(_WALL_TIMES.items())]
+    rows.append({"case": "session", "name": "exit_status",
+                 "value": int(exitstatus)})
+    _harness.append_record(_BENCH_OBS_PATH, _harness.stamp(
+        "obs", smoke=False, size={"scale": SCALE, "seed": SEED}, rows=rows))

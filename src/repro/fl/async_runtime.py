@@ -44,7 +44,7 @@ With ``buffer_k == cohort size``, ``max_inflight >= cohort``, uniform
 durations, and no churn/crash, the async runtime reproduces the
 synchronous loop's final global state **bitwise** — every client trains
 from the same broadcast state, every commit sees zero staleness in
-cohort order (the equivalence gate in ``benchmarks/bench_async.py``).
+cohort order (``tests/test_fl_async.py::TestSyncEquivalence``).
 """
 
 from __future__ import annotations
@@ -356,9 +356,10 @@ class AsyncFederatedRunner:
             # so its entry may have been FIFO-evicted by now.
             self._bump("deduped")
             return
-        payload = None
+        update = payload = None
         if job.fingerprint is None:
-            payload = self.algo.wire_payload(self._job_update(job))
+            update = self._job_update(job)
+            payload = self.algo.wire_payload(update)
             job.fingerprint = state_fingerprint(payload)
         key = (cid, job.fingerprint)
         if self._fp_registry.get(key) is not None:
@@ -382,9 +383,9 @@ class AsyncFederatedRunner:
         self.inflight.discard(job_id)
         with get_tracer().span("buffer", step=self.server_step, client=cid,
                                job=job_id) as span:
-            if payload is None:   # fingerprinted by a deduped delivery
-                payload = self.algo.wire_payload(self._job_update(job))
-            self.algo.transport.upload(job.dispatch_step, cid, payload)
+            if update is None:    # fingerprinted by a deduped delivery
+                update = self._job_update(job)
+            self.algo._upload(cid, job.dispatch_step, update, payload=payload)
             self.stats.record_delivery(cid)
             self.buffer.append(job_id)
             self._bump("accepted")

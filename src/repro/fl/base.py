@@ -364,6 +364,22 @@ class FederatedAlgorithm:
         client.local_state["synced"] = self.transport.versions.version
         return received
 
+    def _upload(self, client_id: int, round_idx: int, update: Any,
+                salt: int = 0, attempt: int = 0,
+                payload: dict[str, np.ndarray] | None = None) -> None:
+        """The exchange's back half, for every driver: send — and so
+        charge, trace and (under a fault model) corrupt — exactly what
+        crosses the wire for ``update``.  :meth:`wire_payload` is built
+        here, once per charged transfer, unless the caller already holds
+        it: the async runtime fingerprints the payload to dedup a
+        delivery *before* deciding to charge it, and the end-to-end
+        benchmark audits the ledger against the bytes of every
+        ``wire_payload`` call (a second build reads as 2x the uplink).
+        The only caller of ``transport.upload``."""
+        if payload is None:
+            payload = self.wire_payload(update)
+        self.transport.upload(round_idx, client_id, payload, salt, attempt)
+
     def local_update(self, client: Client, round_idx: int) -> Any:
         raise NotImplementedError
 
@@ -420,9 +436,9 @@ class FederatedAlgorithm:
         """The uplink payload as it crosses the wire.
 
         Returns the quantized encoding stashed by :meth:`quantize_update`
-        when present, else :meth:`upload_payload`.  Every driver hands
-        this to ``transport.upload``, so the ledger always charges the
-        true transmitted bytes.
+        when present, else :meth:`upload_payload`.  :meth:`_upload` hands
+        this to ``transport.upload`` for every driver, so the ledger
+        always charges the true transmitted bytes.
         """
         if isinstance(update, dict):
             stashed = update.get(QUANT_WIRE_KEY)
@@ -572,13 +588,12 @@ class FederatedAlgorithm:
         persistent state back to its pre-round snapshot before retrying.
         """
         tracer = get_tracer()
-        transport = self.transport
         cid = client.client_id
         fm = self.fault_model
         if fm is None:
             self._download(client, round_idx)
             update = self._train(client, round_idx)
-            transport.upload(round_idx, cid, self.wire_payload(update))
+            self._upload(cid, round_idx, update)
             return update
 
         update = None
@@ -609,8 +624,7 @@ class FederatedAlgorithm:
                             client.restore_local_state(snapshot)
                             update = None
                             raise
-                    transport.upload(round_idx, cid,
-                                     self.wire_payload(update), salt, attempt)
+                    self._upload(cid, round_idx, update, salt, attempt)
                     return update
                 except ClientFailure as err:
                     attempt_span.set(failure=type(err).__name__)

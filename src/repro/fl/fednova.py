@@ -75,7 +75,9 @@ class FedNova(FederatedAlgorithm):
                                        weight_decay=self.weight_decay,
                                        max_grad_norm=self.max_grad_norm,
                                        compiler=self.step_compiler)
-        a_i = max(self._effective_steps(steps), 1e-8)
+        # Rounded to what the uplink carries (one float32) before it
+        # divides the delta, so the server folds the a_i the client used.
+        a_i = float(np.float32(max(self._effective_steps(steps), 1e-8)))
         delta = {n: (before[n] - p.data) / a_i
                  for n, p in self._work.named_parameters()}
         # Final local momentum state is model-shaped and rides the uplink.

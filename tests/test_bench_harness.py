@@ -1,0 +1,417 @@
+"""The one bench harness (``benchmarks/_harness.py``) and the tables on it.
+
+Pure: nothing here measures.  The harness's rules are exercised on
+synthetic records and throw-away benches; the eight ``bench_<name>.py``
+tables are imported, never run, and their floors are fed synthetic rows
+— every floor a bench alone enforces must still fail the run when it is
+violated — and the committed ``BENCH_*.json`` histories are read as data.
+"""
+
+from __future__ import annotations
+
+import copy
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+_REPO = Path(__file__).resolve().parent.parent
+_BENCHES = ["async", "comm", "compile", "e2e", "kernels", "parallel",
+            "quant", "scale"]
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """``benchmarks/_harness.py`` as the scripts see it (a sibling)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(_REPO / "benchmarks"))
+        import _harness
+        yield _harness
+    sys.modules.pop("_harness", None)
+
+
+@pytest.fixture(scope="module")
+def bench(harness):
+    """``bench(name)``: the :class:`Bench` ``bench_<name>.py`` declares."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"bench_{name}", _REPO / "benchmarks" / f"bench_{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.BENCH
+    return load
+
+
+def _record(smoke=False, rows=(), bench="demo"):
+    return {"bench": bench, "commit": "abc1234", "smoke": smoke,
+            "timestamp": "2026-01-01T00:00:00+00:00", "env": {},
+            "peak_rss_bytes": 1, "size": {}, "rows": list(rows)}
+
+
+def _row(case="micro", name="op", **fields):
+    return {"case": case, "name": name, **fields}
+
+
+# ------------------------------------------------------------- histories
+@pytest.mark.parametrize("filename",
+                         [f"BENCH_{name}.json" for name in _BENCHES])
+def test_committed_history_is_one_schema(harness, bench, filename):
+    history = json.loads((_REPO / filename).read_text())
+    assert isinstance(history, list) and history
+    name = filename[len("BENCH_"):-len(".json")]
+    for i, record in enumerate(history):
+        assert harness.validate(record) == [], f"{filename}[{i}]"
+        assert record["bench"] == name
+    last = history[-1]
+    assert last["smoke"] is False and isinstance(last["commit"], str)
+    # the baseline every --check reads: it holds its own bench's floors
+    assert bench(name).floors(last) == []
+    stamps = [record["timestamp"] for record in history]
+    assert stamps == sorted(stamps), "histories are appended in time order"
+
+
+@pytest.mark.parametrize("name", _BENCHES)
+def test_bench_declares_a_table(harness, bench, name):
+    declared = bench(name)
+    assert declared.name == name
+    cases = [case for case, _fn in declared.cases]
+    assert cases and len(cases) == len(set(cases))
+    assert all(callable(fn) for _case, fn in declared.cases)
+    assert set(declared.full) == set(declared.smoke)
+    assert {gate.case for gate in declared.gates} <= set(cases)
+
+
+def test_validate_names_what_is_wrong(harness):
+    good = _record(rows=[_row()])
+    assert harness.validate(good) == []
+    assert harness.validate({**good, "extra": 1}) != []
+    assert harness.validate({k: v for k, v in good.items()
+                             if k != "commit"}) != []
+    assert harness.validate({**good, "smoke": "no"}) != []
+    assert harness.validate({**good, "rows": [{"name": "x"}]}) != []
+    assert harness.validate({**good, "rows": [_row(), _row()]}) != []
+    assert harness.validate([good]) != []
+
+
+def test_append_keeps_earlier_entries_byte_for_byte(harness, tmp_path):
+    path = tmp_path / "BENCH_demo.json"
+    first = _record(rows=[_row(opt_ms=0.1234, nested={"a": [1, 2]})])
+    harness.append_record(path, first)
+    before = path.read_text()
+    harness.append_record(path, _record(rows=[_row(opt_ms=9.0)]))
+    after = path.read_text()
+    assert after.startswith(before.rstrip("\n").removesuffix("]")
+                            .rstrip("\n"))
+    assert json.loads(after)[0] == first and len(json.loads(after)) == 2
+
+
+def test_malformed_record_is_not_appended(harness, tmp_path):
+    path = tmp_path / "BENCH_demo.json"
+    harness.append_record(path, _record())
+    before = path.read_text()
+    with pytest.raises(SystemExit, match="malformed"):
+        harness.append_record(path, {"rows": []})
+    assert path.read_text() == before
+
+
+@pytest.mark.parametrize("content", [
+    "{not json", '{"smoke": true}', "3",
+    # a list, but of another layout: this schema is not put beside it
+    '[{"micro": [], "e2e": [], "timestamp": "2026-01-01"}]'])
+def test_unreadable_history_stops_the_run(harness, tmp_path, content):
+    """Never ``history = []``: that overwrites the trajectory."""
+    path = tmp_path / "BENCH_demo.json"
+    path.write_text(content)
+    with pytest.raises(SystemExit, match="BENCH_demo.json"):
+        harness.load_history(path)
+    with pytest.raises(SystemExit, match="BENCH_demo.json"):
+        harness.append_record(path, _record())
+    assert path.read_text() == content
+    assert harness.load_history(tmp_path / "absent.json") == []
+
+    def never(size):
+        raise AssertionError("measured before the history was read")
+
+    demo = harness.Bench(name="demo", doc="demo", cases=(("c", never),),
+                         full={}, smoke={})
+    with pytest.raises(SystemExit, match="BENCH_demo.json"):
+        demo.main(["--out", str(path)])
+    assert path.read_text() == content
+
+
+def test_smoke_is_refused_beside_any_full_record(harness, tmp_path):
+    committed = tmp_path / "BENCH_demo.json"
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps([_record(smoke=True),
+                                 _record(smoke=False),
+                                 _record(smoke=True)]))
+    with pytest.raises(SystemExit, match="full-run record"):
+        harness.resolve_out(str(mixed), committed, True)
+    assert harness.resolve_out(str(mixed), committed, False) == mixed
+    smokes = tmp_path / "smokes.json"
+    smokes.write_text(json.dumps([_record(smoke=True)]))
+    assert harness.resolve_out(str(smokes), committed, True) == smokes
+    assert harness.last_full(json.loads(smokes.read_text())) is None
+    assert harness.last_full(json.loads(mixed.read_text()))["smoke"] is False
+
+
+# ----------------------------------------------------------- baseline rule
+def test_baseline_rule_boundary(harness):
+    gate = harness.Gate("micro", "opt_ms", slack=0.15)       # factor 1.5
+    baseline = _record(rows=[_row(opt_ms=2.0)])
+    limit = 1.5 * 2.0 + 0.15
+    eps = 1e-6
+    assert harness.check_baseline([_row(opt_ms=limit - eps)], baseline,
+                                  [gate]) == []
+    failures = harness.check_baseline([_row(opt_ms=limit + eps)], baseline,
+                                      [gate])
+    assert len(failures) == 1 and "micro/op" in failures[0]
+    tight = harness.Gate("micro", "mb", factor=1.10)
+    assert harness.check_baseline([_row(mb=11.1)],
+                                  _record(rows=[_row(mb=10.0)]),
+                                  [tight]) != []
+
+
+def test_baseline_rule_skips_what_the_baseline_lacks(harness):
+    gate = harness.Gate("micro", "opt_ms")
+    baseline = _record(rows=[_row(name="old", opt_ms=1.0),
+                             _row(name="bare")])
+    rows = [_row(name="new", opt_ms=1e9),            # no such baseline row
+            _row(name="bare", opt_ms=1e9),           # baseline lacks the field
+            _row(case="other", name="old", opt_ms=1e9),   # not the gated case
+            _row(name="old", other_ms=1e9)]          # row lacks the field
+    assert harness.check_baseline(rows, baseline, [gate]) == []
+    assert harness.check_baseline(rows, None, []) == []
+    assert harness.check_baseline(rows, None, [gate]) != []   # nothing to read
+
+
+@pytest.fixture
+def demo(harness, tmp_path, monkeypatch):
+    """A throw-away bench in ``tmp_path`` (its repo and its cwd):
+    ``demo.now["ms"]`` is what its one row measures next, and a negative
+    measurement breaks its floor."""
+    monkeypatch.setattr(harness, "REPO", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "stamp", lambda bench, smoke, size, rows:
+                        {**_record(smoke, rows, bench), "size": size})
+    now = {"ms": 1.0}
+    bench = harness.Bench(
+        name="demo", doc="demo", full={"n": 2}, smoke={"n": 1},
+        cases=(("micro", lambda size: [{"name": "op",
+                                        "opt_ms": now["ms"]}]),),
+        gates=(harness.Gate("micro", "opt_ms"),),
+        floors=lambda record: ["floor"] * (record["rows"][0]["opt_ms"] < 0))
+    object.__setattr__(bench, "now", now)
+    return bench
+
+
+def _measured(path):
+    return [r["rows"][0]["opt_ms"] for r in json.loads(path.read_text())]
+
+
+def test_check_reads_its_baseline_before_appending(demo, tmp_path, capsys):
+    history = tmp_path / "BENCH_demo.json"
+    assert demo.main(["--check"]) == 1            # nothing to check against
+    assert not history.exists()
+    assert demo.main([]) == 0
+    demo.now["ms"] = 10.0
+    # against itself (read after the append) this would pass
+    assert demo.main(["--check"]) == 1
+    assert "baseline 1.0" in capsys.readouterr().out
+    assert demo.main([]) == 0                     # no --check: only measures
+    demo.now["ms"] = 14.0
+    assert demo.main(["--check"]) == 0            # vs the 10.0 record
+    assert demo.main(["--smoke", "--check"]) == 0
+    demo.now["ms"] = -1.0
+    assert demo.main(["--smoke", "--check"]) == 1          # the floor
+    assert _measured(history) == [1.0, 10.0, 14.0]
+    smokes = json.loads((tmp_path / "bench_demo_smoke.json").read_text())
+    assert [r["smoke"] for r in smokes] == [True, True]
+    assert json.loads(history.read_text())[0]["size"] == {"n": 2}
+    assert smokes[0]["size"] == {"n": 1}
+    with pytest.raises(SystemExit, match="full-run record"):
+        demo.main(["--smoke", "--out", str(history)])
+
+
+def test_failed_check_is_not_the_next_baseline(demo, tmp_path):
+    """A regression fails on the rerun too: the failed record is kept,
+    but beside the history, not at its end."""
+    history = tmp_path / "BENCH_demo.json"
+    assert demo.main([]) == 0
+    demo.now["ms"] = 2.0
+    assert demo.main(["--check"]) == 1
+    assert demo.main(["--check"]) == 1
+    assert demo.main(["--check", "--out", "BENCH_demo.json"]) == 1
+    assert _measured(history) == [1.0]
+    assert _measured(tmp_path / "bench_demo_failed.json") == [2.0, 2.0, 2.0]
+    assert demo.main(["--check", "--out", "mine.json"]) == 1
+    assert _measured(tmp_path / "mine.json") == [2.0]     # --out is obeyed
+
+
+def test_baseline_answers_to_the_floors(demo, tmp_path, capsys):
+    """A record appended unjudged below a floor fails every later check."""
+    demo.now["ms"] = -1.0
+    assert demo.main([]) == 0
+    demo.now["ms"] = -2.0                  # within the gate of the baseline
+    assert demo.main(["--smoke", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "CHECK FAILED: floor" in out
+    assert "CHECK FAILED: baseline abc1234: floor" in out
+    demo.now["ms"] = 0.0
+    assert demo.main(["--smoke", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "CHECK FAILED: floor" not in out
+    assert "CHECK FAILED: baseline abc1234: floor" in out
+
+
+def test_pool_floor_reads_the_cores_of_the_box_that_measured(bench):
+    rows = [_row("sweep", "process:2", executor="process:2",
+                 speedup_vs_serial=0.9, byte_identical_to_serial=True)]
+    floors = bench("parallel").floors
+    assert floors({**_record(rows=rows), "env": {"cpus_usable": 1}}) == []
+    assert floors({**_record(rows=rows), "env": {"cpus_usable": 2}}) != []
+
+
+def test_interleaved_alternates_and_takes_the_minimum(harness):
+    calls = []
+    own = iter([0.004, 0.002, 0.003])
+    timing = harness.interleaved(lambda: calls.append("opt") or next(own),
+                                 lambda: calls.append("ref") or 0.001, 3,
+                                 self_timed=True)
+    assert calls == ["opt", "ref"] * 3
+    assert timing == {"opt_ms": 2.0, "ref_ms": 1.0, "speedup": 0.5}
+    # timed whole unless asked: a callable that happens to return a float
+    # (a loss, a ratio) is not mistaken for one that timed itself
+    whole = harness.interleaved(lambda: 5.0, lambda: 7.0, 2)
+    assert whole["opt_ms"] < 1.0 and whole["ref_ms"] < 1.0
+    with pytest.raises(SystemExit, match="IDENTITY BROKEN: a != b"):
+        harness.require(False, "a != b")
+    harness.require(True, "fine")
+
+
+# ------------------------------------------------------------------ floors
+def _good_rows():
+    """Per bench: rows shaped like a passing run's."""
+    def sweep(mode, population, rss, crc):
+        return _row("sweep", f"{mode}/{population}", mode=mode,
+                    population=population, peak_rss_bytes=rss, state_crc=crc)
+
+    return {
+        "async": [_row("straggler_speedup", "fedavg", speedup=3.6,
+                       target_reached=True),
+                  _row("loop_overhead", "stub16", us_per_event=100.0)],
+        "comm": [_row("codec", "serialize.vgg11", opt_ms=1.0),
+                 _row("downlink", "fedavg.vgg11",
+                      full_bytes=[100, 100], delta_bytes=[100, 100]),
+                 _row("downlink", "spatl_rl.vgg11",
+                      full_bytes=[100, 100], delta_bytes=[100, 80])],
+        "compile": [_row("micro", "resnet20.bs4", opt_ms=4.0, speedup=1.3,
+                         arena_misses_steady=0),
+                    _row("e2e", "resnet20", speedup=1.25),
+                    _row("e2e", "vgg11", speedup=1.04)],
+        "e2e": [_row("e2e", "fedavg_vgg11_dense/seed0", correct=True,
+                     probes_missing=[], round_s=2.0)],
+        "kernels": [_row("micro", "conv2d.forward", opt_ms=0.8, speedup=2.0),
+                    _row("e2e", "resnet20", speedup=1.5,
+                         arena_resident_mb=20.0, gather_idx_mb=0.2)],
+        "quant": [_row("micro", "pack.int4", speedup=150.0),
+                  _row("micro", "unpack.int4", speedup=300.0),
+                  _row("micro", "quantize.int8.per_tensor", speedup=1.0),
+                  _row("ratios", "bits32", bits=32, ledger_equals_codec=True,
+                       reduction_vs_fp32=1.0, uplink_bytes=8, codec_bytes=8),
+                  _row("ratios", "bits8", bits=8, ledger_equals_codec=True,
+                       reduction_vs_fp32=3.92, uplink_bytes=2, codec_bytes=2),
+                  _row("ratios", "bits4", bits=4, ledger_equals_codec=True,
+                       reduction_vs_fp32=7.7, uplink_bytes=1, codec_bytes=1),
+                  _row("accuracy", "int8_ef", gap_vs_fp32=0.003)],
+        "scale": [sweep("materialized", 1000, 50, 7),
+                  sweep("streaming", 1000, 50, 7),
+                  sweep("materialized", 100000, 170, 9),
+                  sweep("streaming", 100000, 75, 9)],
+    }
+
+
+# (bench, (case, name) of the row to break, fields to overwrite, smoke,
+#  a fragment of the failure message)
+_VIOLATIONS = [
+    ("async", ("straggler_speedup", "fedavg"), {"speedup": 1.04}, True,
+     "< 1.05x"),
+    ("async", ("straggler_speedup", "fedavg"), {"target_reached": False},
+     True, "never reached"),
+    ("comm", ("downlink", "fedavg.vgg11"), {"delta_bytes": [90, 100]}, True,
+     "round 0"),
+    ("comm", ("downlink", "fedavg.vgg11"), {"delta_bytes": [100, 101]}, True,
+     "exceeds the full state"),
+    ("comm", ("downlink", "spatl_rl.vgg11"), {"delta_bytes": [100, 100]},
+     True, "not smaller"),
+    ("compile", ("micro", "resnet20.bs4"), {"arena_misses_steady": 2}, True,
+     "arena misses"),
+    ("compile", ("e2e", "resnet20"), {"speedup": 1.19}, False, "1.2x floor"),
+    ("e2e", ("e2e", "fedavg_vgg11_dense/seed0"), {"correct": False}, True,
+     "output check"),
+    ("e2e", ("e2e", "fedavg_vgg11_dense/seed0"),
+     {"probes_missing": ["a -> b"]}, True, "probes missing"),
+    ("kernels", ("micro", "conv2d.forward"), {"speedup": 0.96}, False,
+     "0.97x floor"),
+    ("quant", ("micro", "pack.int4"), {"speedup": 9.9}, True, "< 10.0x"),
+    ("quant", ("micro", "unpack.int4"), {"speedup": 9.9}, True, "< 10.0x"),
+    ("quant", ("ratios", "bits8"), {"reduction_vs_fp32": 3.89}, True,
+     "< 3.9x"),
+    ("quant", ("ratios", "bits4"), {"reduction_vs_fp32": 7.49}, True,
+     "< 7.5x"),
+    ("quant", ("ratios", "bits8"), {"ledger_equals_codec": False}, True,
+     "ledger"),
+    ("quant", ("accuracy", "int8_ef"), {"gap_vs_fp32": -0.011}, False,
+     "1 point"),
+    ("scale", ("sweep", "streaming/100000"), {"state_crc": 8}, True,
+     "CRCs diverge"),
+    ("scale", ("sweep", "streaming/100000"), {"peak_rss_bytes": 101}, True,
+     "budget 2.0x"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(_good_rows()))
+def test_floors_pass_a_good_run(bench, name):
+    rows = _good_rows()[name]
+    assert bench(name).floors(_record(True, rows)) == []
+    assert bench(name).floors(_record(False, rows)) == []
+
+
+@pytest.mark.parametrize(
+    "name,key,broken,smoke,message", _VIOLATIONS,
+    ids=[f"{v[0]}-{v[1][1]}-{'-'.join(v[2])}" for v in _VIOLATIONS])
+def test_floor_fails_when_violated(bench, name, key, broken, smoke, message):
+    rows = copy.deepcopy(_good_rows()[name])
+    next(r for r in rows if (r["case"], r["name"]) == key).update(broken)
+    failures = bench(name).floors(_record(smoke, rows))
+    assert len(failures) == 1 and message in failures[0], failures
+
+
+def test_full_run_floors_are_skipped_on_smoke(bench):
+    """One timed round on a shared CI core cannot carry a speedup floor."""
+    for name, key, broken in (
+            ("kernels", ("micro", "conv2d.forward"), {"speedup": 0.5}),
+            ("compile", ("e2e", "resnet20"), {"speedup": 0.9}),
+            ("quant", ("accuracy", "int8_ef"), {"gap_vs_fp32": 0.05})):
+        rows = copy.deepcopy(_good_rows()[name])
+        next(r for r in rows if (r["case"], r["name"]) == key).update(broken)
+        assert bench(name).floors(_record(True, rows)) == []
+        assert bench(name).floors(_record(False, rows)) != []
+
+
+def test_timed_rows_are_gated(bench):
+    """What the baseline rule watches: per-row times, the loop overhead
+    and the kernel bench's two byte counts."""
+    watched = {name: {(g.case, g.field, g.factor, g.slack)
+                      for g in bench(name).gates} for name in _BENCHES}
+    assert watched["kernels"] == {("micro", "opt_ms", 1.5, 0.15),
+                                  ("e2e", "arena_resident_mb", 1.10, 0.0),
+                                  ("e2e", "gather_idx_mb", 1.10, 0.0)}
+    assert watched["comm"] == {("codec", "opt_ms", 1.5, 0.15),
+                               ("aggregate", "opt_ms", 1.5, 0.15)}
+    assert watched["compile"] == {("micro", "opt_ms", 1.5, 0.15)}
+    assert watched["quant"] == {("micro", "opt_ms", 1.5, 0.15)}
+    assert watched["async"] == {("loop_overhead", "us_per_event", 1.5, 3.0)}
+    assert watched["e2e"] == {("e2e", "round_s", 1.5, 0.0)}

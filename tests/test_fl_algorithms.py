@@ -177,3 +177,38 @@ class TestScaffold:
         algo.run_round(0)
         total = sum(float(np.abs(v).sum()) for v in algo.c_global.values())
         assert total > 0.0
+
+
+@pytest.mark.parametrize("name", ["fedavg", "fedprox", "fednova", "scaffold",
+                                  "fedtopk", "salientgrads", "ssfl", "spatl"])
+def test_fold_reads_only_what_the_uplink_carries(name):
+    """Folding an update must equal folding what its uplink decodes to.
+
+    The server only ever sees the wire: a value ``aggregate`` reads off
+    the client's in-memory update that the payload carried at another
+    precision (FedNova's float64 ``a_i`` against the float32 it uploads)
+    makes an in-process run disagree with a deployed — or quantized — one.
+    """
+    from repro.experiments.configs import (config_for, make_algorithm,
+                                           make_setting)
+    from repro.fl import state_fingerprint, wire
+
+    cfg = config_for("tiny", n_clients=2, n_samples=96, sample_ratio=1.0,
+                     local_epochs=1, seed=0)
+
+    def fold(through_the_wire: bool) -> int:
+        model_fn, clients = make_setting(cfg)
+        algo = make_algorithm(name, cfg, model_fn, clients)
+        updates = []
+        for client in clients:
+            algo._download(client, 0)
+            update = algo.local_update(client, 0)
+            if through_the_wire:
+                blob = wire.serialize(algo.upload_payload(update))
+                algo.apply_upload_payload(update, wire.deserialize(blob))
+            updates.append(update)
+        algo.aggregate(updates, 0)
+        algo.close()
+        return state_fingerprint(algo.global_model.state_dict())
+
+    assert fold(True) == fold(False)
