@@ -15,7 +15,9 @@ pre-optimization implementations, optimized/reference interleaved:
   full-state downlink would have cost against what the versioned row
   delta (DESIGN.md §5.1) charged, plus what one payload costs to build
   (state comparison + delta, once per round) and to serve again from the
-  per-base memo.  Byte counts are exact and repeat.
+  per-base memo; and what a late joiner — a client first contacted at
+  round 3, after three folds — is sent against the full state.  Byte
+  counts are exact and repeat.
 
 The ``--workers 2`` preload-on/off end-to-end comparison this script
 used to carry passed its verdict (preload 1.10x / 1.19x, byte-identical;
@@ -26,8 +28,12 @@ pool end-to-end time is ``benchmarks/e2e``'s ``fedavg_resnet20_fastpath``.
 
 Gated (``--check``): each codec/aggregate ``opt_ms`` against the last
 full record (1.5x beyond a 0.15 ms noise floor), and the delta
-downlink's three byte rules — round 0 equals the full state, no delta
-exceeds it, and SPATL's round >= 1 delta is smaller than it.
+downlink's byte rules — no payload exceeds the full state; a first
+contact (round 0, the late joiner) costs FedAvg exactly the full state,
+SPATL less at any round and SCAFFOLD less at round 0 (``c`` is born zero
+on both sides and its zero rows do not travel; SCAFFOLD's first fold
+moves every row of it, SPATL's Eq. 11 only the uploaded filters'); and
+SPATL's round >= 1 delta is smaller than the full state.
 """
 
 from __future__ import annotations
@@ -135,11 +141,12 @@ DOWNLINK_ALGOS = (("fedavg", "fedavg", {}), ("scaffold", "scaffold", {}),
                   ("spatl_rl", "spatl", {"use_rl_policy": True}))
 DOWNLINK_MODELS = (("resnet20", {}), ("vgg11", {"input_size": 32}))
 DOWNLINK_ROUNDS = 4
+JOINER_ROUND = 3
 
 
 def downlink_rows(size: dict):
     """One row per algorithm x model: full vs delta downlink bytes per
-    round, and the payload build / memo-hit time."""
+    round, the payload build / memo-hit time, and a late joiner's bytes."""
     from repro.experiments.configs import (config_for, make_algorithm,
                                            make_setting)
     from repro.fl import payload_nbytes
@@ -162,32 +169,54 @@ def downlink_rows(size: dict):
                 t2 = time.perf_counter()
                 build_ms.append((t1 - t0) * 1e3)
                 hit_ms.append((t2 - t1) * 1e3)
-                full.append(n_clients * payload_nbytes(algo.downlink_state()))
+                state = algo.downlink_state()
+                full.append(n_clients * payload_nbytes(state))
+                if r == JOINER_ROUND:
+                    # a first contact's payload is a function of the
+                    # server state alone: no client has to sit out
+                    joiner = payload_nbytes(
+                        algo.transport.versions.delta(state, None))
                 algo.run_round(r)
                 delta.append(sum(algo.ledger.downlink[r].values()))
             algo.close()
             yield {"name": f"{label}.{model}", "clients": n_clients,
                    "full_bytes": full, "delta_bytes": delta,
                    "steady_ratio": round(delta[-1] / full[-1], 4),
+                   "joiner_bytes": joiner,
+                   "joiner_full_bytes": full[JOINER_ROUND] // n_clients,
                    "build_ms": round(statistics.median(build_ms), 3),
                    "memo_hit_ms": round(statistics.median(hit_ms), 4)}
 
 
 def floors(record: dict) -> list[str]:
-    """The delta downlink's three byte invariants."""
+    """The delta downlink's byte invariants (module docstring)."""
     failures = []
     for row in (r for r in record["rows"] if r["case"] == "downlink"):
+        name = row["name"]
+        spatl = name.startswith("spatl")
+        zero_born = spatl or name.startswith("scaffold")
         full, delta = row["full_bytes"], row["delta_bytes"]
-        if delta[0] != full[0]:
-            failures.append(f"downlink/{row['name']}: round 0 sent "
-                            f"{delta[0]} B, the full state is {full[0]} B")
+        if (delta[0] < full[0]) != zero_born:
+            failures.append(
+                f"downlink/{name}: round 0 sent {delta[0]} B, the full state "
+                f"is {full[0]} B: " + ("c is born zero and must not travel"
+                                       if zero_born else "they must be equal"))
         for r, (d, f) in enumerate(zip(delta, full)):
             if d > f:
-                failures.append(f"downlink/{row['name']}: round {r} delta "
+                failures.append(f"downlink/{name}: round {r} delta "
                                 f"{d} B exceeds the full state {f} B")
-            elif r and row["name"].startswith("spatl") and d == f:
-                failures.append(f"downlink/{row['name']}: round {r} delta "
+            elif r and spatl and d == f:
+                failures.append(f"downlink/{name}: round {r} delta "
                                 f"is not smaller than the full state {f} B")
+        joiner, whole = row["joiner_bytes"], row["joiner_full_bytes"]
+        if joiner > whole or (not zero_born and joiner != whole) \
+                or (spatl and joiner == whole):
+            failures.append(
+                f"downlink/{name}: a late joiner is sent {joiner} B, the "
+                f"full state is {whole} B: " + (
+                    "its never-uploaded rows of c are zeros it holds" if spatl
+                    else "at most that" if zero_born
+                    else "they must be equal"))
     return failures
 
 

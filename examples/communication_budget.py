@@ -7,10 +7,13 @@ full-size (paper-architecture) per-round payloads through the same codec —
 the "Cost Round/Client" column of Tables I and II.
 
 Round 0 is the *cold* figure: every client is new, so everyone downloads
-the full state.  From round 1 on a returning client is sent only the rows
-that changed since it last synced (DESIGN.md §5.1), which is the
-*steady-state* figure a long run pays — the one the full-size
-extrapolation uses.
+the full state — minus what a joining client already holds, the zero
+control variate ``c`` of SPATL and SCAFFOLD (``c⁰ = 0`` on both sides).
+From round 1 on a returning client is sent only the rows that changed
+since it last synced (DESIGN.md §5.1), which is the *steady-state* figure
+a long run pays — the one the full-size extrapolation uses.  The *joiner*
+column is what a client first contacted after the last round would be
+sent: the full state minus the rows of ``c`` no fold has moved yet.
 
 Usage::
 
@@ -21,6 +24,7 @@ import argparse
 
 from repro.experiments import config_for, make_algorithm, make_setting
 from repro.experiments.communication import paper_scale_mb_per_round
+from repro.fl import payload_nbytes
 from repro.models import paper_model_size_mb
 from repro.utils.logging import render_table
 
@@ -51,15 +55,17 @@ def main() -> None:
         cold = _mb_per_client(algo.ledger.downlink[0])
         down = _mb_per_client(algo.ledger.downlink[last])
         up = _mb_per_client(algo.ledger.uplink[last])
-        rows.append([method, f"{cold:.3f}", f"{down:.3f}", f"{up:.3f}",
-                     f"{cold + up:.3f}", f"{down + up:.3f}"])
+        joiner = payload_nbytes(algo.transport.versions.delta(
+            algo.downlink_state(), None)) / 2 ** 20
+        rows.append([method, f"{cold:.3f}", f"{joiner:.3f}", f"{down:.3f}",
+                     f"{up:.3f}", f"{cold + up:.3f}", f"{down + up:.3f}"])
         if method == "fedavg":
             fedavg_total = down + up
         if method == "spatl":
             spatl_ratio = (down + up) / fedavg_total * 2.0
 
-    print(render_table(["method", "cold down", "steady down", "up",
-                        "cold total", "steady total"], rows,
+    print(render_table(["method", "cold down", "joiner down", "steady down",
+                        "up", "cold total", "steady total"], rows,
                        title=f"Measured MB/client/round ({args.model}, "
                              f"scaled width {cfg.width_mult}; cold = round "
                              f"0, steady = round {last})"))
@@ -73,11 +79,15 @@ def main() -> None:
         title=f"Implied full-size per-round payloads "
               f"({args.model}: encoder {base:.2f} MB fp32)"))
     print("\nShape to notice: SCAFFOLD/FedNova pay ~2x FedAvg for their "
-          "control state, cold or steady — they rewrite every row every "
-          "round.  SPATL's salient upload + server-side variate "
-          "reconstruction lands between FedAvg and the 2x protocols, and "
-          "its steady-state downlink drops below the cold one: filters no "
-          "upload covered, and their control-variate rows, are not re-sent.")
+          "control state — they rewrite every row every round; only "
+          "SCAFFOLD's round 0 is cheaper (1.5x), its c not having moved "
+          "yet.  SPATL's salient upload + server-side variate "
+          "reconstruction lands between FedAvg and the 2x protocols in "
+          "steady state: filters no upload covered, and their "
+          "control-variate rows, are not re-sent.  Its first contacts cost "
+          "less than that — round 0 is the encoder alone, below FedAvg's "
+          "round, and a late joiner is spared the rows of c no upload has "
+          "touched.")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@ Protocol per round, per selected client:
 
 1. **Download** — the global encoder, plus the server control variate
    ``c`` when gradient control is on (:meth:`SPATL.downlink_state`).  A
-   client that never synced gets all of it; a returning client gets only
-   the rows that changed since the version it last synced at — Eq. 12
-   rewrites just the filters some upload covered and Eq. 11 moves ``c``
-   on those same rows, so the rest is not re-sent (DESIGN.md §5.1).
+   returning client gets only the rows that changed since the version it
+   last synced at — Eq. 12 rewrites just the filters some upload covered
+   and Eq. 11 moves ``c`` on those same rows, so the rest is not re-sent.
+   A client that never synced gets the encoder and the rows of ``c``
+   Eq. 11 has moved: ``c⁰ = 0`` and a joining client initialises it as
+   it does its own ``c_i``, so those zeros never travel (DESIGN.md §5.1).
 2. **Local update** (Eq. 3) — the client composes the downloaded encoder
    with its *private* predictor and trains both; encoder gradients are
    corrected by ``(c - c_i)`` (Eq. 9).  The predictor never leaves the
@@ -52,6 +54,7 @@ class SPATL(FederatedAlgorithm):
     drive the paper's ablations.
     """
     name = "spatl"
+    zero_born = ("c.",)      # c⁰ = 0 (§IV-C), as every client's c_i
 
     def __init__(self, model_fn, clients, selection_policy: SelectionPolicy | None = None,
                  use_selection: bool = True, use_transfer: bool = True,

@@ -19,7 +19,8 @@ algorithm rides on:
   :mod:`repro.fl.comm`: zero-copy codec, arena-backed scratch
   serialization, the per-round :class:`BroadcastCache`
   (DESIGN.md §11), and the versioned row-delta downlink
-  (:class:`RowVersions` / :func:`apply_delta`, DESIGN.md §5.1);
+  (:class:`RowVersions` / :func:`apply_delta` / :func:`cold_cache`,
+  DESIGN.md §5.1);
 - :mod:`repro.fl.parallel` — pluggable round executors: the default
   in-process :class:`SerialExecutor` and a
   :class:`ProcessPoolRoundExecutor` that fans per-client work over worker
@@ -50,7 +51,7 @@ from repro.fl.comm import (CommLedger, PayloadError, Transport,
                            payload_nbytes, serialize_state,
                            deserialize_state, sparse_payload_nbytes)
 from repro.fl.wire import (BroadcastCache, RowVersions, apply_delta,
-                           state_fingerprint)
+                           cold_cache, state_fingerprint)
 from repro.fl.resilience import (ClientCrashed, ClientDropped, ClientFailure,
                                  FaultStats, RetryPolicy, StragglerTimeout,
                                  TransferCorrupted, WorkerCrashed)
@@ -99,6 +100,7 @@ __all__ = [
     "RoundExecutor", "SerialExecutor", "ProcessPoolRoundExecutor",
     "make_executor",
     "BroadcastCache", "state_fingerprint", "RowVersions", "apply_delta",
+    "cold_cache",
     "AsyncProfile", "AsyncConfig", "AsyncFederatedRunner", "StepResult",
     "VirtualClock", "staleness_weight",
     "ClientStateStore", "VirtualClient", "VirtualClientPool",

@@ -4,10 +4,11 @@ The loop follows the standard synchronous FL protocol of the paper's
 Figure 1: sample clients → download global state → local updates → upload →
 aggregate → evaluate.  Subclasses implement four hooks:
 
-- ``downlink_state()`` — everything the server sends a client that has
-  never synced.  ``download_payload(client)``, written once here, turns
-  it into what *this* client is actually sent: the rows that changed
-  since the version it last synced at (DESIGN.md §5.1);
+- ``downlink_state()`` — everything a synced client holds.
+  ``download_payload(client)``, written once here, turns it into what
+  *this* client is actually sent: the rows that changed since the
+  version it last synced at, or on a first contact everything but the
+  zeros it is born holding (``zero_born``, DESIGN.md §5.1);
 - ``local_update(client, round_idx)`` — run local training, return an
   update object;
 - ``upload_payload(update)`` — what the client sends back (accounting);
@@ -238,6 +239,11 @@ class FederatedAlgorithm:
     """Base class; see module docstring for the hook contract."""
 
     name = "base"
+    # Name prefixes of the ``downlink_state()`` entries this protocol
+    # initialises to zero on the server and on every joining client alike
+    # (SPATL's and SCAFFOLD's ``c``): a first contact is not sent their
+    # zero rows (DESIGN.md §5.1).  Data for the transport, not a hook.
+    zero_born: tuple[str, ...] = ()
 
     def __init__(self, model_fn: Callable[[], SplitModel], clients: Sequence[Client],
                  lr: float = 0.01, local_epochs: int | tuple[int, int] = 10,
@@ -298,6 +304,7 @@ class FederatedAlgorithm:
         self.transport = Transport(
             fault_model, broadcast=BroadcastCache(),
             variant=self.quant.key if self.quant is not None else None)
+        self.transport.versions.zero_born = self.zero_born
         self.fault_stats = FaultStats()  # cumulative over the whole run
         # Round execution engine (DESIGN.md §9).  SerialExecutor keeps the
         # original in-process loop; ProcessPoolRoundExecutor fans clients
@@ -338,13 +345,13 @@ class FederatedAlgorithm:
 
     # ------------------------------------------------------------ hooks
     def downlink_state(self) -> dict[str, np.ndarray]:
-        """The full downlink state: what a never-synced client is sent."""
+        """The full downlink state: what a client holds once synced."""
         raise NotImplementedError
 
     def download_payload(self, client: Client) -> dict[str, np.ndarray]:
         """What ``client`` is sent now: :meth:`downlink_state` as a row
         delta against ``client.local_state["synced"]``, the version it
-        last synced at (absent: the full state).  The one build site of
+        last synced at (absent: a first contact).  The one build site of
         the downlink — its return value is the dict handed to
         ``transport.download``, once per charged transfer."""
         return self.transport.versions.payload(

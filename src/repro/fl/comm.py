@@ -11,8 +11,9 @@ actually crosses the network.  This module provides:
   sends through an algorithm's one transport.  It also owns the downlink
   version table (:class:`~repro.fl.wire.RowVersions`, DESIGN.md §5.1):
   the downlink is a row delta against the version a client last synced
-  at, and the transport's round token is what says when to look at the
-  server state again;
+  at — for a first contact, against the zeros the protocol starts both
+  sides from — and the transport's round token is what says when to
+  look at the server state again;
 - :class:`CommLedger` — the per-round, per-direction ledger the
   transport writes every transfer into;
 - ``serialize_state`` / ``deserialize_state`` — the public, span-free
@@ -279,7 +280,8 @@ class Transport:
 
     The downlink is a row delta against the version the client last
     synced at (:attr:`versions`, a :class:`~repro.fl.wire.RowVersions`;
-    a client that never synced gets the full state).  It is framed
+    a client that never synced gets the full state minus the zero-born
+    rows it already holds).  It is framed
     through ``broadcast`` (a :class:`~repro.fl.wire.BroadcastCache`,
     which serves a blob only to the base it was framed for) under the
     round :attr:`token`, which :meth:`new_round` moves — marking the version

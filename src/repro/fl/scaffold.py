@@ -13,7 +13,9 @@ The server then updates model and variate from the deltas:
     c <- c + (|S| / N) * mean(c_i+ - c_i)
 
 Wire cost: (model + c) down, (delta + delta_c) up — 2x FedAvg, matching
-the paper's Table I.
+the paper's Table I.  ``c⁰ = 0`` on both sides, so a first contact is not
+sent the rows of ``c`` that are still zero (DESIGN.md §5.1): round 0 is
+model down, 1.5x FedAvg.
 
 Faithfulness note (SPATL §V-B, finding 6 of the Non-IID benchmark): with
 many clients and partial participation SCAFFOLD is prone to gradient
@@ -35,6 +37,7 @@ from repro.fl.local import train_local
 class Scaffold(FederatedAlgorithm):
     """Stochastic controlled averaging; see module docstring for equations."""
     name = "scaffold"
+    zero_born = ("c.",)      # c⁰ = 0, as every client's c_i
 
     def __init__(self, *args, server_lr: float = 1.0, **kwargs):
         # SCAFFOLD's algorithm specifies *vanilla* local SGD; its variate

@@ -29,7 +29,9 @@ model.  This module is the hot-path core behind :mod:`repro.fl.comm`
   downlink (DESIGN.md §5.1): the server tracks, per axis-0 row of every
   downlink tensor, the version at which its bytes last changed, and a
   returning client is sent only the rows newer than the version it last
-  synced at.
+  synced at; a client that never synced is sent everything but the rows
+  it is born holding (:func:`cold_cache`: the zero rows of the entries
+  the protocol initialises to zero on both sides).
 
 The codec is pure: nothing here charges a ledger or opens a span.  Bytes
 become traffic only when a :class:`~repro.fl.comm.Transport` sends them,
@@ -479,7 +481,10 @@ class BroadcastCache:
 # moves ``c`` on those same rows, so most of a returning client's download
 # would be rows it already holds bit-for-bit.  The server therefore tracks
 # the version at which each axis-0 row last changed and sends a client
-# only the rows newer than the version it last synced at.
+# only the rows newer than the version it last synced at.  A first contact
+# is the same question with a different answer: what a never-synced client
+# holds is what the protocol pins at t = 0 — SPATL's and SCAFFOLD's
+# ``c⁰ = 0``, initialised by a joining client exactly as its own ``c_i``.
 
 _SPARSE_SUFFIXES = (".idx", ".val")
 
@@ -520,7 +525,10 @@ class RowVersions:
     ``row_version <= base`` already, so :meth:`delta` sends the others
     and :func:`apply_delta` rebuilds the full state from them —
     losslessly, because :meth:`observe` calls a row changed iff its
-    bytes changed.
+    bytes changed.  A client that never synced (``base=None``) holds
+    :func:`cold_cache`: zeros for the entries whose names start with one
+    of :attr:`zero_born` (set once by the algorithm that owns the
+    transport; empty: a first contact is sent the full state).
 
     One rule decides when the table looks at the state.  The owning
     :class:`~repro.fl.comm.Transport` sets :attr:`stale` whenever server
@@ -544,6 +552,8 @@ class RowVersions:
         self.version = 0
         self.row_version: dict[str, np.ndarray] = {}
         self.stale = True
+        # name prefixes of the entries both sides initialise to zero
+        self.zero_born: tuple[str, ...] = ()
         # the last observed state (read-only private copies): what the
         # next observation is compared with and what payloads are built
         # from, so a payload costs no state copy of its own
@@ -621,31 +631,50 @@ class RowVersions:
                                  f"{layout} after {known[name]}")
 
     # ------------------------------------------------------------- deltas
+    def _owed(self, name: str, value: np.ndarray,
+              base: int | None) -> np.ndarray | None:
+        """The rows of entry ``name`` a client at ``base`` does not hold,
+        as a mask (``None``: it holds nothing of the entry).
+
+        A returning client lacks the rows stamped after its base.  A
+        client that never synced holds what the protocol pins at
+        ``t = 0`` and nothing else: all-zero rows of a :attr:`zero_born`
+        entry.  That is decided by content — a row is held iff every one
+        of its bytes is zero, so ``-0.0`` is sent — which needs no table
+        and reads the same on a worker replica and after any restart.
+        """
+        if base is not None:
+            return self.row_version[name] > base
+        if not name.startswith(self.zero_born):
+            return None
+        arr = _wire_array(name, value)
+        if not arr.size:
+            return np.zeros(_row_count(arr), dtype=bool)
+        return _row_bytes(arr).any(axis=1)
+
     def delta(self, state: dict[str, np.ndarray],
               base: int | None) -> dict[str, np.ndarray]:
-        """What a client synced at ``base`` needs to hold ``state``.
+        """What a client synced at ``base`` (``None``: never) needs to
+        hold ``state``.
 
-        In state order: nothing for a tensor with no row newer than
-        ``base``; the tensor itself when every row is newer; otherwise
-        ``name.idx`` (int32 rows) + ``name.val`` (those rows) iff that
-        is strictly smaller on the wire, else the tensor.  A delta is
-        therefore never larger than the full state, and ``base=None``
-        (a client that never synced) gets the full state, entry for
-        entry.
+        In state order: nothing for a tensor of which the client lacks
+        no row (:meth:`_owed`); the tensor itself when it lacks every
+        row; otherwise ``name.idx`` (int32 rows) + ``name.val`` (those
+        rows) iff that is strictly smaller on the wire, else the tensor.
+        A payload is therefore never larger than the full state, and a
+        first contact costs the full state minus the zeros both sides
+        start from (:func:`cold_cache`).
         """
-        if base is None:
-            return dict(state)
-        if base > self.version:
+        if base is not None and base > self.version:
             raise ValueError(f"client synced at version {base}, server is "
                              f"at {self.version}: not this run's client")
         out: dict[str, np.ndarray] = {}
         for name, value in state.items():
-            newer = self.row_version[name] > base
-            n_newer = int(np.count_nonzero(newer))
-            if n_newer == 0:
+            owed = self._owed(name, value, base)
+            if owed is not None and not owed.any():
                 continue
-            if n_newer < newer.size:
-                idx = np.flatnonzero(newer).astype(np.int32)
+            if owed is not None and not owed.all():
+                idx = np.flatnonzero(owed).astype(np.int32)
                 rows = {name + ".idx": idx,
                         name + ".val": np.asarray(value)[idx]}
                 if payload_nbytes(rows) < payload_nbytes({name: value}):
@@ -683,8 +712,12 @@ class RowVersions:
         metrics = get_registry()
         metrics.counter("downlink.cold_sends" if base is None
                         else "downlink.delta_sends").inc()
+        rows_total = self.rows_total
         metrics.counter("downlink.rows_sent").inc(rows_sent)
-        metrics.counter("downlink.rows_total").inc(self.rows_total)
+        metrics.counter("downlink.rows_total").inc(rows_total)
+        if base is None:
+            # rows a first contact was not sent: it is born holding them
+            metrics.counter("downlink.rows_known").inc(rows_total - rows_sent)
         return built
 
     # ------------------------------------------------ sync / checkpoints
@@ -718,15 +751,74 @@ class RowVersions:
         self._memo = None
 
 
+def cold_cache(layout: dict[str, np.ndarray],
+               zero_born: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """What a client holds before its first download: zeros for the
+    ``zero_born`` entries of ``layout`` (any full downlink state; only
+    names, shapes and dtypes are read), nothing for the others.
+    ``apply_delta(cold_cache(...), payload)`` of a ``base=None`` payload
+    is the server's state, bit for bit."""
+    return {name: np.zeros(np.shape(value), dtype=np.asarray(value).dtype)
+            for name, value in layout.items() if name.startswith(zero_born)}
+
+
+def _check_row_delta(name: str, held: np.ndarray | None, idx: np.ndarray,
+                     val: np.ndarray | None) -> None:
+    """Refuse a ``name.idx`` / ``name.val`` pair that :meth:`RowVersions.
+    delta` could not have built against ``held``."""
+    if val is None:
+        raise PayloadError("row indices without their values",
+                           entry=name + ".idx")
+    if held is None:
+        raise PayloadError("row delta for an entry the client does not hold",
+                           entry=name)
+    if idx.dtype != np.int32 or idx.ndim != 1:
+        raise PayloadError(f"row indices must be 1-d int32, got "
+                           f"{idx.ndim}-d {idx.dtype}", entry=name + ".idx")
+    if held.ndim == 0:
+        raise PayloadError("row delta for a 0-d entry", entry=name)
+    rows = held.shape[0]
+    if idx.size and (idx[0] < 0 or idx[-1] >= rows
+                     or (np.diff(idx) <= 0).any()):
+        raise PayloadError(f"row indices must be strictly increasing within "
+                           f"[0, {rows})", entry=name + ".idx")
+    if val.dtype != held.dtype or val.shape != (idx.size,) + held.shape[1:]:
+        raise PayloadError(
+            f"row values are {val.dtype}{list(val.shape)}, the indices and "
+            f"the held entry call for "
+            f"{held.dtype}{[idx.size, *held.shape[1:]]}", entry=name + ".val")
+
+
 def apply_delta(cache: dict[str, np.ndarray],
                 payload: dict[str, np.ndarray]) -> None:
     """The client half of :meth:`RowVersions.delta`: bring ``cache`` (the
-    downlink state as last synced; ``{}`` for a client that never did) up
-    to date in place — rows scattered, dense entries replaced by copies,
-    absent entries kept."""
+    downlink state as last synced; :func:`cold_cache` for a client that
+    never did) up to date in place — rows scattered, dense entries
+    replaced by copies, absent entries kept.
+
+    ``payload`` comes off the network, so it is checked against what the
+    cache holds before anything is written: a payload the builder could
+    not have produced for this cache raises :class:`PayloadError` naming
+    the entry and leaves the cache as it was.
+    """
     for name, value in payload.items():
+        target = name[:-len(".idx")]       # both suffixes are 4 characters
         if name.endswith(".idx"):
-            cache[name[:-len(".idx")]][value] = \
-                payload[name[:-len(".idx")] + ".val"]
+            _check_row_delta(target, cache.get(target), np.asarray(value),
+                             payload.get(target + ".val"))
+        elif name.endswith(".val"):
+            if target + ".idx" not in payload:
+                raise PayloadError("row values without their indices",
+                                   entry=name)
+        elif name in cache:
+            held, got = cache[name], np.asarray(value)
+            if got.shape != held.shape or got.dtype != held.dtype:
+                raise PayloadError(
+                    f"entry is {got.dtype}{list(got.shape)}, the client "
+                    f"holds {held.dtype}{list(held.shape)}", entry=name)
+    for name, value in payload.items():
+        target = name[:-len(".idx")]
+        if name.endswith(".idx"):
+            cache[target][value] = payload[target + ".val"]
         elif not name.endswith(".val"):
             cache[name] = np.array(value)

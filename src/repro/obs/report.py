@@ -107,15 +107,23 @@ def _counter_total(counters: dict[str, float], name: str) -> int:
 
 def downlink_line(counters: dict[str, float]) -> str:
     """One line on what the delta downlink sent (DESIGN.md §5.1): the
-    share of downlink rows that travelled, and how many sends were cold
-    (full state, never-synced client) against deltas.  ``counters`` is a
-    metrics snapshot's counter dict."""
+    share of downlink rows that travelled, how many sends were cold
+    (first contacts) against deltas, and the share of their rows the
+    cold ones were not sent because a joining client is born holding
+    them (zero control-variate rows).  ``counters`` is a metrics
+    snapshot's counter dict."""
     total = _counter_total(counters, "downlink.rows_total")
     sent = _counter_total(counters, "downlink.rows_sent")
+    cold = _counter_total(counters, "downlink.cold_sends")
+    delta = _counter_total(counters, "downlink.delta_sends")
+    known = _counter_total(counters, "downlink.rows_known")
     share = 100.0 * sent / total if total else 0.0
-    return (f"downlink: {share:.0f} % of rows, "
-            f"{_counter_total(counters, 'downlink.cold_sends')} cold / "
-            f"{_counter_total(counters, 'downlink.delta_sends')} delta")
+    # every send adds the same layout's row count to rows_total, so the
+    # cold sends' part of it is their part of the sends
+    cold_rows = total * cold / (cold + delta) if cold else 0
+    held = 100.0 * known / cold_rows if cold_rows else 0.0
+    return (f"downlink: {share:.0f} % of rows, {cold} cold ({held:.0f} % of "
+            f"their rows already held) / {delta} delta")
 
 
 def step_compiler_line(tracer, counters: dict[str, float]) -> str:

@@ -304,9 +304,14 @@ def _good_rows():
                   _row("loop_overhead", "stub16", us_per_event=100.0)],
         "comm": [_row("codec", "serialize.vgg11", opt_ms=1.0),
                  _row("downlink", "fedavg.vgg11",
-                      full_bytes=[100, 100], delta_bytes=[100, 100]),
+                      full_bytes=[100, 100], delta_bytes=[100, 100],
+                      joiner_bytes=50, joiner_full_bytes=50),
+                 _row("downlink", "scaffold.vgg11",
+                      full_bytes=[100, 100], delta_bytes=[60, 100],
+                      joiner_bytes=50, joiner_full_bytes=50),
                  _row("downlink", "spatl_rl.vgg11",
-                      full_bytes=[100, 100], delta_bytes=[100, 80])],
+                      full_bytes=[100, 100], delta_bytes=[60, 80],
+                      joiner_bytes=45, joiner_full_bytes=50)],
         "compile": [_row("micro", "resnet20.bs4", opt_ms=4.0, speedup=1.3,
                          arena_misses_steady=0),
                     _row("e2e", "resnet20", speedup=1.25),
@@ -344,8 +349,16 @@ _VIOLATIONS = [
      "round 0"),
     ("comm", ("downlink", "fedavg.vgg11"), {"delta_bytes": [100, 101]}, True,
      "exceeds the full state"),
-    ("comm", ("downlink", "spatl_rl.vgg11"), {"delta_bytes": [100, 100]},
+    ("comm", ("downlink", "spatl_rl.vgg11"), {"delta_bytes": [60, 100]},
      True, "not smaller"),
+    ("comm", ("downlink", "scaffold.vgg11"), {"delta_bytes": [100, 100]},
+     True, "born zero"),
+    ("comm", ("downlink", "scaffold.vgg11"), {"joiner_bytes": 51}, True,
+     "at most that"),
+    ("comm", ("downlink", "fedavg.vgg11"), {"joiner_bytes": 49}, True,
+     "must be equal"),
+    ("comm", ("downlink", "spatl_rl.vgg11"), {"joiner_bytes": 50}, True,
+     "zeros it holds"),
     ("compile", ("micro", "resnet20.bs4"), {"arena_misses_steady": 2}, True,
      "arena misses"),
     ("compile", ("e2e", "resnet20"), {"speedup": 1.19}, False, "1.2x floor"),

@@ -33,9 +33,18 @@ class TestProtocol:
     def test_download_contains_encoder_and_variate(self, tiny_dataset,
                                                    tiny_setting):
         algo, clients = _fresh(tiny_dataset, tiny_setting)
+        state = algo.downlink_state()
+        assert any(k.startswith("enc.") for k in state)
+        assert any(k.startswith("c.") for k in state)
         down = algo.download_payload(clients[0])
-        assert any(k.startswith("enc.") for k in down)
-        assert any(k.startswith("c.") for k in down)
+        assert [k for k in down if k.startswith("enc.")] \
+            == [k for k in state if k.startswith("enc.")]
+        assert not any(k.startswith("c.") for k in down), (
+            "c⁰ = 0 on the server and on a joining client alike: before "
+            "Eq. 11 has moved it, no row of c travels (DESIGN.md §5.1)")
+        algo.run_round(0)
+        down = algo.download_payload(clients[0])
+        assert any(k.startswith("c.") for k in down)   # the rows it moved
 
     def test_no_gradient_control_skips_variate_download(self, tiny_dataset,
                                                         tiny_setting):

@@ -164,12 +164,20 @@ class TestScaffold:
     def test_cost_is_2x_fedavg(self, tiny_dataset, tiny_setting):
         model_fn, clients = _fresh(tiny_dataset, tiny_setting)
         sc = Scaffold(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
-        sc.run_round(0)
         _, clients2 = _fresh(tiny_dataset, tiny_setting)
         fa = FedAvg(model_fn, clients2, lr=0.05, local_epochs=1, seed=0)
-        fa.run_round(0)
-        ratio = sc.ledger.round_bytes(0) / fa.ledger.round_bytes(0)
-        assert 1.7 < ratio < 2.3
+        for r in range(2):
+            sc.run_round(r)
+            fa.run_round(r)
+        first = sc.ledger.round_bytes(0) / fa.ledger.round_bytes(0)
+        assert 1.3 < first < 1.7, (
+            "round 0, model M: c⁰ = 0 on both sides is not sent (DESIGN.md "
+            "§5.1), so SCAFFOLD moves M down + (dw + dc = 2M) up against "
+            f"FedAvg's M + M: 3M / 2M = 1.5x, got {first:.3f}")
+        steady = sc.ledger.round_bytes(1) / fa.ledger.round_bytes(1)
+        assert 1.7 < steady < 2.3, (
+            "from round 1 on every row of c has moved: (M + c) down + 2M up "
+            f"against M + M = 2x (Table I), got {steady:.3f}")
 
     def test_server_variate_moves(self, tiny_dataset, tiny_setting):
         model_fn, clients = _fresh(tiny_dataset, tiny_setting)

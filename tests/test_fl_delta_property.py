@@ -9,9 +9,16 @@ restarts from a saved table at any point, including right before a
 mutation.  Whatever the draw:
 
 - ``apply_delta(cache, payload)`` leaves the client's cache byte-equal to
-  the server's full state;
+  the server's full state — starting from :func:`cold_cache`, with any
+  subset of the entries declared zero-born and zero / ``-0.0`` rows in
+  the draw;
 - a payload is never larger on the wire than the full state;
-- a client already at the current version is sent ``{}`` (4 wire bytes).
+- a client already at the current version is sent ``{}`` (4 wire bytes);
+- a first contact is not sent an all-zero row of a zero-born entry, and is
+  sent a ``-0.0`` one.
+
+Below the properties: the hostile payloads ``apply_delta`` must refuse
+with a typed :class:`PayloadError`.
 """
 
 import numpy as np
@@ -21,7 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.fl.comm import Transport, payload_nbytes  # noqa: E402
-from repro.fl.wire import apply_delta  # noqa: E402
+from repro.fl.wire import PayloadError, apply_delta, cold_cache  # noqa: E402
 
 SHAPES = st.sampled_from([(), (1,), (6,), (5, 3), (4, 2, 3), (3, 2, 2, 2),
                           (0,), (0, 3), (3, 0), (40, 8)])
@@ -32,33 +39,67 @@ OPS = st.lists(st.tuples(st.sampled_from(["mutate", "token", "sync",
 
 
 def _random(rng, shape, dtype):
+    """Random values with, per axis-0 row, one chance in three each of
+    being all zero and of being all ``-0.0`` (False / 0 for non-floats)."""
     if dtype is np.bool_:
-        return rng.integers(0, 2, size=shape).astype(np.bool_)
-    if dtype is np.int64:
-        return rng.integers(-9, 9, size=shape).astype(np.int64)
-    return rng.normal(size=shape).astype(dtype)
+        arr = rng.integers(0, 2, size=shape).astype(np.bool_)
+    elif dtype is np.int64:
+        arr = rng.integers(-9, 9, size=shape).astype(np.int64)
+    else:
+        arr = rng.normal(size=shape).astype(dtype)
+    if arr.ndim and arr.size:
+        kind = rng.integers(0, 3, size=arr.shape[0])
+        arr[kind == 1] = 0
+        arr[kind == 2] = -0.0 if arr.dtype.kind == "f" else 0
+    elif arr.size and rng.integers(0, 2):
+        arr = np.zeros_like(arr)
+    return arr
 
 
 def _same_bytes(cache, state):
-    assert list(cache) == list(state)
+    assert sorted(cache) == sorted(state)
     for name, value in state.items():
         got = cache[name]
         assert got.dtype == value.dtype and got.shape == value.shape, name
         assert got.tobytes() == value.tobytes(), name
 
 
+def _check_cold(payload, state, zero_born):
+    """A first contact: other entries whole; of a zero-born entry, the
+    rows with a non-zero byte (``-0.0`` has one) and no others."""
+    for name, value in state.items():
+        if not name.startswith(zero_born):
+            assert payload[name] is not None
+            continue
+        owed = np.array([bool(row.tobytes().strip(b"\0"))
+                         for row in (value if value.ndim else [value])],
+                        dtype=bool)
+        if name + ".idx" in payload:
+            assert payload[name + ".idx"].tolist() \
+                == np.flatnonzero(owed).tolist()
+        elif name in payload:
+            assert owed.any()      # dense: idx + val was not smaller
+        else:
+            assert not owed.any()
+
+
 @given(layout=st.lists(st.tuples(SHAPES, DTYPES), min_size=1, max_size=6),
-       ops=OPS, n_clients=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+       ops=OPS, n_clients=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       zero_born=st.sets(st.sampled_from(["t0.", "t1.", "t2.", "bn."])))
 @settings(max_examples=150, deadline=None)
-def test_any_schedule_reconstructs_the_state(layout, ops, n_clients, seed):
+def test_any_schedule_reconstructs_the_state(layout, ops, n_clients, seed,
+                                             zero_born):
     rng = np.random.default_rng(seed)
+    zero_born = tuple(sorted(zero_born))
     state = {f"t{i}.weight": _random(rng, shape, dtype)
              for i, (shape, dtype) in enumerate(layout)}
     state["bn.num_batches_tracked"] = np.asarray(0, dtype=np.int64)
     names = list(state)
     transport = Transport()
     versions = transport.versions
-    clients = [{"cache": {}, "base": None} for _ in range(n_clients)]
+    versions.zero_born = zero_born
+    clients = [{"cache": cold_cache(state, zero_born), "base": None}
+               for _ in range(n_clients)]
     dirty = False
     for op, arg in ops:
         if op == "mutate":
@@ -87,6 +128,7 @@ def test_any_schedule_reconstructs_the_state(layout, ops, n_clients, seed):
             # before anything can change it
             transport = Transport()
             versions = transport.versions
+            versions.zero_born = zero_born
             versions.load(saved["version"], saved["rows"], state)
             transport.new_round()
             versions.observe(state)
@@ -99,6 +141,8 @@ def test_any_schedule_reconstructs_the_state(layout, ops, n_clients, seed):
             assert payload_nbytes(payload) <= payload_nbytes(state)
             if client["base"] == versions.version:
                 assert payload == {} and payload_nbytes(payload) == 4
+            if client["base"] is None:
+                _check_cold(payload, state, zero_born)
             apply_delta(client["cache"], payload)
             _same_bytes(client["cache"], state)
             client["base"] = versions.version
@@ -163,3 +207,91 @@ def test_layout_change_and_foreign_base_are_loud_errors():
     with pytest.raises(ValueError, match="entries changed"):
         transport.versions.payload(
             lambda: {"w": state["w"], "v": state["w"]}, 0)
+
+
+# ------------------------------------------------------- first contact
+def test_first_contact_is_not_sent_zero_born_zeros():
+    """``c`` all zero: absent.  One row moved, one ``-0.0``: those two."""
+    transport = Transport()
+    transport.versions.zero_born = ("c.",)
+    state = {"w": np.zeros((8, 64), np.float32),
+             "c.w": np.zeros((8, 64), np.float32),
+             "c.n": np.asarray(0.0, np.float32),
+             "c.e": np.zeros((0, 3), np.float32)}
+    payload = transport.versions.payload(lambda: state, None)
+    assert list(payload) == ["w"]            # zeros elsewhere do travel
+    state["c.w"][5] = 1.0
+    state["c.w"][2, 7] = -0.0
+    transport.new_round()
+    payload = transport.versions.payload(lambda: state, None)
+    assert list(payload) == ["w", "c.w.idx", "c.w.val"]
+    assert payload["c.w.idx"].tolist() == [2, 5]
+    assert np.signbit(payload["c.w.val"][0, 7])
+    cache = cold_cache(state, ("c.",))
+    assert list(cache) == ["c.w", "c.n", "c.e"]
+    apply_delta(cache, payload)
+    _same_bytes(cache, state)
+    # a returning client is owed the same two rows by the version table
+    assert transport.versions.payload(lambda: state, 0)["c.w.idx"].tolist() \
+        == [2, 5]
+
+
+# ---------------------------------------------------- hostile payloads
+def _held():
+    return {"w": np.arange(12, dtype=np.float32).reshape(4, 3),
+            "n": np.asarray(3, dtype=np.int64)}
+
+
+_I32 = np.int32      # what the builder sends row indices as
+_ROWS = np.ones((2, 3), np.float32)
+HOSTILE = {
+    "index out of range": ({"w.idx": np.array([1, 4], _I32), "w.val": _ROWS},
+                           "w.idx"),
+    "negative index": ({"w.idx": np.array([-1, 2], _I32), "w.val": _ROWS},
+                       "w.idx"),
+    "duplicated index": ({"w.idx": np.array([2, 2], _I32), "w.val": _ROWS},
+                         "w.idx"),
+    "unsorted indices": ({"w.idx": np.array([3, 1], _I32), "w.val": _ROWS},
+                         "w.idx"),
+    "int64 indices": ({"w.idx": np.array([1, 2]), "w.val": _ROWS}, "w.idx"),
+    "2-d indices": ({"w.idx": np.array([[1, 2]], _I32), "w.val": _ROWS},
+                    "w.idx"),
+    "idx without val": ({"w.idx": np.array([1, 2], _I32)}, "w.idx"),
+    "val without idx": ({"w.val": _ROWS}, "w.val"),
+    "val row count": ({"w.idx": np.array([1], _I32), "w.val": _ROWS},
+                      "w.val"),
+    "val row shape": ({"w.idx": np.array([1, 2], _I32),
+                       "w.val": np.ones((2, 1), np.float32)}, "w.val"),
+    "val dtype": ({"w.idx": np.array([1, 2], _I32),
+                   "w.val": _ROWS.astype(np.float64)}, "w.val"),
+    "rows of an entry not held": ({"v.idx": np.array([0], _I32),
+                                   "v.val": _ROWS[:1]}, "v"),
+    "rows of a 0-d entry": ({"n.idx": np.array([0], _I32),
+                             "n.val": np.array([1])}, "n"),
+    "dense shape": ({"w": np.ones((4, 2), np.float32)}, "w"),
+    "dense dtype": ({"w": np.ones((4, 3), np.float64)}, "w"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_apply_delta_refuses_a_payload_the_builder_cannot_produce(case):
+    payload, entry = HOSTILE[case]
+    # a valid entry first: nothing of a refused payload may be applied
+    payload = {"n": np.asarray(9, dtype=np.int64), **payload}
+    cache = _held()
+    with pytest.raises(PayloadError) as err:
+        apply_delta(cache, payload)
+    assert err.value.entry == entry
+    _same_bytes(cache, _held())
+
+
+def test_apply_delta_checks_dense_entries_against_the_cold_layout():
+    layout = {"w": np.ones((2, 3), np.float32),
+              "c.w": np.ones((2, 3), np.float32)}
+    cache = cold_cache(layout, ("c.",))
+    with pytest.raises(PayloadError) as err:
+        apply_delta(cache, {"w": layout["w"],
+                            "c.w": np.ones((3, 3), np.float32)})
+    assert err.value.entry == "c.w" and list(cache) == ["c.w"]
+    apply_delta(cache, layout)
+    _same_bytes(cache, layout)

@@ -4,8 +4,11 @@ A test-only *shadow client* rides in ``client.local_state`` — so it
 follows the client through worker pickles, crash rollbacks, the spill
 store and checkpoints exactly like ``synced`` does — applies every
 payload the client is sent and asserts, at every participation, that what
-it holds is byte-equal to the server's full downlink state.  It runs over
-SPATL (static and RL policy) and SCAFFOLD on every driver.  Around it:
+it holds is byte-equal to the server's full downlink state.  It starts
+from the client half's :func:`~repro.fl.wire.cold_cache` — the zeros a
+joining client initialises ``c`` to — so a first contact reconstructs the
+state without having been sent them.  It runs over SPATL (static and RL
+policy) and SCAFFOLD on every driver, late joiners included.  Around it:
 the ``synced`` commit rule, the per-base broadcast cache key, and round-0
 bytes against the full state for all eight algorithms.
 """
@@ -24,7 +27,8 @@ from repro.fl.comm import Transport
 from repro.fl.resilience import (ClientCrashed, RetryPolicy,
                                  StragglerTimeout, TransferCorrupted)
 from repro.fl.stub import make_stub
-from repro.fl.wire import BroadcastCache, apply_delta, serialize
+from repro.fl.wire import (BroadcastCache, apply_delta, cold_cache,
+                           serialize)
 from repro.obs import tracing
 from repro.rl import SalientParameterAgent
 
@@ -34,11 +38,16 @@ class _Shadowed:
 
     def _download(self, client, round_idx, salt=0, attempt=0):
         received = super()._download(client, round_idx, salt, attempt)
-        shadow = client.local_state.setdefault(
-            "shadow", {"cache": {}, "syncs": 0, "row_deltas": 0})
-        apply_delta(shadow["cache"], received)
         full = self.downlink_state()
-        assert list(shadow["cache"]) == list(full)
+        if "shadow" not in client.local_state:
+            client.local_state["shadow"] = {
+                "cache": cold_cache(full, self.zero_born), "syncs": 0,
+                "row_deltas": 0,
+                "first": {"round": round_idx, "entries": list(received),
+                          "nbytes": payload_nbytes(received)}}
+        shadow = client.local_state["shadow"]
+        apply_delta(shadow["cache"], received)
+        assert sorted(shadow["cache"]) == sorted(full)
         for name, value in full.items():
             assert shadow["cache"][name].tobytes() \
                 == np.asarray(value).tobytes(), (client.client_id, name)
@@ -114,23 +123,21 @@ def _scale(kind, model_fn, clients, tmp_path):
     return algo
 
 
-def _resumed(kind, model_fn, clients, tmp_path):
-    first = _make(kind, model_fn, clients())
+def _resumed(kind, model_fn, clients, tmp_path, **kwargs):
+    first = _make(kind, model_fn, clients(), **kwargs)
     first.run(rounds=2)
     save_checkpoint(first, tmp_path / "run.npz")
-    algo = _make(kind, model_fn, clients())
+    algo = _make(kind, model_fn, clients(), **kwargs)
     load_checkpoint(algo, tmp_path / "run.npz")
     algo.run(rounds=2)
     return algo
 
 
-@pytest.mark.parametrize("drive", [_sync_partial, _faults, _pool, _async,
-                                   _scale, _resumed],
-                         ids=lambda f: f.__name__.lstrip("_"))
-@pytest.mark.parametrize("kind", ["spatl", "spatl_rl", "scaffold"])
-def test_shadow_client_holds_the_server_state(kind, drive, tmp_path,
-                                              tiny_dataset, tiny_setting):
-    model_fn, parts = tiny_setting
+@pytest.fixture
+def client_source(tiny_dataset, tiny_setting):
+    """``clients()``: the four tiny clients; with ``virtual_root``, a
+    pool of them over a spill store with two resident at a time."""
+    _, parts = tiny_setting
 
     def clients(virtual_root=None):
         if virtual_root is None:
@@ -142,13 +149,66 @@ def test_shadow_client_holds_the_server_state(kind, drive, tmp_path,
                                  ClientStateStore(virtual_root),
                                  resident_limit=2)
 
-    algo = drive(kind, model_fn, clients, tmp_path)
+    return clients
+
+
+@pytest.mark.parametrize("drive", [_sync_partial, _faults, _pool, _async,
+                                   _scale, _resumed],
+                         ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("kind", ["spatl", "spatl_rl", "scaffold"])
+def test_shadow_client_holds_the_server_state(kind, drive, tmp_path,
+                                              tiny_model_fn, client_source):
+    algo = drive(kind, tiny_model_fn, client_source, tmp_path)
     shadows = [c.local_state["shadow"] for c in algo.clients
                if "shadow" in c.local_state]
     # some client came back, so some payload was a delta, not a cold send
     assert sum(s["syncs"] for s in shadows) > len(shadows)
     if kind != "scaffold":   # SCAFFOLD rewrites every row every round
         assert sum(s["row_deltas"] for s in shadows) > 0
+
+
+def _scale_partial(kind, model_fn, clients, tmp_path):
+    pool = clients(virtual_root=tmp_path / "store")
+    algo = _make(kind, model_fn, pool.clients(), sample_ratio=0.5)
+    runner = ScaleRunner(algo, pool=pool, spill_dir=tmp_path / "spills",
+                         eval_mode="none")
+    runner.run(4)
+    runner.close()
+    return algo
+
+
+def _resumed_partial(kind, model_fn, clients, tmp_path):
+    """The joiner's first contact comes after the restart: the checkpoint
+    holds no word on who was born holding what, the content says it."""
+    return _resumed(kind, model_fn, clients, tmp_path, sample_ratio=0.5)
+
+
+@pytest.mark.parametrize("drive", [_sync_partial, _scale_partial,
+                                   _resumed_partial],
+                         ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("kind", ["spatl", "spatl_rl", "scaffold"])
+def test_late_joiner_is_not_sent_the_zeros_it_holds(kind, drive, tmp_path,
+                                                    tiny_model_fn,
+                                                    client_source):
+    """Seed 0 at ``sample_ratio=0.5`` samples [1,2] [0,1] [0,1] [2,3]:
+    client 3 first hears from the server at round 3, after three folds.
+    The shadow mixin has already proven it reconstructs the state; here,
+    what it was sent to do so."""
+    algo = drive(kind, tiny_model_fn, client_source, tmp_path)
+    first = algo.clients[3].local_state["shadow"]["first"]
+    assert first["round"] == 3
+    full = payload_nbytes(algo.downlink_state())
+    row_deltas = [e for e in first["entries"]
+                  if e.startswith("c.") and e.endswith(".idx")]
+    if kind == "scaffold":
+        # its variate step moves every row of c in the first fold, so
+        # from round 1 on a joiner holds nothing of it (Table I's 2x)
+        assert not row_deltas and first["nbytes"] == full
+    else:
+        # Eq. 11 moves c on uploaded filters only: the never-selected
+        # rows are still the zeros the joiner initialised
+        assert row_deltas
+        assert first["nbytes"] < full
 
 
 # ------------------------------------- a commit right after a resume
@@ -361,11 +421,20 @@ def test_round_zero_is_the_full_state(name, tiny_clients, tiny_model_fn):
     kwargs = dict(lr=0.05, local_epochs=1, seed=0)
     algo = SPATL(tiny_model_fn, tiny_clients, **kwargs) if name == "spatl" \
         else ALGORITHMS[name](tiny_model_fn, tiny_clients, **kwargs)
-    full = payload_nbytes(algo.downlink_state())
+    state = algo.downlink_state()
+    full = payload_nbytes(state)
+    cold = payload_nbytes({k: v for k, v in state.items()
+                           if not k.startswith(algo.zero_born)})
+    assert (cold < full) == (name in ("spatl", "scaffold"))
     # SalientGrads charges its mask bootstrap to round 0 at construction
     setup = dict(algo.ledger.downlink.get(0, {}))
     algo.run_round(0)
     assert algo.ledger.downlink[0] == {
-        c.client_id: setup.get(c.client_id, 0) + full for c in tiny_clients}
+        c.client_id: setup.get(c.client_id, 0) + cold
+        for c in tiny_clients}, (
+        "round 0 is the full state minus the zero-born entries: c⁰ = 0 on "
+        "the server and on every joining client, so no c.* entry travels "
+        "before Eq. 11 has moved it; for the six algorithms that declare "
+        "none, cold == full and this is the parent's assertion")
     algo.run_round(1)
     assert all(n <= full for n in algo.ledger.downlink[1].values())

@@ -405,10 +405,25 @@ class TestTracedFederatedRun:
             < counters["downlink.rows_total"]
         share = round(100 * counters["downlink.rows_sent"]
                       / counters["downlink.rows_total"])
-        assert downlink_line(counters) \
-            == f"downlink: {share} % of rows, 4 cold / 8 delta"
+        # round 0's four first contacts are not sent c (c⁰ = 0, which a
+        # joining client holds already): rows_known is c's row count x 4
+        c_rows = sum(v.shape[0] for v in plain.c_global.values.values())
+        assert counters["downlink.rows_known"] == 4 * c_rows
+        held = round(100 * 4 * c_rows / (counters["downlink.rows_total"] / 3))
+        assert downlink_line(counters) == (
+            f"downlink: {share} % of rows, 4 cold ({held} % of their rows "
+            "already held) / 8 delta")
         down = plain.ledger.downlink
-        assert sum(down[1].values()) < sum(down[0].values())
+        state = plain.downlink_state()
+        encoder = payload_nbytes({k: v for k, v in state.items()
+                                  if not k.startswith("c.")})
+        assert set(down[0].values()) == {encoder}, (
+            "round 0 is the encoder alone: every c.* entry is all zero and "
+            "a first contact holds those zeros (DESIGN.md §5.1)")
+        assert all(n < payload_nbytes(state) for r in (1, 2)
+                   for n in down[r].values()), (
+            "rounds 1 and 2 are row deltas: the encoder rows Eq. 12 rewrote "
+            "plus the c rows Eq. 11 moved, less than enc + c")
 
     def test_round_timeline_covers_phases(self):
         model_fn, clients = _tiny_setting()
