@@ -147,16 +147,20 @@ def dequantize_values(codes: np.ndarray, scales: np.ndarray, bits: int,
                       block: int) -> np.ndarray:
     """Inverse of :func:`stochastic_quantize` (flat float32 values)."""
     q = codes.astype(np.float32) - np.float32(_BIAS[bits])
-    n = q.size
+    scales = scales.astype(np.float32, copy=False)
     if block == 0:
-        return q * scales.astype(np.float32)[0]
-    nb = _nblocks(n, block)
-    padded = q
-    if nb * block != n:
-        padded = np.zeros(nb * block, dtype=np.float32)
-        padded[:n] = q
-    out = padded.reshape(nb, block) * scales.astype(np.float32)[:, None]
-    return out.ravel()[:n]
+        return q * scales[0]
+    # Whole blocks as one broadcast multiply, the short last block on its
+    # own: nothing here is sized by ``block``, which a decoder reads from an
+    # untrusted header (a 10-value record may claim a 4-Gi block).
+    whole = q.size // block
+    out = np.empty_like(q)
+    np.multiply(q[:whole * block].reshape(whole, block),
+                scales[:whole, None],
+                out=out[:whole * block].reshape(whole, block))
+    if whole * block != q.size:
+        np.multiply(q[whole * block:], scales[whole], out=out[whole * block:])
+    return out
 
 
 # ----------------------------------------------------------- nibble pack
@@ -254,28 +258,43 @@ def encode_record(arr: np.ndarray, config: QuantConfig,
     return np.frombuffer(bytes(out), dtype=np.uint8), deq
 
 
-def decode_record(raw: np.ndarray) -> np.ndarray:
+def decode_record(raw: np.ndarray, entry: str | None = None) -> np.ndarray:
     """Reconstruct the dequantized tensor from a wire record.
 
     Accepts the (possibly read-only, zero-copy) uint8 array a wire
-    decode produced; raises :class:`~repro.fl.wire.PayloadError` on
-    structural damage rather than mis-slicing silently.
+    decode produced.  The header is untrusted: whatever it claims —
+    bit width, dtype, shape, block — must account for the record's length
+    to the byte before anything is sliced or allocated, and every
+    violation is a :class:`~repro.fl.wire.PayloadError` naming ``entry``
+    (the wire entry the record travelled as), never a mis-sliced tensor.
     """
     from repro.fl.wire import PayloadError
-    mv = memoryview(np.ascontiguousarray(raw, dtype=np.uint8)).cast("B")
+
+    def bad(message: str) -> PayloadError:
+        return PayloadError(message, entry=entry)
+
+    raw = np.asarray(raw)
+    if raw.dtype != np.uint8 or raw.ndim != 1:
+        raise bad(f"quantized record must be 1-d uint8, got {raw.dtype} "
+                  f"of shape {raw.shape}")
+    mv = memoryview(np.ascontiguousarray(raw)).cast("B")
     total = mv.nbytes
     if total < _HEADER.size:
-        raise PayloadError("quantized record shorter than its header")
-    bits, code, ndim, _flags, block = _HEADER.unpack_from(mv, 0)
+        raise bad("quantized record shorter than its header")
+    bits, code, ndim, flags, block = _HEADER.unpack_from(mv, 0)
     _, dtypes = _dtype_codes()
     if bits not in (16, 8, 4):
-        raise PayloadError(f"unknown quantized bit width {bits}")
+        raise bad(f"unknown quantized bit width {bits}")
     if code >= len(dtypes):
-        raise PayloadError(f"unknown dtype code {code} in quantized record")
+        raise bad(f"unknown dtype code {code} in quantized record")
     dtype = dtypes[code]
+    if dtype.kind != "f":
+        raise bad(f"quantized record claims non-float dtype {dtype}")
+    if flags:
+        raise bad(f"unknown flags {flags:#04x} in quantized record")
     off = _HEADER.size
     if total < off + 4 * ndim:
-        raise PayloadError("quantized record truncated in its shape")
+        raise bad("quantized record truncated in its shape")
     shape = struct.unpack_from(f"<{ndim}I", mv, off)
     off += 4 * ndim
     n = 1
@@ -283,19 +302,21 @@ def decode_record(raw: np.ndarray) -> np.ndarray:
         n *= int(dim)
     if bits == 16:
         if total != off + 2 * n:
-            raise PayloadError(
-                f"fp16 record expects {2 * n} data bytes, has {total - off}")
+            raise bad(f"fp16 record of shape {shape} expects {2 * n} data "
+                      f"bytes, has {total - off}")
         half = np.frombuffer(mv, dtype=np.float16, count=n, offset=off)
         return half.astype(dtype).reshape(shape)
     nb = _nblocks(n, block)
     data = n if bits == 8 else (n + 1) // 2
     if total != off + 4 * nb + data:
-        raise PayloadError(
-            f"int{bits} record expects {4 * nb + data} payload bytes, "
-            f"has {total - off}")
+        raise bad(f"int{bits} record of shape {shape}, block {block} expects "
+                  f"{nb} scales + {data} code bytes, has {total - off} bytes")
     scales = np.frombuffer(mv, dtype=np.float32, count=nb, offset=off)
     off += 4 * nb
     packed = np.frombuffer(mv, dtype=np.uint8, count=data, offset=off)
+    if bits == 4 and n % 2 and packed[-1] >> 4:
+        raise bad("int4 record with an odd value count has a non-zero "
+                  "padding nibble")
     codes = packed if bits == 8 else unpack_nibbles(packed, n)
     return dequantize_values(codes, scales, bits, block) \
         .astype(dtype).reshape(shape)
@@ -371,7 +392,7 @@ def dequantize_payload(wire_dict: dict[str, np.ndarray]
     out: dict[str, np.ndarray] = {}
     for name, value in wire_dict.items():
         if name.endswith(QUANT_SUFFIX):
-            out[name[:-len(QUANT_SUFFIX)]] = decode_record(value)
+            out[name[:-len(QUANT_SUFFIX)]] = decode_record(value, entry=name)
         else:
             out[name] = value
     return out

@@ -11,11 +11,14 @@ The eager :func:`conv2d` allocates its outputs and calls them, and the
 step compiler's replay (:mod:`repro.tensor.compile.kernels`) calls the
 same two functions with planned output buffers.  Temporaries are arena
 buffers, kept by lifetime (DESIGN.md §10.1): what is dead when the kernel
-returns — padded input, GEMM outputs, transposed output gradient — comes
-from ``workspace.transient`` where it is used; the patch matrix a backward
-will read and the input gradient donated to the parent live in the
-caller's slot (a :class:`Conv2d` passes its own; a bare functional call
-gets a private one).  Every op keeps the operand and accumulation order of
+returns — padded input, patch matrix, GEMM outputs, transposed output
+gradient — comes from ``workspace.transient`` where it is used; only the
+input gradient donated to the parent lives in the caller's slot (a
+:class:`Conv2d` passes its own; a bare functional call gets a private
+one).  The patch matrix is a pure function of the conv's input, which the
+graph keeps alive anyway, so nothing holds it from forward to backward:
+:func:`_gather_cols` builds it for the forward GEMM and again for the
+weight gradient.  Every op keeps the operand and accumulation order of
 the allocating :mod:`repro.nn.reference`, so results are byte-identical to
 it (asserted by the golden-state tests).
 """
@@ -70,20 +73,16 @@ def _col2im_into(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int,
             dx[:, :, i:hi:stride, j:wj:stride] += d6[:, :, :, :, i, j]
 
 
-def _forward_data(xdata: np.ndarray, wdata: np.ndarray,
-                  bdata: np.ndarray | None, stride: int, padding: int,
-                  cols_ws: workspace.WorkspaceSlot,
-                  out_arr: np.ndarray | None = None):
-    """The forward kernel: ``(out_data, cols)``.
+def _gather_cols(xdata: np.ndarray, kh: int, kw: int, stride: int,
+                 padding: int) -> np.ndarray:
+    """The (N*Ho*Wo, C*kh*kw) im2col patch matrix of ``xdata``.
 
-    ``out_data`` is freshly allocated (it becomes a graph node's payload)
-    unless the caller supplies ``out_arr``, a C-contiguous
-    (N, C_out, Ho, Wo) buffer the result is written into instead.
-    ``cols`` is the im2col patch matrix :func:`_backward_data` needs, taken
-    from ``cols_ws``: the layer's slot when a backward will read it (valid
-    until that slot's next forward), ``workspace.transient`` otherwise.
+    A pure function of the conv's input, so it is scratch, not an
+    activation: every conv in the process gathers into the one transient
+    ``conv2d.cols`` base, and the matrix is dead when the kernel that asked
+    for it returns.  The forward and the backward of a layer each call this
+    on the same input and get the same bytes.
     """
-    out_c, _, kh, kw = wdata.shape
     if padding or not xdata.flags.c_contiguous:
         # The gather indexes C-contiguous samples: an un-padded strided input
         # is staged through the same buffer (padding 0).  Every conv in the
@@ -99,21 +98,40 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray,
 
     n, c, h, w = xp.shape
     ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-    rows, width = n * ho * wo, c * kh * kw
-    cols = cols_ws.buffer("conv2d.cols", (rows, width), xp.dtype)
+    width = c * kh * kw
+    cols = workspace.transient.buffer("conv2d.cols", (n * ho * wo, width),
+                                      xp.dtype)
     # Same elements in the same order as a strided window copy; the index
     # bound was checked where the index was built.
     np.take(xp.reshape(n, -1), _gather_indices(xp.shape, kh, kw, stride),
             axis=1, out=cols.reshape(n, ho * wo, width), mode="clip")
+    return cols
 
-    out = workspace.transient.buffer("conv2d.out", (rows, out_c), cols.dtype)
+
+def _forward_data(xdata: np.ndarray, wdata: np.ndarray,
+                  bdata: np.ndarray | None, stride: int, padding: int,
+                  out_arr: np.ndarray | None = None) -> np.ndarray:
+    """The forward kernel: the (N, C_out, Ho, Wo) output.
+
+    Freshly allocated (it becomes a graph node's payload) unless the caller
+    supplies ``out_arr``, a C-contiguous buffer of that shape the result is
+    written into instead.  Nothing is kept for the backward: it re-gathers
+    the patch matrix from ``xdata``.
+    """
+    out_c, _, kh, kw = wdata.shape
+    n, _, h, w = xdata.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    cols = _gather_cols(xdata, kh, kw, stride, padding)
+    out = workspace.transient.buffer("conv2d.out", (n * ho * wo, out_c),
+                                     cols.dtype)
     np.matmul(cols, wdata.reshape(out_c, -1).T, out=out)    # (N*Ho*Wo, O)
     if bdata is not None:
         out += bdata
     if out_arr is None:     # always a copy: ``out`` is every conv's scratch
         out_arr = np.empty((n, out_c, ho, wo), out.dtype)
     np.copyto(out_arr, out.reshape(n, ho, wo, out_c).transpose(0, 3, 1, 2))
-    return out_arr, cols
+    return out_arr
 
 
 def _dx_scratch(ws: workspace.WorkspaceSlot,
@@ -129,19 +147,20 @@ def _dx_scratch(ws: workspace.WorkspaceSlot,
                  if padding else dxp)
 
 
-def _backward_data(g: np.ndarray, cols: np.ndarray, wdata: np.ndarray,
-                   stride: int, db: np.ndarray | None = None,
+def _backward_data(g: np.ndarray, xdata: np.ndarray, wdata: np.ndarray,
+                   stride: int, padding: int, db: np.ndarray | None = None,
                    dw: np.ndarray | None = None,
                    dxp: np.ndarray | None = None) -> None:
     """The backward kernel: fill the gradients the caller passes arrays for.
 
-    ``g`` is the (N, C_out, Ho, Wo) output gradient and ``cols`` the patch
-    matrix of the matching :func:`_forward_data` call.  ``db`` (C_out,),
-    ``dw`` (weight-shaped, C-contiguous) and ``dxp`` (the padded input's
-    shape, :func:`_dx_scratch`) are overwritten; ``None`` skips that
-    gradient.
+    ``g`` is the (N, C_out, Ho, Wo) output gradient and ``xdata`` the input
+    the matching :func:`_forward_data` call was given, unchanged since.
+    ``db`` (C_out,), ``dw`` (weight-shaped, C-contiguous) and ``dxp`` (the
+    padded input's shape, :func:`_dx_scratch`) are overwritten; ``None``
+    skips that gradient.  Only ``dw`` reads the patch matrix, so only a
+    wanted ``dw`` re-gathers it.
     """
-    out_c, _, kh, kw = wdata.shape
+    out_c, in_c, kh, kw = wdata.shape
     n, _, ho, wo = g.shape
     gshape = (n * ho * wo, out_c)
     gt = g.transpose(0, 2, 3, 1)
@@ -164,9 +183,11 @@ def _backward_data(g: np.ndarray, cols: np.ndarray, wdata: np.ndarray,
     if db is not None:
         gmat.sum(axis=0, out=db)
     if dw is not None:
+        cols = _gather_cols(xdata, kh, kw, stride, padding)
         np.matmul(gmat.T, cols, out=dw.reshape(out_c, -1))
     if dxp is not None:
-        dcols = workspace.transient.buffer("conv2d.dcols", cols.shape, g.dtype)
+        dcols = workspace.transient.buffer(
+            "conv2d.dcols", (gshape[0], in_c * kh * kw), g.dtype)
         np.matmul(gmat, wdata.reshape(out_c, -1), out=dcols)
         dxp[...] = 0        # here, so the scatter-add finds it in cache
         _col2im_into(dcols, dxp, kh, kw, stride, n, ho, wo)
@@ -185,20 +206,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if x.shape[1] != weight.shape[1]:
         raise ValueError(f"input channels {x.shape[1]} != weight in-channels "
                          f"{weight.shape[1]}")
-    records = is_grad_enabled() and (
-        x.requires_grad or weight.requires_grad or
-        (bias is not None and bias.requires_grad))
-    if not records:
-        ws = workspace.transient        # nothing reads cols after this call
-    elif ws is None:
-        ws = workspace.WorkspaceSlot()
-    out_data, cols = _forward_data(
+    out_data = _forward_data(
         x.data, weight.data, None if bias is None else bias.data,
-        stride, padding, ws)
-
-    if not records:
+        stride, padding)
+    if not (is_grad_enabled() and (
+            x.requires_grad or weight.requires_grad or
+            (bias is not None and bias.requires_grad))):
         # Inference fast path: no closure, no graph edges, nothing retained.
         return Tensor(out_data, dtype=out_data.dtype)
+    if ws is None:
+        ws = workspace.WorkspaceSlot()
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -210,7 +227,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             dw = np.empty(weight.shape, g.dtype)
         if x.requires_grad:
             dxp, dx = _dx_scratch(ws, x.shape, padding, g.dtype)
-        _backward_data(g, cols, weight.data, stride, db, dw, dxp)
+        _backward_data(g, x.data, weight.data, stride, padding, db, dw, dxp)
         if db is not None:
             bias._accumulate(db, donate="fresh")
         if dw is not None:

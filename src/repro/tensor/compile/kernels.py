@@ -15,6 +15,10 @@ arrives in ``Record.args``, the tuple the op itself passed to
 ``Tensor._make``; nothing is read out of a backward closure.  A plan bakes
 only per-layer arena arrays (``xhat``, ``dx``, ``gx``): the kernels request
 ``workspace.transient`` scratch at run time, so its growth invalidates none.
+Nothing travels from a conv's forward instruction to its backward one: the
+backward kernel re-gathers the patch matrix from the conv's input, which the
+emitter lists among the instruction's uses so the planner keeps that buffer
+alive until then.
 
 Gradient flow mirrors :meth:`Tensor._accumulate`'s donation contract:
 
@@ -211,15 +215,11 @@ def fwd_conv2d(ctx: Build, rec: Record) -> None:
     out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "conv.out")
     wdata = weight.data
     bdata = bias[0].data if bias else None
-    cols = ctx.aux[id(rec.out)] = [None]      # forward -> backward, per step
 
     def factory(r):
         xr, oa = r(xref), r(out_h)
-
-        def run():
-            cols[0] = _conv._forward_data(xr, wdata, bdata, stride, padding,
-                                          ws, out_arr=oa)[1]
-        return run
+        return lambda: _conv._forward_data(xr, wdata, bdata, stride, padding,
+                                           out_arr=oa)
 
     ctx.pb.emit(factory, [xref, out_h])
     ctx.vals[id(rec.out)] = out_h
@@ -632,19 +632,20 @@ def bwd_conv2d(ctx: Build, rec: Record, g) -> None:
     x, weight, *bias = rec.parents
     dtype = rec.out.data.dtype
     wdata = weight.data
-    cols = ctx.aux[id(rec.out)]
+    # The kernel re-gathers the patch matrix from the conv's input: listing
+    # it as a use keeps its planned buffer alive up to this instruction.
+    xref = ctx.val(x)
     dxp = dx = None
     if x.requires_grad:
         dxp, dx = _conv._dx_scratch(ws, x.data.shape, padding, dtype)
 
     def make(r, db, dw):
-        ga = r(g)
-
-        return lambda: _conv._backward_data(ga, cols[0], wdata, stride,
+        ga, xr = r(g), r(xref)
+        return lambda: _conv._backward_data(ga, xr, wdata, stride, padding,
                                             db, dw, dxp)
 
     ctx.contrib_kernel([(bias[0] if bias else None, dtype, "conv.dbias"),
-                        (weight, dtype, "conv.dw")], make, [g])
+                        (weight, dtype, "conv.dw")], make, [g, xref])
     if dx is not None:
         ctx.contrib_view(x, dx, "scratch", [], "conv.dx")
 

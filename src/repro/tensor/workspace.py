@@ -14,15 +14,17 @@ Scratch is keyed by how long it must live (DESIGN.md §10.1 has the table):
 
 - **transient** — :data:`transient`, the one process-wide slot: valid until
   the next request for the same ``tag`` *anywhere in the process*, i.e.
-  inside one kernel call.  Pad, GEMM outputs, batch-norm work arrays — and,
-  when no backward is recorded, the patch matrix and the normalised input —
-  live here, so a tag costs its largest request, not the sum over layers
-  and model copies.  Relies on one kernel running at a time per process:
-  grad mode is thread-local, the arena is not.
+  inside one kernel call.  Pad, im2col patch matrix, GEMM outputs,
+  batch-norm work arrays — and, when no backward is recorded, the
+  normalised input — live here, so a tag costs its largest request, not the
+  sum over layers and model copies.  Relies on one kernel running at a time
+  per process: grad mode is thread-local, the arena is not.
 - **per owner** — :func:`slot_for` (weak-keyed: a slot dies with its layer
   or optimizer): valid until the owner's *next* request for the ``tag``.
-  What a backward closure reads (``conv2d.cols``, ``batchnorm.xhat``) and
-  what is donated to a parent (``conv2d.dx``, ``batchnorm.gx``) live here;
+  What a backward closure reads and cannot cheaply rebuild
+  (``batchnorm.xhat``; the conv patch matrix is re-gathered from the conv's
+  input instead) and what is donated to a parent (``conv2d.dx``,
+  ``batchnorm.gx``) live here;
   a layer is forwarded at most once before its backward runs, so a second
   forward never clobbers what a closure captured.
 

@@ -1,4 +1,5 @@
-"""Paper oracles for SPATL's server step: Eq. 12 and Eq. 11 as plain loops.
+"""Paper oracles for SPATL's gradient control and server step: Eq. 9-12 as
+plain loops.
 
 The repo's byte-identity goldens pin one code path against another; these
 tests pin the single remaining aggregation body (``SalientAccumulator`` /
@@ -18,13 +19,35 @@ Eq. 11 (server control variate, survivors ``S`` of ``N`` clients)::
 
 ``w_i = 1`` in the synchronous protocol; the async runtime's staleness
 discounts make it a weighted mean / discounted sum.
+
+Eq. 9 (client step, generic parameters only) and Eq. 10 (variate refresh)::
+
+    g <- g + c - c_i                     encoder names; predictor: g
+    c_i+ = c_i - c + (x - y_i) / (K * lr)
+
+``K`` is the number of local steps under plain SGD; under heavy-ball
+momentum ``rho`` it is the path length of those steps in units of
+``lr * g`` (:func:`heavy_ball_steps`, a literal simulation).
+
+Float32 bound used throughout, per element: the code evaluates each
+formula in a handful of correctly rounded float32 operations, so it sits
+within ``8 * 2**-23 * (sum of the |terms|)`` of the float64 oracle.
 """
+
+import types
 
 import numpy as np
 import pytest
 
 from repro.core import SPATL, StaticSaliencyPolicy, salient_aggregate
+from repro.core.gradient_control import (ControlVariate, make_correction_hook,
+                                         refresh_client_variate)
 from repro.fl import make_federated_clients, staleness_weight
+from repro.models.split import SplitModel
+from repro.nn.module import Parameter
+from repro.optim.sgd import SGD
+
+F32 = 8 * 2.0 ** -23        # the stated bound's factor on sum |terms|
 
 
 def eq12_oracle(global_weight, uploads, eta=1.0, weights=None):
@@ -96,6 +119,177 @@ class TestEq12:
         rows = np.full((1, 2), 4.0, dtype=np.float32)
         out = salient_aggregate(g, [(np.array([1]), rows)], weights=[0.125])
         np.testing.assert_array_equal(out[1], [4.0, 4.0])
+
+
+def eq9_oracle(grad, c, c_i):
+    """Eq. 9 for one generic tensor, one element at a time."""
+    out = np.empty(grad.shape, dtype=np.float64)
+    for at in np.ndindex(grad.shape):
+        out[at] = float(grad[at]) + float(c[at]) - float(c_i[at])
+    return out
+
+
+def heavy_ball_steps(tau, rho):
+    """Eq. 10's ``K`` under momentum, by simulation: how far ``tau``
+    heavy-ball steps (``v <- rho v + g; x <- x - lr v``) move ``x`` along
+    a constant gradient, in units of ``lr * g``.  ``rho = 0`` gives
+    ``tau``; zero steps count as one (the denominator must not vanish)."""
+    v = moved = 0.0
+    for _ in range(max(tau, 1)):
+        v = rho * v + 1.0
+        moved += v
+    return moved
+
+
+def eq10_oracle(c_i, c, x, y, k, lr):
+    """Eq. 10 for one tensor, one element at a time; also returns the
+    per-element sum of |terms| the float32 bound scales with."""
+    out = np.empty(x.shape, dtype=np.float64)
+    mass = np.empty(x.shape, dtype=np.float64)
+    for at in np.ndindex(x.shape):
+        d = (float(x[at]) - float(y[at])) / (k * lr)
+        out[at] = float(c_i[at]) - float(c[at]) + d
+        mass[at] = abs(float(c_i[at])) + abs(float(c[at])) + abs(d)
+    return out, mass
+
+
+def _encoder_key(name):
+    """SPATL's name map: optimizer name -> variate key, None off-encoder."""
+    prefix = SplitModel.ENCODER_PREFIX
+    return name[len(prefix):] if name.startswith(prefix) else None
+
+
+def _variates(rng, template, n=2):
+    out = []
+    for _ in range(n):
+        variate = ControlVariate(template)
+        for name, value in variate.values.items():
+            variate.values[name] = (0.01 * rng.standard_normal(
+                value.shape)).astype(value.dtype)
+        out.append(variate)
+    return out
+
+
+class TestEq9:
+    """``make_correction_hook``: ``g + c - c_i`` on encoder names, the
+    predictor's gradient handed back untouched."""
+
+    def test_hook_corrects_generic_names_only(self):
+        rng = np.random.default_rng(2)
+        template = {"conv1.weight": np.zeros((4, 3, 3, 3), np.float32),
+                    "bn1.bias": np.zeros(4, np.float32)}
+        c, c_i = _variates(rng, template)
+        prefix = SplitModel.ENCODER_PREFIX
+        hook = make_correction_hook(c, c_i, _encoder_key)
+        for name, value in template.items():
+            g = rng.standard_normal(value.shape).astype(np.float32)
+            kept = g.copy()
+            got = hook(prefix + name, g)
+            want = eq9_oracle(g, c[name], c_i[name])
+            mass = np.abs(g) + np.abs(c[name]) + np.abs(c_i[name])
+            assert got.dtype == np.float32 and got is not g
+            assert np.all(np.abs(got - want) <= F32 * mass), name
+            np.testing.assert_array_equal(g, kept)      # borrowed, not written
+        g = rng.standard_normal((10, 4)).astype(np.float32)
+        # the predictor, and an encoder name no variate covers
+        assert hook("predictor.fc.weight", g) is g
+        assert hook(prefix + "bn1.running_mean", g) is g
+        # same key space without a name map (SCAFFOLD-style use)
+        bare = make_correction_hook(c, c_i)
+        g = rng.standard_normal(4).astype(np.float32)
+        np.testing.assert_array_equal(bare("bn1.bias", g),
+                                      hook(prefix + "bn1.bias", g))
+        assert bare("fc.weight", g) is g
+
+    def test_sgd_step_applies_it_to_the_encoder_and_not_the_predictor(
+            self, tiny_model_fn):
+        # One plain SGD step through the optimizer's hook point, on a real
+        # split model: x - lr (g + c - c_i) for every encoder parameter,
+        # x - lr g for every predictor parameter.
+        rng = np.random.default_rng(4)
+        model, lr = tiny_model_fn(), 0.05
+        prefix = SplitModel.ENCODER_PREFIX
+        c, c_i = _variates(rng, {n: p.data for n, p in
+                                 model.encoder.named_parameters()})
+        opt = SGD(model.named_parameters(), lr=lr)
+        opt.add_correction_hook(make_correction_hook(c, c_i, _encoder_key))
+        before, grads = {}, {}
+        for name, p in model.named_parameters():
+            before[name] = p.data.astype(np.float64)
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+            grads[name] = p.grad.astype(np.float64)
+        opt.step()
+        seen = {True: 0, False: 0}
+        for name, p in model.named_parameters():
+            generic = name.startswith(prefix)
+            seen[generic] += 1
+            g, mass = grads[name], np.abs(grads[name])
+            if generic:
+                key = name[len(prefix):]
+                g = g + c[key].astype(np.float64) - c_i[key]
+                mass = mass + np.abs(c[key]) + np.abs(c_i[key])
+            want = before[name] - lr * g
+            bound = F32 * (np.abs(before[name]) + lr * mass)
+            assert np.all(np.abs(p.data - want) <= bound), name
+            if not generic:     # bitwise the uncorrected step
+                np.testing.assert_array_equal(
+                    p.data, (before[name].astype(np.float32)
+                             - np.float32(lr) * grads[name].astype(np.float32)))
+        assert seen[True] and seen[False]
+
+
+class TestEq10:
+    """``refresh_client_variate`` and its denominator,
+    ``SPATL._effective_steps``."""
+
+    RHOS = [0.0, 0.5, 0.9, 0.99]
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_effective_steps_is_the_heavy_ball_path_length(self, rho):
+        algo = types.SimpleNamespace(momentum=rho)
+        for tau in (0, 1, 2, 3, 7, 50, 400):
+            got = SPATL._effective_steps(algo, tau)
+            assert got == pytest.approx(heavy_ball_steps(tau, rho),
+                                        rel=1e-12), tau
+            if rho == 0.0:
+                assert got == max(tau, 1)        # plain SGD: K is the count
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_the_optimizer_moves_that_far(self, rho):
+        # The simulation is of *this* optimizer: tau steps of the repo's
+        # SGD under a constant unit gradient move x by lr * K.
+        lr, tau = 0.05, 9
+        p = Parameter(np.zeros(3, dtype=np.float32))
+        opt = SGD([("p", p)], lr=lr, momentum=rho)
+        for _ in range(tau):
+            p.grad = np.ones(3, dtype=np.float32)
+            opt.step()
+        np.testing.assert_allclose(-p.data / lr, heavy_ball_steps(tau, rho),
+                                   rtol=tau * 2.0 ** -22)
+
+    @pytest.mark.parametrize("rho,tau", [(0.0, 6), (0.9, 6), (0.9, 0)])
+    def test_refresh_matches_the_formula(self, rho, tau):
+        rng = np.random.default_rng(6)
+        template = {"conv1.weight": np.zeros((4, 3, 3, 3), np.float32),
+                    "bn1.weight": np.zeros(4, np.float32)}
+        c, c_i = _variates(rng, template)
+        x = {k: rng.standard_normal(v.shape).astype(np.float32)
+             for k, v in template.items()}
+        y = {k: (x[k] + 0.05 * rng.standard_normal(v.shape)).astype(np.float32)
+             for k, v in template.items()}
+        x["fc.weight"] = y["fc.weight"] = np.ones(3, np.float32)  # ignored
+        kept = {k: v.copy() for k, v in c_i.values.items()}
+        lr = 0.05
+        steps = SPATL._effective_steps(types.SimpleNamespace(momentum=rho),
+                                       tau)
+        fresh = refresh_client_variate(c_i, c, x, y, steps, lr)
+        assert fresh is not c_i and fresh.names() == list(template)
+        for name in template:
+            want, mass = eq10_oracle(kept[name], c[name], x[name], y[name],
+                                     heavy_ball_steps(tau, rho), lr)
+            assert fresh[name].dtype == np.float32
+            assert np.all(np.abs(fresh[name] - want) <= F32 * mass), name
+            np.testing.assert_array_equal(c_i[name], kept[name])
 
 
 def eq11_oracle(c, updates, prunable, lr, n_all, weights):
@@ -223,7 +417,7 @@ class TestVariateRefreshOnSPATL:
         c = {k: v.astype(np.float64) for k, v in algo.c_global.values.items()}
 
         update = algo.local_update(client, 0)
-        k_eta = algo._effective_steps(update["steps"]) * algo.lr
+        k_eta = heavy_ball_steps(update["steps"], momentum) * algo.lr
         assert update["steps"] > 1
         assert (update["eff_steps"] == update["steps"]) == (momentum == 0.0)
         trained = {k: p.data.astype(np.float64) for k, p in

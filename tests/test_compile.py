@@ -66,7 +66,7 @@ def _vgg(dropout=0.0):
 # op -> (home module, shared backward kernel, position of the output array
 # the test scales after the real kernel ran).
 _SHARED_KERNELS = {
-    "conv2d": (conv, "_backward_data", 5),                  # dw
+    "conv2d": (conv, "_backward_data", 6),                  # dw
     "batchnorm": (norm, "_backward_data", 9),               # dx
     "max_pool2d": (pooling, "_max_backward_data", 5),       # dx
     "cross_entropy": (F, "_cross_entropy_backward", 3),     # out
@@ -262,6 +262,50 @@ class TestCompiledStep:
         assert stats["fused_forward"] > 0
         assert stats["instructions"] > 0
 
+    def test_conv_input_outlives_the_conv_backward(self, monkeypatch):
+        # The conv backward re-gathers its patch matrix from the conv's
+        # input, so that input's planned buffer must hold the forward's
+        # bytes until the backward instruction has run: live across both,
+        # and sharing arena bytes with no handle that is written in between.
+        from repro.tensor.compile import kernels
+        convs = {}           # id(output) -> [input value, fwd idx, bwd idx]
+        builders = set()
+        fwd, bwd = kernels.FWD["conv2d"], kernels.BWD["conv2d"]
+
+        def spy_fwd(ctx, rec):
+            builders.add(ctx.pb)
+            convs[id(rec.out)] = [ctx.val(rec.parents[0]), ctx.pb._counter,
+                                  None]
+            fwd(ctx, rec)
+
+        def spy_bwd(ctx, rec, g):
+            convs[id(rec.out)][2] = ctx.pb._counter
+            bwd(ctx, rec, g)
+
+        monkeypatch.setitem(kernels.FWD, "conv2d", spy_fwd)
+        monkeypatch.setitem(kernels.BWD, "conv2d", spy_bwd)
+        model = _make_model()
+        comp = StepCompiler()
+        _train(model, _batches(2), comp)
+        (plan,) = comp.plan_for(model).values()
+        (pb,) = builders
+        assert pb.stats() == {k: plan.stats[k] for k in pb.stats()}
+        handles = [h for h in pb.handles if h.first is not None]
+        planned = 0
+        for value, i_fwd, i_bwd in convs.values():
+            h = kernels._base_of(value)
+            assert i_bwd is not None and i_fwd < i_bwd
+            if h is None:                # the step input: persistent memory
+                continue
+            planned += 1
+            assert h.first <= i_fwd and i_bwd <= h.last, h
+            for o in handles:
+                overlap = (o is not h and o.offset < h.offset + h.nbytes
+                           and h.offset < o.offset + o.nbytes)
+                assert not overlap or o.last < h.first or h.last < o.first, (
+                    f"{o} packed over conv input {h}")
+        assert planned >= 18             # every conv of resnet20 but the stem
+
     def test_zero_arena_misses_after_warmup(self):
         from repro.tensor.workspace import stats_snapshot
         model = _make_model()
@@ -338,6 +382,10 @@ class TestCompiledStep:
             l_comp = run(m_comp, StepCompiler(), grow)
             assert all(np.array_equal(a, b) for a, b in zip(l_eager, l_comp))
             assert _states_equal(m_eager.state_dict(), m_comp.state_dict())
+            # Either way the larger batch outgrew the transient patch matrix
+            # under the plan's feet; only the layers' own bases decide.
+            assert workspace.tag_stats("conv2d.cols").growths >= 1
+            assert workspace.transient.generation > 0
             return registry.snapshot()["counters"]
 
         assert counters_of("eval") == {"compile.captures": 1,

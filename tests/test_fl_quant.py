@@ -23,6 +23,8 @@ The contracts under test:
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,103 @@ class TestRecords:
         bad[0] = 3
         with pytest.raises(PayloadError, match="bit width"):
             decode_record(bad)
+
+
+def _hostile_records():
+    """``(id, record)``: well-formed records with one lie each.  Header
+    layout: ``[u8 bits][u8 dtype][u8 ndim][u8 flags][u32 block][u32 dims]*``
+    then float32 scales and the codes."""
+    values = _rng(4).normal(size=(5, 7)).astype(np.float32)       # n = 35
+    blocked = QuantConfig(bits=4, block=8)
+    cases = []
+
+    def case(name, config, edit, source=values):
+        record = encode_record(source, config, _rng(5))[0].copy()
+        cases.append(pytest.param(edit(record), id=name))
+
+    def put(offset, fmt, *fields):
+        def edit(record):
+            struct.pack_into(fmt, record.data, offset, *fields)
+            return record
+        return edit
+
+    case("bits-unknown", INT8, put(0, "<B", 7))
+    case("bits-int8-claims-int4", INT8, put(0, "<B", 4))
+    case("bits-int4-claims-int8", INT4, put(0, "<B", 8))
+    case("bits-int8-claims-fp16", INT8, put(0, "<B", 16))
+    case("dtype-code-out-of-range", INT8, put(1, "<B", 200))
+    case("dtype-code-int32", INT8, put(1, "<B", 2))
+    case("dtype-code-bool", INT4, put(1, "<B", 5))
+    case("ndim-larger-than-record", INT8, put(2, "<B", 255))
+    case("ndim-one-short", INT8, put(2, "<B", 1))
+    case("flags-set", INT8, put(3, "<B", 1))
+    case("block-smaller", blocked, put(4, "<I", 4))
+    case("block-larger", blocked, put(4, "<I", 16))
+    case("block-zero", blocked, put(4, "<I", 0))
+    case("block-on-per-tensor-record", INT8, put(4, "<I", 8))
+    case("shape-grown", INT8, put(8, "<I", 6))
+    case("shape-shrunk", INT4, put(12, "<I", 6))
+    case("shape-zero-dim", INT8, put(8, "<I", 0))
+    case("shape-overflows-u64", INT8, put(8, "<II", 2 ** 32 - 1, 2 ** 32 - 1))
+    case("scale-missing", blocked, lambda r: np.delete(r, slice(16, 20)))
+    case("scale-extra", blocked, lambda r: np.insert(r, 16, [0, 0, 128, 63]))
+    case("codes-truncated", INT4, lambda r: r[:-1])
+    case("codes-extra", INT8, lambda r: np.append(r, np.uint8(128)))
+    case("cut-inside-header", INT8, lambda r: r[:5])
+    case("cut-inside-shape", INT8, lambda r: r[:13])
+    case("cut-inside-scales", blocked, lambda r: r[:18])
+    case("fp16-odd-length", QuantConfig(bits=16), lambda r: r[:-1])
+    case("nibble-tail-set", INT4, lambda r: np.append(r[:-1], r[-1] | 0x90))
+    case("not-uint8", INT8, lambda r: r.astype(np.float32))
+    case("not-1d", INT8, lambda r: r.reshape(1, -1))
+    return cases
+
+
+class TestHostileRecords:
+    """The record header is sender-supplied: every lie ends in a
+    ``PayloadError`` that names the wire entry — never an exception of
+    another type, an allocation sized by the lie, or a tensor decoded from
+    the wrong bytes."""
+
+    @pytest.mark.parametrize("record", _hostile_records())
+    def test_lie_is_a_payload_error_naming_the_entry(self, record):
+        name = "enc.conv1.weight" + QUANT_SUFFIX
+        with pytest.raises(PayloadError) as err:
+            dequantize_payload({"ok": np.ones(2, np.float32), name: record})
+        assert err.value.entry == name and repr(name) in str(err.value)
+        with pytest.raises(PayloadError):
+            decode_record(record)
+
+    def test_claimed_block_never_sizes_an_allocation(self):
+        # A 35-value record claiming a 4-Gi block is *valid* (one short
+        # block) and must decode through 35-element arrays, not a 16 GiB
+        # zero-padded one.
+        values = _rng(4).normal(size=35).astype(np.float32)
+        for config in (INT8, INT4):
+            record, deq = encode_record(values, config, _rng(5))
+            record = record.copy()
+            struct.pack_into("<I", record.data, 4, 2 ** 32 - 1)
+            np.testing.assert_array_equal(decode_record(record), deq)
+
+    def test_random_prefixes_and_byte_flips_never_crash(self):
+        # Fuzz: any prefix or single-byte mutation either decodes to the
+        # record's claimed shape and dtype or raises PayloadError.
+        rng = _rng(6)
+        values = rng.normal(size=(3, 11)).astype(np.float32)
+        for config in (INT8, INT4, QuantConfig(bits=4, block=8),
+                       QuantConfig(bits=16)):
+            record = encode_record(values, config, _rng(7))[0]
+            mutants = [record[:k] for k in range(record.size)]
+            for _ in range(300):
+                flipped = record.copy()
+                flipped[rng.integers(record.size)] = rng.integers(256)
+                mutants.append(flipped)
+            for mutant in mutants:
+                try:
+                    out = decode_record(mutant)
+                except PayloadError:
+                    continue
+                assert out.dtype.kind == "f" and out.size == values.size
 
 
 # --------------------------------------------------------------------- #

@@ -150,10 +150,12 @@ def test_conv_slot_shared_across_input_shapes(padded, shapes, grows):
                              reference=True)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (padded, n, hw)
-    # The layer owns what its backward reads or donates, nothing else.
-    assert set(workspace.resident_bytes([ws])) == {"conv2d.cols", "conv2d.dx"}
+    # The layer owns what it donates to its parent, nothing else: the patch
+    # matrix is every conv's transient scratch, like the padded input.
+    assert set(workspace.resident_bytes([ws])) == {"conv2d.dx"}
     assert ws.generation == (len(ws._bases) if grows else 0)
-    assert "conv2d.pad" in workspace.resident_bytes([workspace.transient])
+    assert {"conv2d.pad", "conv2d.cols"} <= set(
+        workspace.resident_bytes([workspace.transient]))
 
 
 def test_gather_index_is_batch_independent():
@@ -210,3 +212,131 @@ def test_shared_pad_border_across_paddings():
     # Both layers were served the very same (6, 3, 18, 18) view.
     assert workspace.resident_bytes([workspace.transient])["conv2d.pad"] \
         == 6 * 3 * 18 * 18 * 4
+
+
+def _spy_gather(monkeypatch):
+    """Record a copy of every patch matrix ``_gather_cols`` builds."""
+    from repro.nn import conv
+    built = []
+    gather = conv._gather_cols
+
+    def spy(*args):
+        cols = gather(*args)
+        built.append(cols.copy())
+        return cols
+
+    monkeypatch.setattr(conv, "_gather_cols", spy)
+    return built
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("batches,contiguous", [
+    ([1], True),            # N == 1: the zero-copy gmat layout
+    ([8, 5], True),         # a partial last batch on a slot sized by 8
+    ([6], False),           # strided input, staged through conv2d.pad
+])
+def test_conv_backward_regathers_bitwise(monkeypatch, stride, padding,
+                                         batches, contiguous):
+    """Nothing holds the patch matrix from forward to backward: another conv
+    overwrites the transient ``conv2d.cols`` (and ``conv2d.pad``) in between,
+    the backward gathers again from the conv's input, and what it rebuilds is
+    forward's matrix byte for byte — so ``dw`` / ``db`` / ``dx`` and the
+    output equal the allocating oracle's."""
+    from repro.nn.conv import conv2d
+    from repro.nn.reference import reference_conv2d
+    from repro.tensor import Tensor, workspace
+    workspace.reset()
+    built = _spy_gather(monkeypatch)
+    rng = np.random.default_rng(11)
+    weight = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    bias = rng.standard_normal(4).astype(np.float32)
+    other = (Tensor(rng.standard_normal((9, 3, 11, 11)).astype(np.float32)),
+             Tensor(rng.standard_normal((2, 3, 5, 5)).astype(np.float32)))
+    ws = workspace.WorkspaceSlot()
+    for n in batches:
+        x = (rng.standard_normal((n, 3, 7, 12)) + 3.0).astype(np.float32)
+        x = np.ascontiguousarray(x[..., ::2]) if contiguous else x[..., ::2]
+        grads = []
+        for fn, kwargs in ((conv2d, {"ws": ws}), (reference_conv2d, {})):
+            xt, wt, bt = (Tensor(a, requires_grad=True)
+                          for a in (x, weight, bias))
+            out = fn(xt, wt, bt, stride, padding, **kwargs)
+            if fn is conv2d:
+                conv2d(*other, None, stride=1, padding=2)   # clobbers scratch
+            (out * out).sum().backward()
+            grads.append((out.data, xt.grad, wt.grad, bt.grad))
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want), (stride, padding, n)
+        forward, _, backward = built
+        assert forward.tobytes() == backward.tobytes()
+        del built[:]
+
+
+def test_frozen_weight_conv_backward_never_gathers(monkeypatch):
+    """Only ``dw`` reads the patch matrix: with the weight frozen the
+    backward produces ``dx`` / ``db`` (equal to the oracle's) from the output
+    gradient and the weight alone."""
+    from repro.nn.conv import conv2d
+    from repro.nn.reference import reference_conv2d
+    from repro.tensor import Tensor
+    built = _spy_gather(monkeypatch)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((4, 3, 6, 6)).astype(np.float32)
+    weight = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+    bias = rng.standard_normal(5).astype(np.float32)
+    grads = []
+    for fn in (conv2d, reference_conv2d):
+        xt, bt = (Tensor(a, requires_grad=True) for a in (x, bias))
+        wt = Tensor(weight)
+        out = fn(xt, wt, bt, 1, 1)
+        calls = len(built)
+        (out * out).sum().backward()
+        assert len(built) == calls and wt.grad is None
+        grads.append((xt.grad, bt.grad))
+    assert len(built) == 1          # conv2d's forward; the oracle never calls
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+@pytest.mark.parametrize("arch", ["resnet20", "vgg11"])
+def test_patch_matrix_residency_is_one_layer(arch, compiled, monkeypatch):
+    """After training steps — eager, or captured and replayed — the process
+    holds one ``conv2d.cols`` base, the size of the largest single layer's
+    patch matrix: a tag's cost is max-over-layers, whatever the depth."""
+    from repro.models import build_model
+    from repro.nn.conv import Conv2d
+    from repro.optim.sgd import SGD
+    from repro.tensor import Tensor, functional as F, workspace
+    from repro.tensor.compile import StepCompiler
+    workspace.reset()
+    matrices = []
+    forward = Conv2d.forward
+
+    def sized(self, x):
+        n, c, h, w = x.shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        matrices.append(n * ho * wo * c * k * k * x.data.itemsize)
+        return forward(self, x)
+
+    monkeypatch.setattr(Conv2d, "forward", sized)
+    rng = np.random.default_rng(0)
+    model = build_model(arch, width_mult=0.25, input_size=32, seed=2)
+    model.train()
+    opt = SGD(model.named_parameters(), lr=0.05, momentum=0.9)
+    compiler = StepCompiler() if compiled else None
+    for _ in range(3):
+        x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 10, 16)
+        if compiled:
+            assert compiler.try_step(model, x, y) is not None
+        else:
+            opt.zero_grad()
+            F.cross_entropy(model(Tensor(x)), y).backward()
+        opt.step()
+    assert sum(matrices) > 3 * max(matrices)     # many layers, one base
+    assert workspace.resident_bytes()["conv2d.cols"] == max(matrices)
+    assert "conv2d.cols" not in workspace.resident_bytes(
+        workspace.slot_for(m) for m in model.modules())
