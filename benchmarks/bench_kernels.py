@@ -14,7 +14,7 @@ verbatim pre-optimization implementations preserved in
   round (train + eval) of that model — exact byte counts of a fixed
   config, the same in smoke and full runs and on any box.  ``shared_mb``
   / ``per_layer_mb`` split the arena by lifetime (DESIGN.md §10: the
-  process-wide transient slot vs the slots layers and optimizers own).
+  process-wide transient stack vs the slots layers and optimizers own).
 
     python benchmarks/bench_kernels.py --smoke --check    # the CI gate
 
@@ -169,7 +169,7 @@ def arena_footprint(model_name: str) -> dict:
     algo.run_round(0)
     mb = 2 ** 20
     resident = sum(workspace.resident_bytes().values())
-    shared = sum(workspace.resident_bytes([workspace.transient]).values())
+    shared = workspace.transient.nbytes
     return {
         "arena_resident_mb": round(resident / mb, 3),
         "shared_mb": round(shared / mb, 3),

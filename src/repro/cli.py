@@ -290,8 +290,8 @@ def cmd_profile(args) -> None:
     from repro.tensor import workspace
     held = {**workspace.resident_bytes(), **workspace.shared_bytes()}
     top = sorted(held, key=held.get, reverse=True)
-    shared = sum(workspace.resident_bytes([workspace.transient]).values())
-    print(f"arena MB resident ({shared / 1e6:.1f} in the transient slot): "
+    print(f"arena MB resident ({workspace.transient.nbytes / 1e6:.1f} in the "
+          f"transient stack): "
           + " ".join(f"{k}={held[k] / 1e6:.1f}" for k in top))
     if own_tracer:
         if args.trace_out:

@@ -27,7 +27,11 @@ fingerprint registry, and the runner's counters — so a run interrupted
 The format is a single ``.npz`` (arrays) plus a JSON manifest entry inside
 it carrying a ``format`` number, so checkpoints need no pickling of code
 objects; a file of another layout, without a manifest, or truncated is
-rejected with one ``ValueError`` naming the file.
+rejected with one ``ValueError`` naming the file.  A file of the right
+layout is checked whole — manifest fields, server arrays against the
+algorithm, the downlink row table, every client blob — before anything
+is restored, so a damaged or lying file is one ``ValueError`` naming the
+file and the entry, and leaves the algorithm as it was.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 import zipfile
 import zlib
+from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 
@@ -46,6 +51,7 @@ from repro.fl.base import FederatedAlgorithm
 from repro.fl.comm import decode_update, encode_update
 from repro.fl.resilience import FaultStats
 from repro.fl.scale.store import decode_client_state, encode_client_state
+from repro.fl.wire import _row_count
 
 #: On-disk layout number, written into every manifest.  1 was the
 #: prefix-flattened ``global.`` / ``c_global.`` / ``client.<id>.<key>.``
@@ -99,33 +105,136 @@ def _collect_algo(algo: FederatedAlgorithm,
     }
 
 
-def _apply_algo(algo: FederatedAlgorithm, arrays: dict[str, np.ndarray],
-                manifest: dict) -> None:
-    """Restore the algorithm-owned state collected by :func:`_collect_algo`."""
-    if manifest["n_clients"] != len(algo.clients):
-        raise ValueError(
-            f"checkpoint has {manifest['n_clients']} clients, "
-            f"algorithm has {len(algo.clients)}")
-    algo.load_worker_sync_state(
-        {key: arrays[f"server.{key}"] for key in manifest["server_keys"]})
+def _bad(path, entry: str, message: str) -> ValueError:
+    """The one rejection: a ``ValueError`` naming the file and the entry."""
+    return ValueError(f"{path}: {entry}: {message}")
+
+
+def _field(path, manifest: dict, key: str, kind: type):
+    """``manifest[key]``, which must be a ``kind`` (a bool is no int)."""
+    if key not in manifest:
+        raise _bad(path, key, "missing")
+    value = manifest[key]
+    if not isinstance(value, kind) or (kind is not bool
+                                       and isinstance(value, bool)):
+        raise _bad(path, key, f"expected {kind.__name__}, got "
+                   f"{type(value).__name__}")
+    return value
+
+
+def _check_versions(path, algo: FederatedAlgorithm,
+                    server: dict[str, np.ndarray]) -> None:
+    """The downlink row table: ``dl.version`` a 0-d non-negative integer,
+    ``dl.rows`` one integer per row of the downlink state, each a version
+    in ``[0, dl.version]``."""
+    present = [k for k in ("dl.version", "dl.rows") if k in server]
+    if not present:
+        return
+    if len(present) == 1:
+        raise _bad(path, f"server.{present[0]}",
+                   "dl.version and dl.rows travel together")
+    version, rows = server["dl.version"], server["dl.rows"]
+    if version.ndim or version.dtype.kind not in "iu" or version < 0:
+        raise _bad(path, "server.dl.version", "expected a 0-d non-negative "
+                   f"integer, got {version.dtype}{list(version.shape)}")
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise _bad(path, "server.dl.rows", "expected a 1-d integer array, "
+                   f"got {rows.dtype}{list(rows.shape)}")
+    n_rows = sum(_row_count(np.asarray(v))
+                 for v in algo.downlink_state().values())
+    if rows.size != n_rows:
+        raise _bad(path, "server.dl.rows", f"{rows.size} rows, the "
+                   f"downlink state has {n_rows}")
+    if rows.size and (rows.min() < 0 or rows.max() > version):
+        raise _bad(path, "server.dl.rows", f"row versions span "
+                   f"[{rows.min()}, {rows.max()}], outside [0, {version}]")
+
+
+def _check_algo(path, algo: FederatedAlgorithm,
+                arrays: dict[str, np.ndarray], manifest: dict) -> dict:
+    """Everything :func:`_apply_algo` installs, parsed and checked against
+    ``algo`` before anything is mutated: manifest fields and their types,
+    every server entry (the model's against the model's names, shapes and
+    dtypes), the downlink row table, the fault counters, the ledger and
+    every client blob, decoded.  A failure is :func:`_bad`."""
+    n_clients = _field(path, manifest, "n_clients", int)
+    if n_clients != len(algo.clients):
+        raise _bad(path, "n_clients", f"checkpoint has {n_clients} clients, "
+                   f"algorithm has {len(algo.clients)}")
+    rounds = _field(path, manifest, "rounds_completed", int)
+    if rounds < 0:
+        raise _bad(path, "rounds_completed", f"{rounds} < 0")
+    keys = _field(path, manifest, "server_keys", list)
+    if not all(isinstance(k, str) for k in keys) or len(set(keys)) < len(keys):
+        raise _bad(path, "server_keys", "expected distinct entry names")
+    server = {}
+    for key in keys:
+        value = arrays.get(f"server.{key}")
+        if value is None or value.dtype.kind not in "biuf":
+            raise _bad(path, f"server.{key}", "missing" if value is None
+                       else f"unsupported dtype {value.dtype}")
+        server[key] = value
+    model = algo.global_model.state_dict()
+    names = {k[len("model."):] for k in keys if k.startswith("model.")}
+    if names != set(model):
+        raise _bad(path, "server_keys", "model entries differ from the "
+                   f"algorithm's: missing {sorted(set(model) - names)}, "
+                   f"unexpected {sorted(names - set(model))}")
+    for name, want in model.items():
+        got, want = server[f"model.{name}"], np.asarray(want)
+        if (got.shape, got.dtype) != (want.shape, want.dtype):
+            raise _bad(path, f"server.model.{name}",
+                       f"{got.dtype}{list(got.shape)}, the model holds "
+                       f"{want.dtype}{list(want.shape)}")
+    _check_versions(path, algo, server)
+    counters = _field(path, manifest, "fault_stats", dict)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in counters.values()):
+        raise _bad(path, "fault_stats", "expected numeric counters")
+    ledger = _field(path, manifest, "ledger", dict)
+    try:
+        ledger = {d: {int(r): {int(c): int(n) for c, n in per.items()}
+                      for r, per in ledger[d].items()}
+                  for d in ("uplink", "downlink")}
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise _bad(path, "ledger", f"expected {{round: {{client: bytes}}}} "
+                   f"per direction ({type(err).__name__}: {err})") from None
+    clients = None
+    if _field(path, manifest, "includes_clients", bool):
+        clients = []
+        for client in algo.clients:
+            entry = f"client.{client.client_id}"
+            blob = arrays.get(entry)
+            if blob is None or blob.dtype != np.uint8 or blob.ndim != 1:
+                raise _bad(path, entry, "missing, or not a 1-d uint8 blob")
+            try:
+                clients.append(decode_client_state(blob.tobytes()))
+            except (KeyError, TypeError, ValueError) as err:
+                raise _bad(path, entry, f"client state does not decode "
+                           f"({err})") from None
+    return {"server": server, "rounds": rounds,
+            "fault_stats": FaultStats.from_dict(counters), "ledger": ledger,
+            "clients": clients}
+
+
+def _apply_algo(algo: FederatedAlgorithm, state: dict) -> None:
+    """Install what :func:`_check_algo` parsed; nothing here can fail."""
+    algo.load_worker_sync_state(state["server"])
     algo.transport.new_round()   # the global state moved
     # The loaded version table describes exactly this state: adopt it now,
     # so a commit that runs before the next download (an async upload, a
     # scale round resumed with nobody left to fold) is compared with it
     # and stamped like any other.
     algo.transport.versions.observe(algo.downlink_state())
-    if manifest["includes_clients"]:
-        for client in algo.clients:
-            client.local_state = decode_client_state(
-                arrays[f"client.{client.client_id}"].tobytes())
-    algo.rounds_completed = manifest["rounds_completed"]
-    algo.fault_stats = FaultStats.from_dict(manifest["fault_stats"])
-    algo.ledger.uplink.clear()
-    algo.ledger.downlink.clear()
+    if state["clients"] is not None:
+        for client, local_state in zip(algo.clients, state["clients"]):
+            client.local_state = local_state
+    algo.rounds_completed = state["rounds"]
+    algo.fault_stats = state["fault_stats"]
     for direction in ("uplink", "downlink"):
         store = getattr(algo.ledger, direction)
-        for r, per_client in manifest["ledger"][direction].items():
-            store[int(r)] = {int(c): int(n) for c, n in per_client.items()}
+        store.clear()
+        store.update(state["ledger"][direction])
 
 
 def _write(path: str | Path, arrays: dict[str, np.ndarray],
@@ -154,7 +263,14 @@ def _read(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if raw is None:
         raise ValueError(f"{path}: no __manifest__ entry; expected a "
                          f"format-{FORMAT} checkpoint")
-    manifest = json.loads(bytes(raw).decode())
+    try:
+        manifest = json.loads(bytes(raw).decode())
+    except ValueError as err:       # UnicodeDecodeError, JSONDecodeError
+        raise _bad(path, "__manifest__", f"not UTF-8 JSON "
+                   f"({type(err).__name__}: {err})") from None
+    if not isinstance(manifest, dict):
+        raise _bad(path, "__manifest__", "expected a JSON object, got "
+                   f"{type(manifest).__name__}")
     found = manifest.get("format", 1)
     if found != FORMAT:
         raise ValueError(f"{path}: checkpoint format {found}, "
@@ -174,10 +290,13 @@ def save_checkpoint(algo: FederatedAlgorithm, path: str | Path) -> None:
 def load_checkpoint(algo: FederatedAlgorithm, path: str | Path) -> None:
     """Restore state saved by :func:`save_checkpoint` into ``algo``.
 
-    ``algo`` must be constructed with the same model/clients topology;
-    mismatches raise ``KeyError``/``ValueError``.
+    ``algo`` must be constructed with the same model/clients topology.
+    The whole file is checked first: a mismatch or a damaged entry is a
+    ``ValueError`` naming the file and the entry, and leaves ``algo``
+    untouched.
     """
-    _apply_algo(algo, *_read(path))
+    arrays, manifest = _read(path)
+    _apply_algo(algo, _check_algo(path, algo, arrays, manifest))
 
 
 # ------------------------------------------------------------ async format
@@ -242,58 +361,70 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
 
     ``runner`` must be freshly constructed with the *same* profile and
     config the snapshot was taken under (both are validated — a resumed
-    run with different knobs would silently diverge otherwise).
+    run with different knobs would silently diverge otherwise).  As with
+    :func:`load_checkpoint`, the whole file is parsed before the runner or
+    its algorithm is touched.
     """
     arrays, manifest = _read(path)
-    if "async" not in manifest:
-        raise ValueError("not an async checkpoint (use load_checkpoint)")
-    state = manifest["async"]
+    state = manifest.get("async")
+    if not isinstance(state, dict):
+        raise _bad(path, "async", "not an async checkpoint (use "
+                   "load_checkpoint)")
     for name, current in (("profile", asdict(runner.profile)),
                           ("config", asdict(runner.config))):
-        if state[name] != json.loads(json.dumps(current)):
-            raise ValueError(
-                f"checkpoint {name} does not match the runner's: "
-                f"{state[name]} != {current}")
-    _apply_algo(runner.algo, arrays, manifest)
-    runner.clock = VirtualClock.restore(state["clock"])
-    runner.server_step = int(state["server_step"])
-    runner._commit_epoch = int(state["commit_epoch"])
-    runner._next_job = int(state["next_job"])
-    runner._started = bool(state["started"])
-    runner.stalled = bool(state["stalled"])
-    runner._client_jobs = {int(c): int(n)
-                           for c, n in state["client_jobs"].items()}
-    runner.inflight = set(state["inflight"])
-    runner.queue = list(state["queue"])
-    runner.buffer = list(state["buffer"])
-    from collections import OrderedDict
-    runner._fp_registry = OrderedDict(
-        ((int(cid), int(fp)), int(jid))
-        for cid, fp, jid in state["fp_registry"])
-    runner.dedup_evictions = int(state.get("dedup_evictions", 0))
-    runner.counters = {k: int(v) for k, v in state["counters"].items()}
-    runner.jobs = {}
-    for jid_str, meta in state["jobs"].items():
-        jid = int(jid_str)
-        update = None
-        if meta["has_update"]:
-            blob = arrays[f"job.{jid}.update"].tobytes()
-            update = decode_update(blob)
-            if runner._store is not None:
-                # Store mode: park the update back on disk; the job
-                # record itself stays payload-free.
-                runner._store.put(f"job/{jid}", blob)
-                update = None
-        runner.jobs[jid] = _Job(
-            job_id=jid, client_id=int(meta["client_id"]),
-            dispatch_step=int(meta["dispatch_step"]),
-            dispatch_time=float(meta["dispatch_time"]),
-            duration=float(meta["duration"]),
-            crashed=bool(meta["crashed"]), update=update,
-            train_loss=float(meta["train_loss"]),
-            fingerprint=meta["fingerprint"],
-            accepted=bool(meta["accepted"]))
-    runner.stats = FaultStats.restore({"counters": state["stats"],
-                                       "drops": state["stats_drops"],
-                                       "delivered": state["stats_delivered"]})
-    runner.step_results = [StepResult(**r) for r in state["step_results"]]
+        if state.get(name) != json.loads(json.dumps(current)):
+            raise _bad(path, f"async.{name}", "does not match the runner's: "
+                       f"{state.get(name)} != {current}")
+    algo_state = _check_algo(path, runner.algo, arrays, manifest)
+    try:
+        jobs, blobs = {}, {}
+        for jid_str, meta in state["jobs"].items():
+            jid = int(jid_str)
+            update = None
+            if meta["has_update"]:
+                entry = f"job.{jid}.update"
+                if entry not in arrays:
+                    raise KeyError(entry)
+                blobs[jid] = arrays[entry].tobytes()
+                update = decode_update(blobs[jid])
+            jobs[jid] = _Job(
+                job_id=jid, client_id=int(meta["client_id"]),
+                dispatch_step=int(meta["dispatch_step"]),
+                dispatch_time=float(meta["dispatch_time"]),
+                duration=float(meta["duration"]),
+                crashed=bool(meta["crashed"]), update=update,
+                train_loss=float(meta["train_loss"]),
+                fingerprint=meta["fingerprint"],
+                accepted=bool(meta["accepted"]))
+        restored = dict(
+            clock=VirtualClock.restore(state["clock"]),
+            server_step=int(state["server_step"]),
+            _commit_epoch=int(state["commit_epoch"]),
+            _next_job=int(state["next_job"]),
+            _started=bool(state["started"]),
+            stalled=bool(state["stalled"]),
+            _client_jobs={int(c): int(n)
+                          for c, n in state["client_jobs"].items()},
+            inflight=set(state["inflight"]),
+            queue=list(state["queue"]),
+            buffer=list(state["buffer"]),
+            _fp_registry=OrderedDict(((int(cid), int(fp)), int(jid))
+                                     for cid, fp, jid in state["fp_registry"]),
+            dedup_evictions=int(state.get("dedup_evictions", 0)),
+            counters={k: int(v) for k, v in state["counters"].items()},
+            jobs=jobs,
+            stats=FaultStats.restore({"counters": state["stats"],
+                                      "drops": state["stats_drops"],
+                                      "delivered": state["stats_delivered"]}),
+            step_results=[StepResult(**r) for r in state["step_results"]])
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise _bad(path, "async", f"{type(err).__name__}: {err}") from None
+    _apply_algo(runner.algo, algo_state)
+    for name, value in restored.items():
+        setattr(runner, name, value)
+    if runner._store is not None:
+        # Store mode: park the updates back on disk; the job records
+        # themselves stay payload-free.
+        for jid, blob in blobs.items():
+            runner._store.put(f"job/{jid}", blob)
+            jobs[jid].update = None

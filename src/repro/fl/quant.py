@@ -23,7 +23,10 @@ PAPERS.md) as a wire codec that layers under every algorithm's uplink:
 - **error feedback** — per-client residuals (the same pattern as
   :class:`repro.fl.topk.FedTopK`): what rounding dropped this round is
   added back before quantizing the next, which keeps aggressive bit
-  widths convergent;
+  widths convergent.  A ``name.val`` entry whose rows a sibling
+  ``name.idx`` names (SPATL's salient filters, top-k's coordinates)
+  keeps its residual by row id, so an error goes back into the row it
+  came from however the selection moves;
 - **dequantize-then-fold** — :meth:`repro.fl.base.FederatedAlgorithm`
   feeds aggregation the *decoded* values (exactly what the wire
   carried), so the ledger's quantized byte counts and the model the
@@ -358,8 +361,14 @@ def quantize_payload(payload: dict[str, np.ndarray], config: QuantConfig,
     the original entry names, dtypes, and shapes.  With ``residuals``
     (a per-client dict the caller persists), error feedback adds each
     entry's carried-over rounding error before quantizing and stores the
-    new error after; a residual whose shape no longer matches (e.g. a
-    salient selection that changed size) is reset rather than misapplied.
+    new error after.  A dense entry's residual is positional, and one
+    whose shape no longer matches is reset rather than misapplied.  A
+    ``name.val`` entry beside a ``name.idx`` carries the rows (SPATL's
+    filters, top-k's coordinates) that index names, and the selection
+    changes between participations, so its residual is held by row id:
+    ``residuals[name.idx]`` lists the rows ``residuals[name.val]`` holds,
+    a sent row takes its own row's residual, and rows not sent this time
+    keep theirs for when they are.
     """
     if "\x00" in "".join(payload):
         bad = next(k for k in payload if "\x00" in k)
@@ -373,17 +382,71 @@ def quantize_payload(payload: dict[str, np.ndarray], config: QuantConfig,
             wire_dict[name] = arr
             decoded[name] = arr
             continue
+        rows = None
+        if name.endswith(".val") and name[:-4] + ".idx" in payload:
+            rows = np.array(payload[name[:-4] + ".idx"], dtype=np.int64)
         x = arr
         if residuals is not None:
-            prior = residuals.get(name)
-            if prior is not None and prior.shape == arr.shape:
-                x = arr + prior.astype(arr.dtype, copy=False)
+            x = _with_residual(arr, name, rows, residuals)
         record, deq = encode_record(x, config, rng)
         if residuals is not None:
-            residuals[name] = (x - deq).astype(arr.dtype, copy=False)
+            _keep_residual((x - deq).astype(arr.dtype, copy=False), name,
+                           rows, residuals)
         wire_dict[name + QUANT_SUFFIX] = record
         decoded[name] = deq
     return wire_dict, decoded
+
+
+def _held_rows(name: str, arr: np.ndarray, residuals: dict):
+    """``(row ids, residual rows)`` held for a row-keyed ``name.val``, or
+    ``None`` when nothing usable is held (rows of another shape or dtype)."""
+    ids, held = residuals.get(name[:-4] + ".idx"), residuals.get(name)
+    if ids is None or held is None or not len(ids) or len(ids) != len(held) \
+            or held.shape[1:] != arr.shape[1:] or held.dtype != arr.dtype:
+        return None
+    return ids, held
+
+
+def _with_residual(arr: np.ndarray, name: str, rows, residuals: dict):
+    """``arr`` plus its carried-over rounding error (see
+    :func:`quantize_payload`)."""
+    if rows is None:
+        prior = residuals.get(name)
+        if prior is not None and prior.shape == arr.shape:
+            return arr + prior.astype(arr.dtype, copy=False)
+        return arr
+    held = _held_rows(name, arr, residuals)
+    if held is None:
+        return arr
+    ids, prior = held
+    if np.array_equal(ids, rows):           # the same rows as last time
+        return arr + prior
+    pos = np.minimum(np.searchsorted(ids, rows), len(ids) - 1)
+    hit = ids[pos] == rows
+    x = arr.copy()
+    x[hit] += prior[pos[hit]]
+    return x
+
+
+def _keep_residual(err: np.ndarray, name: str, rows, residuals: dict):
+    """Store this round's rounding error ``err`` (see
+    :func:`quantize_payload`): row-keyed entries merge it over the rows
+    held, sorted by row id."""
+    if rows is None:
+        residuals[name] = err
+        return
+    held = _held_rows(name, err, residuals)
+    if held is not None:
+        ids, prior = held
+        kept = ~np.isin(ids, rows)
+        if kept.any():
+            rows = np.concatenate([ids[kept], rows])
+            err = np.concatenate([prior[kept], err])
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        rows, err = rows[order], err[order]
+    residuals[name[:-4] + ".idx"] = rows
+    residuals[name] = err
 
 
 def dequantize_payload(wire_dict: dict[str, np.ndarray]

@@ -178,34 +178,56 @@ class ScaleRunner:
         The runner must wrap an identically-constructed algorithm; with
         a pool, the pool must sit on the same store root the checkpoint
         was taken from (shard logs are truncated back to the manifest).
+        The manifest and every array are checked before the algorithm is
+        touched (a ``ValueError`` naming the file and the entry).
         """
-        from repro.fl.checkpoint import _apply_algo, _read
+        from repro.fl.checkpoint import _apply_algo, _bad, _check_algo, _read
         if self._pending is not None:
             raise RuntimeError("a partial round is already pending")
         arrays, manifest = _read(path)
-        if "scale" not in manifest:
-            raise ValueError("not a scale checkpoint")
-        state = manifest["scale"]
-        _apply_algo(self.algo, arrays, manifest)
-        if self.pool is not None:
-            if state["store"] is None:
-                raise ValueError("checkpoint carries no store manifest "
-                                 "but the runner has a pool")
-            self.pool.store = ClientStateStore.attach(
-                self.pool.store.root, state["store"])
+        state = manifest.get("scale")
+        if not isinstance(state, dict):
+            raise _bad(path, "scale", "not a scale checkpoint")
+        algo_state = _check_algo(path, self.algo, arrays, manifest)
+        fold_arrays = {k[len("fold."):]: v for k, v in arrays.items()
+                       if k.startswith("fold.")}
+        try:
+            round_idx = int(state["round_idx"])
+            spill_at = (str(state["spill"]["path"]),
+                        int(state["spill"]["n_records"]),
+                        int(state["spill"]["nbytes"]))
+            weighted = bool(state["fold"]["weighted"])
+            losses = [float(v) for v in state["losses"]]
+            remaining = [self._client_by_id(int(c))
+                         for c in state["remaining"]]
+            stats = (FaultStats.restore(state["stats"]) if "stats" in state
+                     else None)   # absent before the round's stats were saved
+            # a throwaway fold proves the arrays restore before the real one
+            self.algo.make_fold(None, weighted=weighted).restore(
+                fold_arrays, state["fold"])
+            store = None
+            if self.pool is not None:
+                if state["store"] is None:
+                    raise ValueError("checkpoint carries no store manifest "
+                                     "but the runner has a pool")
+                store = ClientStateStore.attach(self.pool.store.root,
+                                                state["store"])
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise _bad(path, "scale", f"{type(err).__name__}: {err}") from None
+        # A torn spill is a PayloadError, and it too comes before the
+        # algorithm is touched.
+        spill = UpdateSpill.attach(*spill_at)
+        _apply_algo(self.algo, algo_state)
+        if store is not None:
+            self.pool.store = store
             self.pool._resident.clear()
-        round_ = Round(self.algo, int(state["round_idx"]), wave=self.wave,
-                       evict=self._evict, spill_path=state["spill"]["path"])
-        round_.spill = UpdateSpill.attach(round_.spill_path,
-                                          state["spill"]["n_records"],
-                                          state["spill"]["nbytes"])
-        round_.fold = self.algo.make_fold(
-            round_.spill, weighted=bool(state["fold"]["weighted"]))
-        round_.fold.restore({k[len("fold."):]: v for k, v in arrays.items()
-                             if k.startswith("fold.")}, state["fold"])
-        round_.losses = [float(v) for v in state["losses"]]
-        round_.remaining = [self._client_by_id(int(c))
-                            for c in state["remaining"]]
-        if "stats" in state:   # absent before the round's stats were saved
-            round_.stats = FaultStats.restore(state["stats"])
+        round_ = Round(self.algo, round_idx, wave=self.wave,
+                       evict=self._evict, spill_path=spill.path)
+        round_.spill = spill
+        round_.fold = self.algo.make_fold(round_.spill, weighted=weighted)
+        round_.fold.restore(fold_arrays, state["fold"])
+        round_.losses = losses
+        round_.remaining = remaining
+        if stats is not None:
+            round_.stats = stats
         self._pending = round_

@@ -27,6 +27,19 @@ def topk_mask(delta: np.ndarray, fraction: float) -> np.ndarray:
     return np.sort(np.argpartition(flat, -k)[-k:]).astype(np.int64)
 
 
+def topk_feedback(update: np.ndarray, residual, fraction: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k sparsification with error feedback: ``(idx, vals, residual')``
+    of ``update + residual``, where ``residual'`` is what was not sent —
+    so ``residual' + scatter(idx, vals) == update + residual``."""
+    delta = update + residual
+    idx = topk_mask(delta, fraction)
+    vals = delta.ravel()[idx].copy()
+    kept = np.zeros_like(delta).ravel()
+    kept[idx] = vals
+    return idx, vals, delta - kept.reshape(delta.shape)
+
+
 class FedTopK(FederatedAlgorithm):
     """FedAvg with top-k sparsified delta uploads.
 
@@ -60,13 +73,8 @@ class FedTopK(FederatedAlgorithm):
         residual = client.local_state.setdefault("residual", {})
         sparse: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for n, p in self._work.named_parameters():
-            delta = (p.data - before[n]) + residual.get(n, 0.0)
-            idx = topk_mask(delta, self.fraction)
-            vals = delta.ravel()[idx].copy()
-            # error feedback: remember what we did not send
-            kept = np.zeros_like(delta).ravel()
-            kept[idx] = vals
-            residual[n] = delta - kept.reshape(delta.shape)
+            idx, vals, residual[n] = topk_feedback(
+                p.data - before[n], residual.get(n, 0.0), self.fraction)
             sparse[n] = (idx.astype(np.int32), vals.astype(np.float32))
         buffers = {n: b.copy() for n, b in self._work.named_buffers()}
         return {"sparse": sparse, "buffers": buffers, "n": client.num_train,

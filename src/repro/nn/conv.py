@@ -3,7 +3,8 @@
 The forward pass lowers the convolution to a single large matmul over an
 im2col patch matrix (one BLAS GEMM instead of nested Python loops); the
 backward pass scatters column gradients back with a small ``kh*kw`` loop
-of strided adds.
+of strided adds into a channel-last staging array, then one transposing
+copy.
 
 One kernel per direction (DESIGN.md §10.3): :func:`_forward_data` and
 :func:`_backward_data` are the only places the arithmetic is written.
@@ -12,15 +13,16 @@ step compiler's replay (:mod:`repro.tensor.compile.kernels`) calls the
 same two functions with planned output buffers.  Temporaries are arena
 buffers, kept by lifetime (DESIGN.md §10.1): what is dead when the kernel
 returns — padded input, patch matrix, GEMM outputs, transposed output
-gradient — comes from ``workspace.transient`` where it is used; only the
-input gradient donated to the parent lives in the caller's slot (a
-:class:`Conv2d` passes its own; a bare functional call gets a private
-one).  The patch matrix is a pure function of the conv's input, which the
-graph keeps alive anyway, so nothing holds it from forward to backward:
-:func:`_gather_cols` builds it for the forward GEMM and again for the
-weight gradient.  Every op keeps the operand and accumulation order of
-the allocating :mod:`repro.nn.reference`, so results are byte-identical to
-it (asserted by the golden-state tests).
+gradient, col2im staging — comes off the ``workspace.transient`` stack,
+which each kernel resets on entry; only the input gradient donated to the
+parent lives in the caller's slot (a :class:`Conv2d` passes its own; a
+bare functional call gets a private one).  The patch matrix is a pure
+function of the conv's input, which the graph keeps alive anyway, so
+nothing holds it from forward to backward: :func:`_gather_cols` builds it
+for the forward GEMM and again for the weight gradient.  Every op keeps
+the operand and accumulation order of the allocating
+:mod:`repro.nn.reference`, so results are byte-identical to it (asserted
+by the golden-state tests).
 """
 
 from __future__ import annotations
@@ -61,16 +63,28 @@ def _gather_indices(shape: tuple[int, int, int, int], kh: int, kw: int,
     return idx
 
 
-def _col2im_into(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int,
+def _col2im_into(dcols: np.ndarray, dxp: np.ndarray, kh: int, kw: int,
                  stride: int, n: int, ho: int, wo: int) -> None:
-    """Scatter-add (N*Ho*Wo, C*kh*kw) gradients into a zeroed ``dx``."""
-    c = dx.shape[1]
-    d6 = dcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    """Scatter-add (N*Ho*Wo, C*kh*kw) patch gradients into ``dxp``, the
+    padded (N, C, Hp, Wp) input gradient, overwriting it.
+
+    The taps accumulate into a zeroed channel-last (N, Hp, Wp, C) staging
+    array — the same adds onto zeros in the same (i, j) order as adding
+    into ``dxp`` directly, so every element's sum is unchanged, but each add
+    walks the patch gradients at a kh*kw-element stride instead of a
+    C*kh*kw one — and one transposing copy lands the result in ``dxp``.
+    """
+    _, c, hp, wp = dxp.shape
+    stage = workspace.transient.buffer("conv2d.col2im", (n, hp, wp, c),
+                                       dxp.dtype)
+    stage.fill(0)
+    d6 = dcols.reshape(n, ho, wo, c, kh, kw)
     for i in range(kh):
         hi = i + stride * ho
         for j in range(kw):
             wj = j + stride * wo
-            dx[:, :, i:hi:stride, j:wj:stride] += d6[:, :, :, :, i, j]
+            stage[:, i:hi:stride, j:wj:stride] += d6[..., i, j]
+    np.copyto(dxp, stage.transpose(0, 3, 1, 2))
 
 
 def _gather_cols(xdata: np.ndarray, kh: int, kw: int, stride: int,
@@ -78,21 +92,25 @@ def _gather_cols(xdata: np.ndarray, kh: int, kw: int, stride: int,
     """The (N*Ho*Wo, C*kh*kw) im2col patch matrix of ``xdata``.
 
     A pure function of the conv's input, so it is scratch, not an
-    activation: every conv in the process gathers into the one transient
-    ``conv2d.cols`` base, and the matrix is dead when the kernel that asked
-    for it returns.  The forward and the backward of a layer each call this
-    on the same input and get the same bytes.
+    activation: it comes off the transient stack, and is dead when the
+    kernel that asked for it returns.  The forward and the backward of a
+    layer each call this on the same input and get the same bytes.
     """
     if padding or not xdata.flags.c_contiguous:
         # The gather indexes C-contiguous samples: an un-padded strided input
-        # is staged through the same buffer (padding 0).  Every conv in the
-        # process shares it, so the border is re-zeroed whenever the served
-        # (shape, padding) changes; only the interior is rewritten.
+        # is staged through the same buffer (padding 0).  The stack promises
+        # nothing about what the region held, so the frame strips are zeroed
+        # on every request and the interior is overwritten.
         nb, c, h, w = xdata.shape
-        pshape = (nb, c, h + 2 * padding, w + 2 * padding)
-        xp = workspace.transient.buffer("conv2d.pad", pshape, xdata.dtype,
-                                        zero="alloc", frame=padding)
-        np.copyto(xp[:, :, padding:padding + h, padding:padding + w], xdata)
+        p = padding
+        xp = workspace.transient.buffer(
+            "conv2d.pad", (nb, c, h + 2 * p, w + 2 * p), xdata.dtype)
+        if p:
+            xp[:, :, :p] = 0
+            xp[:, :, -p:] = 0
+            xp[:, :, p:-p, :p] = 0
+            xp[:, :, p:-p, -p:] = 0
+        np.copyto(xp[:, :, p:p + h, p:p + w], xdata)
     else:
         xp = xdata
 
@@ -122,6 +140,7 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray,
     n, _, h, w = xdata.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
+    workspace.transient.reset()
     cols = _gather_cols(xdata, kh, kw, stride, padding)
     out = workspace.transient.buffer("conv2d.out", (n * ho * wo, out_c),
                                      cols.dtype)
@@ -158,11 +177,15 @@ def _backward_data(g: np.ndarray, xdata: np.ndarray, wdata: np.ndarray,
     ``db`` (C_out,), ``dw`` (weight-shaped, C-contiguous) and ``dxp`` (the
     padded input's shape, :func:`_dx_scratch`) are overwritten; ``None``
     skips that gradient.  Only ``dw`` reads the patch matrix, so only a
-    wanted ``dw`` re-gathers it.
+    wanted ``dw`` re-gathers it, and its region of the transient stack is
+    released after the weight-gradient GEMM: ``dcols`` (the same shape) and
+    the col2im staging reuse it.
     """
     out_c, in_c, kh, kw = wdata.shape
     n, _, ho, wo = g.shape
     gshape = (n * ho * wo, out_c)
+    stack = workspace.transient
+    stack.reset()
     gt = g.transpose(0, 2, 3, 1)
     gmat = None
     # When the transposed grad is reshape-compatible (N == 1, 1x1 spatial
@@ -178,18 +201,19 @@ def _backward_data(g: np.ndarray, xdata: np.ndarray, wdata: np.ndarray,
         except ValueError:
             pass
     if gmat is None:
-        gmat = workspace.transient.buffer("conv2d.gmat", gshape, g.dtype)
+        gmat = stack.buffer("conv2d.gmat", gshape, g.dtype)
         np.copyto(gmat.reshape(n, ho, wo, out_c), gt)
     if db is not None:
         gmat.sum(axis=0, out=db)
     if dw is not None:
+        top = stack.mark()
         cols = _gather_cols(xdata, kh, kw, stride, padding)
         np.matmul(gmat.T, cols, out=dw.reshape(out_c, -1))
+        stack.release(top)
     if dxp is not None:
-        dcols = workspace.transient.buffer(
-            "conv2d.dcols", (gshape[0], in_c * kh * kw), g.dtype)
+        dcols = stack.buffer("conv2d.dcols", (gshape[0], in_c * kh * kw),
+                             g.dtype)
         np.matmul(gmat, wdata.reshape(out_c, -1), out=dcols)
-        dxp[...] = 0        # here, so the scatter-add finds it in cache
         _col2im_into(dcols, dxp, kh, kw, stride, n, ho, wo)
 
 

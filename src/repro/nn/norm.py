@@ -11,12 +11,12 @@ One kernel per direction (DESIGN.md §10.3): :func:`_forward_data` and
 eager :meth:`_BatchNorm.forward` and the step compiler's replay
 (:mod:`repro.tensor.compile.kernels`) both go through them.  Batch-sized
 intermediates are arena buffers, by lifetime (DESIGN.md §10.1): a kernel's
-work array comes from ``workspace.transient``; the normalised input the
-backward reads and the input gradient donated to the parent are the
-layer's own.  The elementwise chain runs in place (``out=``), in the
-operand and accumulation order of the allocating :mod:`repro.nn.reference`,
-so training *and* evaluation numerics are byte-identical to it (asserted
-by the golden-state tests).  Under ``no_grad`` the forward skips closure/
+work array comes off the ``workspace.transient`` stack, which each kernel
+resets on entry; the normalised input the backward reads and the input
+gradient donated to the parent are the layer's own.  The elementwise
+chain runs in place (``out=``), in the operand and accumulation order of
+the allocating :mod:`repro.nn.reference`, so training *and* evaluation
+numerics are byte-identical to it (asserted by the golden-state tests).  Under ``no_grad`` the forward skips closure/
 graph construction and the normalised input is transient too.
 """
 
@@ -32,16 +32,21 @@ from repro.tensor.tensor import Tensor, is_grad_enabled
 def _forward_data(xdata: np.ndarray, wdata: np.ndarray | None,
                   bdata: np.ndarray | None, stats: tuple | None,
                   axes: tuple[int, ...], shape: tuple[int, ...], eps: float,
-                  xhat: np.ndarray, out: np.ndarray | None = None):
+                  xhat: np.ndarray | None, out: np.ndarray | None = None):
     """The forward kernel: ``(out, inv_std, mean, var)``.
 
     ``stats`` is the frozen ``(mean, var)`` to normalise with (eval), or
     ``None`` to use the batch's own (training); either way the pair used
     is returned.
     ``xhat`` (input-shaped) is filled with the normalised input — with
-    ``inv_std``, what :func:`_backward_data` needs.  ``out`` is freshly
+    ``inv_std``, what :func:`_backward_data` needs; ``None`` when no
+    backward will read it, and it is transient scratch.  ``out`` is freshly
     allocated unless supplied.
     """
+    stack = workspace.transient
+    stack.reset()
+    if xhat is None:
+        xhat = stack.buffer("batchnorm.xhat", xdata.shape, xdata.dtype)
     if stats is None:
         # Fused mean/var: ``np.var`` internally recomputes the keepdims
         # mean, subtracts, squares, sums, and divides by the reduced
@@ -51,8 +56,7 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray | None,
         # ``mean()``/``var()`` calls.
         mu = xdata.mean(axis=axes, keepdims=True)       # shape == `shape`
         np.subtract(xdata, mu, out=xhat)                # x - mean
-        sq = workspace.transient.buffer("batchnorm.scratch", xdata.shape,
-                                        xdata.dtype)
+        sq = stack.buffer("batchnorm.scratch", xdata.shape, xdata.dtype)
         np.multiply(xhat, xhat, out=sq)
         var = sq.sum(axis=axes) / (xdata.size // mu.size)
         mean = mu.reshape(-1)
@@ -85,6 +89,7 @@ def _backward_data(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
     call; ``db`` / ``dw`` (per-feature) and ``dx`` (input-shaped) are
     overwritten, ``None`` skips that gradient.
     """
+    workspace.transient.reset()
     scratch = workspace.transient.buffer("batchnorm.scratch", g.shape, g.dtype)
     if db is not None:
         g.sum(axis=axes, out=db)
@@ -133,8 +138,8 @@ class _BatchNorm(Module):
     def _shape(self, x: Tensor) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def _normalize(self, xdata: np.ndarray, axes, shape, xhat: np.ndarray,
-                   out: np.ndarray | None = None):
+    def _normalize(self, xdata: np.ndarray, axes, shape,
+                   xhat: np.ndarray | None, out: np.ndarray | None = None):
         """One forward on arrays, ``(out, inv_std)``: the kernel, plus — in
         training mode — the batch folded into the running statistics.
         What the eager forward and a replayed step both run."""
@@ -166,9 +171,9 @@ class _BatchNorm(Module):
             x.requires_grad or (w is not None and
                                 (w.requires_grad or b.requires_grad)))
         # The backward closure captures xhat (one forward per backward,
-        # DESIGN.md §10); without one it dies with this call.
-        xhat = (ws if records else workspace.transient).buffer(
-            "batchnorm.xhat", x.data.shape, x.data.dtype)
+        # DESIGN.md §10); without one it is transient scratch of the kernel.
+        xhat = (ws.buffer("batchnorm.xhat", x.data.shape, x.data.dtype)
+                if records else None)
         out_data, inv_std = self._normalize(x.data, axes, shape, xhat)
         out_data = out_data.astype(x.dtype, copy=False)
         if not records:

@@ -15,6 +15,11 @@ gradchecks instead.
 Max pooling's arithmetic is written once, in :func:`_max_forward_data`
 and :func:`_max_backward_data`: the eager :func:`max_pool2d` allocates
 the arrays they fill, the step compiler's replay passes planned ones.
+The backward's window-corner index is one sample's ``(C, Ho, Wo)`` array,
+cached process-wide per geometry with the batch offset added at use, so
+a pool layer owns no memory whatever batch sizes it meets.  (A
+non-overlapping pool as reshape plus a two-axis max was measured and
+rejected: 2.1-2.4x slower forward, DESIGN.md §10.3.)
 """
 
 from __future__ import annotations
@@ -27,13 +32,32 @@ from repro.tensor import workspace
 from repro.tensor.tensor import Tensor, is_grad_enabled
 
 
-def _pool_flat_base(n: int, c: int, h: int, w: int, ho: int, wo: int,
+# Flat index of each window's top-left corner in *one* sample, keyed by pool
+# geometry (C, H, W, Ho, Wo, stride): sample n's is sample 0's plus n*C*H*W,
+# added at use, so every batch size shares one (C, Ho, Wo) array.  Immutable
+# and shared across layers and model copies (``workspace.reset()`` drops).
+_POOL_BASE: dict[tuple, np.ndarray] = workspace.shared_cache("maxpool.base")
+
+
+def _pool_flat_base(c: int, h: int, w: int, ho: int, wo: int,
                     s: int) -> np.ndarray:
-    """(N, C, Ho, Wo) int64 flat index of each window's top-left corner."""
-    base = (np.arange(n).reshape(n, 1, 1, 1) * c
-            + np.arange(c).reshape(1, c, 1, 1)) * h
-    base = (base + np.arange(ho).reshape(1, 1, ho, 1) * s) * w
-    return base + np.arange(wo).reshape(1, 1, 1, wo) * s
+    """(C, Ho, Wo) int64 flat index of each window's top-left corner in
+    one (C, H, W) sample — the same array for every batch size."""
+    key = (c, h, w, ho, wo, s)
+    base = _POOL_BASE.get(key)
+    if base is None:
+        base = (np.arange(c).reshape(c, 1, 1) * h
+                + np.arange(ho).reshape(1, ho, 1) * s) * w
+        base = _POOL_BASE[key] = base + np.arange(wo).reshape(1, 1, wo) * s
+    return base
+
+
+def _batch_flat_base(n: int, c: int, h: int, w: int, ho: int, wo: int,
+                     s: int) -> np.ndarray:
+    """(N, C, Ho, Wo) window corners of a batch, as a broadcast sum:
+    sample 0's (cached) base plus each sample's offset."""
+    return (_pool_flat_base(c, h, w, ho, wo, s)
+            + (np.arange(n) * (c * h * w)).reshape(n, 1, 1, 1))
 
 
 def _windows(xdata: np.ndarray, k: int, s: int) -> np.ndarray:
@@ -56,15 +80,15 @@ def _max_forward_data(windows: np.ndarray, flat: np.ndarray, arg: np.ndarray,
 
 
 def _max_backward_data(g: np.ndarray, arg: np.ndarray, k: int, s: int,
-                       ws: workspace.WorkspaceSlot, dx: np.ndarray) -> None:
+                       dx: np.ndarray) -> None:
     """The max-pool backward kernel: route ``g`` to each window's argmax
     cell of ``dx``, the zeroed, C-contiguous input-shaped gradient."""
     n, c, h, w = dx.shape
     ho, wo = arg.shape[2:]
-    ki, kj = np.divmod(arg, k)
-    base = ws.cached("maxpool.base", (n, c, h, w, ho, wo, s),
-                     lambda: _pool_flat_base(n, c, h, w, ho, wo, s))
-    flat_idx = base + ki * w + kj
+    flat_idx, kj = np.divmod(arg, k)        # argmax row and column
+    flat_idx *= w
+    flat_idx += kj
+    flat_idx += _batch_flat_base(n, c, h, w, ho, wo, s)
     if s >= k:
         # Disjoint windows: each input cell gets at most one gradient,
         # so fancy-index assignment into zeros equals the add-scatter.
@@ -77,8 +101,8 @@ def _max_backward_data(g: np.ndarray, arg: np.ndarray, k: int, s: int,
         dx[...] = acc.reshape(dx.shape)
 
 
-def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
-               ws: workspace.WorkspaceSlot | None = None) -> Tensor:
+def max_pool2d(x: Tensor, kernel_size: int,
+               stride: int | None = None) -> Tensor:
     """Max pooling with square window; stride defaults to the window size."""
     k = kernel_size
     s = stride or k
@@ -89,7 +113,6 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
         return Tensor(np.ascontiguousarray(flat.max(axis=-1)),
                       dtype=x.data.dtype)
 
-    ws = ws or workspace.WorkspaceSlot()
     flat = np.empty(windows.shape, x.data.dtype)
     arg = np.empty(windows.shape[:4], np.intp)
     out_data = np.empty(windows.shape[:4], x.data.dtype)
@@ -97,10 +120,10 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
 
     def backward(g):
         dx = np.zeros_like(x.data)
-        _max_backward_data(g, arg, k, s, ws, dx)
+        _max_backward_data(g, arg, k, s, dx)
         x._accumulate(dx, donate="fresh")
 
-    return Tensor._make(out_data, (x,), backward, (k, s, ws))
+    return Tensor._make(out_data, (x,), backward, (k, s))
 
 
 def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
@@ -155,7 +178,7 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
         else:
             # Overlapping windows: accumulate every tap via bincount
             # (float64 inside — exact for the float64 gradchecks).
-            base = _pool_flat_base(n, c, h, w, ho, wo, s)
+            base = _batch_flat_base(n, c, h, w, ho, wo, s)
             taps = (base[..., None, None] + np.arange(k).reshape(k, 1) * w
                     + np.arange(k))                    # (N, C, Ho, Wo, k, k)
             gtap = np.broadcast_to(gk[..., None, None], taps.shape)
@@ -176,8 +199,7 @@ class MaxPool2d(Module):
         self.stride = stride or kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel_size, self.stride,
-                          ws=workspace.slot_for(self))
+        return max_pool2d(x, self.kernel_size, self.stride)
 
     def __repr__(self) -> str:
         return f"MaxPool2d(k={self.kernel_size}, s={self.stride})"

@@ -419,8 +419,7 @@ def fwd_concatenate(ctx: Build, rec: Record) -> None:
 
 def fwd_max_pool2d(ctx: Build, rec: Record) -> None:
     """Emit the max-pool forward kernel, keeping the argmaxes for backward."""
-    k, s, ws = rec.args
-    ctx.claim_slot(ws)
+    k, s = rec.args
     xref = ctx.val(rec.parents[0])
     oshape, dtype = rec.out.data.shape, rec.out.data.dtype
     flat_h = ctx.pb.alloc(oshape + (k, k), dtype, "maxpool.flat")
@@ -680,7 +679,7 @@ def bwd_batchnorm(ctx: Build, rec: Record, g) -> None:
 
 def bwd_max_pool2d(ctx: Build, rec: Record, g) -> None:
     """Emit the max-pool backward kernel through the saved argmaxes."""
-    k, s, ws = rec.args
+    k, s = rec.args
     a = rec.parents[0]
     arg_h = ctx.aux[id(rec.out)]
 
@@ -689,7 +688,7 @@ def bwd_max_pool2d(ctx: Build, rec: Record, g) -> None:
 
         def run():
             out.fill(0)
-            _pooling._max_backward_data(ga, arg, k, s, ws, out)
+            _pooling._max_backward_data(ga, arg, k, s, out)
         return run
 
     ctx.contrib_compute(a, a.data.dtype, make, [g, arg_h], "maxpool.dx")

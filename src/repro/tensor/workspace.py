@@ -1,42 +1,42 @@
-"""Capacity-keyed scratch-buffer arena for the training hot path.
+"""Scratch-buffer arena for the training hot path.
 
 The kernels would otherwise re-allocate the same megabyte-scale
 temporaries every step (im2col patch matrices, padded inputs, col2im
-scatter targets, batch-norm intermediates, SGD update scratch).  A
-:class:`WorkspaceSlot` holds one flat base per ``(tag, dtype)``, sized to
-the largest request seen; every request is served the C-contiguous prefix
-of that base, so the batch shapes a layer meets (partial last batch,
-per-client eval sizes) share one allocation.
+staging, batch-norm intermediates, SGD update scratch).  Scratch is kept
+by how long it must live (DESIGN.md §10.1 has the table):
 
-Contract
---------
-Scratch is keyed by how long it must live (DESIGN.md §10.1 has the table):
-
-- **transient** — :data:`transient`, the one process-wide slot: valid until
-  the next request for the same ``tag`` *anywhere in the process*, i.e.
-  inside one kernel call.  Pad, im2col patch matrix, GEMM outputs,
-  batch-norm work arrays — and, when no backward is recorded, the
-  normalised input — live here, so a tag costs its largest request, not the
-  sum over layers and model copies.  Relies on one kernel running at a time
-  per process: grad mode is thread-local, the arena is not.
+- **transient** — :data:`transient`, the one process-wide
+  :class:`TransientStack`: valid until the kernel call that asked for it
+  returns.  Every conv and batch-norm kernel, forward and backward, eager
+  or replayed, calls :meth:`TransientStack.reset` on entry and then
+  bump-allocates its pad, im2col patch matrix, GEMM outputs and work
+  arrays — and, when no backward is recorded, the normalised input — from
+  one base.  The process pays for the largest single kernel's *sum* of
+  scratch, not for the largest request of each tag.  Relies on one kernel
+  running at a time per process: grad mode is thread-local, the arena is
+  not.
 - **per owner** — :func:`slot_for` (weak-keyed: a slot dies with its layer
-  or optimizer): valid until the owner's *next* request for the ``tag``.
-  What a backward closure reads and cannot cheaply rebuild
+  or optimizer), a :class:`WorkspaceSlot` holding one flat base per
+  ``(tag, dtype)`` sized to the largest request seen, so the batch shapes
+  a layer meets (partial last batch, per-client eval sizes) share one
+  allocation; a buffer is valid until the owner's *next* request for the
+  ``tag``.  What a backward closure reads and cannot cheaply rebuild
   (``batchnorm.xhat``; the conv patch matrix is re-gathered from the conv's
   input instead) and what is donated to a parent (``conv2d.dx``,
-  ``batchnorm.gx``) live here;
-  a layer is forwarded at most once before its backward runs, so a second
-  forward never clobbers what a closure captured.
+  ``batchnorm.gx``) live here; a layer is forwarded at most once before
+  its backward runs, so a second forward never clobbers what a closure
+  captured.
 
 Anything that must outlive the op (graph payloads, gradients handed to
-``Tensor._accumulate``) is freshly allocated or copied.  A key maps to the
-same memory until the slot's ``generation`` moves (a base outgrown and
-reallocated); whoever keeps arena arrays across calls must watch it — so
-nobody keeps :data:`transient` arrays: they are requested where used.
+``Tensor._accumulate``) is freshly allocated or copied.  A slot key maps
+to the same memory until the slot's ``generation`` moves (a base outgrown
+and reallocated); whoever keeps arena arrays across calls must watch it —
+so nobody keeps :data:`transient` arrays: they are requested where used.
 
-Per-tag hit/miss and bytes-saved counts go to ``obs.metrics`` via
-:func:`publish_metrics` and onto ``obs.profiler``'s hotspot table.  All of
-it is process-local: pool workers each grow their own arena.
+Per-tag hit/miss and bytes-saved counts — transient tags included, though
+they own no memory — go to ``obs.metrics`` via :func:`publish_metrics`
+and onto ``obs.profiler``'s hotspot table.  All of it is process-local:
+pool workers each grow their own arena.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["WorkspaceSlot", "slot_for", "transient", "stats_snapshot",
-           "tag_stats", "resident_bytes", "shared_cache", "shared_bytes",
-           "reset", "publish_metrics"]
+__all__ = ["WorkspaceSlot", "TransientStack", "slot_for", "transient",
+           "stats_snapshot", "tag_stats", "resident_bytes", "shared_cache",
+           "shared_bytes", "reset", "publish_metrics"]
+
+#: Byte alignment of every :class:`TransientStack` array (one cache line).
+ALIGN = 64
 
 
 @dataclass
@@ -81,7 +84,7 @@ _shared: dict[str, dict] = {}
 
 
 class WorkspaceSlot:
-    """Scratch bases and derived objects of one lifetime scope.
+    """Scratch bases and derived objects of one owner (:func:`slot_for`).
 
     One flat base per ``(tag, dtype)`` holds the largest request seen;
     ``buffer`` serves its C-contiguous prefix — the start address and
@@ -163,8 +166,70 @@ class WorkspaceSlot:
         return obj
 
 
-#: The one slot for scratch that dies inside a kernel call.
-transient = WorkspaceSlot()
+class TransientStack:
+    """Scratch that dies when the kernel call asking for it returns.
+
+    One base, bump-allocated at :data:`ALIGN`-byte offsets.  A kernel calls
+    :meth:`reset` on entry — everything served before is dead — and may
+    :meth:`release` a region it is done with so a later request reuses it.
+    A request that does not fit is served a fresh array (a miss) and raises
+    the high-water mark; the next :meth:`reset`, when nothing points into
+    the base, replaces it with one of that size and bumps ``generation``.
+    Tags name requests for the counters and own no memory.
+    """
+
+    __slots__ = ("_base", "_top", "_high", "generation")
+
+    def __init__(self):
+        self._base = np.empty(0, np.uint8)
+        self._top = 0           # bytes in use by the running kernel
+        self._high = 0          # largest ``_top`` any kernel reached
+        self.generation = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the base holds."""
+        return self._base.nbytes
+
+    def reset(self) -> None:
+        """Start a kernel call: every array served before is dead."""
+        self._top = 0
+        if self._high > self._base.nbytes:
+            self._base = np.empty(0, np.uint8)      # free before allocating
+            raw = np.empty(self._high + ALIGN, np.uint8)
+            lead = -raw.ctypes.data % ALIGN
+            self._base = raw[lead:lead + self._high]
+            self.generation += 1
+
+    def mark(self) -> int:
+        """The current top, for :meth:`release`."""
+        return self._top
+
+    def release(self, mark: int) -> None:
+        """Free everything served since :meth:`mark` returned ``mark``."""
+        self._top = mark
+
+    def buffer(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised C-contiguous ``shape``/``dtype`` array, valid
+        until the next :meth:`reset` (or a :meth:`release` below it)."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = -(-self._top // ALIGN) * ALIGN
+        self._top = start + nbytes
+        self._high = max(self._high, self._top)
+        st = _stats[tag]
+        if self._top <= self._base.nbytes:
+            st.hits += 1
+            st.bytes_saved += nbytes
+            return self._base[start:self._top].view(dtype).reshape(shape)
+        st.misses += 1
+        st.bytes_alloc += nbytes
+        st.growths += self._base.nbytes > 0
+        return np.empty(shape, dtype)
+
+
+#: The one stack for scratch that dies inside a kernel call.
+transient = TransientStack()
 
 
 def slot_for(owner: Any) -> WorkspaceSlot:
@@ -193,9 +258,14 @@ def stats_snapshot() -> dict[str, tuple[int, int, int, int]]:
 
 def resident_bytes(slots=None) -> dict[str, int]:
     """``{tag: bytes}`` of scratch (sum of base sizes) held by ``slots`` —
-    by default :data:`transient` and every live per-owner slot."""
+    by default :data:`transient` and every live per-owner slot.  The
+    transient stack's one base is reported under ``"transient"``."""
     out: dict[str, int] = {}
     for slot in [transient, *_slots.values()] if slots is None else slots:
+        if isinstance(slot, TransientStack):
+            if slot.nbytes:
+                out["transient"] = out.get("transient", 0) + slot.nbytes
+            continue
         for (tag, _), base in slot._bases.items():
             out[tag] = out.get(tag, 0) + base.nbytes
     return out
@@ -228,7 +298,9 @@ def publish_metrics(registry=None) -> None:
     ``tag=<tag>``.  Values are assigned absolutely (the underlying stats
     are monotonic), so repeated publishes are idempotent and survive
     registry swaps.  Where the memory sits goes out as gauges:
-    ``workspace.resident_bytes{tag=}`` and ``conv.gather_idx_bytes``.
+    ``workspace.resident_bytes{tag=}`` (``tag=transient`` for the stack;
+    its request tags own nothing), ``conv.gather_idx_bytes`` and
+    ``maxpool.base_bytes``.
     """
     if registry is None:
         from repro.obs.metrics import get_registry
@@ -239,6 +311,7 @@ def publish_metrics(registry=None) -> None:
         registry.counter("workspace.misses", tag=tag).value = float(st.misses)
         registry.counter("workspace.bytes_saved", tag=tag).value = float(st.bytes_saved)
         registry.counter("workspace.growths", tag=tag).value = float(st.growths)
+    for tag in _stats.keys() | resident.keys():
         registry.gauge("workspace.resident_bytes", tag=tag).set(resident.get(tag, 0))
     for name, nbytes in shared_bytes().items():
         registry.gauge(name + "_bytes").set(nbytes)

@@ -459,3 +459,136 @@ class TestVariateRefreshOnSPATL:
                    for part in ("idx", "val")}
         assert set(algo.upload_payload(update)) \
             == salient | set(update["dense"])
+
+
+def fednova_oracle(w_global, updates, gmf, momentum_buf):
+    """FedNova's server step, one element at a time in float64:
+    ``p_i = n_i / sum n``, ``tau_eff = sum p_i a_i``,
+    ``step = tau_eff * sum p_i d_i``, through the server momentum
+    ``buf <- gmf buf + step`` when ``gmf``, then ``w <- w - step``.
+    Also returns the per-element sum of |terms| the float32 bound scales
+    with."""
+    total = float(sum(u["n"] for u in updates))
+    p = [u["n"] / total for u in updates]
+    tau_eff = sum(pi * u["a_i"] for pi, u in zip(p, updates))
+    out, buf_out = {}, {}
+    mass = {}
+    for name, w in w_global.items():
+        o = np.empty(w.shape)
+        b = np.empty(w.shape)
+        m = np.empty(w.shape)
+        for at in np.ndindex(w.shape):
+            combined = sum(pi * float(u["delta"][name][at])
+                           for pi, u in zip(p, updates))
+            step = tau_eff * combined
+            m[at] = abs(float(w[at])) + tau_eff * sum(
+                pi * abs(float(u["delta"][name][at]))
+                for pi, u in zip(p, updates))
+            if gmf:
+                prior = float(momentum_buf[name][at])
+                step = gmf * prior + step
+                m[at] += gmf * abs(prior)
+            b[at] = step
+            o[at] = float(w[at]) - step
+        out[name], buf_out[name], mass[name] = o, b, m
+    return out, buf_out, mass
+
+
+class TestFedNova:
+    """FedNova's tau-normalisation (Wang et al. 2020): the client divides
+    its progress by the heavy-ball path length ``a_i`` of its local steps,
+    the server rescales the weighted mean by ``tau_eff = sum p_i a_i``.
+
+    Stated bound, per element: the code's float32 arithmetic (client side:
+    one subtraction, one division; server: float64 accumulation of float32
+    terms, one rounding into the float32 parameter) sits within
+    ``8 * 2**-23 * (sum of the |terms|)`` of the float64 oracle."""
+
+    RHOS = [0.0, 0.5, 0.9]
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_effective_steps_is_the_heavy_ball_path_length(self, rho):
+        from repro.fl.fednova import FedNova
+        algo = types.SimpleNamespace(momentum=rho)
+        assert FedNova._effective_steps(algo, 0) == 0.0
+        for tau in (1, 2, 3, 7, 50, 400):
+            assert FedNova._effective_steps(algo, tau) == pytest.approx(
+                heavy_ball_steps(tau, rho), rel=1e-12), tau
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_client_progress_is_normalised_by_it(self, rho, tiny_dataset,
+                                                 tiny_setting):
+        from repro.fl.fednova import FedNova
+        model_fn, parts = tiny_setting
+        clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
+                                         seed=5)
+        algo = FedNova(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
+                       momentum=rho)
+        before = {n: p.data.astype(np.float64)
+                  for n, p in algo.global_model.named_parameters()}
+        update = algo.local_update(clients[1], 0)
+        assert update["steps"] > 1
+        # a_i: the path length, rounded once to the float32 the uplink carries
+        assert update["a_i"] == float(np.float32(update["a_i"]))
+        assert update["a_i"] == pytest.approx(
+            heavy_ball_steps(update["steps"], rho), rel=2.0 ** -23)
+        after = dict(algo._work.named_parameters())
+        for name, x in before.items():
+            y = after[name].data.astype(np.float64)
+            want = (x - y) / update["a_i"]
+            mass = (np.abs(x) + np.abs(y)) / update["a_i"]
+            assert np.all(np.abs(update["delta"][name] - want)
+                          <= F32 * mass), name
+
+    @pytest.mark.parametrize("gmf", [0.0, 0.5])
+    def test_server_step_matches_the_paper(self, gmf, tiny_setting):
+        from repro.fl.fednova import FedNova
+        from repro.fl.stub import StubClient
+        model_fn, _ = tiny_setting
+        algo = FedNova(model_fn, [StubClient(i) for i in range(3)], lr=0.05,
+                       seed=0, gmf=gmf)
+        rng = np.random.default_rng(8)
+        params = dict(algo.global_model.named_parameters())
+        buffers = dict(algo.global_model.named_buffers())
+        for name, buf in algo._server_momentum.items():      # a warm buffer
+            buf[...] = 0.01 * rng.standard_normal(buf.shape)
+        updates = [{"delta": {n: (0.01 * rng.standard_normal(p.shape)).astype(
+                        np.float32) for n, p in params.items()},
+                    "a_i": a_i, "n": n, "buffers": buffers}
+                   for a_i, n in ((3.0, 40), (7.5, 25), (12.25, 61))]
+        w_before = {n: p.data.copy() for n, p in params.items()}
+        m_before = {n: b.copy() for n, b in algo._server_momentum.items()}
+        algo.aggregate(updates, 0)
+        want, want_buf, mass = fednova_oracle(w_before, updates, gmf,
+                                              m_before)
+        for name, p in params.items():
+            assert np.all(np.abs(p.data - want[name])
+                          <= F32 * mass[name] + 1e-30), name
+            if gmf:
+                assert np.all(np.abs(algo._server_momentum[name]
+                                     - want_buf[name])
+                              <= F32 * mass[name] + 1e-30), name
+
+
+class TestStalenessWeight:
+    """``async_runtime.staleness_weight`` is FedBuff's ``1/(1+s)^alpha``:
+    within one float64 rounding (``2**-52`` relative) of ``math.pow``,
+    exactly 1 at ``s = 0`` whatever ``alpha``, and exactly 1 at
+    ``alpha = 0`` whatever ``s``."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_matches_the_formula(self, alpha):
+        import math
+        for s in (0, 1, 2, 3, 10, 1000):
+            want = 1.0 / math.pow(1.0 + s, alpha)
+            got = staleness_weight(s, alpha)
+            assert abs(got - want) <= 2.0 ** -52 * want, (s, alpha)
+            assert 0.0 < got <= 1.0
+            if s == 0 or alpha == 0.0:
+                assert got == 1.0
+        assert [staleness_weight(s, alpha) for s in range(6)] == sorted(
+            (staleness_weight(s, alpha) for s in range(6)), reverse=True)
+
+    def test_negative_staleness_is_refused(self):
+        with pytest.raises(ValueError):
+            staleness_weight(-1, 0.5)

@@ -680,3 +680,176 @@ class TestAsyncCheckpoint:
         runner = self._fresh()
         with pytest.raises(ValueError):
             load_async_checkpoint(runner, path)
+
+
+class TestHostileCheckpoint:
+    """A damaged or lying format-2 file — every loader checks the whole of
+    it before touching anything: each rejection is one ``ValueError``
+    naming the file and the entry, and the target is left byte-identical
+    (server state, clients, counters, ledger; the runner's own state)."""
+
+    def _algo(self, seed=2):
+        algo = make_stub(n_clients=4, seed=seed)
+        algo.run(rounds=2)          # a moved global state and row table
+        return algo
+
+    def _saved(self, tmp_path, loader):
+        path = tmp_path / "ckpt.npz"
+        if loader == "sync":
+            save_checkpoint(self._algo(), path)
+        elif loader == "async":
+            runner = AsyncFederatedRunner(self._algo(), AsyncProfile(seed=2),
+                                          AsyncConfig())
+            runner.pump(6)
+            save_async_checkpoint(runner, path)
+        else:
+            runner = ScaleRunner(self._algo(), spill_dir=tmp_path / "spills",
+                                 eval_mode="none")
+            runner.run_round_partial(2, 2)
+            runner.save_round_checkpoint(path)
+            runner.close()
+        return path
+
+    def _target(self, tmp_path, loader):
+        """A loader whose algorithm holds state of its own (another seed)."""
+        algo = self._algo(seed=3)
+        if loader == "sync":
+            return algo, lambda path: load_checkpoint(algo, path), None
+        if loader == "async":
+            runner = AsyncFederatedRunner(algo, AsyncProfile(seed=2),
+                                          AsyncConfig())
+            return algo, lambda path: load_async_checkpoint(runner, path), \
+                runner
+        runner = ScaleRunner(algo, spill_dir=tmp_path / "target_spills",
+                             eval_mode="none")
+        return algo, runner.load_round_checkpoint, runner
+
+    @staticmethod
+    def _state(algo, runner):
+        from repro.fl.scale.store import encode_client_state
+        return (serialize_state(algo.worker_sync_state()),
+                [encode_client_state(c.local_state) for c in algo.clients],
+                algo.rounds_completed, algo.fault_stats.as_dict(),
+                json.dumps(algo.ledger.uplink), json.dumps(algo.ledger.downlink),
+                None if runner is None else json.dumps(
+                    {k: repr(v) for k, v in sorted(vars(runner).items())
+                     if k in ("server_step", "counters", "jobs", "buffer",
+                              "queue", "_pending")}))
+
+    @staticmethod
+    def _rewrite(path, edit):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        manifest = json.loads(bytes(arrays["__manifest__"]).decode())
+        raw = edit(arrays, manifest)
+        arrays["__manifest__"] = np.frombuffer(
+            raw if raw is not None else json.dumps(manifest).encode(),
+            dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+
+    @staticmethod
+    def _edit_manifest_list(arrays, manifest):
+        return b"[]"
+
+    @staticmethod
+    def _edit_manifest_not_utf8(arrays, manifest):
+        return b"\xff\xfe{}"
+
+    @staticmethod
+    def _edit_no_server_keys(arrays, manifest):
+        del manifest["server_keys"]
+
+    @staticmethod
+    def _edit_truncated_client(arrays, manifest):
+        arrays["client.2"] = arrays["client.2"][:-3]
+
+    @staticmethod
+    def _edit_rows_after_version(arrays, manifest):
+        rows = arrays["server.dl.rows"].copy()
+        rows[0] = int(arrays["server.dl.version"]) + 1
+        arrays["server.dl.rows"] = rows
+
+    @staticmethod
+    def _edit_version_shape(arrays, manifest):
+        arrays["server.dl.version"] = np.array([1, 2], dtype=np.int64)
+
+    @staticmethod
+    def _edit_rows_count(arrays, manifest):
+        arrays["server.dl.rows"] = arrays["server.dl.rows"][:-1]
+
+    @staticmethod
+    def _edit_missing_server_array(arrays, manifest):
+        del arrays["server.model.w"]
+
+    @staticmethod
+    def _edit_model_shape(arrays, manifest):
+        arrays["server.model.w"] = arrays["server.model.w"][:-1]
+
+    @staticmethod
+    def _edit_ledger(arrays, manifest):
+        manifest["ledger"]["uplink"] = {"0": {"x": 1}}
+
+    @staticmethod
+    def _edit_rounds_type(arrays, manifest):
+        manifest["rounds_completed"] = "2"
+
+    @staticmethod
+    def _edit_fault_stats(arrays, manifest):
+        manifest["fault_stats"] = {"n_dropped": "many"}
+
+    @pytest.mark.parametrize("loader", ["sync", "async", "scale"])
+    @pytest.mark.parametrize("edit,entry", [
+        ("manifest_list", "__manifest__"),
+        ("manifest_not_utf8", "__manifest__"),
+        ("no_server_keys", "server_keys"),
+        ("truncated_client", "client.2"),
+        ("rows_after_version", "server.dl.rows"),
+        ("version_shape", "server.dl.version"),
+        ("rows_count", "server.dl.rows"),
+        ("missing_server_array", "server.model.w"),
+        ("model_shape", "server.model.w"),
+        ("ledger", "ledger"),
+        ("rounds_type", "rounds_completed"),
+        ("fault_stats", "fault_stats"),
+    ])
+    def test_rejected_whole_and_untouched(self, tmp_path, loader, edit,
+                                          entry):
+        path = self._saved(tmp_path, loader)
+        self._rewrite(path, getattr(self, f"_edit_{edit}"))
+        algo, load, runner = self._target(tmp_path, loader)
+        before = self._state(algo, runner)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert type(info.value) is ValueError
+        assert str(path) in str(info.value)
+        assert f"{entry}:" in str(info.value), str(info.value)
+        assert self._state(algo, runner) == before
+
+    @pytest.mark.parametrize("loader", ["async", "scale"])
+    def test_damaged_runner_section_rejected_untouched(self, tmp_path,
+                                                       loader):
+        path = self._saved(tmp_path, loader)
+
+        def edit(arrays, manifest):
+            del manifest[loader]["buffer" if loader == "async"
+                                 else "round_idx"]
+
+        self._rewrite(path, edit)
+        algo, load, runner = self._target(tmp_path, loader)
+        before = self._state(algo, runner)
+        with pytest.raises(ValueError, match=rf"ckpt\.npz: {loader}: "):
+            load(path)
+        assert self._state(algo, runner) == before
+
+    @pytest.mark.parametrize("loader", ["sync", "async", "scale"])
+    def test_undamaged_file_still_loads(self, tmp_path, loader):
+        path = self._saved(tmp_path, loader)
+        self._rewrite(path, lambda arrays, manifest: None)
+        algo, load, _ = self._target(tmp_path, loader)
+        load(path)
+        with np.load(path) as data:
+            saved = {k[len("server."):]: data[k] for k in data.files
+                     if k.startswith("server.")}
+        got = algo.worker_sync_state()
+        assert set(got) == set(saved)
+        assert all(np.array_equal(got[k], saved[k]) for k in saved)

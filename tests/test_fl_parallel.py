@@ -140,6 +140,26 @@ def test_parallel_spatl_local_state_round_trips(eight_client_setting):
 
 
 # ------------------------------------------------------------ obs merge
+def test_eval_only_parent_stack_stops_growing(eight_client_setting):
+    """With two workers the parent only evaluates: once round 0 has seen
+    every client's validation batches, the largest included, later rounds
+    never re-base its transient stack."""
+    from repro.tensor import workspace
+    workspace.reset()
+    model_fn, make_clients = eight_client_setting
+    algo = _build("fedavg", model_fn, make_clients(), 2)
+    stack = workspace.transient
+    try:
+        algo.run_round(0)
+        held = (stack.generation, stack.nbytes)
+        assert held[1] > 0
+        for r in (1, 2):
+            algo.run_round(r)
+            assert (stack.generation, stack.nbytes) == held, r
+    finally:
+        algo.close()
+
+
 def test_obs_merge_matches_serial(eight_client_setting):
     """Worker spans/metrics merged into the parent sum to serial counts."""
     fault_model = _fault_model()   # nonzero worker-side attempt counters

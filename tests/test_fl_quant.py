@@ -344,6 +344,30 @@ class TestQuantizePayload:
         # the stale residual was dropped: deq tracks x, not x + 100
         assert np.abs(decoded["w"] - x).max() < 1.0
 
+    def test_row_keyed_residual_follows_its_row(self):
+        """A ``name.val`` residual belongs to the rows ``name.idx`` names:
+        when the selection moves, row 2's rounding error goes back into
+        row 2 — wherever it sits in the payload — never into the row that
+        took its position, and an unsent row keeps its residual."""
+        rng = _rng(12)
+        w1, w2 = (rng.normal(size=(2, 64)).astype(np.float32)
+                  for _ in range(2))
+        residuals = {}
+        _, dec1 = quantize_payload(
+            {"w.idx": np.array([0, 2], np.int32), "w.val": w1}, INT4,
+            _rng(13), residuals)
+        err1 = w1 - dec1["w.val"]
+        _, dec2 = quantize_payload(
+            {"w.idx": np.array([2, 3], np.int32), "w.val": w2}, INT4,
+            _rng(14), residuals)
+        np.testing.assert_array_equal(residuals["w.idx"], [0, 2, 3])
+        held = residuals["w.val"]
+        np.testing.assert_array_equal(held[0], err1[0])        # unsent
+        np.testing.assert_allclose(held[1] + dec2["w.val"][0],  # row 2
+                                   w2[0] + err1[1], atol=1e-6)
+        np.testing.assert_allclose(held[2] + dec2["w.val"][1],  # row 3: new
+                                   w2[1], atol=1e-6)
+
     def test_quantization_reduces_bytes(self):
         payload = {"w": _rng(11).normal(size=10_000).astype(np.float32)}
         dense = payload_nbytes(payload)
@@ -435,6 +459,58 @@ class TestAlgorithmIntegration:
                        quant=QuantConfig(bits=4, error_feedback=False))
         algo2.run_round(0)
         assert all("quant_residual" not in c.local_state for c in clients2)
+
+    def test_spatl_residual_follows_changing_selection(
+            self, tiny_model_fn, tiny_dataset, tiny_setting, monkeypatch):
+        """SPATL clients whose salient filters change between rounds: every
+        filter's fed-back error is that filter's own — per sent filter,
+        ``residual_t + decoded_t == residual_{t-1} + update_t`` to float32
+        rounding, an unsent filter's residual is carried unchanged."""
+        import repro.fl.base as base
+        quantize = base.quantize_payload
+        calls: dict[int, list] = {}
+
+        def spy(payload, config, rng, residuals=None):
+            before = {k: v.copy() for k, v in residuals.items()}
+            wire, decoded = quantize(payload, config, rng, residuals)
+            calls.setdefault(id(residuals), []).append(
+                (payload, before, dict(residuals), decoded))
+            return wire, decoded
+
+        monkeypatch.setattr(base, "quantize_payload", spy)
+        clients = _fresh_clients(tiny_dataset, tiny_setting)
+        _build("spatl", tiny_model_fn, clients, quant=INT4).run(3)
+
+        def by_row(res, name, n_rows):
+            dense = np.zeros((n_rows,) + res[name].shape[1:]) \
+                if name in res else None
+            if dense is not None:
+                dense[res[name[:-4] + ".idx"]] = res[name]
+            return dense
+
+        moved = 0
+        for history in calls.values():
+            assert len(history) == 3
+            for t, (payload, before, after, decoded) in enumerate(history):
+                for name in (k for k in payload if k.endswith(".val")):
+                    key = name[:-4] + ".idx"
+                    rows = payload[key]
+                    n_rows = 1 + max(int(r[key].max())
+                                     for r in (payload, before, after)
+                                     if key in r)
+                    held, now = (by_row(r, name, n_rows)
+                                 for r in (before, after))
+                    if held is None:
+                        held = np.zeros_like(now)
+                    sent = np.isin(np.arange(n_rows), rows)
+                    np.testing.assert_array_equal(now[~sent], held[~sent])
+                    np.testing.assert_allclose(
+                        now[rows] + decoded[name], held[rows] + payload[name],
+                        rtol=0, atol=1e-6)
+                    if t and name in after and not np.array_equal(
+                            rows, history[t - 1][0][key]):
+                        moved += 1
+        assert moved, "no quantized selection changed between rounds"
 
     def test_bn_step_counter_survives_quantized_roundtrip(
             self, tiny_model_fn, tiny_dataset, tiny_setting):

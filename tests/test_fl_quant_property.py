@@ -113,3 +113,70 @@ def test_rounding_is_unbiased_over_many_draws(block, seed, scale_pow):
         seg = slice(b * width, (b + 1) * width)
         tol = 0.15 * max(float(scales[b]), 1e-30)
         np.testing.assert_allclose(acc[seg] / draws, x[seg], atol=tol)
+
+
+def _rows_of(residuals, name, n_rows, width):
+    """A row-keyed residual as a dense (n_rows, width) float64 array."""
+    dense = np.zeros((n_rows, width))
+    ids = residuals.get(name[:-4] + ".idx")
+    if ids is not None:
+        dense[ids] = residuals[name]
+    return dense
+
+
+@given(bits=st.sampled_from([8, 4]), block=st.sampled_from([0, 4, 32]),
+       n_rows=st.integers(2, 12), width=st.integers(1, 20),
+       rounds=st.integers(2, 4), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_error_feedback_conserves_each_row(bits, block, n_rows, width,
+                                           rounds, seed):
+    """Per row (a SPATL filter, a top-k coordinate), whatever rows each
+    round selects: ``residual_t + decoded_t == residual_{t-1} + update_t``
+    to float32 rounding for a sent row, and an unsent row's residual is
+    carried unchanged.  The dense entry beside it conserves positionally."""
+    rng = np.random.default_rng(seed)
+    config = QuantConfig(bits=bits, block=block)
+    residuals: dict = {}
+    for t in range(rounds):
+        rows = np.sort(rng.choice(n_rows, size=rng.integers(1, n_rows + 1),
+                                  replace=False)).astype(np.int32)
+        update = rng.normal(size=(rows.size, width)).astype(np.float32)
+        dense = rng.normal(size=(5, 9)).astype(np.float32)
+        before = _rows_of(residuals, "w.val", n_rows, width)
+        dense_before = residuals.get("d", np.zeros((5, 9), np.float32))
+        wire, decoded = quantize_payload(
+            {"w.idx": rows, "w.val": update, "d": dense}, config,
+            np.random.default_rng(seed + t), residuals)
+        after = _rows_of(residuals, "w.val", n_rows, width)
+        sent = np.isin(np.arange(n_rows), rows)
+        np.testing.assert_array_equal(after[~sent], before[~sent])
+        if "w.val\x00q" not in wire:
+            continue                    # too small to quantize: sent dense
+        scale = 1e-6 * max(1.0, np.abs(update).max() + np.abs(before).max())
+        np.testing.assert_allclose(after[rows] + decoded["w.val"],
+                                   before[rows] + update, rtol=0, atol=scale)
+        np.testing.assert_allclose(residuals["d"] + decoded["d"],
+                                   dense_before + dense, rtol=0, atol=1e-5)
+
+
+@given(shape=st.sampled_from([(7,), (4, 6), (3, 3, 5)]),
+       fraction=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+       rounds=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_topk_feedback_conserves_each_coordinate(shape, fraction, rounds,
+                                                 seed):
+    """FedTopK's sparsifier: what is sent plus what is carried is exactly
+    the update plus what was carried before, coordinate by coordinate."""
+    from repro.fl.topk import topk_feedback
+    rng = np.random.default_rng(seed)
+    residual = 0.0
+    for _ in range(rounds):
+        update = rng.normal(size=shape).astype(np.float32)
+        idx, vals, new = topk_feedback(update, residual, fraction)
+        sent = np.zeros(update.size, np.float32)
+        sent[idx] = vals
+        assert new.dtype == np.float32 and idx.size == max(
+            1, int(round(fraction * update.size)))
+        np.testing.assert_array_equal(new + sent.reshape(shape),
+                                      update + residual)
+        residual = new

@@ -120,6 +120,37 @@ def _conv_fwd_bwd(x, weight, bias, ws=None, *, stride=1, padding=1,
     return out.data.copy(), xt.grad.copy(), wt.grad.copy()
 
 
+def _stack_end(*nbytes):
+    """Where a run of transient-stack requests ends: each one starts at the
+    next ``workspace.ALIGN``-byte offset."""
+    from repro.tensor.workspace import ALIGN
+    top = 0
+    for b in nbytes:
+        top = -(-top // ALIGN) * ALIGN + b
+    return top
+
+
+def _conv_stack_bytes(x_shape, out_c, k, stride, padding, staged, dx=True,
+                      itemsize=4):
+    """The most transient stack one conv's kernels use on an input of
+    ``x_shape`` (``staged``: padded, or strided and copied through the pad
+    buffer; ``dx``: the input takes a gradient).  Forward: pad, patch
+    matrix, GEMM output.  Backward: the output-gradient copy (the GEMM
+    output's size), then pad + patch matrix for ``dw`` — released — then
+    the patch-gradient matrix (the patch matrix's size) and the col2im
+    staging (the padded input's size) for ``dx``."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    pad = [n * c * hp * wp * itemsize] if staged else []
+    cols = n * ho * wo * c * k * k * itemsize
+    out = n * ho * wo * out_c * itemsize
+    ends = [_stack_end(*pad, cols, out), _stack_end(out, *pad, cols)]
+    if dx:
+        ends.append(_stack_end(out, cols, n * c * hp * wp * itemsize))
+    return max(ends)
+
+
 @pytest.mark.parametrize("padded", [True, False])
 @pytest.mark.parametrize("shapes,grows", [
     ([(8, 6), (5, 6), (8, 6)], False),     # partial batch and back
@@ -127,12 +158,12 @@ def _conv_fwd_bwd(x, weight, bias, ws=None, *, stride=1, padding=1,
     ([(6, 6), (6, 4), (6, 6)], False),     # border lands on an old interior
 ])
 def test_conv_slot_shared_across_input_shapes(padded, shapes, grows):
-    """One layer slot (and the process-wide transient slot behind it)
+    """One layer slot (and the process-wide transient stack behind it)
     serving alternating ``(batch, height)`` inputs — prefix views of one
-    base, pad border re-zeroed on each switch — is byte-equal to the
+    base, pad frame re-zeroed on every request — is byte-equal to the
     allocating oracle.  ``padded=False`` is the one input the gather
     cannot index in place: an un-padded strided view, staged through the
-    same ``conv2d.pad`` buffer."""
+    same ``conv2d.pad`` region."""
     from repro.tensor import workspace
     workspace.reset()
     rng = np.random.default_rng(5)
@@ -154,8 +185,13 @@ def test_conv_slot_shared_across_input_shapes(padded, shapes, grows):
     # matrix is every conv's transient scratch, like the padded input.
     assert set(workspace.resident_bytes([ws])) == {"conv2d.dx"}
     assert ws.generation == (len(ws._bases) if grows else 0)
-    assert {"conv2d.pad", "conv2d.cols"} <= set(
-        workspace.resident_bytes([workspace.transient]))
+    # And the stack is one base, the largest batch's kernel: forward pad +
+    # patch matrix + GEMM output, or the backward's matrices, whichever is
+    # more (83 712 B at (16, 3, 6, 6) padded: 12 288 + 62 208 + 9 216).
+    want = max(_conv_stack_bytes((n, 3, hw, hw), 4, 3, 1, int(padded), True)
+               for n, hw in shapes)
+    assert workspace.resident_bytes([workspace.transient]) == {
+        "transient": want}, want
 
 
 def test_gather_index_is_batch_independent():
@@ -193,8 +229,9 @@ def test_gather_index_is_batch_independent():
 
 def test_shared_pad_border_across_paddings():
     """A k5/p2 conv on 14x14 and a k3/p1 conv on 16x16 request the same
-    padded shape from the shared ``conv2d.pad`` buffer with borders of
-    different widths: the frame is re-zeroed on each switch."""
+    padded shape at the same place — the bottom of the transient stack —
+    with borders of different widths: the frame is re-zeroed on every
+    request."""
     from repro.tensor import workspace
     workspace.reset()
     rng = np.random.default_rng(9)
@@ -209,9 +246,13 @@ def test_shared_pad_border_across_paddings():
             want = _conv_fwd_bwd(x, weight, bias, padding=p, reference=True)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (p, hw)
-    # Both layers were served the very same (6, 3, 18, 18) view.
-    assert workspace.resident_bytes([workspace.transient])["conv2d.pad"] \
-        == 6 * 3 * 18 * 18 * 4
+    # Both layers' (6, 3, 18, 18) pads sat at offset 0 of one base, sized by
+    # the larger kernel: the k5 layer's patch matrix (6*14*14 rows of 75).
+    want = [_conv_stack_bytes((6, 3, hw, hw), 4, k, 1, p, True)
+            for k, p, hw in ((5, 2, 14), (3, 1, 16))]
+    assert want == [395008, 213824]
+    assert workspace.resident_bytes([workspace.transient]) == {
+        "transient": max(want)}
 
 
 def _spy_gather(monkeypatch):
@@ -303,15 +344,17 @@ def test_frozen_weight_conv_backward_never_gathers(monkeypatch):
 @pytest.mark.parametrize("arch", ["resnet20", "vgg11"])
 def test_patch_matrix_residency_is_one_layer(arch, compiled, monkeypatch):
     """After training steps — eager, or captured and replayed — the process
-    holds one ``conv2d.cols`` base, the size of the largest single layer's
-    patch matrix: a tag's cost is max-over-layers, whatever the depth."""
+    holds one transient base, the size of the largest single conv kernel's
+    scratch (its patch matrix plus pad and GEMM output, or the backward's
+    patch gradients and col2im staging): max-over-layers, whatever the
+    depth, and no tag owns a patch matrix."""
     from repro.models import build_model
     from repro.nn.conv import Conv2d
     from repro.optim.sgd import SGD
     from repro.tensor import Tensor, functional as F, workspace
     from repro.tensor.compile import StepCompiler
     workspace.reset()
-    matrices = []
+    matrices, kernels = [], []
     forward = Conv2d.forward
 
     def sized(self, x):
@@ -319,6 +362,10 @@ def test_patch_matrix_residency_is_one_layer(arch, compiled, monkeypatch):
         k, s, p = self.kernel_size, self.stride, self.padding
         ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
         matrices.append(n * ho * wo * c * k * k * x.data.itemsize)
+        kernels.append(_conv_stack_bytes(
+            x.shape, self.out_channels, k, s, p,
+            staged=bool(p) or not x.data.flags.c_contiguous,
+            dx=x.requires_grad, itemsize=x.data.itemsize))
         return forward(self, x)
 
     monkeypatch.setattr(Conv2d, "forward", sized)
@@ -337,6 +384,77 @@ def test_patch_matrix_residency_is_one_layer(arch, compiled, monkeypatch):
             F.cross_entropy(model(Tensor(x)), y).backward()
         opt.step()
     assert sum(matrices) > 3 * max(matrices)     # many layers, one base
-    assert workspace.resident_bytes()["conv2d.cols"] == max(matrices)
-    assert "conv2d.cols" not in workspace.resident_bytes(
-        workspace.slot_for(m) for m in model.modules())
+    # Batch-norm kernels need one input-sized array: never the largest.
+    assert workspace.resident_bytes([workspace.transient]) == {
+        "transient": max(kernels)}
+    assert max(matrices) < max(kernels) < 2 * max(matrices)
+    assert "conv2d.cols" not in workspace.resident_bytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("batches,contiguous", [
+    ([1], True),            # N == 1
+    ([8, 5], True),         # a partial last batch on a stack sized by 8
+    ([6], False),           # strided input, staged through conv2d.pad
+])
+def test_col2im_matches_reference_bitwise(stride, padding, batches,
+                                          contiguous):
+    """The channel-last col2im — the nine taps added onto a zeroed
+    (N, Hp, Wp, C) staging region in the same (i, j) order, then one
+    transposing copy — is bitwise the reference's direct NCHW scatter, on a
+    stack region a previous kernel left full of NaN; and so is the input
+    gradient of a whole frozen-weight conv backward."""
+    from repro.nn import conv
+    from repro.nn.reference import _reference_col2im, reference_conv2d
+    from repro.tensor import Tensor, workspace
+    workspace.reset()
+    rng = np.random.default_rng(17)
+    weight = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    stack = workspace.transient
+    for n in batches:
+        x = (rng.standard_normal((n, 3, 7, 12)) + 3.0).astype(np.float32)
+        x = np.ascontiguousarray(x[..., ::2]) if contiguous else x[..., ::2]
+        grads = []
+        for fn in (conv.conv2d, reference_conv2d):
+            xt = Tensor(x, requires_grad=True)
+            out = fn(xt, Tensor(weight), None, stride, padding)
+            (out * out).sum().backward()
+            grads.append(xt.grad)
+        assert grads[0].tobytes() == grads[1].tobytes(), (stride, padding, n)
+
+        hp, wp = 7 + 2 * padding, 6 + 2 * padding
+        ho, wo = (hp - 3) // stride + 1, (wp - 3) // stride + 1
+        dcols = rng.standard_normal((n * ho * wo, 27)).astype(np.float32)
+        stack.reset()
+        stack.buffer("t.dirt", (stack.nbytes,), np.uint8).fill(0xFF)
+        stack.reset()
+        dxp = np.full((n, 3, hp, wp), np.nan, np.float32)
+        conv._col2im_into(dcols, dxp, 3, 3, stride, n, ho, wo)
+        want = _reference_col2im(dcols, dxp.shape, 3, 3, stride, n, ho, wo)
+        assert dxp.tobytes() == want.tobytes(), (stride, padding, n)
+
+
+def test_max_pool_backward_one_base_per_geometry():
+    """Max-pool backward across batch sizes 32 / 31 / 2 is bitwise the
+    reference's ``np.add.at`` scatter, and the window-corner index is
+    cached once for the geometry — one sample's (C, Ho, Wo) int64 array,
+    the batch offset added at use — not once per batch size."""
+    from repro.nn import pooling
+    from repro.nn.reference import reference_max_pool2d
+    from repro.tensor import Tensor, workspace
+    workspace.reset()
+    rng = np.random.default_rng(19)
+    layer = pooling.MaxPool2d(2, 2)
+    for n in (32, 31, 2):
+        x = rng.standard_normal((n, 8, 10, 10)).astype(np.float32)
+        grads = []
+        for fn in (layer, lambda t: reference_max_pool2d(t, 2, 2)):
+            xt = Tensor(x, requires_grad=True)
+            out = fn(xt)
+            (out * out).sum().backward()
+            grads.append(xt.grad)
+        assert grads[0].tobytes() == grads[1].tobytes(), n
+    assert list(pooling._POOL_BASE) == [(8, 10, 10, 5, 5, 2)]
+    assert workspace.shared_bytes()["maxpool.base"] == 8 * 5 * 5 * 8
+    assert not workspace.resident_bytes([workspace.slot_for(layer)])

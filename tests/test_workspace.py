@@ -21,6 +21,45 @@ class Owner:
     """Weak-referenceable slot owner."""
 
 
+def _spy_stack(monkeypatch):
+    """Watch the transient stack.  Returns ``(calls, largest)``: one
+    ``{"tags": [...], "end": bytes}`` per kernel call (reset to reset) —
+    ``end`` the furthest its live requests reached, modelled from the
+    requests alone (each starts at the next ``ALIGN`` offset past the live
+    ones; a release pops back to its mark) — and each tag's largest
+    request."""
+    stack = workspace.TransientStack
+    reset, mark, release, buffer = (stack.reset, stack.mark, stack.release,
+                                    stack.buffer)
+    calls, largest, marks, live = [], {}, [], [0]
+
+    def spy_reset(self):
+        calls.append({"tags": [], "end": 0})
+        live[0] = 0
+        reset(self)
+
+    def spy_mark(self):
+        marks.append(live[0])
+        return mark(self)
+
+    def spy_release(self, top):
+        live[0] = marks.pop()
+        release(self, top)
+
+    def spy_buffer(self, tag, shape, dtype):
+        buf = buffer(self, tag, shape, dtype)
+        live[0] = -(-live[0] // workspace.ALIGN) * workspace.ALIGN + buf.nbytes
+        calls[-1]["tags"].append(tag)
+        calls[-1]["end"] = max(calls[-1]["end"], live[0])
+        largest[tag] = max(largest.get(tag, 0), buf.nbytes)
+        return buf
+
+    for name, fn in (("reset", spy_reset), ("mark", spy_mark),
+                     ("release", spy_release), ("buffer", spy_buffer)):
+        monkeypatch.setattr(stack, name, fn)
+    return calls, largest
+
+
 class TestWorkspaceSlot:
     def test_buffer_identity_and_keying(self):
         ws = workspace.slot_for(Owner())
@@ -199,23 +238,58 @@ class TestWorkspaceSlot:
         assert workspace.resident_bytes() == {}
 
     def test_transient_slot_is_reported_and_reset(self):
+        """The transient stack is one base, reported as ``transient``; its
+        request tags count traffic and own nothing.  A kernel asking for
+        24 B then 8 B ends at 64 + 8 = 72 B (the second request starts at
+        the next 64-byte offset): the first such call is served fresh
+        arrays, and the next reset sizes the base to that high-water mark."""
         from repro.obs.metrics import MetricsRegistry
         workspace.reset()
         owner = Owner()
         workspace.slot_for(owner).buffer("t.both", (4,), np.float32)
-        workspace.transient.buffer("t.both", (6,), np.float32)
-        workspace.transient.buffer("t.only", (2,), np.float32)
-        assert workspace.resident_bytes() == {"t.both": 40, "t.only": 8}
+        stack = workspace.transient
+        for _ in range(2):
+            stack.reset()
+            a = stack.buffer("t.both", (6,), np.float32)
+            b = stack.buffer("t.only", (2,), np.float32)
+        assert a.ctypes.data % workspace.ALIGN == 0
+        assert b.ctypes.data - a.ctypes.data == workspace.ALIGN
+        st = workspace.tag_stats("t.only")
+        assert (st.misses, st.hits, st.bytes_alloc, st.bytes_saved) \
+            == (1, 1, 8, 8)
+        assert workspace.resident_bytes() == {"t.both": 16, "transient": 72}
         reg = MetricsRegistry()
         workspace.publish_metrics(reg)
         gauges = reg.snapshot()["gauges"]
-        assert gauges["workspace.resident_bytes{tag=t.both}"] == 40
-        assert gauges["workspace.resident_bytes{tag=t.only}"] == 8
+        assert gauges["workspace.resident_bytes{tag=t.both}"] == 16
+        assert gauges["workspace.resident_bytes{tag=t.only}"] == 0
+        assert gauges["workspace.resident_bytes{tag=transient}"] == 72
         held = workspace.transient
         workspace.reset()
         assert workspace.transient is held       # kernels keep the reference
         assert workspace.resident_bytes() == {}
         assert held.generation == 0
+
+    def test_transient_release_reuses_region(self):
+        """What a kernel releases is served again at the same address; a
+        request past the base is a fresh array, and the base grows at the
+        next reset, when nothing points into it."""
+        workspace.reset()
+        stack = workspace.transient
+        for _ in range(2):
+            stack.reset()
+            stack.buffer("t.keep", (16,), np.float32)
+            top = stack.mark()
+            first = stack.buffer("t.gone", (32,), np.float32)
+            stack.release(top)
+            again = stack.buffer("t.next", (32,), np.float32)
+        assert first.ctypes.data == again.ctypes.data
+        assert stack.nbytes == 64 + 128 and stack.generation == 1
+        big = stack.buffer("t.big", (1024,), np.float32)
+        assert not np.shares_memory(big, again)
+        assert (stack.nbytes, workspace.tag_stats("t.big").growths) == (192, 1)
+        stack.reset()
+        assert stack.nbytes == 192 + 4096 and stack.generation == 2
 
     def test_sgd_plan_holds_one_base_per_tag(self):
         # Parameters of every shape alias one base per tag; the largest is
@@ -267,25 +341,19 @@ class TestWorkspaceSlot:
 
     def test_transient_scratch_is_max_not_sum(self, monkeypatch):
         """vgg11, one bs-32 train step on one model and one ``no_grad``
-        eval on a second: every transient tag holds its largest single
-        request (not a sum over layers and model copies), the eval model's
+        eval on a second: the transient stack is one base, the largest
+        single kernel's scratch (6.13 MiB: the second conv, 0.63 MiB pad +
+        4.5 MiB patch matrix + 1 MiB GEMM output) — not the sum over tags
+        of each tag's largest request (18.6 MiB, the one-base-per-tag
+        layout), let alone over layers and model copies.  The eval model's
         layers own no normalised input, no layer owns a patch matrix, and
-        the arena as a whole stays under 36 MiB (31.3 here; 50.5 while each
-        training layer kept its patch matrix, 133.8 when scratch was keyed
-        by owner)."""
+        the arena as a whole stays under 24 MiB (19.8 here; 31.3 with one
+        base per tag, 50.5 while each training layer kept its patch matrix,
+        133.8 when scratch was keyed by owner)."""
         from repro.models import build_model
         from repro.tensor import functional as F
         workspace.reset()
-        largest: dict[str, int] = {}
-        served = workspace.WorkspaceSlot.buffer
-
-        def spy(self, tag, shape, dtype, *args, **kwargs):
-            buf = served(self, tag, shape, dtype, *args, **kwargs)
-            if self is workspace.transient:
-                largest[tag] = max(largest.get(tag, 0), buf.nbytes)
-            return buf
-
-        monkeypatch.setattr(workspace.WorkspaceSlot, "buffer", spy)
+        calls, largest = _spy_stack(monkeypatch)
         rng = np.random.default_rng(0)
         trained, evaluated = (build_model("vgg11", width_mult=0.25,
                                           input_size=32, seed=s)
@@ -295,21 +363,62 @@ class TestWorkspaceSlot:
         evaluated.eval()
         with no_grad():
             evaluated(Tensor(x))
-        assert workspace.resident_bytes([workspace.transient]) == largest
+        peak = max(call["end"] for call in calls)
+        assert workspace.resident_bytes([workspace.transient]) == {
+            "transient": peak}
+        assert peak < sum(largest.values()) / 2
         assert {"conv2d.pad", "conv2d.out", "conv2d.gmat", "conv2d.dcols",
-                "conv2d.cols", "batchnorm.xhat",
+                "conv2d.cols", "conv2d.col2im", "batchnorm.xhat",
                 "batchnorm.scratch"} == set(largest)
         assert not workspace.resident_bytes(
             workspace.slot_for(m) for m in evaluated.modules())
         owned = set(workspace.resident_bytes(
             workspace.slot_for(m) for m in trained.modules()))
-        assert {"conv2d.dx", "batchnorm.xhat", "batchnorm.gx"} <= owned
-        assert not owned & {"conv2d.pad", "conv2d.cols", "conv2d.out",
-                            "conv2d.gmat", "conv2d.dcols",
-                            "batchnorm.scratch"}
+        assert owned == {"conv2d.dx", "batchnorm.xhat", "batchnorm.gx"}
         total = (sum(workspace.resident_bytes().values())
                  + sum(workspace.shared_bytes().values()))
-        assert total <= 36 * 2 ** 20, total
+        assert total <= 24 * 2 ** 20, total
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("arch", ["resnet20", "vgg11"])
+    def test_transient_residency_is_largest_kernel(self, arch, compiled,
+                                                   monkeypatch):
+        """Training steps — eager, or captured and replayed — and an eval
+        forward: every conv and batch-norm kernel resets the stack on entry
+        (no call mixes two kernels' requests), and the stack holds exactly
+        the maximum over kernel calls of that call's scratch, modelled from
+        the requests alone."""
+        from repro.models import build_model
+        from repro.optim.sgd import SGD
+        from repro.tensor import functional as F
+        from repro.tensor.compile import StepCompiler
+        workspace.reset()
+        calls, _ = _spy_stack(monkeypatch)
+        rng = np.random.default_rng(0)
+        model = build_model(arch, width_mult=0.25, input_size=32, seed=2)
+        opt = SGD(model.named_parameters(), lr=0.05, momentum=0.9)
+        compiler = StepCompiler() if compiled else None
+        for _ in range(3):
+            x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
+            y = rng.integers(0, 10, 16)
+            if compiled:
+                assert compiler.try_step(model, x, y) is not None
+            else:
+                opt.zero_grad()
+                F.cross_entropy(model(Tensor(x)), y).backward()
+            opt.step()
+        model.eval()
+        with no_grad():
+            model(Tensor(x[:8]))
+        kernels = ({"conv2d.pad", "conv2d.cols", "conv2d.out"},
+                   {"conv2d.gmat", "conv2d.pad", "conv2d.cols",
+                    "conv2d.dcols", "conv2d.col2im"},
+                   {"batchnorm.xhat", "batchnorm.scratch"})
+        for call in calls:
+            assert len(call["tags"]) == len(set(call["tags"])), call
+            assert any(set(call["tags"]) <= k for k in kernels), call
+        assert len(calls) > 3 * 2 * 8
+        assert workspace.transient.nbytes == max(c["end"] for c in calls)
 
 
 class TestGradientDonation:
