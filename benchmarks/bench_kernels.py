@@ -4,8 +4,10 @@ Times the rewritten training kernels (DESIGN.md §10) against the
 verbatim pre-optimization implementations preserved in
 :mod:`repro.nn.reference`, at two granularities:
 
-- **micro** — per-op forward/backward wall time (conv2d, max/avg pool,
-  batch norm, matmul/linear, SGD step), optimized/reference interleaved;
+- **micro** — per-op wall time, optimized/reference interleaved: forward
+  and backward of conv2d and batch norm, the backward of max/avg pool and
+  matmul/linear (their forwards are the reference's own code), and the
+  SGD step;
 - **e2e** — wall time of a full serial FedAvg round at the tiny scale
   for ``resnet20`` and ``vgg11``, after a warm-up round, the two final
   global states required byte-identical.  Each row also carries
@@ -80,7 +82,8 @@ def micro_rows(size: dict):
         t.requires_grad = True
         return t
 
-    def fwd_bwd(name, x, fwd_opt, fwd_ref, params=()):
+    def fwd_bwd(name, x, fwd_opt, fwd_ref, params=(),
+                phases=("forward", "backward")):
         """Forward and backward of one autograd op, both sides; the
         backward rows time ``backward`` only, after an untimed forward."""
         def one(step, phase):
@@ -98,7 +101,7 @@ def micro_rows(size: dict):
             with no_donation():
                 return one(fwd_ref, phase)
 
-        for phase in ("forward", "backward"):
+        for phase in phases:
             yield {"name": f"{name}.{phase}",
                    **interleaved(lambda: one(fwd_opt, phase),
                                  lambda: ref(phase), repeats,
@@ -110,12 +113,17 @@ def micro_rows(size: dict):
                        lambda t: R.reference_conv2d(t, conv.weight, conv.bias,
                                                     1, 1),
                        params=(conv.weight, conv.bias))
+    # Pool and linear forwards time the same arithmetic on both sides
+    # (0.98-1.00x, and a 0.97x floor failed on untouched code), so only
+    # their backwards are rows.
     # max pool: vectorized scatter vs np.add.at.
     yield from fwd_bwd("max_pool2d", x4(c=16), MaxPool2d(2, 2),
-                       lambda t: R.reference_max_pool2d(t, 2, 2))
+                       lambda t: R.reference_max_pool2d(t, 2, 2),
+                       phases=("backward",))
     # avg pool: strided-view broadcast vs python kxk loop.
     yield from fwd_bwd("avg_pool2d", x4(c=16), AvgPool2d(2, 2),
-                       lambda t: R.reference_avg_pool2d(t, 2, 2))
+                       lambda t: R.reference_avg_pool2d(t, 2, 2),
+                       phases=("backward",))
     # batch norm: fused in-place chain vs allocating forward/backward.
     bn = BatchNorm2d(8)
     yield from fwd_bwd("batchnorm", x4(), bn,
@@ -125,7 +133,8 @@ def micro_rows(size: dict):
     lin = Linear(256, 128, rng=np.random.default_rng(2))
     xl = Tensor(rng.standard_normal((64, 256)).astype(np.float32))
     xl.requires_grad = True
-    yield from fwd_bwd("linear", xl, lin, lin, params=(lin.weight, lin.bias))
+    yield from fwd_bwd("linear", xl, lin, lin, params=(lin.weight, lin.bias),
+                       phases=("backward",))
 
     # SGD step: fully in-place update vs allocating update, over the
     # parameter set a tiny-scale resnet20 actually steps.

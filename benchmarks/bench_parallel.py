@@ -3,8 +3,9 @@
 Runs the same FedAvg workload (resnet20 at the tiny scale, 8 clients x
 3 rounds, full participation) under every requested executor — the
 in-process serial loop and process pools of increasing width — and
-records each run's wall time, its speedup over serial and whether its
-final global state is byte-identical to serial's::
+records each run's wall time, its speedup over serial, whether its
+final global state is byte-identical to serial's and, for a pool, its
+workers' largest peak RSS (``worker_peak_rss_mb``)::
 
     python benchmarks/bench_parallel.py --executors serial process:4
     python benchmarks/bench_parallel.py --smoke --check    # the CI gate
@@ -17,7 +18,8 @@ worker the pool must win (DESIGN.md §14).  The workload is the same in
 smoke and full runs: a shorter one would mostly time pool start-up.
 
 ``--check`` turns measured floors into an exit code (see
-:func:`check_rows`).  One invocation produces the whole curve, and the
+:func:`check_rows`), and holds ``worker_peak_rss_mb`` to 1.1x the last
+full record's.  One invocation produces the whole curve, and the
 tier-1 suite already asserts the byte-identity the curve depends on.
 """
 
@@ -32,7 +34,7 @@ from pathlib import Path
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.append(str(Path(__file__).resolve().parent))
 
-from _harness import SEED, Bench  # noqa: E402
+from _harness import SEED, Bench, Gate  # noqa: E402
 
 WORKLOAD = dict(clients=8, rounds=3)
 
@@ -59,23 +61,32 @@ def parse_spec(spec: str) -> dict:
     return {"spec": spec, "kind": kind, "workers": int(n) if n else 1}
 
 
-def run_once(cfg, spec: dict) -> tuple[float, bytes, list]:
-    """One full run under one executor; returns (wall_s, state, accs)."""
+def run_once(cfg, spec: dict) -> tuple[float, bytes, list, float | None]:
+    """One full run under one executor; returns (wall_s, state, accs,
+    worker_peak_rss_mb).  The last is the largest ``VmHWM`` over the
+    pool's workers, read before shutdown (``None`` for serial)."""
     from repro.experiments.configs import make_algorithm, make_setting
     from repro.fl.comm import serialize_state
     from repro.fl.parallel import make_executor
+    from repro.obs.metrics import peak_rss_bytes
 
     model_fn, clients = make_setting(cfg)
     algo = make_algorithm("fedavg", cfg, model_fn, clients,
                           executor=make_executor(spec["workers"]))
+    worker_peak = None
     try:
         t0 = time.perf_counter()
         results = [algo.run_round(r) for r in range(cfg.rounds)]
         wall = time.perf_counter() - t0
         state = serialize_state(algo.global_model.state_dict())
+        pool = getattr(algo.executor, "_pool", None)
+        if pool is not None:     # the ProcessPoolExecutor's pid -> Process
+            peaks = [peak_rss_bytes(pid) for pid in pool._processes]
+            if peaks and 0 not in peaks:
+                worker_peak = round(max(peaks) / 2 ** 20, 2)
     finally:
         algo.close()
-    return wall, state, [r.avg_val_acc for r in results]
+    return wall, state, [r.avg_val_acc for r in results], worker_peak
 
 
 def sweep_rows(size: dict):
@@ -89,15 +100,18 @@ def sweep_rows(size: dict):
 
     serial_wall = serial_state = None
     for spec in specs:
-        wall, state, accs = run_once(cfg, spec)
+        wall, state, accs, worker_peak = run_once(cfg, spec)
         if serial_state is None:
             serial_wall, serial_state = wall, state
-        yield {"name": spec["spec"], "executor": spec["spec"],
+        row = {"name": spec["spec"], "executor": spec["spec"],
                "workers": spec["workers"], "wall_s": round(wall, 4),
                "wall_s_per_round": round(wall / cfg.rounds, 4),
                "speedup_vs_serial": round(serial_wall / wall, 4),
                "byte_identical_to_serial": state == serial_state,
                "final_acc": round(accs[-1], 4)}
+        if worker_peak is not None:
+            row["worker_peak_rss_mb"] = worker_peak
+        yield row
 
 
 def check_rows(rows: list[dict], cpus_usable: int,
@@ -129,6 +143,9 @@ def check_rows(rows: list[dict], cpus_usable: int,
 BENCH = Bench(
     name="parallel", doc=__doc__, cases=(("sweep", sweep_rows),),
     full=WORKLOAD, smoke=WORKLOAD,
+    # A worker's replica is views of the memory the fork shares: a second
+    # copy of its arrays puts the worker peak ~16 % over the baseline.
+    gates=(Gate("sweep", "worker_peak_rss_mb", factor=1.1),),
     # judged by the cores of the box that measured the record
     floors=lambda record: check_rows(record["rows"],
                                      record["env"]["cpus_usable"]),

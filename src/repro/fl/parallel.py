@@ -11,7 +11,9 @@ the executor abstraction behind that loop (DESIGN.md §9):
   in-process loop exactly (same objects, same call order, zero overhead);
 - :class:`ProcessPoolRoundExecutor` — fans the per-client
   download → train → upload exchange over a ``ProcessPoolExecutor``
-  whose workers persist for the executor's lifetime.
+  whose workers persist for the executor's lifetime, each holding one
+  algorithm replica (under ``fork``, one whose arrays are views of the
+  memory the fork shares, not copies).
 
 ``make_executor(workers)`` picks between them: the worker count is the
 only engine selector (DESIGN.md §14).
@@ -43,6 +45,7 @@ pool is rebuilt for the next collect.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -114,29 +117,40 @@ _WORKER_SYNC_VERSION: int = -1
 _WORKER_BARRIER: Any = None   # shared barrier for sync-blob preloads
 
 
-def _pickle_algorithm(algorithm: Any) -> bytes:
+def _pickle_algorithm(algorithm: Any, buffers: list | None = None) -> bytes:
     """Pickle an algorithm for worker replicas.
 
     ``model_fn`` is typically a closure (unpicklable) and the executor
     must not recurse into itself, so both are detached for the dump and
     restored after; workers never call either — models already exist on
     the replica and workers only run ``_client_exchange``.
+
+    With a ``buffers`` list, every contiguous array travels out-of-band:
+    protocol 5 appends a ``PickleBuffer`` over its memory to the list
+    instead of copying its bytes into the blob, and loading with
+    ``buffers=`` gives a replica whose arrays are views of that memory.
     """
     saved = {}
     try:
         for attr in ("model_fn", "executor"):
             saved[attr] = getattr(algorithm, attr)
             setattr(algorithm, attr, None)
-        return pickle.dumps(algorithm)
+        return pickle.dumps(algorithm, protocol=5, buffer_callback=(
+            None if buffers is None else buffers.append))
     finally:
         for attr, value in saved.items():
             setattr(algorithm, attr, value)
 
 
-def _worker_init(algo_blob: bytes, barrier: Any = None) -> None:
-    """Pool initializer: install the algorithm replica in this process."""
+def _worker_init(replica: list, barrier: Any = None) -> None:
+    """Pool initializer: install the algorithm replica in this process.
+
+    ``replica`` is ``[blob, buffers]`` from :func:`_pickle_algorithm`;
+    ``buffers`` is ``None`` for an in-band blob.
+    """
     global _WORKER_ALGO, _WORKER_CLIENTS, _WORKER_SYNC_VERSION, _WORKER_BARRIER
-    _WORKER_ALGO = pickle.loads(algo_blob)
+    blob, buffers = replica
+    _WORKER_ALGO = pickle.loads(blob, buffers=buffers)
     _WORKER_CLIENTS = {c.client_id: c for c in _WORKER_ALGO.clients}
     _WORKER_SYNC_VERSION = -1
     _WORKER_BARRIER = barrier
@@ -269,8 +283,9 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     round.  Results are committed strictly in cohort order — see the
     module docstring for the determinism argument.
 
-    Workers are started with ``fork`` where available (cheap replica
-    setup via copy-on-write; also required for algorithm classes defined
+    Workers are started with ``fork`` where available (the replica's
+    arrays are the parent's memory, shared copy-on-write, see
+    ``_ensure_pool``; fork is also required for algorithm classes defined
     in non-importable modules), else ``spawn``.
     """
 
@@ -300,11 +315,23 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         rebinding to a different algorithm): worker PIDs are stable
         across rounds, so replica setup — unpickling the algorithm,
         building its models — is paid once, not per round.
+
+        Under ``fork`` the replica's arrays travel out-of-band: the
+        ``PickleBuffer`` list reaches the workers inside the inherited
+        ``initargs``, so each replica array is a view of memory the fork
+        already shares instead of a second copy.  The workers must map the
+        bytes the dump saw, so they are forked right after it (a fork pool
+        starts every worker at its first submit and never respawns one);
+        then the parent empties ``replica``, the list CPython keeps in the
+        pool's ``initargs`` for the pool's lifetime.  Under ``spawn`` the
+        blob is in-band and stays, since workers start on demand.
         """
         if self._pool is not None and self._pool_algorithm is algorithm:
             return self._pool
         self.close()
-        blob = _pickle_algorithm(algorithm)
+        fork = self._mp_context.get_start_method() == "fork"
+        buffers = [] if fork else None
+        replica = [_pickle_algorithm(algorithm, buffers), buffers]
         # The barrier reaches workers through process inheritance
         # (initargs travel in the worker-spawn arguments), which works for
         # both fork and spawn contexts.
@@ -312,8 +339,11 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         self._pool = ProcessPoolExecutor(max_workers=self.workers,
                                          mp_context=self._mp_context,
                                          initializer=_worker_init,
-                                         initargs=(blob, self._barrier))
+                                         initargs=(replica, self._barrier))
         self._pool_algorithm = algorithm
+        if fork:
+            self._pool.submit(os.getpid)     # forks every worker, now
+            replica.clear()
         return self._pool
 
     def _distribute_sync(self, pool, sync_blob: bytes) -> bool:

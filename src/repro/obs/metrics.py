@@ -192,10 +192,11 @@ class MetricsRegistry:
         self._histograms.clear()
 
 
-def peak_rss_bytes() -> int:
-    """This process's lifetime peak resident set size, in bytes.
+def peak_rss_bytes(pid: int | str = "self") -> int:
+    """This process's (or process ``pid``'s) lifetime peak resident set
+    size, in bytes.
 
-    Prefers ``VmHWM`` from ``/proc/self/status`` (Linux): unlike
+    Prefers ``VmHWM`` from ``/proc/<pid>/status`` (Linux): unlike
     ``ru_maxrss``, it belongs to the current address space and so resets
     on ``exec`` — a freshly spawned subprocess reports *its own* peak,
     not the high-water mark inherited from a large parent.  Falls back
@@ -204,14 +205,17 @@ def peak_rss_bytes() -> int:
     so callers can report it unconditionally.  The value is still a
     high-water mark over the process lifetime: per-phase measurements
     need subprocess isolation (see ``benchmarks/bench_scale.py``).
+    Another process's peak has no fallback: 0 where ``/proc`` lacks it.
     """
     try:
-        with open("/proc/self/status") as status:
+        with open(f"/proc/{pid}/status") as status:
             for line in status:
                 if line.startswith("VmHWM:"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):  # pragma: no cover
         pass
+    if pid != "self":
+        return 0
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX

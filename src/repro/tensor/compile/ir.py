@@ -5,8 +5,11 @@ A compiled step is a straight-line program over three kinds of values:
 - :class:`Handle` — an intermediate buffer the planner owns.  Handles are
   declared during emission with shape/dtype only; after all instructions
   are emitted, a linear-scan pass assigns every handle a byte offset in
-  one arena allocation, reusing memory between handles whose lifetimes
-  (first/last touching instruction) do not overlap.
+  one arena, reusing memory between handles whose lifetimes (first/last
+  touching instruction) do not overlap.  The arena is a prefix of a uint8
+  base the caller may pass in: the step compiler hands every plan its one
+  shared base, because an arena holds only intra-step intermediates and
+  plans never replay concurrently.
 - :class:`View` — a derived array built once at bind time (a transpose /
   reshape / slice of a handle's arena array, a broadcast of a gradient,
   or a window view over the input buffer).  Views carry their base handle
@@ -104,7 +107,8 @@ class PlanBuilder:
         self._factories: list[Callable] = []
         self._uses: list[list[Any]] = []
         self._counter = 0
-        self.arena: np.ndarray | None = None
+        self.arena: np.ndarray | None = None   # this plan's prefix of base
+        self.base: np.ndarray | None = None
         self.persistent_bytes = 0
 
     # ------------------------------------------------------------ declare
@@ -150,13 +154,15 @@ class PlanBuilder:
             h.last = max(h.last, self._counter)
 
     # ---------------------------------------------------------- finalize
-    def finalize(self) -> list[Callable]:
+    def finalize(self, base: np.ndarray | None = None) -> list[Callable]:
         """Assign offsets, materialise the arena, bind all factories.
 
         Linear-scan first-fit: handles sorted by first touch; a handle may
         reuse bytes of any handle whose last touch strictly precedes its
-        first.  Returns the bound closure list (factories that bind to
-        ``None`` are dropped).
+        first.  The arena is a prefix view of ``base`` (a uint8 array) when
+        the plan fits in it, else of a fresh base of exactly the plan's
+        size; :attr:`base` is whichever backs it.  Returns the bound
+        closure list (factories that bind to ``None`` are dropped).
         """
         live: list[tuple[int, int, int]] = []   # (last, offset, nbytes)
         total = 0
@@ -172,7 +178,11 @@ class PlanBuilder:
             h.offset = off
             live.append((h.last, off, h.nbytes))
             total = max(total, off + h.nbytes)
-        self.arena = np.empty(_align(total), dtype=np.uint8)
+        need = _align(total)
+        if base is None or base.nbytes < need:
+            base = np.empty(need, dtype=np.uint8)
+        self.base = base
+        self.arena = base[:need]
         for h in planned:
             h.array = (self.arena[h.offset:h.offset + h.nbytes]
                        .view(h.dtype).reshape(h.shape))

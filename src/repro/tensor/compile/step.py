@@ -16,6 +16,11 @@ by :func:`repro.fl.local.train_local`:
 - A plan bakes in per-layer arena arrays; once a slot it claimed has grown
   (a larger batch with grad on moved its ``generation``) the step is
   recaptured.  Transient scratch is requested per call, never baked.
+- A compiler's plans share one plan arena (:mod:`~repro.tensor.compile.ir`):
+  a plan that fits is laid out in a prefix of the current base, one that
+  does not gets a new base that becomes current, and plans already bound
+  keep theirs — nothing recaptures.  Captured largest-signature first,
+  every plan lives in one base of the largest plan's size.
 
 Per-step guards keep the plan honest when runtime state the plan baked
 in could drift: SPATL channel masks, active dropout, eval mode, and
@@ -54,11 +59,12 @@ class StepPlan:
     """A bound, replayable training step for one input signature."""
 
     __slots__ = ("instrs", "in_buf", "lab_buf", "loss_cell", "param_grads",
-                 "all_params", "stats", "slot_gens")
+                 "all_params", "stats", "slot_gens", "arena")
 
     def __init__(self, instrs, in_buf, lab_buf, loss_cell, param_grads,
-                 all_params, stats, slots):
+                 all_params, stats, slots, arena):
         self.instrs = instrs
+        self.arena = arena      # the uint8 base the plan's handles live in
         self.in_buf = in_buf
         self.lab_buf = lab_buf
         self.loss_cell = loss_cell
@@ -114,11 +120,13 @@ class StepCompiler:
 
     One compiler instance serves any number of models; plans are cached
     per ``(model identity, input signature)``.  The model cache is weak,
-    so scratch models can be collected with their plans.
+    so scratch models can be collected with their plans.  The current
+    plan-arena base is held weakly too: the plans bound to it own it.
     """
 
     def __init__(self):
         self._models = weakref.WeakKeyDictionary()
+        self._arena = None          # weakref to the current plan-arena base
 
     # Plans hold bound closures over this process's arrays; worker
     # processes must recapture, so pickling ships an empty compiler.
@@ -174,6 +182,12 @@ class StepCompiler:
             return dict(entry.plans)
         return entry.plans.get(sig)
 
+    def arena_bytes(self) -> int:
+        """Bytes of the distinct plan-arena bases the live plans hold."""
+        bases = {id(p.arena): p.arena.nbytes for e in self._models.values()
+                 for p in e.plans.values() if p is not FALLBACK}
+        return sum(bases.values())
+
     # ------------------------------------------------------------------ #
     def _capture(self, model, xb, yarr, entry, sig, labels) -> float:
         from repro.obs.trace import get_tracer
@@ -200,17 +214,19 @@ class StepCompiler:
             loss_val = loss.item()
             try:
                 plan = _build_plan(model, records, schedule, loss, x_in, xb,
-                                   yarr)
+                                   yarr, self._arena and self._arena())
             except Unsupported as exc:
                 plan = FALLBACK
                 _counter("compile.fallbacks", reason=str(exc)).inc()
             else:
+                self._arena = weakref.ref(plan.arena)
                 _counter("compile.captures", **labels).inc()
             entry.plans[sig] = plan
         return loss_val
 
 
-def _build_plan(model, recs, schedule, loss, x_in, xb, yarr) -> StepPlan:
+def _build_plan(model, recs, schedule, loss, x_in, xb, yarr,
+                arena) -> StepPlan:
     if yarr.ndim != 1 or yarr.dtype.kind not in "iu":
         raise Unsupported("labels must be a 1-d integer array")
     pb = PlanBuilder()
@@ -284,8 +300,8 @@ def _build_plan(model, recs, schedule, loss, x_in, xb, yarr) -> StepPlan:
             continue
         BWD[rec.op](ctx, rec, g)
 
-    instrs = pb.finalize()
+    instrs = pb.finalize(arena)
     stats = pb.stats()
     stats["fused_forward"] = ctx.fused_fwd
     return StepPlan(instrs, in_buf, lab_buf, ctx.loss_cell, ctx.param_grads,
-                    all_params, stats, ctx.claimed_slots.values())
+                    all_params, stats, ctx.claimed_slots.values(), pb.base)

@@ -400,6 +400,53 @@ class TestCompiledStep:
             "compile.captures": 1, "compile.replays": 4,
             "compile.captures{reason=arena_growth}": 1}
 
+    @staticmethod
+    def _replay_against_eager(order):
+        """Compiled and eager twins step through batches of the sizes in
+        ``order``; every step's loss and every parameter gradient must be
+        the eager bytes.  Returns the compiled twin and its compiler."""
+        batches = [_batches(1, bs=bs, seed=i)[0] for i, bs in enumerate(order)]
+        m_eager, m_comp = _make_model(), _make_model()
+        opts = [SGD(m.named_parameters(), lr=0.05, momentum=0.9,
+                    weight_decay=5e-4) for m in (m_eager, m_comp)]
+        comp = StepCompiler()
+        for step, (xb, yb) in enumerate(batches):
+            assert comp.try_step(m_comp, xb, yb) == \
+                _eager_step(m_eager, xb, yb), step
+            for (n, p), (_, q) in zip(m_eager.named_parameters(),
+                                      m_comp.named_parameters()):
+                assert p.grad.dtype == q.grad.dtype, (step, n)
+                assert np.array_equal(p.grad, q.grad), (step, n)
+            for opt in opts:
+                opt.step()
+        return m_comp, comp
+
+    def test_plans_share_one_arena(self, fresh_registry):
+        # Three signatures replayed alternately through one compiler: an
+        # arena holds only one step's intermediates, so the largest plan,
+        # captured first, lends its arena to every later one.
+        model, comp = self._replay_against_eager([32, 10, 21, 32, 10])
+        plans = list(comp.plan_for(model).values())
+        assert len(plans) == 3
+        assert len({id(p.arena) for p in plans}) == 1
+        assert comp.arena_bytes() == max(p.stats["arena_bytes"]
+                                         for p in plans)
+        assert fresh_registry.snapshot()["counters"] == {
+            "compile.captures": 3, "compile.replays": 2}
+
+    def test_a_larger_plan_gets_its_own_arena(self, fresh_registry):
+        # Growth order: the 10-plan keeps the arena it was bound to, the
+        # 32-plan's larger one becomes current (the 21-plan lands in it),
+        # and nothing is recaptured for it.
+        model, comp = self._replay_against_eager([10, 32, 21, 32])
+        plans = {sig[0][0]: p for sig, p in comp.plan_for(model).items()}
+        assert plans[10].arena is not plans[32].arena
+        assert plans[21].arena is plans[32].arena
+        assert comp.arena_bytes() == (plans[10].stats["arena_bytes"]
+                                      + plans[32].stats["arena_bytes"])
+        assert fresh_registry.snapshot()["counters"] == {
+            "compile.captures": 3, "compile.replays": 1}
+
     def test_stale_grads_cleared_on_replay(self):
         # A parameter gradient left over from an eager step on a different
         # signature must not survive into a compiled step's output.

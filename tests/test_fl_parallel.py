@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import types
 import warnings
 from collections import Counter
 
@@ -18,13 +20,14 @@ import numpy as np
 import pytest
 
 from repro.data import dirichlet_partition
-from repro.fl import make_federated_clients
+from repro.fl import (ClientStateStore, ShardedClientFactory,
+                      VirtualClientPool, make_federated_clients)
 from repro.fl.comm import (CommLedger, PayloadError, decode_update,
                            encode_update, serialize_state)
 from repro.fl.faults import FaultModel
 from repro.fl.fedavg import FedAvg
 from repro.fl.parallel import (ProcessPoolRoundExecutor, SerialExecutor,
-                               make_executor)
+                               _pickle_algorithm, make_executor)
 from repro.fl.resilience import (ClientDropped, StragglerTimeout,
                                  TransferCorrupted, WorkerCrashed)
 from repro.core.spatl import SPATL
@@ -58,9 +61,10 @@ def _fault_model():
                       seed=21)
 
 
-def _build(algo_name, model_fn, clients, workers, fault_model=None):
+def _build(algo_name, model_fn, clients, workers, fault_model=None, **kw):
     common = dict(lr=0.05, local_epochs=1, sample_ratio=1.0, seed=0,
-                  fault_model=fault_model, executor=make_executor(workers))
+                  fault_model=fault_model, executor=make_executor(workers),
+                  **kw)
     if algo_name == "spatl":
         return SPATL(model_fn, clients,
                      selection_policy=StaticSaliencyPolicy(0.3), **common)
@@ -137,6 +141,115 @@ def test_parallel_spatl_local_state_round_trips(eight_client_setting):
         for name, value in cs.local_state["c_i"].values.items():
             np.testing.assert_array_equal(
                 value, cp.local_state["c_i"].values[name])
+
+
+# ------------------------------------------------------------ replica
+def _reachable(root, skip=()):
+    """Every object reachable from ``root`` through instance attributes,
+    slots, dict values and sequence items, each once.  Attributes are read
+    with ``object.__getattribute__`` so a forwarding proxy is never
+    materialized by the walk; objects in ``skip`` are not entered."""
+    seen = {id(o) for o in skip}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, np.ndarray):
+            continue
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        try:
+            stack.extend(object.__getattribute__(obj, "__dict__").values())
+        except AttributeError:
+            pass
+        for cls in type(obj).__mro__:
+            slots = cls.__dict__.get("__slots__", ())
+            for slot in (slots,) if isinstance(slots, str) else slots:
+                try:
+                    stack.append(object.__getattribute__(obj, slot))
+                except AttributeError:
+                    pass
+
+
+def _layout(arr):
+    return (arr.__array_interface__["data"][0], arr.shape, arr.strides,
+            arr.dtype.str)
+
+
+def _out_of_band_replica(algo):
+    """Dump and load ``algo`` as a fork-pool worker does; check that the
+    replica's arrays are the original's memory and the blob is small."""
+    buffers = []
+    blob = _pickle_algorithm(algo, buffers)
+    replica = pickle.loads(blob, buffers=buffers)
+    assert algo.model_fn is not None and algo.executor is not None
+    array_bytes = sum(memoryview(b).nbytes for b in buffers)
+    assert len(blob) < 0.05 * array_bytes, (len(blob), array_bytes)
+    originals = {_layout(a) for a in _reachable(algo)
+                 if isinstance(a, np.ndarray)}
+    leaves = [a for a in _reachable(replica)
+              if isinstance(a, np.ndarray) and a.size]
+    assert len(leaves) >= len(buffers) > 0
+    for arr in leaves:
+        assert _layout(arr) in originals, _layout(arr)
+    assert replica.executor is None and replica.model_fn is None
+    return replica
+
+
+@pytest.mark.parametrize("algo_name", ["fedavg", "spatl"])
+def test_replica_arrays_are_views_of_the_original(eight_client_setting,
+                                                  algo_name):
+    model_fn, make_clients = eight_client_setting
+    algo = _build(algo_name, model_fn, make_clients(), 1, compile_steps=True)
+    algo.run_round(0)                 # trained state and captured plans
+    assert algo.step_compiler.arena_bytes() > 0
+    replica = _out_of_band_replica(algo)
+    assert replica.step_compiler.arena_bytes() == 0
+    assert len(replica.step_compiler._models) == 0
+
+
+def test_virtual_pool_replica_is_frozen_and_cold(tmp_path, tiny_dataset,
+                                                 tiny_setting):
+    model_fn, parts = tiny_setting
+    factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts,
+                                   batch_size=32, seed=5)
+    pool = VirtualClientPool(factory, len(parts),
+                             ClientStateStore(tmp_path / "store"))
+    algo = FedAvg(model_fn, pool.clients(), lr=0.05, local_epochs=1,
+                  sample_ratio=1.0, seed=0, compile_steps=True,
+                  executor=make_executor(1))
+    algo.run_round(0)
+    assert pool.resident > 0 and not pool.store.frozen
+    replica = _out_of_band_replica(algo)
+    replica_pool = replica.clients[0]._pool
+    try:
+        assert replica_pool.store.frozen
+        assert replica_pool.resident == 0
+        assert len(replica.step_compiler._models) == 0
+        assert replica.executor is None
+    finally:
+        replica_pool.store.close()
+        pool.store.close()
+
+
+def test_pool_keeps_no_replica_after_fork(eight_client_setting):
+    """Once the workers are forked the parent drops the buffer list, and
+    the blob it keeps in the pool's ``initargs`` is array-free."""
+    model_fn, make_clients = eight_client_setting
+    algo = _build("fedavg", model_fn, make_clients(), 2)
+    try:
+        algo.run_round(0)
+        held = list(_reachable(algo.executor, skip=[algo]))
+    finally:
+        algo.close()
+    assert not [o for o in held if isinstance(o, pickle.PickleBuffer)]
+    blobs = [len(o) for o in held if isinstance(o, (bytes, bytearray))]
+    assert max(blobs, default=0) < 64 * 1024, blobs
 
 
 # ------------------------------------------------------------ obs merge
