@@ -9,8 +9,8 @@ coordinate only from the clients that *covered* it:
 implemented as a vectorized sum/count reduction (DESIGN.md §11) that
 folds one upload at a time (:class:`SalientAccumulator` — the batch
 entry point :func:`salient_aggregate` and the streaming SPATL fold are
-the same body): coverage counts via one ``np.bincount`` per upload,
-row sums via unique-index fancy adds (``acc[indices] += diff``) — the
+the same body): coverage as float64 sums of the upload weights, row
+sums via unique-index fancy adds (``acc[indices] += diff``) — the
 buffered ``np.add.at`` inner loop is several times slower than the
 plain gather-add-scatter it replaces, and client selections are sets of
 filters, so indices within one upload are unique and the fancy add sums
@@ -35,19 +35,19 @@ class SalientAccumulator:
 
     Holds the float64 snapshot of the pre-round global weight (every diff
     is taken against it), the scatter-add of ``w_i * (W_i[idx] - W[idx])``
-    and the per-filter coverage denominators — integer counts when
-    unweighted, float64 sums of covering weights when ``weighted`` (added
-    in upload order, which is exactly ``np.bincount(..., weights=...)``
-    over the concatenated indices).  Uploads fold in one at a time, so a
-    batch reduction and a streaming one are the same code.
+    and the per-filter coverage denominators — float64 sums of covering
+    weights, added in upload order (exactly ``np.bincount(...,
+    weights=...)`` over the concatenated indices).  Unit weights make
+    both exact: ``1.0 * diff`` is ``diff`` and the coverage sums are
+    integers, so they are bitwise the unweighted reduction.  Uploads fold
+    in one at a time, so a batch reduction and a streaming one are the
+    same code.
     """
 
-    def __init__(self, global_weight: np.ndarray, weighted: bool = False):
+    def __init__(self, global_weight: np.ndarray):
         self.out = np.array(global_weight, dtype=np.float64)
         self.acc = np.zeros_like(self.out)
-        self.counts = np.zeros(self.out.shape[0],
-                               dtype=np.float64 if weighted else np.int64)
-        self.weighted = bool(weighted)
+        self.counts = np.zeros(self.out.shape[0], dtype=np.float64)
         # The fancy-add fast path pays a fixed uniqueness check per upload;
         # for near-scalar rows (biases, BN stats) the buffered scatter is
         # already cheaper than that check, so only wide rows take it.
@@ -63,12 +63,8 @@ class SalientAccumulator:
             raise ValueError("upload rows/indices mismatch")
         if len(indices) and (indices.min() < 0 or indices.max() >= n_filters):
             raise IndexError("salient index out of range")
-        diff = rows.astype(np.float64) - self.out[indices]
-        if self.weighted:
-            diff = float(weight) * diff
-            np.add.at(self.counts, indices.ravel(), float(weight))
-        else:
-            self.counts += np.bincount(indices.ravel(), minlength=n_filters)
+        diff = float(weight) * (rows.astype(np.float64) - self.out[indices])
+        np.add.at(self.counts, indices.ravel(), float(weight))
         if self._wide and indices.size == np.unique(indices).size:
             # Unique indices: the fancy add sums the identical terms in
             # the identical order as np.add.at, minus its buffered
@@ -109,21 +105,18 @@ def salient_aggregate(global_weight: np.ndarray,
         covering clients, the FedAvg-consistent choice).
     weights:
         Optional per-upload multiplicative weights (the async runtime's
-        staleness discounts).  The covered-coordinate mean becomes a
-        weighted mean: each covering client contributes
-        ``w_i * (W_i[idx] - W_global[idx])`` and the denominator is the
-        sum of covering weights.  ``None`` keeps the exact unweighted
-        reduction (equal weights give the same *math* but scale each diff
-        by 1.0 and count in float64; only ``weights=None`` is guaranteed
-        bitwise against the oracle).
+        staleness discounts); ``None`` means unit weights.  The
+        covered-coordinate mean is a weighted mean: each covering client
+        contributes ``w_i * (W_i[idx] - W_global[idx])`` and the
+        denominator is the sum of covering weights.
 
-    Returns the updated dense tensor.  With ``weights=None``,
+    Returns the updated dense tensor.  With unit weights,
     bitwise-identical to
     :func:`repro.fl.reference_agg.reference_salient_aggregate`.
     """
     if weights is not None and len(weights) != len(uploads):
         raise ValueError("uploads/weights length mismatch")
-    layer = SalientAccumulator(global_weight, weighted=weights is not None)
+    layer = SalientAccumulator(global_weight)
     for i, (indices, rows) in enumerate(uploads):
         layer.add(indices, rows, 1.0 if weights is None else weights[i])
     return layer.result(step_size).astype(global_weight.dtype)

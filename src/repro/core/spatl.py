@@ -176,38 +176,16 @@ class SPATL(FederatedAlgorithm):
                             for k, v in update["predictor_state"].items()})
         return payload
 
-    def apply_upload_payload(self, update: dict,
-                             payload: dict[str, np.ndarray]) -> None:
-        # Only what the uplink carries is replaced; client-side context the
-        # server already holds (``"before"``) stays exact by construction.
-        update["salient"] = {name: (payload[f"{name}.idx"],
-                                    payload[f"{name}.val"])
-                             for name in update["salient"]}
-        update["dense"] = {k: payload[k] for k in update["dense"]}
-        if update["predictor_state"] is not None:
-            update["predictor_state"] = {k: payload[f"pred.{k}"]
-                                         for k in update["predictor_state"]}
-
-    def make_fold(self, spill=None, weighted: bool = False):
+    def make_fold(self, spill=None):
         """SPATL's server step (step 6 above): the Eq. 12/11 fold."""
         from repro.fl.scale.fold import SPATLFold
-        return SPATLFold(self, spill, weighted=weighted)
+        return SPATLFold(self, spill)
 
-    # ------------------------------------------ parallel-execution hooks
-    def worker_sync_state(self) -> dict[str, np.ndarray]:
-        """Global model plus the server control variate (``cv.*``)."""
-        state = super().worker_sync_state()
-        if self.use_gradient_control:
-            state.update(self.c_global.as_state("cv."))
-        return state
-
-    def load_worker_sync_state(self, state: dict[str, np.ndarray]) -> None:
-        """Install model + server control variate on a worker replica."""
-        super().load_worker_sync_state(state)
-        if self.use_gradient_control:
-            for key, value in state.items():
-                if key.startswith("cv."):
-                    self.c_global.values[key[len("cv."):]] = value
+    def server_arrays(self) -> dict[str, dict[str, np.ndarray]]:
+        """The server control variate ``c``, synced as ``cv.*`` — when
+        gradient control is on."""
+        return {"cv.": self.c_global.values} if self.use_gradient_control \
+            else {}
 
     # ------------------------------------------------------------ eval
     def client_eval_model(self, client: Client):

@@ -33,9 +33,9 @@ Server semantics:
   deadline fires first), the server folds the buffer in deterministic
   ``(dispatch_step, job)`` order.  Each update is discounted by
   ``1/(1 + staleness)^alpha`` where staleness is the number of commits
-  since its dispatch; all-fresh buffers take the unweighted fold, which
-  is *bitwise* the synchronous
-  :meth:`~repro.fl.base.FederatedAlgorithm.aggregate`.
+  since its dispatch through the algorithm's one fold; a fresh update's
+  weight is exactly 1.0, so an all-fresh buffer is *bitwise* the
+  synchronous :meth:`~repro.fl.base.FederatedAlgorithm.aggregate`.
   Commits are idempotent under deadline races: a deadline event carries
   the commit epoch it was armed for and is ignored once any commit
   advanced the epoch.
@@ -49,10 +49,8 @@ cohort order (``tests/test_fl_async.py::TestSyncEquivalence``).
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
@@ -60,10 +58,8 @@ from typing import Any
 import numpy as np
 
 from repro.fl.base import FederatedAlgorithm
-from repro.fl.comm import decode_update, encode_update
 from repro.fl.faults import AsyncProfile
 from repro.fl.resilience import ClientCrashed, FaultStats
-from repro.fl.scale.fold import UpdateSpill
 from repro.fl.wire import state_fingerprint
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -168,7 +164,7 @@ class _Job:
     dispatch_time: float
     duration: float
     crashed: bool
-    update: Any = None          # dropped after commit to bound memory
+    update: Any = None          # dropped once committed or deduped
     train_loss: float = float("nan")
     fingerprint: int | None = None   # CRC32 of the upload payload
     accepted: bool = False
@@ -205,7 +201,7 @@ class AsyncFederatedRunner:
     """
 
     def __init__(self, algorithm: FederatedAlgorithm, profile: AsyncProfile,
-                 config: AsyncConfig | None = None, update_store=None):
+                 config: AsyncConfig | None = None):
         if algorithm.fault_model is not None:
             raise ValueError("the async runtime draws its failures from "
                              "AsyncProfile; use FederatedAlgorithm.run_round "
@@ -225,11 +221,6 @@ class AsyncFederatedRunner:
         # runs keep O(capacity) memory (DESIGN.md §13)
         self._fp_registry: OrderedDict[tuple[int, int], int] = OrderedDict()
         self.dedup_evictions = 0
-        # Optional spill-to-disk store for in-flight updates: dispatched
-        # jobs park their update blobs here (losslessly framed) and the
-        # commit streams them through the algorithm's fold — server memory
-        # stays O(model) regardless of max_inflight (DESIGN.md §13).
-        self._store = update_store
         self.server_step = 0
         self._commit_epoch = 0
         self.stats = FaultStats()
@@ -313,17 +304,13 @@ class AsyncFederatedRunner:
             algo._download(client, self.server_step)
             span.set(crashed=crashed)
             if not crashed:
-                # Quantized uplinks (DESIGN.md §16) are encoded here, once,
-                # before any spill — the stashed wire dict is what
-                # fingerprints, byte charges, and (via the dequantized
-                # update tensors) buffered commits all see, so duplicate
-                # deliveries dedup against identical bytes.
+                # Quantized uplinks (DESIGN.md §16) are encoded here, once
+                # — the stashed wire dict is what fingerprints, byte
+                # charges, and (via the dequantized update tensors)
+                # buffered commits all see, so duplicate deliveries dedup
+                # against identical bytes.
                 job.update = algo._train(client, round_for_client)
                 job.train_loss = algo.update_train_loss(job.update)
-                if self._store is not None:
-                    self._store.put(f"job/{job_id}",
-                                    encode_update(job.update))
-                    job.update = None    # lives on disk until commit
         self.jobs[job_id] = job
         self.inflight.add(job_id)
         self._bump("dispatched")
@@ -350,29 +337,24 @@ class AsyncFederatedRunner:
         """An upload (or a duplicated delivery of one) reaches the server."""
         job = self.jobs[job_id]
         cid = job.client_id
-        if job.accepted:
-            # A later delivery of an already-accepted job is a duplicate
+        if job.accepted or job.update is None:
+            # A later delivery of an already-accepted job, or of one whose
+            # content another job already delivered, is a duplicate
             # regardless of the fingerprint registry — which is bounded,
             # so its entry may have been FIFO-evicted by now.
             self._bump("deduped")
             return
-        update = payload = None
+        payload = None
         if job.fingerprint is None:
-            update = self._job_update(job)
-            payload = self.algo.wire_payload(update)
+            payload = self.algo.wire_payload(job.update)
             job.fingerprint = state_fingerprint(payload)
         key = (cid, job.fingerprint)
-        if self._fp_registry.get(key) is not None:
-            # Wire-level dedup: an upload whose content fingerprint was
-            # already accepted from this client (duplicate or late
-            # retransmission) is dropped before any accounting.
+        if key in self._fp_registry:
+            # Wire-level dedup: another job of this client already
+            # delivered this content, so this one is dropped before any
+            # accounting and will never commit — nor is its update kept.
             self._bump("deduped")
-            if self._store is not None and self._fp_registry[key] != job_id:
-                # A *different* job won the fingerprint — this one will
-                # never commit, so its spilled update is garbage now.  A
-                # duplicate delivery of the accepted job itself keeps its
-                # entry (still needed at commit).
-                self._store.delete(f"job/{job_id}")
+            job.update = None
             return
         self._fp_registry[key] = job_id
         while len(self._fp_registry) > self.config.dedup_capacity:
@@ -383,9 +365,8 @@ class AsyncFederatedRunner:
         self.inflight.discard(job_id)
         with get_tracer().span("buffer", step=self.server_step, client=cid,
                                job=job_id) as span:
-            if update is None:    # fingerprinted by a deduped delivery
-                update = self._job_update(job)
-            self.algo._upload(cid, job.dispatch_step, update, payload=payload)
+            self.algo._upload(cid, job.dispatch_step, job.update,
+                              payload=payload)
             self.stats.record_delivery(cid)
             self.buffer.append(job_id)
             self._bump("accepted")
@@ -434,16 +415,6 @@ class AsyncFederatedRunner:
         self._drain_queue()
 
     # ------------------------------------------------------------- commit
-    def _job_update(self, job: _Job) -> Any:
-        """The job's update, wherever it lives (memory or spill store)."""
-        if job.update is not None:
-            return job.update
-        if self._store is not None:
-            blob = self._store.get(f"job/{job.job_id}")
-            if blob is not None:
-                return decode_update(blob)
-        return None
-
     def _commit(self, deadline: bool = False, partial: bool = False) -> None:
         """Fold the buffer into the global state as one server step."""
         assert self.buffer, "commit with an empty buffer"
@@ -458,17 +429,8 @@ class AsyncFederatedRunner:
         metrics = get_registry()
         with tracer.span("commit", step=self.server_step,
                          n_updates=len(jobs), deadline=deadline) as span:
-            # With an update store the fold parks on disk and the
-            # generator keeps one update alive at a time; without one
-            # both are resident.  Same fold, same arithmetic.
-            parked = contextlib.nullcontext() if self._store is None else \
-                UpdateSpill(os.path.join(
-                    self._store.root, "spills",
-                    f"commit_{self._commit_epoch}.spill"))
-            with parked as spill:
-                self.algo.aggregate_weighted(
-                    (self._job_update(job) for job in jobs), weights,
-                    self.server_step, spill=spill)
+            self.algo.aggregate_weighted(
+                (job.update for job in jobs), weights, self.server_step)
             self.algo.transport.new_round()   # the global state moved
             span.set(max_staleness=max(staleness),
                      mean_weight=float(np.mean(weights)))
@@ -488,8 +450,6 @@ class AsyncFederatedRunner:
         self.buffer.clear()
         for job in jobs:
             job.update = None        # committed: drop the payload reference
-            if self._store is not None:
-                self._store.delete(f"job/{job.job_id}")
         self.counters["committed"] += len(jobs)
         self.server_step += 1
         self._commit_epoch += 1      # invalidates any armed deadline

@@ -2,7 +2,8 @@
 
 The loop follows the standard synchronous FL protocol of the paper's
 Figure 1: sample clients → download global state → local updates → upload →
-aggregate → evaluate.  Subclasses implement four hooks:
+aggregate → evaluate.  Subclasses implement four hooks and may declare
+a fifth:
 
 - ``downlink_state()`` — everything a synced client holds.
   ``download_payload(client)``, written once here, turns it into what
@@ -11,10 +12,16 @@ aggregate → evaluate.  Subclasses implement four hooks:
   zeros it is born holding (``zero_born``, DESIGN.md §5.1);
 - ``local_update(client, round_idx)`` — run local training, return an
   update object;
-- ``upload_payload(update)`` — what the client sends back (accounting);
-- the server step, once: ``make_fold(spill, weighted)`` for a running
-  accumulator, or ``aggregate(updates, round_idx)`` for a batch reduce
-  (DESIGN.md §13.3).
+- ``upload_payload(update)`` — what the client sends back, as the
+  update's own arrays: the quantized transport writes the decoded values
+  back through it, so the uplink is stated once and has no inverse;
+- the server step, once: ``make_fold(spill)`` for a running accumulator,
+  or ``aggregate(updates, round_idx)`` for a batch reduce (DESIGN.md
+  §13.3);
+- ``server_arrays()`` — optional: the server state beyond the model
+  (control variates, server momentum), declared once; the worker sync
+  state, its loader and every checkpoint are derived from it
+  (DESIGN.md §9).
 
 Evaluation reports the **average local top-1 accuracy across all clients**
 (participating or not), matching §V-B: "we allocate each client a local
@@ -290,7 +297,7 @@ class FederatedAlgorithm:
         # :class:`~repro.fl.quant.QuantConfig`, each freshly trained
         # update is quantized exactly once — its wire encoding is stashed
         # on the update under ``QUANT_WIRE_KEY`` and its uplink tensors
-        # are replaced by the dequantized values, so every byte-charging
+        # are overwritten with the dequantized values, so every byte-charging
         # site, retransmission, and fold sees one consistent payload.
         # ``quant=None`` (or bits=32) keeps the original dense path
         # byte-identical.
@@ -391,23 +398,14 @@ class FederatedAlgorithm:
         raise NotImplementedError
 
     def upload_payload(self, update: Any) -> dict[str, np.ndarray]:
+        """What the client sends back for ``update``: the one statement of
+        this algorithm's uplink.
+
+        Every float tensor must be the update's own array, not a copy:
+        :meth:`quantize_update` writes the decoded values back through the
+        returned dict, and the server step reads them from the update.
+        (A one-value entry, which no codec shrinks, may be built here.)"""
         raise NotImplementedError
-
-    def apply_upload_payload(self, update: Any,
-                             payload: dict[str, np.ndarray]) -> None:
-        """Write a (decoded) uplink payload back into ``update`` in place.
-
-        The inverse of :meth:`upload_payload`: given entries under the
-        same names that hook emits, replace the update's transmitted
-        tensors with them.  The quantized transport uses it to make
-        aggregation fold exactly what the wire carried
-        (dequantize-then-fold, DESIGN.md §16).  Values the uplink never
-        carries (client-side bookkeeping like SPATL's ``"before"``) are
-        untouched by construction.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement apply_upload_payload; "
-            "quantized uplinks (quant=) need it to fold decoded values")
 
     def quantize_update(self, client: Client, update: Any,
                         round_idx: int) -> Any:
@@ -418,9 +416,10 @@ class FederatedAlgorithm:
         ``(seed, "quant", round, client)`` so executor replays and
         retransmissions reproduce identical bytes — applies per-client
         error feedback from ``client.local_state["quant_residual"]``,
-        writes the dequantized values back via
-        :meth:`apply_upload_payload`, and stashes the exact wire dict on
-        the update under ``QUANT_WIRE_KEY`` for :meth:`wire_payload`.
+        copies each decoded entry into the update's own array (entries
+        the codec passed through are already exact), and stashes the
+        exact wire dict on the update under ``QUANT_WIRE_KEY`` for
+        :meth:`wire_payload`.
         """
         if self.quant is None:
             return update
@@ -435,7 +434,9 @@ class FederatedAlgorithm:
             residuals = client.local_state.setdefault("quant_residual", {})
         wire_dict, decoded = quantize_payload(payload, self.quant, rng,
                                               residuals)
-        self.apply_upload_payload(update, decoded)
+        for name, value in decoded.items():
+            if name not in wire_dict:      # quantized: travels as name+suffix
+                np.copyto(payload[name], value)
         update[QUANT_WIRE_KEY] = wire_dict
         return update
 
@@ -454,7 +455,7 @@ class FederatedAlgorithm:
         return self.upload_payload(update)
 
     # ---------------------------------- aggregation (DESIGN.md §13.3)
-    def make_fold(self, spill=None, weighted: bool = False):
+    def make_fold(self, spill=None):
         """The accumulator every driver aggregates through.
 
         ``spill=None`` parks what finalize needs by reference; an
@@ -468,26 +469,24 @@ class FederatedAlgorithm:
                 f"{type(self).__name__} defines neither make_fold nor a "
                 "batch aggregate")
         from repro.fl.scale.fold import SpillReplayFold
-        return SpillReplayFold(self, spill, weighted=weighted)
+        return SpillReplayFold(self, spill)
 
     def aggregate(self, updates: Sequence[Any], round_idx: int) -> None:
         """Fold a list of updates into the global state, unit weights."""
         self.aggregate_weighted(updates, [1.0] * len(updates), round_idx)
 
     def aggregate_weighted(self, updates: Iterable[Any],
-                           weights: Sequence[float], round_idx: int,
-                           spill=None) -> None:
+                           weights: Sequence[float], round_idx: int) -> None:
         """Fold ``updates`` with per-update multiplicative weights.
 
         The asynchronous runtime discounts stale updates by
-        ``1/(1+staleness)^alpha`` (DESIGN.md §12).  When every weight is
-        exactly 1.0 the fold is the unweighted one — bitwise the
-        synchronous path, which is what makes ``buffer_k == cohort size``
-        async runs reproduce sync runs exactly.  ``updates`` may be a
-        generator: with a ``spill`` only one update is alive at a time.
+        ``1/(1+staleness)^alpha`` (DESIGN.md §12).  A weight of exactly
+        1.0 scales by an exact multiply, so all-1.0 weights are bitwise
+        the synchronous fold — which is what makes ``buffer_k == cohort
+        size`` async runs reproduce sync runs exactly.  ``updates`` may
+        be a generator.
         """
-        fold = self.make_fold(spill,
-                              weighted=not all(w == 1.0 for w in weights))
+        fold = self.make_fold()
         # strict: an updates/weights length mismatch is a ValueError
         for update, w in zip(updates, weights, strict=True):
             fold.add(update, w)
@@ -497,16 +496,26 @@ class FederatedAlgorithm:
         """Model used to evaluate ``client`` (global by default)."""
         return self.global_model
 
-    # ------------------------------------------- parallel-execution hooks
+    # ------------------------------------------------------ server state
     # ``worker_sync_state`` is the algorithm's complete server state: what
     # a worker process needs before running any client, and what every
-    # checkpoint writer saves.  The base pair covers the global model and
-    # the downlink version table (``dl.*``: workers build deltas from the
-    # parent's table, they never compare states themselves) — all the
-    # mutable server state of FedAvg, FedProx and FedTopK; subclasses with
-    # more (control variates, server momentum) extend it.
-    # Per-client state has the matching single home, ``client.local_state``,
-    # which always travels with the client.  See DESIGN.md §9.
+    # checkpoint writer saves.  It is the global model (``model.*``), the
+    # downlink version table (``dl.*``: workers build deltas from the
+    # parent's table, they never compare states themselves) and whatever
+    # :meth:`server_arrays` declares — nothing for FedAvg, FedProx,
+    # FedTopK and the sparse-init baselines, the control variate or the
+    # server momentum for the others.  Per-client state has the matching
+    # single home, ``client.local_state``, which always travels with the
+    # client.  See DESIGN.md §9.
+
+    def server_arrays(self) -> dict[str, dict[str, np.ndarray]]:
+        """The server state beyond the model: ``{sync prefix: live dict}``.
+
+        Each dict is the one the algorithm reads and writes; its entries
+        travel as ``prefix + name`` after ``model.*`` and ``dl.*``, and
+        loading rebinds them in it.  A checkpoint must carry exactly these
+        entries, at the shapes and dtypes held."""
+        return {}
 
     def worker_sync_state(self) -> dict[str, np.ndarray]:
         """Server state a worker needs before running any client this round,
@@ -516,6 +525,8 @@ class FederatedAlgorithm:
         versions = self.transport.versions
         versions.refresh(self.downlink_state)
         state.update({f"dl.{k}": v for k, v in versions.sync_state().items()})
+        for prefix, arrays in self.server_arrays().items():
+            state.update({prefix + k: v for k, v in arrays.items()})
         return state
 
     def load_worker_sync_state(self, state: dict[str, np.ndarray]) -> None:
@@ -524,11 +535,15 @@ class FederatedAlgorithm:
                        if k.startswith("model.")}
         self.global_model.load_state_dict(model_state)
         if "dl.version" in state:
-            # only the layout of downlink_state() is read, so subclass
-            # state that loads after this call does not matter
+            # only the layout of downlink_state() is read, so the server
+            # arrays that load after this call do not matter
             self.transport.versions.load(state["dl.version"],
                                          state["dl.rows"],
                                          self.downlink_state())
+        for prefix, arrays in self.server_arrays().items():
+            for key, value in state.items():
+                if key.startswith(prefix):
+                    arrays[key[len(prefix):]] = value
 
     def encoded_sync_state(self) -> bytes:
         """:meth:`worker_sync_state` as wire bytes, broadcast-cached.

@@ -154,9 +154,11 @@ def _check_algo(path, algo: FederatedAlgorithm,
                 arrays: dict[str, np.ndarray], manifest: dict) -> dict:
     """Everything :func:`_apply_algo` installs, parsed and checked against
     ``algo`` before anything is mutated: manifest fields and their types,
-    every server entry (the model's against the model's names, shapes and
-    dtypes), the downlink row table, the fault counters, the ledger and
-    every client blob, decoded.  A failure is :func:`_bad`."""
+    every server entry (the model's and those ``algo.server_arrays()``
+    declares, all present at the shapes and dtypes held, and nothing
+    else but the downlink row table), the row table itself, the fault
+    counters, the ledger and every client blob, decoded.  A failure is
+    :func:`_bad`."""
     n_clients = _field(path, manifest, "n_clients", int)
     if n_clients != len(algo.clients):
         raise _bad(path, "n_clients", f"checkpoint has {n_clients} clients, "
@@ -174,18 +176,25 @@ def _check_algo(path, algo: FederatedAlgorithm,
             raise _bad(path, f"server.{key}", "missing" if value is None
                        else f"unsupported dtype {value.dtype}")
         server[key] = value
-    model = algo.global_model.state_dict()
-    names = {k[len("model."):] for k in keys if k.startswith("model.")}
-    if names != set(model):
-        raise _bad(path, "server_keys", "model entries differ from the "
-                   f"algorithm's: missing {sorted(set(model) - names)}, "
-                   f"unexpected {sorted(names - set(model))}")
-    for name, want in model.items():
-        got, want = server[f"model.{name}"], np.asarray(want)
+    held = {f"model.{name}": value
+            for name, value in algo.global_model.state_dict().items()}
+    held.update((prefix + name, value)
+                for prefix, values in algo.server_arrays().items()
+                for name, value in values.items())
+    for key, want in held.items():
+        got, want = server.get(key), np.asarray(want)
+        if got is None:
+            raise _bad(path, f"server.{key}", "missing")
         if (got.shape, got.dtype) != (want.shape, want.dtype):
-            raise _bad(path, f"server.model.{name}",
-                       f"{got.dtype}{list(got.shape)}, the model holds "
+            raise _bad(path, f"server.{key}",
+                       f"{got.dtype}{list(got.shape)}, the algorithm holds "
                        f"{want.dtype}{list(want.shape)}")
+    stored = set(keys) | {k[len("server."):] for k in arrays
+                          if k.startswith("server.")}
+    stray = sorted(stored - set(held) - {"dl.version", "dl.rows"})
+    if stray:
+        raise _bad(path, f"server.{stray[0]}", "not server state of "
+                   f"{type(algo).__name__}")
     _check_versions(path, algo, server)
     counters = _field(path, manifest, "fault_stats", dict)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -311,9 +320,6 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
     manifest = _collect_algo(algo, arrays)
     jobs_meta: dict[str, dict] = {}
     for jid, job in runner.jobs.items():
-        # In update-store mode a live job's update lives on disk; it is
-        # re-materialized here so the checkpoint stays self-contained.
-        update = runner._job_update(job)
         jobs_meta[str(jid)] = {
             "client_id": job.client_id,
             "dispatch_step": job.dispatch_step,
@@ -323,11 +329,11 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
             "train_loss": job.train_loss,
             "fingerprint": job.fingerprint,
             "accepted": job.accepted,
-            "has_update": update is not None,
+            "has_update": job.update is not None,
         }
-        if update is not None:
+        if job.update is not None:
             arrays[f"job.{jid}.update"] = np.frombuffer(
-                encode_update(update), dtype=np.uint8)
+                encode_update(job.update), dtype=np.uint8)
     stats = runner.stats.snapshot()
     manifest["async"] = {
         "clock": runner.clock.snapshot(),
@@ -377,7 +383,7 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
                        f"{state.get(name)} != {current}")
     algo_state = _check_algo(path, runner.algo, arrays, manifest)
     try:
-        jobs, blobs = {}, {}
+        jobs = {}
         for jid_str, meta in state["jobs"].items():
             jid = int(jid_str)
             update = None
@@ -385,8 +391,7 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
                 entry = f"job.{jid}.update"
                 if entry not in arrays:
                     raise KeyError(entry)
-                blobs[jid] = arrays[entry].tobytes()
-                update = decode_update(blobs[jid])
+                update = decode_update(arrays[entry].tobytes())
             jobs[jid] = _Job(
                 job_id=jid, client_id=int(meta["client_id"]),
                 dispatch_step=int(meta["dispatch_step"]),
@@ -422,9 +427,3 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
     _apply_algo(runner.algo, algo_state)
     for name, value in restored.items():
         setattr(runner, name, value)
-    if runner._store is not None:
-        # Store mode: park the updates back on disk; the job records
-        # themselves stay payload-free.
-        for jid, blob in blobs.items():
-            runner._store.put(f"job/{jid}", blob)
-            jobs[jid].update = None

@@ -48,11 +48,7 @@ class FedAvg(FederatedAlgorithm):
     def upload_payload(self, update: dict) -> dict[str, np.ndarray]:
         return update["state"]
 
-    def apply_upload_payload(self, update: dict,
-                             payload: dict[str, np.ndarray]) -> None:
-        update["state"] = {k: payload[k] for k in update["state"]}
-
-    def make_fold(self, spill=None, weighted: bool = False):
+    def make_fold(self, spill=None):
         """FedAvg's server step: the example-weighted mean fold."""
         from repro.fl.scale.fold import DictMeanFold
-        return DictMeanFold(self, spill, weighted=weighted)
+        return DictMeanFold(self, spill)

@@ -41,18 +41,9 @@ class FedNova(FederatedAlgorithm):
         self._server_momentum: dict[str, np.ndarray] = {
             n: np.zeros_like(p.data) for n, p in self.global_model.named_parameters()}
 
-    def worker_sync_state(self) -> dict[str, np.ndarray]:
-        """Global model plus the server momentum buffer (``sm.*``)."""
-        state = super().worker_sync_state()
-        state.update({f"sm.{n}": v for n, v in self._server_momentum.items()})
-        return state
-
-    def load_worker_sync_state(self, state: dict[str, np.ndarray]) -> None:
-        """Install model + server momentum on a worker replica."""
-        super().load_worker_sync_state(state)
-        for key, value in state.items():
-            if key.startswith("sm."):
-                self._server_momentum[key[len("sm."):]] = value
+    def server_arrays(self) -> dict[str, dict[str, np.ndarray]]:
+        """The server momentum buffer, synced as ``sm.*``."""
+        return {"sm.": self._server_momentum}
 
     def downlink_state(self) -> dict[str, np.ndarray]:
         payload = self.global_model.state_dict()
@@ -94,14 +85,6 @@ class FedNova(FederatedAlgorithm):
         payload.update(update["buffers"])
         payload["a_i"] = np.asarray([update["a_i"]], dtype=np.float32)
         return payload
-
-    def apply_upload_payload(self, update: dict,
-                             payload: dict[str, np.ndarray]) -> None:
-        update["delta"] = {n: payload[n] for n in update["delta"]}
-        update["momentum_state"] = {k: payload[k]
-                                    for k in update["momentum_state"]}
-        update["buffers"] = {n: payload[n] for n in update["buffers"]}
-        update["a_i"] = float(payload["a_i"][0])
 
     def aggregate(self, updates: list[dict], round_idx: int) -> None:
         # Survivor correctness under dropout: both the data weights p_i and

@@ -57,18 +57,9 @@ class Scaffold(FederatedAlgorithm):
                                          for n, v in self.c_global.items()}
         return client.local_state["c_i"]
 
-    def worker_sync_state(self) -> dict[str, np.ndarray]:
-        """Global model plus the server control variate (``cv.*``)."""
-        state = super().worker_sync_state()
-        state.update({f"cv.{n}": v for n, v in self.c_global.items()})
-        return state
-
-    def load_worker_sync_state(self, state: dict[str, np.ndarray]) -> None:
-        """Install model + server control variate on a worker replica."""
-        super().load_worker_sync_state(state)
-        for key, value in state.items():
-            if key.startswith("cv."):
-                self.c_global[key[len("cv."):]] = value
+    def server_arrays(self) -> dict[str, dict[str, np.ndarray]]:
+        """The server control variate, synced as ``cv.*``."""
+        return {"cv.": self.c_global}
 
     def downlink_state(self) -> dict[str, np.ndarray]:
         payload = self.global_model.state_dict()
@@ -105,12 +96,6 @@ class Scaffold(FederatedAlgorithm):
         payload.update({f"dc.{n}": v for n, v in update["delta_c"].items()})
         payload.update(update["buffers"])
         return payload
-
-    def apply_upload_payload(self, update: dict,
-                             payload: dict[str, np.ndarray]) -> None:
-        update["delta_w"] = {n: payload[f"dw.{n}"] for n in update["delta_w"]}
-        update["delta_c"] = {n: payload[f"dc.{n}"] for n in update["delta_c"]}
-        update["buffers"] = {n: payload[n] for n in update["buffers"]}
 
     def aggregate(self, updates: list[dict], round_idx: int) -> None:
         # Survivor correctness under dropout: the model step averages over

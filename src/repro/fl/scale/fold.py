@@ -3,7 +3,7 @@
 A fold is an incremental accumulator: ``add(update, weight)`` commits
 one upload, ``finalize(round_idx)`` installs the result into the
 algorithm's global state.  Every driver aggregates through the fold its
-algorithm's ``make_fold(spill, weighted=...)`` returns (DESIGN.md §13.3):
+algorithm's ``make_fold(spill)`` returns (DESIGN.md §13.3):
 
 - :class:`DictMeanFold` — the example-weighted mean over
   ``update["state"]`` (FedAvg, FedProx, StubAvg).
@@ -20,6 +20,13 @@ memory is O(model) independent of cohort size.  Floating-point addition
 is not associative, so every fold adds in cohort order per key / per
 coordinate whichever way the records are parked: resident and spilled
 folds are bitwise-identical.
+
+Every ``add`` carries a weight — 1.0 on the synchronous path, the
+staleness discount under the async runtime — and every fold applies it
+the one way: it scales the upload's example count (and SPATL's Eq. 12
+diffs, coverage and Eq. 11 delta).  IEEE 754 makes ``x * 1.0 == x``
+exact, and example counts are integers summed exactly in float64, so a
+unit-weight fold is bitwise the unweighted reduction (DESIGN.md §13.3).
 """
 
 from __future__ import annotations
@@ -136,11 +143,9 @@ class StreamingFold:
     byte length) by :mod:`repro.fl.checkpoint`.
     """
 
-    def __init__(self, algorithm, spill: UpdateSpill | None = None,
-                 weighted: bool = False):
+    def __init__(self, algorithm, spill: UpdateSpill | None = None):
         self.algo = algorithm
         self.spill = spill
-        self.weighted = bool(weighted)
         self._pairs: list[tuple[float, float]] = []  # (n, weight) per add
         self._resident: list[Any] = []               # parked, spill is None
 
@@ -150,7 +155,7 @@ class StreamingFold:
 
     def _check_weight(self, weight: float) -> float:
         weight = float(weight)
-        if self.weighted and weight <= 0.0:
+        if weight <= 0.0:
             raise ValueError("aggregation weights must be > 0")
         return weight
 
@@ -178,8 +183,7 @@ class StreamingFold:
     def snapshot(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
         arrays = {"pairs": np.asarray(self._pairs, dtype=np.float64).reshape(
             (self.n_updates, 2))}
-        meta = {"kind": type(self).__name__, "n_updates": self.n_updates,
-                "weighted": self.weighted}
+        meta = {"kind": type(self).__name__, "n_updates": self.n_updates}
         return arrays, meta
 
     def restore(self, arrays: dict[str, np.ndarray],
@@ -191,9 +195,7 @@ class StreamingFold:
         self._pairs = [(float(n), float(w)) for n, w in arrays["pairs"]]
 
     def _final_weights(self) -> list[float]:
-        if self.weighted:
-            return [n * w for n, w in self._pairs]
-        return [n for n, _ in self._pairs]
+        return [n * w for n, w in self._pairs]
 
 
 class DictMeanFold(StreamingFold):
@@ -234,14 +236,12 @@ class SPATLFold(StreamingFold):
     Eq. 11 delta.
     """
 
-    def __init__(self, algorithm, spill: UpdateSpill | None = None,
-                 weighted: bool = False):
-        super().__init__(algorithm, spill, weighted)
+    def __init__(self, algorithm, spill: UpdateSpill | None = None):
+        super().__init__(algorithm, spill)
         algo = algorithm
         self._params = dict(algo.global_model.encoder.named_parameters())
         self._layers = {
-            layer: SalientAccumulator(self._params[layer + ".weight"].data,
-                                      weighted=weighted)
+            layer: SalientAccumulator(self._params[layer + ".weight"].data)
             for layer in algo.prunable}
         self._c_acc: dict[str, np.ndarray] = {}
         if algo.use_gradient_control:
@@ -267,11 +267,11 @@ class SPATLFold(StreamingFold):
                 idx, rows = update["salient"][layer]
                 idx = np.asarray(idx, dtype=np.int64)
                 delta = server_variate_delta(c_val, before, rows, k_eta, idx)
-                acc[idx] += weight * delta if self.weighted else delta
+                acc[idx] += weight * delta
             elif name in update["dense"]:
                 delta = server_variate_delta(c_val, before,
                                              update["dense"][name], k_eta)
-                acc += weight * delta if self.weighted else delta
+                acc += weight * delta
 
         # --- dense + shared predictor, parked for the finalize stream --
         self._park({"dense": update["dense"],
@@ -348,8 +348,7 @@ class SpillReplayFold(StreamingFold):
         if not self.n_updates:
             raise ValueError(_EMPTY_MSG)
         updates = list(self._parked(decode_update))
-        if self.weighted:
-            for i, (update, (_, w)) in enumerate(zip(updates, self._pairs)):
-                if isinstance(update, dict) and "n" in update:
-                    updates[i] = dict(update, n=update["n"] * w)
+        for i, (update, (_, w)) in enumerate(zip(updates, self._pairs)):
+            if isinstance(update, dict) and "n" in update:
+                updates[i] = dict(update, n=update["n"] * w)
         self.algo.aggregate(updates, round_idx)

@@ -196,15 +196,13 @@ class ScaleRunner:
             spill_at = (str(state["spill"]["path"]),
                         int(state["spill"]["n_records"]),
                         int(state["spill"]["nbytes"]))
-            weighted = bool(state["fold"]["weighted"])
             losses = [float(v) for v in state["losses"]]
             remaining = [self._client_by_id(int(c))
                          for c in state["remaining"]]
             stats = (FaultStats.restore(state["stats"]) if "stats" in state
                      else None)   # absent before the round's stats were saved
             # a throwaway fold proves the arrays restore before the real one
-            self.algo.make_fold(None, weighted=weighted).restore(
-                fold_arrays, state["fold"])
+            self.algo.make_fold(None).restore(fold_arrays, state["fold"])
             store = None
             if self.pool is not None:
                 if state["store"] is None:
@@ -224,7 +222,7 @@ class ScaleRunner:
         round_ = Round(self.algo, round_idx, wave=self.wave,
                        evict=self._evict, spill_path=spill.path)
         round_.spill = spill
-        round_.fold = self.algo.make_fold(round_.spill, weighted=weighted)
+        round_.fold = self.algo.make_fold(round_.spill)
         round_.fold.restore(fold_arrays, state["fold"])
         round_.losses = losses
         round_.remaining = remaining

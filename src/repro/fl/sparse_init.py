@@ -77,31 +77,20 @@ class SparseInitFL(FedAvg):
         """Ledger charges for any setup communication (round 0)."""
 
     # ------------------------------------------------------------- wire
-    def upload_payload(self, update: dict) -> dict[str, np.ndarray]:
-        payload: dict[str, np.ndarray] = {}
-        state = update["state"]
-        for name, idx in self.masks.items():
-            payload[f"{name}.val"] = np.ascontiguousarray(
-                np.asarray(state[name]).ravel()[idx], dtype=np.float32)
-        for name, arr in state.items():
-            if name not in self.masks:
-                payload[name] = arr
-        return payload
+    def local_update(self, client: Client, round_idx: int) -> dict:
+        """FedAvg's local step, kept as what the uplink carries: each
+        masked tensor's values gathered at the mask (``name.val``), then
+        the unmasked entries (buffers) — the payload the server folds."""
+        update = super().local_update(client, round_idx)
+        state = update.pop("state")
+        upload = {f"{name}.val": np.ascontiguousarray(
+            np.asarray(state[name]).ravel()[idx], dtype=np.float32)
+            for name, idx in self.masks.items()}
+        upload.update((n, a) for n, a in state.items() if n not in self.masks)
+        return {"upload": upload, **update}
 
-    def apply_upload_payload(self, update: dict,
-                             payload: dict[str, np.ndarray]) -> None:
-        state = update["state"]
-        new_state: dict[str, np.ndarray] = {}
-        for name, arr in state.items():
-            arr = np.asarray(arr)
-            if name in self.masks:
-                flat = arr.copy().ravel()
-                flat[self.masks[name]] = \
-                    payload[f"{name}.val"].astype(arr.dtype)
-                new_state[name] = flat.reshape(arr.shape)
-            else:
-                new_state[name] = payload[name]
-        update["state"] = new_state
+    def upload_payload(self, update: dict) -> dict[str, np.ndarray]:
+        return update["upload"]
 
     # -------------------------------------------------------- aggregation
     # Masked aggregation doesn't decompose into FedAvg's dict mean
@@ -121,16 +110,16 @@ class SparseInitFL(FedAvg):
             idx = self.masks[name]
             acc = np.zeros(idx.size, dtype=np.float64)
             for wi, u in zip(w, updates):
-                acc += wi * np.asarray(u["state"][name]).ravel()[idx]
+                acc += wi * u["upload"][f"{name}.val"]
             flat = param.data.ravel()
             flat[idx] = acc.astype(param.data.dtype)
         owners = self.global_model._buffer_owners()
         for name, (owner, local) in owners.items():
-            first = np.asarray(updates[0]["state"][name])
+            first = np.asarray(updates[0]["upload"][name])
             if first.dtype.kind in "iu":
                 avg = first
             else:
-                avg = sum(wi * np.asarray(u["state"][name], dtype=np.float64)
+                avg = sum(wi * np.asarray(u["upload"][name], dtype=np.float64)
                           for wi, u in zip(w, updates))
             owner.set_buffer(local, np.asarray(avg, dtype=first.dtype))
 

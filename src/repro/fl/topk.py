@@ -88,12 +88,6 @@ class FedTopK(FederatedAlgorithm):
         payload.update(update["buffers"])
         return payload
 
-    def apply_upload_payload(self, update: dict,
-                             payload: dict[str, np.ndarray]) -> None:
-        update["sparse"] = {n: (payload[f"{n}.idx"], payload[f"{n}.val"])
-                            for n in update["sparse"]}
-        update["buffers"] = {n: payload[n] for n in update["buffers"]}
-
     def aggregate(self, updates: list[dict], round_idx: int) -> None:
         if not updates:
             raise ValueError("aggregate() needs >= 1 surviving update; "

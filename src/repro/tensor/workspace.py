@@ -45,7 +45,7 @@ import math
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -84,36 +84,30 @@ _shared: dict[str, dict] = {}
 
 
 class WorkspaceSlot:
-    """Scratch bases and derived objects of one owner (:func:`slot_for`).
+    """Scratch bases of one owner (:func:`slot_for`).
 
     One flat base per ``(tag, dtype)`` holds the largest request seen;
     ``buffer`` serves its C-contiguous prefix — the start address and
     strides a dedicated array would have, so BLAS picks the same kernels.
     Outgrowing a base reallocates it, bumps ``generation`` and drops every
-    memoized view: arrays kept from an earlier generation are dead memory.
+    prefix view: arrays kept from an earlier generation are dead memory.
     """
 
-    __slots__ = ("_bases", "_views", "_cached", "_served", "generation")
+    __slots__ = ("_bases", "_views", "generation")
 
     def __init__(self):
         self._bases: dict[tuple, np.ndarray] = {}    # (tag, dtype) -> flat base
         self._views: dict[tuple, np.ndarray] = {}    # (tag, shape, dtype) -> prefix
-        self._cached: dict[tuple, Any] = {}
-        self._served: dict[tuple, tuple] = {}        # zero="alloc": last layout
         self.generation = 0
 
     def buffer(self, tag: str, shape: tuple[int, ...], dtype,
-               zero: str = "never", frame=None) -> np.ndarray:
+               zero: str = "never") -> np.ndarray:
         """Return the ``shape``/``dtype`` prefix view of ``tag``'s base.
 
         ``zero`` controls fill semantics:
 
         - ``"never"``  — contents are whatever the last user left (caller
           overwrites every element);
-        - ``"alloc"``  — zeroed whenever the ``(shape, frame)`` served for
-          the tag changes, the first request included (callers that always
-          write one region and need the rest to stay zero: the padded-input
-          border, whose extent the shape and ``frame=padding`` fix);
         - ``"always"`` — zeroed on every request (scatter-add targets).
         """
         dtype = np.dtype(dtype)
@@ -130,7 +124,6 @@ class WorkspaceSlot:
                     self.generation += 1
                     st.growths += 1
                     self._views.clear()
-                    self._cached.clear()
                 base = self._bases[tag, dtype] = np.empty(size, dtype)
                 st.misses += 1
                 st.bytes_alloc += base.nbytes
@@ -140,30 +133,7 @@ class WorkspaceSlot:
             st.bytes_saved += buf.nbytes
         if zero == "always":
             buf[...] = 0
-        elif zero == "alloc" and self._served.get((tag, dtype)) != (shape, frame):
-            self._served[tag, dtype] = (shape, frame)
-            buf[...] = 0
         return buf
-
-    def cached(self, tag: str, key: tuple, builder: Callable[[], Any]) -> Any:
-        """Memoize a derived object (a strided view over a :meth:`buffer`
-        array, a precomputed index array) under ``(tag, key)``.
-
-        Dropped when ``generation`` moves: a view may be over a dead base.
-        """
-        full = (tag, key)
-        obj = self._cached.get(full)
-        st = _stats[tag]
-        if obj is None:
-            obj = self._cached[full] = builder()
-            st.misses += 1
-            if isinstance(obj, np.ndarray):
-                st.bytes_alloc += obj.nbytes
-        else:
-            st.hits += 1
-            if isinstance(obj, np.ndarray):
-                st.bytes_saved += obj.nbytes
-        return obj
 
 
 class TransientStack:

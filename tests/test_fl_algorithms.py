@@ -187,22 +187,52 @@ class TestScaffold:
         assert total > 0.0
 
 
-@pytest.mark.parametrize("name", ["fedavg", "fedprox", "fednova", "scaffold",
-                                  "fedtopk", "salientgrads", "ssfl", "spatl"])
-def test_fold_reads_only_what_the_uplink_carries(name):
-    """Folding an update must equal folding what its uplink decodes to.
+_UPLINK_NAMES = ["fedavg", "fedprox", "fednova", "scaffold", "fedtopk",
+                 "salientgrads", "ssfl", "spatl"]
 
-    The server only ever sees the wire: a value ``aggregate`` reads off
-    the client's in-memory update that the payload carried at another
-    precision (FedNova's float64 ``a_i`` against the float32 it uploads)
-    makes an in-process run disagree with a deployed — or quantized — one.
+
+@pytest.mark.parametrize("name,bits", [
+    *(pytest.param(n, None, id=n) for n in _UPLINK_NAMES),
+    *(pytest.param(n, b, id=f"{n}-int{b}")
+      for b in (8, 4) for n in _UPLINK_NAMES)])
+def test_fold_reads_only_what_the_uplink_carries(name, bits):
+    """The server folds the update; the wire carries ``upload_payload``.
+
+    They agree because every tensor of the payload is the update's own
+    array: the receiver's decode, written back through the payload the
+    way ``quantize_update`` writes it, is what the fold then reads.  Over
+    the lossless wire (``bits=None``) folding the written-back updates
+    equals folding the originals.  Quantized, after ``_train`` the
+    payload is bitwise the dequantized wire dict — an uplink that
+    gathers a copy (SSFL's and SalientGrads' masked values) would leave
+    the update holding the values before quantization.
     """
     from repro.experiments.configs import (config_for, make_algorithm,
                                            make_setting)
     from repro.fl import state_fingerprint, wire
+    from repro.fl.quant import (QUANT_SUFFIX, QUANT_WIRE_KEY,
+                                dequantize_payload)
 
     cfg = config_for("tiny", n_clients=2, n_samples=96, sample_ratio=1.0,
-                     local_epochs=1, seed=0)
+                     local_epochs=1, seed=0, quant_bits=bits or 32)
+
+    if bits is not None:
+        model_fn, clients = make_setting(cfg)
+        algo = make_algorithm(name, cfg, model_fn, clients)
+        for client in clients:
+            algo._download(client, 0)
+            update = algo._train(client, 0)
+            decoded = dequantize_payload(update[QUANT_WIRE_KEY])
+            payload = algo.upload_payload(update)
+            assert list(payload) == list(decoded)
+            assert any(k.endswith(QUANT_SUFFIX)
+                       for k in update[QUANT_WIRE_KEY])   # not vacuous
+            for key, value in decoded.items():
+                got = np.asarray(payload[key])
+                assert (got.dtype, got.shape) == (value.dtype, value.shape)
+                assert got.tobytes() == value.tobytes(), key
+        algo.close()
+        return
 
     def fold(through_the_wire: bool) -> int:
         model_fn, clients = make_setting(cfg)
@@ -212,8 +242,10 @@ def test_fold_reads_only_what_the_uplink_carries(name):
             algo._download(client, 0)
             update = algo.local_update(client, 0)
             if through_the_wire:
-                blob = wire.serialize(algo.upload_payload(update))
-                algo.apply_upload_payload(update, wire.deserialize(blob))
+                payload = algo.upload_payload(update)
+                blob = wire.serialize(payload)
+                for key, value in wire.deserialize(blob).items():
+                    np.copyto(payload[key], value)
             updates.append(update)
         algo.aggregate(updates, 0)
         algo.close()

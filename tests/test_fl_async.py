@@ -17,7 +17,7 @@ from repro.core.aggregation import salient_aggregate
 from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
                       FaultModel, FedAvg, VirtualClock, serialize_state,
                       state_fingerprint, staleness_weight)
-from repro.fl.stub import make_stub
+from repro.fl.stub import StubAvg, make_stub
 from repro.obs import Tracer, set_tracer
 
 HOSTILE = dict(jitter=0.3, straggler_prob=0.4, slowdown=6.0,
@@ -278,6 +278,27 @@ class TestDedupAndBufferInvariant:
         assert counters.get("async.dedup_evictions") \
             == runner.dedup_evictions
 
+    def test_losing_job_drops_its_update(self):
+        """A job whose upload another job of its client already delivered
+        is deduped and never commits, so its update is not kept either."""
+        class Constant(StubAvg):
+            def local_update(self, client, round_idx):
+                state = {k: np.full_like(v, client.client_id)
+                         for k, v in self.global_model.state_dict().items()}
+                return {"state": state, "n": 1, "train_loss": 0.0,
+                        "steps": 1}
+
+        ref = make_stub(n_clients=1, seed=0)
+        runner = AsyncFederatedRunner(
+            Constant(ref.model_fn, ref.clients, seed=0, local_epochs=1),
+            AsyncProfile(seed=0), AsyncConfig(buffer_k=1, max_inflight=1))
+        runner.run(steps=2)      # job 0 commits; job 1 repeats its bytes
+        assert runner.counters["deduped"] == 1
+        assert runner.counters["dispatched"] == 2
+        loser = runner.jobs[1]
+        assert not loser.accepted and loser.fingerprint is not None
+        assert loser.update is None
+
     def test_buffer_invariant_under_hostility(self):
         runner = _stub_runner()
         runner.run(steps=50)
@@ -397,13 +418,17 @@ class TestWeightedSalientAggregate:
         np.testing.assert_array_equal(out[1], global_w[1])
 
     def test_unit_weights_match_unweighted_closely(self):
+        """Unit weights are bitwise ``weights=None`` — duplicate indices
+        included: ``1.0 * diff`` is exact and integer coverage sums are
+        exact in float64, so one fold body serves sync and async."""
         rng = np.random.default_rng(1)
         global_w = rng.standard_normal((8, 4)).astype(np.float32)
         uploads = [(np.array([0, 3, 5]), rng.standard_normal((3, 4))),
-                   (np.array([3, 5, 7]), rng.standard_normal((3, 4)))]
+                   (np.array([3, 5, 7]), rng.standard_normal((3, 4))),
+                   (np.array([1, 1, 6]), rng.standard_normal((3, 4)))]
         a = salient_aggregate(global_w, uploads)
-        b = salient_aggregate(global_w, uploads, weights=[1.0, 1.0])
-        np.testing.assert_allclose(a, b, rtol=1e-6)
+        b = salient_aggregate(global_w, uploads, weights=[1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(a, b)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

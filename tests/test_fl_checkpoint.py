@@ -853,3 +853,117 @@ class TestHostileCheckpoint:
         got = algo.worker_sync_state()
         assert set(got) == set(saved)
         assert all(np.array_equal(got[k], saved[k]) for k in saved)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_scale_fold_weighted_key_ignored(self, tmp_path, weighted):
+        """Folds lost their weighted / unweighted switch; a scale file
+        written while they had it still loads, the key ignored."""
+        path = self._saved(tmp_path, "scale")
+        ref_algo, ref_load, ref_runner = self._target(tmp_path / "ref",
+                                                      "scale")
+        ref_load(path)
+
+        def edit(arrays, manifest):
+            manifest["scale"]["fold"]["weighted"] = weighted
+
+        self._rewrite(path, edit)
+        algo, load, runner = self._target(tmp_path, "scale")
+        load(path)
+        assert self._state(algo, None) == self._state(ref_algo, None)
+        assert runner._pending.fold.n_updates \
+            == ref_runner._pending.fold.n_updates == 2
+
+    # ---- server state beyond the model: what ``server_arrays`` declares
+    SERVER_PREFIX = {"scaffold": "cv.", "fednova": "sm.", "spatl": "cv."}
+
+    @pytest.fixture(scope="class")
+    def server_ckpt(self, tmp_path_factory, tiny_dataset, tiny_setting):
+        """``(name, loader) -> (saved file bytes, target factory)``, each
+        written once: a fresh algorithm (sync), a runner a few events in
+        (async), a round one client in (scale)."""
+        model_fn, _ = tiny_setting
+        root = tmp_path_factory.mktemp("server_ckpt")
+        profile, config = AsyncProfile(seed=2), AsyncConfig()
+        saved = {}
+
+        def make(name):
+            return _make_algo(name, model_fn,
+                              _clients(tiny_dataset, tiny_setting))
+
+        def get(name, loader):
+            path = root / f"{name}_{loader}.npz"
+            if (name, loader) not in saved:
+                algo = make(name)
+                if loader == "sync":
+                    save_checkpoint(algo, path)
+                elif loader == "async":
+                    runner = AsyncFederatedRunner(algo, profile, config)
+                    runner.pump(4)
+                    save_async_checkpoint(runner, path)
+                else:
+                    runner = ScaleRunner(algo, spill_dir=root / name,
+                                         eval_mode="none")
+                    runner.run_round_partial(0, 1)
+                    runner.save_round_checkpoint(path)
+                saved[name, loader] = path.read_bytes()
+
+            def target(tmp_path):
+                """A loader whose algorithm holds server state of its own."""
+                algo = make(name)
+                prefix = TestHostileCheckpoint.SERVER_PREFIX[name]
+                algo.load_worker_sync_state({
+                    k: np.full_like(v, 0.25) if k.startswith(prefix) else v
+                    for k, v in algo.worker_sync_state().items()})
+                if loader == "sync":
+                    return algo, lambda p: load_checkpoint(algo, p), None
+                if loader == "async":
+                    runner = AsyncFederatedRunner(algo, profile, config)
+                    return algo, lambda p: load_async_checkpoint(runner, p), \
+                        runner
+                runner = ScaleRunner(algo, spill_dir=tmp_path / "spills",
+                                     eval_mode="none")
+                return algo, runner.load_round_checkpoint, runner
+            return saved[name, loader], target
+        return get
+
+    @pytest.mark.parametrize("loader", ["sync", "async", "scale"])
+    @pytest.mark.parametrize("lie", ["missing", "shape", "dtype",
+                                     "undeclared"])
+    @pytest.mark.parametrize("name", ["scaffold", "fednova", "spatl"])
+    def test_server_arrays_checked(self, tmp_path, server_ckpt, name, lie,
+                                   loader):
+        """Every declared ``server.<prefix>*`` entry present at the shape
+        and dtype held, and no other: a file that drops one (from the
+        arrays and ``server_keys`` alike), reshapes or retypes one, or
+        adds one the algorithm does not declare is rejected whole."""
+        blob, target = server_ckpt(name, loader)
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(blob)
+        prefix = self.SERVER_PREFIX[name]
+
+        def edit(arrays, manifest):
+            keys = manifest["server_keys"]
+            key = next(k for k in keys if k.startswith(prefix))
+            if lie == "undeclared":
+                key = prefix + "bogus"
+                keys.append(key)
+                arrays[f"server.{key}"] = np.zeros(3, np.float32)
+            elif lie == "missing":
+                keys.remove(key)
+                del arrays[f"server.{key}"]
+            elif lie == "shape":
+                arrays[f"server.{key}"] = arrays[f"server.{key}"][:-1]
+            else:
+                arrays[f"server.{key}"] = \
+                    arrays[f"server.{key}"].astype(np.float64)
+            edit.entry = f"server.{key}"
+
+        self._rewrite(path, edit)
+        algo, load, runner = target(tmp_path)
+        before = self._state(algo, runner)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert type(info.value) is ValueError
+        assert str(path) in str(info.value)
+        assert f"{edit.entry}:" in str(info.value), str(info.value)
+        assert self._state(algo, runner) == before

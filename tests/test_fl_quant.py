@@ -473,8 +473,10 @@ class TestAlgorithmIntegration:
         def spy(payload, config, rng, residuals=None):
             before = {k: v.copy() for k, v in residuals.items()}
             wire, decoded = quantize(payload, config, rng, residuals)
+            # copied: quantize_update then writes the decode through it
             calls.setdefault(id(residuals), []).append(
-                (payload, before, dict(residuals), decoded))
+                ({k: np.array(v) for k, v in payload.items()}, before,
+                 dict(residuals), decoded))
             return wire, decoded
 
         monkeypatch.setattr(base, "quantize_payload", spy)

@@ -472,7 +472,7 @@ def _make_algorithm(name, tiny_dataset, tiny_setting):
 def _fold_route(spill_of):
     def route(algo, updates, weights, tmp_path):
         spill = spill_of(tmp_path)
-        fold = algo.make_fold(spill, weighted=weights is not None)
+        fold = algo.make_fold(spill)
         for i, update in enumerate(updates):
             if weights is None:
                 fold.add(update)
@@ -493,7 +493,7 @@ ROUTES = {
     "list": _list_route,
     "resident-fold": _fold_route(lambda tmp_path: None),
     "disk-fold": _fold_route(lambda tmp_path: UpdateSpill(tmp_path / "s")),
-    # all-1.0 weights must take the unweighted route (the sync bytes)
+    # all-1.0 weights are bitwise the unit route (the sync bytes)
     "list-all-ones": lambda algo, updates, weights, tmp_path:
         algo.aggregate_weighted(updates, [1.0] * len(updates), 0),
 }
@@ -617,56 +617,16 @@ class TestSpillLifetime:
         runner.close()                           # idempotent
         assert not os.path.exists(owned)
 
-    def test_async_store_commit_unlinks_on_error(self, tmp_path):
-        class FinalizeRaises(StubAvg):
-            def make_fold(self, spill=None, weighted=False):
-                fold = super().make_fold(spill, weighted)
-                fold.finalize = lambda round_idx: 1 / 0
-                return fold
 
-        ref = make_stub(n_clients=4, seed=1)
-        algo = FinalizeRaises(ref.model_fn, ref.clients, seed=1,
-                              local_epochs=1)
-        store = ClientStateStore(tmp_path / "updates")
-        runner = AsyncFederatedRunner(algo, AsyncProfile(seed=1),
-                                      AsyncConfig(buffer_k=2),
-                                      update_store=store)
-        with pytest.raises(ZeroDivisionError):
-            runner.run(steps=1)
-        assert os.listdir(os.path.join(store.root, "spills")) == []
-
-
-# --------------------------------------------------- async update store
+# ------------------------------------------------- async dedup registry
 
 class TestAsyncUpdateStore:
+    """The async runtime's bounded CRC dedup registry under a hostile
+    profile (duplicates, churn, crashes)."""
+
     HOSTILE = dict(jitter=0.3, straggler_prob=0.4, slowdown=6.0,
                    arrival_spread=1.0, churn_prob=0.1, crash_prob=0.05,
                    duplicate_prob=0.25)
-
-    def _run(self, tmp_path, store=None):
-        runner = AsyncFederatedRunner(
-            make_stub(n_clients=10, seed=5),
-            AsyncProfile(seed=5, **self.HOSTILE),
-            AsyncConfig(buffer_k=3, max_inflight=4, max_queue=4),
-            update_store=store)
-        runner.run(steps=12)
-        return runner
-
-    def test_store_mode_matches_in_memory(self, tmp_path):
-        ref = self._run(tmp_path)
-        store = ClientStateStore(tmp_path / "updates")
-        stored = self._run(tmp_path, store=store)
-        assert state_fingerprint(dict(
-            stored.algo.global_model.state_dict())) == state_fingerprint(
-                dict(ref.algo.global_model.state_dict()))
-        assert stored.counters == ref.counters
-        assert stored.algo.ledger.total_bytes() == ref.algo.ledger.total_bytes()
-        # committed jobs drained their blobs; only undelivered ones remain
-        live = {jid for jid, job in stored.jobs.items()
-                if not job.accepted and not job.crashed
-                and jid in stored.inflight}
-        for key in store.keys():
-            assert int(key.split("/")[1]) in live
 
     def test_dedup_registry_bounded(self, tmp_path):
         runner = AsyncFederatedRunner(
@@ -681,35 +641,6 @@ class TestAsyncUpdateStore:
     def test_dedup_capacity_validated(self):
         with pytest.raises(ValueError):
             AsyncConfig(dedup_capacity=0)
-
-    def test_store_mode_checkpoint_resume(self, tmp_path):
-        """Mid-flight snapshot re-parks spilled updates on load."""
-        from repro.fl.checkpoint import (load_async_checkpoint,
-                                         save_async_checkpoint)
-
-        def fresh(store):
-            return AsyncFederatedRunner(
-                make_stub(n_clients=10, seed=5),
-                AsyncProfile(seed=5, **self.HOSTILE),
-                AsyncConfig(buffer_k=3, max_inflight=4, max_queue=4),
-                update_store=store)
-
-        ref = fresh(ClientStateStore(tmp_path / "ref"))
-        ref.run(steps=12)
-
-        first = fresh(ClientStateStore(tmp_path / "first"))
-        first.pump(23)
-        path = tmp_path / "async_store.npz"
-        save_async_checkpoint(first, path)
-
-        resumed = fresh(ClientStateStore(tmp_path / "resumed"))
-        load_async_checkpoint(resumed, path)
-        resumed.run(steps=12 - resumed.server_step)
-        assert state_fingerprint(dict(
-            resumed.algo.global_model.state_dict())) == state_fingerprint(
-                dict(ref.algo.global_model.state_dict()))
-        assert resumed.counters == ref.counters
-
 
 # ------------------------------------------------ broadcast cache bound
 

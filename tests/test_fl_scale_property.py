@@ -90,8 +90,7 @@ def test_dict_mean_fold_matches_aggregate(seed, n_updates, dim, ns,
                for i in range(n_updates)]
     weights = weights[:n_updates]
     with tempfile.TemporaryDirectory() as tmp:
-        fold = fold_algo.make_fold(UpdateSpill(tmp + "/u.spill"),
-                                   weighted=weighted)
+        fold = fold_algo.make_fold(UpdateSpill(tmp + "/u.spill"))
         if weighted:
             for u, w in zip(updates, weights):
                 fold.add(u, w)
@@ -215,8 +214,7 @@ def test_spatl_fold_matches_salient_aggregate(seed, n_filters, shape_idx,
 
     algo = _MiniSPATL(weight.copy(), dense.copy(), step)
     with tempfile.TemporaryDirectory() as tmp:
-        fold = SPATLFold(algo, UpdateSpill(tmp + "/u.spill"),
-                         weighted=weighted)
+        fold = SPATLFold(algo, UpdateSpill(tmp + "/u.spill"))
         for u, w in zip(updates, weights):
             fold.add(u, w) if weighted else fold.add(u)
         fold.finalize(0)

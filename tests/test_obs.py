@@ -76,22 +76,13 @@ def _drive_pool(build, tmp_path):
     return algo
 
 
-def _drive_async(build, tmp_path, update_store=None):
+def _drive_async(build, tmp_path):
     algo = build()
     profile = AsyncProfile(seed=2, jitter=0.3, straggler_prob=0.4,
                            crash_prob=0.2, duplicate_prob=0.5)
     AsyncFederatedRunner(algo, profile,
-                         AsyncConfig(buffer_k=2, max_inflight=4),
-                         update_store=update_store).run(steps=3)
+                         AsyncConfig(buffer_k=2, max_inflight=4)).run(steps=3)
     return algo
-
-
-def _drive_async_store(build, tmp_path):
-    store = ClientStateStore(tmp_path / "jobs")
-    try:
-        return _drive_async(build, tmp_path, store)
-    finally:
-        store.close()
 
 
 def _drive_scale(build, tmp_path):
@@ -136,7 +127,7 @@ def _drive_checkpoint(build, tmp_path):
 
 _RECONCILED_DRIVERS = {
     "sync": _drive_sync, "faults": _drive_faults, "pool": _drive_pool,
-    "async": _drive_async, "async_store": _drive_async_store,
+    "async": _drive_async,
     "scale": _drive_scale, "scale_faults": _drive_scale_faults,
     "scale_pool": _drive_scale_pool,
     "checkpoint": _drive_checkpoint}

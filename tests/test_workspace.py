@@ -71,36 +71,14 @@ class TestWorkspaceSlot:
 
     def test_zero_semantics(self):
         ws = workspace.slot_for(Owner())
-        buf = ws.buffer("t.alloc", (3,), np.float32, zero="alloc")
-        assert np.all(buf == 0)
-        buf[:] = 7
-        assert np.all(ws.buffer("t.alloc", (3,), np.float32, zero="alloc") == 7)
+        never = ws.buffer("t.never", (3,), np.float32)
+        never[:] = 7
+        assert np.all(ws.buffer("t.never", (3,), np.float32,
+                                zero="never") == 7)
         always = ws.buffer("t.always", (3,), np.float32, zero="always")
         always[:] = 5
         assert np.all(ws.buffer("t.always", (3,), np.float32,
                                 zero="always") == 0)
-
-    def test_cached_memoizes_builder(self):
-        ws = workspace.slot_for(Owner())
-        calls = []
-        obj = ws.cached("t.view", ("k",), lambda: calls.append(1) or [1, 2])
-        assert ws.cached("t.view", ("k",), lambda: calls.append(1) or [3]) is obj
-        assert len(calls) == 1
-        assert ws.cached("t.view", ("other",), lambda: [9]) == [9]
-
-    def test_cached_views_stay_valid_over_buffer(self):
-        # The memoized derived object may be a strided view over a cached
-        # buffer; both must keep their identity across re-requests, so
-        # closures that captured the view keep writing through to the
-        # buffer (the conv gather indices and max-pool base offsets, and
-        # the step compiler's bound closures, rely on this).
-        ws = workspace.slot_for(Owner())
-        buf = ws.buffer("t.vbase", (4, 6), np.float32)
-        view = ws.cached("t.vview", ("win",), lambda: buf[:, ::2])
-        assert ws.cached("t.vview", ("win",), lambda: None) is view
-        assert ws.buffer("t.vbase", (4, 6), np.float32) is buf
-        buf[...] = 7.0
-        assert np.all(view == 7.0)
 
     def test_cohort_shapes_share_one_base_per_tag(self):
         # Cohort-mode stacks k clients into one (k*n, ...) batch, and
@@ -128,53 +106,6 @@ class TestWorkspaceSlot:
         assert st.hits == hits0 + 6
         assert ws.generation == 1
         assert workspace.resident_bytes()["t.cohort"] >= big.nbytes
-
-    def test_growth_drops_cached_views(self):
-        # A memoized view may sit over the base that growth replaced, so
-        # growth forgets it and the next request rebuilds over live memory.
-        ws = workspace.slot_for(Owner())
-        buf = ws.buffer("t.gbase", (4,), np.float32)
-        view = ws.cached("t.gview", ("k",), lambda: buf[::2])
-        buf = ws.buffer("t.gbase", (8,), np.float32)
-        rebuilt = ws.cached("t.gview", ("k",), lambda: buf[::2])
-        assert rebuilt is not view
-        assert np.shares_memory(rebuilt, buf)
-
-    def test_alloc_rezeroes_when_served_shape_changes(self):
-        ws = workspace.slot_for(Owner())
-        a = ws.buffer("t.frame", (2, 4), np.float32, zero="alloc")
-        a[...] = 7
-        assert np.all(ws.buffer("t.frame", (2, 4), np.float32,
-                                zero="alloc") == 7)          # same shape: kept
-        b = ws.buffer("t.frame", (4,), np.float32, zero="alloc")
-        assert np.all(b == 0)                                # new shape: zeroed
-        b[...] = 5
-        assert np.all(ws.buffer("t.frame", (2, 4), np.float32,
-                                zero="alloc") == 0)          # and back again
-        assert ws.generation == 0
-
-    def test_alloc_rezeroes_when_frame_changes(self):
-        # A shared buffer is served at one shape to callers that leave
-        # different regions untouched (conv paddings 1 and 2 with equal
-        # padded shape): the frame is part of what "alloc" watches.
-        ws = workspace.WorkspaceSlot()
-        a = ws.buffer("t.pad", (4, 4), np.float32, zero="alloc", frame=1)
-        a[...] = 7
-        assert ws.buffer("t.pad", (4, 4), np.float32, zero="alloc",
-                         frame=1) is a and np.all(a == 7)
-        assert np.all(ws.buffer("t.pad", (4, 4), np.float32, zero="alloc",
-                                frame=2) == 0)
-
-    def test_cached_keys_include_cohort_geometry(self):
-        # Derived objects keyed by geometry tuples (e.g. maxpool.base keyed
-        # by (n, c, h, w, ho, wo, s)) must not collide when cohort mode
-        # changes only the leading batch extent.
-        ws = workspace.slot_for(Owner())
-        a = ws.cached("t.geom", (8, 3, 4, 4, 2), lambda: np.zeros(2))
-        b = ws.cached("t.geom", (32, 3, 4, 4, 2), lambda: np.ones(2))
-        assert a is not b
-        assert ws.cached("t.geom", (8, 3, 4, 4, 2), lambda: None) is a
-        assert ws.cached("t.geom", (32, 3, 4, 4, 2), lambda: None) is b
 
     def test_hit_miss_and_bytes_accounting(self):
         ws = workspace.slot_for(Owner())
@@ -540,8 +471,8 @@ class TestConvBnFold:
 
     def test_training_numerics_untouched_by_fold_machinery(self):
         """An evaluation pass at a larger batch between two training
-        forwards (the slots grow, the ``zero="alloc"`` pad border is
-        re-served at another shape) leaves training bytes alone."""
+        forwards (the slots grow, the transient pad buffer is re-served at
+        another shape) leaves training bytes alone."""
         from repro.models import build_model
         rng = np.random.default_rng(2)
         model = build_model("resnet20", width_mult=0.25, input_size=16, seed=5)
