@@ -212,6 +212,7 @@ def cmd_scale(args) -> None:
         ShardedClientFactory(dataset=ds, parts=parts,
                              batch_size=cfg.batch_size, seed=cfg.seed),
         args.population, store, resident_limit=args.resident)
+    del ds      # the samples are in the store directory now
     in_size = cfg.input_size
 
     def model_fn():
@@ -473,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "materialized lazily per round, never all at "
                             "once)")
     scale.add_argument("--store-dir", default=None, metavar="DIR",
-                       help="directory for the sharded client-state store "
-                            "and spill files (default: a fresh temp dir)")
+                       help="directory for the sharded client-state store, "
+                            "the clients' samples and spill files "
+                            "(default: a fresh temp dir)")
     scale.add_argument("--resident", type=int, default=64,
                        help="max clients held in memory at once (LRU; "
                             "evicted state spills to the store)")

@@ -86,6 +86,25 @@ def _make_prototypes(rng: np.random.Generator, num_classes: int, channels: int,
 _NOISE_ROWS = 256
 
 
+def _channel_std(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``x.std(axis=(0, 2, 3), keepdims=True)`` bit for bit, for ``x`` of
+    shape (N, C, H, W) and its channel mean ``mu``, without the full-size
+    ``x - mu`` temporary ``np.std`` allocates.
+
+    NumPy's reduction adds each (sample, channel) plane's pairwise sum
+    into a float32 accumulator in sample order; so does this, one sample
+    at a time, and it divides by an ``intp`` count as ``np.var`` does.
+    """
+    acc = np.zeros_like(mu)
+    for k in range(len(x)):
+        d = x[k:k + 1] - mu
+        d *= d
+        acc += np.add.reduce(d, axis=(0, 2, 3), keepdims=True)
+    np.true_divide(acc, np.intp(x.size // x.shape[1]), out=acc,
+                   casting="unsafe")
+    return np.sqrt(acc, out=acc)
+
+
 class SyntheticCIFAR10(ArrayDataset):
     """CIFAR-10 stand-in: (N, 3, size, size), 10 balanced classes.
 
@@ -113,7 +132,7 @@ class SyntheticCIFAR10(ArrayDataset):
             part += rng_inst.normal(0.0, noise, size=part.shape).astype(np.float32)
         # per-channel standardisation (the usual CIFAR transform)
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        sd = x.std(axis=(0, 2, 3), keepdims=True) + 1e-6
+        sd = _channel_std(x, mu) + 1e-6
         np.subtract(x, mu, out=x)
         np.divide(x, sd, out=x)
         super().__init__(x, y)

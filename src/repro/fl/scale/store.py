@@ -39,6 +39,9 @@ _BLOB_HDR = struct.Struct("<Q")
 # are cheaper to leave fragmented than to rewrite.
 _COMPACT_MIN_BYTES = 1 << 20
 
+# Bytes per read when :meth:`ClientStateStore.holds` compares a record.
+_COMPARE_CHUNK = 1 << 18
+
 _CV_TAG = "__controlvariate__"
 
 
@@ -199,6 +202,26 @@ class ClientStateStore:
             self._files[i].flush()
         get_registry().counter("scale.store_gets").inc()
         return os.pread(self._files[i].fileno(), blob_len, blob_off)
+
+    def holds(self, key: str, blob: bytes) -> bool:
+        """Whether ``key``'s live record is ``blob``, byte for byte.
+
+        Lengths first, then chunked reads that stop at the first chunk
+        that differs, so a changed record usually costs one chunk.
+        """
+        entry = self._index.get(key)
+        if entry is None or entry[2] != len(blob):
+            return False
+        i, blob_off, blob_len = entry
+        if not self.frozen:
+            self._files[i].flush()
+        fd = self._files[i].fileno()
+        view = memoryview(blob)
+        for lo in range(0, blob_len, _COMPARE_CHUNK):
+            chunk = view[lo:lo + _COMPARE_CHUNK]
+            if os.pread(fd, len(chunk), blob_off + lo) != chunk:
+                return False
+        return True
 
     def delete(self, key: str, missing_ok: bool = True) -> None:
         if self.frozen:

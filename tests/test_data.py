@@ -33,6 +33,19 @@ class TestSyntheticCIFAR:
         assert ds.y.dtype == np.int64
         assert ds.y.min() >= 0 and ds.y.max() < 10
 
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 4), (300, 3, 32, 32),
+                                       (513, 3, 12, 12), (7, 2, 5, 3)])
+    def test_channel_std_is_numpy_std_bitwise(self, shape):
+        """The row-sequential std that spares a full-size temporary."""
+        from repro.data.datasets import _channel_std
+        x = np.random.default_rng(shape[0]).normal(
+            0.3, 1.7, size=shape).astype(np.float32)
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        got = _channel_std(x, mu)
+        want = x.std(axis=(0, 2, 3), keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         a = SyntheticCIFAR10(n_samples=50, size=16, seed=5)
         b = SyntheticCIFAR10(n_samples=50, size=16, seed=5)

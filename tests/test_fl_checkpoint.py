@@ -465,6 +465,7 @@ class TestScaleMidRoundCheckpoint:
         # interrupted: round 0, then half of round 1's cohort, snapshot
         store_root = tmp_path / "store"
         pool = _pool(tiny_dataset, tiny_setting, store_root)
+        samples = open(pool.factory.path, "rb").read()
         doomed = FedAvg(model_fn, pool.clients(), lr=0.05, local_epochs=1,
                         seed=0, sample_ratio=1.0)
         runner = ScaleRunner(doomed, pool=pool,
@@ -484,6 +485,10 @@ class TestScaleMidRoundCheckpoint:
         result = resumed.resume_round()
         assert result.round_idx == 1
         assert self._final(resumed_algo) == self._final(ref)
+        # the new factory rewrote the clients' samples file with the same
+        # bytes, and the store's attach left it alone
+        assert pool2.factory.path == pool.factory.path
+        assert open(pool2.factory.path, "rb").read() == samples
 
     def test_spatl_materialized_resumes_byte_identical(
             self, tmp_path, tiny_dataset, tiny_setting):

@@ -9,18 +9,20 @@ order-independent and the parent commits worker results in cohort order.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import pickle
 import types
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.data import dirichlet_partition
-from repro.fl import (ClientStateStore, ShardedClientFactory,
+from repro.data import SyntheticCIFAR10, dirichlet_partition
+from repro.fl import (ClientStateStore, ScaleRunner, ShardedClientFactory,
                       VirtualClientPool, make_federated_clients)
 from repro.fl.comm import (CommLedger, PayloadError, decode_update,
                            encode_update, serialize_state)
@@ -181,15 +183,16 @@ def _layout(arr):
             arr.dtype.str)
 
 
-def _out_of_band_replica(algo):
+def _out_of_band_replica(algo, blob_share=0.05):
     """Dump and load ``algo`` as a fork-pool worker does; check that the
-    replica's arrays are the original's memory and the blob is small."""
+    replica's arrays are the original's memory and the blob is small
+    (under ``blob_share`` of the out-of-band array bytes)."""
     buffers = []
     blob = _pickle_algorithm(algo, buffers)
     replica = pickle.loads(blob, buffers=buffers)
     assert algo.model_fn is not None and algo.executor is not None
     array_bytes = sum(memoryview(b).nbytes for b in buffers)
-    assert len(blob) < 0.05 * array_bytes, (len(blob), array_bytes)
+    assert len(blob) < blob_share * array_bytes, (len(blob), array_bytes)
     originals = {_layout(a) for a in _reachable(algo)
                  if isinstance(a, np.ndarray)}
     leaves = [a for a in _reachable(replica)
@@ -225,9 +228,12 @@ def test_virtual_pool_replica_is_frozen_and_cold(tmp_path, tiny_dataset,
                   executor=make_executor(1))
     algo.run_round(0)
     assert pool.resident > 0 and not pool.store.frozen
-    replica = _out_of_band_replica(algo)
+    # The replica carries no samples, so its arrays are little more than
+    # the model's (~0.2 MB); the blob is ~0.03 MB whatever the dataset.
+    replica = _out_of_band_replica(algo, blob_share=0.25)
     replica_pool = replica.clients[0]._pool
     try:
+        assert replica_pool.factory.dataset is None
         assert replica_pool.store.frozen
         assert replica_pool.resident == 0
         assert len(replica.step_compiler._models) == 0
@@ -235,6 +241,37 @@ def test_virtual_pool_replica_is_frozen_and_cold(tmp_path, tiny_dataset,
     finally:
         replica_pool.store.close()
         pool.store.close()
+
+
+def test_fork_workers_read_shards_from_the_samples_file(tmp_path,
+                                                        tiny_model_fn):
+    """With the caller's dataset gone, two forked workers train every
+    client from the samples file: bitwise the serial eager run."""
+    ds = SyntheticCIFAR10(n_samples=160, size=12, seed=2)
+    parts = dirichlet_partition(ds.y, 4, beta=0.5, seed=7)
+    eager = _build("fedavg", tiny_model_fn,
+                   make_federated_clients(ds, parts, batch_size=32, seed=5),
+                   1)
+    factory = ShardedClientFactory(dataset=ds, parts=parts, batch_size=32,
+                                   seed=5)
+    pool = VirtualClientPool(factory, len(parts),
+                             ClientStateStore(tmp_path / "store"),
+                             resident_limit=2)
+    x_ref = weakref.ref(ds.x)
+    del ds
+    gc.collect()
+    assert x_ref() is None
+    pooled = _build("fedavg", tiny_model_fn, pool.clients(), 2)
+    try:
+        for r in range(ROUNDS):
+            eager.run_round(r)
+            ScaleRunner(pooled, pool=pool,
+                        spill_dir=tmp_path / "spills").run_round(r)
+    finally:
+        eager.close()
+        pooled.close()
+    assert serialize_state(pooled.global_model.state_dict()) \
+        == serialize_state(eager.global_model.state_dict())
 
 
 def test_pool_keeps_no_replica_after_fork(eight_client_setting):

@@ -9,14 +9,18 @@ through the list entry points, a resident fold and a disk-spill fold.
 """
 
 import dataclasses
+import gc
 import os
 import pickle
+import types
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core import SPATL, StaticSaliencyPolicy
 from repro.core.gradient_control import ControlVariate
+from repro.data import SyntheticCIFAR10
 from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
                       AsyncProfile, BroadcastCache, ClientStateStore,
                       FaultModel, FedAvg, FederatedAlgorithm, PayloadError,
@@ -29,6 +33,7 @@ from repro.fl.comm import encode_update
 from repro.fl.scale import (SpillReplayFold, decode_client_state,
                             encode_client_state)
 from repro.fl.stub import StubAvg, make_stub
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 
 def _clients(tiny_dataset, tiny_setting):
@@ -229,20 +234,115 @@ class TestUpdateSpill:
 
 # ----------------------------------------------------------- virtual pool
 
+def _assert_twins(pool, eager):
+    """Every pooled client holds its eager twin's samples and seeds."""
+    for cid, ref in enumerate(eager):
+        built = pool.factory(cid)
+        assert built.client_id == ref.client_id
+        assert built.seed == ref.seed
+        for split in ("train_data", "val_data"):
+            for arr in ("x", "y"):
+                got = getattr(getattr(built, split), arr)
+                want = getattr(getattr(ref, split), arr)
+                assert got.dtype == want.dtype, (cid, split, arr)
+                np.testing.assert_array_equal(got, want)
+
+
 class TestVirtualClientPool:
     def test_factory_matches_eager_clients(self, tmp_path, tiny_dataset,
                                            tiny_setting):
-        eager = _clients(tiny_dataset, tiny_setting)
+        pool = _virtual_pool(tiny_dataset, tiny_setting,
+                             ClientStateStore(tmp_path / "s"))
+        _assert_twins(pool, _clients(tiny_dataset, tiny_setting))
+
+    def test_unbound_factory_raises(self, tiny_dataset, tiny_setting):
         _, parts = tiny_setting
-        factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts,
+        factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts)
+        with pytest.raises(RuntimeError, match="unbound"):
+            factory(0)
+
+    def test_dataset_leaves_the_process(self, tmp_path):
+        """Once the pool is built only the samples file holds the data;
+        the caller's dataset is not mutated, only let go."""
+        ds = SyntheticCIFAR10(n_samples=120, size=8, seed=4)
+        parts = np.array_split(np.random.default_rng(0).permutation(120), 5)
+        eager = make_federated_clients(ds, parts, batch_size=32, seed=5)
+        x_before = ds.x.copy()
+        factory = ShardedClientFactory(dataset=ds, parts=parts,
                                        batch_size=32, seed=5)
-        for cid, ref in enumerate(eager):
-            built = factory(cid)
-            assert built.client_id == ref.client_id
-            assert built.seed == ref.seed
-            np.testing.assert_array_equal(built.train_data.x,
-                                          ref.train_data.x)
-            np.testing.assert_array_equal(built.val_data.y, ref.val_data.y)
+        pool = VirtualClientPool(factory, len(parts),
+                                 ClientStateStore(tmp_path / "s"))
+        np.testing.assert_array_equal(ds.x, x_before)
+        x_ref = weakref.ref(ds.x)
+        del ds
+        gc.collect()
+        assert x_ref() is None
+        _assert_twins(pool, eager)
+        replica = pickle.loads(pickle.dumps(factory))
+        assert replica.dataset is None and replica.path == factory.path
+        _assert_twins(types.SimpleNamespace(factory=replica), eager)
+
+    @pytest.mark.parametrize("cut", ["tail", "all"])
+    def test_short_samples_file_names_the_client(self, tmp_path,
+                                                 tiny_dataset, tiny_setting,
+                                                 cut):
+        pool = _virtual_pool(tiny_dataset, tiny_setting,
+                             ClientStateStore(tmp_path / "s"))
+        path = pool.factory.path
+        size = os.path.getsize(path)
+        os.truncate(path, size - 4 if cut == "tail" else 0)
+        victim = len(pool.factory.parts) - 1 if cut == "tail" else 0
+        with pytest.raises(PayloadError, match=f"client {victim}:"):
+            pool.materialize(victim)
+        assert pool.resident == 0
+
+    def test_samples_file_is_not_a_store_record(self, tmp_path,
+                                                tiny_dataset, tiny_setting):
+        """Compaction, reopening and ``attach`` never touch the file."""
+        store = ClientStateStore(tmp_path / "s", shards=1)
+        pool = _virtual_pool(tiny_dataset, tiny_setting, store)
+        path = pool.factory.path
+        assert os.path.dirname(path) == store.root
+        before = open(path, "rb").read()
+        for i in range(3):
+            store.put("client/0", bytes([i]) * 64)
+        manifest = store.snapshot_manifest()
+        store.put("client/1", b"after the snapshot")
+        store.compact()
+        store.close()
+        reopened = ClientStateStore(tmp_path / "s", shards=1)
+        assert sorted(reopened.keys()) == ["client/0", "client/1"]
+        reopened.close()
+        ClientStateStore.attach(tmp_path / "s", manifest).close()
+        assert open(path, "rb").read() == before
+
+    def test_unchanged_state_is_not_rewritten(self, tmp_path, tiny_dataset,
+                                              tiny_setting):
+        """A second evaluation over an unchanged population puts nothing."""
+        model_fn, _ = tiny_setting
+        store = ClientStateStore(tmp_path / "s")
+        pool = _virtual_pool(tiny_dataset, tiny_setting, store,
+                             resident_limit=2)
+        algo = SPATL(model_fn, pool.clients(), lr=0.05, local_epochs=1,
+                     seed=0, selection_policy=StaticSaliencyPolicy(0.3))
+        registry = MetricsRegistry()
+
+        def puts():
+            return registry.snapshot()["counters"].get("scale.store_puts", 0)
+
+        previous = set_registry(registry)
+        try:
+            ScaleRunner(algo, pool=pool, eval_mode="none",
+                        spill_dir=tmp_path / "spills").run_round(0)
+            first = algo.evaluate_all(evict=pool.evict)
+            after_first, nbytes = puts(), store.nbytes
+            assert after_first > 0
+            assert algo.evaluate_all(evict=pool.evict) == first
+        finally:
+            set_registry(previous)
+            algo.close()
+        assert puts() == after_first
+        assert store.nbytes == nbytes
 
     def test_lru_bound_and_state_survival(self, tmp_path):
         store = ClientStateStore(tmp_path / "s")

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change pairs of one end-to-end workload.
+
+    python tools/e2e_pairs.py --ref HEAD --workload spatl_scale_int8 \\
+        [--seed 0] [--pairs 10]
+
+Exports ``--ref`` into a temporary directory with ``git archive`` and
+runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0`` there
+("parent") and in this working tree ("change"), ``--pairs`` times,
+alternating which side runs first so a drift of the box hits both
+sides alike.  Prints each ``BENCHMARK.json`` end-to-end metric, plus
+``round_s`` and ``final_val_acc``: both sides' median and interquartile
+range and the change's wins / ties / losses by the metric's direction;
+then whether the state fingerprint was equal in every pair.  One run at
+a time, so a run's peak RSS is its own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+EXTRA = [("round_s", "lower"), ("final_val_acc", "higher")]
+
+
+def export(ref: str, dest: Path) -> None:
+    """Write the tree of ``ref`` into ``dest`` (no worktree, no .git)."""
+    git = subprocess.Popen(["git", "archive", ref], cwd=REPO,
+                           stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=git.stdout,
+                   check=True)
+    git.stdout.close()
+    if git.wait():
+        raise SystemExit(f"git archive {ref} failed")
+
+
+def run_once(root: Path, workload: str, seed: int, out: Path) -> dict:
+    """One untraced run of ``workload`` in checkout ``root``."""
+    subprocess.run([sys.executable, str(root / "benchmarks/e2e/run.py"),
+                    "--workload", workload, "--seed", str(seed),
+                    "--trace", "0", "--out", str(out)],
+                   cwd=root, check=True, capture_output=True, text=True)
+    record = json.loads(out.read_text())["records"][0]
+    values = {name: m["value"] for name, m in record["metrics"].items()}
+    return {"metrics": values, "fingerprint": record["state_fingerprint"]}
+
+
+def spread(values: list[float]) -> tuple[float, float]:
+    """(median, interquartile range)."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), q3 - q1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--ref", required=True,
+                        help="git ref of the parent side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]] + EXTRA
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="e2e-pairs-") as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        export(args.ref, parent_root)
+        roots = {"parent": parent_root, "change": REPO}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(roots[side], args.workload,
+                                           args.seed, Path(tmp) / "out.json"))
+            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+
+    print(f"{args.workload} seed {args.seed}: {args.pairs} interleaved pairs, "
+          f"parent = {args.ref}, change = working tree")
+    print(f"{'metric':<24}{'better':<8}{'parent median (IQR)':<26}"
+          f"{'change median (IQR)':<26}wins/ties/losses")
+    for name, better in metrics:
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        sign = 1 if better == "lower" else -1
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        ties = sum(p == c for p, c in zip(parent, change))
+        cells = ["%.4g (%.3g)" % spread(side) for side in (parent, change)]
+        print(f"{name:<24}{better:<8}{cells[0]:<26}{cells[1]:<26}"
+              f"{wins}/{ties}/{args.pairs - wins - ties}")
+    same = sum(p["fingerprint"] == c["fingerprint"]
+               for p, c in zip(runs["parent"], runs["change"]))
+    print(f"state_fingerprint equal in {same}/{args.pairs} pairs "
+          f"({runs['change'][0]['fingerprint']:#x})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
