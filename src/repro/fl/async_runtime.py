@@ -33,9 +33,10 @@ Server semantics:
   deadline fires first), the server folds the buffer in deterministic
   ``(dispatch_step, job)`` order.  Each update is discounted by
   ``1/(1 + staleness)^alpha`` where staleness is the number of commits
-  since its dispatch through the algorithm's one fold; a fresh update's
-  weight is exactly 1.0, so an all-fresh buffer is *bitwise* the
-  synchronous :meth:`~repro.fl.base.FederatedAlgorithm.aggregate`.
+  since its dispatch, and is added to the algorithm's one fold with that
+  discount as its weight; a fresh update's weight is exactly 1.0, so an
+  all-fresh buffer is *bitwise* the synchronous
+  :meth:`~repro.fl.base.FederatedAlgorithm.aggregate`.
   Commits are idempotent under deadline races: a deadline event carries
   the commit epoch it was armed for and is ignored once any commit
   advanced the epoch.
@@ -191,7 +192,7 @@ class AsyncFederatedRunner:
     The runner owns the *protocol* (arrivals, buffering, staleness,
     admission control); the wrapped algorithm keeps owning the *math*
     (``download_payload`` / ``local_update`` / ``upload_payload`` /
-    ``make_fold``) plus the shared
+    ``server_step``, or SPATL's ``make_fold``) plus the shared
     infrastructure — its :class:`~repro.fl.comm.Transport` (downlink
     sent at dispatch, uplink at delivery, both keyed by the dispatch
     step so async accounting lines up with sync rounds; DESIGN.md §17)

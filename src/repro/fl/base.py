@@ -15,9 +15,10 @@ a fifth:
 - ``upload_payload(update)`` — what the client sends back, as the
   update's own arrays: the quantized transport writes the decoded values
   back through it, so the uplink is stated once and has no inverse;
-- the server step, once: ``make_fold(spill)`` for a running accumulator,
-  or ``aggregate(updates, round_idx)`` for a batch reduce (DESIGN.md
-  §13.3);
+- ``server_step(payloads, pairs)`` — the server step, once, over the
+  stream of parked upload payloads; SPATL, whose Eq. 11/12 step runs as
+  the uploads arrive, overrides ``make_fold(spill)`` instead
+  (DESIGN.md §13.3);
 - ``server_arrays()`` — optional: the server state beyond the model
   (control variates, server momentum), declared once; the worker sync
   state, its loader and every checkpoint are derived from it
@@ -40,13 +41,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.fl.client import Client
 from repro.fl.comm import CommLedger, Transport
 from repro.fl.faults import FaultModel
+from repro.fl.local import weighted_average_states
 from repro.fl.quant import QUANT_WIRE_KEY, QuantConfig, quantize_payload
 from repro.fl.wire import BroadcastCache
 from repro.fl.parallel import RoundExecutor, SerialExecutor
@@ -456,20 +458,31 @@ class FederatedAlgorithm:
 
     # ---------------------------------- aggregation (DESIGN.md §13.3)
     def make_fold(self, spill=None):
-        """The accumulator every driver aggregates through.
+        """The accumulator every driver aggregates through: it parks each
+        :meth:`upload_payload` (on disk with an ``UpdateSpill``) and
+        streams them to :meth:`server_step` at finalize."""
+        from repro.fl.scale.fold import StreamingFold
+        return StreamingFold(self, spill)
 
-        ``spill=None`` parks what finalize needs by reference; an
-        :class:`~repro.fl.scale.fold.UpdateSpill` parks it on disk.  The
-        base fold replays a batch ``aggregate`` override; algorithms
-        whose server step has a running form (FedAvg's weighted mean,
-        SPATL's Eq. 11/12) return an O(model) fold instead.
-        """
-        if type(self).aggregate is FederatedAlgorithm.aggregate:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither make_fold nor a "
-                "batch aggregate")
-        from repro.fl.scale.fold import SpillReplayFold
-        return SpillReplayFold(self, spill)
+    def server_step(self, payloads: Callable[[], Iterator[dict]],
+                    pairs: Sequence[tuple[float, float]]) -> None:
+        """Fold a round's uploads into the global state.  ``payloads()``
+        is a fresh iterator over their :meth:`upload_payload` dicts in
+        cohort order; ``pairs`` holds each one's ``(n, weight)`` (weight
+        1.0, or the async staleness discount).  Adding per key in cohort
+        order keeps every route bitwise-equal."""
+        raise NotImplementedError(
+            f"{type(self).__name__} states no server_step")
+
+    def _mean_buffers(self, payloads: Callable[[], Iterator[dict]],
+                      pairs: Sequence[tuple[float, float]]) -> None:
+        """Install the ``n * weight`` mean of the uploaded buffers."""
+        owners = self.global_model._buffer_owners()
+        mean = weighted_average_states(
+            ({name: payload[name] for name in owners}
+             for payload in payloads()), [n * w for n, w in pairs])
+        for name, (owner, local) in owners.items():
+            owner.set_buffer(local, mean[name])
 
     def aggregate(self, updates: Sequence[Any], round_idx: int) -> None:
         """Fold a list of updates into the global state, unit weights."""
@@ -477,15 +490,11 @@ class FederatedAlgorithm:
 
     def aggregate_weighted(self, updates: Iterable[Any],
                            weights: Sequence[float], round_idx: int) -> None:
-        """Fold ``updates`` with per-update multiplicative weights.
-
-        The asynchronous runtime discounts stale updates by
-        ``1/(1+staleness)^alpha`` (DESIGN.md §12).  A weight of exactly
-        1.0 scales by an exact multiply, so all-1.0 weights are bitwise
-        the synchronous fold — which is what makes ``buffer_k == cohort
+        """Fold ``updates`` with per-update multiplicative weights: the
+        async runtime's staleness discounts (DESIGN.md §12).  All-1.0
+        weights are bitwise the synchronous fold, so ``buffer_k == cohort
         size`` async runs reproduce sync runs exactly.  ``updates`` may
-        be a generator.
-        """
+        be a generator."""
         fold = self.make_fold()
         # strict: an updates/weights length mismatch is a ValueError
         for update, w in zip(updates, weights, strict=True):

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.fl.base import FederatedAlgorithm
 from repro.fl.client import Client
-from repro.fl.local import train_local
+from repro.fl.local import train_local, weighted_average_states
 
 
 class FedAvg(FederatedAlgorithm):
@@ -48,7 +48,7 @@ class FedAvg(FederatedAlgorithm):
     def upload_payload(self, update: dict) -> dict[str, np.ndarray]:
         return update["state"]
 
-    def make_fold(self, spill=None):
-        """FedAvg's server step: the example-weighted mean fold."""
-        from repro.fl.scale.fold import DictMeanFold
-        return DictMeanFold(self, spill)
+    def server_step(self, payloads, pairs) -> None:
+        """The example-weighted mean of the uploaded states."""
+        self.global_model.load_state_dict(weighted_average_states(
+            payloads(), [n * w for n, w in pairs]))

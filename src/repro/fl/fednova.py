@@ -86,23 +86,24 @@ class FedNova(FederatedAlgorithm):
         payload["a_i"] = np.asarray([update["a_i"]], dtype=np.float32)
         return payload
 
-    def aggregate(self, updates: list[dict], round_idx: int) -> None:
+    def server_step(self, payloads, pairs) -> None:
         # Survivor correctness under dropout: both the data weights p_i and
         # the effective tau (sum_i p_i a_i) are computed over *surviving*
         # clients only, so a dropped straggler cannot bias tau_eff with an
         # effective-step count it never delivered.
-        if not updates:
-            raise ValueError("aggregate() needs >= 1 surviving update; "
-                             "skipped rounds must not reach aggregation")
-        weights = np.asarray([u["n"] for u in updates], dtype=np.float64)
+        weights = np.asarray([n * w for n, w in pairs], dtype=np.float64)
         p = weights / weights.sum()
-        tau_eff = float(np.sum(p * [u["a_i"] for u in updates]))
         params = dict(self.global_model.named_parameters())
+        combined = {name: np.zeros_like(param.data, dtype=np.float64)
+                    for name, param in params.items()}
+        a_i = []
+        for pi, payload in zip(p, payloads()):
+            a_i.append(float(payload["a_i"][0]))
+            for name, acc in combined.items():
+                acc += pi * payload[name]
+        tau_eff = float(np.sum(p * a_i))
         for name, param in params.items():
-            combined = np.zeros_like(param.data, dtype=np.float64)
-            for pi, u in zip(p, updates):
-                combined += pi * u["delta"][name]
-            step = tau_eff * combined
+            step = tau_eff * combined[name]
             if self.gmf:
                 buf = self._server_momentum[name]
                 buf *= self.gmf
@@ -110,13 +111,4 @@ class FedNova(FederatedAlgorithm):
                 step = buf
             param.data -= np.asarray(step, dtype=param.data.dtype)
         # Buffers (BN statistics) are plain-averaged, as in FedAvg.
-        buffer_names = [n for n, _ in self.global_model.named_buffers()]
-        owners = self.global_model._buffer_owners()
-        for name in buffer_names:
-            first = updates[0]["buffers"][name]
-            if np.asarray(first).dtype.kind in "iu":
-                avg = first
-            else:
-                avg = sum(pi * u["buffers"][name] for pi, u in zip(p, updates))
-            owner, local = owners[name]
-            owner.set_buffer(local, np.asarray(avg, dtype=np.asarray(first).dtype))
+        self._mean_buffers(payloads, pairs)

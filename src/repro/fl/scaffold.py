@@ -9,8 +9,12 @@ variate with option II of the paper:
 
 The server then updates model and variate from the deltas:
 
-    x <- x + eta_g * mean(y_i - x)
-    c <- c + (|S| / N) * mean(c_i+ - c_i)
+    x <- x + eta_g * sum_i w_i (y_i - x) / sum_i w_i
+    c <- c + sum_i w_i (c_i+ - c_i) / N
+
+over the surviving uploads ``S`` of ``N`` clients: ``w_i = 1`` gives the
+paper's ``mean`` and ``(|S| / N) * mean``; async runs pass staleness
+discounts.
 
 Wire cost: (model + c) down, (delta + delta_c) up — 2x FedAvg, matching
 the paper's Table I.  ``c⁰ = 0`` on both sides, so a first contact is not
@@ -97,29 +101,28 @@ class Scaffold(FederatedAlgorithm):
         payload.update(update["buffers"])
         return payload
 
-    def aggregate(self, updates: list[dict], round_idx: int) -> None:
-        # Survivor correctness under dropout: the model step averages over
-        # the n_sel *surviving* deltas, while the variate step keeps the
-        # paper's (|S|/N) damping with |S| = survivors — i.e. the c update
-        # sums survivor variate deltas and normalises by N (= n_all), so a
-        # dropped client contributes nothing rather than a stale term.
-        if not updates:
-            raise ValueError("aggregate() needs >= 1 surviving update; "
-                             "skipped rounds must not reach aggregation")
-        n_sel = len(updates)
+    def server_step(self, payloads, pairs) -> None:
+        # The module docstring's step, in float32 sums in cohort order: a
+        # dropped client adds nothing, a stale one its discounted share.
+        # c moves by (W/N) * (sum / W), bitwise (|S|/N) * mean at w = 1.
+        acc: dict[str, np.ndarray] = {}
+        for (_, w), payload in zip(pairs, payloads()):
+            for key, value in payload.items():
+                integral = value.dtype.kind in "iu"
+                if key not in acc:
+                    acc[key] = value.copy() if integral else w * value
+                elif not integral:
+                    acc[key] += w * value
+        w_sum = sum(w for _, w in pairs)
         n_all = len(self.clients)
-        params = dict(self.global_model.named_parameters())
-        for name, param in params.items():
-            mean_dw = sum(u["delta_w"][name] for u in updates) / n_sel
+        for name, param in self.global_model.named_parameters():
+            mean_dw = acc[f"dw.{name}"] / w_sum
             param.data += (self.server_lr * mean_dw).astype(param.data.dtype)
-            mean_dc = sum(u["delta_c"][name] for u in updates) / n_sel
-            self.c_global[name] = (self.c_global[name]
-                                   + (n_sel / n_all) * mean_dc).astype(param.data.dtype)
-        owners = self.global_model._buffer_owners()
-        for name, (owner, local) in owners.items():
-            first = np.asarray(updates[0]["buffers"][name])
-            if first.dtype.kind in "iu":
-                avg = first
-            else:
-                avg = sum(u["buffers"][name] for u in updates) / n_sel
-            owner.set_buffer(local, np.asarray(avg, dtype=first.dtype))
+            mean_dc = acc[f"dc.{name}"] / w_sum
+            self.c_global[name] = (self.c_global[name] + (w_sum / n_all)
+                                   * mean_dc).astype(param.data.dtype)
+        for name, (owner, local) in self.global_model._buffer_owners().items():
+            value = acc[name]
+            if value.dtype.kind not in "iu":     # integer counters: the first
+                value = value / w_sum
+            owner.set_buffer(local, value)

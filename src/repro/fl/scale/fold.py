@@ -1,32 +1,24 @@
-"""Fold aggregation: the one place server-side arithmetic lives.
+"""Fold aggregation: the one place server-side arithmetic is driven from.
 
 A fold is an incremental accumulator: ``add(update, weight)`` commits
 one upload, ``finalize(round_idx)`` installs the result into the
 algorithm's global state.  Every driver aggregates through the fold its
 algorithm's ``make_fold(spill)`` returns (DESIGN.md §13.3):
+:class:`StreamingFold`, which streams the parked ``upload_payload`` of
+each upload to the algorithm's ``server_step``, or SPATL's running
+Eq. 12 / Eq. 11 :class:`SPATLFold`.
 
-- :class:`DictMeanFold` — the example-weighted mean over
-  ``update["state"]`` (FedAvg, FedProx, StubAvg).
-- :class:`SPATLFold` — SPATL's Eq. 12 / Eq. 11 server step.
-- :class:`SpillReplayFold` — parks every update and replays the batch
-  ``aggregate`` of an algorithm that defines one (SCAFFOLD, FedNova,
-  FedTopK, SSFL/SalientGrads).
-
-What ``finalize`` still needs from each upload is *parked*: with no
-spill the fold keeps references to the update's own arrays (no codec
-pass, no disk — a list reduction's memory profile); with an
-:class:`UpdateSpill` it is framed to disk and streamed back, so server
-memory is O(model) independent of cohort size.  Floating-point addition
-is not associative, so every fold adds in cohort order per key / per
-coordinate whichever way the records are parked: resident and spilled
-folds are bitwise-identical.
+With no spill a fold parks references to the update's own arrays (no
+codec pass, no disk); with an :class:`UpdateSpill` each record is framed
+to disk and streamed back one at a time, so server memory is O(model)
+independent of cohort size.  Every server step adds in cohort order per
+key / per coordinate, so resident and spilled folds are bitwise equal.
 
 Every ``add`` carries a weight — 1.0 on the synchronous path, the
-staleness discount under the async runtime — and every fold applies it
-the one way: it scales the upload's example count (and SPATL's Eq. 12
-diffs, coverage and Eq. 11 delta).  IEEE 754 makes ``x * 1.0 == x``
-exact, and example counts are integers summed exactly in float64, so a
-unit-weight fold is bitwise the unweighted reduction (DESIGN.md §13.3).
+staleness discount under the async runtime.  IEEE 754 makes
+``x * 1.0 == x`` exact, and example counts are integers summed exactly
+in float64, so a unit-weight fold is bitwise the unweighted reduction
+(DESIGN.md §13.3).
 """
 
 from __future__ import annotations
@@ -46,8 +38,6 @@ from repro.fl.wire import deserialize, serialize
 
 _REC_HDR = struct.Struct("<Q")
 
-_EMPTY_MSG = ("aggregate() needs >= 1 surviving update; "
-              "skipped rounds must not reach aggregation")
 _DESERIALIZE_VIEW = functools.partial(deserialize, copy=False)
 
 
@@ -135,12 +125,13 @@ class UpdateSpill:
 
 
 class StreamingFold:
-    """Incremental aggregation accumulator (see module docstring).
+    """The fold of every algorithm but SPATL: ``add`` parks what the
+    uplink carries (dequantized under a quantized transport) and the
+    ``(n, weight)`` pair; ``finalize`` streams both to ``server_step``.
 
     ``snapshot()`` / ``restore()`` capture and reinstall the resident
-    accumulator state of a *spilled* fold for mid-round checkpointing;
-    the spill file is checkpointed separately (path + record count +
-    byte length) by :mod:`repro.fl.checkpoint`.
+    state of a *spilled* fold for mid-round checkpointing; the spill file
+    is checkpointed separately by :mod:`repro.fl.checkpoint`.
     """
 
     def __init__(self, algorithm, spill: UpdateSpill | None = None):
@@ -159,6 +150,11 @@ class StreamingFold:
             raise ValueError("aggregation weights must be > 0")
         return weight
 
+    def _check_nonempty(self) -> None:
+        if not self.n_updates:   # the server loop skips an empty round
+            raise ValueError("aggregate() needs >= 1 surviving update; "
+                             "skipped rounds must not reach aggregation")
+
     def _park(self, record: Any, encode: Callable[[Any], bytes]) -> None:
         """Keep what finalize still needs: by reference, or framed to disk."""
         if self.spill is None:
@@ -172,11 +168,15 @@ class StreamingFold:
             return iter(self._resident)
         return (decode(blob) for blob in self.spill)
 
-    def add(self, update: Any, weight: float = 1.0) -> None:
-        raise NotImplementedError
+    def add(self, update: dict, weight: float = 1.0) -> None:
+        weight = self._check_weight(weight)
+        self._park(self.algo.upload_payload(update), serialize)
+        self._pairs.append((float(update["n"]), weight))
 
     def finalize(self, round_idx: int) -> None:
-        raise NotImplementedError
+        self._check_nonempty()
+        self.algo.server_step(lambda: self._parked(_DESERIALIZE_VIEW),
+                              self._pairs)
 
     # -- checkpointing -------------------------------------------------
 
@@ -193,31 +193,6 @@ class StreamingFold:
                              f"{meta['kind']!r}, algorithm builds "
                              f"{type(self).__name__!r}")
         self._pairs = [(float(n), float(w)) for n, w in arrays["pairs"]]
-
-    def _final_weights(self) -> list[float]:
-        return [n * w for n, w in self._pairs]
-
-
-class DictMeanFold(StreamingFold):
-    """Example-weighted mean over ``update["state"]`` (FedAvg's server step).
-
-    Only surviving clients reach a fold, and the weights renormalise
-    over whatever was added — exactly FedAvg under partial participation.
-    An empty round is the server loop's job to skip; finalizing nothing
-    is a bug upstream.
-    """
-
-    def add(self, update: dict, weight: float = 1.0) -> None:
-        weight = self._check_weight(weight)
-        self._park(update["state"], serialize)
-        self._pairs.append((float(update["n"]), weight))
-
-    def finalize(self, round_idx: int) -> None:
-        if not self.n_updates:
-            raise ValueError(_EMPTY_MSG)
-        avg = weighted_average_states(self._parked(_DESERIALIZE_VIEW),
-                                      self._final_weights())
-        self.algo.global_model.load_state_dict(avg)
 
 
 class SPATLFold(StreamingFold):
@@ -279,8 +254,7 @@ class SPATLFold(StreamingFold):
         self._pairs.append((float(update["n"]), weight))
 
     def finalize(self, round_idx: int) -> None:
-        if not self.n_updates:
-            raise ValueError(_EMPTY_MSG)
+        self._check_nonempty()
         algo = self.algo
 
         # --- Eq. 12: apply covered-coordinate means --------------------
@@ -290,7 +264,7 @@ class SPATLFold(StreamingFold):
                 algo.aggregation_step).astype(param.data.dtype)
 
         # --- dense tensors (and shared predictor) ----------------------
-        weights = self._final_weights()
+        weights = [n * w for n, w in self._pairs]
         dense_avg = weighted_average_states(
             (rec["dense"] for rec in self._parked(decode_update)), weights)
         algo.global_model.encoder.load_state_dict(dense_avg, strict=False)
@@ -326,29 +300,3 @@ class SPATLFold(StreamingFold):
         for name in list(self._c_acc):
             self._c_acc[name] = np.array(arrays[f"cacc.{name}"])
 
-
-class SpillReplayFold(StreamingFold):
-    """Park-then-replay fold for algorithms whose server step is a batch
-    ``aggregate`` (order-coupled geometry that has no running form).
-
-    Spilled updates pass through the exact :func:`encode_update` /
-    :func:`decode_update` codec (golden-tested lossless), so the replay
-    at finalize is bitwise-identical to never having spilled.  Weights
-    scale each dict update's example count ``"n"``, so any ``"n"``-weighted
-    batch mean (FedNova, FedTopK, SSFL/SalientGrads) discounts stale
-    clients' shares.  Memory is O(cohort) only inside ``finalize``.
-    """
-
-    def add(self, update: Any, weight: float = 1.0) -> None:
-        weight = self._check_weight(weight)
-        self._park(update, encode_update)
-        self._pairs.append((0.0, weight))
-
-    def finalize(self, round_idx: int) -> None:
-        if not self.n_updates:
-            raise ValueError(_EMPTY_MSG)
-        updates = list(self._parked(decode_update))
-        for i, (update, (_, w)) in enumerate(zip(updates, self._pairs)):
-            if isinstance(update, dict) and "n" in update:
-                updates[i] = dict(update, n=update["n"] * w)
-        self.algo.aggregate(updates, round_idx)

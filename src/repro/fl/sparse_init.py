@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fl.base import FederatedAlgorithm
 from repro.fl.client import Client
 from repro.fl.fedavg import FedAvg
 from repro.tensor import Tensor, functional as F
@@ -93,35 +92,20 @@ class SparseInitFL(FedAvg):
         return update["upload"]
 
     # -------------------------------------------------------- aggregation
-    # Masked aggregation doesn't decompose into FedAvg's dict mean
-    # (unmasked coordinates must stay at init): the batch reduce below is
-    # this family's one server step, and folds park-and-replay it rather
-    # than inheriting FedAvg's mean fold.
-    make_fold = FederatedAlgorithm.make_fold
-
-    def aggregate(self, updates: list[dict], round_idx: int) -> None:
-        if not updates:
-            raise ValueError("aggregate() needs >= 1 surviving update; "
-                             "skipped rounds must not reach aggregation")
-        weights = np.asarray([u["n"] for u in updates], dtype=np.float64)
-        w = weights / weights.sum()
-        params = dict(self.global_model.named_parameters())
-        for name, param in params.items():
-            idx = self.masks[name]
-            acc = np.zeros(idx.size, dtype=np.float64)
-            for wi, u in zip(w, updates):
-                acc += wi * u["upload"][f"{name}.val"]
+    # Masked aggregation is not FedAvg's dict mean (unmasked coordinates
+    # must stay at init), so the family states its own server step.
+    def server_step(self, payloads, pairs) -> None:
+        weights = np.asarray([n * w for n, w in pairs], dtype=np.float64)
+        p = weights / weights.sum()
+        acc = {name: np.zeros(idx.size, dtype=np.float64)
+               for name, idx in self.masks.items()}
+        for pi, payload in zip(p, payloads()):
+            for name, values in acc.items():
+                values += pi * payload[f"{name}.val"]
+        for name, param in self.global_model.named_parameters():
             flat = param.data.ravel()
-            flat[idx] = acc.astype(param.data.dtype)
-        owners = self.global_model._buffer_owners()
-        for name, (owner, local) in owners.items():
-            first = np.asarray(updates[0]["upload"][name])
-            if first.dtype.kind in "iu":
-                avg = first
-            else:
-                avg = sum(wi * np.asarray(u["upload"][name], dtype=np.float64)
-                          for wi, u in zip(w, updates))
-            owner.set_buffer(local, np.asarray(avg, dtype=first.dtype))
+            flat[self.masks[name]] = acc[name].astype(param.data.dtype)
+        self._mean_buffers(payloads, pairs)
 
 
 class SSFL(SparseInitFL):

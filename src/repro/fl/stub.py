@@ -10,8 +10,8 @@ second) and for benchmarking pure event-loop overhead without neural-net
 noise.
 
 The stub honours the full hook contract: updates are ``{"state", "n",
-"train_loss", "steps"}`` dicts (FedAvg's, whose wire hooks and mean fold
-it inherits), every draw goes through the seeded RNG tree keyed by
+"train_loss", "steps"}`` dicts (FedAvg's, whose wire hooks and server
+step it inherits), every draw goes through the seeded RNG tree keyed by
 ``(round, client)`` (so results are schedule-order independent), and
 aggregation reads the *current* global state (so commit order matters —
 exactly what the invariant tests need to observe).
@@ -57,7 +57,7 @@ class StubClient:
 class StubAvg(FedAvg):
     """FedAvg over :class:`DictModel`: seeded noise instead of SGD.
 
-    Wire hooks and the server step (the example-weighted mean fold) are
+    Wire hooks and the server step (the example-weighted mean) are
     FedAvg's own; only local training is replaced.
     """
 

@@ -88,26 +88,19 @@ class FedTopK(FederatedAlgorithm):
         payload.update(update["buffers"])
         return payload
 
-    def aggregate(self, updates: list[dict], round_idx: int) -> None:
-        if not updates:
-            raise ValueError("aggregate() needs >= 1 surviving update; "
-                             "skipped rounds must not reach aggregation")
-        weights = np.asarray([u["n"] for u in updates], dtype=np.float64)
-        w = weights / weights.sum()
+    def server_step(self, payloads, pairs) -> None:
+        """Scatter-add each upload's kept coordinates with FedAvg
+        weighting; the buffers take FedAvg's mean."""
+        weights = np.asarray([n * w for n, w in pairs], dtype=np.float64)
+        p = weights / weights.sum()
         params = dict(self.global_model.named_parameters())
+        acc = {name: np.zeros(param.data.size, dtype=np.float64)
+               for name, param in params.items()}
+        for pi, payload in zip(p, payloads()):
+            for name, flat in acc.items():
+                idx = np.asarray(payload[f"{name}.idx"], dtype=np.int64)
+                flat[idx] += pi * payload[f"{name}.val"]
         for name, param in params.items():
             flat = param.data.ravel()
-            acc = np.zeros_like(flat, dtype=np.float64)
-            for wi, u in zip(w, updates):
-                idx, vals = u["sparse"][name]
-                acc[np.asarray(idx, dtype=np.int64)] += wi * vals
-            flat += acc.astype(flat.dtype)
-        owners = self.global_model._buffer_owners()
-        for name, (owner, local) in owners.items():
-            first = np.asarray(updates[0]["buffers"][name])
-            if first.dtype.kind in "iu":
-                avg = first
-            else:
-                avg = sum(wi * u["buffers"][name]
-                          for wi, u in zip(w, updates))
-            owner.set_buffer(local, np.asarray(avg, dtype=first.dtype))
+            flat += acc[name].astype(flat.dtype)
+        self._mean_buffers(payloads, pairs)

@@ -554,7 +554,9 @@ class TestFedNova:
             buf[...] = 0.01 * rng.standard_normal(buf.shape)
         updates = [{"delta": {n: (0.01 * rng.standard_normal(p.shape)).astype(
                         np.float32) for n, p in params.items()},
-                    "a_i": a_i, "n": n, "buffers": buffers}
+                    "a_i": a_i, "n": n, "buffers": buffers,
+                    "momentum_state": {f"momentum.{n}": np.zeros_like(p.data)
+                                       for n, p in params.items()}}
                    for a_i, n in ((3.0, 40), (7.5, 25), (12.25, 61))]
         w_before = {n: p.data.copy() for n, p in params.items()}
         m_before = {n: b.copy() for n, b in algo._server_momentum.items()}
@@ -568,6 +570,100 @@ class TestFedNova:
                 assert np.all(np.abs(algo._server_momentum[name]
                                      - want_buf[name])
                               <= F32 * mass[name] + 1e-30), name
+
+
+def scaffold_oracle(x, c, buffers, updates, weights, n_all, server_lr):
+    """SCAFFOLD's server step in float64 over the surviving uploads ``S``
+    of ``N`` clients: ``x <- x + eta_g sum w_i dy_i / sum w_i``,
+    ``c <- c + sum w_i dc_i / N``; float buffers take the ``w``-weighted
+    mean, integer ones the first upload's value.  Also returns the
+    per-element sum of |terms| the float32 bound scales with."""
+    w_sum = sum(weights)
+    want, mass = {}, {}
+    for name, value in x.items():
+        step = np.zeros(value.shape)
+        size = np.zeros(value.shape)
+        for w, u in zip(weights, updates):
+            step = step + w * u["delta_w"][name].astype(np.float64)
+            size = size + w * np.abs(u["delta_w"][name].astype(np.float64))
+        want[name] = value + server_lr * step / w_sum
+        mass[name] = np.abs(value) + server_lr * size / w_sum
+    for name, value in c.items():
+        step = np.zeros(value.shape)
+        size = np.zeros(value.shape)
+        for w, u in zip(weights, updates):
+            step = step + w * u["delta_c"][name].astype(np.float64)
+            size = size + w * np.abs(u["delta_c"][name].astype(np.float64))
+        want["c." + name] = value + step / n_all
+        mass["c." + name] = np.abs(value) + size / n_all
+    for name, value in buffers.items():
+        first = updates[0]["buffers"][name]
+        if first.dtype.kind in "iu":
+            want[name], mass[name] = first, np.zeros(first.shape)
+            continue
+        step = np.zeros(value.shape)
+        size = np.zeros(value.shape)
+        for w, u in zip(weights, updates):
+            step = step + w * u["buffers"][name].astype(np.float64)
+            size = size + w * np.abs(u["buffers"][name].astype(np.float64))
+        want[name], mass[name] = step / w_sum, size / w_sum
+    return want, mass
+
+
+class TestScaffold:
+    """SCAFFOLD's server step (Karimireddy et al. 2020, option II) with the
+    async staleness discount ``w_i``: the model moves by the weighted mean
+    of the surviving deltas and the variate by their discounted sum over
+    all ``N`` clients, so a dropped client contributes nothing to either.
+
+    Stated bound, per element: the code sums float32 terms in float32, so
+    it sits within ``8 * 2**-23 * (sum of the |terms|)`` of the float64
+    oracle."""
+
+    @pytest.mark.parametrize("weights", [
+        None, [staleness_weight(s, 0.5) for s in (0, 3, 1)]],
+        ids=["unit", "staleness"])
+    def test_server_step_matches_the_paper(self, weights, tiny_setting):
+        from repro.fl.scaffold import Scaffold
+        from repro.fl.stub import StubClient
+        model_fn, _ = tiny_setting
+        algo = Scaffold(model_fn, [StubClient(i) for i in range(5)], lr=0.05,
+                        seed=0, server_lr=0.5)
+        rng = np.random.default_rng(9)
+        params = dict(algo.global_model.named_parameters())
+        buffers = {n: np.array(b)
+                   for n, b in algo.global_model.named_buffers()}
+        for name, value in algo.c_global.items():     # a warm variate
+            value[...] = 0.01 * rng.standard_normal(value.shape)
+
+        def noise(shape):
+            return (0.01 * rng.standard_normal(shape)).astype(np.float32)
+
+        updates = [{"delta_w": {n: noise(p.shape) for n, p in params.items()},
+                    "delta_c": {n: noise(p.shape) for n, p in params.items()},
+                    "buffers": {n: (b + i if b.dtype.kind in "iu"
+                                    else b + noise(b.shape))
+                                for n, b in buffers.items()},
+                    "n": n}
+                   for i, n in enumerate((40, 25, 61))]
+        want, mass = scaffold_oracle(
+            {n: p.data.astype(np.float64) for n, p in params.items()},
+            {n: v.astype(np.float64) for n, v in algo.c_global.items()},
+            buffers, updates, weights or [1.0] * 3, 5, algo.server_lr)
+        if weights is None:
+            algo.aggregate(updates, 0)
+        else:
+            algo.aggregate_weighted(updates, weights, 0)
+
+        got = {n: p.data for n, p in params.items()}
+        got.update({"c." + n: v for n, v in algo.c_global.items()})
+        got.update(algo.global_model.named_buffers())
+        assert set(got) == set(want)
+        for name, value in got.items():
+            assert value.dtype == (buffers[name].dtype if name in buffers
+                                   else np.float32), name
+            assert np.all(np.abs(value - want[name])
+                          <= F32 * mass[name] + 1e-30), name
 
 
 class TestStalenessWeight:

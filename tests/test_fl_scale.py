@@ -12,6 +12,7 @@ import dataclasses
 import gc
 import os
 import pickle
+import tracemalloc
 import types
 import weakref
 
@@ -27,10 +28,10 @@ from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
                       RetryPolicy, Scaffold, ScaleRunner,
                       ShardedClientFactory, StubClientFactory, UpdateSpill,
                       VirtualClientPool, make_executor,
-                      make_federated_clients, serialize_state,
-                      staleness_weight, state_fingerprint)
+                      make_federated_clients, make_quant_config,
+                      serialize_state, staleness_weight, state_fingerprint)
 from repro.fl.comm import encode_update
-from repro.fl.scale import (SpillReplayFold, decode_client_state,
+from repro.fl.scale import (StreamingFold, decode_client_state,
                             encode_client_state)
 from repro.fl.stub import StubAvg, make_stub
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -193,8 +194,8 @@ class TestUpdateSpill:
         reattached.append(b"three")
         assert list(reattached) == [b"one", b"two", b"three"]
 
-    # One record of each kind the folds spill: a DictMeanFold state
-    # (``serialize``) and a SPATL/replay pytree (``encode_update``).
+    # One record of each kind the folds spill: a StreamingFold payload
+    # (``serialize``) and a SPATLFold pytree (``encode_update``).
     RECORDS = {
         "state": lambda: serialize_state(
             {"w": np.arange(1, 11, dtype=np.int64)}),
@@ -461,12 +462,12 @@ class TestGoldenIdentity:
 
     def test_scaffold_spill_replay(self, tmp_path, tiny_dataset,
                                    tiny_setting):
-        """Order-coupled aggregation rides the lossless replay fold."""
+        """SCAFFOLD's server step streams its spilled uplink payloads."""
         base, base_log = self._baseline(Scaffold, tiny_dataset, tiny_setting)
         algo, results = self._scale_run(Scaffold, tiny_dataset, tiny_setting,
                                         tmp_path)
-        assert isinstance(algo.make_fold(UpdateSpill(tmp_path / "probe")),
-                          SpillReplayFold)
+        assert type(algo.make_fold(UpdateSpill(tmp_path / "probe"))) \
+            is StreamingFold
         self._assert_match(base, base_log, algo, results)
         for name, v in base.c_global.items():
             np.testing.assert_array_equal(algo.c_global[name], v,
@@ -557,6 +558,8 @@ class TestGoldenIdentity:
 
 # ------------------------------------------------- composition table
 
+ROUTED = sorted(ALGORITHMS) + ["spatl", "stubavg"]
+
 def _make_algorithm(name, tiny_dataset, tiny_setting):
     if name == "stubavg":
         return make_stub(n_clients=4, seed=3)
@@ -623,8 +626,7 @@ class TestAggregationComposition:
 
     @pytest.mark.parametrize("weighted", [False, True],
                              ids=["unit", "staleness"])
-    @pytest.mark.parametrize("name",
-                             sorted(ALGORITHMS) + ["spatl", "stubavg"])
+    @pytest.mark.parametrize("name", ROUTED)
     def test_routes_agree(self, tmp_path, tiny_dataset, tiny_setting,
                           updates_for, name, weighted):
         updates = updates_for(name)
@@ -639,26 +641,72 @@ class TestAggregationComposition:
             assert crcs[route] != before, route   # the step did something
         assert len(set(crcs.values())) == 1, crcs
 
-    def test_staleness_weights_change_the_bytes(self, tmp_path):
-        """The weighted cells are not vacuous: discounting moves the mean."""
-        updates = None
+    @pytest.mark.parametrize("name", ROUTED)
+    def test_staleness_weights_change_the_bytes(self, tmp_path, tiny_dataset,
+                                                tiny_setting, updates_for,
+                                                name):
+        """The weighted cells are not vacuous: discounting moves every
+        algorithm's server state (SCAFFOLD's step once ignored it)."""
+        updates = updates_for(name)
         crcs = []
-        for weights in (None, self.STALE):
-            algo = make_stub(n_clients=4, seed=3)
-            updates = updates or [algo.local_update(c, 0)
-                                  for c in algo.clients]
+        for weights in (None, self.STALE[:len(updates)]):
+            algo = _make_algorithm(name, tiny_dataset, tiny_setting)
             _list_route(algo, updates, weights, tmp_path)
             crcs.append(state_fingerprint(algo.worker_sync_state()))
         assert crcs[0] != crcs[1]
 
     def test_algorithm_without_a_server_step_is_rejected(self):
         class NoStep(StubAvg):
-            make_fold = FederatedAlgorithm.make_fold
+            server_step = FederatedAlgorithm.server_step
 
         ref = make_stub()
         algo = NoStep(ref.model_fn, ref.clients)
-        with pytest.raises(NotImplementedError, match="neither"):
-            algo.aggregate([], 0)
+        update = algo.local_update(algo.clients[0], 0)
+        with pytest.raises(NotImplementedError, match="server_step"):
+            algo.aggregate([update], 0)
+
+
+# ------------------------------------------------- spilled fold memory
+
+class TestSpilledFold:
+    """A spilled fold parks what the uplink carries and streams it back
+    at finalize, so the server's memory does not grow with the cohort."""
+
+    @pytest.mark.parametrize("name", ["fednova", "fedtopk", "scaffold",
+                                      "ssfl"])
+    def test_parks_the_uplink_and_finalizes_in_o_model(
+            self, tmp_path, tiny_dataset, tiny_setting, name):
+        source = _make_algorithm(name, tiny_dataset, tiny_setting)
+        updates = [source.local_update(c, 0) for c in source.clients]
+
+        def finalize_peak(n_updates):
+            algo = _make_algorithm(name, tiny_dataset, tiny_setting)
+            with UpdateSpill(tmp_path / f"{n_updates}.spill") as spill:
+                fold = algo.make_fold(spill)
+                for i in range(n_updates):
+                    fold.add(updates[i % len(updates)])
+                tracemalloc.start()
+                try:
+                    fold.finalize(0)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert finalize_peak(16) <= 1.25 * finalize_peak(4)
+
+        # an int8 update's record is its framed uplink: the dequantized
+        # payload, without the update's other entries or its wire stash
+        model_fn, _ = tiny_setting
+        algo = ALGORITHMS[name](model_fn, _clients(tiny_dataset, tiny_setting),
+                                lr=0.05, local_epochs=1, seed=0,
+                                quant=make_quant_config(8))
+        client = algo.clients[0]
+        update = algo.quantize_update(client, algo.local_update(client, 0), 0)
+        with UpdateSpill(tmp_path / "q.spill") as spill:
+            algo.make_fold(spill).add(update)
+            blob = serialize_state(algo.upload_payload(update))
+            assert list(spill) == [blob]
+            assert spill.nbytes == 8 + len(blob)
 
 
 # ------------------------------------------------------- spill lifetime

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Interleaved parent/change pairs of one end-to-end workload.
+"""Interleaved parent/change pairs of end-to-end workloads.
 
     python tools/e2e_pairs.py --ref HEAD --workload spatl_scale_int8 \\
-        [--seed 0] [--pairs 10]
+        [--workload fedavg_vgg11_dense ...] [--seed 0] [--pairs 10]
 
 Exports ``--ref`` into a temporary directory with ``git archive`` and
 runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0`` there
-("parent") and in this working tree ("change"), ``--pairs`` times,
-alternating which side runs first so a drift of the box hits both
-sides alike.  Prints each ``BENCHMARK.json`` end-to-end metric, plus
-``round_s`` and ``final_val_acc``: both sides' median and interquartile
-range and the change's wins / ties / losses by the metric's direction;
-then whether the state fingerprint was equal in every pair.  One run at
-a time, so a run's peak RSS is its own.
+("parent") and in this working tree ("change"), ``--pairs`` times per
+workload, alternating which side runs first so a drift of the box hits
+both sides alike.  ``--workload`` may be repeated; the workloads run one
+after another.  For each, prints a table of every ``BENCHMARK.json``
+end-to-end metric, plus ``round_s`` and ``final_val_acc``: both sides'
+median and interquartile range and the change's wins / ties / losses by
+the metric's direction; then whether the state fingerprint was equal in
+every pair.  One run at a time, so a run's peak RSS is its own.
 """
 
 from __future__ import annotations
@@ -59,47 +60,71 @@ def spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), q3 - q1
 
 
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """One metric's row over paired runs: each side's (median, IQR) and
+    the change's wins / ties / losses, pair by pair, where a win moves
+    the metric in its ``better`` direction ("lower" or "higher")."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
+    sign = 1 if better == "lower" else -1
+    pairs = list(zip(parent, change, strict=True))
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
+    ties = sum(p == c for p, c in pairs)
+    return {"parent": spread(parent), "change": spread(change),
+            "wins": wins, "ties": ties, "losses": len(pairs) - wins - ties}
+
+
+def print_table(workload: str, seed: int, ref: str, metrics, runs) -> None:
+    """The per-metric table of one workload's pairs."""
+    n_pairs = len(runs["parent"])
+    print(f"{workload} seed {seed}: {n_pairs} interleaved pairs, "
+          f"parent = {ref}, change = working tree")
+    print(f"{'metric':<24}{'better':<8}{'parent median (IQR)':<26}"
+          f"{'change median (IQR)':<26}wins/ties/losses")
+    for name, better in metrics:
+        row = compare([r["metrics"][name] for r in runs["parent"]],
+                      [r["metrics"][name] for r in runs["change"]], better)
+        cells = ["%.4g (%.3g)" % row[side] for side in ("parent", "change")]
+        print(f"{name:<24}{better:<8}{cells[0]:<26}{cells[1]:<26}"
+              f"{row['wins']}/{row['ties']}/{row['losses']}")
+    same = sum(p["fingerprint"] == c["fingerprint"]
+               for p, c in zip(runs["parent"], runs["change"]))
+    print(f"state_fingerprint equal in {same}/{n_pairs} pairs "
+          f"({runs['change'][0]['fingerprint']:#x})")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--ref", required=True,
                         help="git ref of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="workload to pair (repeatable)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]] + EXTRA
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="e2e-pairs-") as tmp:
         parent_root = Path(tmp) / "parent"
         parent_root.mkdir()
         export(args.ref, parent_root)
         roots = {"parent": parent_root, "change": REPO}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(roots[side], args.workload,
-                                           args.seed, Path(tmp) / "out.json"))
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-
-    print(f"{args.workload} seed {args.seed}: {args.pairs} interleaved pairs, "
-          f"parent = {args.ref}, change = working tree")
-    print(f"{'metric':<24}{'better':<8}{'parent median (IQR)':<26}"
-          f"{'change median (IQR)':<26}wins/ties/losses")
-    for name, better in metrics:
-        parent = [r["metrics"][name] for r in runs["parent"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        sign = 1 if better == "lower" else -1
-        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
-        ties = sum(p == c for p, c in zip(parent, change))
-        cells = ["%.4g (%.3g)" % spread(side) for side in (parent, change)]
-        print(f"{name:<24}{better:<8}{cells[0]:<26}{cells[1]:<26}"
-              f"{wins}/{ties}/{args.pairs - wins - ties}")
-    same = sum(p["fingerprint"] == c["fingerprint"]
-               for p, c in zip(runs["parent"], runs["change"]))
-    print(f"state_fingerprint equal in {same}/{args.pairs} pairs "
-          f"({runs['change'][0]['fingerprint']:#x})")
+        for w, workload in enumerate(args.workload):
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 \
+                    else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(roots[side], workload,
+                                               args.seed,
+                                               Path(tmp) / "out.json"))
+                print(f"{workload}: pair {i + 1}/{args.pairs} done",
+                      file=sys.stderr)
+            if w:
+                print()
+            print_table(workload, args.seed, args.ref, metrics, runs)
+            sys.stdout.flush()
     return 0
 
 
