@@ -19,10 +19,12 @@ pre-optimization implementations, optimized/reference interleaved:
   round 3, after three folds — is sent against the full state.  Byte
   counts are exact and repeat.
 
-The ``--workers 2`` preload-on/off end-to-end comparison this script
-used to carry passed its verdict (preload 1.10x / 1.19x, byte-identical;
-CHANGES.md PR 19) and went with the ``broadcast=`` option it compared;
-pool end-to-end time is ``benchmarks/e2e``'s ``fedavg_resnet20_fastpath``.
+The ``--workers 2`` end-to-end comparison of a once-per-worker sync blob
+against per-task blobs this script used to carry passed its verdict
+(1.10x / 1.19x, byte-identical; CHANGES.md PR 19) and went with the
+``broadcast=`` option it compared; the pool now writes the blob to one
+file per round (DESIGN.md §14), and pool end-to-end time is
+``benchmarks/e2e``'s ``fedavg_resnet20_fastpath``.
 
     python benchmarks/bench_comm.py --smoke --check    # the CI gate
 

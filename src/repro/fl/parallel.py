@@ -28,8 +28,8 @@ Parallel runs are **seed- and byte-identical** to serial runs because
    charges nothing and emits no span; DESIGN.md §17),
    ``client.local_state`` through pickle — and the sync state is framed
    once per round by the server's :class:`~repro.fl.wire.BroadcastCache`
-   and shipped once per *worker* (barrier-gated preload), not once per
-   client;
+   into one file the pool owns, which each worker reads once when its
+   task's sync version moves, not once per client;
 3. the parent commits results — client ``local_state`` (all the
    per-client state there is), ledger traffic, fault stats, metrics,
    trace spans, and finally the
@@ -47,7 +47,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import threading
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -109,12 +109,13 @@ class SerialExecutor(RoundExecutor):
 # ---------------------------------------------------------------- worker
 # Module-level state installed once per worker process by the pool
 # initializer, then reused across tasks: the unpickled algorithm replica,
-# its clients by id, and the version of the last-applied sync state.
+# its clients by id, the pool's sync file and the version of the sync
+# state last loaded from it.
 
 _WORKER_ALGO: Any = None
 _WORKER_CLIENTS: dict[int, Any] = {}
+_WORKER_SYNC_PATH: str = ""
 _WORKER_SYNC_VERSION: int = -1
-_WORKER_BARRIER: Any = None   # shared barrier for sync-blob preloads
 
 
 def _pickle_algorithm(algorithm: Any, buffers: list | None = None) -> bytes:
@@ -142,45 +143,20 @@ def _pickle_algorithm(algorithm: Any, buffers: list | None = None) -> bytes:
             setattr(algorithm, attr, value)
 
 
-def _worker_init(replica: list, barrier: Any = None) -> None:
+def _worker_init(replica: list, sync_path: str) -> None:
     """Pool initializer: install the algorithm replica in this process.
 
     ``replica`` is ``[blob, buffers]`` from :func:`_pickle_algorithm`;
-    ``buffers`` is ``None`` for an in-band blob.
+    ``buffers`` is ``None`` for an in-band blob.  ``sync_path`` is the
+    file the parent rewrites with each collect's sync blob.
     """
-    global _WORKER_ALGO, _WORKER_CLIENTS, _WORKER_SYNC_VERSION, _WORKER_BARRIER
+    global _WORKER_ALGO, _WORKER_CLIENTS, _WORKER_SYNC_PATH
+    global _WORKER_SYNC_VERSION
     blob, buffers = replica
     _WORKER_ALGO = pickle.loads(blob, buffers=buffers)
     _WORKER_CLIENTS = {c.client_id: c for c in _WORKER_ALGO.clients}
+    _WORKER_SYNC_PATH = sync_path
     _WORKER_SYNC_VERSION = -1
-    _WORKER_BARRIER = barrier
-
-
-def _apply_sync(version: int, blob: bytes) -> None:
-    """Decode and install one sync blob on this worker's replica."""
-    global _WORKER_SYNC_VERSION
-    _WORKER_ALGO.load_worker_sync_state(deserialize_state(blob))
-    _WORKER_SYNC_VERSION = version
-
-
-def _preload_sync(version: int, blob: bytes, timeout: float) -> bool:
-    """Install the round's sync blob, holding this worker at the barrier.
-
-    The parent submits exactly ``workers`` of these per collect; the
-    shared barrier keeps each worker parked until *every* worker has
-    taken (and applied) one, so no worker can consume two preloads and
-    leave a sibling stale.  The large sync state therefore crosses the
-    process boundary once per worker per round instead of once per
-    client.  Returns False (instead of raising) when the barrier breaks
-    — e.g. a sibling died — so the parent can fall back to per-task
-    blobs for the round.
-    """
-    _apply_sync(version, blob)
-    try:
-        _WORKER_BARRIER.wait(timeout)
-    except threading.BrokenBarrierError:
-        return False
-    return True
 
 
 @dataclass
@@ -191,8 +167,6 @@ class _ClientTask:
     round_idx: int
     salt: int
     sync_version: int        # bumped per collect; workers re-sync on change
-    sync_blob: bytes | None  # encoded worker_sync_state; None when the
-                             # blob was already distributed via _preload_sync
     bcast_token: int         # server round token for the worker's own
                              # transport (its BroadcastCache key)
     local_state_blob: bytes  # pickled client.local_state
@@ -220,18 +194,18 @@ def _run_client_task(task: _ClientTask) -> _ClientOutcome:
     The worker re-points the replica's transport ledger, metrics and
     tracer at fresh per-task instances so nothing double-counts: the
     parent merges each outcome exactly once, in cohort order.  The sync
-    blob is applied only when its version changed, so the (large) global
-    state deserializes once per worker per round, not once per client.
+    file is read only when the task's version differs from the one last
+    loaded, so the (large) global state deserializes once per worker per
+    round, not once per client.
     """
+    global _WORKER_SYNC_VERSION
     algo = _WORKER_ALGO
     tracer = Tracer() if task.traced else NullTracer()
     set_tracer(tracer)
     if task.sync_version != _WORKER_SYNC_VERSION:
-        if task.sync_blob is None:
-            raise RuntimeError(
-                f"worker missed sync preload for version {task.sync_version} "
-                f"(has {_WORKER_SYNC_VERSION}) and the task carries no blob")
-        _apply_sync(task.sync_version, task.sync_blob)
+        with open(_WORKER_SYNC_PATH, "rb") as f:
+            algo.load_worker_sync_state(deserialize_state(f.read()))
+        _WORKER_SYNC_VERSION = task.sync_version
     # Round token for this replica's transport: it frames the
     # (client-invariant) downlink once per round under this token
     # instead of once per client.
@@ -276,22 +250,18 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     (each worker unpickles one algorithm replica in its initializer) and
     reused across rounds.  Per-round server state is framed once through
     the algorithm's :class:`~repro.fl.wire.BroadcastCache`
-    (``encoded_sync_state``) and distributed once per *worker* via
-    barrier-gated preload tasks, so client tasks stay small; when a
-    preload fails the blob rides along in every task of that round
-    instead.  Either way a worker applies the blob at most once per
-    round.  Results are committed strictly in cohort order — see the
-    module docstring for the determinism argument.
+    (``encoded_sync_state``) and written to one file in a temporary
+    directory the pool owns; a task carries only the collect's sync
+    version, and a worker reads the file when that version differs from
+    the one it last loaded, so client tasks stay small and a worker loads
+    the blob at most once per round.  Results are committed strictly in
+    cohort order — see the module docstring for the determinism argument.
 
     Workers are started with ``fork`` where available (the replica's
     arrays are the parent's memory, shared copy-on-write, see
     ``_ensure_pool``; fork is also required for algorithm classes defined
     in non-importable modules), else ``spawn``.
     """
-
-    # Deadline for workers meeting at the preload barrier; generous —
-    # it only has to cover worker process startup, never training.
-    _SYNC_BARRIER_TIMEOUT = 120.0
 
     def __init__(self, workers: int):
         if workers < 2:
@@ -305,7 +275,7 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         # could bind a stale pool to a new algorithm allocated at a
         # recycled address after the old one was collected.
         self._pool_algorithm: Any = None
-        self._barrier: Any = None
+        self._sync_dir: tempfile.TemporaryDirectory | None = None
         self._sync_version = 0
 
     def _ensure_pool(self, algorithm) -> ProcessPoolExecutor:
@@ -325,6 +295,9 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         then the parent empties ``replica``, the list CPython keeps in the
         pool's ``initargs`` for the pool's lifetime.  Under ``spawn`` the
         blob is in-band and stays, since workers start on demand.
+
+        Each pool gets its own temporary directory; ``<dir>/sync`` is
+        where :meth:`collect` puts the round's sync blob.
         """
         if self._pool is not None and self._pool_algorithm is algorithm:
             return self._pool
@@ -332,54 +305,31 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         fork = self._mp_context.get_start_method() == "fork"
         buffers = [] if fork else None
         replica = [_pickle_algorithm(algorithm, buffers), buffers]
-        # The barrier reaches workers through process inheritance
-        # (initargs travel in the worker-spawn arguments), which works for
-        # both fork and spawn contexts.
-        self._barrier = self._mp_context.Barrier(self.workers)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                         mp_context=self._mp_context,
-                                         initializer=_worker_init,
-                                         initargs=(replica, self._barrier))
+        self._sync_dir = tempfile.TemporaryDirectory(prefix="repro-sync-")
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=self._mp_context,
+            initializer=_worker_init,
+            initargs=(replica, os.path.join(self._sync_dir.name, "sync")))
         self._pool_algorithm = algorithm
         if fork:
             self._pool.submit(os.getpid)     # forks every worker, now
             replica.clear()
         return self._pool
 
-    def _distribute_sync(self, pool, sync_blob: bytes) -> bool:
-        """Ship the round's sync blob to every worker exactly once.
-
-        Submits ``workers`` barrier-gated preload tasks: each worker
-        applies the blob, then parks at the shared barrier until all
-        workers have theirs, which guarantees one preload per worker.
-        Returns False — closing the pool if it broke — when distribution
-        could not be confirmed; the caller falls back to per-task blobs.
-        """
-        futures = [pool.submit(_preload_sync, self._sync_version, sync_blob,
-                               self._SYNC_BARRIER_TIMEOUT)
-                   for _ in range(self.workers)]
-        try:
-            ok = all([f.result() for f in futures])
-        except BrokenProcessPool:
-            self.close()   # caller re-ensures a healthy pool
-            return False
-        if not ok and self._barrier is not None:
-            self._barrier.reset()   # clear the broken state for next round
-        return ok
-
     def collect(self, algorithm, selected, round_idx, salt, stats):
         """Dispatch the cohort to workers; commit results in cohort order."""
         tracer = get_tracer()
         pool = self._ensure_pool(algorithm)
         self._sync_version += 1
-        sync_blob = algorithm.encoded_sync_state()
-        preloaded = self._distribute_sync(pool, sync_blob)
-        if not preloaded:
-            pool = self._ensure_pool(algorithm)   # may have been closed
+        # Written beside its final name and renamed into place, so no
+        # reader ever sees a partial file.
+        sync_path = os.path.join(self._sync_dir.name, "sync")
+        with open(sync_path + ".tmp", "wb") as f:
+            f.write(algorithm.encoded_sync_state())
+        os.replace(sync_path + ".tmp", sync_path)
         tasks = [
             _ClientTask(client_id=client.client_id, round_idx=round_idx,
                         salt=salt, sync_version=self._sync_version,
-                        sync_blob=None if preloaded else sync_blob,
                         bcast_token=algorithm.transport.token,
                         local_state_blob=pickle.dumps(client.local_state),
                         traced=tracer.enabled)
@@ -427,12 +377,15 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         return updates, losses
 
     def close(self) -> None:
-        """Shut the pool down (cancelling queued tasks). Idempotent."""
+        """Shut the pool down (cancelling queued tasks), then remove its
+        sync directory. Idempotent."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
             self._pool_algorithm = None
-            self._barrier = None
+        if self._sync_dir is not None:
+            self._sync_dir.cleanup()
+            self._sync_dir = None
 
 
 def make_executor(workers: int) -> RoundExecutor:

@@ -420,11 +420,7 @@ class BroadcastCache:
         return {"max_entries": self.max_entries}  # replicas start cold
 
     def __setstate__(self, state):
-        # Accept the legacy cold marker (pre-bounded pickles stored True).
-        if isinstance(state, dict):
-            self.__init__(max_entries=state.get("max_entries", 8))
-        else:
-            self.__init__()
+        self.__init__(**state)
 
     def encode(self, state: dict[str, np.ndarray], *, token: Any,
                channel: str = "down", checksums: bool = False,

@@ -531,51 +531,3 @@ class TestFaultyTransportBroadcast:
         for out in decoded:
             for arr in out.values():
                 assert not arr.flags.writeable
-
-
-# --------------------------------------------------------------------- #
-# end-to-end: how the sync blob reaches workers changes neither bytes    #
-# nor parameters                                                         #
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
-def test_workers2_broadcast_off_matches_on(tiny_dataset, tiny_setting,
-                                           faults):
-    """The barrier-gated preload is the one way the sync blob travels;
-    per-task blobs survive only as its automatic fallback.  A run forced
-    onto the fallback every round equals a preloaded one, and the old
-    ``broadcast=`` selector is gone."""
-    from repro.data import dirichlet_partition
-    from repro.fl import make_federated_clients
-    from repro.fl.fedavg import FedAvg
-    from repro.fl.parallel import ProcessPoolRoundExecutor
-
-    with pytest.raises(TypeError):
-        ProcessPoolRoundExecutor(2, broadcast=False)
-
-    model_fn, _ = tiny_setting
-    parts = dirichlet_partition(tiny_dataset.y, 4, beta=0.5, seed=3)
-    fault_model = (FaultModel(drop_prob=0.2, corrupt_prob=0.05, seed=21)
-                   if faults else None)
-
-    def run(preload):
-        clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                         seed=5)
-        executor = ProcessPoolRoundExecutor(2)
-        if not preload:
-            executor._distribute_sync = lambda pool, sync_blob: False
-        algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1,
-                      sample_ratio=1.0, seed=0, fault_model=fault_model,
-                      executor=executor)
-        try:
-            results = [algo.run_round(r) for r in range(2)]
-        finally:
-            algo.close()
-        return (serialize_state(algo.global_model.state_dict()),
-                algo.ledger.total_bytes(),
-                [r.round_bytes for r in results])
-
-    state_on, total_on, rounds_on = run(True)
-    state_off, total_off, rounds_off = run(False)
-    assert state_on == state_off            # byte-identical parameters
-    assert total_on == total_off            # byte-identical accounting
-    assert rounds_on == rounds_off
