@@ -5,9 +5,9 @@ verbatim pre-optimization implementations preserved in
 :mod:`repro.nn.reference`, at two granularities:
 
 - **micro** — per-op wall time, optimized/reference interleaved: forward
-  and backward of conv2d and batch norm, the backward of max/avg pool and
-  matmul/linear (their forwards are the reference's own code), and the
-  SGD step;
+  and backward of conv2d, batch norm and max pool, the backward of avg
+  pool and matmul/linear (their forwards are the reference's own code),
+  and the SGD step;
 - **e2e** — wall time of a full serial FedAvg round at the tiny scale
   for ``resnet20`` and ``vgg11``, after a warm-up round, the two final
   global states required byte-identical.  Each row also carries
@@ -113,13 +113,14 @@ def micro_rows(size: dict):
                        lambda t: R.reference_conv2d(t, conv.weight, conv.bias,
                                                     1, 1),
                        params=(conv.weight, conv.bias))
-    # Pool and linear forwards time the same arithmetic on both sides
-    # (0.98-1.00x, and a 0.97x floor failed on untouched code), so only
-    # their backwards are rows.
-    # max pool: vectorized scatter vs np.add.at.
+    # max pool: one strided pass per window tap, forward (max and argmax
+    # together) and backward (per-tap bit selects), vs the window copy,
+    # argmax and take_along_axis forward and the np.add.at scatter.
     yield from fwd_bwd("max_pool2d", x4(c=16), MaxPool2d(2, 2),
-                       lambda t: R.reference_max_pool2d(t, 2, 2),
-                       phases=("backward",))
+                       lambda t: R.reference_max_pool2d(t, 2, 2))
+    # The avg-pool and linear forwards time the same arithmetic on both
+    # sides (0.98-1.00x, and a 0.97x floor failed on untouched code), so
+    # only their backwards are rows.
     # avg pool: strided-view broadcast vs python kxk loop.
     yield from fwd_bwd("avg_pool2d", x4(c=16), AvgPool2d(2, 2),
                        lambda t: R.reference_avg_pool2d(t, 2, 2),

@@ -1,25 +1,38 @@
 """Spatial pooling layers (max / average / global average).
 
-The pooling backwards are vectorized (DESIGN.md §10): max-pool scatter
-uses flat-index assignment (windows are disjoint for ``stride >= k``, so
-every input cell receives at most one gradient and plain fancy-index
-assignment replaces ``np.add.at``), falling back to ``np.bincount`` for
-overlapping windows; average-pool writes the scaled gradient through
-k*k strided assignments into an arena buffer (skipping the zero-fill
-entirely when the window tiling covers the input).  For the non-overlapping
-configurations the models use, results are byte-identical to the
-original formulation (see :mod:`repro.nn.reference`); the overlapping
-``np.bincount`` path accumulates in float64 and is covered by float64
-gradchecks instead.
+Max pooling reads its input as k*k strided *tap* views, one per window
+position: tap ``t = i*k + j`` of every window at once is the
+``(N, C, Ho, Wo)`` view ``x[:, :, i:i+(Ho-1)*s+1:s, j:j+(Wo-1)*s+1:s]``
+(:func:`_tap`).  No max-pool kernel copies the windows (DESIGN.md §10.3):
+
+- the training forward takes the max and the argmax together, one pass per
+  tap: a tap strictly larger than the running max, or the first NaN,
+  replaces it through a branch-free select on the unsigned bit view, and
+  the tap's index raises the ``uint8`` argmax — ``np.argmax``'s
+  first-maximum rule exactly, ``-0.0``/``0.0`` ties and NaNs included;
+- the ``no_grad`` forward is an ``np.maximum`` cascade over the taps in
+  the same order (ties between ``-0.0`` and ``0.0`` go to the later tap,
+  as ``np.maximum`` resolves them);
+- the backward writes, per tap, ``g``'s bits where that tap is the argmax
+  (``+0.0`` elsewhere) through the tap's view of ``dx`` when the windows
+  are disjoint (``stride >= k``), zero-filling first only when the taps
+  leave cells uncovered; overlapping windows can route several gradients
+  to one cell, so they accumulate through ``np.bincount`` over flat
+  indices, in float64 (covered by float64 gradchecks).
 
 Max pooling's arithmetic is written once, in :func:`_max_forward_data`
 and :func:`_max_backward_data`: the eager :func:`max_pool2d` allocates
 the arrays they fill, the step compiler's replay passes planned ones.
-The backward's window-corner index is one sample's ``(C, Ho, Wo)`` array,
+Their scratch comes off ``workspace.transient``.  The overlapping
+backward's window-corner index is one sample's ``(C, Ho, Wo)`` array,
 cached process-wide per geometry with the batch offset added at use, so
-a pool layer owns no memory whatever batch sizes it meets.  (A
-non-overlapping pool as reshape plus a two-axis max was measured and
-rejected: 2.1-2.4x slower forward, DESIGN.md §10.3.)
+a pool layer owns no memory whatever batch sizes it meets.
+
+Average pooling writes the scaled gradient through the same k*k strided
+assignments into an arena buffer (skipping the zero-fill entirely when the
+window tiling covers the input).  For the non-overlapping configurations
+the models use, results are byte-identical to the original
+formulation (see :mod:`repro.nn.reference`).
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from repro.tensor.tensor import Tensor, is_grad_enabled
 # geometry (C, H, W, Ho, Wo, stride): sample n's is sample 0's plus n*C*H*W,
 # added at use, so every batch size shares one (C, Ho, Wo) array.  Immutable
 # and shared across layers and model copies (``workspace.reset()`` drops).
+# Only overlapping windows (``stride < k``) read it.
 _POOL_BASE: dict[tuple, np.ndarray] = workspace.shared_cache("maxpool.base")
 
 
@@ -65,40 +79,91 @@ def _windows(xdata: np.ndarray, k: int, s: int) -> np.ndarray:
     return sliding_window_view(xdata, (k, k), axis=(2, 3))[:, :, ::s, ::s]
 
 
-def _max_forward_data(windows: np.ndarray, flat: np.ndarray, arg: np.ndarray,
-                      out: np.ndarray) -> None:
-    """The max-pool forward kernel over :func:`_windows` of the input.
+def _tap(a: np.ndarray, t: int, k: int, s: int, ho: int,
+         wo: int) -> np.ndarray:
+    """Tap ``t`` (row-major within the window) of every ``k``x``k``,
+    stride-``s`` window of ``a``: a strided (N, C, Ho, Wo) view."""
+    i, j = divmod(t, k)
+    return a[:, :, i:i + (ho - 1) * s + 1:s, j:j + (wo - 1) * s + 1:s]
 
-    Fills ``flat`` (the windows, materialised contiguously), ``arg`` (intp,
-    each window's argmax in ``0..k*k``, what :func:`_max_backward_data`
-    needs) and ``out`` (the maxima).
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """``a`` viewed as the unsigned integers of its item width."""
+    return a.view(f"u{a.dtype.itemsize}")
+
+
+def _max_forward_data(xdata: np.ndarray, k: int, s: int,
+                      arg: np.ndarray | None, out: np.ndarray) -> None:
+    """The max-pool forward kernel: fill ``out`` with each window's maximum
+    and ``arg`` (uint8) with its index in ``0..k*k`` — the first maximum,
+    as ``np.argmax`` picks it, what :func:`_max_backward_data` needs.
+    ``arg=None`` (no backward) takes the maxima alone, by ``np.maximum``.
     """
-    np.copyto(flat, windows)
-    flat = flat.reshape(arg.shape + (-1,))
-    np.argmax(flat, axis=-1, out=arg)
-    np.copyto(out, np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
+    ho, wo = out.shape[2:]
+    np.copyto(out, _tap(xdata, 0, k, s, ho, wo))
+    if arg is None:
+        for t in range(1, k * k):
+            np.maximum(out, _tap(xdata, t, k, s, ho, wo), out=out)
+        return
+    arg.fill(0)
+    stack = workspace.transient
+    stack.reset()
+    cand = stack.buffer("maxpool.cand", out.shape, out.dtype)
+    take = stack.buffer("maxpool.take", out.shape, np.bool_)
+    isnum = stack.buffer("maxpool.isnum", out.shape, np.bool_)
+    out_bits, cand_bits, take_t = _bits(out), _bits(cand), take.view(np.uint8)
+    for t in range(1, k * k):
+        np.copyto(cand, _tap(xdata, t, k, s, ho, wo))
+        # take = ~(cand <= out) & (out == out): the tap is larger, or it is
+        # the first NaN.  Equal taps and -0.0/0.0 ties keep the earlier one.
+        np.less_equal(cand, out, out=take)
+        np.equal(out, out, out=isnum)
+        np.greater(isnum, take, out=take)           # isnum & ~take
+        # out ^= (out ^ cand) * take: cand's bits where take, branch-free
+        # (a masked copy costs several times this pass).
+        np.bitwise_xor(out_bits, cand_bits, out=cand_bits)
+        np.multiply(cand_bits, take, out=cand_bits)
+        np.bitwise_xor(out_bits, cand_bits, out=out_bits)
+        # arg = max(arg, take * t): t exceeds every earlier tap's index.
+        np.multiply(take_t, t, out=take_t)
+        np.maximum(arg, take_t, out=arg)
 
 
 def _max_backward_data(g: np.ndarray, arg: np.ndarray, k: int, s: int,
                        dx: np.ndarray) -> None:
     """The max-pool backward kernel: route ``g`` to each window's argmax
-    cell of ``dx``, the zeroed, C-contiguous input-shaped gradient."""
+    cell of ``dx``, the C-contiguous input-shaped gradient, and zero every
+    other cell (``dx`` arrives uninitialised)."""
     n, c, h, w = dx.shape
     ho, wo = arg.shape[2:]
-    flat_idx, kj = np.divmod(arg, k)        # argmax row and column
-    flat_idx *= w
-    flat_idx += kj
-    flat_idx += _batch_flat_base(n, c, h, w, ho, wo, s)
-    if s >= k:
-        # Disjoint windows: each input cell gets at most one gradient,
-        # so fancy-index assignment into zeros equals the add-scatter.
-        dx.reshape(-1)[flat_idx.reshape(-1)] = np.ravel(g)
-    else:
+    if s < k:
         # Overlapping windows can hit a cell repeatedly; bincount
         # accumulates (in float64 — exact for the float64 gradchecks).
+        flat_idx, kj = np.divmod(arg.astype(np.intp), k)   # argmax row, col
+        flat_idx *= w
+        flat_idx += kj
+        flat_idx += _batch_flat_base(n, c, h, w, ho, wo, s)
         acc = np.bincount(flat_idx.reshape(-1), weights=np.ravel(g),
                           minlength=dx.size)
         dx[...] = acc.reshape(dx.shape)
+        return
+    # Disjoint windows: each input cell is one window's tap at most, so
+    # every tap view of dx takes g's bits where that tap is the argmax and
+    # +0.0 elsewhere, exactly what adding g into zeros leaves.  Only cells
+    # no window covers (gaps, a ragged edge) need zeroing first.
+    if not (s == k and h == ho * k and w == wo * k):
+        dx.fill(0)
+    stack = workspace.transient
+    stack.reset()
+    # g contiguous: the tap views are strided, and a strided g too turns
+    # each select into short inner loops.
+    gc = stack.buffer("maxpool.g", g.shape, dx.dtype)
+    np.copyto(gc, g)
+    hit = stack.buffer("maxpool.hit", arg.shape, np.bool_)
+    g_bits, dx_bits = _bits(gc), _bits(dx)
+    for t in range(k * k):
+        np.equal(arg, t, out=hit)
+        np.multiply(g_bits, hit, out=_tap(dx_bits, t, k, s, ho, wo))
 
 
 def max_pool2d(x: Tensor, kernel_size: int,
@@ -106,20 +171,22 @@ def max_pool2d(x: Tensor, kernel_size: int,
     """Max pooling with square window; stride defaults to the window size."""
     k = kernel_size
     s = stride or k
-    windows = _windows(x.data, k, s)
+    if k * k > 256:
+        raise ValueError(f"max_pool2d: a {k}x{k} window has more taps than "
+                         "the uint8 argmax can index (256)")
+    n, c, h, w = x.data.shape
+    oshape = (n, c, (h - k) // s + 1, (w - k) // s + 1)
+    out_data = np.empty(oshape, x.data.dtype)
     if not (is_grad_enabled() and x.requires_grad):
-        # Inference fast path: the max alone, no argmax bookkeeping.
-        flat = windows.reshape(windows.shape[:4] + (k * k,))
-        return Tensor(np.ascontiguousarray(flat.max(axis=-1)),
-                      dtype=x.data.dtype)
+        # Inference: the max alone, no argmax bookkeeping.
+        _max_forward_data(x.data, k, s, None, out_data)
+        return Tensor(out_data, dtype=x.data.dtype)
 
-    flat = np.empty(windows.shape, x.data.dtype)
-    arg = np.empty(windows.shape[:4], np.intp)
-    out_data = np.empty(windows.shape[:4], x.data.dtype)
-    _max_forward_data(windows, flat, arg, out_data)
+    arg = np.empty(oshape, np.uint8)
+    _max_forward_data(x.data, k, s, arg, out_data)
 
     def backward(g):
-        dx = np.zeros_like(x.data)
+        dx = np.empty_like(x.data)
         _max_backward_data(g, arg, k, s, dx)
         x._accumulate(dx, donate="fresh")
 

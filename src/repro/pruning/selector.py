@@ -13,6 +13,7 @@ the agent's action:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,17 @@ class SalientSelection:
         return int(sum(len(v) for v in self.indices.values()))
 
 
-def _weight_param(encoder: EncoderBase, layer_name: str) -> np.ndarray:
+def _weights(encoder: EncoderBase,
+             layer_names: Iterable[str]) -> dict[str, np.ndarray]:
+    """``{layer: conv weight data}`` from one walk of the parameters."""
     params = dict(encoder.named_parameters())
-    key = layer_name + ".weight"
-    if key not in params:
-        raise KeyError(f"no conv weight named {key!r} in encoder")
-    return params[key].data
+    weights = {}
+    for name in layer_names:
+        key = name + ".weight"
+        if key not in params:
+            raise KeyError(f"no conv weight named {key!r} in encoder")
+        weights[name] = params[key].data
+    return weights
 
 
 def selection_from_sparsity(encoder: EncoderBase, sparsity,
@@ -73,8 +79,7 @@ def selection_from_sparsity(encoder: EncoderBase, sparsity,
     keep: dict[str, float] = {}
     masks: dict[str, np.ndarray] = {}
     indices: dict[str, np.ndarray] = {}
-    for name in layers:
-        weight = _weight_param(encoder, name)
+    for name, weight in _weights(encoder, layers).items():
         out_c = weight.shape[0]
         s = float(np.clip(sparsity.get(name, 0.0), 0.0, 1.0))
         k = max(min_keep, int(round((1.0 - s) * out_c)))
@@ -101,8 +106,6 @@ def select_salient(encoder: EncoderBase,
     Only prunable conv weights are row-sliced; every other encoder tensor
     travels dense (handled by the FL layer).
     """
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, idx in selection.indices.items():
-        weight = _weight_param(encoder, name)
-        out[name] = (idx.copy(), weight[idx].copy())
-    return out
+    weights = _weights(encoder, selection.indices)
+    return {name: (idx.copy(), weights[name][idx].copy())
+            for name, idx in selection.indices.items()}

@@ -422,16 +422,14 @@ def fwd_max_pool2d(ctx: Build, rec: Record) -> None:
     k, s = rec.args
     xref = ctx.val(rec.parents[0])
     oshape, dtype = rec.out.data.shape, rec.out.data.dtype
-    flat_h = ctx.pb.alloc(oshape + (k, k), dtype, "maxpool.flat")
-    arg_h = ctx.pb.alloc(oshape, np.intp, "maxpool.arg")
+    arg_h = ctx.pb.alloc(oshape, np.uint8, "maxpool.arg")
     out_h = ctx.pb.alloc(oshape, dtype, "maxpool.out")
 
     def factory(r):
-        windows = _pooling._windows(r(xref), k, s)
-        flat, arg, oa = r(flat_h), r(arg_h), r(out_h)
-        return lambda: _pooling._max_forward_data(windows, flat, arg, oa)
+        xa, arg, oa = r(xref), r(arg_h), r(out_h)
+        return lambda: _pooling._max_forward_data(xa, k, s, arg, oa)
 
-    ctx.pb.emit(factory, [xref, flat_h, arg_h, out_h])
+    ctx.pb.emit(factory, [xref, arg_h, out_h])
     ctx.vals[id(rec.out)] = out_h
     ctx.aux[id(rec.out)] = arg_h
 
@@ -685,11 +683,7 @@ def bwd_max_pool2d(ctx: Build, rec: Record, g) -> None:
 
     def make(r, out):
         ga, arg = r(g), r(arg_h)
-
-        def run():
-            out.fill(0)
-            _pooling._max_backward_data(ga, arg, k, s, out)
-        return run
+        return lambda: _pooling._max_backward_data(ga, arg, k, s, out)
 
     ctx.contrib_compute(a, a.data.dtype, make, [g, arg_h], "maxpool.dx")
 

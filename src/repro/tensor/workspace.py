@@ -7,14 +7,14 @@ by how long it must live (DESIGN.md §10.1 has the table):
 
 - **transient** — :data:`transient`, the one process-wide
   :class:`TransientStack`: valid until the kernel call that asked for it
-  returns.  Every conv and batch-norm kernel, forward and backward, eager
-  or replayed, calls :meth:`TransientStack.reset` on entry and then
-  bump-allocates its pad, im2col patch matrix, GEMM outputs and work
-  arrays — and, when no backward is recorded, the normalised input — from
-  one base.  The process pays for the largest single kernel's *sum* of
-  scratch, not for the largest request of each tag.  Relies on one kernel
-  running at a time per process: grad mode is thread-local, the arena is
-  not.
+  returns.  Every conv, batch-norm and max-pool kernel that draws scratch,
+  forward and backward, eager or replayed, calls
+  :meth:`TransientStack.reset` on entry and then bump-allocates its pad,
+  im2col patch matrix, GEMM outputs, work arrays and masks — and, when no
+  backward is recorded, the normalised input — from one base.  The
+  process pays for the largest single kernel's *sum* of scratch, not for
+  the largest request of each tag.  Relies on one kernel running at a
+  time per process: grad mode is thread-local, the arena is not.
 - **per owner** — :func:`slot_for` (weak-keyed: a slot dies with its layer
   or optimizer), a :class:`WorkspaceSlot` holding one flat base per
   ``(tag, dtype)`` sized to the largest request seen, so the batch shapes

@@ -1,5 +1,6 @@
-"""The per-metric row of ``tools/e2e_pairs.py``: medians, IQRs and the
-change's wins / ties / losses by each metric's direction."""
+"""``tools/e2e_pairs.py``: the per-metric row (medians, IQRs and the
+change's wins / ties / losses by each metric's direction) and the
+``--layer`` traced runs, driven through stubs so no e2e run happens."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,44 @@ def test_bad_input_is_refused():
         e2e_pairs.compare([1.0], [1.0], "smaller")
     with pytest.raises(ValueError):
         e2e_pairs.compare([1.0, 2.0], [1.0], "lower")
+
+
+def test_layer_adds_one_traced_run_per_side(monkeypatch, capsys):
+    """``--layer`` runs one ``--trace 1`` pass per side after the pairs and
+    prints the named per-layer metrics of both; no e2e run happens here:
+    the export and the runner are stubs."""
+    calls = []
+
+    def fake_run(root, workload, seed, out, trace=0):
+        side = "parent" if root != e2e_pairs.REPO else "change"
+        calls.append((side, workload, trace))
+        metrics = {"round_s": 2.0, "final_val_acc": 0.5, "setup_s": 3.0,
+                   "cpu_cores_busy": 1.0, "peak_rss_mb": 100.0,
+                   "uplink_mb_per_round": 1.0, "downlink_mb_per_round": 1.0}
+        if trace:
+            metrics["nn.pooling.forward_s"] = 2.0 if side == "parent" else 0.5
+        return {"metrics": metrics, "fingerprint": 7}
+
+    monkeypatch.setattr(e2e_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(e2e_pairs, "run_once", fake_run)
+    assert e2e_pairs.main(["--ref", "HEAD", "--workload", "w", "--pairs", "2",
+                           "--layer", "nn.pooling.forward_s",
+                           "--layer", "nn.conv.forward_s"]) == 0
+    assert calls == [("parent", "w", 0), ("change", "w", 0),
+                     ("change", "w", 0), ("parent", "w", 0),
+                     ("parent", "w", 1), ("change", "w", 1)]
+    out = capsys.readouterr().out
+    pool = next(line for line in out.splitlines()
+                if line.startswith("nn.pooling.forward_s"))
+    assert pool.split() == ["nn.pooling.forward_s", "2", "0.5", "0.25"]
+    conv = next(line for line in out.splitlines()
+                if line.startswith("nn.conv.forward_s"))
+    assert conv.split() == ["nn.conv.forward_s", "-", "-", "-"]
+
+
+def test_layer_must_be_a_per_layer_metric(monkeypatch):
+    monkeypatch.setattr(e2e_pairs, "export", lambda ref, dest: None)
+    with pytest.raises(SystemExit) as exc:
+        e2e_pairs.main(["--ref", "HEAD", "--workload", "w",
+                        "--layer", "setup_s"])
+    assert exc.value.code == 2

@@ -437,24 +437,29 @@ def test_col2im_matches_reference_bitwise(stride, padding, batches,
 
 def test_max_pool_backward_one_base_per_geometry():
     """Max-pool backward across batch sizes 32 / 31 / 2 is bitwise the
-    reference's ``np.add.at`` scatter, and the window-corner index is
-    cached once for the geometry — one sample's (C, Ho, Wo) int64 array,
-    the batch offset added at use — not once per batch size."""
+    reference's ``np.add.at`` scatter, for disjoint (k = s = 2) and
+    overlapping (k = 3, s = 2) windows.  Only the overlapping layer reads
+    the window-corner index, and it is cached once for the geometry — one
+    sample's (C, Ho, Wo) int64 array, the batch offset added at use — not
+    once per batch size."""
     from repro.nn import pooling
     from repro.nn.reference import reference_max_pool2d
     from repro.tensor import Tensor, workspace
     workspace.reset()
     rng = np.random.default_rng(19)
-    layer = pooling.MaxPool2d(2, 2)
-    for n in (32, 31, 2):
-        x = rng.standard_normal((n, 8, 10, 10)).astype(np.float32)
-        grads = []
-        for fn in (layer, lambda t: reference_max_pool2d(t, 2, 2)):
-            xt = Tensor(x, requires_grad=True)
-            out = fn(xt)
-            (out * out).sum().backward()
-            grads.append(xt.grad)
-        assert grads[0].tobytes() == grads[1].tobytes(), n
-    assert list(pooling._POOL_BASE) == [(8, 10, 10, 5, 5, 2)]
-    assert workspace.shared_bytes()["maxpool.base"] == 8 * 5 * 5 * 8
-    assert not workspace.resident_bytes([workspace.slot_for(layer)])
+    layers = [pooling.MaxPool2d(2, 2), pooling.MaxPool2d(3, 2)]
+    for layer in layers:
+        k, s = layer.kernel_size, layer.stride
+        for n in (32, 31, 2):
+            x = rng.standard_normal((n, 8, 10, 10)).astype(np.float32)
+            grads = []
+            for fn in (layer, lambda t: reference_max_pool2d(t, k, s)):
+                xt = Tensor(x, requires_grad=True)
+                out = fn(xt)
+                (out * out).sum().backward()
+                grads.append(xt.grad)
+            assert grads[0].tobytes() == grads[1].tobytes(), (k, n)
+    assert list(pooling._POOL_BASE) == [(8, 10, 10, 4, 4, 2)]
+    assert workspace.shared_bytes()["maxpool.base"] == 8 * 4 * 4 * 8
+    assert not workspace.resident_bytes(
+        workspace.slot_for(layer) for layer in layers)

@@ -300,7 +300,8 @@ class TestWorkspaceSlot:
         assert peak < sum(largest.values()) / 2
         assert {"conv2d.pad", "conv2d.out", "conv2d.gmat", "conv2d.dcols",
                 "conv2d.cols", "conv2d.col2im", "batchnorm.xhat",
-                "batchnorm.scratch"} == set(largest)
+                "batchnorm.scratch", "maxpool.cand", "maxpool.take",
+                "maxpool.isnum", "maxpool.g", "maxpool.hit"} == set(largest)
         assert not workspace.resident_bytes(
             workspace.slot_for(m) for m in evaluated.modules())
         owned = set(workspace.resident_bytes(
@@ -315,10 +316,10 @@ class TestWorkspaceSlot:
     def test_transient_residency_is_largest_kernel(self, arch, compiled,
                                                    monkeypatch):
         """Training steps — eager, or captured and replayed — and an eval
-        forward: every conv and batch-norm kernel resets the stack on entry
-        (no call mixes two kernels' requests), and the stack holds exactly
-        the maximum over kernel calls of that call's scratch, modelled from
-        the requests alone."""
+        forward: every conv, batch-norm and max-pool kernel resets the
+        stack on entry (no call mixes two kernels' requests), and the stack
+        holds exactly the maximum over kernel calls of that call's scratch,
+        modelled from the requests alone."""
         from repro.models import build_model
         from repro.optim.sgd import SGD
         from repro.tensor import functional as F
@@ -344,7 +345,9 @@ class TestWorkspaceSlot:
         kernels = ({"conv2d.pad", "conv2d.cols", "conv2d.out"},
                    {"conv2d.gmat", "conv2d.pad", "conv2d.cols",
                     "conv2d.dcols", "conv2d.col2im"},
-                   {"batchnorm.xhat", "batchnorm.scratch"})
+                   {"batchnorm.xhat", "batchnorm.scratch"},
+                   {"maxpool.cand", "maxpool.take", "maxpool.isnum"},
+                   {"maxpool.g", "maxpool.hit"})
         for call in calls:
             assert len(call["tags"]) == len(set(call["tags"])), call
             assert any(set(call["tags"]) <= k for k in kernels), call

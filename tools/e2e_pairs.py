@@ -2,7 +2,8 @@
 """Interleaved parent/change pairs of end-to-end workloads.
 
     python tools/e2e_pairs.py --ref HEAD --workload spatl_scale_int8 \\
-        [--workload fedavg_vgg11_dense ...] [--seed 0] [--pairs 10]
+        [--workload fedavg_vgg11_dense ...] [--seed 0] [--pairs 10] \\
+        [--layer nn.pooling.forward_s ...]
 
 Exports ``--ref`` into a temporary directory with ``git archive`` and
 runs ``benchmarks/e2e/run.py --workload W --seed S --trace 0`` there
@@ -14,6 +15,11 @@ end-to-end metric, plus ``round_s`` and ``final_val_acc``: both sides'
 median and interquartile range and the change's wins / ties / losses by
 the metric's direction; then whether the state fingerprint was equal in
 every pair.  One run at a time, so a run's peak RSS is its own.
+
+``--layer NAME`` (repeatable, a ``BENCHMARK.json`` per-layer metric) adds
+one traced run (``--trace 1``) per side after a workload's pairs and
+prints each named layer metric for both sides, so a claim shows the layer
+it says it moved with the same tool as its end-to-end row.
 """
 
 from __future__ import annotations
@@ -41,14 +47,17 @@ def export(ref: str, dest: Path) -> None:
         raise SystemExit(f"git archive {ref} failed")
 
 
-def run_once(root: Path, workload: str, seed: int, out: Path) -> dict:
-    """One untraced run of ``workload`` in checkout ``root``."""
+def run_once(root: Path, workload: str, seed: int, out: Path,
+             trace: int = 0) -> dict:
+    """One run of ``workload`` in checkout ``root``, untraced unless
+    ``trace`` is 1; a traced run's per-layer metrics join its metrics."""
     subprocess.run([sys.executable, str(root / "benchmarks/e2e/run.py"),
                     "--workload", workload, "--seed", str(seed),
-                    "--trace", "0", "--out", str(out)],
+                    "--trace", str(trace), "--out", str(out)],
                    cwd=root, check=True, capture_output=True, text=True)
     record = json.loads(out.read_text())["records"][0]
-    values = {name: m["value"] for name, m in record["metrics"].items()}
+    values = {name: m["value"] for name, m in
+              {**record["metrics"], **record.get("layers", {})}.items()}
     return {"metrics": values, "fingerprint": record["state_fingerprint"]}
 
 
@@ -93,6 +102,23 @@ def print_table(workload: str, seed: int, ref: str, metrics, runs) -> None:
           f"({runs['change'][0]['fingerprint']:#x})")
 
 
+def _cell(value: float | None) -> str:
+    return "-" if value is None else "%.4g" % value
+
+
+def print_layers(workload: str, layers: list[str], traced: dict) -> None:
+    """Each named per-layer metric of one traced run per side ("-" where
+    a side's record lacks it)."""
+    print(f"{workload}: one traced run per side")
+    print(f"{'layer metric':<32}{'parent':<12}{'change':<12}change/parent")
+    for name in layers:
+        parent, change = (traced[side]["metrics"].get(name)
+                          for side in ("parent", "change"))
+        ratio = change / parent if parent and change is not None else None
+        print(f"{name:<32}{_cell(parent):<12}{_cell(change):<12}"
+              f"{_cell(ratio)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--ref", required=True,
@@ -101,10 +127,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload to pair (repeatable)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--layer", action="append", default=[],
+                        help="per-layer metric to show from one traced run "
+                             "per side (repeatable)")
     args = parser.parse_args(argv)
 
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]] + EXTRA
+    unknown = sorted(set(args.layer) - {m["name"] for m in bench["per_layer"]})
+    if unknown:
+        parser.error(f"--layer {', '.join(unknown)}: not a per-layer metric "
+                     "of BENCHMARK.json")
     with tempfile.TemporaryDirectory(prefix="e2e-pairs-") as tmp:
         parent_root = Path(tmp) / "parent"
         parent_root.mkdir()
@@ -124,6 +157,11 @@ def main(argv: list[str] | None = None) -> int:
             if w:
                 print()
             print_table(workload, args.seed, args.ref, metrics, runs)
+            if args.layer:
+                traced = {side: run_once(roots[side], workload, args.seed,
+                                         Path(tmp) / "out.json", trace=1)
+                          for side in ("parent", "change")}
+                print_layers(workload, args.layer, traced)
             sys.stdout.flush()
     return 0
 
