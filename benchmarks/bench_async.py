@@ -10,7 +10,11 @@ two axes that are measurements:
 - **loop_overhead** — pure event-loop cost (stub algorithm, no neural
   net): wall time per processed event under a hostile profile
   (stragglers + churn + crashes + duplicate deliveries), the only
-  *timed* row and the one compared against the last full record.
+  *timed* row and the one compared against the last full record;
+- **warmup** — the same stub run's first ``run(steps=4)``: jobs
+  dispatched / crashed / trained / accepted.  A job trains at its first
+  delivery, so ``trained`` equals the jobs delivered (accepted, or
+  deduped by content) — a count, the same on every machine.
 
 The runtime's identities are tier-1's, not this bench's: same-seed
 determinism is ``tests/test_fl_async.py::TestDeterminism``, bitwise
@@ -21,8 +25,9 @@ and traced codec bytes == ledger total is
     python benchmarks/bench_async.py --smoke --check    # the CI gate
 
 Gated (``--check``): the async run reaches the sync target at >= 1.05x,
-and ``us_per_event`` stays within 1.5x of the last full record beyond a
-3 us absolute slack (per-event medians jitter hard on shared CI cores).
+the warm-up trains no job it did not deliver, and ``us_per_event`` stays
+within 1.5x of the last full record beyond a 3 us absolute slack
+(per-event medians jitter hard on shared CI cores).
 """
 
 from __future__ import annotations
@@ -56,17 +61,21 @@ def speedup_rows(size: dict):
     }
 
 
-def loop_rows(size: dict):
-    """Event-loop overhead with the stub algorithm (no neural net)."""
+def _stub_runner():
+    """The stub algorithm's 16 clients under the hostile profile."""
     from repro.fl import AsyncConfig, AsyncFederatedRunner, AsyncProfile
     from repro.fl.stub import make_stub
 
-    profile = AsyncProfile(seed=SEED, **HOSTILE)
-    acfg = AsyncConfig(buffer_k=4, max_inflight=8, max_queue=8)
+    return AsyncFederatedRunner(
+        make_stub(n_clients=16, seed=SEED), AsyncProfile(seed=SEED, **HOSTILE),
+        AsyncConfig(buffer_k=4, max_inflight=8, max_queue=8))
+
+
+def loop_rows(size: dict):
+    """Event-loop overhead with the stub algorithm (no neural net)."""
     best, events = float("inf"), 0
     for _ in range(size["repeats"]):
-        runner = AsyncFederatedRunner(make_stub(n_clients=16, seed=SEED),
-                                      profile, acfg)
+        runner = _stub_runner()
         t0 = time.perf_counter()
         runner.run(steps=size["loop_steps"])
         best = min(best, time.perf_counter() - t0)
@@ -78,8 +87,25 @@ def loop_rows(size: dict):
            "total_s": round(best, 4)}
 
 
+def warmup_rows(size: dict):
+    """What the first ``run(steps=4)`` trains, against what it delivers."""
+    runner = _stub_runner()
+    runner.run(steps=4)
+    c = runner.counters
+    yield {"name": "stub16", "dispatched": c["dispatched"],
+           "crashed": c["crashed"], "trained": c["trained"],
+           "accepted": c["accepted"],
+           "delivered": sum(job.fingerprint is not None
+                            for job in runner.jobs.values())}
+
+
 def floors(record: dict) -> list[str]:
     failures = []
+    for row in (r for r in record["rows"] if r["case"] == "warmup"):
+        if row["trained"] != row["delivered"]:
+            failures.append(f"warmup/{row['name']}: trained "
+                            f"{row['trained']} jobs, delivered "
+                            f"{row['delivered']}")
     for row in (r for r in record["rows"]
                 if r["case"] == "straggler_speedup"):
         if not row["target_reached"]:
@@ -93,7 +119,8 @@ def floors(record: dict) -> list[str]:
 
 BENCH = Bench(
     name="async", doc=__doc__,
-    cases=(("straggler_speedup", speedup_rows), ("loop_overhead", loop_rows)),
+    cases=(("straggler_speedup", speedup_rows), ("loop_overhead", loop_rows),
+           ("warmup", warmup_rows)),
     full=dict(clients=8, samples=160, rounds=4, repeats=5, loop_steps=1000),
     smoke=dict(clients=4, samples=64, rounds=2, repeats=3, loop_steps=200),
     gates=(Gate("loop_overhead", "us_per_event", slack=3.0),),

@@ -64,7 +64,7 @@ def main() -> None:
 
     print("\n== 4. one-shot selection vs classical pruning ==")
     t0 = time.perf_counter()
-    selection, info = agent.propose(target, val,
+    selection, info = agent.propose(target,
                                     flops_target=args.flops_target)
     propose_ms = (time.perf_counter() - t0) * 1000
     graph = build_graph(target.encoder)

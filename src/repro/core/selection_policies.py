@@ -133,8 +133,6 @@ class RLSelectionPolicy(SelectionPolicy):
         client.local_state["agent"] = {"policy": agent.state_dict(),
                                        "updates": agent._update_count,
                                        "participations": seen + 1}
-        selection, _ = agent.propose(model, client.val_data,
-                                     flops_target=self.flops_target,
-                                     s_max=self.s_max,
-                                     probe_size=self.probe_size)
+        selection, _ = agent.propose(model, flops_target=self.flops_target,
+                                     s_max=self.s_max)
         return selection

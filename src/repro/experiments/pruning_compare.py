@@ -65,7 +65,7 @@ def pruning_comparison_table(cfg: ExperimentConfig, sparsity: float = 0.25,
     agent, _ = pretrain_agent(model, train, val, updates=agent_updates,
                               episodes_per_update=4,
                               flops_target=flops_target, seed=cfg.seed)
-    selection, info = agent.propose(model, val, flops_target=flops_target)
+    selection, info = agent.propose(model, flops_target=flops_target)
     acc_dense = evaluate(model, val)
     selection.apply_to(model.encoder)
     finetune(model, train, epochs=finetune_epochs, seed=cfg.seed)

@@ -22,13 +22,17 @@ Server semantics:
   ``max_queue``) and past that it is rejected with a deterministic
   backoff re-arrival.  Admitted clients download the current global
   state (charged to the :class:`~repro.fl.comm.CommLedger` under the
-  dispatch step) and train against it; the job's *dispatch step* is what
-  staleness is later measured from.
-- **buffer** — an upload that survives its flight lands in the commit
-  buffer.  Duplicate deliveries are recognised by the wire layer's CRC32
-  content fingerprint (:func:`~repro.fl.wire.state_fingerprint`) keyed
-  by client, and dropped before any accounting — a dedup charges no
-  bytes.
+  dispatch step); the job's *dispatch step* is what it trains against
+  and what staleness is later measured from.
+- **buffer** — the first delivery of a job's upload trains it, against
+  the server state of its dispatch step (a commit that moves the server
+  past a step some untrained job still references first keeps a
+  :meth:`~repro.fl.base.FederatedAlgorithm.server_snapshot` of it), so a
+  job whose upload never lands is never trained.  The upload then lands
+  in the commit buffer.  Duplicate deliveries are recognised by the wire
+  layer's CRC32 content fingerprint
+  (:func:`~repro.fl.wire.state_fingerprint`) keyed by client, and
+  dropped before any accounting — a dedup charges no bytes.
 - **commit** — when ``buffer_k`` updates are buffered (or a commit
   deadline fires first), the server folds the buffer in deterministic
   ``(dispatch_step, job)`` order.  Each update is discounted by
@@ -46,6 +50,14 @@ durations, and no churn/crash, the async runtime reproduces the
 synchronous loop's final global state **bitwise** — every client trains
 from the same broadcast state, every commit sees zero staleness in
 cohort order (``tests/test_fl_async.py::TestSyncEquivalence``).
+
+Training at delivery moves no server byte against training at dispatch:
+every training draw is keyed by ``(client, the client's job count)``, a
+client has one job in flight at a time, and the job trains against its
+dispatch step's state either way.  What it moves is what
+:meth:`~repro.fl.base.FederatedAlgorithm.evaluate_all` sees of a client
+that is mid-job: its state from its last finished job, not that of a job
+still in flight in virtual time.
 """
 
 from __future__ import annotations
@@ -165,9 +177,11 @@ class _Job:
     dispatch_time: float
     duration: float
     crashed: bool
+    client_round: int           # the client's job count: its training round
+    pending: bool               # in flight, not trained yet
     update: Any = None          # dropped once committed or deduped
     train_loss: float = float("nan")
-    fingerprint: int | None = None   # CRC32 of the upload payload
+    fingerprint: int | None = None   # CRC32 of the upload; set: delivered
     accepted: bool = False
 
 
@@ -215,9 +229,12 @@ class AsyncFederatedRunner:
         self.jobs: dict[int, _Job] = {}
         self._next_job = 0
         self._client_jobs: dict[int, int] = {}   # cid -> jobs dispatched
-        self.inflight: set[int] = set()
+        self.inflight: set[int] = set()          # pending or doomed jobs
         self.queue: list[int] = []               # FIFO of waiting client ids
         self.buffer: list[int] = []              # accepted, uncommitted jobs
+        # dispatch step -> server_snapshot() of it, while a pending job of
+        # that step exists and the server has moved past it
+        self.snapshots: dict[int, dict[str, np.ndarray]] = {}
         # (cid, crc) -> job; FIFO-bounded at config.dedup_capacity so long
         # runs keep O(capacity) memory (DESIGN.md §13)
         self._fp_registry: OrderedDict[tuple[int, int], int] = OrderedDict()
@@ -227,9 +244,10 @@ class AsyncFederatedRunner:
         self.stats = FaultStats()
         self.step_results: list[StepResult] = []
         self.stalled = False
-        self.counters = {"dispatched": 0, "accepted": 0, "committed": 0,
-                         "deduped": 0, "rejected": 0, "queued": 0,
-                         "crashed": 0, "churned": 0, "deadline_commits": 0}
+        self.counters = {"dispatched": 0, "trained": 0, "accepted": 0,
+                         "committed": 0, "deduped": 0, "rejected": 0,
+                         "queued": 0, "crashed": 0, "churned": 0,
+                         "deadline_commits": 0}
         self._started = False
 
     # ------------------------------------------------------------- events
@@ -277,13 +295,12 @@ class AsyncFederatedRunner:
         self._dispatch(cid)
 
     def _dispatch(self, cid: int) -> None:
-        """Admit a client: download, train against the current global state,
-        and put the job in flight.  Crash fate is drawn up front (seeded by
-        job, so order-independent); a doomed job skips training entirely —
-        equivalent to the sync loop's train-then-rollback, since every
-        training draw is keyed and client state is only mutated by the
-        training that here never happens."""
-        tracer = get_tracer()
+        """Admit a client: download, and put the job in flight *pending* —
+        it trains at its first delivery (:meth:`_train`).  Crash fate is
+        drawn up front (seeded by job, so order-independent); a doomed job
+        is never pending — equivalent to the sync loop's
+        train-then-rollback, since every training draw is keyed and client
+        state is only mutated by the training that here never happens."""
         algo = self.algo
         client = self._clients[cid]
         job_id = self._next_job
@@ -296,22 +313,14 @@ class AsyncFederatedRunner:
         job = _Job(job_id=job_id, client_id=cid,
                    dispatch_step=self.server_step,
                    dispatch_time=self.clock.now, duration=duration,
-                   crashed=crashed)
-        with tracer.span("dispatch", step=self.server_step, client=cid,
-                         job=job_id) as span:
+                   crashed=crashed, client_round=round_for_client,
+                   pending=not crashed)
+        with get_tracer().span("dispatch", step=self.server_step, client=cid,
+                               job=job_id) as span:
             # The sync exchange's front half, keyed for this driver: the
-            # downlink is charged under the server step, training runs
-            # under the client's own job count.
+            # downlink is charged under the server step.
             algo._download(client, self.server_step)
             span.set(crashed=crashed)
-            if not crashed:
-                # Quantized uplinks (DESIGN.md §16) are encoded here, once
-                # — the stashed wire dict is what fingerprints, byte
-                # charges, and (via the dequantized update tensors)
-                # buffered commits all see, so duplicate deliveries dedup
-                # against identical bytes.
-                job.update = algo._train(client, round_for_client)
-                job.train_loss = algo.update_train_loss(job.update)
         self.jobs[job_id] = job
         self.inflight.add(job_id)
         self._bump("dispatched")
@@ -328,6 +337,33 @@ class AsyncFederatedRunner:
             self.clock.schedule(self.clock.now + duration + dup_lag, "dup",
                                 {"job": job_id})
 
+    def _train(self, job: _Job) -> None:
+        """Train a pending job against the server state of its dispatch
+        step: the live state while no commit has moved past it, else the
+        snapshot that commit kept, dropped with its last pending job.
+        Quantized uplinks (DESIGN.md §16) are encoded here, once — the
+        stashed wire dict is what fingerprints, byte charges, and (via the
+        dequantized update tensors) buffered commits all see."""
+        algo = self.algo
+        client = self._clients[job.client_id]
+        step = job.dispatch_step
+        if step == self.server_step:
+            job.update = algo._train(client, job.client_round)
+        else:
+            job.update = algo._train_against(client, job.client_round,
+                                             self.snapshots[step])
+        job.train_loss = algo.update_train_loss(job.update)
+        job.pending = False
+        self._bump("trained")
+        if step in self.snapshots and not self._pending_at(step):
+            del self.snapshots[step]
+
+    def _pending_at(self, step: int) -> bool:
+        """Whether a pending job was dispatched at server step ``step``."""
+        return any(self.jobs[jid].pending
+                   and self.jobs[jid].dispatch_step == step
+                   for jid in self.inflight)
+
     def _drain_queue(self) -> None:
         """Dispatch waiting clients while in-flight slots are free."""
         while self.queue and len(self.inflight) < self.config.max_inflight:
@@ -335,53 +371,56 @@ class AsyncFederatedRunner:
 
     # ------------------------------------------------------------ uploads
     def _on_delivery(self, job_id: int, duplicate: bool) -> None:
-        """An upload (or a duplicated delivery of one) reaches the server."""
+        """An upload (or a duplicated delivery of one) reaches the server.
+        The first delivery of a job trains it (:meth:`_train`)."""
         job = self.jobs[job_id]
         cid = job.client_id
-        if job.accepted or job.update is None:
-            # A later delivery of an already-accepted job, or of one whose
-            # content another job already delivered, is a duplicate
-            # regardless of the fingerprint registry — which is bounded,
-            # so its entry may have been FIFO-evicted by now.
+        if duplicate or job.fingerprint is not None:
+            # A duplicate (it always lands after its upload), or a later
+            # delivery of a job already delivered — accepted, or deduped
+            # by content — is dropped regardless of the fingerprint
+            # registry, which is bounded: its entry may be evicted by now.
             self._bump("deduped")
             return
-        payload = None
-        if job.fingerprint is None:
-            payload = self.algo.wire_payload(job.update)
-            job.fingerprint = state_fingerprint(payload)
-        key = (cid, job.fingerprint)
-        if key in self._fp_registry:
-            # Wire-level dedup: another job of this client already
-            # delivered this content, so this one is dropped before any
-            # accounting and will never commit — nor is its update kept.
-            self._bump("deduped")
-            job.update = None
-            return
-        self._fp_registry[key] = job_id
-        while len(self._fp_registry) > self.config.dedup_capacity:
-            self._fp_registry.popitem(last=False)
-            self.dedup_evictions += 1
-            get_registry().counter("async.dedup_evictions").inc()
-        job.accepted = True
-        self.inflight.discard(job_id)
         with get_tracer().span("buffer", step=self.server_step, client=cid,
                                job=job_id) as span:
-            self.algo._upload(cid, job.dispatch_step, job.update,
-                              payload=payload)
-            self.stats.record_delivery(cid)
-            self.buffer.append(job_id)
-            self._bump("accepted")
-            span.set(depth=len(self.buffer),
-                     staleness=self.server_step - job.dispatch_step,
-                     duplicate=duplicate)
-        get_registry().gauge("async.buffer_depth").set(len(self.buffer))
+            self._train(job)
+            payload = self.algo.wire_payload(job.update)
+            job.fingerprint = state_fingerprint(payload)
+            self.inflight.discard(job_id)
+            key = (cid, job.fingerprint)
+            if key in self._fp_registry:
+                # Wire-level dedup: another job of this client already
+                # delivered this content, so this one is dropped before
+                # any accounting and will never commit — nor is its
+                # update kept.  The job has ended all the same.
+                self._bump("deduped")
+                job.update = None
+                span.set(deduped=True)
+            else:
+                self._fp_registry[key] = job_id
+                while len(self._fp_registry) > self.config.dedup_capacity:
+                    self._fp_registry.popitem(last=False)
+                    self.dedup_evictions += 1
+                    get_registry().counter("async.dedup_evictions").inc()
+                job.accepted = True
+                self.algo._upload(cid, job.dispatch_step, job.update,
+                                  payload=payload)
+                self.stats.record_delivery(cid)
+                self.buffer.append(job_id)
+                self._bump("accepted")
+                span.set(depth=len(self.buffer),
+                         staleness=self.server_step - job.dispatch_step)
         get_registry().gauge("async.inflight").set(len(self.inflight))
-        if (self.config.commit_deadline is not None
-                and len(self.buffer) == 1):
-            self.clock.schedule(self.clock.now + self.config.commit_deadline,
-                                "deadline", {"epoch": self._commit_epoch})
-        if len(self.buffer) >= self.config.buffer_k:
-            self._commit()
+        if job.accepted:
+            get_registry().gauge("async.buffer_depth").set(len(self.buffer))
+            if (self.config.commit_deadline is not None
+                    and len(self.buffer) == 1):
+                self.clock.schedule(
+                    self.clock.now + self.config.commit_deadline,
+                    "deadline", {"epoch": self._commit_epoch})
+            if len(self.buffer) >= self.config.buffer_k:
+                self._commit()
         self._schedule_rejoin(cid, job_id)
         self._drain_queue()
 
@@ -426,6 +465,9 @@ class AsyncFederatedRunner:
         staleness = [self.server_step - j.dispatch_step for j in jobs]
         weights = [staleness_weight(s, cfg.staleness_alpha)
                    for s in staleness]
+        if self._pending_at(self.server_step):
+            # the server moves past a step a pending job still trains on
+            self.snapshots[self.server_step] = self.algo.server_snapshot()
         tracer = get_tracer()
         metrics = get_registry()
         with tracer.span("commit", step=self.server_step,

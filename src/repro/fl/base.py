@@ -554,6 +554,38 @@ class FederatedAlgorithm:
                 if key.startswith(prefix):
                     arrays[key[len(prefix):]] = value
 
+    def server_snapshot(self) -> dict[str, np.ndarray]:
+        """A copy of the server state local training reads: the model
+        (``model.*``) and what :meth:`server_arrays` declares, keyed as in
+        :meth:`worker_sync_state`.  The downlink row table is left out:
+        training never reads it."""
+        state = {f"model.{k}": v
+                 for k, v in self.global_model.state_dict().items()}
+        for prefix, arrays in self.server_arrays().items():
+            state.update((prefix + k, v.copy()) for k, v in arrays.items())
+        return state
+
+    def _train_against(self, client: Client, round_idx: int,
+                       snapshot: dict[str, np.ndarray]) -> Any:
+        """:meth:`_train` with ``snapshot`` (a :meth:`server_snapshot`)
+        installed as the server state, and the live state put back after.
+        Neither side goes through :meth:`load_worker_sync_state`: the
+        downlink row table must not see a state it never served."""
+        live_model = self.global_model.state_dict()
+        declared = self.server_arrays()
+        live = {prefix: dict(arrays) for prefix, arrays in declared.items()}
+        self.global_model.load_state_dict(
+            {k[len("model."):]: v for k, v in snapshot.items()
+             if k.startswith("model.")})
+        for prefix, arrays in declared.items():
+            arrays.update((k, snapshot[prefix + k]) for k in live[prefix])
+        try:
+            return self._train(client, round_idx)
+        finally:
+            self.global_model.load_state_dict(live_model)
+            for prefix, arrays in declared.items():
+                arrays.update(live[prefix])
+
     def encoded_sync_state(self) -> bytes:
         """:meth:`worker_sync_state` as wire bytes, broadcast-cached.
 

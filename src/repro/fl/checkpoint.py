@@ -18,11 +18,16 @@ system already uses, plus the run counters:
 
 The asynchronous runtime (DESIGN.md §12) extends the same format:
 ``save_async_checkpoint`` additionally captures the virtual clock (time,
-schedule counter, and the pending event heap), the in-flight job set with
-each undelivered update (losslessly re-encoded through the wire-layer
+schedule counter, and the pending event heap), the in-flight job set —
+each job still *pending* (it trains at its first delivery) with its
+training round, and the server snapshots those jobs train against
+(``snapshot.<step>.<key>``, listed in the manifest's ``snapshots``) —
+every buffered update (losslessly re-encoded through the wire-layer
 pytree codec), the commit buffer, the admission queue, the dedup
 fingerprint registry, and the runner's counters — so a run interrupted
-*mid-buffer* resumes to a bit-identical trajectory.
+*mid-buffer* resumes to a bit-identical trajectory.  A save never
+trains: a job still in flight at the end leaves the same client state in
+a resumed run as in a straight one.
 
 The format is a single ``.npz`` (arrays) plus a JSON manifest entry inside
 it carrying a ``format`` number, so checkpoints need no pickling of code
@@ -150,6 +155,29 @@ def _check_versions(path, algo: FederatedAlgorithm,
                    f"[{rows.min()}, {rows.max()}], outside [0, {version}]")
 
 
+def _check_server(path, algo: FederatedAlgorithm,
+                  found: dict[str, np.ndarray], prefix: str,
+                  stored: set[str] | None = None) -> None:
+    """``found`` holds every entry :meth:`FederatedAlgorithm.server_snapshot`
+    holds, at its shape and dtype, and ``stored`` (default: the keys of
+    ``found``) names nothing else but the downlink row table; a failure
+    names the entry as ``prefix + key``."""
+    held = algo.server_snapshot()
+    for key, want in held.items():
+        got = found.get(key)
+        if got is None:
+            raise _bad(path, f"{prefix}{key}", "missing")
+        if (got.shape, got.dtype) != (want.shape, want.dtype):
+            raise _bad(path, f"{prefix}{key}",
+                       f"{got.dtype}{list(got.shape)}, the algorithm holds "
+                       f"{want.dtype}{list(want.shape)}")
+    stored = set(found) if stored is None else stored
+    stray = sorted(stored - set(held) - {"dl.version", "dl.rows"})
+    if stray:
+        raise _bad(path, f"{prefix}{stray[0]}", "not server state of "
+                   f"{type(algo).__name__}")
+
+
 def _check_algo(path, algo: FederatedAlgorithm,
                 arrays: dict[str, np.ndarray], manifest: dict) -> dict:
     """Everything :func:`_apply_algo` installs, parsed and checked against
@@ -176,25 +204,9 @@ def _check_algo(path, algo: FederatedAlgorithm,
             raise _bad(path, f"server.{key}", "missing" if value is None
                        else f"unsupported dtype {value.dtype}")
         server[key] = value
-    held = {f"model.{name}": value
-            for name, value in algo.global_model.state_dict().items()}
-    held.update((prefix + name, value)
-                for prefix, values in algo.server_arrays().items()
-                for name, value in values.items())
-    for key, want in held.items():
-        got, want = server.get(key), np.asarray(want)
-        if got is None:
-            raise _bad(path, f"server.{key}", "missing")
-        if (got.shape, got.dtype) != (want.shape, want.dtype):
-            raise _bad(path, f"server.{key}",
-                       f"{got.dtype}{list(got.shape)}, the algorithm holds "
-                       f"{want.dtype}{list(want.shape)}")
-    stored = set(keys) | {k[len("server."):] for k in arrays
-                          if k.startswith("server.")}
-    stray = sorted(stored - set(held) - {"dl.version", "dl.rows"})
-    if stray:
-        raise _bad(path, f"server.{stray[0]}", "not server state of "
-                   f"{type(algo).__name__}")
+    _check_server(path, algo, server, "server.",
+                  set(keys) | {k[len("server."):] for k in arrays
+                               if k.startswith("server.")})
     _check_versions(path, algo, server)
     counters = _field(path, manifest, "fault_stats", dict)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -313,8 +325,9 @@ def load_checkpoint(algo: FederatedAlgorithm, path: str | Path) -> None:
 def save_async_checkpoint(runner: AsyncFederatedRunner,
                           path: str | Path) -> None:
     """Snapshot an async run mid-flight: algorithm state plus the virtual
-    clock, pending events, jobs (with undelivered updates), buffer,
-    queue, dedup registry, and counters."""
+    clock, pending events, jobs (with buffered updates; pending jobs with
+    the server snapshots they train against), buffer, queue, dedup
+    registry, and counters."""
     algo = runner.algo
     arrays: dict[str, np.ndarray] = {}
     manifest = _collect_algo(algo, arrays)
@@ -326,6 +339,8 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
             "dispatch_time": job.dispatch_time,
             "duration": job.duration,
             "crashed": job.crashed,
+            "client_round": job.client_round,
+            "pending": job.pending,
             "train_loss": job.train_loss,
             "fingerprint": job.fingerprint,
             "accepted": job.accepted,
@@ -334,6 +349,9 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
         if job.update is not None:
             arrays[f"job.{jid}.update"] = np.frombuffer(
                 encode_update(job.update), dtype=np.uint8)
+    for step, snapshot in runner.snapshots.items():
+        for key, value in snapshot.items():
+            arrays[f"snapshot.{step}.{key}"] = value
     stats = runner.stats.snapshot()
     manifest["async"] = {
         "clock": runner.clock.snapshot(),
@@ -351,6 +369,8 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
         "dedup_evictions": runner.dedup_evictions,
         "counters": dict(runner.counters),
         "jobs": jobs_meta,
+        "snapshots": {str(step): list(snapshot)
+                      for step, snapshot in runner.snapshots.items()},
         "stats": stats["counters"],
         "stats_drops": stats["drops"],
         "stats_delivered": stats["delivered"],
@@ -359,6 +379,44 @@ def save_async_checkpoint(runner: AsyncFederatedRunner,
         "config": asdict(runner.config),
     }
     _write(path, arrays, manifest)
+
+
+def _snapshot(path, algo: FederatedAlgorithm, arrays: dict[str, np.ndarray],
+              step: int, keys) -> dict[str, np.ndarray]:
+    """The server snapshot of dispatch step ``step``: ``keys`` (in the
+    saved order) read from ``snapshot.<step>.*``, checked against what
+    ``algo.server_snapshot()`` holds."""
+    prefix = f"snapshot.{step}."
+    if not isinstance(keys, list) or not all(isinstance(k, str)
+                                             for k in keys):
+        raise _bad(path, f"async.snapshots.{step}", "expected entry names")
+    for key in keys:
+        if prefix + key not in arrays:
+            raise _bad(path, prefix + key, "missing")
+    snapshot = {key: arrays[prefix + key] for key in keys}
+    _check_server(path, algo, snapshot, prefix,
+                  set(keys) | {k[len(prefix):] for k in arrays
+                               if k.startswith(prefix)})
+    return snapshot
+
+
+def _check_pending(path, jobs: dict[int, _Job], inflight: set[int],
+                   snapshots: dict[int, dict], server_step: int) -> None:
+    """Pending jobs are in flight, untrained and undelivered; a snapshot
+    exists exactly for each step behind ``server_step`` that one of them
+    was dispatched at."""
+    pending = [job for job in jobs.values() if job.pending]
+    for job in pending:
+        if (job.job_id not in inflight or job.crashed
+                or job.update is not None or job.fingerprint is not None
+                or job.dispatch_step > server_step):
+            raise _bad(path, f"async.jobs.{job.job_id}", "pending, but "
+                       "not an untrained job in flight")
+    behind = {job.dispatch_step for job in pending
+              if job.dispatch_step < server_step}
+    if set(snapshots) != behind:
+        raise _bad(path, "async.snapshots", f"at steps {sorted(snapshots)}, "
+                   f"pending jobs train against steps {sorted(behind)}")
 
 
 def load_async_checkpoint(runner: AsyncFederatedRunner,
@@ -397,26 +455,36 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
                 dispatch_step=int(meta["dispatch_step"]),
                 dispatch_time=float(meta["dispatch_time"]),
                 duration=float(meta["duration"]),
-                crashed=bool(meta["crashed"]), update=update,
+                crashed=bool(meta["crashed"]),
+                client_round=int(meta["client_round"]),
+                pending=bool(meta["pending"]), update=update,
                 train_loss=float(meta["train_loss"]),
                 fingerprint=meta["fingerprint"],
                 accepted=bool(meta["accepted"]))
+        snapshot_keys = {int(step): keys
+                         for step, keys in state["snapshots"].items()}
+        counters = {k: int(v) for k, v in state["counters"].items()}
+        if set(counters) != set(runner.counters):
+            raise ValueError(f"counters {sorted(counters)}, the runner "
+                             f"keeps {sorted(runner.counters)}")
+        server_step = int(state["server_step"])
+        inflight = set(state["inflight"])
         restored = dict(
             clock=VirtualClock.restore(state["clock"]),
-            server_step=int(state["server_step"]),
+            server_step=server_step,
             _commit_epoch=int(state["commit_epoch"]),
             _next_job=int(state["next_job"]),
             _started=bool(state["started"]),
             stalled=bool(state["stalled"]),
             _client_jobs={int(c): int(n)
                           for c, n in state["client_jobs"].items()},
-            inflight=set(state["inflight"]),
+            inflight=inflight,
             queue=list(state["queue"]),
             buffer=list(state["buffer"]),
             _fp_registry=OrderedDict(((int(cid), int(fp)), int(jid))
                                      for cid, fp, jid in state["fp_registry"]),
             dedup_evictions=int(state.get("dedup_evictions", 0)),
-            counters={k: int(v) for k, v in state["counters"].items()},
+            counters=counters,
             jobs=jobs,
             stats=FaultStats.restore({"counters": state["stats"],
                                       "drops": state["stats_drops"],
@@ -424,6 +492,10 @@ def load_async_checkpoint(runner: AsyncFederatedRunner,
             step_results=[StepResult(**r) for r in state["step_results"]])
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise _bad(path, "async", f"{type(err).__name__}: {err}") from None
+    restored["snapshots"] = {
+        step: _snapshot(path, runner.algo, arrays, step, keys)
+        for step, keys in snapshot_keys.items()}
+    _check_pending(path, jobs, inflight, restored["snapshots"], server_step)
     _apply_algo(runner.algo, algo_state)
     for name, value in restored.items():
         setattr(runner, name, value)

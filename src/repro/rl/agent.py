@@ -92,26 +92,25 @@ class SalientParameterAgent:
                           optimizer=optimizer, freeze_gnn=True)
 
     # ------------------------------------------------------------------ #
-    def propose(self, model: SplitModel, val_data: ArrayDataset | None = None,
-                flops_target: float = 0.6,
+    def propose(self, model: SplitModel, flops_target: float = 0.6,
                 **env_kwargs) -> tuple[SalientSelection, dict]:
         """Deterministic one-shot selection for the current encoder.
 
-        Walks the environment with the policy mean action until the size
-        constraint is met, then returns the materialised selection plus
-        diagnostics (flops ratio, steps).
+        Walks the environment's dynamics with the policy mean action until
+        the size constraint is met (or the step budget runs out), then
+        returns the materialised selection plus diagnostics (flops ratio,
+        keep fractions, mean keep).  Nothing is scored: the reward is a
+        training signal, and the episode's last step would spend a probe
+        forward on it.
         """
-        probe = val_data if val_data is not None else \
-            ArrayDataset(np.zeros((1,) + _input_shape(model), dtype=np.float32),
-                         np.zeros(1, dtype=np.int64))
-        env = PruningEnv(model, probe, flops_target=flops_target, **env_kwargs)
+        env = PruningEnv(model, flops_target=flops_target, **env_kwargs)
         state = env.reset()
         rng = spawn_rng(self.seed, "propose")
         done = False
-        info: dict = {}
         while not done:
             action, _, _ = self.policy.act(state, rng, deterministic=True)
-            state, _, done, info = env.step(action)
+            done, info = env.advance(action)
+            state = env.observe()
         selection = selection_for_keep(env)
         info["mean_keep"] = selection.mean_keep()
         return selection, info
@@ -136,11 +135,6 @@ def selection_for_keep(env: PruningEnv) -> SalientSelection:
     from repro.pruning.selector import selection_from_sparsity
     return selection_from_sparsity(
         env.encoder, {n: 1.0 - k for n, k in env._keep.items()}, env.criterion)
-
-
-def _input_shape(model: SplitModel) -> tuple[int, int, int]:
-    enc = model.encoder
-    return (enc.in_channels, enc.input_size, enc.input_size)
 
 
 def pretrain_agent(model: SplitModel, train_data: ArrayDataset,

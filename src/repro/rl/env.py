@@ -31,7 +31,8 @@ class PruningEnv:
         Trained (or training) split model whose encoder gets pruned.
     val_data:
         Held-out data providing the reward signal; a bounded probe subset
-        keeps reward evaluation cheap (``probe_size``).
+        keeps reward evaluation cheap (``probe_size``).  ``None`` runs the
+        dynamics only (:meth:`advance`): there is nothing to score with.
     flops_target:
         Size constraint as a fraction of dense FLOPs (e.g. 0.6 means the
         sub-network must use at most 60% of dense FLOPs).
@@ -39,7 +40,7 @@ class PruningEnv:
         Per-step, per-layer maximum sparsity increment.
     """
 
-    def __init__(self, model: SplitModel, val_data: ArrayDataset,
+    def __init__(self, model: SplitModel, val_data: ArrayDataset | None = None,
                  flops_target: float = 0.6, s_max: float = 0.8,
                  max_steps: int = 4, probe_size: int = 256,
                  criterion: str = "l2", gap_penalty: float = 0.5):
@@ -56,7 +57,8 @@ class PruningEnv:
         self.max_steps = max_steps
         self.criterion = criterion
         self.gap_penalty = gap_penalty
-        self.probe = val_data.subset(np.arange(min(len(val_data), probe_size)))
+        self.probe = None if val_data is None else \
+            val_data.subset(np.arange(min(len(val_data), probe_size)))
         self._keep: dict[str, float] = {}
         self._step = 0
 
@@ -89,6 +91,9 @@ class PruningEnv:
 
     def evaluate_subnetwork(self) -> float:
         """Accuracy of the currently selected sub-network (Eq. 7 reward)."""
+        if self.probe is None:
+            raise ValueError("PruningEnv built without val_data cannot "
+                             "score a sub-network")
         selection = selection_from_sparsity(self.encoder,
                                             {n: 1.0 - k for n, k in self._keep.items()},
                                             self.criterion)
@@ -97,8 +102,9 @@ class PruningEnv:
         self.encoder.clear_channel_masks()
         return acc
 
-    def step(self, raw_action: np.ndarray) -> tuple[GraphState, float, bool, dict]:
-        """Apply a sparsity increment; see class docstring for dynamics."""
+    def advance(self, raw_action: np.ndarray) -> tuple[bool, dict]:
+        """Apply a sparsity increment — the episode dynamics, unscored.
+        Returns whether the episode ended and the step's diagnostics."""
         sparsity = self.action_to_sparsity(raw_action)
         if len(sparsity) != self.n_actions:
             raise ValueError(f"action length {len(sparsity)} != {self.n_actions}")
@@ -107,17 +113,19 @@ class PruningEnv:
                                              1e-3, 1.0))
         self._step += 1
         ratio = self.current_flops_ratio()
-        info = {"flops_ratio": ratio, "keep": dict(self._keep)}
-        if ratio <= self.flops_target:
-            reward = self.evaluate_subnetwork()
-            info["accuracy"] = reward
-            return self.observe(), reward, True, info
-        if self._step >= self.max_steps:
-            acc = self.evaluate_subnetwork()
-            reward = acc - self.gap_penalty * (ratio - self.flops_target)
-            info["accuracy"] = acc
-            return self.observe(), reward, True, info
-        return self.observe(), 0.0, False, info
+        done = ratio <= self.flops_target or self._step >= self.max_steps
+        return done, {"flops_ratio": ratio, "keep": dict(self._keep)}
+
+    def step(self, raw_action: np.ndarray) -> tuple[GraphState, float, bool, dict]:
+        """:meth:`advance`, scored; see class docstring for the reward."""
+        done, info = self.advance(raw_action)
+        if not done:
+            return self.observe(), 0.0, False, info
+        reward = info["accuracy"] = self.evaluate_subnetwork()
+        ratio = info["flops_ratio"]
+        if ratio > self.flops_target:      # the step budget ran out
+            reward -= self.gap_penalty * (ratio - self.flops_target)
+        return self.observe(), reward, True, info
 
     def final_selection(self, raw_action: np.ndarray | None = None):
         """Materialise the selection for the current (or given) policy."""

@@ -301,7 +301,9 @@ def _good_rows():
     return {
         "async": [_row("straggler_speedup", "fedavg", speedup=3.6,
                        target_reached=True),
-                  _row("loop_overhead", "stub16", us_per_event=100.0)],
+                  _row("loop_overhead", "stub16", us_per_event=100.0),
+                  _row("warmup", "stub16", dispatched=20, crashed=1,
+                       trained=11, accepted=11, delivered=11)],
         "comm": [_row("codec", "serialize.vgg11", opt_ms=1.0),
                  _row("downlink", "fedavg.vgg11",
                       full_bytes=[100, 100], delta_bytes=[100, 100],
@@ -345,6 +347,8 @@ _VIOLATIONS = [
      "< 1.05x"),
     ("async", ("straggler_speedup", "fedavg"), {"target_reached": False},
      True, "never reached"),
+    ("async", ("warmup", "stub16"), {"trained": 19}, True,
+     "trained 19 jobs, delivered 11"),
     ("comm", ("downlink", "fedavg.vgg11"), {"delta_bytes": [90, 100]}, True,
      "round 0"),
     ("comm", ("downlink", "fedavg.vgg11"), {"delta_bytes": [100, 101]}, True,

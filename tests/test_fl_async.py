@@ -292,22 +292,60 @@ class TestDedupAndBufferInvariant:
         runner = AsyncFederatedRunner(
             Constant(ref.model_fn, ref.clients, seed=0, local_epochs=1),
             AsyncProfile(seed=0), AsyncConfig(buffer_k=1, max_inflight=1))
-        runner.run(steps=2)      # job 0 commits; job 1 repeats its bytes
+        # arrive, upload (job 0 commits), re-arrive, upload: job 1
+        # repeats job 0's bytes
+        assert runner.pump(4) == 4
         assert runner.counters["deduped"] == 1
         assert runner.counters["dispatched"] == 2
         loser = runner.jobs[1]
         assert not loser.accepted and loser.fingerprint is not None
         assert loser.update is None
 
+    def test_deduped_job_ends_and_its_client_returns(self):
+        """A job deduped by content has ended like an accepted one: its
+        in-flight slot is freed, the queue drains into it and its client
+        re-arrives, so the run reaches its commits."""
+        class Repeating(StubAvg):
+            def local_update(self, client, round_idx):
+                # each client's jobs 0 and 1 upload the same bytes
+                state = {k: np.full_like(v, round_idx // 2)
+                         for k, v in self.global_model.state_dict().items()}
+                return {"state": state, "n": 1, "train_loss": 0.0,
+                        "steps": 1}
+
+        ref = make_stub(n_clients=2, seed=0)
+        runner = AsyncFederatedRunner(
+            Repeating(ref.model_fn, ref.clients, seed=0, local_epochs=1),
+            AsyncProfile(seed=0),
+            AsyncConfig(buffer_k=1, max_inflight=1, max_queue=2))
+        results = runner.run(steps=4)
+        assert len(results) == 4 and not runner.stalled
+        c = runner.counters
+        assert c["deduped"] >= 1
+        assert c["trained"] == c["accepted"] + c["deduped"]
+        assert c["trained"] == \
+            c["dispatched"] - c["crashed"] - len(runner.inflight)
+        deduped = [j for j in runner.jobs.values()
+                   if j.fingerprint is not None and not j.accepted]
+        assert deduped and all(j.job_id not in runner.inflight
+                               for j in deduped)
+
     def test_buffer_invariant_under_hostility(self):
         runner = _stub_runner()
         runner.run(steps=50)
         c = runner.counters
         assert c["committed"] + len(runner.buffer) == c["accepted"]
-        # every dispatched job ends exactly one way: still in flight,
-        # crashed, or delivered-and-accepted (dups never re-enter here)
-        assert c["accepted"] \
+        # every dispatched job ends exactly one way: still in flight (and
+        # untrained), crashed, or delivered — trained, then accepted or
+        # deduped by content (repeat deliveries never re-enter here)
+        assert c["trained"] \
             == c["dispatched"] - c["crashed"] - len(runner.inflight)
+        delivered = [j for j in runner.jobs.values()
+                     if j.fingerprint is not None]
+        assert c["trained"] == len(delivered)
+        assert c["accepted"] == sum(j.accepted for j in delivered)
+        assert not any(runner.jobs[j].update is not None
+                       for j in runner.inflight)
 
 
 class TestDeadlineCommits:

@@ -7,7 +7,7 @@ in the milliseconds).  Whatever the schedule:
 
 - the buffer invariant holds — every accepted upload is either committed
   or still buffered, and every dispatched job ends exactly one way
-  (in flight, crashed, or accepted);
+  (in flight and untrained, crashed, or delivered and trained);
 - the virtual clock never runs backwards and ``run`` always returns
   (bounded event budget — a permanently-crashing cohort stalls, it does
   not spin);
@@ -61,9 +61,11 @@ def test_interleavings_preserve_buffer_invariant(seed, n_clients, buffer_k,
     c = runner.counters
     # committed updates == deduped accepted uploads still unaccounted-for
     assert c["committed"] + len(runner.buffer) == c["accepted"]
-    # every dispatched job ends exactly one way
-    assert c["accepted"] \
+    # every dispatched job ends exactly one way (in flight untrained,
+    # crashed, or delivered: trained, then accepted or deduped by content)
+    assert c["trained"] \
         == c["dispatched"] - c["crashed"] - len(runner.inflight)
+    assert c["accepted"] <= c["trained"]
     # admission control held throughout (inflight is live state)
     assert len(runner.inflight) <= max_inflight
     assert len(runner.queue) <= max_queue

@@ -253,10 +253,44 @@ class TestAgent:
     def test_propose_deterministic(self, trained_setup):
         model, _, val = trained_setup
         agent = SalientParameterAgent(seed=0)
-        s1, i1 = agent.propose(model, val, flops_target=0.7)
-        s2, i2 = agent.propose(model, val, flops_target=0.7)
+        s1, i1 = agent.propose(model, flops_target=0.7)
+        s2, i2 = agent.propose(model, flops_target=0.7)
         assert s1.keep == s2.keep
         assert i1["flops_ratio"] <= 0.7 + 1e-6
+
+    def test_propose_walks_the_dynamics_unscored(self, trained_setup,
+                                                 monkeypatch):
+        """``propose`` runs no probe forward, and selects what the scored
+        walk (``env.step``, which evaluates the sub-network at its last
+        step) ends on, byte for byte."""
+        import repro.rl.env
+        from repro.rl.agent import selection_for_keep
+        from repro.utils.rng import spawn_rng
+
+        model, _, val = trained_setup
+        agent = SalientParameterAgent(seed=0)
+        env = PruningEnv(model, val, flops_target=0.7)
+        state, done = env.reset(), False
+        rng = spawn_rng(agent.seed, "propose")
+        while not done:
+            action, _, _ = agent.policy.act(state, rng, deterministic=True)
+            state, _, done, info = env.step(action)
+        scored = selection_for_keep(env)
+        assert "accuracy" in info
+
+        probes = []
+        monkeypatch.setattr(repro.rl.env, "evaluate",
+                            lambda *args: probes.append(args) or 0.0)
+        selection, got = agent.propose(model, flops_target=0.7)
+        assert probes == []
+        assert got["keep"] == info["keep"]
+        assert got["flops_ratio"] == info["flops_ratio"]
+        assert selection.keep == scored.keep
+        assert list(selection.indices) == list(scored.indices)
+        for name, idx in scored.indices.items():
+            assert selection.indices[name].tobytes() == idx.tobytes()
+            assert selection.masks[name].tobytes() \
+                == scored.masks[name].tobytes()
 
     def test_finetune_freezes_gnn(self, trained_setup):
         model, _, val = trained_setup
