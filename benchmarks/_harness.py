@@ -16,7 +16,8 @@ written once in this file:
   ``name`` (unique within the case);
 - **gate** — :func:`check_baseline`: a watched field of a row against the
   same row of the last full record, ``> factor x + slack`` fails; the
-  bench's floors judge that record as well as the run's;
+  bench's floors judge that record as well as the run's, its ``checks``
+  the run's record only;
 - **history** — ``BENCH_<name>.json`` is an append-only list.  An
   unreadable history stops the run, a ``--smoke`` record never lands
   beside a full one, ``--check`` reads its baseline before appending, and
@@ -288,6 +289,10 @@ class Bench:
     #: on a record's own ``rows`` / ``smoke`` / ``env``.  Pure, so it reads
     #: a committed record — or tier-1's synthetic one — as it reads a run.
     floors: Callable[[dict], list[str]] = lambda record: []
+    #: ``checks(record) -> failures``: what ``--check`` asks of the run's
+    #: own record only — unlike the floors, never of the baseline (a
+    #: paired bench judges its own pairs, not an older record's).
+    checks: Callable[[dict], list[str]] = lambda record: []
     #: adds this bench's own flags; parsed values land in ``size``.
     flags: Callable[[argparse.ArgumentParser], None] | None = None
 
@@ -329,7 +334,7 @@ class Bench:
             # unjudged (no --check) below one fails every later check
             # instead of quietly becoming what runs are compared with.
             old = self.floors(baseline) if baseline else []
-            failures = self.floors(record) \
+            failures = self.floors(record) + self.checks(record) \
                 + [f"baseline {baseline['commit']}: {f}" for f in old] \
                 + check_baseline(rows, baseline, self.gates)
         if failures and out.resolve() == self.committed.resolve():

@@ -133,9 +133,6 @@ class SplitModel(Module):
     def load_predictor_state(self, state: dict) -> None:
         self.predictor.load_state_dict(state)
 
-    def encoder_parameter_names(self) -> list[str]:
-        return [n for n, _ in self.encoder.named_parameters()]
-
     def num_encoder_parameters(self) -> int:
         return sum(p.size for p in self.encoder.parameters())
 

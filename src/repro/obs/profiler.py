@@ -143,10 +143,6 @@ class OpProfiler:
         ranked = sorted(self.stats.items(), key=lambda kv: -kv[1].seconds)
         return ranked[:n]
 
-    def total_seconds(self) -> float:
-        """Wall time summed over every profiled op."""
-        return sum(s.seconds for s in self.stats.values())
-
     def workspace_stats(self) -> dict[str, tuple[int, int, int, int]]:
         """Arena traffic since :meth:`install`, per buffer tag.
 

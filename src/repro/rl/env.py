@@ -126,14 +126,3 @@ class PruningEnv:
         if ratio > self.flops_target:      # the step budget ran out
             reward -= self.gap_penalty * (ratio - self.flops_target)
         return self.observe(), reward, True, info
-
-    def final_selection(self, raw_action: np.ndarray | None = None):
-        """Materialise the selection for the current (or given) policy."""
-        keep = dict(self._keep)
-        if raw_action is not None:
-            sparsity = self.action_to_sparsity(raw_action)
-            keep = {name: float(np.clip(1.0 - s, 1e-3, 1.0))
-                    for name, s in zip(self.layers, sparsity)}
-        return selection_from_sparsity(self.encoder,
-                                       {n: 1.0 - k for n, k in keep.items()},
-                                       self.criterion)
