@@ -8,7 +8,9 @@ round, for SPATL against the four baselines, across client-count settings
 
 from __future__ import annotations
 
-from repro.experiments.configs import ExperimentConfig, config_for
+from dataclasses import replace
+
+from repro.experiments.configs import ExperimentConfig
 from repro.experiments.harness import run_algorithms
 from repro.utils.logging import ExperimentLog
 
@@ -33,14 +35,11 @@ def converge_accuracy_summary(results: dict[str, ExperimentLog]) -> dict[str, fl
             for name, log in results.items()}
 
 
-def multi_setting_curves(scale: str = "tiny", model: str = "resnet20",
+def multi_setting_curves(cfg: ExperimentConfig,
                          settings=((6, 1.0), (10, 0.4)),
-                         methods=DEFAULT_METHODS,
-                         seed: int = 0) -> dict[tuple, dict[str, ExperimentLog]]:
-    """The curve grid across (clients, sample-ratio) settings."""
-    out = {}
-    for n_clients, ratio in settings:
-        cfg = config_for(scale, model=model, n_clients=n_clients,
-                         sample_ratio=ratio, seed=seed)
-        out[(n_clients, ratio)] = learning_efficiency_curves(cfg, methods)
-    return out
+                         methods=DEFAULT_METHODS
+                         ) -> dict[tuple, dict[str, ExperimentLog]]:
+    """The curve grid across (clients, sample-ratio) settings of ``cfg``."""
+    return {(n_clients, ratio): learning_efficiency_curves(
+                replace(cfg, n_clients=n_clients, sample_ratio=ratio), methods)
+            for n_clients, ratio in settings}

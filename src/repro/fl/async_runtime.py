@@ -108,13 +108,14 @@ class AsyncConfig:
             raise ValueError("buffer_k must be >= 1")
         if self.dedup_capacity < 1:
             raise ValueError("dedup_capacity must be >= 1")
-        if self.staleness_alpha < 0:
+        if not self.staleness_alpha >= 0:      # NaN included
             raise ValueError("staleness_alpha must be >= 0")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if self.commit_deadline is not None and self.commit_deadline <= 0:
+        if self.commit_deadline is not None \
+                and not self.commit_deadline > 0:
             raise ValueError("commit_deadline must be > 0")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0")
@@ -134,7 +135,9 @@ class VirtualClock:
         self._heap: list[tuple[float, int, str, dict]] = []
 
     def schedule(self, at: float, kind: str, data: dict) -> None:
-        """Enqueue ``kind`` at virtual time ``at`` (>= now)."""
+        """Enqueue ``kind`` at virtual time ``at`` (finite, >= now)."""
+        if not math.isfinite(at):
+            raise ValueError(f"cannot schedule at a non-finite time ({at})")
         if at < self.now:
             raise ValueError(f"cannot schedule into the past ({at} < {self.now})")
         heapq.heappush(self._heap, (float(at), self._seq, kind, data))

@@ -55,8 +55,11 @@ class FaultModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} not a probability")
-        if self.slowdown < 1.0:
+        # written so that NaN, which fails every comparison, is refused
+        if not self.slowdown >= 1.0:
             raise ValueError("slowdown must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0 (inf: no deadline)")
         if self.max_bit_flips < 1:
             raise ValueError("max_bit_flips must be >= 1")
 
@@ -148,15 +151,16 @@ class AsyncProfile:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} not a probability")
-        if self.mean_latency <= 0:
+        # written so that NaN, which fails every comparison, is refused
+        if not self.mean_latency > 0:
             raise ValueError("mean_latency must be > 0")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if self.slowdown < 1.0:
+        if not self.slowdown >= 1.0:
             raise ValueError("slowdown must be >= 1")
         for name in ("arrival_spread", "rejoin_delay", "absence",
                      "duplicate_delay"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
     def _rng(self, event: str, client_id: int, job_id: int) -> np.random.Generator:

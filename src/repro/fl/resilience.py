@@ -147,7 +147,9 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.base_delay < 0 or self.max_delay < 0 or self.backoff_factor <= 0:
+        # written so that NaN, which fails every comparison, is refused
+        if not (self.base_delay >= 0 and self.max_delay >= 0
+                and self.backoff_factor > 0):
             raise ValueError("delays must be non-negative, factor positive")
 
     @property

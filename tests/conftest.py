@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+import sys
 
-from repro.data import SyntheticCIFAR10, dirichlet_partition
-from repro.fl import make_federated_clients
-from repro.models import build_model
+# One BLAS thread, set before NumPy loads, as every bench pins it
+# (benchmarks/_harness.py): a process pool's workers inherit the pin, and
+# unpinned, two workers plus the parent oversubscribe a small box's cores.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from tests import matrix  # noqa: E402
 
 
 @pytest.fixture
@@ -41,26 +49,20 @@ def assert_grad_close(analytic, numeric, atol=1e-6, rtol=1e-4):
 @pytest.fixture(scope="session")
 def tiny_dataset():
     """800-sample 12x12 synthetic CIFAR — shared read-only across tests."""
-    return SyntheticCIFAR10(n_samples=800, size=12, seed=99)
+    return matrix.tiny_dataset()
 
 
 @pytest.fixture(scope="session")
-def tiny_setting(tiny_dataset):
+def tiny_setting():
     """(model_fn, partition) for FL tests; clients built per test."""
-    parts = dirichlet_partition(tiny_dataset.y, 4, beta=0.5, seed=3)
-
-    def model_fn():
-        return build_model("resnet20", width_mult=0.2, input_size=12, seed=11)
-
-    return model_fn, parts
+    return matrix.model_fn(), matrix.parts()
 
 
 @pytest.fixture
-def tiny_clients(tiny_dataset, tiny_setting):
-    _, parts = tiny_setting
-    return make_federated_clients(tiny_dataset, parts, batch_size=32, seed=5)
+def tiny_clients():
+    return matrix.clients()
 
 
 @pytest.fixture
-def tiny_model_fn(tiny_setting):
-    return tiny_setting[0]
+def tiny_model_fn():
+    return matrix.model_fn()

@@ -1,10 +1,25 @@
 """Unit tests: the CLI parses and dispatches (tiny footprints)."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+
+
+@pytest.fixture(scope="session")
+def learning_efficiency(tmp_path_factory):
+    """One ``learning-efficiency`` run its smokes share: ``(exit code,
+    stdout, JSONL trace)``.  It runs traced, which is numerically
+    identical to untraced by design (tests/test_obs.py)."""
+    trace = tmp_path_factory.mktemp("learning_efficiency") / "trace.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["learning-efficiency", "--clients", "2", "--rounds", "1",
+                   "--sample-ratio", "1.0", "--trace-out", str(trace)])
+    return rc, out.getvalue(), trace.read_text()
 
 
 class TestParser:
@@ -51,11 +66,9 @@ class TestDispatch:
         for cmd in COMMANDS:
             assert cmd in out
 
-    def test_learning_efficiency_smoke(self, capsys):
-        rc = main(["learning-efficiency", "--clients", "2", "--rounds", "1",
-                   "--sample-ratio", "1.0"])
+    def test_learning_efficiency_smoke(self, learning_efficiency):
+        rc, out, _ = learning_efficiency
         assert rc == 0
-        out = capsys.readouterr().out
         assert "spatl" in out and "fedavg" in out
 
     def test_fault_tolerance_smoke(self, capsys):
@@ -139,13 +152,8 @@ class TestObservability:
         assert line, "profile --compile must say what bypassed the op table"
         assert int(line.group(1)) >= 1 and int(line.group(2)) > 0
 
-    def test_trace_out_on_regular_command(self, tmp_path, capsys):
-        import json
-
-        trace = tmp_path / "trace.jsonl"
-        rc = main(["learning-efficiency", "--clients", "2", "--rounds", "1",
-                   "--sample-ratio", "1.0", "--trace-out", str(trace)])
+    def test_trace_out_on_regular_command(self, learning_efficiency):
+        rc, _, trace = learning_efficiency
         assert rc == 0
-        records = [json.loads(line)
-                   for line in trace.read_text().splitlines()]
+        records = [json.loads(line) for line in trace.splitlines()]
         assert any(r["name"] == "algorithm" for r in records)

@@ -13,14 +13,14 @@ as eager == eager.
 import numpy as np
 import pytest
 
-from repro.experiments.configs import config_for, make_algorithm, make_setting
-from repro.fl.comm import serialize_state
 from repro.models import build_model, make_vgg
 from repro.nn import Dropout, conv, norm, pooling
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.optim.sgd import SGD
 from repro.tensor import Tensor, functional as F
 from repro.tensor.compile import FALLBACK, StepCompiler
+
+from tests import matrix
 
 
 def _make_model(name="resnet20", size=16, **kw):
@@ -480,51 +480,39 @@ class TestCompiledStep:
 # end-to-end golden identity                                            #
 # --------------------------------------------------------------------- #
 
-def _final_state(algo_name, *, compiled, rounds=2, **overrides) -> bytes:
-    cfg = config_for("tiny", n_clients=3, n_samples=300, rounds=rounds,
-                     seed=0, compile=compiled, **overrides)
-    model_fn, clients = make_setting(cfg)
-    algo = make_algorithm(algo_name, cfg, model_fn, clients)
-    try:
-        for r in range(rounds):
-            algo.run_round(r)
-        return serialize_state(dict(algo.global_model.state_dict()))
-    finally:
-        algo.close()
-
-
-def _assert_replay_engaged(registry):
+def _assert_replay_engaged(run):
     """The compiled run replayed (a golden must not pass as eager == eager)."""
-    counters = registry.snapshot()["counters"]
+    counters = run.counters
     assert counters["compile.replays"] > 0
     assert counters["compile.captures"] >= 1
     assert not [k for k in counters if k.startswith("compile.fallbacks")]
 
 
+def _eager_replay(eager: str, replay: str):
+    """The matrix's ``compile/`` references of two cells (two rounds of
+    ``config_for("tiny", n_clients=3, n_samples=300)``), compared."""
+    eager, replay = (matrix.reference(f"compile/{cell}")
+                     for cell in (eager, replay))
+    assert eager.model == replay.model
+    _assert_replay_engaged(replay)
+
+
 @pytest.mark.parametrize("algo_name", ["fedavg", "spatl"])
 class TestCompiledGolden:
-    def test_serial(self, algo_name, fresh_registry):
-        assert _final_state(algo_name, compiled=False) == \
-            _final_state(algo_name, compiled=True)
-        _assert_replay_engaged(fresh_registry)
+    def test_serial(self, algo_name):
+        _eager_replay(f"{algo_name}-eager", f"{algo_name}-replay")
 
-    def test_under_faults(self, algo_name, fresh_registry):
-        kw = dict(fault_drop_prob=0.3, fault_corrupt_prob=0.1,
-                  fault_retries=1)
-        assert _final_state(algo_name, compiled=False, **kw) == \
-            _final_state(algo_name, compiled=True, **kw)
-        _assert_replay_engaged(fresh_registry)
+    def test_under_faults(self, algo_name):
+        _eager_replay(f"{algo_name}-eager+faults",
+                      f"{algo_name}-replay+faults")
 
 
-def test_process_executor_compiled_matches_eager_serial(fresh_registry):
-    assert _final_state("fedavg", compiled=False) == \
-        _final_state("fedavg", compiled=True, workers=2)
-    _assert_replay_engaged(fresh_registry)     # merged back from the workers
+def test_process_executor_compiled_matches_eager_serial():
+    # replay counters merged back from the workers
+    _eager_replay("fedavg-eager", "fedavg-replay-workers2")
 
 
-def test_vectorized_executor_unaffected_by_compile_flag(fresh_registry):
+def test_vectorized_executor_unaffected_by_compile_flag():
     """SPATL in the pool, eager vs compiled workers.  (The id predates the
     vectorized engine's removal; it is kept because the floor lists it.)"""
-    assert _final_state("spatl", compiled=False, workers=2) == \
-        _final_state("spatl", compiled=True, workers=2)
-    _assert_replay_engaged(fresh_registry)
+    _eager_replay("spatl-eager-workers2", "spatl-replay-workers2")

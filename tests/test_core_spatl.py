@@ -3,23 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core import SPATL, StaticSaliencyPolicy
-from repro.fl import FedAvg, make_federated_clients
+from repro.core import SPATL
+
+from tests import matrix
 
 
-def _fresh(tiny_dataset, tiny_setting, n_policy=0.3):
-    model_fn, parts = tiny_setting
-    clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                     seed=5)
-    algo = SPATL(model_fn, clients,
-                 selection_policy=StaticSaliencyPolicy(n_policy),
-                 lr=0.05, local_epochs=1, seed=0)
-    return algo, clients
+def _fresh(n_policy=0.3):
+    algo = matrix.algorithm("spatl", sparsity=n_policy)
+    return algo, algo.clients
 
 
 class TestProtocol:
-    def test_predictor_never_leaves_client(self, tiny_dataset, tiny_setting):
-        algo, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_predictor_never_leaves_client(self):
+        algo, clients = _fresh()
         down = algo.download_payload(clients[0])
         update = algo.local_update(clients[0], 0)
         up = algo.upload_payload(update)
@@ -30,9 +26,8 @@ class TestProtocol:
                     assert not key.endswith("pred." + pk), key
             assert not any(k.startswith("pred.") for k in payload)
 
-    def test_download_contains_encoder_and_variate(self, tiny_dataset,
-                                                   tiny_setting):
-        algo, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_download_contains_encoder_and_variate(self):
+        algo, clients = _fresh()
         state = algo.downlink_state()
         assert any(k.startswith("enc.") for k in state)
         assert any(k.startswith("c.") for k in state)
@@ -46,18 +41,15 @@ class TestProtocol:
         down = algo.download_payload(clients[0])
         assert any(k.startswith("c.") for k in down)   # the rows it moved
 
-    def test_no_gradient_control_skips_variate_download(self, tiny_dataset,
-                                                        tiny_setting):
-        model_fn, parts = tiny_setting
-        clients = make_federated_clients(tiny_dataset, parts, seed=5)
+    def test_no_gradient_control_skips_variate_download(self):
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo = SPATL(model_fn, clients, use_gradient_control=False,
                      lr=0.05, local_epochs=1, seed=0)
         down = algo.download_payload(clients[0])
         assert not any(k.startswith("c.") for k in down)
 
-    def test_upload_contains_indices_and_salient_rows(self, tiny_dataset,
-                                                      tiny_setting):
-        algo, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_upload_contains_indices_and_salient_rows(self):
+        algo, clients = _fresh()
         update = algo.local_update(clients[0], 0)
         up = algo.upload_payload(update)
         idx_keys = [k for k in up if k.endswith(".idx")]
@@ -66,9 +58,9 @@ class TestProtocol:
         for k in idx_keys:
             assert up[k].dtype == np.int32
 
-    def test_upload_smaller_than_dense(self, tiny_dataset, tiny_setting):
+    def test_upload_smaller_than_dense(self):
         from repro.fl.comm import payload_nbytes
-        algo, clients = _fresh(tiny_dataset, tiny_setting, n_policy=0.5)
+        algo, clients = _fresh(n_policy=0.5)
         update = algo.local_update(clients[0], 0)
         up_bytes = payload_nbytes(algo.upload_payload(update))
         dense_bytes = payload_nbytes(
@@ -76,8 +68,8 @@ class TestProtocol:
              algo.global_model.encoder_state().items()})
         assert up_bytes < dense_bytes
 
-    def test_client_keeps_private_predictor(self, tiny_dataset, tiny_setting):
-        algo, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_client_keeps_private_predictor(self):
+        algo, clients = _fresh()
         algo.run_round(0)
         states = [c.local_state.get("predictor") for c in clients]
         participating = [s for s in states if s is not None]
@@ -88,22 +80,20 @@ class TestProtocol:
             assert not np.array_equal(participating[0][k],
                                       participating[1][k])
 
-    def test_client_variates_refresh(self, tiny_dataset, tiny_setting):
-        algo, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_client_variates_refresh(self):
+        algo, clients = _fresh()
         algo.run_round(0)
         c_i = clients[0].local_state["c_i"]
         assert sum(float(np.abs(v).sum()) for v in c_i.values.values()) > 0
 
-    def test_server_variate_updates(self, tiny_dataset, tiny_setting):
-        algo, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_server_variate_updates(self):
+        algo, clients = _fresh()
         algo.run_round(0)
         assert sum(float(np.abs(v).sum())
                    for v in algo.c_global.values.values()) > 0
 
-    def test_aggregation_covers_all_when_dense(self, tiny_dataset,
-                                               tiny_setting):
-        model_fn, parts = tiny_setting
-        clients = make_federated_clients(tiny_dataset, parts, seed=5)
+    def test_aggregation_covers_all_when_dense(self):
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo = SPATL(model_fn, clients, use_selection=False, lr=0.05,
                      local_epochs=1, seed=0)
         before = {n: p.data.copy()
@@ -114,9 +104,8 @@ class TestProtocol:
         # dense selection: every encoder parameter must move
         assert len(moved) == len(before)
 
-    def test_eval_model_composes_encoder_and_private_head(self, tiny_dataset,
-                                                          tiny_setting):
-        algo, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_eval_model_composes_encoder_and_private_head(self):
+        algo, clients = _fresh()
         algo.run_round(0)
         m = algo.client_eval_model(clients[0])
         pred_state = clients[0].local_state["predictor"]
@@ -128,40 +117,36 @@ class TestProtocol:
 
 
 class TestBehaviour:
-    def test_learns(self, tiny_dataset, tiny_setting):
-        algo, _ = _fresh(tiny_dataset, tiny_setting)
+    def test_learns(self):
+        algo, _ = _fresh()
         log = algo.run(rounds=6)
         assert log["val_acc"][-1] > log["val_acc"][0]
         assert log["val_acc"][-1] > 0.3
 
-    def test_momentum_corrected_effective_steps(self, tiny_dataset,
-                                                tiny_setting):
+    def test_momentum_corrected_effective_steps(self):
         # SPATL keeps momentum by using FedNova-style effective steps in
         # the Eq. 10 denominator (unlike SCAFFOLD, which must drop it).
-        algo, _ = _fresh(tiny_dataset, tiny_setting)
+        algo, _ = _fresh()
         assert algo.momentum == 0.9
         tau, rho = 8, 0.9
         expected = (tau - rho * (1 - rho ** tau) / (1 - rho)) / (1 - rho)
         assert algo._effective_steps(tau) == pytest.approx(expected)
         assert algo._effective_steps(tau) > tau  # momentum amplifies
-        model_fn, parts = tiny_setting
-        clients = make_federated_clients(tiny_dataset, parts, seed=5)
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo2 = SPATL(model_fn, clients, seed=0, lr=0.05, momentum=0.0)
         assert algo2._effective_steps(7) == 7.0
 
-    def test_cheaper_than_scaffold_per_round(self, tiny_dataset,
-                                             tiny_setting):
+    def test_cheaper_than_scaffold_per_round(self):
         from repro.fl import Scaffold
-        algo, _ = _fresh(tiny_dataset, tiny_setting, n_policy=0.5)
+        algo, _ = _fresh(n_policy=0.5)
         algo.run_round(0)
-        model_fn, parts = tiny_setting
-        clients = make_federated_clients(tiny_dataset, parts, seed=5)
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         sc = Scaffold(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
         sc.run_round(0)
         assert algo.ledger.round_bytes(0) < sc.ledger.round_bytes(0)
 
-    def test_inference_report(self, tiny_dataset, tiny_setting):
-        algo, _ = _fresh(tiny_dataset, tiny_setting)
+    def test_inference_report(self):
+        algo, _ = _fresh()
         algo.run_round(0)
         rep = algo.inference_report()
         assert rep
@@ -169,10 +154,8 @@ class TestBehaviour:
             assert 0.0 < stats["flops_ratio"] <= 1.0
             assert 0.0 < stats["params_ratio"] <= 1.0
 
-    def test_ablation_no_transfer_shares_predictor(self, tiny_dataset,
-                                                   tiny_setting):
-        model_fn, parts = tiny_setting
-        clients = make_federated_clients(tiny_dataset, parts, seed=5)
+    def test_ablation_no_transfer_shares_predictor(self):
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo = SPATL(model_fn, clients, use_transfer=False, lr=0.05,
                      local_epochs=1, seed=0)
         down = algo.download_payload(clients[0])

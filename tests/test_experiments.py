@@ -148,9 +148,9 @@ def test_stability_metric():
 class TestMultiSetting:
     def test_multi_setting_curves_micro(self):
         from repro.experiments.learning_efficiency import multi_setting_curves
-        grid = multi_setting_curves(scale="tiny", model="resnet20",
+        grid = multi_setting_curves(config_for("tiny", rounds=1, seed=1),
                                     settings=((2, 1.0),),
-                                    methods=("fedavg",), seed=1)
+                                    methods=("fedavg",))
         assert (2, 1.0) in grid
         assert "fedavg" in grid[(2, 1.0)]
         assert len(grid[(2, 1.0)]["fedavg"]["val_acc"]) > 0

@@ -3,21 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.fl import FedAvg, FedNova, FedProx, Scaffold
-from repro.fl.comm import payload_nbytes
+from repro.fl import FedAvg, FedProx, Scaffold
 
-
-def _fresh(tiny_dataset, tiny_setting):
-    from repro.fl import make_federated_clients
-    model_fn, parts = tiny_setting
-    clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                     seed=5)
-    return model_fn, clients
+from tests import matrix
 
 
 class TestFedAvg:
-    def test_aggregate_is_weighted_mean(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_aggregate_is_weighted_mean(self):
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
         u1 = {"state": {"w": np.asarray([1.0], dtype=np.float32)}, "n": 1}
         u2 = {"state": {"w": np.asarray([4.0], dtype=np.float32)}, "n": 3}
@@ -26,11 +19,10 @@ class TestFedAvg:
                                       [u1["n"], u2["n"]])
         np.testing.assert_allclose(avg["w"], [3.25])
 
-    def test_single_client_roundtrip_equals_local(self, tiny_dataset,
-                                                  tiny_setting):
+    def test_single_client_roundtrip_equals_local(self):
         # With one client at full participation, one FedAvg round must equal
         # plain local training of the global model.
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo = FedAvg(model_fn, clients[:1], lr=0.05, local_epochs=1, seed=0)
         reference = model_fn()
         from repro.fl.local import train_local
@@ -43,19 +35,17 @@ class TestFedAvg:
             np.testing.assert_allclose(p_ref.data, p_glob.data, atol=1e-6,
                                        err_msg=n)
 
-    def test_symmetric_cost(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
-        algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
-        algo.run_round(0)
-        up = sum(algo.ledger.uplink[0].values())
-        down = sum(algo.ledger.downlink[0].values())
+    def test_symmetric_cost(self):
+        uplink, downlink = matrix.reference("resume/fedavg-sync").ledger
+        up = sum(uplink[0].values())
+        down = sum(downlink[0].values())
         assert up == down  # full model both ways
 
 
 class TestFedProx:
-    def test_mu_zero_matches_fedavg(self, tiny_dataset, tiny_setting):
-        model_fn, clients_a = _fresh(tiny_dataset, tiny_setting)
-        _, clients_b = _fresh(tiny_dataset, tiny_setting)
+    def test_mu_zero_matches_fedavg(self):
+        model_fn, clients_a = matrix.model_fn(), matrix.clients()
+        clients_b = matrix.clients()
         fa = FedAvg(model_fn, clients_a, lr=0.05, local_epochs=1, seed=0)
         fp = FedProx(model_fn, clients_b, lr=0.05, local_epochs=1, seed=0,
                      mu=0.0)
@@ -66,9 +56,9 @@ class TestFedProx:
             np.testing.assert_allclose(p1.data, p2.data, atol=1e-6,
                                        err_msg=n)
 
-    def test_prox_term_restricts_drift(self, tiny_dataset, tiny_setting):
-        model_fn, clients_a = _fresh(tiny_dataset, tiny_setting)
-        _, clients_b = _fresh(tiny_dataset, tiny_setting)
+    def test_prox_term_restricts_drift(self):
+        model_fn, clients_a = matrix.model_fn(), matrix.clients()
+        clients_b = matrix.clients()
         small = FedProx(model_fn, clients_a, lr=0.05, local_epochs=2, seed=0,
                         mu=0.0)
         large = FedProx(model_fn, clients_b, lr=0.05, local_epochs=2, seed=0,
@@ -84,49 +74,40 @@ class TestFedProx:
         large.run_round(0)
         assert drift(large) < drift(small)
 
-    def test_negative_mu_rejected(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
-            FedProx(model_fn, clients, lr=0.05, mu=-1.0)
+            matrix.algorithm("fedprox", mu=-1.0)
 
 
 class TestFedNova:
-    def test_effective_steps_momentum_formula(self, tiny_dataset,
-                                              tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
-        algo = FedNova(model_fn, clients, lr=0.05, momentum=0.9, seed=0)
+    def test_effective_steps_momentum_formula(self):
+        algo = matrix.algorithm("fednova", momentum=0.9)
         # closed form: a = (tau - rho(1-rho^tau)/(1-rho)) / (1-rho)
         tau, rho = 5, 0.9
         expected = (tau - rho * (1 - rho ** tau) / (1 - rho)) / (1 - rho)
         assert algo._effective_steps(tau) == pytest.approx(expected)
 
-    def test_effective_steps_no_momentum(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
-        algo = FedNova(model_fn, clients, lr=0.05, momentum=0.0, seed=0)
+    def test_effective_steps_no_momentum(self):
+        algo = matrix.algorithm("fednova", momentum=0.0)
         assert algo._effective_steps(7) == 7.0
 
-    def test_uplink_carries_momentum_2x(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
-        nova = FedNova(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
+    def test_uplink_carries_momentum_2x(self):
+        nova = matrix.algorithm("fednova")
         nova.run_round(0)
-        _, clients2 = _fresh(tiny_dataset, tiny_setting)
-        avg = FedAvg(model_fn, clients2, lr=0.05, local_epochs=1, seed=0)
+        avg = matrix.algorithm("fedavg")
         avg.run_round(0)
         ratio = (nova.ledger.round_bytes(0) / avg.ledger.round_bytes(0))
         assert 1.7 < ratio < 2.3  # ~2x FedAvg per round, as in Table I
 
-    def test_improves_over_rounds(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
-        algo = FedNova(model_fn, clients, lr=0.05, local_epochs=2, seed=0)
+    def test_improves_over_rounds(self):
+        algo = matrix.algorithm("fednova", local_epochs=2)
         log = algo.run(rounds=4)
         assert log["val_acc"][-1] > log["val_acc"][0] - 0.05
 
 
 class TestScaffold:
-    def test_defaults_to_vanilla_sgd(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
-        algo = Scaffold(model_fn, clients, lr=0.05, seed=0)
-        assert algo.momentum == 0.0
+    def test_defaults_to_vanilla_sgd(self):
+        assert matrix.algorithm("scaffold").momentum == 0.0
 
     def test_first_round_matches_fedavg_sgd(self, tiny_dataset, tiny_setting):
         # c = c_i = 0 initially, so round 0 must equal FedAvg with plain SGD.
@@ -147,9 +128,9 @@ class TestScaffold:
             np.testing.assert_allclose(p1.data, p2.data, atol=1e-5,
                                        err_msg=n)
 
-    def test_variate_refresh_equation(self, tiny_dataset, tiny_setting):
+    def test_variate_refresh_equation(self):
         # After one local update: c_i+ = c_i - c + (x - y)/(K*eta)
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo = Scaffold(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
         client = clients[0]
         x = {n: p.data.copy()
@@ -161,26 +142,24 @@ class TestScaffold:
         np.testing.assert_allclose(client.local_state["c_i"][name], expected,
                                    atol=1e-6)
 
-    def test_cost_is_2x_fedavg(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
-        sc = Scaffold(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
-        _, clients2 = _fresh(tiny_dataset, tiny_setting)
-        fa = FedAvg(model_fn, clients2, lr=0.05, local_epochs=1, seed=0)
-        for r in range(2):
-            sc.run_round(r)
-            fa.run_round(r)
-        first = sc.ledger.round_bytes(0) / fa.ledger.round_bytes(0)
+    def test_cost_is_2x_fedavg(self):
+        """Read off the resume matrix's two-round sync references."""
+        def round_bytes(name, r):
+            return sum(sum(direction[r].values()) for direction in
+                       matrix.reference(f"resume/{name}-sync").ledger)
+
+        first = round_bytes("scaffold", 0) / round_bytes("fedavg", 0)
         assert 1.3 < first < 1.7, (
             "round 0, model M: c⁰ = 0 on both sides is not sent (DESIGN.md "
             "§5.1), so SCAFFOLD moves M down + (dw + dc = 2M) up against "
             f"FedAvg's M + M: 3M / 2M = 1.5x, got {first:.3f}")
-        steady = sc.ledger.round_bytes(1) / fa.ledger.round_bytes(1)
+        steady = round_bytes("scaffold", 1) / round_bytes("fedavg", 1)
         assert 1.7 < steady < 2.3, (
             "from round 1 on every row of c has moved: (M + c) down + 2M up "
             f"against M + M = 2x (Table I), got {steady:.3f}")
 
-    def test_server_variate_moves(self, tiny_dataset, tiny_setting):
-        model_fn, clients = _fresh(tiny_dataset, tiny_setting)
+    def test_server_variate_moves(self):
+        model_fn, clients = matrix.model_fn(), matrix.clients()
         algo = Scaffold(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
         algo.run_round(0)
         total = sum(float(np.abs(v).sum()) for v in algo.c_global.values())

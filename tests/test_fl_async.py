@@ -12,24 +12,21 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import SPATL, StaticSaliencyPolicy
 from repro.core.aggregation import salient_aggregate
 from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
-                      FaultModel, FedAvg, VirtualClock, serialize_state,
+                      FaultModel, VirtualClock, serialize_state,
                       state_fingerprint, staleness_weight)
 from repro.fl.stub import StubAvg, make_stub
 from repro.obs import Tracer, set_tracer
 
-HOSTILE = dict(jitter=0.3, straggler_prob=0.4, slowdown=6.0,
-               arrival_spread=1.0, churn_prob=0.15, crash_prob=0.1,
-               duplicate_prob=0.25)
+from tests import matrix
 
 
 def _stub_runner(n_clients=12, seed=3, profile=None, **cfg_kw):
     cfg_kw.setdefault("buffer_k", 3)
     cfg_kw.setdefault("max_inflight", 6)
     cfg_kw.setdefault("max_queue", 6)
-    profile = profile or AsyncProfile(seed=seed, **HOSTILE)
+    profile = profile or AsyncProfile(seed=seed, **matrix.HOSTILE)
     algo = make_stub(n_clients=n_clients, seed=seed)
     return AsyncFederatedRunner(algo, profile, AsyncConfig(**cfg_kw))
 
@@ -151,47 +148,29 @@ class TestDeterminism:
 class TestSyncEquivalence:
     """buffer_k == cohort + uniform durations bitwise-reproduces sync."""
 
-    def _pair(self, make_algo, rounds):
-        # make_algo builds fresh clients each call: client local state is
-        # mutated by a run, so sync and async must start from scratch.
-        sync_algo = make_algo()
-        sync_algo.run(rounds)
-        async_algo = make_algo()
-        n = len(async_algo.clients)
+    @staticmethod
+    def _async(algo, rounds):
+        n = len(algo.clients)
         runner = AsyncFederatedRunner(
-            async_algo, AsyncProfile(seed=5),
+            algo, AsyncProfile(seed=5),
             AsyncConfig(buffer_k=n, max_inflight=n))
         results = runner.run(steps=rounds)
         assert all(r.max_staleness == 0 for r in results)
         assert all(r.n_updates == n for r in results)
-        return sync_algo, async_algo
+        return algo
 
-    @staticmethod
-    def _fresh_clients(tiny_dataset, tiny_setting):
-        from repro.fl import make_federated_clients
-        _, parts = tiny_setting
-        return make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                      seed=5)
+    def test_fedavg_bitwise(self):
+        sync = matrix.reference("resume/fedavg-sync")    # two sync rounds
+        async_algo = self._async(matrix.algorithm("fedavg"), rounds=2)
+        assert serialize_state(dict(async_algo.global_model.state_dict())) \
+            == sync.model
+        assert async_algo.ledger.total_bytes() == sync.ledger_bytes
 
-    def test_fedavg_bitwise(self, tiny_model_fn, tiny_dataset, tiny_setting):
-        sync_algo, async_algo = self._pair(
-            lambda: FedAvg(tiny_model_fn,
-                           self._fresh_clients(tiny_dataset, tiny_setting),
-                           lr=0.05, local_epochs=1, sample_ratio=1.0,
-                           seed=0),
-            rounds=2)
-        assert serialize_state(dict(sync_algo.global_model.state_dict())) \
-            == serialize_state(dict(async_algo.global_model.state_dict()))
-        assert sync_algo.ledger.total_bytes() \
-            == async_algo.ledger.total_bytes()
-
-    def test_spatl_bitwise(self, tiny_model_fn, tiny_dataset, tiny_setting):
-        def make_algo():
-            return SPATL(tiny_model_fn,
-                         self._fresh_clients(tiny_dataset, tiny_setting),
-                         lr=0.05, local_epochs=1, sample_ratio=1.0, seed=0,
-                         selection_policy=StaticSaliencyPolicy(0.5))
-        sync_algo, async_algo = self._pair(make_algo, rounds=2)
+    def test_spatl_bitwise(self):
+        sync_algo = matrix.algorithm("spatl", sparsity=0.5)
+        sync_algo.run(2)
+        async_algo = self._async(matrix.algorithm("spatl", sparsity=0.5),
+                                 rounds=2)
         assert serialize_state(dict(sync_algo.global_model.state_dict())) \
             == serialize_state(dict(async_algo.global_model.state_dict()))
         assert sync_algo.ledger.total_bytes() \

@@ -19,13 +19,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core import SPATL, StaticSaliencyPolicy
-from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile, FedAvg,
-                      QuantConfig, Scaffold, make_federated_clients,
-                      serialize_state)
+from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
+                      QuantConfig, serialize_state)
 from repro.fl.checkpoint import load_async_checkpoint, save_async_checkpoint
 from repro.fl.comm import encode_update
 from repro.fl.stub import make_stub
+from tests import matrix
 from tests.test_fl_checkpoint import _assert_same_tree
 
 # the end-to-end benchmark's hostile profile (spatl_async_int4)
@@ -50,22 +49,15 @@ class EagerRunner(AsyncFederatedRunner):
         """A delivery finds its job trained already."""
 
 
-def _algo(name, tiny_dataset, tiny_setting):
-    model_fn, parts = tiny_setting
-    clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                     seed=5)
-    kwargs = dict(lr=0.05, local_epochs=1, seed=0)
+def _algo(name):
     if name == "spatl_int4":
-        return SPATL(model_fn, clients,
-                     selection_policy=StaticSaliencyPolicy(0.3),
-                     quant=QuantConfig(bits=4, block=256,
-                                       error_feedback=True), **kwargs)
-    return {"fedavg": FedAvg, "scaffold": Scaffold}[name](
-        model_fn, clients, **kwargs)
+        return matrix.algorithm("spatl", quant=QuantConfig(
+            bits=4, block=256, error_feedback=True))
+    return matrix.algorithm(name)
 
 
-def _runner(cls, name, tiny_dataset, tiny_setting, seed=0):
-    return cls(_algo(name, tiny_dataset, tiny_setting),
+def _runner(cls, name, seed=0):
+    return cls(_algo(name),
                AsyncProfile(seed=seed, **HOSTILE), CONFIG)
 
 
@@ -86,10 +78,9 @@ def _assert_same_server(ref, got):
 
 
 @pytest.mark.parametrize("name", ["spatl_int4", "fedavg", "scaffold"])
-def test_lazy_training_matches_training_at_dispatch(name, tiny_dataset,
-                                                    tiny_setting):
-    eager = _runner(EagerRunner, name, tiny_dataset, tiny_setting)
-    lazy = _runner(AsyncFederatedRunner, name, tiny_dataset, tiny_setting)
+def test_lazy_training_matches_training_at_dispatch(name):
+    eager = _runner(EagerRunner, name)
+    lazy = _runner(AsyncFederatedRunner, name)
     stale = []
     train_against = lazy.algo._train_against
     lazy.algo._train_against = lambda *a: stale.append(a) or train_against(*a)
@@ -122,13 +113,11 @@ def test_lazy_training_matches_training_at_dispatch(name, tiny_dataset,
 
 
 @pytest.mark.parametrize("name", ["spatl_int4", "scaffold"])
-def test_mid_flight_resume_with_pending_snapshots(name, tmp_path,
-                                                  tiny_dataset, tiny_setting):
-    straight = _runner(AsyncFederatedRunner, name, tiny_dataset,
-                       tiny_setting)
+def test_mid_flight_resume_with_pending_snapshots(name, tmp_path):
+    straight = _runner(AsyncFederatedRunner, name)
     straight.run(steps=STEPS)
 
-    first = _runner(AsyncFederatedRunner, name, tiny_dataset, tiny_setting)
+    first = _runner(AsyncFederatedRunner, name)
     for _ in range(400):
         first.pump(1)
         steps = {first.jobs[j].dispatch_step for j in first.inflight
@@ -138,8 +127,9 @@ def test_mid_flight_resume_with_pending_snapshots(name, tmp_path,
     assert len(steps) >= 2 and first.snapshots
     assert first.server_step < STEPS
     path = tmp_path / "async.npz"
-    save_async_checkpoint(first, path)
-    resumed = _runner(AsyncFederatedRunner, name, tiny_dataset, tiny_setting)
+    # a save trains no pending job and drops no snapshot
+    matrix.save_unchanged(save_async_checkpoint, first, path)
+    resumed = _runner(AsyncFederatedRunner, name)
     load_async_checkpoint(resumed, path)
     assert set(resumed.snapshots) == set(first.snapshots)
     resumed.run(steps=STEPS - resumed.server_step)

@@ -5,121 +5,67 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import SPATL, RLSelectionPolicy, StaticSaliencyPolicy
 from repro.core.gradient_control import ControlVariate
-from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
-                      AsyncProfile, ClientStateStore, FaultModel, FedAvg,
-                      RetryPolicy, Scaffold, ScaleRunner, ShardedClientFactory,
-                      VirtualClientPool, make_federated_clients,
-                      serialize_state, state_fingerprint)
+from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
+                      FaultModel, ScaleRunner, serialize_state,
+                      state_fingerprint)
 from repro.fl.checkpoint import (FORMAT, load_async_checkpoint,
                                  load_checkpoint, save_async_checkpoint,
                                  save_checkpoint)
 from repro.fl.stub import make_stub
-from repro.rl import SalientParameterAgent
 
-HOSTILE = dict(jitter=0.3, straggler_prob=0.4, slowdown=6.0,
-               arrival_spread=1.0, churn_prob=0.15, crash_prob=0.1,
-               duplicate_prob=0.25)
-
-
-def _clients(tiny_dataset, tiny_setting):
-    _, parts = tiny_setting
-    return make_federated_clients(tiny_dataset, parts, batch_size=32, seed=5)
-
-
-def _pool(tiny_dataset, tiny_setting, root):
-    _, parts = tiny_setting
-    factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts,
-                                   batch_size=32, seed=5)
-    return VirtualClientPool(factory, len(parts), ClientStateStore(root))
-
+from tests import matrix
 
 # --------------------------------------------------------------------------
-# Resume identity: algorithm x driver.  An interrupted run restored into a
-# freshly constructed algorithm must end in the uninterrupted run's state —
-# server state (arrays, key order, fingerprint), ledger, and every client's
-# ``local_state``.
+# Resume identity: algorithm x driver (``matrix.params("resume")``).  An
+# interrupted run restored into a freshly constructed algorithm must end in
+# the uninterrupted run's state: server state (arrays, key order, dtypes,
+# fingerprint), ledger, fault stats and every client's ``local_state``.
+# The sync reference saves its checkpoint itself after round 1 of 2,
+# through ``matrix.save_unchanged``: it asserts the save left the run as
+# it was, so the saver, continued, is the straight run.  The async
+# reference is a straight run; its interrupted run saves mid-buffer.
 # --------------------------------------------------------------------------
 
-# The fault axis of the sync and scale columns: round 0 commits with a
-# retransmission; in round 1 client 1 is dropped while client 0 delivers
-# (where the scale cell checkpoints), quorum fails and the re-sampled
-# cohort delivers, withdrawing the staged drop.
-FAULTS = dict(fault_model=FaultModel(drop_prob=0.4, corrupt_prob=0.15,
-                                     crash_prob=0.1, seed=27),
-              min_clients=3, max_round_resamples=1,
-              retry_policy=RetryPolicy(max_retries=1))
 
-
-def _make_algo(name, model_fn, clients, **kwargs):
-    kwargs.update(lr=0.05, local_epochs=1, seed=0)
-    if name in ALGORITHMS:
-        return ALGORITHMS[name](model_fn, clients, **kwargs)
-    if name == "spatl_rl":
-        # fine-tuning outlasts the checkpoint, so the resumed rounds only
-        # match when the agent arrays *and* its PPO update count (the
-        # rollout seed) and participation count came back
-        policy = RLSelectionPolicy(SalientParameterAgent(seed=0),
-                                   flops_target=0.8, finetune_rounds=2,
-                                   finetune_updates=1, episodes_per_update=2,
-                                   probe_size=32)
-    else:
-        policy = StaticSaliencyPolicy(0.3)
-    return SPATL(model_fn, clients, selection_policy=policy, **kwargs)
-
-
-def _resume_sync(make, tmp_path):
-    """Save at a round boundary (after 1 of 2 rounds)."""
-    ref, _ = make("ref")
-    ref.run(rounds=2)
-    first, _ = make("run")
-    first.run(rounds=1)
-    save_checkpoint(first, tmp_path / "sync.npz")
-    resumed, _ = make("run")
-    load_checkpoint(resumed, tmp_path / "sync.npz")
+def _resume_sync(cell, ref, path, tmp_path):
+    path.write_bytes(ref.extra["checkpoint"])
+    resumed = matrix.build(cell, tmp_path)
+    load_checkpoint(resumed, path)
     assert resumed.rounds_completed == 1
     resumed.run(rounds=1)
-    return ref, resumed
+    return resumed
 
 
-def _resume_async(make, tmp_path):
+def _resume_async(cell, ref, path, tmp_path):
     """Save mid-buffer: jobs in flight, updates parked, clock mid-step."""
-    profile = AsyncProfile(seed=5, **HOSTILE)
-    config = AsyncConfig(buffer_k=2, max_inflight=3, max_queue=3)
-    ref = AsyncFederatedRunner(make("ref")[0], profile, config)
-    ref.run(steps=4)
-    first = AsyncFederatedRunner(make("run")[0], profile, config)
+    first = matrix.build(cell, tmp_path)
     first.pump(9)
     assert first.buffer or first.inflight
-    save_async_checkpoint(first, tmp_path / "async.npz")
-    resumed = AsyncFederatedRunner(make("run")[0], profile, config)
-    load_async_checkpoint(resumed, tmp_path / "async.npz")
+    save_async_checkpoint(first, path)
+    resumed = matrix.build(cell, tmp_path)
+    load_async_checkpoint(resumed, path)
     resumed.run(steps=4 - resumed.server_step)
-    assert resumed.counters == ref.counters
-    return ref.algo, resumed.algo
+    assert resumed.counters == ref.extra["counters"]
+    return resumed
 
 
-def _resume_scale(make, tmp_path):
-    """Save mid-round: half the cohort folded, the rest still to run."""
-    def runner(tag):
-        algo, pool = make(tag)
-        return ScaleRunner(algo, pool=pool,
-                           spill_dir=tmp_path / f"spills_{tag}")
-
-    ref = runner("ref")
-    ref.run(2)
-    first = runner("run")
+def _resume_scale(cell, ref, path, tmp_path):
+    """Save mid-round: half the cohort folded, the rest still to run.  The
+    virtual population's client state resumes from the spill store's
+    manifest rather than the .npz, so the interrupted run and the resumed
+    one share a store root."""
+    first = matrix.build(cell, tmp_path)
     first.run_round(0)
     first.run_round_partial(1, 2)
-    if first.algo.fault_model is not None:
+    if cell.faults:
         stats = first._pending.stats   # a client has already failed
         assert stats._drops and stats._delivered and stats.n_retries
-    first.save_round_checkpoint(tmp_path / "scale.npz")
-    resumed = runner("run")
-    resumed.load_round_checkpoint(tmp_path / "scale.npz")
+    first.save_round_checkpoint(path)
+    resumed = matrix.build(cell, tmp_path)
+    resumed.load_round_checkpoint(path)
     assert resumed.resume_round().round_idx == 1
-    return ref.algo, resumed.algo
+    return resumed
 
 
 def _assert_same_tree(ref, got, path):
@@ -137,41 +83,19 @@ def _assert_same_tree(ref, got, path):
         assert ref == got, path
 
 
-def _assert_same_run(ref, resumed):
-    server, got = ref.worker_sync_state(), resumed.worker_sync_state()
-    _assert_same_tree(server, got, "server")
-    assert state_fingerprint(got) == state_fingerprint(server)
-    assert resumed.ledger.uplink == ref.ledger.uplink
-    assert resumed.ledger.downlink == ref.ledger.downlink
-    assert resumed.rounds_completed == ref.rounds_completed
-    assert resumed.fault_stats.as_dict() == ref.fault_stats.as_dict()
-    for c_ref, c_got in zip(ref.clients, resumed.clients):
-        _assert_same_tree(c_ref.local_state, c_got.local_state,
-                          f"client{c_ref.client_id}")
-
-
-@pytest.mark.parametrize("driver", ["sync", "async", "scale", "sync+faults",
-                                    "scale+faults"])
-@pytest.mark.parametrize("name", [*ALGORITHMS, "spatl", "spatl_rl"])
-def test_resume_identity(name, driver, tmp_path, tiny_dataset, tiny_setting):
-    model_fn, _ = tiny_setting
-    driver, _, faults = driver.partition("+")
-
-    def make(tag):
-        # the scale column runs over a virtual population, so client state
-        # resumes from the spill store's manifest rather than the .npz;
-        # "ref" and "run" (interrupted, then resumed) each own a store root
-        pool = None
-        clients = _clients(tiny_dataset, tiny_setting)
-        if driver == "scale":
-            pool = _pool(tiny_dataset, tiny_setting, tmp_path / f"store_{tag}")
-            clients = pool.clients()
-        return _make_algo(name, model_fn, clients,
-                          **(FAULTS if faults else {})), pool
-
-    resume = {"sync": _resume_sync, "async": _resume_async,
-              "scale": _resume_scale}[driver]
-    _assert_same_run(*resume(make, tmp_path))
+@pytest.mark.parametrize("cell", matrix.params("resume"))
+def test_resume_identity(cell, tmp_path):
+    ref = matrix.reference(cell)
+    path = tmp_path / "ckpt.npz"
+    resume = {matrix.Sync: _resume_sync, matrix.Async: _resume_async,
+              matrix.Scale: _resume_scale}[type(cell.driver)]
+    got = matrix.freeze(resume(cell, ref, path, tmp_path))
+    assert got.server == ref.server         # arrays, key order and dtypes
+    assert got.fingerprint == ref.fingerprint
+    assert got.ledger == ref.ledger
+    assert got.rounds_completed == ref.rounds_completed
+    assert got.fault_stats == ref.fault_stats
+    assert got.clients == ref.clients       # every client's local_state
 
 
 class TestCheckpointFormat:
@@ -236,16 +160,13 @@ class TestCheckpointFormat:
 
 
 class TestCheckpointRoundtrip:
-    def test_fedavg_state_restored(self, tmp_path, tiny_dataset, tiny_setting):
-        model_fn, _ = tiny_setting
-        algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                      lr=0.05, local_epochs=1, seed=0)
+    def test_fedavg_state_restored(self, tmp_path):
+        algo = matrix.algorithm("fedavg")
         algo.run(rounds=2)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(algo, path)
 
-        fresh = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                       lr=0.05, local_epochs=1, seed=0)
+        fresh = matrix.algorithm("fedavg")
         load_checkpoint(fresh, path)
         assert fresh.rounds_completed == 2
         for (n, p1), (_, p2) in zip(algo.global_model.named_parameters(),
@@ -253,16 +174,12 @@ class TestCheckpointRoundtrip:
             np.testing.assert_array_equal(p1.data, p2.data, err_msg=n)
         assert fresh.ledger.total_bytes() == algo.ledger.total_bytes()
 
-    def test_scaffold_variates_roundtrip(self, tmp_path, tiny_dataset,
-                                         tiny_setting):
-        model_fn, _ = tiny_setting
-        algo = Scaffold(model_fn, _clients(tiny_dataset, tiny_setting),
-                        lr=0.05, local_epochs=1, seed=0)
+    def test_scaffold_variates_roundtrip(self, tmp_path):
+        algo = matrix.algorithm("scaffold")
         algo.run(rounds=2)
         path = tmp_path / "sc.npz"
         save_checkpoint(algo, path)
-        fresh = Scaffold(model_fn, _clients(tiny_dataset, tiny_setting),
-                         lr=0.05, local_epochs=1, seed=0)
+        fresh = matrix.algorithm("scaffold")
         load_checkpoint(fresh, path)
         for name, v in algo.c_global.items():
             np.testing.assert_array_equal(fresh.c_global[name], v,
@@ -274,18 +191,12 @@ class TestCheckpointRoundtrip:
                     np.testing.assert_array_equal(
                         c_new.local_state["c_i"][k], v)
 
-    def test_spatl_full_state_roundtrip(self, tmp_path, tiny_dataset,
-                                        tiny_setting):
-        model_fn, _ = tiny_setting
-        algo = SPATL(model_fn, _clients(tiny_dataset, tiny_setting),
-                     selection_policy=StaticSaliencyPolicy(0.3),
-                     lr=0.05, local_epochs=1, seed=0)
+    def test_spatl_full_state_roundtrip(self, tmp_path):
+        algo = matrix.algorithm("spatl")
         algo.run(rounds=2)
         path = tmp_path / "spatl.npz"
         save_checkpoint(algo, path)
-        fresh = SPATL(model_fn, _clients(tiny_dataset, tiny_setting),
-                      selection_policy=StaticSaliencyPolicy(0.3),
-                      lr=0.05, local_epochs=1, seed=0)
+        fresh = matrix.algorithm("spatl")
         load_checkpoint(fresh, path)
         # encoder control variate (ControlVariate object) restored
         for name in algo.c_global.names():
@@ -301,31 +212,24 @@ class TestCheckpointRoundtrip:
         fresh.run(rounds=1)
         assert fresh.rounds_completed == 3
 
-    def test_fault_stats_roundtrip(self, tmp_path, tiny_dataset,
-                                   tiny_setting):
-        model_fn, _ = tiny_setting
-        algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                      lr=0.05, local_epochs=1, seed=0,
-                      fault_model=FaultModel(drop_prob=0.5, seed=2))
+    def test_fault_stats_roundtrip(self, tmp_path):
+        algo = matrix.algorithm(
+            "fedavg", fault_model=FaultModel(drop_prob=0.5, seed=2))
         algo.run(rounds=2)
         path = tmp_path / "faulty.npz"
         save_checkpoint(algo, path)
-        fresh = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                       lr=0.05, local_epochs=1, seed=0,
-                       fault_model=FaultModel(drop_prob=0.5, seed=2))
+        fresh = matrix.algorithm(
+            "fedavg", fault_model=FaultModel(drop_prob=0.5, seed=2))
         load_checkpoint(fresh, path)
         assert fresh.fault_stats == algo.fault_stats
 
-    def test_client_count_mismatch_rejected(self, tmp_path, tiny_dataset,
-                                            tiny_setting):
-        model_fn, _ = tiny_setting
-        clients = _clients(tiny_dataset, tiny_setting)
-        algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
+    def test_client_count_mismatch_rejected(self, tmp_path):
+        clients = matrix.clients()
+        algo = matrix.algorithm("fedavg", client_list=clients)
         algo.run(rounds=1)
         path = tmp_path / "c.npz"
         save_checkpoint(algo, path)
-        smaller = FedAvg(model_fn, clients[:2], lr=0.05, local_epochs=1,
-                         seed=0)
+        smaller = matrix.algorithm("fedavg", client_list=clients[:2])
         with pytest.raises(ValueError):
             load_checkpoint(smaller, path)
 
@@ -355,12 +259,9 @@ class TestMidRoundCrashResume:
             np.testing.assert_allclose(p1.data, p2.data, atol=1e-7,
                                        err_msg=n)
 
-    def test_fedavg(self, tmp_path, tiny_dataset, tiny_setting):
-        model_fn, _ = tiny_setting
-
+    def test_fedavg(self, tmp_path):
         def fresh():
-            return FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                          lr=0.05, local_epochs=1, seed=0)
+            return matrix.algorithm("fedavg")
 
         ref = fresh()
         ref_log = ref.run(rounds=3)
@@ -377,13 +278,9 @@ class TestMidRoundCrashResume:
         resumed_log = resumed.run(rounds=1)
         self._assert_same_trajectory(ref, resumed, ref_log, resumed_log)
 
-    def test_spatl(self, tmp_path, tiny_dataset, tiny_setting):
-        model_fn, _ = tiny_setting
-
+    def test_spatl(self, tmp_path):
         def fresh():
-            return SPATL(model_fn, _clients(tiny_dataset, tiny_setting),
-                         selection_policy=StaticSaliencyPolicy(0.3),
-                         lr=0.05, local_epochs=1, seed=0)
+            return matrix.algorithm("spatl")
 
         ref = fresh()
         ref_log = ref.run(rounds=3)
@@ -399,23 +296,16 @@ class TestMidRoundCrashResume:
         resumed_log = resumed.run(rounds=1)
         self._assert_same_trajectory(ref, resumed, ref_log, resumed_log)
 
-    def test_faulty_run_with_retries_resumes_byte_identical(
-            self, tmp_path, tiny_dataset, tiny_setting):
+    def test_faulty_run_with_retries_resumes_byte_identical(self, tmp_path):
         """ISSUE-6 satellite: crash mid-round while the fault path's
         retry machinery is active; resuming from the last boundary
         checkpoint must reproduce the uninterrupted faulty run's final
         state *byte-identically* (the fault RNG tree is keyed, never
         sequential, so a half-executed round leaks no draws)."""
-        model_fn, _ = tiny_setting
-        fault_kw = dict(
-            lr=0.05, local_epochs=1, seed=0, min_clients=2,
-            fault_model=FaultModel(drop_prob=0.4, straggler_prob=0.3,
-                                   timeout=6.0, corrupt_prob=0.1,
-                                   crash_prob=0.1, seed=7))
-
         def fresh():
-            return FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                          **fault_kw)
+            return matrix.algorithm("fedavg", min_clients=2, fault_model=(
+                FaultModel(drop_prob=0.4, straggler_prob=0.3, timeout=6.0,
+                           corrupt_prob=0.1, crash_prob=0.1, seed=7)))
 
         ref = fresh()
         ref.run(rounds=3)
@@ -451,23 +341,20 @@ class TestScaleMidRoundCheckpoint:
         return (serialize_state(dict(algo.global_model.state_dict())),
                 algo.ledger.total_bytes())
 
-    def test_fedavg_with_pool_resumes_byte_identical(
-            self, tmp_path, tiny_dataset, tiny_setting):
-        model_fn, _ = tiny_setting
-
+    def test_fedavg_with_pool_resumes_byte_identical(self, tmp_path):
         # uninterrupted reference: 2 full streaming rounds
-        ref_pool = _pool(tiny_dataset, tiny_setting, tmp_path / "ref")
-        ref = FedAvg(model_fn, ref_pool.clients(), lr=0.05, local_epochs=1,
-                     seed=0, sample_ratio=1.0)
+        ref_pool = matrix.virtual_pool(tmp_path / "ref")
+        ref = matrix.algorithm("fedavg", client_list=ref_pool.clients(),
+                               sample_ratio=1.0)
         ScaleRunner(ref, pool=ref_pool,
                     spill_dir=tmp_path / "ref_spills").run(2)
 
         # interrupted: round 0, then half of round 1's cohort, snapshot
         store_root = tmp_path / "store"
-        pool = _pool(tiny_dataset, tiny_setting, store_root)
+        pool = matrix.virtual_pool(store_root)
         samples = open(pool.factory.path, "rb").read()
-        doomed = FedAvg(model_fn, pool.clients(), lr=0.05, local_epochs=1,
-                        seed=0, sample_ratio=1.0)
+        doomed = matrix.algorithm("fedavg", client_list=pool.clients(),
+                                  sample_ratio=1.0)
         runner = ScaleRunner(doomed, pool=pool,
                              spill_dir=tmp_path / "spills")
         runner.run_round(0)
@@ -476,9 +363,9 @@ class TestScaleMidRoundCheckpoint:
         runner.save_round_checkpoint(path)
 
         # fresh process: same store root, fresh pool/algorithm/runner
-        pool2 = _pool(tiny_dataset, tiny_setting, store_root)
-        resumed_algo = FedAvg(model_fn, pool2.clients(), lr=0.05,
-                              local_epochs=1, seed=0, sample_ratio=1.0)
+        pool2 = matrix.virtual_pool(store_root)
+        resumed_algo = matrix.algorithm("fedavg", client_list=pool2.clients(),
+                                        sample_ratio=1.0)
         resumed = ScaleRunner(resumed_algo, pool=pool2,
                               spill_dir=tmp_path / "spills")
         resumed.load_round_checkpoint(path)
@@ -490,14 +377,9 @@ class TestScaleMidRoundCheckpoint:
         assert pool2.factory.path == pool.factory.path
         assert open(pool2.factory.path, "rb").read() == samples
 
-    def test_spatl_materialized_resumes_byte_identical(
-            self, tmp_path, tiny_dataset, tiny_setting):
-        model_fn, _ = tiny_setting
-
+    def test_spatl_materialized_resumes_byte_identical(self, tmp_path):
         def fresh():
-            return SPATL(model_fn, _clients(tiny_dataset, tiny_setting),
-                         selection_policy=StaticSaliencyPolicy(0.3),
-                         lr=0.05, local_epochs=1, seed=0, sample_ratio=1.0)
+            return matrix.algorithm("spatl", sample_ratio=1.0)
 
         ref = fresh()
         ScaleRunner(ref, spill_dir=tmp_path / "ref_spills").run(2)
@@ -560,22 +442,16 @@ class TestScaleMidRoundCheckpoint:
         assert runner._pending is pending
         assert runner.resume_round().n_participants == 4
 
-    def test_resume_without_pending_rejected(self, tmp_path, tiny_dataset,
-                                             tiny_setting):
-        model_fn, _ = tiny_setting
-        algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                      lr=0.05, local_epochs=1, seed=0)
+    def test_resume_without_pending_rejected(self, tmp_path):
+        algo = matrix.algorithm("fedavg")
         runner = ScaleRunner(algo, spill_dir=tmp_path / "spills")
         with pytest.raises(RuntimeError):
             runner.resume_round()
         with pytest.raises(RuntimeError):
             runner.save_round_checkpoint(tmp_path / "none.npz")
 
-    def test_sync_checkpoint_rejected_by_scale_loader(
-            self, tmp_path, tiny_dataset, tiny_setting):
-        model_fn, _ = tiny_setting
-        algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                      lr=0.05, local_epochs=1, seed=0)
+    def test_sync_checkpoint_rejected_by_scale_loader(self, tmp_path):
+        algo = matrix.algorithm("fedavg")
         algo.run(rounds=1)
         path = tmp_path / "sync.npz"
         save_checkpoint(algo, path)
@@ -589,7 +465,7 @@ class TestAsyncCheckpoint:
     jobs, dedup registry, and counters all resume bit-exactly."""
 
     def _fresh(self, seed=5):
-        profile = AsyncProfile(seed=seed, **HOSTILE)
+        profile = AsyncProfile(seed=seed, **matrix.HOSTILE)
         config = AsyncConfig(buffer_k=3, max_inflight=4, max_queue=4)
         return AsyncFederatedRunner(make_stub(n_clients=10, seed=seed),
                                     profile, config)
@@ -621,16 +497,12 @@ class TestAsyncCheckpoint:
         resumed.run(steps=12 - resumed.server_step)
         assert self._state(resumed) == self._state(ref)
 
-    def test_spatl_mid_buffer_resume(self, tmp_path, tiny_dataset,
-                                     tiny_setting):
-        model_fn, _ = tiny_setting
-        profile = AsyncProfile(seed=5, **HOSTILE)
+    def test_spatl_mid_buffer_resume(self, tmp_path):
+        profile = AsyncProfile(seed=5, **matrix.HOSTILE)
         config = AsyncConfig(buffer_k=2, max_inflight=3, max_queue=3)
 
         def fresh():
-            algo = SPATL(model_fn, _clients(tiny_dataset, tiny_setting),
-                         selection_policy=StaticSaliencyPolicy(0.3),
-                         lr=0.05, local_epochs=1, seed=0)
+            algo = matrix.algorithm("spatl")
             return AsyncFederatedRunner(algo, profile, config)
 
         ref = fresh()
@@ -657,7 +529,7 @@ class TestAsyncCheckpoint:
         save_async_checkpoint(runner, path)
         other = AsyncFederatedRunner(
             make_stub(n_clients=10, seed=5),
-            AsyncProfile(seed=5, **HOSTILE),
+            AsyncProfile(seed=5, **matrix.HOSTILE),
             AsyncConfig(buffer_k=5, max_inflight=4, max_queue=4))
         with pytest.raises(ValueError):
             load_async_checkpoint(other, path)
@@ -673,12 +545,8 @@ class TestAsyncCheckpoint:
         with pytest.raises(ValueError):
             load_async_checkpoint(other, path)
 
-    def test_sync_checkpoint_rejected_by_async_loader(self, tmp_path,
-                                                      tiny_dataset,
-                                                      tiny_setting):
-        model_fn, _ = tiny_setting
-        algo = FedAvg(model_fn, _clients(tiny_dataset, tiny_setting),
-                      lr=0.05, local_epochs=1, seed=0)
+    def test_sync_checkpoint_rejected_by_async_loader(self, tmp_path):
+        algo = matrix.algorithm("fedavg")
         algo.run(rounds=1)
         path = tmp_path / "sync.npz"
         save_checkpoint(algo, path)
@@ -882,18 +750,16 @@ class TestHostileCheckpoint:
     SERVER_PREFIX = {"scaffold": "cv.", "fednova": "sm.", "spatl": "cv."}
 
     @pytest.fixture(scope="class")
-    def server_ckpt(self, tmp_path_factory, tiny_dataset, tiny_setting):
+    def server_ckpt(self, tmp_path_factory):
         """``(name, loader) -> (saved file bytes, target factory)``, each
         written once: a fresh algorithm (sync), a runner a few events in
         (async), a round one client in (scale)."""
-        model_fn, _ = tiny_setting
         root = tmp_path_factory.mktemp("server_ckpt")
         profile, config = AsyncProfile(seed=2), AsyncConfig()
         saved = {}
 
         def make(name):
-            return _make_algo(name, model_fn,
-                              _clients(tiny_dataset, tiny_setting))
+            return matrix.algorithm(name)
 
         def get(name, loader):
             path = root / f"{name}_{loader}.npz"

@@ -1,214 +1,81 @@
 """The delta downlink, end to end (DESIGN.md §5.1).
 
-A test-only *shadow client* rides in ``client.local_state`` — so it
-follows the client through worker pickles, crash rollbacks, the spill
-store and checkpoints exactly like ``synced`` does — applies every
-payload the client is sent and asserts, at every participation, that what
-it holds is byte-equal to the server's full downlink state.  It starts
-from the client half's :func:`~repro.fl.wire.cold_cache` — the zeros a
-joining client initialises ``c`` to — so a first contact reconstructs the
-state without having been sent them.  It runs over SPATL (static and RL
-policy) and SCAFFOLD on every driver, late joiners included.  Around it:
-the ``synced`` commit rule, the per-base broadcast cache key, and round-0
+The downlink matrix's algorithms (``tests/matrix.py``) carry a test-only
+*shadow client* in ``client.local_state`` — so it follows the client
+through worker pickles, crash rollbacks, the spill store and checkpoints
+exactly like ``synced`` does — that applies every payload the client is
+sent and asserts, at every participation, that what it holds is
+byte-equal to the server's full downlink state.  It starts from the
+client half's :func:`~repro.fl.wire.cold_cache` — the zeros a joining
+client initialises ``c`` to — so a first contact reconstructs the state
+without having been sent them.  It runs over SPATL (static and RL policy)
+and SCAFFOLD on every driver, late joiners included.  Around it: the
+``synced`` commit rule, the per-base broadcast cache key, and round-0
 bytes against the full state for all eight algorithms.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import SPATL, RLSelectionPolicy, StaticSaliencyPolicy
 from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
-                      AsyncProfile, ClientStateStore, FaultModel, Scaffold,
-                      ScaleRunner, ShardedClientFactory, VirtualClientPool,
-                      make_executor, make_federated_clients, payload_nbytes)
-from repro.fl.checkpoint import (load_async_checkpoint, load_checkpoint,
-                                 save_async_checkpoint, save_checkpoint)
+                      AsyncProfile, FaultModel, ScaleRunner, payload_nbytes)
+from repro.fl.checkpoint import load_async_checkpoint, save_async_checkpoint
 from repro.fl.comm import Transport
 from repro.fl.resilience import (ClientCrashed, RetryPolicy,
                                  StragglerTimeout, TransferCorrupted)
+from repro.fl.scale import decode_client_state
 from repro.fl.stub import make_stub
-from repro.fl.wire import (BroadcastCache, apply_delta, cold_cache,
-                           serialize)
+from repro.fl.wire import BroadcastCache, serialize
 from repro.obs import tracing
-from repro.rl import SalientParameterAgent
+
+from tests import matrix
 
 
-class _Shadowed:
-    """Mixin: a client-side cache that applies every received payload."""
-
-    def _download(self, client, round_idx, salt=0, attempt=0):
-        received = super()._download(client, round_idx, salt, attempt)
-        full = self.downlink_state()
-        if "shadow" not in client.local_state:
-            client.local_state["shadow"] = {
-                "cache": cold_cache(full, self.zero_born), "syncs": 0,
-                "row_deltas": 0,
-                "first": {"round": round_idx, "entries": list(received),
-                          "nbytes": payload_nbytes(received)}}
-        shadow = client.local_state["shadow"]
-        apply_delta(shadow["cache"], received)
-        assert sorted(shadow["cache"]) == sorted(full)
-        for name, value in full.items():
-            assert shadow["cache"][name].tobytes() \
-                == np.asarray(value).tobytes(), (client.client_id, name)
-        shadow["syncs"] += 1
-        shadow["row_deltas"] += any(k.endswith(".idx") for k in received)
-        return received
+def _shadows(ref):
+    return [state["shadow"] for state in map(decode_client_state, ref.clients)
+            if "shadow" in state]
 
 
-class ShadowedSPATL(_Shadowed, SPATL):
-    pass
-
-
-class ShadowedScaffold(_Shadowed, Scaffold):
-    pass
-
-
-def _make(kind, model_fn, clients, **kwargs):
-    kwargs = dict(lr=0.05, local_epochs=1, seed=0, **kwargs)
-    if kind == "scaffold":
-        return ShadowedScaffold(model_fn, clients, **kwargs)
-    if kind == "spatl_rl":
-        policy = RLSelectionPolicy(SalientParameterAgent(seed=0),
-                                   flops_target=0.8, finetune_rounds=1,
-                                   finetune_updates=1, episodes_per_update=2,
-                                   probe_size=32)
-    else:
-        policy = StaticSaliencyPolicy(0.3)
-    return ShadowedSPATL(model_fn, clients, selection_policy=policy, **kwargs)
-
-
-def _sync_partial(kind, model_fn, clients, tmp_path):
-    algo = _make(kind, model_fn, clients(), sample_ratio=0.5)
-    algo.run(rounds=5)
-    return algo
-
-
-def _faults(kind, model_fn, clients, tmp_path):
-    algo = _make(kind, model_fn, clients(), fault_model=FaultModel(
-        drop_prob=0.25, corrupt_prob=0.2, crash_prob=0.2, seed=7))
-    algo.run(rounds=4)
-    assert algo.fault_stats.n_retries > 0 and algo.fault_stats.n_corrupt > 0
-    return algo
-
-
-def _pool(kind, model_fn, clients, tmp_path):
-    algo = _make(kind, model_fn, clients(), executor=make_executor(2))
-    try:
-        algo.run(rounds=3)
-    finally:
-        algo.close()
-    return algo
-
-
-def _async(kind, model_fn, clients, tmp_path):
-    algo = _make(kind, model_fn, clients())
-    runner = AsyncFederatedRunner(
-        algo, AsyncProfile(seed=5, jitter=0.3, straggler_prob=0.4,
-                           slowdown=6.0, arrival_spread=1.0,
-                           duplicate_prob=0.3),
-        AsyncConfig(buffer_k=2, max_inflight=3, max_queue=3))
-    runner.run(steps=5)
-    assert runner.counters["deduped"] > 0
-    return algo
-
-
-def _scale(kind, model_fn, clients, tmp_path):
-    pool = clients(virtual_root=tmp_path / "store")
-    algo = _make(kind, model_fn, pool.clients())
-    runner = ScaleRunner(algo, pool=pool, spill_dir=tmp_path / "spills",
-                         eval_mode="none")
-    runner.run(3)
-    runner.close()
-    return algo
-
-
-def _resumed(kind, model_fn, clients, tmp_path, **kwargs):
-    first = _make(kind, model_fn, clients(), **kwargs)
-    first.run(rounds=2)
-    save_checkpoint(first, tmp_path / "run.npz")
-    algo = _make(kind, model_fn, clients(), **kwargs)
-    load_checkpoint(algo, tmp_path / "run.npz")
-    algo.run(rounds=2)
-    return algo
-
-
-@pytest.fixture
-def client_source(tiny_dataset, tiny_setting):
-    """``clients()``: the four tiny clients; with ``virtual_root``, a
-    pool of them over a spill store with two resident at a time."""
-    _, parts = tiny_setting
-
-    def clients(virtual_root=None):
-        if virtual_root is None:
-            return make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                          seed=5)
-        factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts,
-                                       batch_size=32, seed=5)
-        return VirtualClientPool(factory, len(parts),
-                                 ClientStateStore(virtual_root),
-                                 resident_limit=2)
-
-    return clients
-
-
-@pytest.mark.parametrize("drive", [_sync_partial, _faults, _pool, _async,
-                                   _scale, _resumed],
-                         ids=lambda f: f.__name__.lstrip("_"))
-@pytest.mark.parametrize("kind", ["spatl", "spatl_rl", "scaffold"])
-def test_shadow_client_holds_the_server_state(kind, drive, tmp_path,
-                                              tiny_model_fn, client_source):
-    algo = drive(kind, tiny_model_fn, client_source, tmp_path)
-    shadows = [c.local_state["shadow"] for c in algo.clients
-               if "shadow" in c.local_state]
+@pytest.mark.parametrize("cell", matrix.params(
+    "downlink", "sync_partial", "faults", "pool", "async", "scale",
+    "resumed", "async_faults"))
+def test_shadow_client_holds_the_server_state(cell):
+    ref = matrix.reference(cell)     # its shadows asserted every download
+    if cell.faults:
+        assert ref.fault_stats["n_retries"] > 0 \
+            and ref.fault_stats["n_corrupt"] > 0
+    if isinstance(cell.driver, matrix.Async):
+        assert ref.extra["counters"]["deduped"] > 0
+    shadows = _shadows(ref)
     # some client came back, so some payload was a delta, not a cold send
     assert sum(s["syncs"] for s in shadows) > len(shadows)
-    if kind != "scaffold":   # SCAFFOLD rewrites every row every round
+    if cell.algorithm != "scaffold":  # SCAFFOLD rewrites every row each round
         assert sum(s["row_deltas"] for s in shadows) > 0
 
 
-def _scale_partial(kind, model_fn, clients, tmp_path):
-    pool = clients(virtual_root=tmp_path / "store")
-    algo = _make(kind, model_fn, pool.clients(), sample_ratio=0.5)
-    runner = ScaleRunner(algo, pool=pool, spill_dir=tmp_path / "spills",
-                         eval_mode="none")
-    runner.run(4)
-    runner.close()
-    return algo
-
-
-def _resumed_partial(kind, model_fn, clients, tmp_path):
-    """The joiner's first contact comes after the restart: the checkpoint
-    holds no word on who was born holding what, the content says it."""
-    return _resumed(kind, model_fn, clients, tmp_path, sample_ratio=0.5)
-
-
-@pytest.mark.parametrize("drive", [_sync_partial, _scale_partial,
-                                   _resumed_partial],
-                         ids=lambda f: f.__name__.lstrip("_"))
-@pytest.mark.parametrize("kind", ["spatl", "spatl_rl", "scaffold"])
-def test_late_joiner_is_not_sent_the_zeros_it_holds(kind, drive, tmp_path,
-                                                    tiny_model_fn,
-                                                    client_source):
+@pytest.mark.parametrize("cell", matrix.params(
+    "downlink", "sync_partial", "scale_partial", "resumed_partial"))
+def test_late_joiner_is_not_sent_the_zeros_it_holds(cell):
     """Seed 0 at ``sample_ratio=0.5`` samples [1,2] [0,1] [0,1] [2,3]:
-    client 3 first hears from the server at round 3, after three folds.
-    The shadow mixin has already proven it reconstructs the state; here,
-    what it was sent to do so."""
-    algo = drive(kind, tiny_model_fn, client_source, tmp_path)
-    first = algo.clients[3].local_state["shadow"]["first"]
+    client 3 first hears from the server at round 3, after three folds
+    (``resumed_partial``: after the restart, so the checkpoint holds no
+    word on who was born holding what; the content says it).  The shadow
+    client has already proven it reconstructs the state; here, what it
+    was sent to do so."""
+    ref = matrix.reference(cell)
+    first = decode_client_state(ref.clients[3])["shadow"]["first"]
     assert first["round"] == 3
-    full = payload_nbytes(algo.downlink_state())
     row_deltas = [e for e in first["entries"]
                   if e.startswith("c.") and e.endswith(".idx")]
-    if kind == "scaffold":
+    if cell.algorithm == "scaffold":
         # its variate step moves every row of c in the first fold, so
         # from round 1 on a joiner holds nothing of it (Table I's 2x)
-        assert not row_deltas and first["nbytes"] == full
+        assert not row_deltas and first["nbytes"] == ref.downlink_nbytes
     else:
         # Eq. 11 moves c on uploaded filters only: the never-selected
         # rows are still the zeros the joiner initialised
         assert row_deltas
-        assert first["nbytes"] < full
+        assert first["nbytes"] < ref.downlink_nbytes
 
 
 # ------------------------------------- a commit right after a resume
@@ -216,25 +83,15 @@ def _downlink(algo):
     return {r: dict(d) for r, d in algo.ledger.downlink.items()}
 
 
-@pytest.fixture
-def plain_clients(tiny_dataset, tiny_setting):
-    _, parts = tiny_setting
-    return lambda: make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                          seed=5)
-
-
 @pytest.mark.parametrize("kind", ["spatl", "scaffold"])
-def test_async_resume_whose_first_event_commits(kind, tmp_path, tiny_setting,
-                                                plain_clients):
+def test_async_resume_whose_first_event_commits(kind, tmp_path):
     """Saved with an update in the buffer and an upload next in line: the
     resumed run's first event commits before anything is downloaded.  The
     rows that commit rewrites must be stamped like any other, or the
     clients at the loaded version are owed — and charged — nothing."""
-    model_fn, _ = tiny_setting
-
     def runner():
         return AsyncFederatedRunner(
-            _make(kind, model_fn, plain_clients()),
+            matrix.algorithm(kind, shadowed=True),
             AsyncProfile(seed=5, jitter=0.3, arrival_spread=1.0),
             AsyncConfig(buffer_k=2, max_inflight=3, max_queue=3))
 
@@ -247,7 +104,7 @@ def test_async_resume_whose_first_event_commits(kind, tmp_path, tiny_setting,
     version = first.algo.transport.versions.version
     assert any(c.local_state.get("synced") == version
                for c in first.algo.clients)
-    save_async_checkpoint(first, tmp_path / "mid.npz")
+    matrix.save_unchanged(save_async_checkpoint, first, tmp_path / "mid.npz")
 
     resumed = runner()
     load_async_checkpoint(resumed, tmp_path / "mid.npz")
@@ -265,14 +122,11 @@ def test_async_resume_whose_first_event_commits(kind, tmp_path, tiny_setting,
 
 
 @pytest.mark.parametrize("kind", ["spatl", "scaffold"])
-def test_scale_resume_with_nobody_left_to_fold(kind, tmp_path, tiny_setting,
-                                               plain_clients):
+def test_scale_resume_with_nobody_left_to_fold(kind, tmp_path):
     """A partial round checkpointed after its whole cohort was folded:
     the resumed runner finalizes without a single download."""
-    model_fn, _ = tiny_setting
-
     def runner(name):
-        return ScaleRunner(_make(kind, model_fn, plain_clients()),
+        return ScaleRunner(matrix.algorithm(kind, shadowed=True),
                            spill_dir=tmp_path / name, eval_mode="none")
 
     ref = runner("ref")
@@ -417,10 +271,12 @@ def test_two_bases_in_one_round_get_their_own_blob():
 
 # ------------------------------------------------------ round 0 is cold
 @pytest.mark.parametrize("name", [*ALGORITHMS, "spatl"])
-def test_round_zero_is_the_full_state(name, tiny_clients, tiny_model_fn):
-    kwargs = dict(lr=0.05, local_epochs=1, seed=0)
-    algo = SPATL(tiny_model_fn, tiny_clients, **kwargs) if name == "spatl" \
-        else ALGORITHMS[name](tiny_model_fn, tiny_clients, **kwargs)
+def test_round_zero_is_the_full_state(name, tmp_path):
+    """Read off the resume matrix's two-round sync reference; the fresh
+    algorithm says what round 0 must send."""
+    cell = f"resume/{name}-sync"
+    algo = matrix.build(cell, tmp_path)
+    downlink = matrix.reference(cell).ledger[1]
     state = algo.downlink_state()
     full = payload_nbytes(state)
     cold = payload_nbytes({k: v for k, v in state.items()
@@ -428,13 +284,11 @@ def test_round_zero_is_the_full_state(name, tiny_clients, tiny_model_fn):
     assert (cold < full) == (name in ("spatl", "scaffold"))
     # SalientGrads charges its mask bootstrap to round 0 at construction
     setup = dict(algo.ledger.downlink.get(0, {}))
-    algo.run_round(0)
-    assert algo.ledger.downlink[0] == {
+    assert downlink[0] == {
         c.client_id: setup.get(c.client_id, 0) + cold
-        for c in tiny_clients}, (
+        for c in algo.clients}, (
         "round 0 is the full state minus the zero-born entries: c⁰ = 0 on "
         "the server and on every joining client, so no c.* entry travels "
         "before Eq. 11 has moved it; for the six algorithms that declare "
         "none, cold == full and this is the parent's assertion")
-    algo.run_round(1)
-    assert all(n <= full for n in algo.ledger.downlink[1].values())
+    assert all(n <= full for n in downlink[1].values())

@@ -6,6 +6,7 @@ acceptances), retried bytes are charged to the ledger, degradation under
 drop_prob=0.3 stays bounded, and the fault path is strictly opt-in.
 """
 
+import dataclasses
 import pickle
 import warnings
 
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core import SPATL, RLSelectionPolicy, StaticSaliencyPolicy
-from repro.fl import (Client, FaultModel, FedAvg, RetryPolicy, Scaffold,
-                      StragglerTimeout, TransferCorrupted, Transport,
+from repro.fl import (AsyncConfig, AsyncProfile, FaultModel, FedAvg,
+                      RetryPolicy, Scaffold, StragglerTimeout,
+                      TransferCorrupted, Transport, VirtualClock,
                       deserialize_state, make_federated_clients,
                       serialize_state)
 from repro.fl.resilience import ClientCrashed, ClientDropped, FaultStats
@@ -109,6 +111,30 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.0)
+
+
+# Every float field of the four knob classes, each reachable from a CLI
+# float flag: NaN fails every comparison, so a ``<`` check let it through.
+_BAD_KNOBS = [
+    *((cls, f.name, float("nan"))
+      for cls in (FaultModel, AsyncProfile, AsyncConfig, RetryPolicy)
+      for f in dataclasses.fields(cls) if f.type in ("float", "float | None")),
+    (FaultModel, "timeout", 0.0), (FaultModel, "timeout", -1.0),
+]
+
+
+@pytest.mark.parametrize("cls,field,bad", _BAD_KNOBS, ids=[
+    f"{cls.__name__}.{field}={bad}" for cls, field, bad in _BAD_KNOBS])
+def test_bad_float_knob_is_refused(cls, field, bad):
+    with pytest.raises(ValueError):
+        cls(**{field: bad})
+
+
+def test_clock_refuses_a_non_finite_time():
+    """An infinite latency fails loudly instead of parking events at inf."""
+    for at in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            VirtualClock().schedule(at, "arrive", {})
 
 
 class TestTransport:

@@ -22,7 +22,6 @@ import pickle
 import types
 import warnings
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,82 +34,27 @@ from repro.fl.comm import (CommLedger, PayloadError, decode_update,
                            encode_update, serialize_state)
 from repro.fl.faults import FaultModel
 from repro.fl.fedavg import FedAvg
-from repro.fl.fedprox import FedProx
 from repro.fl.parallel import (ProcessPoolRoundExecutor, SerialExecutor,
                                _pickle_algorithm, make_executor)
 from repro.fl.resilience import (ClientDropped, StragglerTimeout,
                                  TransferCorrupted, WorkerCrashed)
-from repro.core.spatl import SPATL
-from repro.core.selection_policies import StaticSaliencyPolicy
-from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.trace import tracing
+from repro.fl.scale import decode_client_state
+
+from tests import matrix
 
 N_CLIENTS = 8
 ROUNDS = 2
 
 
 @pytest.fixture
-def eight_client_setting(tiny_dataset, tiny_model_fn):
-    """(model_fn, make_clients) with an 8-client partition.
+def eight_client_setting():
+    """(model_fn, make_clients) with the 8-client partition.
 
     Clients are rebuilt per run so persistent local state (predictors,
     control variates, top-k residuals) never leaks between the serial
     and parallel runs being compared.
     """
-    parts = dirichlet_partition(tiny_dataset.y, N_CLIENTS, beta=0.5, seed=7)
-
-    def make_clients():
-        return make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                      seed=5)
-
-    return tiny_model_fn, make_clients
-
-
-def _fault_model():
-    return FaultModel(drop_prob=0.2, corrupt_prob=0.05, crash_prob=0.1,
-                      seed=21)
-
-
-def _build(algo_name, model_fn, clients, workers, fault_model=None, **kw):
-    """``workers`` is a worker count or a ready executor."""
-    executor = (make_executor(workers) if isinstance(workers, int)
-                else workers)
-    common = dict(lr=0.05, local_epochs=1, seed=0, fault_model=fault_model,
-                  executor=executor, **kw)
-    common.setdefault("sample_ratio", 1.0)
-    if algo_name == "spatl":
-        return SPATL(model_fn, clients,
-                     selection_policy=StaticSaliencyPolicy(0.3), **common)
-    if algo_name == "fedprox":
-        return FedProx(model_fn, clients, **common)
-    return FedAvg(model_fn, clients, **common)
-
-
-def _run(algo_name, setting, workers, fault_model=None, traced=False,
-         rounds=ROUNDS, **kw):
-    model_fn, make_clients = setting
-    algo = _build(algo_name, model_fn, make_clients(), workers, fault_model,
-                  **kw)
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    tracer = None
-    try:
-        if traced:
-            with tracing() as tracer:
-                results = [algo.run_round(r) for r in range(rounds)]
-        else:
-            results = [algo.run_round(r) for r in range(rounds)]
-    finally:
-        set_registry(previous)
-        algo.close()
-    return {
-        "results": results,
-        "state": serialize_state(algo.global_model.state_dict()),
-        "fault_stats": algo.fault_stats.as_dict(),
-        "counters": registry.snapshot()["counters"],
-        "ledger": (algo.ledger.uplink, algo.ledger.downlink),
-        "tracer": tracer,
-    }
+    return matrix.model_fn("eight"), lambda: matrix.clients("eight")
 
 
 def _assert_round_results_equal(lhs, rhs):
@@ -128,33 +72,31 @@ def _assert_round_results_equal(lhs, rhs):
 
 
 def _assert_equivalent(serial, other):
-    assert serial["state"] == other["state"]            # byte-identical
-    _assert_round_results_equal(serial["results"], other["results"])
-    assert serial["fault_stats"] == other["fault_stats"]
-    assert serial["counters"] == other["counters"]
-    assert serial["ledger"] == other["ledger"]
+    assert serial.model == other.model              # byte-identical
+    _assert_round_results_equal(serial.results, other.results)
+    assert serial.fault_stats == other.fault_stats
+    assert serial.counters == other.counters
+    assert serial.ledger == other.ledger
 
 
 # ------------------------------------------------------------ equivalence
 @pytest.mark.parametrize("algo_name", ["fedavg", "spatl", "fedprox"])
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
-def test_parallel_matches_serial(eight_client_setting, algo_name, faults):
-    fault_model = _fault_model() if faults else None
-    serial = _run(algo_name, eight_client_setting, 1, fault_model)
-    parallel = _run(algo_name, eight_client_setting, 2, fault_model)
-    _assert_equivalent(serial, parallel)
+def test_parallel_matches_serial(algo_name, faults):
+    tag = "+faults" if faults else ""
+    _assert_equivalent(matrix.reference(f"parallel/{algo_name}-serial{tag}"),
+                       matrix.reference(f"parallel/{algo_name}-pool{tag}"))
 
 
-def test_fedprox_hook_rejects_overridden_local_update(eight_client_setting):
+def test_fedprox_hook_rejects_overridden_local_update():
     """Workers run the subclass's own ``local_update``: FedProx in the pool
     is not FedAvg's result (that it equals serial FedProx is
     ``test_parallel_matches_serial[faults-fedprox]``)."""
-    pooled = _run("fedprox", eight_client_setting, 2, _fault_model())
-    fedavg = _run("fedavg", eight_client_setting, 2, _fault_model())
-    assert pooled["state"] != fedavg["state"]
+    assert matrix.reference("parallel/fedprox-pool+faults").model \
+        != matrix.reference("parallel/fedavg-pool+faults").model
 
 
-def test_cohort_trainer_rejects_dropout(eight_client_setting):
+def test_cohort_trainer_rejects_dropout(eight_client_setting, tmp_path):
     """A fast path that cannot replicate active dropout must decline the
     whole run, not approximate it: ``compile_steps`` on a model with
     ``p > 0`` captures and replays nothing and equals the eager run."""
@@ -167,55 +109,51 @@ def test_cohort_trainer_rejects_dropout(eight_client_setting):
         model.predictor = Sequential(Dropout(0.5, seed=1), model.predictor)
         return model
 
-    setting = (model_fn, make_clients)
-    eager = _run("fedavg", setting, 1)
-    compiled = _run("fedavg", setting, 1, compile_steps=True)
+    def run(compile_steps):
+        return matrix.play(matrix.Sync(2), lambda: matrix.algorithm(
+            "fedavg", model_fn, make_clients(), executor=make_executor(1),
+            compile_steps=compile_steps), tmp_path)
+
+    eager, compiled = run(False), run(True)
     _assert_equivalent(eager, compiled)
-    assert not [k for k in compiled["counters"] if k.startswith("compile.")]
+    assert not [k for k in compiled.counters if k.startswith("compile.")]
 
 
-def test_idle_workers_reread_the_sync_file(eight_client_setting):
+def test_idle_workers_reread_the_sync_file():
     """Cohorts of two on three workers: a worker that sat a collect out
     sees its task's version jump and reads the newest sync file (the
     ``ScaleRunner`` case is in ``test_scale_runner_composes_with_vectorized``)."""
-    serial = _run("fedavg", eight_client_setting, 1, rounds=3,
-                  sample_ratio=0.25)
-    pooled = _run("fedavg", eight_client_setting, 3, rounds=3,
-                  sample_ratio=0.25)
-    _assert_equivalent(serial, pooled)
+    _assert_equivalent(matrix.reference("parallel/fedavg-idle"),
+                       matrix.reference("parallel/fedavg-idle-workers3"))
 
 
 @pytest.mark.parametrize("algo_name", ["fedavg", "spatl"])
-def test_spawn_pool_matches_serial(eight_client_setting, algo_name):
+def test_spawn_pool_matches_serial(algo_name, tmp_path):
     """Under ``spawn`` each worker unpickles an in-band replica and reads
     the same sync file: byte-identical to serial."""
-    executor = ProcessPoolRoundExecutor(2)
-    executor._mp_context = mp.get_context("spawn")
-    serial = _run(algo_name, eight_client_setting, 1)
-    spawned = _run(algo_name, eight_client_setting, executor)
-    _assert_equivalent(serial, spawned)
+    cell = matrix.CELL[f"parallel/{algo_name}-pool"]
+
+    def spawned():
+        algo = matrix.build(cell, tmp_path)
+        algo.executor._mp_context = mp.get_context("spawn")
+        return algo
+
+    _assert_equivalent(matrix.reference(f"parallel/{algo_name}-serial"),
+                       matrix.play(cell.driver, spawned, tmp_path))
 
 
-def test_parallel_spatl_local_state_round_trips(eight_client_setting):
+def test_parallel_spatl_local_state_round_trips():
     """Predictors/variates mutated in workers land back on parent clients."""
-    model_fn, make_clients = eight_client_setting
-    serial_clients = make_clients()
-    parallel_clients = make_clients()
-    for clients, workers in ((serial_clients, 1), (parallel_clients, 2)):
-        algo = _build("spatl", model_fn, clients, workers)
-        for r in range(ROUNDS):
-            algo.run_round(r)
-        algo.close()
-    for cs, cp in zip(serial_clients, parallel_clients):
-        assert set(cs.local_state) == set(cp.local_state)
-        assert cs.local_state["predictor"].keys() \
-            == cp.local_state["predictor"].keys()
-        for name, value in cs.local_state["predictor"].items():
-            np.testing.assert_array_equal(
-                value, cp.local_state["predictor"][name])
-        for name, value in cs.local_state["c_i"].values.items():
-            np.testing.assert_array_equal(
-                value, cp.local_state["c_i"].values[name])
+    serial = matrix.reference("parallel/spatl-serial").clients
+    parallel = matrix.reference("parallel/spatl-pool").clients
+    for cs, cp in zip(map(decode_client_state, serial),
+                      map(decode_client_state, parallel)):
+        assert set(cs) == set(cp)
+        assert cs["predictor"].keys() == cp["predictor"].keys()
+        for name, value in cs["predictor"].items():
+            np.testing.assert_array_equal(value, cp["predictor"][name])
+        for name, value in cs["c_i"].values.items():
+            np.testing.assert_array_equal(value, cp["c_i"].values[name])
 
 
 # ------------------------------------------------------------ pool life
@@ -224,7 +162,8 @@ def test_worker_pids_stable_across_rounds(eight_client_setting):
     same worker processes across rounds (replica setup is paid once)."""
     model_fn, make_clients = eight_client_setting
     executor = ProcessPoolRoundExecutor(2)
-    algo = _build("fedavg", model_fn, make_clients(), executor)
+    algo = matrix.algorithm("fedavg", model_fn, make_clients(),
+                            executor=executor)
     try:
         pids = []
         pools = []
@@ -246,13 +185,15 @@ def test_pool_rebinds_by_identity(eight_client_setting):
     directory: rebinding removes the old one, ``close`` the last."""
     model_fn, make_clients = eight_client_setting
     executor = ProcessPoolRoundExecutor(2)
-    algo1 = _build("fedavg", model_fn, make_clients(), executor)
+    algo1 = matrix.algorithm("fedavg", model_fn, make_clients(),
+                             executor=executor)
     try:
         algo1.run_round(0)
         pool1, dir1 = executor._pool, executor._sync_dir.name
         assert executor._pool_algorithm is algo1
         assert os.path.isfile(os.path.join(dir1, "sync"))
-        algo2 = _build("fedavg", model_fn, make_clients(), executor)
+        algo2 = matrix.algorithm("fedavg", model_fn, make_clients(),
+                                 executor=executor)
         algo2.run_round(0)
         assert executor._pool is not pool1
         assert executor._pool_algorithm is algo2
@@ -328,7 +269,8 @@ def _out_of_band_replica(algo, blob_share=0.05):
 def test_replica_arrays_are_views_of_the_original(eight_client_setting,
                                                   algo_name):
     model_fn, make_clients = eight_client_setting
-    algo = _build(algo_name, model_fn, make_clients(), 1, compile_steps=True)
+    algo = matrix.algorithm(algo_name, model_fn, make_clients(),
+                            executor=make_executor(1), compile_steps=True)
     algo.run_round(0)                 # trained state and captured plans
     assert algo.step_compiler.arena_bytes() > 0
     replica = _out_of_band_replica(algo)
@@ -369,9 +311,10 @@ def test_fork_workers_read_shards_from_the_samples_file(tmp_path,
     client from the samples file: bitwise the serial eager run."""
     ds = SyntheticCIFAR10(n_samples=160, size=12, seed=2)
     parts = dirichlet_partition(ds.y, 4, beta=0.5, seed=7)
-    eager = _build("fedavg", tiny_model_fn,
-                   make_federated_clients(ds, parts, batch_size=32, seed=5),
-                   1)
+    eager = matrix.algorithm(
+        "fedavg", tiny_model_fn,
+        make_federated_clients(ds, parts, batch_size=32, seed=5),
+        executor=make_executor(1))
     factory = ShardedClientFactory(dataset=ds, parts=parts, batch_size=32,
                                    seed=5)
     pool = VirtualClientPool(factory, len(parts),
@@ -381,7 +324,8 @@ def test_fork_workers_read_shards_from_the_samples_file(tmp_path,
     del ds
     gc.collect()
     assert x_ref() is None
-    pooled = _build("fedavg", tiny_model_fn, pool.clients(), 2)
+    pooled = matrix.algorithm("fedavg", tiny_model_fn, pool.clients(),
+                              executor=make_executor(2))
     try:
         for r in range(ROUNDS):
             eager.run_round(r)
@@ -398,7 +342,8 @@ def test_pool_keeps_no_replica_after_fork(eight_client_setting):
     """Once the workers are forked the parent drops the buffer list, and
     the blob it keeps in the pool's ``initargs`` is array-free."""
     model_fn, make_clients = eight_client_setting
-    algo = _build("fedavg", model_fn, make_clients(), 2)
+    algo = matrix.algorithm("fedavg", model_fn, make_clients(),
+                            executor=make_executor(2))
     try:
         algo.run_round(0)
         held = list(_reachable(algo.executor, skip=[algo]))
@@ -410,13 +355,12 @@ def test_pool_keeps_no_replica_after_fork(eight_client_setting):
 
 
 # ------------------------------------------------------------ compose
-def test_scale_runner_composes_with_vectorized(tiny_dataset, tiny_model_fn):
-    parts = dirichlet_partition(tiny_dataset.y, N_CLIENTS, beta=0.5, seed=7)
+def test_scale_runner_composes_with_vectorized(eight_client_setting):
+    model_fn, make_clients = eight_client_setting
 
     def run(workers, wave=None):
-        clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                         seed=5)
-        algo = _build("fedavg", tiny_model_fn, clients, workers)
+        algo = matrix.algorithm("fedavg", model_fn, make_clients(),
+                                executor=make_executor(workers))
         runner = ScaleRunner(algo, eval_mode="none", wave=wave)
         results = runner.run(ROUNDS)
         state = serialize_state(algo.global_model.state_dict())
@@ -448,7 +392,8 @@ def test_async_runtime_composes_with_vectorized(eight_client_setting):
     model_fn, make_clients = eight_client_setting
 
     def run(workers):
-        algo = _build("fedavg", model_fn, make_clients(), workers)
+        algo = matrix.algorithm("fedavg", model_fn, make_clients(),
+                                executor=make_executor(workers))
         runner = AsyncFederatedRunner(
             algo, AsyncProfile(seed=0),
             AsyncConfig(buffer_k=2, max_inflight=N_CLIENTS,
@@ -471,7 +416,8 @@ def test_eval_only_parent_stack_stops_growing(eight_client_setting):
     from repro.tensor import workspace
     workspace.reset()
     model_fn, make_clients = eight_client_setting
-    algo = _build("fedavg", model_fn, make_clients(), 2)
+    algo = matrix.algorithm("fedavg", model_fn, make_clients(),
+                            executor=make_executor(2))
     stack = workspace.transient
     try:
         algo.run_round(0)
@@ -484,26 +430,17 @@ def test_eval_only_parent_stack_stops_growing(eight_client_setting):
         algo.close()
 
 
-def test_obs_merge_matches_serial(eight_client_setting):
-    """Worker spans/metrics merged into the parent sum to serial counts."""
-    fault_model = _fault_model()   # nonzero worker-side attempt counters
-    serial = _run("fedavg", eight_client_setting, 1, fault_model,
-                  traced=True)
-    parallel = _run("fedavg", eight_client_setting, 2, fault_model,
-                    traced=True)
-    assert serial["counters"] == parallel["counters"]
-    span_names_s = Counter(s.name for s in serial["tracer"].spans)
-    span_names_p = Counter(s.name for s in parallel["tracer"].spans)
-    assert span_names_s == span_names_p
+def test_obs_merge_matches_serial():
+    """Worker spans/metrics merged into the parent sum to serial counts
+    (the faults give nonzero worker-side attempt counters)."""
+    serial = matrix.reference("merge/fedavg-serial")
+    parallel = matrix.reference("merge/fedavg-pool")
+    assert serial.counters == parallel.counters
+    assert serial.extra["trace"]["spans"] == parallel.extra["trace"]["spans"]
     # Codec spans carry byte counts; their totals must agree (and match
     # the ledger, DESIGN.md §17): the pool's sync-blob and update framing
     # runs the same pure codec but is storage, not traffic.
-    for direction in ("serialize", "deserialize"):
-        tot_s = sum(s.attrs.get("bytes", 0)
-                    for s in serial["tracer"].spans if s.name == direction)
-        tot_p = sum(s.attrs.get("bytes", 0)
-                    for s in parallel["tracer"].spans if s.name == direction)
-        assert tot_s == tot_p
+    assert serial.extra["trace"]["codec"] == parallel.extra["trace"]["codec"]
 
 
 def test_tracer_absorb_depth_and_records():

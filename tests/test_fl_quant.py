@@ -28,14 +28,11 @@ import struct
 import numpy as np
 import pytest
 
-from repro.data import dirichlet_partition
-from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
-                      AsyncProfile, ScaleRunner, make_executor,
-                      make_federated_clients, make_quant_config)
+from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
+                      ScaleRunner, make_executor, make_quant_config)
 from repro.fl.comm import PayloadError, deserialize_state, payload_nbytes, \
     serialize_state
-from repro.fl.fedavg import FedAvg
-from repro.fl.quant import (QUANT_SUFFIX, QUANT_WIRE_KEY, QuantConfig,
+from repro.fl.quant import (QUANT_SUFFIX, QuantConfig,
                             decode_record, dequantize_payload,
                             dequantize_values, encode_record,
                             naive_pack_nibbles, naive_unpack_nibbles,
@@ -43,9 +40,8 @@ from repro.fl.quant import (QUANT_SUFFIX, QUANT_WIRE_KEY, QuantConfig,
                             quantize_payload, record_nbytes,
                             stochastic_quantize, unpack_nibbles)
 from repro.fl.sparse_init import SSFL, SalientGrads
-from repro.fl.topk import FedTopK
-from repro.core.spatl import SPATL
-from repro.core.selection_policies import StaticSaliencyPolicy
+
+from tests import matrix
 
 INT8 = QuantConfig(bits=8)
 INT4 = QuantConfig(bits=4)
@@ -382,21 +378,6 @@ N_CLIENTS = 4
 ROUNDS = 2
 
 
-def _fresh_clients(tiny_dataset, tiny_setting):
-    _, parts = tiny_setting
-    return make_federated_clients(tiny_dataset, parts, batch_size=32, seed=5)
-
-
-def _build(name, model_fn, clients, quant=None, **kw):
-    common = dict(lr=0.05, local_epochs=1, sample_ratio=1.0, seed=0, **kw)
-    if quant is not None:
-        common["quant"] = quant
-    if name == "spatl":
-        return SPATL(model_fn, clients,
-                     selection_policy=StaticSaliencyPolicy(0.3), **common)
-    return ALGORITHMS[name](model_fn, clients, **common)
-
-
 def _final_state(algo):
     return serialize_state(dict(algo.global_model.state_dict()))
 
@@ -406,62 +387,51 @@ def _uplink_total(algo):
 
 
 class TestAlgorithmIntegration:
-    def test_bits32_config_is_byte_identical_to_unquantized(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
+    def test_bits32_config_is_byte_identical_to_unquantized(self):
         """The CI golden: quant_bits=32 must not change a single byte."""
-        base = _build("fedavg", tiny_model_fn,
-                      _fresh_clients(tiny_dataset, tiny_setting))
-        base.run(ROUNDS)
-        quant = _build("fedavg", tiny_model_fn,
-                       _fresh_clients(tiny_dataset, tiny_setting),
-                       quant=make_quant_config(32))
+        base = matrix.reference("resume/fedavg-sync")
+        quant = matrix.algorithm("fedavg", quant=make_quant_config(32))
         assert quant.quant is None
         quant.run(ROUNDS)
-        assert _final_state(quant) == _final_state(base)
-        assert quant.ledger.total_bytes() == base.ledger.total_bytes()
+        assert _final_state(quant) == base.model
+        assert quant.ledger.uplink == base.ledger[0]
+        assert quant.ledger.downlink == base.ledger[1]
 
     @pytest.mark.parametrize("name", ["fedavg", "fedprox", "fednova",
                                       "scaffold", "fedtopk", "spatl",
                                       "salientgrads", "ssfl"])
     def test_every_algorithm_runs_quantized_and_charges_fewer_bytes(
-            self, name, tiny_model_fn, tiny_dataset, tiny_setting):
-        dense = _build(name, tiny_model_fn,
-                       _fresh_clients(tiny_dataset, tiny_setting))
-        dense.run(1)
-        quant = _build(name, tiny_model_fn,
-                       _fresh_clients(tiny_dataset, tiny_setting),
-                       quant=INT8)
+            self, name):
+        # the dense round 0: the resume matrix's sync reference
+        dense = sum(matrix.reference(f"resume/{name}-sync").ledger[0][0]
+                    .values())
+        quant = matrix.algorithm(name, quant=INT8)
         log = quant.run(1)
         assert np.isfinite(log["train_loss"][-1])
-        assert _uplink_total(quant) < _uplink_total(dense)
+        assert _uplink_total(quant) < dense
 
-    def test_ledger_charges_exactly_the_codec_bytes(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
-        algo = _build("fedavg", tiny_model_fn,
-                      _fresh_clients(tiny_dataset, tiny_setting), quant=INT8)
+    def test_ledger_charges_exactly_the_codec_bytes(self):
+        algo = matrix.algorithm("fedavg", quant=INT8)
         algo.run_round(0)
         template = {k: np.asarray(v)
                     for k, v in algo.global_model.state_dict().items()}
         per_client = quant_payload_nbytes(template, INT8)
         assert _uplink_total(algo) == per_client * N_CLIENTS
 
-    def test_residuals_live_in_client_state_and_wire_key_is_stashed(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
-        clients = _fresh_clients(tiny_dataset, tiny_setting)
-        algo = _build("fedavg", tiny_model_fn, clients, quant=INT4)
+    def test_residuals_live_in_client_state_and_wire_key_is_stashed(self):
+        clients = matrix.clients()
+        algo = matrix.algorithm("fedavg", client_list=clients, quant=INT4)
         algo.run_round(0)
         for client in clients:
             res = client.local_state["quant_residual"]
             assert res and all(v.dtype.kind == "f" for v in res.values())
         # no-EF config keeps client state clean
-        clients2 = _fresh_clients(tiny_dataset, tiny_setting)
-        algo2 = _build("fedavg", tiny_model_fn, clients2,
-                       quant=QuantConfig(bits=4, error_feedback=False))
+        clients2 = matrix.clients()
+        algo2 = matrix.algorithm("fedavg", client_list=clients2, quant=QuantConfig(bits=4, error_feedback=False))
         algo2.run_round(0)
         assert all("quant_residual" not in c.local_state for c in clients2)
 
-    def test_spatl_residual_follows_changing_selection(
-            self, tiny_model_fn, tiny_dataset, tiny_setting, monkeypatch):
+    def test_spatl_residual_follows_changing_selection(self, monkeypatch):
         """SPATL clients whose salient filters change between rounds: every
         filter's fed-back error is that filter's own — per sent filter,
         ``residual_t + decoded_t == residual_{t-1} + update_t`` to float32
@@ -480,8 +450,8 @@ class TestAlgorithmIntegration:
             return wire, decoded
 
         monkeypatch.setattr(base, "quantize_payload", spy)
-        clients = _fresh_clients(tiny_dataset, tiny_setting)
-        _build("spatl", tiny_model_fn, clients, quant=INT4).run(3)
+        clients = matrix.clients()
+        matrix.algorithm("spatl", client_list=clients, quant=INT4).run(3)
 
         def by_row(res, name, n_rows):
             dense = np.zeros((n_rows,) + res[name].shape[1:]) \
@@ -514,10 +484,8 @@ class TestAlgorithmIntegration:
                         moved += 1
         assert moved, "no quantized selection changed between rounds"
 
-    def test_bn_step_counter_survives_quantized_roundtrip(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
-        algo = _build("fedavg", tiny_model_fn,
-                      _fresh_clients(tiny_dataset, tiny_setting), quant=INT4)
+    def test_bn_step_counter_survives_quantized_roundtrip(self):
+        algo = matrix.algorithm("fedavg", quant=INT4)
         algo.run_round(0)
         state = dict(algo.global_model.state_dict())
         counters = [v for k, v in state.items()
@@ -533,50 +501,37 @@ class TestComposition:
     """A quantized run is one protocol: every engine reproduces the
     serial engine's bytes, ledger, and error-feedback trajectory."""
 
-    def _serial(self, tiny_model_fn, tiny_dataset, tiny_setting, quant):
-        algo = _build("fedavg", tiny_model_fn,
-                      _fresh_clients(tiny_dataset, tiny_setting), quant=quant)
-        algo.run(ROUNDS)
-        return algo
+    @staticmethod
+    def _assert_serial(algo, bits):
+        """``algo`` after ``ROUNDS`` == the serial run's reference."""
+        base = matrix.reference(f"quant/fedavg-int{bits}")
+        assert _final_state(algo) == base.model
+        assert (algo.ledger.uplink, algo.ledger.downlink) == base.ledger
 
     @pytest.mark.parametrize("workers", [pytest.param(2, id="process-2")])
-    def test_executors_match_serial_bitwise(self, workers, tiny_model_fn,
-                                            tiny_dataset, tiny_setting):
-        base = self._serial(tiny_model_fn, tiny_dataset, tiny_setting, INT4)
-        algo = _build("fedavg", tiny_model_fn,
-                      _fresh_clients(tiny_dataset, tiny_setting), quant=INT4,
-                      executor=make_executor(workers))
+    def test_executors_match_serial_bitwise(self, workers):
+        algo = matrix.algorithm("fedavg", quant=INT4,
+                                executor=make_executor(workers))
         try:
             algo.run(ROUNDS)
         finally:
             algo.close()
-        assert _final_state(algo) == _final_state(base)
-        assert algo.ledger.total_bytes() == base.ledger.total_bytes()
+        self._assert_serial(algo, 4)
 
-    def test_async_buffered_commits_match_sync_bitwise(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
-        base = self._serial(tiny_model_fn, tiny_dataset, tiny_setting, INT8)
-        async_algo = _build("fedavg", tiny_model_fn,
-                            _fresh_clients(tiny_dataset, tiny_setting),
-                            quant=INT8)
+    def test_async_buffered_commits_match_sync_bitwise(self):
+        async_algo = matrix.algorithm("fedavg", quant=INT8)
         n = len(async_algo.clients)
         runner = AsyncFederatedRunner(
             async_algo, AsyncProfile(seed=5),
             AsyncConfig(buffer_k=n, max_inflight=n))
         results = runner.run(steps=ROUNDS)
         assert all(r.n_updates == n for r in results)
-        assert _final_state(async_algo) == _final_state(base)
-        assert async_algo.ledger.total_bytes() == base.ledger.total_bytes()
+        self._assert_serial(async_algo, 8)
 
-    def test_scale_runner_streaming_fold_matches_plain_run(
-            self, tmp_path, tiny_model_fn, tiny_dataset, tiny_setting):
-        base = self._serial(tiny_model_fn, tiny_dataset, tiny_setting, INT8)
-        algo = _build("fedavg", tiny_model_fn,
-                      _fresh_clients(tiny_dataset, tiny_setting), quant=INT8)
-        runner = ScaleRunner(algo, spill_dir=tmp_path / "spills")
-        runner.run(ROUNDS)
-        assert _final_state(algo) == _final_state(base)
-        assert algo.ledger.total_bytes() == base.ledger.total_bytes()
+    def test_scale_runner_streaming_fold_matches_plain_run(self, tmp_path):
+        algo = matrix.algorithm("fedavg", quant=INT8)
+        ScaleRunner(algo, spill_dir=tmp_path / "spills").run(ROUNDS)
+        self._assert_serial(algo, 8)
 
 
 # --------------------------------------------------------------------- #
@@ -585,20 +540,15 @@ class TestComposition:
 class TestSparseInit:
     DENSITY = 0.25
 
-    def _build(self, cls, tiny_model_fn, tiny_dataset, tiny_setting, **kw):
-        kw.setdefault("density", self.DENSITY)
-        return cls(tiny_model_fn, _fresh_clients(tiny_dataset, tiny_setting),
-                   lr=0.05, local_epochs=1, sample_ratio=1.0, seed=0, **kw)
+    def _build(self, cls, **kw):
+        return matrix.algorithm(cls.name, **{"density": self.DENSITY, **kw})
 
-    def test_density_validated(self, tiny_model_fn, tiny_dataset,
-                               tiny_setting):
+    def test_density_validated(self):
         with pytest.raises(ValueError, match="density"):
-            self._build(SSFL, tiny_model_fn, tiny_dataset, tiny_setting,
-                        density=0.0)
+            self._build(SSFL, density=0.0)
 
-    def test_ssfl_mask_is_top_magnitude_of_init(self, tiny_model_fn,
-                                                tiny_dataset, tiny_setting):
-        algo = self._build(SSFL, tiny_model_fn, tiny_dataset, tiny_setting)
+    def test_ssfl_mask_is_top_magnitude_of_init(self):
+        algo = self._build(SSFL)
         params = dict(algo.global_model.named_parameters())
         assert set(algo.masks) == set(params)
         for name, idx in algo.masks.items():
@@ -611,18 +561,15 @@ class TestSparseInit:
                 dropped = np.setdiff1d(np.arange(flat.size), idx)
                 assert flat[idx].min() >= flat[dropped].max() - 1e-12
 
-    def test_ssfl_bootstrap_is_free_salientgrads_is_charged(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
-        ssfl = self._build(SSFL, tiny_model_fn, tiny_dataset, tiny_setting)
+    def test_ssfl_bootstrap_is_free_salientgrads_is_charged(self):
+        ssfl = self._build(SSFL)
         assert ssfl.ledger.total_bytes() == 0
-        sg = self._build(SalientGrads, tiny_model_fn, tiny_dataset,
-                         tiny_setting)
+        sg = self._build(SalientGrads)
         assert sg.ledger.round_bytes(0) > 0          # scores up + mask down
         assert sg.ledger.uplink[0] and sg.ledger.downlink[0]
 
-    def test_unmasked_coordinates_stay_at_init(self, tiny_model_fn,
-                                               tiny_dataset, tiny_setting):
-        algo = self._build(SSFL, tiny_model_fn, tiny_dataset, tiny_setting)
+    def test_unmasked_coordinates_stay_at_init(self):
+        algo = self._build(SSFL)
         init = {n: p.data.copy()
                 for n, p in algo.global_model.named_parameters()}
         algo.run(2)
@@ -637,41 +584,34 @@ class TestSparseInit:
             changed_any |= bool(np.any(flat_now[keep] != flat_init[keep]))
         assert changed_any                           # training did happen
 
-    def test_uplink_is_density_priced_and_index_free(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
-        dense = _build("fedavg", tiny_model_fn,
-                       _fresh_clients(tiny_dataset, tiny_setting))
-        dense.run_round(0)
-        algo = self._build(SSFL, tiny_model_fn, tiny_dataset, tiny_setting)
+    def test_uplink_is_density_priced_and_index_free(self):
+        # FedAvg's dense round 0: the resume matrix's sync reference
+        dense = sum(matrix.reference("resume/fedavg-sync").ledger[0][0]
+                    .values())
+        algo = self._build(SSFL)
         algo.run_round(0)
         # masked floats shrink to ~density of their dense bytes; dense
         # buffers ride along unchanged, so total sits well under 50%
-        assert _uplink_total(algo) < 0.5 * _uplink_total(dense)
+        assert _uplink_total(algo) < 0.5 * dense
 
-    def test_quant_stacks_multiplicatively_on_sparse_uplink(
-            self, tiny_model_fn, tiny_dataset, tiny_setting):
-        plain = self._build(SSFL, tiny_model_fn, tiny_dataset, tiny_setting)
+    def test_quant_stacks_multiplicatively_on_sparse_uplink(self):
+        plain = self._build(SSFL)
         plain.run_round(0)
-        quant = self._build(SSFL, tiny_model_fn, tiny_dataset, tiny_setting,
-                            quant=INT4)
+        quant = self._build(SSFL, quant=INT4)
         log = quant.run(1)
         assert np.isfinite(log["train_loss"][-1])
         assert _uplink_total(quant) < 0.5 * _uplink_total(plain)
 
-    def test_salientgrads_trains(self, tiny_model_fn, tiny_dataset,
-                                 tiny_setting):
-        algo = self._build(SalientGrads, tiny_model_fn, tiny_dataset,
-                           tiny_setting)
+    def test_salientgrads_trains(self):
+        algo = self._build(SalientGrads)
         log = algo.run(2)
         assert np.isfinite(log["train_loss"][-1])
         assert len(log["val_acc"]) == 2
 
-    def test_deterministic_given_seed(self, tiny_model_fn, tiny_dataset,
-                                      tiny_setting):
+    def test_deterministic_given_seed(self):
         runs = []
         for _ in range(2):
-            algo = self._build(SSFL, tiny_model_fn, tiny_dataset,
-                               tiny_setting, quant=INT8)
+            algo = self._build(SSFL, quant=INT8)
             algo.run(2)
             runs.append((_final_state(algo), algo.ledger.total_bytes()))
         assert runs[0] == runs[1]

@@ -24,11 +24,9 @@ from repro.core.gradient_control import ControlVariate
 from repro.data import SyntheticCIFAR10
 from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
                       AsyncProfile, BroadcastCache, ClientStateStore,
-                      FaultModel, FedAvg, FederatedAlgorithm, PayloadError,
-                      RetryPolicy, Scaffold, ScaleRunner,
+                      FederatedAlgorithm, PayloadError, ScaleRunner,
                       ShardedClientFactory, StubClientFactory, UpdateSpill,
-                      VirtualClientPool, make_executor,
-                      make_federated_clients, make_quant_config,
+                      VirtualClientPool, make_federated_clients,
                       serialize_state, staleness_weight, state_fingerprint)
 from repro.fl.comm import encode_update
 from repro.fl.scale import (StreamingFold, decode_client_state,
@@ -36,19 +34,7 @@ from repro.fl.scale import (StreamingFold, decode_client_state,
 from repro.fl.stub import StubAvg, make_stub
 from repro.obs.metrics import MetricsRegistry, set_registry
 
-
-def _clients(tiny_dataset, tiny_setting):
-    _, parts = tiny_setting
-    return make_federated_clients(tiny_dataset, parts, batch_size=32, seed=5)
-
-
-def _virtual_pool(tiny_dataset, tiny_setting, store, resident_limit=64):
-    """Pool producing byte-identical clients to :func:`_clients`."""
-    _, parts = tiny_setting
-    factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts,
-                                   batch_size=32, seed=5)
-    return VirtualClientPool(factory, len(parts), store,
-                             resident_limit=resident_limit)
+from tests import matrix
 
 
 # ---------------------------------------------------------------- store
@@ -250,15 +236,13 @@ def _assert_twins(pool, eager):
 
 
 class TestVirtualClientPool:
-    def test_factory_matches_eager_clients(self, tmp_path, tiny_dataset,
-                                           tiny_setting):
-        pool = _virtual_pool(tiny_dataset, tiny_setting,
-                             ClientStateStore(tmp_path / "s"))
-        _assert_twins(pool, _clients(tiny_dataset, tiny_setting))
+    def test_factory_matches_eager_clients(self, tmp_path):
+        pool = matrix.virtual_pool(tmp_path / "s")
+        _assert_twins(pool, matrix.clients())
 
-    def test_unbound_factory_raises(self, tiny_dataset, tiny_setting):
-        _, parts = tiny_setting
-        factory = ShardedClientFactory(dataset=tiny_dataset, parts=parts)
+    def test_unbound_factory_raises(self):
+        factory = ShardedClientFactory(dataset=matrix.tiny_dataset(),
+                                       parts=matrix.parts())
         with pytest.raises(RuntimeError, match="unbound"):
             factory(0)
 
@@ -284,11 +268,8 @@ class TestVirtualClientPool:
         _assert_twins(types.SimpleNamespace(factory=replica), eager)
 
     @pytest.mark.parametrize("cut", ["tail", "all"])
-    def test_short_samples_file_names_the_client(self, tmp_path,
-                                                 tiny_dataset, tiny_setting,
-                                                 cut):
-        pool = _virtual_pool(tiny_dataset, tiny_setting,
-                             ClientStateStore(tmp_path / "s"))
+    def test_short_samples_file_names_the_client(self, tmp_path, cut):
+        pool = matrix.virtual_pool(tmp_path / "s")
         path = pool.factory.path
         size = os.path.getsize(path)
         os.truncate(path, size - 4 if cut == "tail" else 0)
@@ -297,11 +278,10 @@ class TestVirtualClientPool:
             pool.materialize(victim)
         assert pool.resident == 0
 
-    def test_samples_file_is_not_a_store_record(self, tmp_path,
-                                                tiny_dataset, tiny_setting):
+    def test_samples_file_is_not_a_store_record(self, tmp_path):
         """Compaction, reopening and ``attach`` never touch the file."""
         store = ClientStateStore(tmp_path / "s", shards=1)
-        pool = _virtual_pool(tiny_dataset, tiny_setting, store)
+        pool = matrix.virtual_pool(store)
         path = pool.factory.path
         assert os.path.dirname(path) == store.root
         before = open(path, "rb").read()
@@ -317,13 +297,11 @@ class TestVirtualClientPool:
         ClientStateStore.attach(tmp_path / "s", manifest).close()
         assert open(path, "rb").read() == before
 
-    def test_unchanged_state_is_not_rewritten(self, tmp_path, tiny_dataset,
-                                              tiny_setting):
+    def test_unchanged_state_is_not_rewritten(self, tmp_path, tiny_setting):
         """A second evaluation over an unchanged population puts nothing."""
         model_fn, _ = tiny_setting
         store = ClientStateStore(tmp_path / "s")
-        pool = _virtual_pool(tiny_dataset, tiny_setting, store,
-                             resident_limit=2)
+        pool = matrix.virtual_pool(store, resident_limit=2)
         algo = SPATL(model_fn, pool.clients(), lr=0.05, local_epochs=1,
                      seed=0, selection_policy=StaticSaliencyPolicy(0.3))
         registry = MetricsRegistry()
@@ -379,116 +357,58 @@ class TestVirtualClientPool:
 
 # ------------------------------------------------------- golden identity
 
-def _final_state(algo):
-    return serialize_state(dict(algo.global_model.state_dict()))
-
-
 class TestGoldenIdentity:
-    """Streaming / virtual rounds == materialized baseline."""
+    """Streaming / virtual / pooled rounds == the materialized baseline:
+    each ``streaming/<algo>-<route>`` cell's two ScaleRunner rounds against
+    the matrix's ``streaming/<algo>-sync`` reference (``run_round``, sample
+    ratio 0.7), trained once for all of them."""
 
-    ROUNDS = 2
-
-    def _baseline(self, cls, tiny_dataset, tiny_setting, **kw):
-        model_fn, _ = tiny_setting
-        algo = cls(model_fn, _clients(tiny_dataset, tiny_setting),
-                   lr=0.05, local_epochs=1, seed=0, sample_ratio=0.7, **kw)
-        log = algo.run(rounds=self.ROUNDS)
-        return algo, log
-
-    def _scale_run(self, cls, tiny_dataset, tiny_setting, tmp_path, *,
-                   wave=None, virtual=False, **kw):
-        model_fn, _ = tiny_setting
-        if virtual:
-            store = ClientStateStore(tmp_path / "store")
-            pool = _virtual_pool(tiny_dataset, tiny_setting, store)
-            clients = pool.clients()
-        else:
-            pool = None
-            clients = _clients(tiny_dataset, tiny_setting)
-        algo = cls(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
-                   sample_ratio=0.7, **kw)
-        try:
-            runner = ScaleRunner(algo, pool=pool, wave=wave,
-                                 spill_dir=tmp_path / "spills")
-            results = runner.run(self.ROUNDS)
-        finally:
-            algo.close()
+    def _scale_run(self, cell, tmp_path):
+        run = matrix.measure(f"streaming/{cell}", tmp_path)
         assert os.listdir(tmp_path / "spills") == []  # every spill unlinked
-        return algo, results
+        return run
 
-    def _assert_match(self, base, base_log, algo, results):
-        assert _final_state(algo) == _final_state(base)
-        assert algo.ledger.total_bytes() == base.ledger.total_bytes()
-        np.testing.assert_array_equal(results[-1].avg_val_acc,
-                                      base_log["val_acc"][-1])
+    def _assert_match(self, name, run):
+        base = matrix.reference(f"streaming/{name}-sync")
+        # the whole server state: model, and SPATL's / SCAFFOLD's c_global
+        assert run.server == base.server
+        assert run.ledger == base.ledger
+        np.testing.assert_array_equal(run.results[-1].avg_val_acc,
+                                      base.results[-1].avg_val_acc)
 
     # ``wave`` = clients in flight between folds: 1 folds each upload as
     # it arrives, 3 folds them in chunks; both are the cohort order.
     @pytest.mark.parametrize("wave", [1, 3])
-    def test_fedavg(self, tmp_path, tiny_dataset, tiny_setting, wave):
-        base, base_log = self._baseline(FedAvg, tiny_dataset, tiny_setting)
-        algo, results = self._scale_run(FedAvg, tiny_dataset, tiny_setting,
-                                        tmp_path, wave=wave)
-        self._assert_match(base, base_log, algo, results)
+    def test_fedavg(self, tmp_path, wave):
+        self._assert_match("fedavg",
+                           self._scale_run(f"fedavg-wave{wave}", tmp_path))
 
     @pytest.mark.parametrize("wave", [1, 3])
-    def test_spatl(self, tmp_path, tiny_dataset, tiny_setting, wave):
-        kw = dict(selection_policy=StaticSaliencyPolicy(0.3))
-        base, base_log = self._baseline(SPATL, tiny_dataset, tiny_setting,
-                                        **kw)
-        kw = dict(selection_policy=StaticSaliencyPolicy(0.3))
-        algo, results = self._scale_run(SPATL, tiny_dataset, tiny_setting,
-                                        tmp_path, wave=wave, **kw)
-        self._assert_match(base, base_log, algo, results)
-        for name in base.c_global.names():
-            np.testing.assert_array_equal(algo.c_global[name],
-                                          base.c_global[name], err_msg=name)
+    def test_spatl(self, tmp_path, wave):
+        self._assert_match("spatl",
+                           self._scale_run(f"spatl-wave{wave}", tmp_path))
 
-    def test_fedavg_virtual_pool(self, tmp_path, tiny_dataset, tiny_setting):
-        base, base_log = self._baseline(FedAvg, tiny_dataset, tiny_setting)
-        algo, results = self._scale_run(FedAvg, tiny_dataset, tiny_setting,
-                                        tmp_path, virtual=True)
-        self._assert_match(base, base_log, algo, results)
+    def test_fedavg_virtual_pool(self, tmp_path):
+        self._assert_match("fedavg",
+                           self._scale_run("fedavg-virtual", tmp_path))
 
-    def test_spatl_virtual_pool(self, tmp_path, tiny_dataset, tiny_setting):
+    def test_spatl_virtual_pool(self, tmp_path):
         """Virtual clients must hydrate predictors/variates losslessly."""
-        base, base_log = self._baseline(
-            SPATL, tiny_dataset, tiny_setting,
-            selection_policy=StaticSaliencyPolicy(0.3))
-        algo, results = self._scale_run(
-            SPATL, tiny_dataset, tiny_setting, tmp_path, virtual=True,
-            selection_policy=StaticSaliencyPolicy(0.3))
-        self._assert_match(base, base_log, algo, results)
+        self._assert_match("spatl",
+                           self._scale_run("spatl-virtual", tmp_path))
 
-    def test_scaffold_spill_replay(self, tmp_path, tiny_dataset,
-                                   tiny_setting):
+    def test_scaffold_spill_replay(self, tmp_path):
         """SCAFFOLD's server step streams its spilled uplink payloads."""
-        base, base_log = self._baseline(Scaffold, tiny_dataset, tiny_setting)
-        algo, results = self._scale_run(Scaffold, tiny_dataset, tiny_setting,
-                                        tmp_path)
+        algo = matrix.algorithm("scaffold")
         assert type(algo.make_fold(UpdateSpill(tmp_path / "probe"))) \
             is StreamingFold
-        self._assert_match(base, base_log, algo, results)
-        for name, v in base.c_global.items():
-            np.testing.assert_array_equal(algo.c_global[name], v,
-                                          err_msg=name)
+        self._assert_match("scaffold",
+                           self._scale_run("scaffold-spill", tmp_path))
 
-    def test_process_pool_composition(self, tmp_path, tiny_dataset,
-                                      tiny_setting):
+    def test_process_pool_composition(self, tmp_path):
         """Virtual pool over the process-pool executor."""
-        base, base_log = self._baseline(FedAvg, tiny_dataset, tiny_setting)
-        model_fn, _ = tiny_setting
-        store = ClientStateStore(tmp_path / "store")
-        pool = _virtual_pool(tiny_dataset, tiny_setting, store)
-        algo = FedAvg(model_fn, pool.clients(), lr=0.05, local_epochs=1,
-                      seed=0, sample_ratio=0.7, executor=make_executor(2))
-        try:
-            runner = ScaleRunner(algo, pool=pool,
-                                 spill_dir=tmp_path / "spills")
-            results = runner.run(self.ROUNDS)
-        finally:
-            algo.close()
-        self._assert_match(base, base_log, algo, results)
+        self._assert_match("fedavg", matrix.measure(
+            "streaming/fedavg-virtual-workers2", tmp_path))
 
     def test_empty_round_rejected(self, tmp_path):
         algo = make_stub(n_clients=4)
@@ -497,79 +417,35 @@ class TestGoldenIdentity:
         with pytest.raises(ValueError, match="surviving update"):
             fold.finalize(0)
 
-    # -- faults compose: quorum and re-sampling belong to the one loop --
-
-    FAULTY = {"fedavg": FedAvg, "scaffold": Scaffold, "spatl": SPATL}
-
-    def _faulty_kw(self, name):
-        """One fault config for every cell: round 0 commits after one
-        re-sample, round 1 uses up its re-samples and is skipped."""
-        kw = dict(fault_model=FaultModel(drop_prob=0.45, corrupt_prob=0.15,
-                                         crash_prob=0.1, seed=26),
-                  min_clients=3, max_round_resamples=2,
-                  retry_policy=RetryPolicy(max_retries=1))
-        if name == "spatl":
-            kw["selection_policy"] = StaticSaliencyPolicy(0.3)
-        return kw
-
-    @pytest.fixture(scope="class")
-    def faulty_baseline(self, tiny_dataset, tiny_setting):
-        cache = {}
-
-        def get(name):
-            if name not in cache:
-                model_fn, _ = tiny_setting
-                algo = self.FAULTY[name](
-                    model_fn, _clients(tiny_dataset, tiny_setting), lr=0.05,
-                    local_epochs=1, seed=0, sample_ratio=0.7,
-                    **self._faulty_kw(name))
-                cache[name] = algo, [algo.run_round(r)
-                                     for r in range(self.ROUNDS)]
-            return cache[name]
-        return get
+    # -- faults compose: quorum and re-sampling belong to the one loop.
+    # One fault config for every cell: round 0 commits after one
+    # re-sample, round 1 uses up its re-samples and is skipped.
 
     # "workers2" cells are the slow ones: each starts a process pool
     @pytest.mark.parametrize("route", ["spilled-wave2", "virtual",
                                        "workers2"])
-    @pytest.mark.parametrize("name", sorted(FAULTY))
-    def test_faults_compose(self, tmp_path, tiny_dataset, tiny_setting,
-                            faulty_baseline, name, route):
+    @pytest.mark.parametrize("name", ["fedavg", "scaffold", "spatl"])
+    def test_faults_compose(self, tmp_path, name, route):
         """A FaultModel run through ScaleRunner == ``run_round``: global
         bytes, ledger, cumulative FaultStats and every RoundResult."""
-        base, base_results = faulty_baseline(name)
-        assert [r.committed for r in base_results] == [True, False]
-        assert base_results[0].n_resamples >= 1
-        assert base.fault_stats.n_retries and base.fault_stats.n_corrupt
-        kw = self._faulty_kw(name)
-        if route == "workers2":
-            kw["executor"] = make_executor(2)
-        algo, results = self._scale_run(
-            self.FAULTY[name], tiny_dataset, tiny_setting, tmp_path,
-            virtual=route == "virtual", wave=None if route == "virtual" else 2,
-            **kw)
-        assert _final_state(algo) == _final_state(base)
-        assert algo.ledger.uplink == base.ledger.uplink
-        assert algo.ledger.downlink == base.ledger.downlink
-        assert algo.fault_stats.as_dict() == base.fault_stats.as_dict()
-        np.testing.assert_equal([dataclasses.astuple(r) for r in results],
+        base = matrix.reference(f"streaming/{name}-sync+faults")
+        assert [r.committed for r in base.results] == [True, False]
+        assert base.results[0].n_resamples >= 1
+        assert base.fault_stats["n_retries"] and base.fault_stats["n_corrupt"]
+        run = self._scale_run(
+            f"{name}-{'virtual+faults' if route == 'virtual' else route}",
+            tmp_path)
+        assert run.model == base.model
+        assert run.ledger == base.ledger
+        assert run.fault_stats == base.fault_stats
+        np.testing.assert_equal([dataclasses.astuple(r) for r in run.results],
                                 [dataclasses.astuple(r)
-                                 for r in base_results])
+                                 for r in base.results])
 
 
 # ------------------------------------------------- composition table
 
 ROUTED = sorted(ALGORITHMS) + ["spatl", "stubavg"]
-
-def _make_algorithm(name, tiny_dataset, tiny_setting):
-    if name == "stubavg":
-        return make_stub(n_clients=4, seed=3)
-    model_fn, _ = tiny_setting
-    kw = dict(lr=0.05, local_epochs=1, seed=0)
-    if name == "spatl":
-        return SPATL(model_fn, _clients(tiny_dataset, tiny_setting),
-                     selection_policy=StaticSaliencyPolicy(0.3), **kw)
-    return ALGORITHMS[name](model_fn, _clients(tiny_dataset, tiny_setting),
-                            **kw)
 
 
 def _fold_route(spill_of):
@@ -613,28 +489,17 @@ class TestAggregationComposition:
 
     STALE = [staleness_weight(s, 0.5) for s in (0, 2, 1, 5)]
 
-    @pytest.fixture(scope="class")
-    def updates_for(self, tiny_dataset, tiny_setting):
-        cache = {}
-
-        def get(name):
-            if name not in cache:
-                algo = _make_algorithm(name, tiny_dataset, tiny_setting)
-                cache[name] = [algo.local_update(c, 0) for c in algo.clients]
-            return cache[name]
-        return get
-
     @pytest.mark.parametrize("weighted", [False, True],
                              ids=["unit", "staleness"])
     @pytest.mark.parametrize("name", ROUTED)
-    def test_routes_agree(self, tmp_path, tiny_dataset, tiny_setting,
-                          updates_for, name, weighted):
-        updates = updates_for(name)
+    def test_routes_agree(self, tmp_path, name, weighted):
+        cell = f"routes/{name}"
+        updates = matrix.reference(cell).extra["updates"]
         weights = self.STALE[:len(updates)] if weighted else None
         routes = [r for r in ROUTES if not (weighted and r == "list-all-ones")]
         crcs = {}
         for route in routes:
-            algo = _make_algorithm(name, tiny_dataset, tiny_setting)
+            algo = matrix.build(cell, tmp_path)
             before = state_fingerprint(algo.worker_sync_state())
             ROUTES[route](algo, updates, weights, tmp_path)
             crcs[route] = state_fingerprint(algo.worker_sync_state())
@@ -642,15 +507,14 @@ class TestAggregationComposition:
         assert len(set(crcs.values())) == 1, crcs
 
     @pytest.mark.parametrize("name", ROUTED)
-    def test_staleness_weights_change_the_bytes(self, tmp_path, tiny_dataset,
-                                                tiny_setting, updates_for,
-                                                name):
+    def test_staleness_weights_change_the_bytes(self, tmp_path, name):
         """The weighted cells are not vacuous: discounting moves every
         algorithm's server state (SCAFFOLD's step once ignored it)."""
-        updates = updates_for(name)
+        cell = f"routes/{name}"
+        updates = matrix.reference(cell).extra["updates"]
         crcs = []
         for weights in (None, self.STALE[:len(updates)]):
-            algo = _make_algorithm(name, tiny_dataset, tiny_setting)
+            algo = matrix.build(cell, tmp_path)
             _list_route(algo, updates, weights, tmp_path)
             crcs.append(state_fingerprint(algo.worker_sync_state()))
         assert crcs[0] != crcs[1]
@@ -674,13 +538,12 @@ class TestSpilledFold:
 
     @pytest.mark.parametrize("name", ["fednova", "fedtopk", "scaffold",
                                       "ssfl"])
-    def test_parks_the_uplink_and_finalizes_in_o_model(
-            self, tmp_path, tiny_dataset, tiny_setting, name):
-        source = _make_algorithm(name, tiny_dataset, tiny_setting)
-        updates = [source.local_update(c, 0) for c in source.clients]
+    def test_parks_the_uplink_and_finalizes_in_o_model(self, tmp_path, name):
+        cell = f"routes/{name}"
+        updates = matrix.reference(cell).extra["updates"]
 
         def finalize_peak(n_updates):
-            algo = _make_algorithm(name, tiny_dataset, tiny_setting)
+            algo = matrix.build(cell, tmp_path)
             with UpdateSpill(tmp_path / f"{n_updates}.spill") as spill:
                 fold = algo.make_fold(spill)
                 for i in range(n_updates):
@@ -696,10 +559,8 @@ class TestSpilledFold:
 
         # an int8 update's record is its framed uplink: the dequantized
         # payload, without the update's other entries or its wire stash
-        model_fn, _ = tiny_setting
-        algo = ALGORITHMS[name](model_fn, _clients(tiny_dataset, tiny_setting),
-                                lr=0.05, local_epochs=1, seed=0,
-                                quant=make_quant_config(8))
+        algo = matrix.build(dataclasses.replace(matrix.CELL[cell], quant=8),
+                            tmp_path)
         client = algo.clients[0]
         update = algo.quantize_update(client, algo.local_update(client, 0), 0)
         with UpdateSpill(tmp_path / "q.spill") as spill:

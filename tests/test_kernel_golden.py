@@ -13,57 +13,31 @@ is held to the oracle with ``==`` as well.
 import numpy as np
 import pytest
 
-from repro.experiments.configs import config_for, make_algorithm, make_setting
-from repro.fl.comm import serialize_state
 from repro.nn.reference import reference_kernels
 
-
-def _final_state(algo_name: str, *, use_reference: bool = False,
-                 workers: int = 1, rounds: int = 2) -> bytes:
-    return _final(algo_name, use_reference=use_reference, workers=workers,
-                  rounds=rounds)[0]
-
-
-def _final(algo_name: str, *, use_reference: bool = False, workers: int = 1,
-           rounds: int = 2) -> tuple:
-    """``(state bytes, per-round (val acc, train loss), one evaluate())``."""
-    cfg = config_for("tiny", n_clients=4, n_samples=400, rounds=rounds,
-                     workers=workers, seed=0)
-    if use_reference:
-        with reference_kernels():
-            return _run(algo_name, cfg, rounds)
-    return _run(algo_name, cfg, rounds)
-
-
-def _run(algo_name, cfg, rounds) -> tuple:
-    model_fn, clients = make_setting(cfg)
-    algo = make_algorithm(algo_name, cfg, model_fn, clients)
-    try:
-        results = [algo.run_round(r) for r in range(rounds)]
-        return (serialize_state(dict(algo.global_model.state_dict())),
-                [(res.avg_val_acc, res.avg_train_loss) for res in results],
-                clients[0].evaluate(algo.global_model))
-    finally:
-        algo.close()
+from tests import matrix
 
 
 @pytest.mark.parametrize("algo_name", ["fedavg", "spatl"])
 class TestGoldenState:
+    """Two rounds of ``config_for("tiny", n_clients=4, n_samples=400)``:
+    the matrix's ``kernel/<algo>-serial``, ``-oracle`` (under
+    :func:`reference_kernels`) and ``-pool`` (two workers) cells."""
+
     def test_serial_matches_reference(self, algo_name):
-        opt_state, opt_rounds, opt_eval = _final(algo_name)
-        ref_state, ref_rounds, ref_eval = _final(algo_name,
-                                                 use_reference=True)
-        assert opt_state == ref_state, (
+        opt = matrix.reference(f"kernel/{algo_name}-serial")
+        ref = matrix.reference(f"kernel/{algo_name}-oracle")
+        assert opt.model == ref.model, (
             f"{algo_name}: optimized kernels changed training numerics")
-        assert opt_rounds == ref_rounds, (
+        assert [(r.avg_val_acc, r.avg_train_loss) for r in opt.results] \
+            == [(r.avg_val_acc, r.avg_train_loss) for r in ref.results], (
             f"{algo_name}: optimized kernels changed the reported metrics")
-        assert opt_eval == ref_eval, (
+        assert opt.extra["evaluate"] == ref.extra["evaluate"], (
             f"{algo_name}: Client.evaluate diverged from the oracle")
 
     def test_workers2_matches_serial(self, algo_name):
-        serial = _final_state(algo_name)
-        parallel = _final_state(algo_name, workers=2)
-        assert serial == parallel, (
+        assert matrix.reference(f"kernel/{algo_name}-serial").model \
+            == matrix.reference(f"kernel/{algo_name}-pool").model, (
             f"{algo_name}: worker-pool run diverged from serial")
 
 

@@ -1,32 +1,26 @@
 """Unit tests: the repro.obs subsystem (tracer, metrics, profiler, reports)."""
 
 import contextlib
-import functools
-import io
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import SPATL, StaticSaliencyPolicy
 from repro.data import SyntheticCIFAR10
-from repro.fl import (AsyncConfig, AsyncFederatedRunner, AsyncProfile,
-                      ClientStateStore, FaultModel, FedAvg, SalientGrads,
-                      ScaleRunner, ShardedClientFactory, Transport,
-                      VirtualClientPool, make_executor,
-                      deserialize_state, make_federated_clients,
-                      payload_nbytes, serialize_state, state_fingerprint)
-from repro.fl.checkpoint import save_checkpoint
+from repro.fl import (FedAvg, Transport, deserialize_state, make_executor,
+                      make_federated_clients, payload_nbytes,
+                      serialize_state, state_fingerprint)
 from repro.models import build_model
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.obs import (NULL_SPAN, MetricsRegistry, NullTracer, OpProfiler,
-                       Tracer, codec_byte_totals, downlink_line, get_tracer,
-                       hotspot_table, round_timeline_table, set_registry,
-                       set_tracer, span_attr_total, span_total_seconds,
-                       tracing)
+                       Tracer, downlink_line, get_tracer, hotspot_table,
+                       round_timeline_table, set_registry, set_tracer,
+                       span_attr_total, span_total_seconds, tracing)
 from repro.tensor import Tensor
 from repro.tensor.tensor import set_backward_op_hook
+
+from tests import matrix
 
 
 def _tiny_setting(n_clients=2, seed=0):
@@ -36,101 +30,6 @@ def _tiny_setting(n_clients=2, seed=0):
     model_fn = lambda: build_model("resnet20", num_classes=10, input_size=12,
                                    width_mult=0.25, seed=seed + 1)
     return model_fn, clients
-
-
-# ------------------------------------------------------------------------
-# The ledger-reconciliation matrix (DESIGN.md §17): one driver per entry,
-# each run under every algorithm of ``_RECONCILED_ALGOS``.  A driver takes
-# ``build(clients=None, **algo_kwargs) -> algorithm`` (4 fresh clients by
-# default) and a scratch directory, runs traced, and returns the algorithm.
-
-_RECONCILED_ALGOS = {
-    "fedavg": FedAvg,
-    "spatl": functools.partial(SPATL,
-                               selection_policy=StaticSaliencyPolicy(0.5)),
-    # charges its mask bootstrap at construction, outside any round
-    "salientgrads": functools.partial(SalientGrads, density=0.3),
-}
-
-
-def _drive_sync(build, tmp_path):
-    algo = build()
-    algo.run(2)
-    return algo
-
-
-def _drive_faults(build, tmp_path):
-    algo = build(fault_model=FaultModel(drop_prob=0.2, corrupt_prob=0.3,
-                                        seed=4))
-    algo.run(2)
-    assert algo.fault_stats.n_corrupt > 0    # retransmissions were charged
-    return algo
-
-
-def _drive_pool(build, tmp_path):
-    algo = build(executor=make_executor(2))
-    try:
-        algo.run(2)
-    finally:
-        algo.close()
-    return algo
-
-
-def _drive_async(build, tmp_path):
-    algo = build()
-    profile = AsyncProfile(seed=2, jitter=0.3, straggler_prob=0.4,
-                           crash_prob=0.2, duplicate_prob=0.5)
-    AsyncFederatedRunner(algo, profile,
-                         AsyncConfig(buffer_k=2, max_inflight=4)).run(steps=3)
-    return algo
-
-
-def _drive_scale(build, tmp_path):
-    algo = build(sample_ratio=0.5)
-    ScaleRunner(algo, eval_mode="none",
-                spill_dir=tmp_path / "spills").run_round(0)
-    return algo
-
-
-def _drive_scale_faults(build, tmp_path):
-    algo = build(fault_model=FaultModel(drop_prob=0.2, corrupt_prob=0.3,
-                                        seed=4), min_clients=4)
-    ScaleRunner(algo, eval_mode="none", spill_dir=tmp_path / "spills",
-                wave=2).run(2)
-    # a discarded cohort's transfers stay charged, and traced
-    assert algo.fault_stats.n_corrupt > 0 < algo.fault_stats.n_resamples
-    return algo
-
-
-def _drive_scale_pool(build, tmp_path):
-    ds = SyntheticCIFAR10(n_samples=160, size=12, seed=0)
-    factory = ShardedClientFactory(
-        dataset=ds, parts=[np.arange(i * 40, (i + 1) * 40) for i in range(4)],
-        batch_size=20, seed=0)
-    store = ClientStateStore(tmp_path / "store")
-    pool = VirtualClientPool(factory, 4, store, resident_limit=1)
-    algo = build(clients=pool.clients(), sample_ratio=0.5)
-    try:
-        ScaleRunner(algo, pool=pool, eval_mode="none").run(2)
-    finally:
-        store.close()
-    return algo
-
-
-def _drive_checkpoint(build, tmp_path):
-    algo = build()
-    algo.run(1)
-    save_checkpoint(algo, tmp_path / "mid.npz")
-    algo.run(1)
-    return algo
-
-
-_RECONCILED_DRIVERS = {
-    "sync": _drive_sync, "faults": _drive_faults, "pool": _drive_pool,
-    "async": _drive_async,
-    "scale": _drive_scale, "scale_faults": _drive_scale_faults,
-    "scale_pool": _drive_scale_pool,
-    "checkpoint": _drive_checkpoint}
 
 
 class TestTracer:
@@ -334,42 +233,35 @@ class TestTracedFederatedRun:
         assert traced_log["train_loss"] == plain_log["train_loss"]
         assert tracer.spans and prof.stats
 
-    @pytest.mark.parametrize("driver,algorithm", [
-        *((d, a) for d in _RECONCILED_DRIVERS for a in ("fedavg", "spatl")),
-        ("sync", "salientgrads")])
-    def test_codec_span_bytes_match_ledger(self, driver, algorithm,
-                                           tmp_path):
+    @pytest.mark.parametrize("cell", matrix.params("ledger"))
+    def test_codec_span_bytes_match_ledger(self, cell):
         """Σ serialize == Σ deserialize == ledger == Σ download+upload
         bytes, whichever driver sends and whatever storage framing
-        (spill, store, checkpoint, pool plumbing) runs beside it."""
-        model_fn, default_clients = _tiny_setting(n_clients=4)
-
-        def build(clients=None, **kwargs):
-            return _RECONCILED_ALGOS[algorithm](
-                model_fn, default_clients if clients is None else clients,
-                lr=0.05, local_epochs=1, seed=0, **kwargs)
-
-        with tracing() as tracer:
-            algo = _RECONCILED_DRIVERS[driver](build, tmp_path)
-            # no driver swaps the process-global tracer behind the run's back
-            assert get_tracer() is tracer
-        total = algo.ledger.total_bytes()
+        (spill, store, checkpoint, pool plumbing) runs beside it
+        (DESIGN.md §17).  Each reference of the matrix runs traced."""
+        ref = matrix.reference(cell)
+        if cell.faults:     # retransmissions were charged
+            assert ref.fault_stats["n_corrupt"] > 0
+        if cell.faults and isinstance(cell.driver, matrix.Scale):
+            # a discarded cohort's transfers stay charged, traced
+            assert ref.fault_stats["n_resamples"] > 0
+        trace = ref.extra["trace"]
+        # no driver swaps the process-global tracer behind the run's back
+        assert trace["kept"]
+        total = ref.ledger_bytes
         assert total > 0
-        assert codec_byte_totals(tracer) == {"serialize": total,
-                                             "deserialize": total}
+        assert trace["codec"] == {"serialize": total, "deserialize": total}
         # transfer spans carry the same per-transfer byte attributes
-        assert (span_attr_total(tracer, "download", "bytes")
-                + span_attr_total(tracer, "upload", "bytes")) == total
+        assert trace["transfer"] == total
 
     def test_delta_downlink_is_counted_and_tracing_does_not_move_it(self):
         """Traced == untraced bytes and fingerprint with deltas on the
         wire, and the build site's counters say what travelled — the same
         on a process pool, whose workers count in their own registries."""
         def run(traced=False, **kwargs):
-            model_fn, clients = _tiny_setting(n_clients=4)
-            algo = _RECONCILED_ALGOS["spatl"](model_fn, clients, lr=0.05,
-                                              local_epochs=1, seed=0,
-                                              **kwargs)
+            algo = matrix.algorithm("spatl", matrix.model_fn("obs"),
+                                    matrix.clients("obs"), sparsity=0.5,
+                                    **kwargs)
             registry = MetricsRegistry()
             previous = set_registry(registry)
             try:
