@@ -59,9 +59,12 @@ from typing import Callable, Iterable  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 # Scripts and the subprocesses they spawn find ``repro`` without relying
-# on the caller's PYTHONPATH.
+# on the caller's PYTHONPATH; scripts find the allocating oracles the
+# tests keep (``tests.reference``, ``tests.reference_agg``) too.
 if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
+if str(REPO) not in sys.path:
+    sys.path.append(str(REPO))
 
 SEED = 0
 RECORD_KEYS = ("bench", "commit", "timestamp", "smoke", "env",

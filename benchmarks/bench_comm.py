@@ -8,7 +8,7 @@ pre-optimization implementations, optimized/reference interleaved:
   model): single-buffer serialize vs the original join-based encoder,
   zero-copy vs copying deserialize, the serialize→deserialize round
   trip, broadcast-cache hits;
-- **aggregate** — Eq. 12 aggregation vs :mod:`repro.fl.reference_agg`,
+- **aggregate** — Eq. 12 aggregation vs :mod:`tests.reference_agg`,
   required bitwise-equal before it is timed;
 - **downlink** — {fedavg, scaffold, spatl static, spatl RL} x {resnet20,
   vgg11} for four full-participation rounds: per round, the bytes a
@@ -114,7 +114,7 @@ def aggregate_rows(size: dict):
     """Eq. 12 vectorized vs the reference scatter loop."""
     import numpy as np
     from repro.core.aggregation import salient_aggregate
-    from repro.fl.reference_agg import reference_salient_aggregate
+    from tests.reference_agg import reference_salient_aggregate
 
     rng = np.random.default_rng(0)
     for label, shape in (("conv", (256, 256, 3, 3)), ("fc", (512, 512)),

@@ -2,7 +2,7 @@
 
 Times the rewritten training kernels (DESIGN.md §10) against the
 verbatim pre-optimization implementations preserved in
-:mod:`repro.nn.reference`, at two granularities:
+:mod:`tests.reference`, at two granularities:
 
 - **micro** — per-op wall time, optimized/reference interleaved: forward
   and backward of conv2d, batch norm and max pool, the backward of avg
@@ -14,16 +14,20 @@ verbatim pre-optimization implementations preserved in
   ``arena_resident_mb`` / ``gather_idx_mb``: the workspace arena's
   resident bytes and the im2col gather-index cache after one smoke-sized
   round (train + eval) of that model — exact byte counts of a fixed
-  config, the same in smoke and full runs and on any box.  ``shared_mb``
-  / ``per_layer_mb`` split the arena by lifetime (DESIGN.md §10: the
-  process-wide transient stack vs the slots layers and optimizers own).
+  config, the same in smoke and full runs and on any box.  After the
+  round the arena is the transient stack alone: no layer owns memory
+  (DESIGN.md §10.1).  So the arena no longer shows where a step's memory
+  goes — its activations, ``xhat`` and input gradients live in the step —
+  and ``step_peak_mb`` is the ``tracemalloc`` peak over that same round:
+  every array NumPy allocates is traced, so it repeats to a few KB.
 
     python benchmarks/bench_kernels.py --smoke --check    # the CI gate
 
 Gated (``--check``): each micro ``opt_ms`` against the last full record
 (1.5x beyond a 0.15 ms noise floor: sub-ms ops at low repeat counts
-jitter more than 50 % on a busy CI core), both byte counts against it
-(> 10 % growth — a memory gate that does not depend on the box's clock),
+jitter more than 50 % on a busy CI core), the step peak and both byte
+counts against it (> 10 % growth — memory gates that do not depend on
+the box's clock),
 and on full runs the speedup floor: every optimized kernel must at least
 match the reference it replaced, so a "fix" that quietly makes a kernel
 slower than the old code cannot be recorded.  Smoke runs skip that floor
@@ -65,7 +69,7 @@ def no_donation():
 def micro_rows(size: dict):
     """One row per kernel and direction."""
     import numpy as np
-    import repro.nn.reference as R
+    from tests import reference as R
     from repro.models import build_model
     from repro.nn.conv import Conv2d
     from repro.nn.linear import Linear
@@ -171,19 +175,24 @@ def _fedavg(model_name: str, clients: int, samples: int):
 
 
 def arena_footprint(model_name: str) -> dict:
-    """Exact arena bytes after one smoke-sized round (train + eval)."""
+    """Exact arena bytes after one smoke-sized round (train + eval), and
+    the ``tracemalloc`` peak over that round."""
+    import tracemalloc
     from repro.tensor import workspace
     workspace.reset()
-    # kept alive while the bytes are read: per-layer slots die with it
+    # kept alive while the bytes are read: per-owner slots die with it
     algo = _fedavg(model_name, FOOTPRINT_CLIENTS, FOOTPRINT_SAMPLES)
-    algo.run_round(0)
+    tracemalloc.start()
+    try:
+        algo.run_round(0)
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     mb = 2 ** 20
     resident = sum(workspace.resident_bytes().values())
-    shared = workspace.transient.nbytes
     return {
+        "step_peak_mb": round(step_peak / mb, 3),
         "arena_resident_mb": round(resident / mb, 3),
-        "shared_mb": round(shared / mb, 3),
-        "per_layer_mb": round((resident - shared) / mb, 3),
         "gather_idx_mb":
             round(workspace.shared_bytes()["conv.gather_idx"] / mb, 3),
     }
@@ -194,7 +203,7 @@ def e2e_rows(size: dict):
     a warm-up round each (arenas, caches), then every further round timed
     on its own, alternating sides."""
     from repro.fl.comm import serialize_state
-    from repro.nn.reference import reference_kernels
+    from tests.reference import reference_kernels
 
     for model_name in MODELS:
         algo_opt, algo_ref = (_fedavg(model_name, size["clients"],
@@ -232,6 +241,7 @@ BENCH = Bench(
     smoke=dict(repeats=15, rounds=1, clients=FOOTPRINT_CLIENTS,
                samples=FOOTPRINT_SAMPLES),
     gates=(Gate("micro", "opt_ms", slack=0.15),
+           Gate("e2e", "step_peak_mb", factor=1.10),
            Gate("e2e", "arena_resident_mb", factor=1.10),
            Gate("e2e", "gather_idx_mb", factor=1.10)),
     floors=floors)

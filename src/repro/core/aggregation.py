@@ -17,9 +17,9 @@ filters, so indices within one upload are unique and the fancy add sums
 exactly the same terms in exactly the same order.  Uploads that *do*
 repeat an index (allowed by the API, never produced by the selection
 policy) fall back to ``np.add.at`` for that upload.  The
-pre-vectorization implementation is preserved verbatim as the oracle in
-:mod:`repro.fl.reference_agg`; golden tests assert the two agree
-**bitwise**.  That bit-for-bit requirement is also why the reduction is
+pre-vectorization implementation is preserved verbatim as the oracle
+the golden tests keep (``tests/reference_agg.py``); they assert the two
+agree **bitwise**.  That bit-for-bit requirement is also why the reduction is
 not ``np.add.reduceat`` over argsorted indices: reduceat's pairwise
 summation changes low-order bits and would break the golden-state byte
 identity the repo's acceptance gates enforce.
@@ -111,8 +111,8 @@ def salient_aggregate(global_weight: np.ndarray,
         denominator is the sum of covering weights.
 
     Returns the updated dense tensor.  With unit weights,
-    bitwise-identical to
-    :func:`repro.fl.reference_agg.reference_salient_aggregate`.
+    bitwise-identical to the sequential-scatter oracle the golden tests
+    keep (``tests/reference_agg.py``).
     """
     if weights is not None and len(weights) != len(uploads):
         raise ValueError("uploads/weights length mismatch")

@@ -72,8 +72,9 @@ class Client:
 
         ``model.eval()`` under ``no_grad``: the same kernels as training
         with graph/closure construction skipped, so the reported numbers
-        are byte-identical to the :mod:`repro.nn.reference` oracle's
-        (DESIGN.md §10.5; the golden-state tests compare them with ``==``).
+        are byte-identical to the allocating reference kernels' (DESIGN.md
+        §10.5; the golden-state tests keep that oracle and compare with
+        ``==``).
         """
         data = data if data is not None else self.val_data
         model.eval()

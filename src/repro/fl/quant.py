@@ -46,6 +46,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.obs.metrics import get_registry
+
 __all__ = ["QuantConfig", "QUANT_SUFFIX", "QUANT_WIRE_KEY",
            "stochastic_quantize", "dequantize_values",
            "pack_nibbles", "unpack_nibbles",
@@ -331,22 +333,28 @@ def _entry_overhead(name: str, ndim: int) -> int:
     return 2 + len(name.encode("utf-8")) + 2 + 4 * ndim
 
 
-def _quantizes(name: str, arr: np.ndarray, config: QuantConfig) -> bool:
-    """Whether ``name`` travels as a quantized record.
+def _passthrough(name: str, arr: np.ndarray,
+                 config: QuantConfig) -> str | None:
+    """Why ``name`` passes through bit-exactly instead of travelling as a
+    quantized record, or ``None`` when it is quantized.
 
     Only float tensors whose record entry is *strictly smaller* than
-    their dense entry qualify; everything else — integer indices, bool
-    masks, BN step counters, tiny tensors where the record header would
-    outweigh the data — passes through bit-exactly.  The rule depends
-    only on dtype/shape/config, so :func:`quant_payload_nbytes` and
+    their dense entry qualify; everything else passes through:
+    ``"not_float"`` — integer indices, bool masks, BN step counters —
+    and ``"not_smaller"`` — tiny tensors where the record header would
+    outweigh the data (``"inactive"``: the ``bits=32`` identity config,
+    which the drivers never hand the codec).  The rule depends only on
+    dtype/shape/config, so :func:`quant_payload_nbytes` and
     :func:`quantize_payload` always agree.
     """
-    if not config.active or arr.dtype.kind != "f":
-        return False
+    if not config.active:
+        return "inactive"
+    if arr.dtype.kind != "f":
+        return "not_float"
     dense = _entry_overhead(name, arr.ndim) + arr.nbytes
     record = _entry_overhead(name + QUANT_SUFFIX, 1) \
         + record_nbytes(arr, config.bits, config.block)
-    return record < dense
+    return None if record < dense else "not_smaller"
 
 
 def quantize_payload(payload: dict[str, np.ndarray], config: QuantConfig,
@@ -368,7 +376,8 @@ def quantize_payload(payload: dict[str, np.ndarray], config: QuantConfig,
     changes between participations, so its residual is held by row id:
     ``residuals[name.idx]`` lists the rows ``residuals[name.val]`` holds,
     a sent row takes its own row's residual, and rows not sent this time
-    keep theirs for when they are.
+    keep theirs for when they are.  Each entry that passes through is
+    counted as ``quant.passthrough{reason=}`` (see :func:`_passthrough`).
     """
     if "\x00" in "".join(payload):
         bad = next(k for k in payload if "\x00" in k)
@@ -378,7 +387,9 @@ def quantize_payload(payload: dict[str, np.ndarray], config: QuantConfig,
     decoded: dict[str, np.ndarray] = {}
     for name, value in payload.items():
         arr = np.asarray(value)
-        if not _quantizes(name, arr, config):
+        reason = _passthrough(name, arr, config)
+        if reason is not None:
+            get_registry().counter("quant.passthrough", reason=reason).inc()
             wire_dict[name] = arr
             decoded[name] = arr
             continue
@@ -473,7 +484,7 @@ def quant_payload_nbytes(payload: dict[str, np.ndarray],
     per_entry = 4 if checksums else 0
     for name, value in payload.items():
         arr = np.asarray(value)
-        if _quantizes(name, arr, config):
+        if _passthrough(name, arr, config) is None:
             total += _entry_overhead(name + QUANT_SUFFIX, 1) \
                 + record_nbytes(arr, config.bits, config.block) + per_entry
         else:

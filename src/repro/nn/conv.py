@@ -10,19 +10,19 @@ One kernel per direction (DESIGN.md §10.3): :func:`_forward_data` and
 :func:`_backward_data` are the only places the arithmetic is written.
 The eager :func:`conv2d` allocates its outputs and calls them, and the
 step compiler's replay (:mod:`repro.tensor.compile.kernels`) calls the
-same two functions with planned output buffers.  Temporaries are arena
-buffers, kept by lifetime (DESIGN.md §10.1): what is dead when the kernel
-returns — padded input, patch matrix, GEMM outputs, transposed output
-gradient, col2im staging — comes off the ``workspace.transient`` stack,
-which each kernel resets on entry; only the input gradient donated to the
-parent lives in the caller's slot (a :class:`Conv2d` passes its own; a
-bare functional call gets a private one).  The patch matrix is a pure
-function of the conv's input, which the graph keeps alive anyway, so
-nothing holds it from forward to backward: :func:`_gather_cols` builds it
-for the forward GEMM and again for the weight gradient.  Every op keeps
-the operand and accumulation order of the allocating
-:mod:`repro.nn.reference`, so results are byte-identical to it (asserted
-by the golden-state tests).
+same two functions with planned output buffers.  Memory is kept by
+lifetime (DESIGN.md §10.1): what is dead when the kernel returns — padded
+input, patch matrix, GEMM outputs, transposed output gradient, col2im
+staging — comes off the ``workspace.transient`` stack, which each kernel
+resets on entry; the input gradient lives as long as the parent's
+gradient, so eager allocates it fresh and donates it, and a replay plans
+it as a handle.  A layer owns no memory of its own.  The patch matrix is
+a pure function of the conv's input, which the graph keeps alive anyway,
+so nothing holds it from forward to backward: :func:`_gather_cols` builds
+it for the forward GEMM and again for the weight gradient.  Every op
+keeps the operand and accumulation order of the allocating reference
+kernels the golden-state tests keep, so results are byte-identical to
+them.
 """
 
 from __future__ import annotations
@@ -153,17 +153,17 @@ def _forward_data(xdata: np.ndarray, wdata: np.ndarray,
     return out_arr
 
 
-def _dx_scratch(ws: workspace.WorkspaceSlot,
-                x_shape: tuple[int, int, int, int], padding: int, dtype):
-    """``(dxp, dx)``: the padded scatter target :func:`_backward_data` fills
-    and its interior, the input gradient.  Per layer (``dx`` is donated to the
-    parent, where a residual branch keeps it alive past the next layer's
-    backward) and valid until the slot's next backward."""
+def _padded_shape(x_shape: tuple[int, int, int, int],
+                  padding: int) -> tuple[int, int, int, int]:
+    """Shape of the padded scatter target ``dxp`` :func:`_backward_data`
+    fills for an input of ``x_shape``."""
     n, c, h, w = x_shape
-    dxp = ws.buffer("conv2d.dx", (n, c, h + 2 * padding, w + 2 * padding),
-                    dtype)
-    return dxp, (dxp[:, :, padding:-padding, padding:-padding]
-                 if padding else dxp)
+    return (n, c, h + 2 * padding, w + 2 * padding)
+
+
+def _interior(dxp: np.ndarray, padding: int) -> np.ndarray:
+    """The input gradient: ``dxp`` without its padding frame (a view)."""
+    return dxp[:, :, padding:-padding, padding:-padding] if padding else dxp
 
 
 def _backward_data(g: np.ndarray, xdata: np.ndarray, wdata: np.ndarray,
@@ -174,8 +174,8 @@ def _backward_data(g: np.ndarray, xdata: np.ndarray, wdata: np.ndarray,
 
     ``g`` is the (N, C_out, Ho, Wo) output gradient and ``xdata`` the input
     the matching :func:`_forward_data` call was given, unchanged since.
-    ``db`` (C_out,), ``dw`` (weight-shaped, C-contiguous) and ``dxp`` (the
-    padded input's shape, :func:`_dx_scratch`) are overwritten; ``None``
+    ``db`` (C_out,), ``dw`` (weight-shaped, C-contiguous) and ``dxp`` (shaped
+    :func:`_padded_shape`) are overwritten; ``None``
     skips that gradient.  Only ``dw`` reads the patch matrix, so only a
     wanted ``dw`` re-gathers it, and its region of the transient stack is
     released after the weight-gradient GEMM: ``dcols`` (the same shape) and
@@ -218,14 +218,11 @@ def _backward_data(g: np.ndarray, xdata: np.ndarray, wdata: np.ndarray,
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
-           stride: int = 1, padding: int = 0,
-           ws: workspace.WorkspaceSlot | None = None) -> Tensor:
+           stride: int = 1, padding: int = 0) -> Tensor:
     """Differentiable 2-D convolution.
 
     ``x``: (N, C_in, H, W); ``weight``: (C_out, C_in, kh, kw);
     ``bias``: (C_out,) or None.  Returns (N, C_out, H_out, W_out).
-    ``ws`` is the slot the per-layer temporaries (DESIGN.md §10.1) live in;
-    without one the call runs on a private slot that dies with the graph.
     """
     if x.shape[1] != weight.shape[1]:
         raise ValueError(f"input channels {x.shape[1]} != weight in-channels "
@@ -238,8 +235,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             (bias is not None and bias.requires_grad))):
         # Inference fast path: no closure, no graph edges, nothing retained.
         return Tensor(out_data, dtype=out_data.dtype)
-    if ws is None:
-        ws = workspace.WorkspaceSlot()
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -250,18 +245,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         if weight.requires_grad:
             dw = np.empty(weight.shape, g.dtype)
         if x.requires_grad:
-            dxp, dx = _dx_scratch(ws, x.shape, padding, g.dtype)
+            dxp = np.empty(_padded_shape(x.shape, padding), g.dtype)
+            dx = _interior(dxp, padding)
         _backward_data(g, x.data, weight.data, stride, padding, db, dw, dxp)
         if db is not None:
             bias._accumulate(db, donate="fresh")
         if dw is not None:
             weight._accumulate(dw, donate="fresh")
         if dx is not None:
-            # Arena memory, valid until this slot's next backward: non-leaf
-            # parents take it in place, leaves copy (DESIGN.md §10).
-            x._accumulate(dx, donate="scratch")
+            x._accumulate(dx, donate="fresh")
 
-    return Tensor._make(out_data, parents, backward, (stride, padding, ws))
+    return Tensor._make(out_data, parents, backward, (stride, padding))
 
 
 class Conv2d(Module):
@@ -290,8 +284,7 @@ class Conv2d(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding,
-                      ws=workspace.slot_for(self))
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
     def __repr__(self) -> str:
         return (f"Conv2d({self.in_channels}, {self.out_channels}, "

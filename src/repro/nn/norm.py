@@ -10,14 +10,17 @@ One kernel per direction (DESIGN.md §10.3): :func:`_forward_data` and
 :meth:`_BatchNorm._normalize` adds the running-statistics update.  The
 eager :meth:`_BatchNorm.forward` and the step compiler's replay
 (:mod:`repro.tensor.compile.kernels`) both go through them.  Batch-sized
-intermediates are arena buffers, by lifetime (DESIGN.md §10.1): a kernel's
-work array comes off the ``workspace.transient`` stack, which each kernel
-resets on entry; the normalised input the backward reads and the input
-gradient donated to the parent are the layer's own.  The elementwise
-chain runs in place (``out=``), in the operand and accumulation order of
-the allocating :mod:`repro.nn.reference`, so training *and* evaluation
-numerics are byte-identical to it (asserted by the golden-state tests).  Under ``no_grad`` the forward skips closure/
-graph construction and the normalised input is transient too.
+intermediates are kept by lifetime (DESIGN.md §10.1): a kernel's work
+array comes off the ``workspace.transient`` stack, which each kernel
+resets on entry; the normalised input ``xhat`` lives from the forward to
+the backward that reads it, and the input gradient as long as the
+parent's gradient — eager allocates both (the backward closure owns
+``xhat``; ``dx`` is donated), a replay plans both as handles.  A layer
+owns no memory of its own.  The elementwise chain runs in place
+(``out=``), in the operand and accumulation order of the allocating
+reference kernels the golden-state tests keep, so training *and*
+evaluation numerics are byte-identical to them.  Under ``no_grad`` the
+forward skips closure/graph construction and ``xhat`` is transient.
 """
 
 from __future__ import annotations
@@ -165,15 +168,13 @@ class _BatchNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         axes = self._axes(x)
         shape = self._shape(x)
-        ws = workspace.slot_for(self)
         w, b = self.weight, self.bias
         records = is_grad_enabled() and (
             x.requires_grad or (w is not None and
                                 (w.requires_grad or b.requires_grad)))
-        # The backward closure captures xhat (one forward per backward,
-        # DESIGN.md §10); without one it is transient scratch of the kernel.
-        xhat = (ws.buffer("batchnorm.xhat", x.data.shape, x.data.dtype)
-                if records else None)
+        # The backward closure owns xhat; without one it is transient
+        # scratch of the kernel.
+        xhat = np.empty(x.data.shape, x.data.dtype) if records else None
         out_data, inv_std = self._normalize(x.data, axes, shape, xhat)
         out_data = out_data.astype(x.dtype, copy=False)
         if not records:
@@ -188,7 +189,7 @@ class _BatchNorm(Module):
             if w is not None and w.requires_grad:
                 dw = np.empty(w.shape, g.dtype)
             if x.requires_grad:
-                dx = ws.buffer("batchnorm.gx", g.shape, g.dtype)
+                dx = np.empty(g.shape, g.dtype)
             _backward_data(g, xhat, inv_std, None if w is None else w.data,
                            axes, shape, training, db, dw, dx)
             if db is not None:
@@ -196,15 +197,10 @@ class _BatchNorm(Module):
             if dw is not None:
                 w._accumulate(dw, donate="fresh")
             if dx is not None:
-                # Arena memory, valid until this layer's next backward;
-                # scratch donation lets non-leaf parents take it without
-                # a copy while leaves still copy (DESIGN.md §10).
-                x._accumulate(dx.astype(x.dtype, copy=False),
-                              donate="scratch")
+                x._accumulate(dx.astype(x.dtype, copy=False), donate="fresh")
 
         parents = (x,) if w is None else (x, w, b)
-        return Tensor._make(out_data, parents, backward,
-                            (self, axes, shape, ws))
+        return Tensor._make(out_data, parents, backward, (self, axes, shape))
 
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}({self.num_features})"

@@ -29,10 +29,11 @@ cached process-wide per geometry with the batch offset added at use, so
 a pool layer owns no memory whatever batch sizes it meets.
 
 Average pooling writes the scaled gradient through the same k*k strided
-assignments into an arena buffer (skipping the zero-fill entirely when the
-window tiling covers the input).  For the non-overlapping configurations
-the models use, results are byte-identical to the original
-formulation (see :mod:`repro.nn.reference`).
+assignments into a fresh input gradient it donates (skipping the
+zero-fill entirely when the window tiling covers the input).  For the
+non-overlapping configurations the models use, results are
+byte-identical to the original formulation (the reference kernels the
+golden-state tests keep).
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def max_pool2d(x: Tensor, kernel_size: int,
     return Tensor._make(out_data, (x,), backward, (k, s))
 
 
-def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
-               ws: workspace.WorkspaceSlot | None = None) -> Tensor:
+def avg_pool2d(x: Tensor, kernel_size: int,
+               stride: int | None = None) -> Tensor:
     """Average pooling with square window; stride defaults to window size."""
     k = kernel_size
     s = stride or k
@@ -206,7 +207,6 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
     if not (is_grad_enabled() and x.requires_grad):
         return Tensor(out_data, dtype=out_data.dtype)
 
-    ws = ws or workspace.WorkspaceSlot()
     a = x
 
     def backward(g):
@@ -214,25 +214,14 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
             # Non-overlapping tiling: k*k strided assignments of the
             # scaled gradient, each writing every window's (i, j) tap in
             # one pass — no scatter, and (when the tiling covers the
-            # input exactly) nothing to zero first.  dx comes from the
-            # arena when the consumer can take scratch (non-leaf input);
-            # a leaf input gets a fresh array since leaves never alias
-            # arena memory.
+            # input exactly) nothing to zero first.
             covered = (h == ho * k and w == wo * k)
-            if a._backward is not None:
-                dx = ws.buffer("avgpool.dx", a.data.shape, a.data.dtype,
-                               zero="never" if covered else "always")
-                donate = "scratch"
-            else:
-                dx = (np.empty_like(a.data) if covered
-                      else np.zeros_like(a.data))
-                donate = "fresh"
-            gk = ws.buffer("avgpool.gk", g.shape, g.dtype)
-            np.divide(g, k * k, gk)
+            dx = np.empty_like(a.data) if covered else np.zeros_like(a.data)
+            gk = np.divide(g, k * k)
             for i in range(k):
                 for j in range(k):
                     dx[:, :, i:i + s * ho:s, j:j + s * wo:s] = gk
-            a._accumulate(dx, donate=donate)
+            a._accumulate(dx, donate="fresh")
             return
         dx = np.zeros_like(a.data)
         gk = g / (k * k)
@@ -281,8 +270,7 @@ class AvgPool2d(Module):
         self.stride = stride or kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride,
-                          ws=workspace.slot_for(self))
+        return avg_pool2d(x, self.kernel_size, self.stride)
 
     def __repr__(self) -> str:
         return f"AvgPool2d(k={self.kernel_size}, s={self.stride})"

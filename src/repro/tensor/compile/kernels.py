@@ -10,15 +10,17 @@ siblings in :mod:`repro.nn.norm`, :mod:`repro.nn.pooling`,
 step is byte-identical to an eager one by construction; the cheap
 elementwise/shape ops are single ``out=`` ufunc calls (bitwise equal to
 their allocating forms, the invariant DESIGN.md §10 already relies on).
-What an op needs beyond its parent tensors — stride, axis, workspace slot —
+What an op needs beyond its parent tensors — stride, axis, the layer —
 arrives in ``Record.args``, the tuple the op itself passed to
-``Tensor._make``; nothing is read out of a backward closure.  A plan bakes
-only per-layer arena arrays (``xhat``, ``dx``, ``gx``): the kernels request
-``workspace.transient`` scratch at run time, so its growth invalidates none.
-Nothing travels from a conv's forward instruction to its backward one: the
-backward kernel re-gathers the patch matrix from the conv's input, which the
-emitter lists among the instruction's uses so the planner keeps that buffer
-alive until then.
+``Tensor._make``; nothing is read out of a backward closure.  A plan owns
+every intermediate of its step as a handle, batch norm's ``xhat`` (live
+from the forward instruction to the backward one) and the conv / batch-norm
+input gradients included, and bakes no layer memory; the kernels request
+``workspace.transient`` scratch at run time, so its growth invalidates
+nothing.  Nothing travels from a conv's forward instruction to its backward
+one: the backward kernel re-gathers the patch matrix from the conv's input,
+which the emitter lists among the instruction's uses so the planner keeps
+that buffer alive until then.
 
 Gradient flow mirrors :meth:`Tensor._accumulate`'s donation contract:
 
@@ -27,9 +29,10 @@ Gradient flow mirrors :meth:`Tensor._accumulate`'s donation contract:
   gradient buffer on first touch, or into a temporary then ``+=``-ed;
 - a contribution eager passes through by reference (``donate=None``
   views) is copied on first touch — exactly where eager copies;
-- scratch-donated arena memory (conv dx, batch-norm gx) becomes the
-  parent's gradient *alias* for non-leaf parents, exactly as eager
-  aliases it.
+- a kernel that must write a gradient wider than its parent (the conv's
+  padded scatter target) or several at once (batch norm) writes it into
+  its own handle, which becomes a non-leaf parent's gradient *alias* —
+  where eager's parent takes the donated array.
 
 Anything outside the supported shapes raises :class:`Unsupported`, which
 the step compiler converts into a per-signature fallback to eager.
@@ -81,7 +84,6 @@ class Build:
         self.params: set[int] = set()
         self.param_grads: list[tuple] = []
         self.pending_fusion: dict[int, Record] = {}
-        self.claimed_slots: dict[int, object] = {}   # id(slot) -> slot
         self.loss_cell = [0.0]
         self.fused_fwd = 0
 
@@ -104,14 +106,6 @@ class Build:
         # coercions) — the golden-state tests pin this contract.
         self.vals[tid] = t.data
         return t.data
-
-    def claim_slot(self, ws) -> None:
-        """A layer's workspace slot driving one op per step: a second claim
-        means a module ran twice (weight sharing), which the one-forward-
-        per-backward arena discipline cannot replay."""
-        if id(ws) in self.claimed_slots:
-            raise Unsupported("module executed twice per step")
-        self.claimed_slots[id(ws)] = ws
 
     # ----------------------------------------------------- contributions
     def _grad_target(self, parent, name):
@@ -169,16 +163,18 @@ class Build:
         if parent.requires_grad:
             self.contrib_kernel([(parent, dtype, name)], make, uses)
 
-    def contrib_view(self, parent, value, donate, uses, name="grad"):
-        """A contribution that is existing memory (a view of the node's
-        gradient, or scratch-donated arena memory)."""
+    def contrib_view(self, parent, value, uses, name="grad", owned=False):
+        """A contribution that is existing memory: a view of the node's
+        gradient, or — ``owned`` — a handle the kernel wrote this
+        contribution into and nothing else reads (eager's fresh donation)."""
         if not parent.requires_grad:
             return
         cur = self.gref.get(id(parent))
         nonleaf = id(parent) in self.records
         if cur is None:
-            if donate == "scratch" and nonleaf:
-                # Eager aliases: the parent's grad IS this memory.
+            if owned and nonleaf:
+                # The parent's grad IS this memory, as eager's is the
+                # donated array.
                 self.gref[id(parent)] = value
                 for u in uses:
                     self.pb.touch(u)
@@ -208,8 +204,7 @@ class Build:
 
 def fwd_conv2d(ctx: Build, rec: Record) -> None:
     """Emit the conv2d forward kernel into a planned output buffer."""
-    stride, padding, ws = rec.args
-    ctx.claim_slot(ws)
+    stride, padding = rec.args
     x, weight, *bias = rec.parents
     xref = ctx.val(x)
     out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "conv.out")
@@ -227,26 +222,27 @@ def fwd_conv2d(ctx: Build, rec: Record) -> None:
 
 def fwd_batchnorm(ctx: Build, rec: Record) -> None:
     """Emit the layer's own array-level forward (kernel + running stats)."""
-    mod, axes, shape, ws = rec.args
+    mod, axes, shape = rec.args
     oshape, dtype = rec.out.data.shape, rec.out.data.dtype
     if dtype != rec.parents[0].data.dtype:
         raise Unsupported("batchnorm dtype change")
-    ctx.claim_slot(ws)
     xref = ctx.val(rec.parents[0])
     out_h = ctx.pb.alloc(oshape, dtype, "bn.out")
-    xhat = ws.buffer("batchnorm.xhat", oshape, dtype)
-    # What the backward kernel takes; inv_std and the mode are per step.
-    saved = ctx.aux[id(rec.out)] = [xhat, None, None]
+    xhat_h = ctx.pb.alloc(oshape, dtype, "bn.xhat")
+    # What the backward kernel takes besides xhat: inv_std and the mode,
+    # both per step.
+    saved = [None, None]
+    ctx.aux[id(rec.out)] = (xhat_h, saved)
 
     def factory(r):
-        xr, oa = r(xref), r(out_h)
+        xr, oa, xhat = r(xref), r(out_h), r(xhat_h)
 
         def run():
-            saved[1] = mod._normalize(xr, axes, shape, xhat, out=oa)[1]
-            saved[2] = mod.training
+            saved[0] = mod._normalize(xr, axes, shape, xhat, out=oa)[1]
+            saved[1] = mod.training
         return run
 
-    ctx.pb.emit(factory, [xref, out_h])
+    ctx.pb.emit(factory, [xref, out_h, xhat_h])
     ctx.vals[id(rec.out)] = out_h
 
 
@@ -495,7 +491,7 @@ def _unbroadcast_contrib(ctx: Build, rec: Record, g, parent) -> None:
     gshape = rec.out.data.shape
     pshape = parent.data.shape
     if gshape == pshape:
-        ctx.contrib_view(parent, g, None, [g], "add.dx")
+        ctx.contrib_view(parent, g, [g], "add.dx")
         return
     extra = len(gshape) - len(pshape)
     if extra > 0 and gshape[extra:] == pshape:
@@ -562,7 +558,7 @@ def bwd_transpose(ctx: Build, rec: Record, g) -> None:
     a = rec.parents[0]
     _, inv = rec.args
     view = View(_base_of(g), lambda r: r(g).transpose(inv))
-    ctx.contrib_view(a, view, None, [g], "transpose.dx")
+    ctx.contrib_view(a, view, [g], "transpose.dx")
 
 
 def bwd_reshape(ctx: Build, rec: Record, g) -> None:
@@ -570,7 +566,7 @@ def bwd_reshape(ctx: Build, rec: Record, g) -> None:
     a = rec.parents[0]
     pshape = a.data.shape
     view = View(_base_of(g), lambda r: r(g).reshape(pshape))
-    ctx.contrib_view(a, view, None, [g], "reshape.dx")
+    ctx.contrib_view(a, view, [g], "reshape.dx")
 
 
 def bwd_sum(ctx: Build, rec: Record, g) -> None:
@@ -587,7 +583,7 @@ def bwd_sum(ctx: Build, rec: Record, g) -> None:
             garr = np.expand_dims(garr, axis=axis)
         return np.broadcast_to(garr, pshape)
 
-    ctx.contrib_view(a, View(_base_of(g), build), None, [g], "sum.dx")
+    ctx.contrib_view(a, View(_base_of(g), build), [g], "sum.dx")
 
 
 def bwd_getitem(ctx: Build, rec: Record, g) -> None:
@@ -619,60 +615,63 @@ def bwd_concatenate(ctx: Build, rec: Record, g) -> None:
         sl[axis] = slice(int(lo), int(hi))
         sl = tuple(sl)
         view = View(_base_of(g), lambda r, sl=sl: r(g)[sl])
-        ctx.contrib_view(t, view, None, [g], "concat.dx")
+        ctx.contrib_view(t, view, [g], "concat.dx")
 
 
 def bwd_conv2d(ctx: Build, rec: Record, g) -> None:
     """Emit the conv2d backward kernel: bias and weight gradients into
-    planned buffers, the input gradient into the slot's scratch."""
-    stride, padding, ws = rec.args
+    planned buffers, the input gradient into a padded handle of its own."""
+    stride, padding = rec.args
     x, weight, *bias = rec.parents
     dtype = rec.out.data.dtype
     wdata = weight.data
     # The kernel re-gathers the patch matrix from the conv's input: listing
     # it as a use keeps its planned buffer alive up to this instruction.
     xref = ctx.val(x)
-    dxp = dx = None
+    dxp = None
     if x.requires_grad:
-        dxp, dx = _conv._dx_scratch(ws, x.data.shape, padding, dtype)
+        dxp = ctx.pb.alloc(_conv._padded_shape(x.data.shape, padding), dtype,
+                           "conv.dx")
 
     def make(r, db, dw):
-        ga, xr = r(g), r(xref)
+        ga, xr, dxa = r(g), r(xref), r(dxp)
         return lambda: _conv._backward_data(ga, xr, wdata, stride, padding,
-                                            db, dw, dxp)
+                                            db, dw, dxa)
 
     ctx.contrib_kernel([(bias[0] if bias else None, dtype, "conv.dbias"),
-                        (weight, dtype, "conv.dw")], make, [g, xref])
-    if dx is not None:
-        ctx.contrib_view(x, dx, "scratch", [], "conv.dx")
+                        (weight, dtype, "conv.dw")], make, [g, xref, dxp])
+    if dxp is not None:
+        dx = dxp if not padding else View(
+            dxp, lambda r: _conv._interior(r(dxp), padding))
+        ctx.contrib_view(x, dx, [], "conv.dx", owned=True)
 
 
 def bwd_batchnorm(ctx: Build, rec: Record, g) -> None:
     """Emit the batch-norm backward kernel: affine gradients into planned
-    buffers, the input gradient into the slot's scratch."""
-    _, axes, shape, ws = rec.args
+    buffers, the input gradient into a handle of its own."""
+    _, axes, shape = rec.args
     x, *affine = rec.parents
     w, b = affine or (None, None)
     dtype = rec.out.data.dtype
     wdata = None if w is None else w.data
-    saved = ctx.aux[id(rec.out)]
+    xhat_h, saved = ctx.aux[id(rec.out)]
     gx = None
     if x.requires_grad:
-        gx = ws.buffer("batchnorm.gx", rec.out.data.shape, dtype)
+        gx = ctx.pb.alloc(rec.out.data.shape, dtype, "bn.dx")
 
     def make(r, db, dw):
-        ga = r(g)
+        ga, xhat, gxa = r(g), r(xhat_h), r(gx)
 
         def run():
-            xhat, inv_std, training = saved
+            inv_std, training = saved
             _norm._backward_data(ga, xhat, inv_std, wdata, axes, shape,
-                                 training, db, dw, gx)
+                                 training, db, dw, gxa)
         return run
 
     ctx.contrib_kernel([(b, dtype, "bn.dbias"), (w, dtype, "bn.dw")], make,
-                       [g])
+                       [g, xhat_h, gx])
     if gx is not None:
-        ctx.contrib_view(x, gx, "scratch", [], "bn.dx")
+        ctx.contrib_view(x, gx, [], "bn.dx", owned=True)
 
 
 def bwd_max_pool2d(ctx: Build, rec: Record, g) -> None:

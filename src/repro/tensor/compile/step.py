@@ -13,9 +13,10 @@ by :func:`repro.fl.local.train_local`:
 - Anything the planner cannot express (:class:`Unsupported`) marks the
   signature as fallback and ``try_step`` returns ``None`` forever after,
   which tells the caller to run the eager path.
-- A plan bakes in per-layer arena arrays; once a slot it claimed has grown
-  (a larger batch with grad on moved its ``generation``) the step is
-  recaptured.  Transient scratch is requested per call, never baked.
+- A plan owns every intermediate of its step — activations, batch
+  norm's ``xhat``, input gradients — and bakes no layer memory, so
+  nothing a later step does elsewhere invalidates it.  Transient scratch
+  is requested per call, never baked.
 - A compiler's plans share one plan arena (:mod:`~repro.tensor.compile.ir`):
   a plan that fits is laid out in a prefix of the current base, one that
   does not gets a new base that becomes current, and plans already bound
@@ -25,7 +26,9 @@ by :func:`repro.fl.local.train_local`:
 Per-step guards keep the plan honest when runtime state the plan baked
 in could drift: SPATL channel masks, active dropout, eval mode, and
 auxiliary losses all force the eager path for that step without
-invalidating the plan.
+invalidating the plan, and count it as
+``compile.eager_steps{reason=channel_masks|dropout|eval|extra_loss}``;
+``compile.fallbacks`` counts only signatures no plan could be built for.
 """
 
 from __future__ import annotations
@@ -59,10 +62,10 @@ class StepPlan:
     """A bound, replayable training step for one input signature."""
 
     __slots__ = ("instrs", "in_buf", "lab_buf", "loss_cell", "param_grads",
-                 "all_params", "stats", "slot_gens", "arena")
+                 "all_params", "stats", "arena")
 
     def __init__(self, instrs, in_buf, lab_buf, loss_cell, param_grads,
-                 all_params, stats, slots, arena):
+                 all_params, stats, arena):
         self.instrs = instrs
         self.arena = arena      # the uint8 base the plan's handles live in
         self.in_buf = in_buf
@@ -71,8 +74,6 @@ class StepPlan:
         self.param_grads = param_grads
         self.all_params = all_params
         self.stats = stats
-        # Claimed per-layer slots and the generation their baked arrays are of.
-        self.slot_gens = [(ws, ws.generation) for ws in slots]
 
     def replay(self, xb: np.ndarray, yb: np.ndarray) -> float:
         np.copyto(self.in_buf, xb)
@@ -103,16 +104,18 @@ class _ModelEntry:
         from repro.nn.dropout import Dropout
         self.dropouts = [m for m in self.mods if isinstance(m, Dropout)]
 
-    def guards_ok(self, model) -> bool:
+    def eager_reason(self, model) -> str | None:
+        """Why this step must run eagerly, or ``None`` when a plan may
+        replay it."""
         if not model.training:
-            return False
+            return "eval"
         for m in self.mods:
             if getattr(m, "_channel_masks", None):
-                return False
+                return "channel_masks"
         for d in self.dropouts:
             if d.p > 0.0:
-                return False
-        return True
+                return "dropout"
+        return None
 
 
 class StepCompiler:
@@ -145,24 +148,22 @@ class StepCompiler:
         be taken eagerly.  The first call per signature runs eagerly
         under the capture hook, so it both trains and compiles.
         """
-        if extra_loss is not None:
-            return None
         entry = self._models.get(model)
         if entry is None:
             entry = _ModelEntry(model)
             self._models[model] = entry
-        if not entry.guards_ok(model):
+        reason = ("extra_loss" if extra_loss is not None
+                  else entry.eager_reason(model))
+        if reason is not None:
+            _counter("compile.eager_steps", reason=reason).inc()
             return None
         yarr = np.asarray(yb)
         sig = (xb.shape, str(xb.dtype), yarr.shape, str(yarr.dtype))
         plan = entry.plans.get(sig)
         if plan is FALLBACK:
             return None
-        if plan is None or any(ws.generation != gen
-                               for ws, gen in plan.slot_gens):
-            return self._capture(model, xb, yarr, entry, sig,
-                                 {} if plan is None else
-                                 {"reason": "arena_growth"})
+        if plan is None:
+            return self._capture(model, xb, yarr, entry, sig)
         from repro.obs.trace import get_tracer
         tracer = get_tracer()
         if tracer.enabled:
@@ -189,7 +190,7 @@ class StepCompiler:
         return sum(bases.values())
 
     # ------------------------------------------------------------------ #
-    def _capture(self, model, xb, yarr, entry, sig, labels) -> float:
+    def _capture(self, model, xb, yarr, entry, sig) -> float:
         from repro.obs.trace import get_tracer
         with get_tracer().span("compile.capture", model=type(model).__name__,
                                batch=int(xb.shape[0])):
@@ -220,7 +221,7 @@ class StepCompiler:
                 _counter("compile.fallbacks", reason=str(exc)).inc()
             else:
                 self._arena = weakref.ref(plan.arena)
-                _counter("compile.captures", **labels).inc()
+                _counter("compile.captures").inc()
             entry.plans[sig] = plan
         return loss_val
 
@@ -304,4 +305,4 @@ def _build_plan(model, recs, schedule, loss, x_in, xb, yarr,
     stats = pb.stats()
     stats["fused_forward"] = ctx.fused_fwd
     return StepPlan(instrs, in_buf, lab_buf, ctx.loss_cell, ctx.param_grads,
-                    all_params, stats, ctx.claimed_slots.values(), pb.base)
+                    all_params, stats, pb.base)

@@ -307,18 +307,13 @@ class Tensor:
                     donate: str | None = None) -> None:
         """Add ``grad`` into ``self.grad``.
 
-        ``donate`` lets a backward closure transfer buffer ownership and
-        skip the defensive first-accumulation copy (DESIGN.md §10):
-
-        - ``"fresh"``   — the caller just allocated ``grad`` (or holds the
-          only reference) and will never read or write it again;
-        - ``"scratch"`` — ``grad`` aliases per-owner workspace memory that
-          stays valid until the owner's next forward.  Accepted only for
-          non-leaf nodes, whose ``.grad`` the engine consumes and releases
-          within the same backward pass; leaves (parameters, inputs) keep
-          the copy so user-visible ``.grad`` never aliases an arena.
-
-        Donation never changes values — only whether a copy is taken.
+        ``donate="fresh"`` lets a backward closure transfer buffer
+        ownership and skip the defensive first-accumulation copy
+        (DESIGN.md §10.2): the caller just allocated ``grad`` (or holds
+        the only reference) and will never read or write it again.  Any
+        other gradient is copied on first accumulation — closures may hand
+        over views of arrays they reuse.  Donation never changes values,
+        only whether a copy is taken.
         """
         if not self.requires_grad:
             return
@@ -329,13 +324,7 @@ class Tensor:
                 f"tensor of shape {self.shape} inside forbid_dtype()")
         grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
-            if donate == "fresh" or (donate == "scratch"
-                                     and self._backward is not None):
-                self.grad = grad
-            else:
-                # Own the buffer: closures may hand us views of arrays
-                # they reuse.
-                self.grad = np.array(grad)
+            self.grad = grad if donate == "fresh" else np.array(grad)
         else:
             self.grad += grad
 
@@ -347,6 +336,11 @@ class Tensor:
         fully-accumulated output gradient and calls ``parent._accumulate``
         on each input.  ``backward()`` walks the DAG in reverse topological
         order, so each node's gradient is complete before its closure runs.
+
+        A node is dropped from the schedule once its closure has run, and
+        its edges, closure and gradient are released: an activation lives
+        only until the last backward that reads it, not until the walk
+        ends (DESIGN.md §10.1).
         """
         if grad is None:
             if self.size != 1:
@@ -359,7 +353,10 @@ class Tensor:
 
         self._accumulate(grad)
         hook = _backward_op_hook
-        for node in backward_schedule(self):
+        schedule = backward_schedule(self)
+        schedule.reverse()              # popped from the end, in order
+        while schedule:
+            node = schedule.pop()
             if node._backward is not None and node.grad is not None:
                 if hook is None:
                     node._backward(node.grad)
@@ -368,8 +365,6 @@ class Tensor:
                     node._backward(node.grad)
                     hook(_backward_op_name(node._backward),
                          time.perf_counter() - t0)
-                # Release graph edges and intermediate grads so large conv
-                # activations are collectible as soon as they are consumed.
                 if node is not self:
                     node._backward = None
                     node._parents = ()
@@ -665,11 +660,13 @@ class Tensor:
 
     def relu(self):
         a = self
-        mask = self.data > 0
-        out_data = self.data * mask
+        out_data = self.data * (self.data > 0)
 
         def backward(g):
-            a._accumulate(g * mask, donate="fresh")
+            # ``out > 0`` is ``x > 0`` for every float: a positive x passes
+            # through, and 0, -0, a negative, -inf (-> NaN) and NaN all
+            # leave an ``out`` that is not positive.  No mask is kept.
+            a._accumulate(g * (out_data > 0), donate="fresh")
 
         return Tensor._make(out_data, (a,), backward)
 

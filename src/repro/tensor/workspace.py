@@ -2,30 +2,30 @@
 
 The kernels would otherwise re-allocate the same megabyte-scale
 temporaries every step (im2col patch matrices, padded inputs, col2im
-staging, batch-norm intermediates, SGD update scratch).  Scratch is kept
-by how long it must live (DESIGN.md §10.1 has the table):
+staging, batch-norm work arrays, SGD update scratch).  Training memory
+is kept by how long it must live, and there are three lifetimes
+(DESIGN.md §10.1 has the table); the arena holds the first and the last:
 
-- **transient** — :data:`transient`, the one process-wide
+- **inside a kernel** — :data:`transient`, the one process-wide
   :class:`TransientStack`: valid until the kernel call that asked for it
-  returns.  Every conv, batch-norm and max-pool kernel that draws scratch,
-  forward and backward, eager or replayed, calls
+  returns.  Every conv, batch-norm and max-pool kernel that draws
+  scratch, forward and backward, eager or replayed, calls
   :meth:`TransientStack.reset` on entry and then bump-allocates its pad,
-  im2col patch matrix, GEMM outputs, work arrays and masks — and, when no
-  backward is recorded, the normalised input — from one base.  The
+  im2col patch matrix, GEMM outputs, work arrays and masks — and, when
+  no backward is recorded, the normalised input — from one base.  The
   process pays for the largest single kernel's *sum* of scratch, not for
   the largest request of each tag.  Relies on one kernel running at a
   time per process: grad mode is thread-local, the arena is not.
-- **per owner** — :func:`slot_for` (weak-keyed: a slot dies with its layer
-  or optimizer), a :class:`WorkspaceSlot` holding one flat base per
-  ``(tag, dtype)`` sized to the largest request seen, so the batch shapes
-  a layer meets (partial last batch, per-client eval sizes) share one
-  allocation; a buffer is valid until the owner's *next* request for the
-  ``tag``.  What a backward closure reads and cannot cheaply rebuild
-  (``batchnorm.xhat``; the conv patch matrix is re-gathered from the conv's
-  input instead) and what is donated to a parent (``conv2d.dx``,
-  ``batchnorm.gx``) live here; a layer is forwarded at most once before
-  its backward runs, so a second forward never clobbers what a closure
-  captured.
+- **inside a step** — activations, batch norm's normalised input and
+  the input gradients are not arena memory: eager allocates them fresh
+  and the graph frees each once the last backward reading it has run; a
+  replayed step holds them as handles of its plan.  No layer owns memory.
+- **per owner** — :func:`slot_for` (weak-keyed: a slot dies with its
+  owner), a :class:`WorkspaceSlot` holding one flat base per
+  ``(tag, dtype)`` sized to the largest request seen, so the shapes an
+  owner meets share one allocation; a buffer is valid until the owner's
+  *next* request for the ``tag``.  What is retained across calls lives
+  here: the optimizer's update scratch and the wire codec's buffers.
 
 Anything that must outlive the op (graph payloads, gradients handed to
 ``Tensor._accumulate``) is freshly allocated or copied.  A slot key maps
@@ -205,8 +205,8 @@ transient = TransientStack()
 def slot_for(owner: Any) -> WorkspaceSlot:
     """The (lazily created) :class:`WorkspaceSlot` of ``owner``.
 
-    ``owner`` must be weak-referenceable (any ordinary object; layers and
-    optimizers qualify).  The slot — and every buffer in it — is released
+    ``owner`` must be weak-referenceable (any ordinary object; optimizers
+    qualify).  The slot — and every buffer in it — is released
     when the owner is garbage-collected.
     """
     slot = _slots.get(owner)

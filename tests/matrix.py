@@ -52,7 +52,7 @@ from repro.fl.scale import encode_client_state
 from repro.fl.stub import make_stub
 from repro.fl.wire import apply_delta, cold_cache
 from repro.models import build_model
-from repro.nn.reference import reference_kernels
+from tests.reference import reference_kernels
 from repro.obs import codec_byte_totals, get_tracer, span_attr_total, tracing
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.rl import SalientParameterAgent

@@ -209,7 +209,7 @@ class TestAggregationOracle:
     @pytest.mark.parametrize("duplicates", [False, True],
                              ids=["unique", "duplicate-indices"])
     def test_bitwise_equal_to_reference(self, duplicates):
-        from repro.fl.reference_agg import reference_salient_aggregate
+        from tests.reference_agg import reference_salient_aggregate
         rng = np.random.default_rng(42 + duplicates)
         for shape in self.SHAPES:
             for trial in range(25):
@@ -225,7 +225,7 @@ class TestAggregationOracle:
                 assert fast.dtype == ref.dtype == g.dtype
 
     def test_bitwise_equal_in_float64(self):
-        from repro.fl.reference_agg import reference_salient_aggregate
+        from tests.reference_agg import reference_salient_aggregate
         rng = np.random.default_rng(7)
         g = rng.normal(size=(8, 4))
         uploads = self._random_uploads(rng, 8, (4,), 3, False)
@@ -233,7 +233,7 @@ class TestAggregationOracle:
             == reference_salient_aggregate(g, uploads).tobytes()
 
     def test_empty_uploads_bitwise(self):
-        from repro.fl.reference_agg import reference_salient_aggregate
+        from tests.reference_agg import reference_salient_aggregate
         g = np.random.default_rng(1).normal(size=(5, 2)).astype(np.float32)
         assert salient_aggregate(g, []).tobytes() \
             == reference_salient_aggregate(g, []).tobytes()
@@ -243,7 +243,7 @@ class TestAggregationOracle:
             == g.astype(np.float64).astype(np.float32).tobytes()
 
     def test_reference_rejects_same_errors(self):
-        from repro.fl.reference_agg import reference_salient_aggregate
+        from tests.reference_agg import reference_salient_aggregate
         g = np.zeros((4, 2), dtype=np.float32)
         for agg in (salient_aggregate, reference_salient_aggregate):
             with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ population-scale runner and the async runtime.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import multiprocessing as mp
@@ -99,7 +100,8 @@ def test_fedprox_hook_rejects_overridden_local_update():
 def test_cohort_trainer_rejects_dropout(eight_client_setting, tmp_path):
     """A fast path that cannot replicate active dropout must decline the
     whole run, not approximate it: ``compile_steps`` on a model with
-    ``p > 0`` captures and replays nothing and equals the eager run."""
+    ``p > 0`` captures and replays nothing, says why for every step, and
+    otherwise equals the eager run."""
     from repro.nn import Dropout, Sequential
 
     tiny_model_fn, make_clients = eight_client_setting
@@ -115,8 +117,12 @@ def test_cohort_trainer_rejects_dropout(eight_client_setting, tmp_path):
             compile_steps=compile_steps), tmp_path)
 
     eager, compiled = run(False), run(True)
-    _assert_equivalent(eager, compiled)
-    assert not [k for k in compiled.counters if k.startswith("compile.")]
+    compiler = {k: v for k, v in compiled.counters.items()
+                if k.startswith("compile.")}
+    assert list(compiler) == ["compile.eager_steps{reason=dropout}"]
+    assert compiler["compile.eager_steps{reason=dropout}"] > 0
+    _assert_equivalent(eager, dataclasses.replace(compiled, counters={
+        k: v for k, v in compiled.counters.items() if k not in compiler}))
 
 
 def test_idle_workers_reread_the_sync_file():

@@ -292,6 +292,29 @@ class TestQuantizePayload:
         assert "conv.weight" + QUANT_SUFFIX in wire_dict
         assert "conv.weight" not in wire_dict
 
+    @pytest.mark.parametrize("reason,value", [
+        ("not_float", np.arange(64, dtype=np.int32)),
+        ("not_smaller", np.ones(2, dtype=np.float32)),
+    ])
+    def test_passthrough_counts_its_reason(self, reason, value):
+        # Forced through, the entry arrives as the dense path sends it —
+        # the very array, bit for bit — beside a weight that is quantized,
+        # and the counter of its reason moves by exactly one.
+        from repro.obs.metrics import MetricsRegistry, get_registry, \
+            set_registry
+        weight = _rng(2).normal(size=256).astype(np.float32)
+        prev = get_registry()
+        set_registry(MetricsRegistry())
+        try:
+            wire_dict, decoded = quantize_payload(
+                {"entry": value, "w": weight}, INT8, _rng(3))
+            counters = get_registry().snapshot()["counters"]
+        finally:
+            set_registry(prev)
+        assert wire_dict["entry"] is value and decoded["entry"] is value
+        assert "w" + QUANT_SUFFIX in wire_dict
+        assert counters == {f"quant.passthrough{{reason={reason}}}": 1}
+
     @pytest.mark.parametrize("config", [INT8, INT4, QuantConfig(bits=16),
                                         QuantConfig(bits=4, block=32)])
     @pytest.mark.parametrize("checksums", [False, True])

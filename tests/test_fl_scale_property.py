@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.core.aggregation import salient_aggregate  # noqa: E402
 from repro.fl import UpdateSpill, serialize_state  # noqa: E402
 from repro.fl.local import weighted_average_states  # noqa: E402
-from repro.fl.reference_agg import reference_salient_aggregate  # noqa: E402
+from tests.reference_agg import reference_salient_aggregate  # noqa: E402
 from repro.fl.scale.fold import SPATLFold  # noqa: E402
 from repro.fl.stub import make_stub  # noqa: E402
 

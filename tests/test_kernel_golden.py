@@ -4,7 +4,7 @@ The workspace/in-place kernel rewrites (DESIGN.md §10) must not change
 training numerics *at all*: after identical FedAvg and SPATL rounds, the
 serialized global model state produced by the optimized kernels must be
 byte-for-byte equal to the state produced by the verbatim pre-PR
-implementations in :mod:`repro.nn.reference` — and the process-parallel
+implementations in :mod:`tests.reference` — and the process-parallel
 executor must agree with both.  Evaluation runs the same kernels, so
 what a run *reports* (per-round accuracy and loss, ``Client.evaluate``)
 is held to the oracle with ``==`` as well.
@@ -13,7 +13,7 @@ is held to the oracle with ``==`` as well.
 import numpy as np
 import pytest
 
-from repro.nn.reference import reference_kernels
+from tests.reference import reference_kernels
 
 from tests import matrix
 
@@ -76,20 +76,19 @@ def test_partial_batch_conv_backward_matches_reference():
         assert np.array_equal(opt_state[key], ref_state[key]), key
 
 
-def _conv_fwd_bwd(x, weight, bias, ws=None, *, stride=1, padding=1,
+def _conv_fwd_bwd(x, weight, bias, *, stride=1, padding=1,
                   reference=False):
     """Output, input grad and weight grad of one conv2d call — on the arena
     kernels, or on the allocating oracle."""
     from repro.nn.conv import conv2d
-    from repro.nn.reference import reference_conv2d
+    from tests.reference import reference_conv2d
     from repro.tensor import Tensor
     xt = Tensor(x, requires_grad=True)
     wt = Tensor(weight, requires_grad=True)
     if reference:
         out = reference_conv2d(xt, wt, Tensor(bias), stride, padding)
     else:
-        out = conv2d(xt, wt, Tensor(bias), stride=stride, padding=padding,
-                     ws=ws)
+        out = conv2d(xt, wt, Tensor(bias), stride=stride, padding=padding)
     (out * out).sum().backward()
     return out.data.copy(), xt.grad.copy(), wt.grad.copy()
 
@@ -132,33 +131,35 @@ def _conv_stack_bytes(x_shape, out_c, k, stride, padding, staged, dx=True,
     ([(6, 6), (6, 4), (6, 6)], False),     # border lands on an old interior
 ])
 def test_conv_slot_shared_across_input_shapes(padded, shapes, grows):
-    """One layer slot (and the process-wide transient stack behind it)
-    serving alternating ``(batch, height)`` inputs — prefix views of one
-    base, pad frame re-zeroed on every request — is byte-equal to the
-    allocating oracle.  ``padded=False`` is the one input the gather
-    cannot index in place: an un-padded strided view, staged through the
-    same ``conv2d.pad`` region."""
+    """The process-wide transient stack serving one conv's alternating
+    ``(batch, height)`` inputs — prefix views of one base, pad frame
+    re-zeroed on every request — is byte-equal to the allocating oracle.
+    ``padded=False`` is the one input the gather cannot index in place: an
+    un-padded strided view, staged through the same ``conv2d.pad``
+    region."""
     from repro.tensor import workspace
     workspace.reset()
     rng = np.random.default_rng(5)
     weight = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     bias = rng.standard_normal(4).astype(np.float32)
-    owner = type("Owner", (), {})()
-    ws = workspace.slot_for(owner)
-    for n, hw in shapes:
+    for i, (n, hw) in enumerate(shapes):
         # Non-zero everywhere, so a stale interior left where a border
         # belongs would show.
         x = (rng.standard_normal((n, 3, hw, 2 * hw)) + 3.0).astype(np.float32)
         x = np.ascontiguousarray(x[..., ::2]) if padded else x[..., ::2]
-        got = _conv_fwd_bwd(x, weight, bias, ws, padding=int(padded))
+        got = _conv_fwd_bwd(x, weight, bias, padding=int(padded))
         want = _conv_fwd_bwd(x, weight, bias, padding=int(padded),
                              reference=True)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (padded, n, hw)
-    # The layer owns what it donates to its parent, nothing else: the patch
-    # matrix is every conv's transient scratch, like the padded input.
-    assert set(workspace.resident_bytes([ws])) == {"conv2d.dx"}
-    assert ws.generation == (len(ws._bases) if grows else 0)
+        if i == 0:
+            workspace.transient.reset()     # re-based to the first shape
+            generation = workspace.transient.generation
+    # Nothing but the stack is resident: no conv owns memory — the input
+    # gradient is donated fresh, the patch matrix and the padded input are
+    # every conv's transient scratch — and only a larger batch re-bases it.
+    assert set(workspace.resident_bytes()) == {"transient"}
+    assert (workspace.transient.generation > generation) == grows
     # And the stack is one base, the largest batch's kernel: forward pad +
     # patch matrix + GEMM output, or the backward's matrices, whichever is
     # more (83 712 B at (16, 3, 6, 6) padded: 12 288 + 62 208 + 9 216).
@@ -259,7 +260,7 @@ def test_conv_backward_regathers_bitwise(monkeypatch, stride, padding,
     forward's matrix byte for byte — so ``dw`` / ``db`` / ``dx`` and the
     output equal the allocating oracle's."""
     from repro.nn.conv import conv2d
-    from repro.nn.reference import reference_conv2d
+    from tests.reference import reference_conv2d
     from repro.tensor import Tensor, workspace
     workspace.reset()
     built = _spy_gather(monkeypatch)
@@ -268,15 +269,14 @@ def test_conv_backward_regathers_bitwise(monkeypatch, stride, padding,
     bias = rng.standard_normal(4).astype(np.float32)
     other = (Tensor(rng.standard_normal((9, 3, 11, 11)).astype(np.float32)),
              Tensor(rng.standard_normal((2, 3, 5, 5)).astype(np.float32)))
-    ws = workspace.WorkspaceSlot()
     for n in batches:
         x = (rng.standard_normal((n, 3, 7, 12)) + 3.0).astype(np.float32)
         x = np.ascontiguousarray(x[..., ::2]) if contiguous else x[..., ::2]
         grads = []
-        for fn, kwargs in ((conv2d, {"ws": ws}), (reference_conv2d, {})):
+        for fn in (conv2d, reference_conv2d):
             xt, wt, bt = (Tensor(a, requires_grad=True)
                           for a in (x, weight, bias))
-            out = fn(xt, wt, bt, stride, padding, **kwargs)
+            out = fn(xt, wt, bt, stride, padding)
             if fn is conv2d:
                 conv2d(*other, None, stride=1, padding=2)   # clobbers scratch
             (out * out).sum().backward()
@@ -293,7 +293,7 @@ def test_frozen_weight_conv_backward_never_gathers(monkeypatch):
     backward produces ``dx`` / ``db`` (equal to the oracle's) from the output
     gradient and the weight alone."""
     from repro.nn.conv import conv2d
-    from repro.nn.reference import reference_conv2d
+    from tests.reference import reference_conv2d
     from repro.tensor import Tensor
     built = _spy_gather(monkeypatch)
     rng = np.random.default_rng(13)
@@ -380,7 +380,7 @@ def test_col2im_matches_reference_bitwise(stride, padding, batches,
     stack region a previous kernel left full of NaN; and so is the input
     gradient of a whole frozen-weight conv backward."""
     from repro.nn import conv
-    from repro.nn.reference import _reference_col2im, reference_conv2d
+    from tests.reference import _reference_col2im, reference_conv2d
     from repro.tensor import Tensor, workspace
     workspace.reset()
     rng = np.random.default_rng(17)
@@ -417,7 +417,7 @@ def test_max_pool_backward_one_base_per_geometry():
     sample's (C, Ho, Wo) int64 array, the batch offset added at use — not
     once per batch size."""
     from repro.nn import pooling
-    from repro.nn.reference import reference_max_pool2d
+    from tests.reference import reference_max_pool2d
     from repro.tensor import Tensor, workspace
     workspace.reset()
     rng = np.random.default_rng(19)

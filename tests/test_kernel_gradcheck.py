@@ -11,14 +11,10 @@ import pytest
 
 from repro.nn.conv import conv2d
 from repro.nn.pooling import avg_pool2d, max_pool2d
-from repro.tensor import Tensor, workspace
+from repro.tensor import Tensor
 from tests.conftest import assert_grad_close, numerical_gradient
 
 R = np.random.default_rng(7)
-
-
-class _Owner:
-    """Weak-referenceable stand-in for a layer owning a workspace slot."""
 
 
 def _t(arr):
@@ -27,7 +23,7 @@ def _t(arr):
 
 
 class TestConv2dWorkspaceGradcheck:
-    """conv2d through an arena slot: gather/copyto im2col, buffered GEMMs,
+    """conv2d on the transient stack: gather/copyto im2col, buffered GEMMs,
     in-place col2im — per stride/padding/aspect combination."""
 
     @pytest.mark.parametrize("stride,padding,hw", [
@@ -43,11 +39,10 @@ class TestConv2dWorkspaceGradcheck:
         x0 = R.normal(size=(2, 2, h, w))
         w0 = R.normal(size=(3, 2, 3, 3)) * 0.5
         b0 = R.normal(size=(3,)) * 0.1
-        ws = workspace.slot_for(_Owner())
 
         def f(xv, wv, bv):
             x, wt, b = _t(xv), _t(wv), _t(bv)
-            out = conv2d(x, wt, b, stride, padding, ws=ws)
+            out = conv2d(x, wt, b, stride, padding)
             return x, wt, b, (out ** 2).sum()
 
         x, wt, b, out = f(x0, w0, b0)
@@ -63,8 +58,7 @@ class TestConv2dWorkspaceGradcheck:
         """The arena kernels against the allocating oracle,
         ``reference_conv2d`` (float64, repeated so the second call runs
         entirely on warm buffers)."""
-        from repro.nn.reference import reference_conv2d
-        ws = workspace.slot_for(_Owner())
+        from tests.reference import reference_conv2d
         x0 = R.normal(size=(2, 3, 6, 7))
         w0 = R.normal(size=(4, 3, 3, 3))
         b0 = R.normal(size=(4,))
@@ -72,7 +66,7 @@ class TestConv2dWorkspaceGradcheck:
             xa, xb = _t(x0), _t(x0)
             wa, wb = _t(w0), _t(w0)
             ba, bb = _t(b0), _t(b0)
-            oa = (conv2d(xa, wa, ba, 2, 1, ws=ws) ** 2).sum()
+            oa = (conv2d(xa, wa, ba, 2, 1) ** 2).sum()
             ob = (reference_conv2d(xb, wb, bb, 2, 1) ** 2).sum()
             assert np.array_equal(oa.data, ob.data)
             oa.backward()

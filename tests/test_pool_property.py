@@ -4,7 +4,7 @@ Hypothesis draws (N, C, H, W) inputs, windows ``k`` in {2, 3} and strides
 ``s`` in {1, 2, 3} — tiling, overlapping, gapped and non-covering
 geometries — in float32 and float64, from a small value set so that
 windows hold many exact ties, ``-0.0`` next to ``0.0``, and NaNs of both
-signs.  Whatever the draw, against :func:`repro.nn.reference.reference_max_pool2d`
+signs.  Whatever the draw, against :func:`tests.reference.reference_max_pool2d`
 (``np.argmax`` plus ``np.add.at``):
 
 - the training forward is byte-identical, and the argmax it saves for the
@@ -26,7 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.nn.pooling import max_pool2d  # noqa: E402
-from repro.nn.reference import reference_max_pool2d  # noqa: E402
+from tests.reference import reference_max_pool2d  # noqa: E402
 from repro.tensor import Tensor, no_grad  # noqa: E402
 
 VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, np.nan, -np.nan, np.inf, -np.inf)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, forbid_dtype, no_grad, workspace
-from repro.tensor.tensor import Tensor as RawTensor
 
 
 class Owner:
@@ -280,7 +279,9 @@ class TestWorkspaceSlot:
         layers own no normalised input, no layer owns a patch matrix, and
         the arena as a whole stays under 24 MiB (19.8 here; 31.3 with one
         base per tag, 50.5 while each training layer kept its patch matrix,
-        133.8 when scratch was keyed by owner)."""
+        133.8 when scratch was keyed by owner).  No layer of either model
+        owns memory: a step's normalised inputs and input gradients live
+        in the step."""
         from repro.models import build_model
         from repro.tensor import functional as F
         workspace.reset()
@@ -302,11 +303,9 @@ class TestWorkspaceSlot:
                 "conv2d.cols", "conv2d.col2im", "batchnorm.xhat",
                 "batchnorm.scratch", "maxpool.cand", "maxpool.take",
                 "maxpool.isnum", "maxpool.g", "maxpool.hit"} == set(largest)
-        assert not workspace.resident_bytes(
-            workspace.slot_for(m) for m in evaluated.modules())
-        owned = set(workspace.resident_bytes(
-            workspace.slot_for(m) for m in trained.modules()))
-        assert owned == {"conv2d.dx", "batchnorm.xhat", "batchnorm.gx"}
+        for model in (trained, evaluated):
+            assert not workspace.resident_bytes(
+                workspace.slot_for(m) for m in model.modules())
         total = (sum(workspace.resident_bytes().values())
                  + sum(workspace.shared_bytes().values()))
         assert total <= 24 * 2 ** 20, total
@@ -356,31 +355,15 @@ class TestWorkspaceSlot:
 
 
 class TestGradientDonation:
-    """``_accumulate(grad, donate=...)``: 'fresh' transfers ownership
-    unconditionally; 'scratch' (arena memory) is taken only by non-leaf
-    nodes, whose grads the engine releases — user-visible ``.grad`` of
-    leaves must never alias the arena."""
-
-    def test_leaf_copies_scratch(self):
-        leaf = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        arena = np.ones(3, dtype=np.float32)
-        leaf._accumulate(arena, donate="scratch")
-        assert not np.shares_memory(leaf.grad, arena)
-        np.testing.assert_array_equal(leaf.grad, arena)
+    """``_accumulate(grad, donate=...)``: 'fresh' transfers ownership;
+    anything else is copied — user-visible ``.grad`` never aliases the
+    arena."""
 
     def test_leaf_takes_fresh(self):
         leaf = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         fresh = np.ones(3, dtype=np.float32)
         leaf._accumulate(fresh, donate="fresh")
         assert np.shares_memory(leaf.grad, fresh)
-
-    def test_nonleaf_takes_scratch(self):
-        parent = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-        node = RawTensor._make(np.zeros(3, dtype=np.float32), (parent,),
-                               lambda g: None)
-        arena = np.ones(3, dtype=np.float32)
-        node._accumulate(arena, donate="scratch")
-        assert np.shares_memory(node.grad, arena)
 
     def test_no_donation_copies(self):
         leaf = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
@@ -460,7 +443,7 @@ class TestConvBnFold:
     def test_verify_fold_registry_models(self, name, in_ch, size):
         """The evaluation forward is bitwise the oracle's."""
         from repro.models import build_model
-        from repro.nn.reference import reference_kernels
+        from tests.reference import reference_kernels
         model = build_model(name, width_mult=0.25, input_size=size, seed=3)
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((4, in_ch, size, size)).astype(np.float32))
@@ -506,3 +489,88 @@ class TestProfilerWorkspaceJoin:
         assert all(sum(d) > 0 for d in stats.values())
         table = prof.report(n=8)
         assert "ws hit%" in table and "ws MB saved" in table
+
+
+class TestStepLifetimes:
+    """A training step's arrays live as long as something reads them:
+    the backward drops each node once it has run, and no layer keeps a
+    step's normalised input or input gradient past the step."""
+
+    @pytest.mark.parametrize("arch", ["resnet20", "vgg11"])
+    def test_late_activation_dead_before_first_conv_backward(
+            self, arch, monkeypatch):
+        """By the time the stem conv's backward runs, the output of the
+        last conv — read by the head's backwards, long done — is freed."""
+        import weakref
+        from repro.models import build_model
+        from repro.nn import conv
+        from repro.tensor import functional as F
+        rng = np.random.default_rng(0)
+        model = build_model(arch, width_mult=0.25, input_size=32, seed=2)
+        x = Tensor(rng.standard_normal((4, 3, 32, 32)).astype(np.float32))
+        outs, alive = [], []
+        forward, backward = conv._forward_data, conv._backward_data
+
+        def spy_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            outs.append(weakref.ref(out))
+            return out
+
+        def spy_backward(g, xdata, *args):
+            if xdata is x.data:
+                alive.append(outs[-1]() is not None)
+            return backward(g, xdata, *args)
+
+        monkeypatch.setattr(conv, "_forward_data", spy_forward)
+        monkeypatch.setattr(conv, "_backward_data", spy_backward)
+        loss = F.cross_entropy(model(x), rng.integers(0, 10, 4))
+        assert outs[-1]() is not None
+        loss.backward()
+        assert alive == [False]
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("arch", ["resnet20", "vgg11", "avgpool"])
+    def test_no_layer_memory_after_train_and_eval(self, arch, compiled):
+        """After training steps — eager, or captured and replayed — and a
+        ``no_grad`` eval, no conv, batch-norm or avg-pool tag holds memory:
+        only the transient stack and the optimizer's scratch remain."""
+        from repro.models import build_model
+        from repro.nn import (AvgPool2d, BatchNorm2d, Conv2d, Linear, Module)
+        from repro.optim.sgd import SGD
+        from repro.tensor import functional as F
+        from repro.tensor.compile import StepCompiler
+
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                rng = np.random.default_rng(0)
+                self.c1 = Conv2d(3, 4, 3, padding=1, rng=rng)
+                self.b1 = BatchNorm2d(4)
+                self.pool = AvgPool2d(2)
+                self.lin = Linear(4 * 16 * 16, 10, rng=rng)
+
+            def forward(self, x):
+                h = self.pool(self.b1(self.c1(x)).relu())
+                return self.lin(h.reshape(h.shape[0], -1))
+
+        workspace.reset()
+        rng = np.random.default_rng(0)
+        model = (Net() if arch == "avgpool" else
+                 build_model(arch, width_mult=0.25, input_size=32, seed=2))
+        model.train()
+        opt = SGD(model.named_parameters(), lr=0.05, momentum=0.9)
+        compiler = StepCompiler()
+        for _ in range(2):
+            x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
+            y = rng.integers(0, 10, 8)
+            if not compiled or compiler.try_step(model, x, y) is None:
+                opt.zero_grad()
+                F.cross_entropy(model(Tensor(x)), y).backward()
+            opt.step()
+        model.eval()
+        with no_grad():
+            model(Tensor(x))
+        tags = set(workspace.resident_bytes())
+        assert "transient" in tags
+        assert not {t for t in tags
+                    if t.split(".")[0] in ("conv2d", "batchnorm", "avgpool")}
