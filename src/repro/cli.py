@@ -36,9 +36,10 @@ from repro.experiments.configs import (make_algorithm, make_dataset,
 from repro.experiments.inference import render_inference_table
 from repro.experiments.learning_efficiency import converge_accuracy_summary
 from repro.experiments.pruning_compare import render_pruning_table
-from repro.obs import (OpProfiler, Tracer, codec_byte_totals, downlink_line,
-                       get_registry, get_tracer, hotspot_table,
-                       round_timeline_table, set_tracer, step_compiler_line)
+from repro.obs import (MetricsRegistry, Tracer, codec_byte_totals,
+                       downlink_line, get_registry, get_tracer, hotspot_table,
+                       round_timeline_table, set_registry, set_tracer,
+                       step_compiler_line)
 
 
 def _cfg(args, **extra):
@@ -251,7 +252,13 @@ def cmd_scale(args) -> None:
 
 
 def cmd_profile(args) -> None:
-    """Trace + profile a few rounds; print timeline and hotspot tables."""
+    """Trace + profile a few rounds; print timeline and hotspot tables.
+
+    The run records into a registry of its own, so the tables cover this
+    run alone (pool workers' ops included); it is merged into the global
+    registry afterwards.  The arena columns are this process's deltas.
+    """
+    from repro.tensor import workspace
     cfg = _cfg(args, rounds=args.rounds or 2)
     tracer = get_tracer()
     own_tracer = not tracer.enabled   # under `all --trace-out` reuse outer
@@ -259,7 +266,9 @@ def cmd_profile(args) -> None:
     if own_tracer:
         tracer = Tracer()
         previous = set_tracer(tracer)
-    profiler = OpProfiler().install()
+    registry = MetricsRegistry()
+    outer_registry = set_registry(registry)
+    ws_before = workspace.stats_snapshot()
     algo = None
     try:
         model_fn, clients = make_setting(cfg)
@@ -274,13 +283,16 @@ def cmd_profile(args) -> None:
     finally:
         if algo is not None:
             algo.close()
-        profiler.uninstall()
+        set_registry(outer_registry)
+        outer_registry.merge(registry)
         if own_tracer:
             set_tracer(previous)
+    snapshot = registry.snapshot()
     print(round_timeline_table(tracer))
     print()
-    print(hotspot_table(profiler, n=12))
-    counters = get_registry().snapshot()["counters"]
+    print(hotspot_table(snapshot, n=12,
+                        workspace=workspace.stats_since(ws_before)))
+    counters = snapshot["counters"]
     if cfg.compile:
         print(step_compiler_line(tracer, counters))
     print(downlink_line(counters))
@@ -288,7 +300,6 @@ def cmd_profile(args) -> None:
     print(f"codec bytes: serialize={int(codec['serialize'])} "
           f"deserialize={int(codec['deserialize'])} "
           f"ledger={algo.ledger.total_bytes()}")
-    from repro.tensor import workspace
     held = {**workspace.resident_bytes(), **workspace.shared_bytes()}
     top = sorted(held, key=held.get, reverse=True)
     print(f"arena MB resident ({workspace.transient.nbytes / 1e6:.1f} in the "

@@ -120,12 +120,3 @@ def salient_aggregate(global_weight: np.ndarray,
     for i, (indices, rows) in enumerate(uploads):
         layer.add(indices, rows, 1.0 if weights is None else weights[i])
     return layer.result(step_size).astype(global_weight.dtype)
-
-
-def coverage_fraction(n_filters: int,
-                      uploads: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Fraction of global filters covered by at least one client."""
-    covered = np.zeros(n_filters, dtype=bool)
-    for indices, _ in uploads:
-        covered[np.asarray(indices, dtype=np.int64)] = True
-    return float(covered.mean()) if n_filters else 1.0

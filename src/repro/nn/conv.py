@@ -266,6 +266,8 @@ class Conv2d(Module):
     (output-channel) granularity of selection.
     """
 
+    op_name = "conv2d"
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
                  rng: np.random.Generator | None = None):

@@ -70,6 +70,14 @@ def count_flops(model: Module, input_shape: tuple[int, int, int],
     return report
 
 
+def forward_flops(module: Module, x) -> int:
+    """Analytic FLOPs of one ``module`` forward on the batch ``x``: the
+    per-sample count of :func:`count_flops` times the batch size."""
+    report = FlopsReport()
+    _walk(module, "", tuple(x.shape[1:]), report)
+    return report.total * (x.shape[0] if x.ndim > 1 else 1)
+
+
 def _numel(shape) -> int:
     n = 1
     for s in shape:

@@ -1,4 +1,4 @@
-"""Weight initialisers (Kaiming / Xavier / constant), numpy-Generator seeded.
+"""Weight initialisers (Kaiming / orthogonal / constant), numpy-Generator seeded.
 
 Every initialiser takes an explicit ``rng`` so that model construction is
 fully deterministic given a seed — a requirement for the FL experiments,
@@ -37,22 +37,6 @@ def kaiming_uniform(shape, rng: np.random.Generator, gain: float = math.sqrt(2.0
     """He-uniform initialisation: U(-b, b) with b = gain * sqrt(3 / fan_in)."""
     fan_in, _ = _fan(tuple(shape))
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0,
-                  dtype=np.float32) -> np.ndarray:
-    """Glorot-normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan(tuple(shape))
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(dtype)
-
-
-def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0,
-                   dtype=np.float32) -> np.ndarray:
-    """Glorot-uniform: U(-b, b), b = gain * sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan(tuple(shape))
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 

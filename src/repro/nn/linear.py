@@ -23,6 +23,8 @@ class Linear(Module):
         generator is used when omitted (tests always pass one).
     """
 
+    op_name = "linear"
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: np.random.Generator | None = None):
         super().__init__()

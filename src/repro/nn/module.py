@@ -9,11 +9,14 @@ communication codec (:mod:`repro.fl.comm`) serialises.
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.obs.metrics import observe_op
+from repro.obs.trace import get_tracer
 from repro.tensor.tensor import Tensor
 
 
@@ -176,8 +179,20 @@ class Module:
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
+    #: Op name a traced run charges this layer's forward to (``conv2d`` ->
+    #: ``op.seconds{op=conv2d.forward}``); None leaves it to its caller.
+    op_name: str | None = None
+
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        if self.op_name is None or not get_tracer().enabled:
+            return self.forward(*args, **kwargs)
+        t0 = time.perf_counter()
+        out = self.forward(*args, **kwargs)
+        seconds = time.perf_counter() - t0
+        from repro.nn.flops import forward_flops
+        observe_op(self.op_name + ".forward", seconds,
+                   forward_flops(self, args[0]))
+        return out
 
     def __repr__(self) -> str:
         child_lines = [f"  ({n}): {m!r}".replace("\n", "\n  ") for n, m in self._modules.items()]

@@ -118,6 +118,8 @@ def _backward_data(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
 class _BatchNorm(Module):
     """Shared machinery for 1-D/2-D batch norm; subclass fixes reduce axes."""
 
+    op_name = "batchnorm"
+
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1,
                  affine: bool = True):
         super().__init__()
@@ -228,6 +230,8 @@ class BatchNorm1d(_BatchNorm):
 
 class LayerNorm(Module):
     """Layer norm over the last dimension (used by the GNN node encoder)."""
+
+    op_name = "layernorm"
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()

@@ -273,6 +273,19 @@ def get_registry() -> MetricsRegistry:
     return _registry
 
 
+def observe_op(op: str, seconds: float, flops: int = 0) -> None:
+    """Charge one call of ``op`` (``conv2d.forward``, ``relu.backward``)
+    to the default registry: an ``op.seconds{op=}`` observation, whose
+    count and sum are the op's calls and seconds, and ``flops`` analytic
+    FLOPs to ``op.flops{op=}``.  :meth:`Tensor.backward
+    <repro.tensor.Tensor.backward>` and :meth:`Module.__call__
+    <repro.nn.Module.__call__>` call it only while the tracer is enabled,
+    so a pool worker's ops come back in its per-task registry."""
+    _registry.histogram("op.seconds", op=op).observe(seconds)
+    if flops:
+        _registry.counter("op.flops", op=op).inc(flops)
+
+
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Install ``registry`` globally; returns the previous one."""
     global _registry

@@ -1,9 +1,9 @@
-"""Human-readable views over traces and profiles.
+"""Human-readable views over traces and metrics.
 
 Reuses :func:`repro.utils.logging.render_table` so observability output
 matches the repo's paper-table style: a per-round phase timeline from a
-:class:`~repro.obs.trace.Tracer` and a hotspot table from an
-:class:`~repro.obs.profiler.OpProfiler`.
+:class:`~repro.obs.trace.Tracer` and a hotspot table from a metrics
+snapshot's ``op.*`` instruments.
 """
 
 from __future__ import annotations
@@ -52,29 +52,45 @@ def round_timeline_table(tracer, phases: tuple[str, ...] = ROUND_PHASES) -> str:
     return render_table(headers, rows, title="Round timeline")
 
 
-def hotspot_table(profiler, n: int = 10) -> str:
+def _op_rows(snapshot: dict) -> dict[str, tuple[int, float, float]]:
+    """``{op: (calls, seconds, flops)}`` from a metrics snapshot's
+    ``op.seconds{op=}`` histograms and ``op.flops{op=}`` counters."""
+    counters = snapshot.get("counters", {})
+    rows = {}
+    for key, hist in snapshot.get("histograms", {}).items():
+        if key.startswith("op.seconds{op=") and hist["count"]:
+            op = key[len("op.seconds{op="):-1]
+            rows[op] = (hist["count"], hist["sum"],
+                        counters.get(f"op.flops{{op={op}}}", 0.0))
+    return rows
+
+
+def hotspot_table(snapshot: dict, n: int = 10,
+                  workspace: dict | None = None) -> str:
     """Top-``n`` ops by cumulative wall time, with FLOPs and throughput.
 
-    When the profiler exposes :meth:`~repro.obs.profiler.OpProfiler.
-    workspace_stats`, two arena columns are joined on: the workspace
-    hit rate and megabytes of allocation served from cache, aggregated
-    over the op's buffer tags (``conv2d.cols`` etc. fold into the
-    ``conv2d`` rows).  Ops without arena traffic show ``-``.
+    ``snapshot`` is a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    of a traced run: its ``op.*`` instruments (:func:`~repro.obs.metrics.
+    observe_op`) give the rows, pool workers' ops included.  ``workspace``
+    — ``{tag: (hits, misses, bytes_alloc, bytes_saved)}`` arena deltas of
+    the run — joins two columns on: the workspace hit rate and megabytes
+    of allocation served from cache, aggregated over the op's buffer tags
+    (``conv2d.cols`` etc. fold into the ``conv2d`` rows).  Ops without
+    arena traffic show ``-``.
     """
     headers = ["op", "calls", "total s", "mean ms", "GFLOP", "GFLOP/s",
                "ws hit%", "ws MB saved"]
     by_prefix: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
-    ws_stats = getattr(profiler, "workspace_stats", None)
-    if ws_stats is not None:
-        for tag, delta in ws_stats().items():
-            agg = by_prefix[tag.split(".")[0]]
-            for i, v in enumerate(delta):
-                agg[i] += v
+    for tag, delta in (workspace or {}).items():
+        agg = by_prefix[tag.split(".")[0]]
+        for i, v in enumerate(delta):
+            agg[i] += v
+    ops = _op_rows(snapshot)
     rows = []
-    for op, stat in profiler.top_hotspots(n):
-        mean_ms = stat.seconds / stat.calls * 1e3 if stat.calls else 0.0
-        row = [op, stat.calls, stat.seconds, mean_ms,
-               stat.flops / 1e9, stat.gflops_per_s]
+    for op in sorted(ops, key=lambda o: -ops[o][1])[:n]:
+        calls, seconds, flops = ops[op]
+        row = [op, calls, seconds, seconds / calls * 1e3, flops / 1e9,
+               flops / seconds / 1e9 if seconds > 0 else 0.0]
         agg = by_prefix.get(op.split(".")[0])
         if agg:
             hits, misses, _, bytes_saved = agg
@@ -129,8 +145,8 @@ def downlink_line(counters: dict[str, float]) -> str:
 def step_compiler_line(tracer, counters: dict[str, float]) -> str:
     """One line on what the step compiler did in a ``--compile`` run.
 
-    Replayed steps run no ``Module.forward`` and no ``Tensor.backward``,
-    so they bypass both profiler hooks: the hotspot table of such a run
+    Replayed steps run no ``Module.__call__`` and no ``Tensor.backward``,
+    so they charge no ``op.*`` instrument: the hotspot table of such a run
     covers only its capture and fallback steps, and this line says where
     the rest went.  ``counters`` is a metrics snapshot's counter dict.
     """

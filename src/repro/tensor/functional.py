@@ -2,7 +2,7 @@
 
 These are the loss functions and nonlinearities used by the NN layers, the
 PPO policy, and the FL training loops.  Numerically sensitive reductions
-(softmax, log-sum-exp) are implemented with the usual max-subtraction
+(softmax, cross-entropy) are implemented with the usual max-subtraction
 stabilisation.
 """
 
@@ -56,30 +56,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable log-softmax along ``axis``."""
-    a = x
-    m = x.data.max(axis=axis, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
-
-    def backward(g):
-        a._accumulate(g - soft * g.sum(axis=axis, keepdims=True),
-                      donate="fresh")
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:
-    """Dense one-hot encoding of integer ``labels``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.size, num_classes), dtype=dtype)
-    out[np.arange(labels.size), labels.ravel()] = 1.0
-    return out.reshape(labels.shape + (num_classes,))
-
-
 def _cross_entropy_forward(lg: np.ndarray, labels: np.ndarray,
                            logp: np.ndarray, soft: np.ndarray):
     """The cross-entropy forward kernel: the mean NLL of ``lg`` (N, C)
@@ -127,57 +103,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         a._accumulate(grad, donate="fresh")
 
     return Tensor._make(np.asarray(loss, dtype=logits.dtype), (a,), backward)
-
-
-def nll_loss(logp: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood given log-probabilities (N, C)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    n = logp.shape[0]
-    picked = logp[np.arange(n), labels]
-    return -(picked.mean())
-
-
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error; ``target`` may be a Tensor or array."""
-    t = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pred.dtype))
-    diff = pred - t
-    return (diff * diff).mean()
-
-
-def smooth_l1_loss(pred: Tensor, target, beta: float = 1.0) -> Tensor:
-    """Huber-style smooth L1 loss (used by the PPO value head)."""
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=pred.dtype)
-    a = pred
-    diff = pred.data - t
-    absd = np.abs(diff)
-    quad = absd < beta
-    out_data = np.where(quad, 0.5 * diff * diff / beta, absd - 0.5 * beta)
-    loss = out_data.mean()
-    n = diff.size
-
-    def backward(g):
-        grad = np.where(quad, diff / beta, np.sign(diff)) * (float(g) / n)
-        a._accumulate(grad.astype(pred.dtype, copy=False), donate="fresh")
-
-    return Tensor._make(np.asarray(loss, dtype=pred.dtype), (a,), backward)
-
-
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable log-sum-exp along ``axis``."""
-    a = x
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = np.log(s) + m
-    soft = e / s
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis=axis)
-        a._accumulate(soft * gg, donate="fresh")
-
-    return Tensor._make(out, (a,), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

@@ -26,14 +26,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.obs.metrics import observe_op
+from repro.obs.trace import get_tracer
+
 _DEFAULT_DTYPE = np.float32
 
 _grad_state = threading.local()
 
-# Profiler hook: when set, Tensor.backward times every node's closure and
-# reports ``(op_name, seconds)``.  None (the default) keeps the walk on the
-# original unconditional-call path — one local ``is None`` check per call.
-_backward_op_hook: Callable[[str, float], None] | None = None
 _op_name_cache: dict = {}
 
 # Graph-capture hook: when set, every Tensor produced through ``_make`` is
@@ -57,19 +56,6 @@ def set_graph_capture_hook(hook):
     global _graph_capture_hook
     previous = _graph_capture_hook
     _graph_capture_hook = hook
-    return previous
-
-
-def set_backward_op_hook(hook: Callable[[str, float], None] | None):
-    """Install (or clear, with ``None``) the backward-op profiler hook.
-
-    Returns the previously installed hook so profilers can nest/restore.
-    Used by :class:`repro.obs.profiler.OpProfiler`; not a public API for
-    anything else.
-    """
-    global _backward_op_hook
-    previous = _backward_op_hook
-    _backward_op_hook = hook
     return previous
 
 
@@ -341,6 +327,10 @@ class Tensor:
         its edges, closure and gradient are released: an activation lives
         only until the last backward that reads it, not until the walk
         ends (DESIGN.md §10.1).
+
+        While the tracer is enabled each closure is timed and charged to
+        ``op.seconds{op=<name>.backward}`` (:func:`repro.obs.metrics.
+        observe_op`); otherwise the walk times nothing.
         """
         if grad is None:
             if self.size != 1:
@@ -352,19 +342,19 @@ class Tensor:
                 raise ValueError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
 
         self._accumulate(grad)
-        hook = _backward_op_hook
+        traced = get_tracer().enabled
         schedule = backward_schedule(self)
         schedule.reverse()              # popped from the end, in order
         while schedule:
             node = schedule.pop()
             if node._backward is not None and node.grad is not None:
-                if hook is None:
+                if not traced:
                     node._backward(node.grad)
                 else:
                     t0 = time.perf_counter()
                     node._backward(node.grad)
-                    hook(_backward_op_name(node._backward),
-                         time.perf_counter() - t0)
+                    observe_op(_backward_op_name(node._backward) + ".backward",
+                               time.perf_counter() - t0)
                 if node is not self:
                     node._backward = None
                     node._parents = ()
@@ -595,20 +585,6 @@ class Tensor:
 
         return Tensor._make(np.asarray(out_data), (a,), backward,
                             (idx, basic))
-
-    def pad2d(self, pad: int):
-        """Zero-pad the last two (spatial) dims symmetrically by ``pad``."""
-        if pad == 0:
-            return self
-        a = self
-        width = [(0, 0)] * (self.ndim - 2) + [(pad, pad), (pad, pad)]
-        out_data = np.pad(self.data, width)
-
-        def backward(g):
-            sl = tuple([slice(None)] * (a.ndim - 2) + [slice(pad, -pad), slice(pad, -pad)])
-            a._accumulate(g[sl])
-
-        return Tensor._make(out_data, (a,), backward)
 
     # ------------------------------------------------------------------ #
     # elementwise nonlinearities                                           #

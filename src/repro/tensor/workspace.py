@@ -35,7 +35,7 @@ so nobody keeps :data:`transient` arrays: they are requested where used.
 
 Per-tag hit/miss and bytes-saved counts — transient tags included, though
 they own no memory — go to ``obs.metrics`` via :func:`publish_metrics`
-and onto ``obs.profiler``'s hotspot table.  All of it is process-local:
+and onto ``repro profile``'s hotspot table.  All of it is process-local:
 pool workers each grow their own arena.
 """
 
@@ -50,8 +50,8 @@ from typing import Any
 import numpy as np
 
 __all__ = ["WorkspaceSlot", "TransientStack", "slot_for", "transient",
-           "stats_snapshot", "tag_stats", "resident_bytes", "shared_cache",
-           "shared_bytes", "reset", "publish_metrics"]
+           "stats_snapshot", "stats_since", "tag_stats", "resident_bytes",
+           "shared_cache", "shared_bytes", "reset", "publish_metrics"]
 
 #: Byte alignment of every :class:`TransientStack` array (one cache line).
 ALIGN = 64
@@ -100,15 +100,11 @@ class WorkspaceSlot:
         self._views: dict[tuple, np.ndarray] = {}    # (tag, shape, dtype) -> prefix
         self.generation = 0
 
-    def buffer(self, tag: str, shape: tuple[int, ...], dtype,
-               zero: str = "never") -> np.ndarray:
+    def buffer(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Return the ``shape``/``dtype`` prefix view of ``tag``'s base.
 
-        ``zero`` controls fill semantics:
-
-        - ``"never"``  — contents are whatever the last user left (caller
-          overwrites every element);
-        - ``"always"`` — zeroed on every request (scatter-add targets).
+        Contents are whatever the last user left: the caller overwrites
+        every element.
         """
         dtype = np.dtype(dtype)
         key = (tag, shape, dtype)
@@ -131,8 +127,6 @@ class WorkspaceSlot:
         if hit:
             st.hits += 1
             st.bytes_saved += buf.nbytes
-        if zero == "always":
-            buf[...] = 0
         return buf
 
 
@@ -224,6 +218,18 @@ def stats_snapshot() -> dict[str, tuple[int, int, int, int]]:
     """``{tag: (hits, misses, bytes_alloc, bytes_saved)}`` snapshot."""
     return {tag: (s.hits, s.misses, s.bytes_alloc, s.bytes_saved)
             for tag, s in _stats.items()}
+
+
+def stats_since(before: dict) -> dict[str, tuple[int, int, int, int]]:
+    """Per-tag traffic since the :func:`stats_snapshot` ``before``, as
+    ``(hits, misses, bytes_alloc, bytes_saved)`` deltas; tags with no
+    traffic in the window are omitted."""
+    deltas = {}
+    for tag, now in stats_snapshot().items():
+        delta = tuple(a - b for a, b in zip(now, before.get(tag, (0,) * 4)))
+        if any(delta):
+            deltas[tag] = delta
+    return deltas
 
 
 def resident_bytes(slots=None) -> dict[str, int]:

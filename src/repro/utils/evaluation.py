@@ -1,9 +1,8 @@
 """Classification evaluation beyond top-1: confusion matrix, per-class
-accuracy, macro-F1, top-k.
+accuracy, macro-F1.
 
 The paper reports top-1 only, but per-class views are what reveal *why*
-heterogeneous clients diverge (a client missing class k collapses on it),
-so the local-accuracy analyses and several tests use these.
+heterogeneous clients diverge (a client missing class k collapses on it).
 """
 
 from __future__ import annotations
@@ -45,32 +44,3 @@ def macro_f1(cm: np.ndarray) -> float:
         denom = precision + recall
         f1 = np.where(denom > 0, 2 * precision * recall / denom, 0.0)
     return float(f1[present].mean()) if present.any() else float("nan")
-
-
-def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose label is among the k highest logits."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    if k < 1 or k > logits.shape[1]:
-        raise ValueError(f"k must be in [1, {logits.shape[1]}]")
-    topk = np.argpartition(logits, -k, axis=1)[:, -k:]
-    return float((topk == labels[:, None]).any(axis=1).mean())
-
-
-def evaluate_per_class(model, data, batch_size: int = 256) -> dict:
-    """Run ``model`` over ``data``; return cm, per-class acc, macro-F1."""
-    from repro.tensor import Tensor
-    model.eval()
-    preds = []
-    for lo in range(0, len(data), batch_size):
-        logits = model(Tensor(data.x[lo:lo + batch_size]))
-        preds.append(logits.data.argmax(axis=1))
-    model.train()
-    pred = np.concatenate(preds)
-    cm = confusion_matrix(pred, data.y, num_classes=data.num_classes)
-    return {
-        "confusion": cm,
-        "per_class_accuracy": per_class_accuracy(cm),
-        "macro_f1": macro_f1(cm),
-        "accuracy": float((pred == data.y).mean()),
-    }

@@ -9,7 +9,6 @@ from repro.core import (ControlVariate, NoSelectionPolicy,
                         RandomSelectionPolicy, RLSelectionPolicy,
                         StaticSaliencyPolicy, salient_aggregate,
                         transfer_to_client)
-from repro.core.aggregation import coverage_fraction
 from repro.core.gradient_control import (make_correction_hook,
                                          refresh_client_variate,
                                          server_variate_delta)
@@ -177,11 +176,6 @@ class TestSalientAggregate:
             lo = np.min(vals, axis=0) - 1e-5
             hi = np.max(vals, axis=0) + 1e-5
             assert np.all(out[f] >= lo) and np.all(out[f] <= hi)
-
-    def test_coverage_fraction(self):
-        uploads = [(np.asarray([0, 1]), None), (np.asarray([1, 2]), None)]
-        assert coverage_fraction(4, uploads) == pytest.approx(0.75)
-
 
 class TestAggregationOracle:
     """The vectorized Eq. 12 must match the pre-PR scatter **bitwise**

@@ -15,9 +15,8 @@ from repro.fl import (FedAvg, FedTopK, dequantize_payload,
                       make_quant_config, payload_nbytes, quantize_payload,
                       serialize_state)
 from repro.fl.topk import topk_mask
-from repro.utils.evaluation import (confusion_matrix, evaluate_per_class,
-                                    macro_f1, per_class_accuracy,
-                                    topk_accuracy)
+from repro.utils.evaluation import (confusion_matrix, macro_f1,
+                                    per_class_accuracy)
 
 R = np.random.default_rng(0)
 
@@ -243,20 +242,6 @@ class TestEvaluationMetrics:
     def test_macro_f1_degenerate(self):
         cm = np.asarray([[0, 5], [0, 5]])  # predicts class 1 always
         assert 0.0 < macro_f1(cm) < 1.0
-
-    def test_topk_accuracy(self):
-        logits = np.asarray([[0.1, 0.5, 0.4], [0.9, 0.05, 0.05]])
-        labels = np.asarray([2, 1])
-        assert topk_accuracy(logits, labels, k=1) == pytest.approx(0.0)
-        assert topk_accuracy(logits, labels, k=2) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            topk_accuracy(logits, labels, k=5)
-
-    def test_evaluate_per_class_model(self, tiny_dataset, tiny_model_fn):
-        model = tiny_model_fn()
-        out = evaluate_per_class(model, tiny_dataset.subset(np.arange(64)))
-        assert out["confusion"].sum() == 64
-        assert 0.0 <= out["accuracy"] <= 1.0
 
     @given(st.integers(2, 6), st.integers(10, 60))
     @settings(max_examples=15, deadline=None)

@@ -1,4 +1,4 @@
-"""Unit tests: the repro.obs subsystem (tracer, metrics, profiler, reports)."""
+"""Unit tests: the repro.obs subsystem (tracer, metrics, op attribution, reports)."""
 
 import contextlib
 import json
@@ -13,12 +13,11 @@ from repro.fl import (FedAvg, Transport, deserialize_state, make_executor,
 from repro.models import build_model
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
-from repro.obs import (NULL_SPAN, MetricsRegistry, NullTracer, OpProfiler,
+from repro.obs import (NULL_SPAN, MetricsRegistry, NullTracer,
                        Tracer, downlink_line, get_tracer, hotspot_table,
                        round_timeline_table, set_registry, set_tracer,
                        span_attr_total, span_total_seconds, tracing)
 from repro.tensor import Tensor
-from repro.tensor.tensor import set_backward_op_hook
 
 from tests import matrix
 
@@ -164,7 +163,26 @@ class TestMetrics:
         json.loads(reg.to_json())
 
 
+def _op_calls(snapshot: dict, op: str) -> int:
+    hist = snapshot["histograms"].get(f"op.seconds{{op={op}}}")
+    return hist["count"] if hist else 0
+
+
+def _traced(fn):
+    """Run ``fn`` traced into a fresh registry; returns its snapshot."""
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        with tracing():
+            fn()
+    finally:
+        set_registry(previous)
+    return registry.snapshot()
+
+
 class TestProfiler:
+    """Op time goes to the metrics registry while the tracer is on."""
+
     def _run_small_model(self):
         rng = np.random.default_rng(0)
         conv = Conv2d(3, 4, 3, padding=1, rng=rng)
@@ -174,64 +192,93 @@ class TestProfiler:
         out.sum().backward()
 
     def test_records_conv_forward_and_backward(self):
-        with OpProfiler() as prof:
-            self._run_small_model()
-        assert "conv2d.forward" in prof.stats
-        assert "conv2d.backward" in prof.stats
-        assert "linear.forward" in prof.stats
-        fwd = prof.stats["conv2d.forward"]
-        assert fwd.calls == 1 and fwd.flops > 0 and fwd.seconds > 0
+        snap = _traced(self._run_small_model)
+        for op in ("conv2d.forward", "conv2d.backward", "linear.forward"):
+            assert _op_calls(snap, op) == 1, op
+        fwd = snap["histograms"]["op.seconds{op=conv2d.forward}"]
+        assert fwd["sum"] > 0
+        assert snap["counters"]["op.flops{op=conv2d.forward}"] > 0
 
     def test_conv_flops_match_analytic_count(self):
-        with OpProfiler() as prof:
-            self._run_small_model()
+        snap = _traced(self._run_small_model)
         # conv: 2 * (out_c * ho * wo * in_c * k^2) + bias, x batch of 2
         macs = 4 * 8 * 8 * 3 * 9
         expected = (2 * macs + 4 * 8 * 8) * 2
-        assert prof.stats["conv2d.forward"].flops == expected
-
-    def test_uninstall_restores_originals(self):
-        original_conv = Conv2d.forward
-        original_linear = Linear.forward
-        prof = OpProfiler().install()
-        assert Conv2d.forward is not original_conv
-        prof.uninstall()
-        assert Conv2d.forward is original_conv
-        assert Linear.forward is original_linear
-        prof.uninstall()                       # idempotent
-        assert Conv2d.forward is original_conv
+        assert snap["counters"]["op.flops{op=conv2d.forward}"] == expected
 
     def test_no_recording_without_install(self):
-        prof = OpProfiler()
-        self._run_small_model()
-        assert prof.stats == {}
-        # the engine hook must be clear again after any prior uninstall
-        assert set_backward_op_hook(None) is None
+        """With no tracer installed no ``op.*`` instrument is touched."""
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            assert not get_tracer().enabled
+            self._run_small_model()
+        finally:
+            set_registry(previous)
+        snap = registry.snapshot()
+        assert not [k for family in snap.values() for k in family
+                    if k.startswith("op.")]
 
     def test_top_hotspots_ordering_and_report(self):
-        with OpProfiler() as prof:
-            self._run_small_model()
-        ranked = prof.top_hotspots(5)
-        seconds = [stat.seconds for _, stat in ranked]
-        assert seconds == sorted(seconds, reverse=True)
-        table = hotspot_table(prof, n=5)
+        snap = _traced(self._run_small_model)
+        table = hotspot_table(snap, n=5)
         assert "conv2d.forward" in table and "GFLOP" in table
+        rows = table.splitlines()[3:]
+        assert len(rows) == 5
+        seconds = [float(r.split("|")[2]) for r in rows]
+        assert seconds == sorted(seconds, reverse=True)
+
+    def test_pool_workers_report_the_serial_ops(self, capsys):
+        """A ``--workers 2`` profile charges its clients' training to the
+        table: the same conv calls as the serial run."""
+        from repro.cli import main
+
+        def calls(workers):
+            assert main(["profile", "--clients", "2", "--rounds", "1",
+                         "--sample-ratio", "1.0",
+                         "--workers", str(workers)]) == 0
+            rows = {line.split("|")[0].strip(): line.split("|")[1]
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("conv2d.")}
+            return {op: int(rows[op]) for op in
+                    ("conv2d.forward", "conv2d.backward")}
+
+        serial = calls(1)
+        assert serial["conv2d.backward"] > 0
+        assert calls(2) == serial
 
 
 class TestTracedFederatedRun:
     def test_traced_run_is_numerically_identical(self):
-        model_fn, clients = _tiny_setting()
-        plain = FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0)
-        plain_log = plain.run(2)
+        """Tracing, and so op timing, moves no number: serially and on a
+        process pool the traced run ends in the untraced run's state, and
+        the pool's workers report the serial run's ops."""
+        def run(traced, **kwargs):
+            model_fn, clients = _tiny_setting()
+            algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1, seed=0,
+                          **kwargs)
+            out = {}
+            try:
+                if traced:
+                    out["snap"] = _traced(lambda: out.update(log=algo.run(2)))
+                else:
+                    out["log"] = algo.run(2)
+            finally:
+                algo.close()
+            return algo, out
 
-        model_fn2, clients2 = _tiny_setting()
-        traced = FedAvg(model_fn2, clients2, lr=0.05, local_epochs=1, seed=0)
-        with tracing() as tracer, OpProfiler() as prof:
-            traced_log = traced.run(2)
-
-        assert traced_log["val_acc"] == plain_log["val_acc"]
-        assert traced_log["train_loss"] == plain_log["train_loss"]
-        assert tracer.spans and prof.stats
+        plain, plain_out = run(False)
+        traced, out = run(True)
+        pooled, pool_out = run(True, executor=make_executor(2))
+        for other, other_out in ((traced, out), (pooled, pool_out)):
+            for key in ("val_acc", "train_loss"):
+                assert other_out["log"][key] == plain_out["log"][key]
+            assert state_fingerprint(other.worker_sync_state()) \
+                == state_fingerprint(plain.worker_sync_state())
+        snap, pool_snap = out["snap"], pool_out["snap"]
+        assert _op_calls(snap, "conv2d.backward") > 0
+        for op in ("conv2d.forward", "conv2d.backward", "relu.backward"):
+            assert _op_calls(pool_snap, op) == _op_calls(snap, op), op
 
     @pytest.mark.parametrize("cell", matrix.params("ledger"))
     def test_codec_span_bytes_match_ledger(self, cell):

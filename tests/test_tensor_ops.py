@@ -148,10 +148,6 @@ class TestReductionsShapes:
             return (t[idx] ** 2)
         check_unary(op, x0)
 
-    def test_pad2d(self):
-        x0 = R.normal(size=(1, 2, 3, 3))
-        check_unary(lambda t: (t.pad2d(2) ** 2), x0)
-
     def test_flatten_from(self):
         x = _t(R.normal(size=(2, 3, 4)))
         assert x.flatten_from(1).shape == (2, 12)

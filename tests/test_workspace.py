@@ -72,12 +72,7 @@ class TestWorkspaceSlot:
         ws = workspace.slot_for(Owner())
         never = ws.buffer("t.never", (3,), np.float32)
         never[:] = 7
-        assert np.all(ws.buffer("t.never", (3,), np.float32,
-                                zero="never") == 7)
-        always = ws.buffer("t.always", (3,), np.float32, zero="always")
-        always[:] = 5
-        assert np.all(ws.buffer("t.always", (3,), np.float32,
-                                zero="always") == 0)
+        assert np.all(ws.buffer("t.never", (3,), np.float32) == 7)
 
     def test_cohort_shapes_share_one_base_per_tag(self):
         # Cohort-mode stacks k clients into one (k*n, ...) batch, and
@@ -474,20 +469,30 @@ class TestConvBnFold:
 
 class TestProfilerWorkspaceJoin:
     def test_workspace_stats_deltas_and_table(self):
-        from repro.obs import OpProfiler, hotspot_table
+        from repro.obs import (MetricsRegistry, hotspot_table, set_registry,
+                               tracing)
         from repro.nn.conv import Conv2d
         rng = np.random.default_rng(0)
         layer = Conv2d(2, 3, 3, padding=1, rng=rng)
         x = Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32),
                    requires_grad=True)
         (layer(x) ** 2).sum().backward()        # warm the arena first
-        with OpProfiler() as prof:
-            (layer(x) ** 2).sum().backward()
-        stats = prof.workspace_stats()
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        before = workspace.stats_snapshot()
+        try:
+            with tracing():
+                (layer(x) ** 2).sum().backward()
+        finally:
+            set_registry(previous)
+        stats = workspace.stats_since(before)
         conv_tags = {t for t in stats if t.startswith("conv2d.")}
         assert conv_tags, stats
         assert all(sum(d) > 0 for d in stats.values())
-        table = prof.report(n=8)
+        table = hotspot_table(registry.snapshot(), n=8, workspace=stats)
+        row = next(line for line in table.splitlines()
+                   if line.startswith("conv2d.backward"))
+        assert "-" not in [c.strip() for c in row.split("|")[-2:]], row
         assert "ws hit%" in table and "ws MB saved" in table
 
 
