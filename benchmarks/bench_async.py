@@ -19,7 +19,7 @@ two axes that are measurements:
 The runtime's identities are tier-1's, not this bench's: same-seed
 determinism is ``tests/test_fl_async.py::TestDeterminism``, bitwise
 sync equivalence at ``buffer_k == cohort`` is ``::TestSyncEquivalence``,
-and traced codec bytes == ledger total is
+and traced transfer bytes == ledger total is
 ``tests/test_obs.py::test_codec_span_bytes_match_ledger[async*]``.
 
     python benchmarks/bench_async.py --smoke --check    # the CI gate

@@ -180,7 +180,6 @@ def arena_footprint(model_name: str) -> dict:
     import tracemalloc
     from repro.tensor import workspace
     workspace.reset()
-    # kept alive while the bytes are read: per-owner slots die with it
     algo = _fedavg(model_name, FOOTPRINT_CLIENTS, FOOTPRINT_SAMPLES)
     tracemalloc.start()
     try:

@@ -36,10 +36,10 @@ from repro.experiments.configs import (make_algorithm, make_dataset,
 from repro.experiments.inference import render_inference_table
 from repro.experiments.learning_efficiency import converge_accuracy_summary
 from repro.experiments.pruning_compare import render_pruning_table
-from repro.obs import (MetricsRegistry, Tracer, codec_byte_totals,
-                       downlink_line, get_registry, get_tracer, hotspot_table,
-                       round_timeline_table, set_registry, set_tracer,
-                       step_compiler_line)
+from repro.obs import (MetricsRegistry, Tracer, downlink_line, get_registry,
+                       get_tracer, hotspot_table, round_timeline_table,
+                       set_registry, set_tracer, step_compiler_line,
+                       transfer_byte_totals)
 
 
 def _cfg(args, **extra):
@@ -251,6 +251,11 @@ def cmd_scale(args) -> None:
     }, indent=2))
 
 
+def _ledger_sum(direction: dict[int, dict[int, int]]) -> int:
+    """Bytes of one ledger direction (``{round: {client: bytes}}``)."""
+    return sum(sum(per_client.values()) for per_client in direction.values())
+
+
 def cmd_profile(args) -> None:
     """Trace + profile a few rounds; print timeline and hotspot tables.
 
@@ -296,10 +301,11 @@ def cmd_profile(args) -> None:
     if cfg.compile:
         print(step_compiler_line(tracer, counters))
     print(downlink_line(counters))
-    codec = codec_byte_totals(tracer)
-    print(f"codec bytes: serialize={int(codec['serialize'])} "
-          f"deserialize={int(codec['deserialize'])} "
-          f"ledger={algo.ledger.total_bytes()}")
+    spans = transfer_byte_totals(tracer)
+    ledger = {"download": algo.ledger.downlink, "upload": algo.ledger.uplink}
+    print("transfer bytes: " + " ".join(
+        f"{d}={int(spans[d])} (ledger {_ledger_sum(ledger[d])})"
+        for d in ("download", "upload")))
     held = {**workspace.resident_bytes(), **workspace.shared_bytes()}
     top = sorted(held, key=held.get, reverse=True)
     print(f"arena MB resident ({workspace.transient.nbytes / 1e6:.1f} in the "

@@ -261,18 +261,16 @@ class Transport:
       :attr:`ledger` at its wire size when it is sent, so corrupted and
       retried transfers cost real (simulated) bandwidth;
     - **traced where charged** — each transfer is one ``download`` /
-      ``upload`` span carrying the charged ``bytes``, with a
-      ``serialize`` / ``deserialize`` span pair inside it when a codec
-      pass runs, so span byte totals equal the ledger on every driver;
+      ``upload`` span carrying the charged ``bytes``, so span byte totals
+      equal the ledger on every driver; a ``serialize`` / ``deserialize``
+      span pair inside it appears only where the codec runs;
     - **storage framing is never traffic** — the codec underneath is
       pure, so spills, stores, checkpoints and pool plumbing charge
       nothing and emit no span.
 
     Without a fault model a transfer costs one :func:`payload_nbytes` and
-    one ledger write, and the receiver gets ``payload`` itself; when a
-    tracer is on it also makes one discarded validating pass through the
-    codec (arena scratch, zero-copy decode) so the trace carries the
-    bytes.  With a fault model both directions go through the
+    one ledger write, traced or not, and the receiver gets ``payload``
+    itself.  With a fault model both directions go through the
     checksummed codec, the fault model may flip bits, and the receiving
     side runs the validating decoder — corruption is *detected*, surfacing
     as :class:`~repro.fl.resilience.TransferCorrupted`, never accepted
@@ -340,38 +338,34 @@ class Transport:
         record = self.ledger.record_down if down else self.ledger.record_up
         with tracer.span(_SPAN_NAME[direction], round=round_idx,
                          client=client_id) as span:
-            if fault_model is None and not tracer.enabled:
-                record(round_idx, client_id, payload_nbytes(payload))
+            if fault_model is None:
+                nbytes = payload_nbytes(payload)
+                record(round_idx, client_id, nbytes)
+                span.set(bytes=nbytes)
                 return payload
-            checksums = fault_model is not None
-            with tracer.span("serialize", checksums=checksums) as ser:
+            with tracer.span("serialize") as ser:
                 if down and self.broadcast is not None:
                     misses = self.broadcast.misses
                     blob = self.broadcast.encode(
                         payload, token=self.token, channel="down",
-                        checksums=checksums, variant=self.variant,
-                        base=base)
+                        checksums=True, variant=self.variant, base=base)
                     # the full length is reported either way: the network
                     # sent it, only the CPU encode was skipped
                     ser.set(cached=self.broadcast.misses == misses)
-                elif checksums:
-                    blob = wire.serialize(payload, checksums=True)
                 else:
-                    blob = wire.serialize_scratch(payload, owner=self)
-                    ser.set(scratch=True)
+                    blob = wire.serialize(payload, checksums=True)
                 ser.set(bytes=len(blob), entries=len(payload))
             record(round_idx, client_id, len(blob))
             span.set(bytes=len(blob))
-            if checksums:
-                blob = fault_model.corrupt(blob, round_idx, client_id, salt,
-                                           attempt, direction)
-            with tracer.span("deserialize", checksums=checksums,
-                             bytes=len(blob), zero_copy=True) as de:
+            blob = fault_model.corrupt(blob, round_idx, client_id, salt,
+                                       attempt, direction)
+            with tracer.span("deserialize", bytes=len(blob),
+                             zero_copy=True) as de:
                 try:
-                    received = wire.deserialize(blob, checksums=checksums,
+                    received = wire.deserialize(blob, checksums=True,
                                                 copy=False)
                 except PayloadError as err:
                     raise TransferCorrupted(client_id, round_idx, direction,
                                             err) from err
                 de.set(entries=len(received))
-        return received if checksums else payload
+        return received

@@ -4,9 +4,7 @@
 ``local_update`` delegates to; algorithm-specific behaviour plugs in via
 hooks rather than subclassed loops — ``correction_hook`` for
 SCAFFOLD/SPATL control variates (Eq. 9) and FedProx's proximal
-gradient, ``extra_loss`` for an auxiliary differentiable loss term (no
-shipped algorithm passes one), ``param_filter`` to restrict training to
-the encoder.
+gradient, ``param_filter`` to restrict training to the encoder.
 :func:`weighted_average_states` is the FedAvg server-side reduction
 (batch lists and streamed spill records alike).
 Both are pure with respect to server state, which is what makes them
@@ -31,7 +29,6 @@ def train_local(model, client: Client, round_idx: int, epochs: int, lr: float,
                 max_grad_norm: float | None = None,
                 correction_hook: Callable | None = None,
                 param_filter: Callable[[str], bool] | None = None,
-                extra_loss: Callable | None = None,
                 compiler=None) -> tuple[float, int, SGD]:
     """Run ``epochs`` of SGD on the client's shard.
 
@@ -44,14 +41,11 @@ def train_local(model, client: Client, round_idx: int, epochs: int, lr: float,
     param_filter:
         Restrict the optimizer to parameters whose dotted name passes the
         predicate (used for predictor-only transfer updates, Eq. 4).
-    extra_loss:
-        Additional differentiable loss term given the model, added to the
-        cross-entropy.
     compiler:
         Optional :class:`~repro.tensor.compile.StepCompiler`.  When given,
         each step is attempted as a compiled replay (byte-identical to the
         eager step); steps the compiler cannot replay — unsupported graph
-        shapes, active channel masks, an ``extra_loss`` — run eagerly.
+        shapes, active channel masks, dropout — run eagerly.
 
     Returns ``(mean train loss, number of optimizer steps, optimizer)`` —
     the optimizer is returned so algorithms that communicate local optimizer
@@ -72,13 +66,10 @@ def train_local(model, client: Client, round_idx: int, epochs: int, lr: float,
             for xb, yb in client.train_loader(round_idx * 1000 + epoch):
                 loss_val = None
                 if compiler is not None:
-                    loss_val = compiler.try_step(model, xb, yb,
-                                                 extra_loss=extra_loss)
+                    loss_val = compiler.try_step(model, xb, yb)
                 if loss_val is None:
                     logits = model(Tensor(xb))
                     loss = F.cross_entropy(logits, yb)
-                    if extra_loss is not None:
-                        loss = loss + extra_loss(model)
                     model.zero_grad()
                     loss.backward()
                     loss_val = loss.item()

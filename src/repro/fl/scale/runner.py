@@ -164,7 +164,9 @@ class ScaleRunner:
             "losses": [float(v) for v in p.losses],
             "stats": p.stats.snapshot(),
             "fold": fold_meta,
-            "spill": {"path": p.spill.path,
+            # the file name alone: a copied run directory resumes from
+            # its own spill, under the loading runner's spill_dir
+            "spill": {"file": os.path.basename(p.spill.path),
                       "n_records": p.spill.n_records,
                       "nbytes": p.spill.nbytes},
             "store": (self.pool.store.snapshot_manifest()
@@ -176,8 +178,10 @@ class ScaleRunner:
         """Restore a pending partial round into this (fresh) runner.
 
         The runner must wrap an identically-constructed algorithm; with
-        a pool, the pool must sit on the same store root the checkpoint
-        was taken from (shard logs are truncated back to the manifest).
+        a pool, the pool must sit on the store root the checkpoint was
+        taken from, or a copy of it (shard logs are truncated back to the
+        manifest).  The round's spill is read from this runner's
+        ``spill_dir`` under the file name the checkpoint recorded.
         The manifest and every array are checked before the algorithm is
         touched (a ``ValueError`` naming the file and the entry).
         """
@@ -193,7 +197,11 @@ class ScaleRunner:
                        if k.startswith("fold.")}
         try:
             round_idx = int(state["round_idx"])
-            spill_at = (str(state["spill"]["path"]),
+            spill_file = str(state["spill"]["file"])
+            if os.path.basename(spill_file) != spill_file:
+                raise ValueError(f"spill file {spill_file!r} is not a "
+                                 "file name")
+            spill_at = (os.path.join(self.spill_dir, spill_file),
                         int(state["spill"]["n_records"]),
                         int(state["spill"]["nbytes"]))
             losses = [float(v) for v in state["losses"]]

@@ -10,10 +10,9 @@ model.  This module is the hot-path core behind :mod:`repro.fl.comm`
   size up front, :func:`serialize_into` writes header and array bytes
   straight into one preallocated buffer with ``struct.pack_into`` and
   ``memoryview`` slice assignment (no per-entry ``b"".join`` copies);
-  :func:`serialize` wraps it over a fresh buffer, while
-  :func:`serialize_scratch` writes into a workspace-arena buffer
-  (:mod:`repro.tensor.workspace`) for encode-then-discard paths (the
-  transport's traced validating pass);
+  :func:`serialize` stages it through a persistent buffer and copies the
+  blob out once, while :func:`serialize_scratch` hands out a view of its
+  own staging buffer for encode-then-discard paths (benchmarks);
 - **zero-copy reader** — :func:`deserialize` with ``copy=False``
   returns *read-only* ``np.frombuffer`` views over the payload instead
   of per-entry copies, for decode-then-aggregate and validate-only
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -203,48 +201,54 @@ def serialize_into(state: dict[str, np.ndarray], out: Any,
     return off
 
 
+# Staging buffers of serialize / serialize_scratch: grow-only, sized to
+# powers of two, one per function so materialising a blob never clobbers
+# a scratch view a caller is still consuming.  A shared cache, so
+# ``workspace.shared_bytes()`` reports them and ``workspace.reset()``
+# drops them.
+_STAGE: dict[str, np.ndarray] = workspace.shared_cache("wire.stage")
+
+
+def _staged(kind: str, state: dict[str, np.ndarray],
+            checksums: bool) -> tuple[np.ndarray, int]:
+    """Write ``state`` into the ``kind`` staging buffer; returns the
+    buffer and the payload length.  Capacities are bucketed to powers of
+    two, so payloads whose sizes drift round to round (salient
+    selections) reallocate a buffer at most a logarithmic number of
+    times."""
+    n = payload_nbytes(state, checksums=checksums)
+    buf = _STAGE.get(kind)
+    if buf is None or buf.size < n:
+        buf = _STAGE[kind] = np.empty(1 << max(6, (n - 1).bit_length()),
+                                      np.uint8)
+    serialize_into(state, buf, checksums=checksums)
+    return buf, n
+
+
 def serialize(state: dict[str, np.ndarray], checksums: bool = False) -> bytes:
     """Encode a flat state dict to bytes through the single-buffer writer.
 
     Producing an *immutable* blob costs one fresh allocation plus one
     copy no matter what, so the write is staged through a persistent
-    arena buffer (warm pages, no zero-fill) and copied out once —
-    large-state encodes are then bound by that single copy.  Paths that
-    can consume a transient view should use :func:`serialize_scratch`
-    and skip the copy entirely.
+    buffer (warm pages, no zero-fill) and copied out once — large-state
+    encodes are then bound by that single copy.  Paths that can consume
+    a transient view should use :func:`serialize_scratch` and skip the
+    copy entirely.
     """
-    n = payload_nbytes(state, checksums=checksums)
-    cap = 1 << max(6, (n - 1).bit_length())
-    slot = workspace.slot_for(_SCRATCH_OWNER)
-    # distinct tag from serialize_scratch: materialising a blob must not
-    # invalidate a scratch view a caller is still consuming
-    buf = slot.buffer("wire.encode", (cap,), np.uint8)
-    serialize_into(state, buf, checksums=checksums)
+    buf, n = _staged("serialize", state, checksums)
     return bytes(memoryview(buf)[:n])
 
 
-# Arena owner for module-level scratch serialization; kept alive by the
-# module so its WorkspaceSlot (and buffers) persist for the process.
-_SCRATCH_OWNER = type("WireScratch", (), {})()
-
-
-def serialize_scratch(state: dict[str, np.ndarray], checksums: bool = False,
-                      owner: Any = None) -> memoryview:
-    """Serialize into a workspace-arena buffer; return a sized memoryview.
+def serialize_scratch(state: dict[str, np.ndarray],
+                      checksums: bool = False) -> memoryview:
+    """Serialize into a staging buffer; return a sized memoryview.
 
     The returned view is **transient scratch**: it stays valid only until
-    the owner's next ``serialize_scratch`` call, so it is for
-    encode-then-consume-then-discard paths (the transport's traced
-    validating pass, benchmarks) — never for blobs that outlive the call.  Capacities are
-    bucketed to powers of two so payloads whose sizes drift
-    round-to-round (salient selections) outgrow the arena base (and
-    reallocate it) at most a logarithmic number of times.
+    the next ``serialize_scratch`` call, so it is for
+    encode-then-consume-then-discard paths (benchmarks) — never for
+    blobs that outlive the call.
     """
-    n = payload_nbytes(state, checksums=checksums)
-    cap = 1 << max(6, (n - 1).bit_length())
-    slot = workspace.slot_for(owner if owner is not None else _SCRATCH_OWNER)
-    buf = slot.buffer("wire.scratch", (cap,), np.uint8)
-    serialize_into(state, buf, checksums=checksums)
+    buf, n = _staged("scratch", state, checksums)
     return memoryview(buf)[:n]
 
 
@@ -398,29 +402,22 @@ class BroadcastCache:
     Instances are picklable but ship cold (the cached blob is dropped),
     so worker replicas re-encode once rather than inflating task pickles.
 
-    The entry map is LRU-bounded at ``max_entries`` channels (blobs are
-    full model encodings — an unbounded channel set would hoard O(model)
-    each, at odds with the population-scale O(model) memory budget;
-    DESIGN.md §13).  Evictions land in ``evictions`` and the
-    ``wire.broadcast_evictions`` metrics counter.
+    A transport's cache holds at most two channels — ``"down"`` under a
+    fault model and ``"sync"`` under a process pool — so the entry map
+    needs no bound.
     """
 
-    def __init__(self, max_entries: int = 8):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = int(max_entries)
-        self._entries: OrderedDict[tuple[str, bool, Any], _CacheEntry] = \
-            OrderedDict()
+    def __init__(self):
+        self._entries: dict[tuple[str, bool, Any], _CacheEntry] = {}
         self.hits = 0           # token matched: no hash, no encode
         self.content_hits = 0   # token moved but fingerprint matched
         self.misses = 0         # fresh encode
-        self.evictions = 0      # LRU-evicted channel entries
 
     def __getstate__(self):
-        return {"max_entries": self.max_entries}  # replicas start cold
+        return {}               # replicas start cold
 
     def __setstate__(self, state):
-        self.__init__(**state)
+        self.__init__()
 
     def encode(self, state: dict[str, np.ndarray], *, token: Any,
                channel: str = "down", checksums: bool = False,
@@ -441,8 +438,6 @@ class BroadcastCache:
         """
         key = (channel, checksums, variant)
         entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
         if entry is not None and entry.token == token \
                 and entry.base == base and entry.entries == len(state):
             self.hits += 1
@@ -462,11 +457,6 @@ class BroadcastCache:
                                                  blob=blob,
                                                  entries=len(state),
                                                  base=base)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-                    get_registry().counter(
-                        "wire.broadcast_evictions").inc()
         return blob
 
 

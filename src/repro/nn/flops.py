@@ -48,24 +48,15 @@ def count_params(module: Module) -> int:
     return module.num_parameters()
 
 
-def count_flops(model: Module, input_shape: tuple[int, int, int],
-                _report: FlopsReport | None = None) -> FlopsReport:
+def count_flops(model: Module,
+                input_shape: tuple[int, int, int]) -> FlopsReport:
     """Count forward-pass FLOPs of ``model`` for a single input.
 
     ``input_shape`` is ``(C, H, W)`` for conv models or ``(F,)`` for MLPs.
-    Models that are not plain ``Sequential`` stacks can implement
-    ``flops(input_shape) -> FlopsReport`` and are dispatched to it; the
-    model zoo's ResNet blocks do exactly that (their skip-adds are not
-    discoverable from a module walk).
+    The count is a module walk: the layers it knows are counted, and
+    containers thread the shape through their children in order.
     """
-    report = _report if _report is not None else FlopsReport()
-    if hasattr(model, "flops") and not isinstance(model, Sequential):
-        sub = model.flops(input_shape)  # type: ignore[attr-defined]
-        report.total += sub.total
-        report.params += sub.params
-        for k, v in sub.by_layer.items():
-            report.by_layer[k] = report.by_layer.get(k, 0) + v
-        return report
+    report = FlopsReport()
     _walk(model, "", input_shape, report)
     return report
 
@@ -128,15 +119,6 @@ def _walk(module: Module, prefix: str, shape, report: FlopsReport):
         return (c,)
     if isinstance(module, Dropout):
         return shape
-    if hasattr(module, "flops"):
-        sub = module.flops(shape)  # type: ignore[attr-defined]
-        report.total += sub.total
-        report.params += sub.params
-        for k, v in sub.by_layer.items():
-            key = (prefix + "." + k) if prefix else k
-            report.by_layer[key] = report.by_layer.get(key, 0) + v
-        out = getattr(module, "output_shape", None)
-        return out(shape) if callable(out) else shape
     if isinstance(module, Sequential) or module._modules:
         # containers: thread the shape through children.
         # A "Flatten point" between conv stacks and classifiers is detected

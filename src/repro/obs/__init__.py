@@ -34,7 +34,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from repro.obs.report import (codec_byte_totals, downlink_line,
                               hotspot_table, round_timeline_table,
                               span_attr_total, span_total_seconds,
-                              step_compiler_line)
+                              step_compiler_line, transfer_byte_totals)
 
 __all__ = [
     "Span", "Tracer", "NullTracer", "NULL_SPAN", "get_tracer", "set_tracer",
@@ -42,5 +42,6 @@ __all__ = [
     "get_registry", "set_registry", "peak_rss_bytes", "observe_peak_rss",
     "hotspot_table",
     "round_timeline_table", "span_attr_total", "span_total_seconds",
-    "codec_byte_totals", "downlink_line", "step_compiler_line",
+    "codec_byte_totals", "transfer_byte_totals", "downlink_line",
+    "step_compiler_line",
 ]

@@ -103,16 +103,23 @@ def hotspot_table(snapshot: dict, n: int = 10,
 
 
 def codec_byte_totals(tracer) -> dict[str, float]:
-    """Bytes that crossed the codec, per direction of the span taxonomy.
-
-    Returns the summed ``bytes`` attributes of the ``serialize`` and
-    ``deserialize`` spans — by construction equal to the
-    :class:`~repro.fl.comm.CommLedger` totals of a traced run on every
-    driver: the one :class:`~repro.fl.comm.Transport` opens both and
-    charges the ledger (DESIGN.md §17).
-    """
+    """Bytes that crossed the codec: the summed ``bytes`` attributes of
+    the ``serialize`` and ``deserialize`` spans.  The codec runs only in
+    checksummed transfers, so each equals the
+    :class:`~repro.fl.comm.CommLedger` total of a traced run under a
+    fault model and is 0 without one (DESIGN.md §17)."""
     return {"serialize": span_attr_total(tracer, "serialize", "bytes"),
             "deserialize": span_attr_total(tracer, "deserialize", "bytes")}
+
+
+def transfer_byte_totals(tracer) -> dict[str, float]:
+    """The summed ``bytes`` attributes of the ``download`` and ``upload``
+    spans — on every driver, a traced run's
+    :class:`~repro.fl.comm.CommLedger` totals per direction: the one
+    :class:`~repro.fl.comm.Transport` opens both and charges the ledger
+    (DESIGN.md §17)."""
+    return {"download": span_attr_total(tracer, "download", "bytes"),
+            "upload": span_attr_total(tracer, "upload", "bytes")}
 
 
 def _counter_total(counters: dict[str, float], name: str) -> int:

@@ -6,21 +6,22 @@ Spans nest: a :class:`Tracer` keeps a stack so each finished span knows
 its depth and parent, which is enough to reconstruct the round timeline
 and to render a flame-graph view in ``chrome://tracing`` / Perfetto.
 
-Transfer and codec spans (``download`` / ``upload`` and the
-``serialize`` / ``deserialize`` pair inside them) are opened by exactly
-one piece of code, :class:`repro.fl.comm.Transport`, the same call that
-charges the ``CommLedger`` (DESIGN.md §17).  Their ``bytes`` attribute
-is always the exact wire size — summing it over either kind equals the
-ledger totals on every driver — and ``entries`` the state-dict entry
-count.  Three markers describe *how* the bytes were produced without
-ever changing the byte counts: ``cached=True`` on serialize spans served
-from the per-round :class:`~repro.fl.wire.BroadcastCache` (the full blob
-length is still reported — the simulated network sent it, only the CPU
-encode was skipped), ``scratch=True`` on serializes into the workspace
-arena, and ``zero_copy=True`` on deserializes that returned read-only
-views instead of copies.  The codec functions themselves open no span,
-so storage framing (spills, stores, checkpoints, pool plumbing) never
-appears as traffic.
+Transfer spans (``download`` / ``upload``) are opened by exactly one
+piece of code, :class:`repro.fl.comm.Transport`, the same call that
+charges the ``CommLedger`` (DESIGN.md §17), and their ``bytes``
+attribute is the exact charged wire size — summing it equals the ledger
+totals on every driver.  Tracing adds no work to a transfer: a
+``serialize`` / ``deserialize`` pair appears inside one only where the
+codec really runs, which is a checksummed transfer under a fault model;
+there their ``bytes`` equal the charged size too, and ``entries`` is the
+state-dict entry count.  Two markers describe *how* those bytes were
+produced without changing the counts: ``cached=True`` on serialize
+spans served from the per-round :class:`~repro.fl.wire.BroadcastCache`
+(the full blob length is still reported — the simulated network sent
+it, only the CPU encode was skipped), and ``zero_copy=True`` on
+deserializes that returned read-only views instead of copies.  The codec
+functions themselves open no span, so storage framing (spills, stores,
+checkpoints, pool plumbing) never appears as traffic.
 
 The process-global default tracer is a :class:`NullTracer` whose
 ``span()`` returns one shared no-op span — instrumented call sites cost a

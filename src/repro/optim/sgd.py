@@ -1,7 +1,7 @@
 """Stochastic gradient descent with momentum, weight decay, and hooks.
 
 The update is fully in-place (DESIGN.md §10): gradient scaling, weight
-decay, and the learning-rate product go through per-optimizer workspace
+decay, and the learning-rate product go through the optimizer's own
 scratch buffers with ``np.multiply/add/subtract(..., out=)``, keeping
 the exact operand order of the allocating form so steps stay
 byte-identical.  Aliasing contract: ``p.grad`` itself is never written;
@@ -18,7 +18,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.tensor import workspace
 
 # A correction hook receives (param_name, grad) and returns the corrected
 # gradient.  SCAFFOLD / SPATL register ``grad + c - c_i`` here (Eq. 9).
@@ -54,12 +53,10 @@ class SGD:
         self.max_grad_norm = max_grad_norm
         self._velocity: dict[str, np.ndarray] = {}
         self._hooks: list[CorrectionHook] = []
-        # Flat per-parameter step plan (name, param, g/decay/lrg arena
-        # views), resolved through the arena once on the first step and
-        # then iterated directly: the largest parameter is requested first,
-        # so each tag's base never grows and the retained views stay
-        # canonical, and a plain list walk beats the per-step keyed lookups
-        # for the many tiny parameters a resnet20-scale model carries.
+        # Flat per-parameter step plan (name, param, g/decay/lrg scratch
+        # views), built on the first step and then iterated directly: a
+        # plain list walk beats per-step keyed lookups for the many tiny
+        # parameters a resnet20-scale model carries.
         self._plan: list[tuple[str, Parameter, np.ndarray, np.ndarray,
                                np.ndarray]] | None = None
 
@@ -85,9 +82,10 @@ class SGD:
         """Apply one update to every parameter that has a gradient.
 
         In-place formulation of ``p -= lr * (scale*g + wd*p)`` (plus hooks
-        and momentum): scratch comes from this optimizer's workspace slot,
-        one base per tag shared by every parameter as a prefix view — safe
-        because each parameter's update completes before the next begins.
+        and momentum): the scratch is this optimizer's, one base per tag
+        and dtype sized to the largest parameter and shared by every
+        parameter as a C-contiguous prefix view — safe because each
+        parameter's update completes before the next begins.
         Every ``out=`` op mirrors one allocating op of the original update,
         same operands, same order.
         """
@@ -98,14 +96,17 @@ class SGD:
                 scale = self.max_grad_norm / (norm + 1e-12)
         plan = self._plan
         if plan is None:
-            ws = workspace.slot_for(self)
-            bufs = {
-                id(p): tuple(ws.buffer(tag, p.data.shape, p.data.dtype)
-                             for tag in ("sgd.g", "sgd.decay", "sgd.lrg"))
-                for _, p in sorted(self.params, reverse=True,
-                                   key=lambda item: item[1].data.size)}
-            plan = self._plan = [(name, p, *bufs[id(p)])
-                                 for name, p in self.params]
+            largest: dict[np.dtype, int] = {}
+            for _, p in self.params:
+                largest[p.data.dtype] = max(largest.get(p.data.dtype, 0),
+                                            p.data.size)
+            # g, decay, lrg: one base each per dtype
+            bases = {dtype: [np.empty(size, dtype) for _ in range(3)]
+                     for dtype, size in largest.items()}
+            plan = self._plan = [
+                (name, p, *(base[:p.data.size].reshape(p.data.shape)
+                            for base in bases[p.data.dtype]))
+                for name, p in self.params]
         lr = self.lr
         momentum = self.momentum
         weight_decay = self.weight_decay

@@ -24,10 +24,9 @@ by :func:`repro.fl.local.train_local`:
   every plan lives in one base of the largest plan's size.
 
 Per-step guards keep the plan honest when runtime state the plan baked
-in could drift: SPATL channel masks, active dropout, eval mode, and
-auxiliary losses all force the eager path for that step without
-invalidating the plan, and count it as
-``compile.eager_steps{reason=channel_masks|dropout|eval|extra_loss}``;
+in could drift: SPATL channel masks, active dropout and eval mode all
+force the eager path for that step without invalidating the plan, and
+count it as ``compile.eager_steps{reason=channel_masks|dropout|eval}``;
 ``compile.fallbacks`` counts only signatures no plan could be built for.
 """
 
@@ -140,7 +139,7 @@ class StepCompiler:
         self.__init__()
 
     # ------------------------------------------------------------------ #
-    def try_step(self, model, xb: np.ndarray, yb, extra_loss=None):
+    def try_step(self, model, xb: np.ndarray, yb):
         """Run one forward/backward as a compiled replay if possible.
 
         Returns the scalar loss with every ``p.grad`` populated (the
@@ -152,8 +151,7 @@ class StepCompiler:
         if entry is None:
             entry = _ModelEntry(model)
             self._models[model] = entry
-        reason = ("extra_loss" if extra_loss is not None
-                  else entry.eager_reason(model))
+        reason = entry.eager_reason(model)
         if reason is not None:
             _counter("compile.eager_steps", reason=reason).inc()
             return None

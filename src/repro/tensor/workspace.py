@@ -2,9 +2,9 @@
 
 The kernels would otherwise re-allocate the same megabyte-scale
 temporaries every step (im2col patch matrices, padded inputs, col2im
-staging, batch-norm work arrays, SGD update scratch).  Training memory
-is kept by how long it must live, and there are three lifetimes
-(DESIGN.md §10.1 has the table); the arena holds the first and the last:
+staging, batch-norm work arrays).  Training memory is kept by how long
+it must live, and there are two lifetimes (DESIGN.md §10.1 has the
+table); the arena holds the first:
 
 - **inside a kernel** — :data:`transient`, the one process-wide
   :class:`TransientStack`: valid until the kernel call that asked for it
@@ -20,36 +20,30 @@ is kept by how long it must live, and there are three lifetimes
   the input gradients are not arena memory: eager allocates them fresh
   and the graph frees each once the last backward reading it has run; a
   replayed step holds them as handles of its plan.  No layer owns memory.
-- **per owner** — :func:`slot_for` (weak-keyed: a slot dies with its
-  owner), a :class:`WorkspaceSlot` holding one flat base per
-  ``(tag, dtype)`` sized to the largest request seen, so the shapes an
-  owner meets share one allocation; a buffer is valid until the owner's
-  *next* request for the ``tag``.  What is retained across calls lives
-  here: the optimizer's update scratch and the wire codec's buffers.
 
-Anything that must outlive the op (graph payloads, gradients handed to
-``Tensor._accumulate``) is freshly allocated or copied.  A slot key maps
-to the same memory until the slot's ``generation`` moves (a base outgrown
-and reallocated); whoever keeps arena arrays across calls must watch it —
-so nobody keeps :data:`transient` arrays: they are requested where used.
+Whatever is retained across calls belongs to its owner, not to the
+arena: the optimizer keeps its update scratch (``optim/sgd.py``), and
+the wire codec its staging buffers in a :func:`shared_cache`.  Anything
+that must outlive the op (graph payloads, gradients handed to
+``Tensor._accumulate``) is freshly allocated or copied.  Nobody keeps
+:data:`transient` arrays: they are requested where used, and the stack
+re-bases (``generation`` moves) when a kernel outgrew it.
 
-Per-tag hit/miss and bytes-saved counts — transient tags included, though
-they own no memory — go to ``obs.metrics`` via :func:`publish_metrics`
-and onto ``repro profile``'s hotspot table.  All of it is process-local:
+Per-tag hit/miss and bytes-saved counts of the transient requests — tags
+own no memory — go to ``obs.metrics`` via :func:`publish_metrics` and
+onto ``repro profile``'s hotspot table.  All of it is process-local:
 pool workers each grow their own arena.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-__all__ = ["WorkspaceSlot", "TransientStack", "slot_for", "transient",
+__all__ = ["TransientStack", "transient",
            "stats_snapshot", "stats_since", "tag_stats", "resident_bytes",
            "shared_cache", "shared_bytes", "reset", "publish_metrics"]
 
@@ -73,61 +67,11 @@ class TagStat:
         return self.hits / total if total else 0.0
 
 
-# tag -> TagStat, aggregated over every slot in this process.
+# tag -> TagStat of the transient requests in this process.
 _stats: defaultdict[str, TagStat] = defaultdict(TagStat)
-
-# owner -> WorkspaceSlot; weak keys so a slot dies with its layer/optimizer.
-_slots: "weakref.WeakKeyDictionary[Any, WorkspaceSlot]" = weakref.WeakKeyDictionary()
 
 # name -> process-wide cache of immutable arrays (``conv.gather_idx``).
 _shared: dict[str, dict] = {}
-
-
-class WorkspaceSlot:
-    """Scratch bases of one owner (:func:`slot_for`).
-
-    One flat base per ``(tag, dtype)`` holds the largest request seen;
-    ``buffer`` serves its C-contiguous prefix — the start address and
-    strides a dedicated array would have, so BLAS picks the same kernels.
-    Outgrowing a base reallocates it, bumps ``generation`` and drops every
-    prefix view: arrays kept from an earlier generation are dead memory.
-    """
-
-    __slots__ = ("_bases", "_views", "generation")
-
-    def __init__(self):
-        self._bases: dict[tuple, np.ndarray] = {}    # (tag, dtype) -> flat base
-        self._views: dict[tuple, np.ndarray] = {}    # (tag, shape, dtype) -> prefix
-        self.generation = 0
-
-    def buffer(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Return the ``shape``/``dtype`` prefix view of ``tag``'s base.
-
-        Contents are whatever the last user left: the caller overwrites
-        every element.
-        """
-        dtype = np.dtype(dtype)
-        key = (tag, shape, dtype)
-        buf = self._views.get(key)
-        st = _stats[tag]
-        hit = buf is not None
-        if not hit:
-            size = math.prod(shape)
-            base = self._bases.get((tag, dtype))
-            hit = base is not None and base.size >= size
-            if not hit:
-                if base is not None:
-                    self.generation += 1
-                    st.growths += 1
-                    self._views.clear()
-                base = self._bases[tag, dtype] = np.empty(size, dtype)
-                st.misses += 1
-                st.bytes_alloc += base.nbytes
-            buf = self._views[key] = base[:size].reshape(shape)
-        if hit:
-            st.hits += 1
-            st.bytes_saved += buf.nbytes
-        return buf
 
 
 class TransientStack:
@@ -196,19 +140,6 @@ class TransientStack:
 transient = TransientStack()
 
 
-def slot_for(owner: Any) -> WorkspaceSlot:
-    """The (lazily created) :class:`WorkspaceSlot` of ``owner``.
-
-    ``owner`` must be weak-referenceable (any ordinary object; optimizers
-    qualify).  The slot — and every buffer in it — is released
-    when the owner is garbage-collected.
-    """
-    slot = _slots.get(owner)
-    if slot is None:
-        slot = _slots[owner] = WorkspaceSlot()
-    return slot
-
-
 def tag_stats(tag: str) -> TagStat:
     """The live :class:`TagStat` for ``tag`` (created empty if missing)."""
     return _stats[tag]
@@ -232,19 +163,10 @@ def stats_since(before: dict) -> dict[str, tuple[int, int, int, int]]:
     return deltas
 
 
-def resident_bytes(slots=None) -> dict[str, int]:
-    """``{tag: bytes}`` of scratch (sum of base sizes) held by ``slots`` —
-    by default :data:`transient` and every live per-owner slot.  The
-    transient stack's one base is reported under ``"transient"``."""
-    out: dict[str, int] = {}
-    for slot in [transient, *_slots.values()] if slots is None else slots:
-        if isinstance(slot, TransientStack):
-            if slot.nbytes:
-                out["transient"] = out.get("transient", 0) + slot.nbytes
-            continue
-        for (tag, _), base in slot._bases.items():
-            out[tag] = out.get(tag, 0) + base.nbytes
-    return out
+def resident_bytes() -> dict[str, int]:
+    """``{"transient": bytes}`` held by :data:`transient`'s one base
+    (empty while it holds none)."""
+    return {"transient": transient.nbytes} if transient.nbytes else {}
 
 
 def shared_cache(name: str) -> dict:
@@ -258,8 +180,8 @@ def shared_bytes() -> dict[str, int]:
 
 
 def reset() -> None:
-    """Drop every slot and shared array, zero the counters (test isolation)."""
-    _slots.clear()
+    """Drop the stack's base and every shared array, zero the counters
+    (test isolation)."""
     transient.__init__()
     _stats.clear()
     for cache in _shared.values():

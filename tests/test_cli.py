@@ -120,17 +120,21 @@ class TestObservability:
                        "--metrics-out", str(metrics), *driver_flags])
             assert rc == 0
             out = capsys.readouterr().out
-            # hotspot table names the conv ops; codec bytes line is printed
+            # hotspot table names the conv ops; the transfer spans'
+            # bytes reconcile with the ledger, direction by direction
             assert "conv2d.forward" in out
-            codec = re.search(r"codec bytes: serialize=(\d+) "
-                              r"deserialize=(\d+) ledger=(\d+)", out)
-            assert codec and len(set(codec.groups())) == 1, out
+            line = re.search(r"transfer bytes: download=(\d+) \(ledger "
+                             r"(\d+)\) upload=(\d+) \(ledger (\d+)\)", out)
+            assert line, out
+            down, down_ledger, up, up_ledger = map(int, line.groups())
+            assert down == down_ledger > 0 and up == up_ledger > 0, out
             assert "step compiler:" not in out      # no --compile, no line
             doc = json.loads(trace.read_text())
             events = doc["traceEvents"]
             assert events and all(e["ph"] == "X" for e in events)
             names = {e["name"] for e in events}
-            assert driver_spans | {"serialize", "deserialize"} <= names
+            assert driver_spans | {"download", "upload"} <= names
+            assert not names & {"serialize", "deserialize"}  # no faults
             snap = json.loads(metrics.read_text())
             assert snap["counters"]  # fl.* counters were recorded
 

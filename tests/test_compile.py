@@ -114,13 +114,6 @@ class TestCompiledStep:
         assert counters["compile.replays"] == 4
         assert len(comp.plan_for(m_comp)) == 2
 
-    def test_extra_loss_forces_eager(self):
-        model = _make_model()
-        comp = StepCompiler()
-        (xb, yb), = _batches(1)
-        assert comp.try_step(model, xb, yb,
-                             extra_loss=lambda m: 0.0) is None
-
     def test_eval_mode_forces_eager(self):
         model = _make_model()
         comp = StepCompiler()
@@ -142,8 +135,7 @@ class TestCompiledStep:
         enc.clear_channel_masks()
         assert comp.try_step(model, xb, yb) is not None
 
-    @pytest.mark.parametrize("reason", ["eval", "channel_masks", "dropout",
-                                        "extra_loss"])
+    @pytest.mark.parametrize("reason", ["eval", "channel_masks", "dropout"])
     def test_eager_step_counts_its_reason(self, reason, fresh_registry):
         # A guarded step declines the plan and says why: try_step leaves the
         # model as it found it, the caller's eager step is the step a run
@@ -163,9 +155,7 @@ class TestCompiledStep:
             return model
 
         m_comp, m_eager = make(), make()
-        extra = (lambda m: 0.0) if reason == "extra_loss" else None
-        assert StepCompiler().try_step(m_comp, xb, yb,
-                                       extra_loss=extra) is None
+        assert StepCompiler().try_step(m_comp, xb, yb) is None
         assert _states_equal(m_comp.state_dict(), m_eager.state_dict())
         assert fresh_registry.snapshot()["counters"] == {
             f"compile.eager_steps{{reason={reason}}}": 1}

@@ -1,9 +1,8 @@
 """Tests: Non-IID benchmark partition variants, fp16 wire compression,
-FedTopK baseline, LEAF I/O, evaluation metrics."""
+FedTopK baseline, LEAF I/O."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.data import (SyntheticFEMNIST, apply_feature_noise,
                         feature_noise_levels, partition_summary,
@@ -15,8 +14,6 @@ from repro.fl import (FedAvg, FedTopK, dequantize_payload,
                       make_quant_config, payload_nbytes, quantize_payload,
                       serialize_state)
 from repro.fl.topk import topk_mask
-from repro.utils.evaluation import (confusion_matrix, macro_f1,
-                                    per_class_accuracy)
 
 R = np.random.default_rng(0)
 
@@ -218,38 +215,3 @@ class TestLeafIO:
         assert stats["num_users"] == 5
         assert stats["total_samples"] == 60
         assert stats["min_samples"] == stats["max_samples"] == 12
-
-
-class TestEvaluationMetrics:
-    def test_confusion_matrix(self):
-        cm = confusion_matrix(np.asarray([0, 1, 1, 2]),
-                              np.asarray([0, 1, 2, 2]), 3)
-        np.testing.assert_array_equal(cm, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
-
-    def test_per_class_accuracy(self):
-        cm = np.asarray([[8, 2], [5, 5]])
-        np.testing.assert_allclose(per_class_accuracy(cm), [0.8, 0.5])
-
-    def test_per_class_nan_for_absent(self):
-        cm = np.asarray([[3, 0], [0, 0]])
-        acc = per_class_accuracy(cm)
-        assert acc[0] == 1.0 and np.isnan(acc[1])
-
-    def test_macro_f1_perfect(self):
-        cm = np.diag([5, 3, 2])
-        assert macro_f1(cm) == pytest.approx(1.0)
-
-    def test_macro_f1_degenerate(self):
-        cm = np.asarray([[0, 5], [0, 5]])  # predicts class 1 always
-        assert 0.0 < macro_f1(cm) < 1.0
-
-    @given(st.integers(2, 6), st.integers(10, 60))
-    @settings(max_examples=15, deadline=None)
-    def test_property_cm_row_sums(self, k, n):
-        rng = np.random.default_rng(k * 100 + n)
-        labels = rng.integers(0, k, n)
-        pred = rng.integers(0, k, n)
-        cm = confusion_matrix(pred, labels, k)
-        np.testing.assert_array_equal(cm.sum(axis=1),
-                                      np.bincount(labels, minlength=k))
-        assert cm.sum() == n

@@ -88,19 +88,6 @@ class TestLocalTraining:
         for n, p in model.encoder.named_parameters():
             np.testing.assert_array_equal(p.data, enc_before[n], err_msg=n)
 
-    def test_extra_loss_term_used(self, tiny_clients, tiny_model_fn):
-        model = tiny_model_fn()
-        calls = []
-
-        def extra(m):
-            calls.append(1)
-            from repro.tensor import Tensor
-            return next(iter(m.parameters())).sum() * 0.0
-
-        train_local(model, tiny_clients[0], 0, epochs=1, lr=0.05,
-                    extra_loss=extra)
-        assert len(calls) > 0
-
 
 class TestWeightedAverage:
     def test_exact_weighted_mean(self):

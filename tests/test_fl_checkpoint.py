@@ -377,6 +377,36 @@ class TestScaleMidRoundCheckpoint:
         assert pool2.factory.path == pool.factory.path
         assert open(pool2.factory.path, "rb").read() == samples
 
+    def test_copied_run_directory_resumes_from_its_own_spill(self, tmp_path):
+        """The checkpoint names its spill by file name: a copy of the store
+        root (spills inside) and the checkpoint resumes bit for bit after
+        the original directory is gone."""
+        import shutil
+
+        ref_pool = matrix.virtual_pool(tmp_path / "ref")
+        ref = matrix.algorithm("fedavg", client_list=ref_pool.clients(),
+                               sample_ratio=1.0)
+        ScaleRunner(ref, pool=ref_pool).run(2)
+
+        original, copy = tmp_path / "original", tmp_path / "copy"
+        pool = matrix.virtual_pool(original / "store")
+        runner = ScaleRunner(matrix.algorithm(
+            "fedavg", client_list=pool.clients(), sample_ratio=1.0),
+            pool=pool)
+        runner.run_round(0)
+        runner.run_round_partial(1, 2)
+        runner.save_round_checkpoint(original / "scale.npz")
+        shutil.copytree(original, copy)
+        shutil.rmtree(original)
+
+        pool2 = matrix.virtual_pool(copy / "store")
+        resumed_algo = matrix.algorithm("fedavg", client_list=pool2.clients(),
+                                        sample_ratio=1.0)
+        resumed = ScaleRunner(resumed_algo, pool=pool2)
+        resumed.load_round_checkpoint(copy / "scale.npz")
+        assert resumed.resume_round().round_idx == 1
+        assert self._final(resumed_algo) == self._final(ref)
+
     def test_spatl_materialized_resumes_byte_identical(self, tmp_path):
         def fresh():
             return matrix.algorithm("spatl", sample_ratio=1.0)
@@ -593,7 +623,8 @@ class TestHostileCheckpoint:
                                           AsyncConfig())
             return algo, lambda path: load_async_checkpoint(runner, path), \
                 runner
-        runner = ScaleRunner(algo, spill_dir=tmp_path / "target_spills",
+        # the saver's spill_dir: a checkpoint names its spill by file name
+        runner = ScaleRunner(algo, spill_dir=tmp_path / "spills",
                              eval_mode="none")
         return algo, runner.load_round_checkpoint, runner
 
@@ -714,6 +745,25 @@ class TestHostileCheckpoint:
             load(path)
         assert self._state(algo, runner) == before
 
+    @pytest.mark.parametrize("spill", ["../spills/round_2.spill",
+                                       "/tmp/round_2.spill"])
+    def test_spill_outside_spill_dir_rejected_untouched(self, tmp_path,
+                                                        spill):
+        """The spill is a file name under the loader's ``spill_dir``; a
+        manifest naming a path elsewhere is rejected before anything is
+        opened."""
+        path = self._saved(tmp_path, "scale")
+
+        def edit(arrays, manifest):
+            manifest["scale"]["spill"]["file"] = spill
+
+        self._rewrite(path, edit)
+        algo, load, runner = self._target(tmp_path, "scale")
+        before = self._state(algo, runner)
+        with pytest.raises(ValueError, match=r"ckpt\.npz: scale: .*file name"):
+            load(path)
+        assert self._state(algo, runner) == before
+
     @pytest.mark.parametrize("loader", ["sync", "async", "scale"])
     def test_undamaged_file_still_loads(self, tmp_path, loader):
         path = self._saved(tmp_path, loader)
@@ -732,8 +782,7 @@ class TestHostileCheckpoint:
         """Folds lost their weighted / unweighted switch; a scale file
         written while they had it still loads, the key ignored."""
         path = self._saved(tmp_path, "scale")
-        ref_algo, ref_load, ref_runner = self._target(tmp_path / "ref",
-                                                      "scale")
+        ref_algo, ref_load, ref_runner = self._target(tmp_path, "scale")
         ref_load(path)
 
         def edit(arrays, manifest):
@@ -791,7 +840,7 @@ class TestHostileCheckpoint:
                     runner = AsyncFederatedRunner(algo, profile, config)
                     return algo, lambda p: load_async_checkpoint(runner, p), \
                         runner
-                runner = ScaleRunner(algo, spill_dir=tmp_path / "spills",
+                runner = ScaleRunner(algo, spill_dir=root / name,
                                      eval_mode="none")
                 return algo, runner.load_round_checkpoint, runner
             return saved[name, loader], target

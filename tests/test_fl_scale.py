@@ -23,7 +23,7 @@ from repro.core import SPATL, StaticSaliencyPolicy
 from repro.core.gradient_control import ControlVariate
 from repro.data import SyntheticCIFAR10
 from repro.fl import (ALGORITHMS, AsyncConfig, AsyncFederatedRunner,
-                      AsyncProfile, BroadcastCache, ClientStateStore,
+                      AsyncProfile, ClientStateStore,
                       FederatedAlgorithm, PayloadError, ScaleRunner,
                       ShardedClientFactory, StubClientFactory, UpdateSpill,
                       VirtualClientPool, make_federated_clients,
@@ -650,26 +650,3 @@ class TestAsyncUpdateStore:
     def test_dedup_capacity_validated(self):
         with pytest.raises(ValueError):
             AsyncConfig(dedup_capacity=0)
-
-# ------------------------------------------------ broadcast cache bound
-
-class TestBroadcastCacheEviction:
-    def test_lru_eviction_counts(self):
-        cache = BroadcastCache(max_entries=2)
-        token = object()
-        for i in range(4):
-            state = {"w": np.full(4, float(i), dtype=np.float32)}
-            cache.encode(state, token=token, channel=f"ch{i}")
-        assert len(cache._entries) == 2
-        assert cache.evictions == 2
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            BroadcastCache(max_entries=0)
-
-    def test_replica_ships_cold_with_bound(self):
-        cache = BroadcastCache(max_entries=3)
-        cache.encode({"w": np.zeros(4, np.float32)}, token=1)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 3
-        assert not clone._entries

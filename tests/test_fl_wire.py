@@ -100,20 +100,32 @@ class TestScratchSerialize:
         assert bytes(view) == wire.serialize(state, checksums=True)
 
     def test_scratch_buffer_is_reused_across_calls(self):
-        owner = type("Owner", (), {})()     # weak-referenceable
-        a = wire.serialize_scratch(_rand_state(5), owner=owner)
-        b = wire.serialize_scratch(_rand_state(6), owner=owner)
-        # same power-of-two bucket => same arena buffer, no new allocation
+        a = wire.serialize_scratch(_rand_state(5))
+        b = wire.serialize_scratch(_rand_state(6))
+        # same power-of-two bucket => same staging buffer, no new allocation
         assert a.obj is b.obj
+
+    def test_staging_buffers_are_shared_and_reset(self):
+        """serialize and serialize_scratch stage through one buffer each,
+        sized to a power of two; workspace reports and drops them."""
+        from repro.tensor import workspace
+        workspace.reset()
+        state = _rand_state(7)
+        cap = 1 << (payload_nbytes(state) - 1).bit_length()
+        blob = wire.serialize(state)
+        view = wire.serialize_scratch(state)
+        assert bytes(view) == blob
+        assert workspace.shared_bytes()["wire.stage"] == 2 * cap
+        workspace.reset()
+        assert workspace.shared_bytes()["wire.stage"] == 0
+        assert wire.serialize(state) == blob
 
     def test_scratch_is_transient(self):
         """A second call of similar size overwrites the first view."""
-        owner = type("Owner", (), {})()
         state = {"w": np.arange(8, dtype=np.float32)}
-        view = wire.serialize_scratch(state, owner=owner)
+        view = wire.serialize_scratch(state)
         first = bytes(view)
-        wire.serialize_scratch({"w": np.zeros(8, dtype=np.float32)},
-                               owner=owner)
+        wire.serialize_scratch({"w": np.zeros(8, dtype=np.float32)})
         assert bytes(view) != first
 
 
@@ -376,36 +388,6 @@ class TestBroadcastCache:
         cache.encode(state, token=1, variant=("quant", 8, 0, True))
         assert cache.misses == 3
 
-    def test_variant_eviction_is_per_key(self):
-        """With a bounded cache, hammering one variant evicts LRU entries
-        of the other rather than corrupting them."""
-        cache = BroadcastCache(max_entries=2)
-        state = _rand_state(13)
-        cache.encode(state, token=1)                     # key A
-        cache.encode(state, token=1, variant=("quant", 4, 0, True))  # key B
-        cache.encode(state, token=1, variant=("quant", 8, 0, True))  # evicts A
-        assert cache.evictions == 1
-        cache.encode(state, token=1)                     # A re-encodes
-        assert cache.misses == 4
-
-    def test_eviction_counter_exported_to_metrics(self):
-        """LRU evictions land in both ``cache.evictions`` and the
-        ``wire.broadcast_evictions`` registry counter."""
-        from repro.obs.metrics import MetricsRegistry, set_registry
-
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            cache = BroadcastCache(max_entries=2)
-            for i in range(5):
-                cache.encode({"w": np.full(3, float(i), dtype=np.float32)},
-                             token=i, channel=f"ch{i}")
-        finally:
-            set_registry(previous)
-        assert cache.evictions == 3
-        counters = registry.snapshot()["counters"]
-        assert counters.get("wire.broadcast_evictions") == 3
-
     def test_pickles_cold(self):
         cache = BroadcastCache()
         state = _rand_state(10)
@@ -420,19 +402,19 @@ class TestBroadcastCache:
         its blobs reports each one's full length, cached or not."""
         cache = BroadcastCache()
         state = _rand_state(11)
-        transport = Transport(broadcast=cache)
+        transport = Transport(FaultModel(seed=0), broadcast=cache)
         with tracing() as tracer:
             for cid in range(2):
                 transport.download(0, cid, state)
         spans = [s for s in tracer.spans if s.name == "serialize"]
         assert [s.attrs["cached"] for s in spans] == [False, True]
         # ledger invariance: the cached span still carries the full length
-        n = payload_nbytes(state)
+        n = payload_nbytes(state, checksums=True)
         assert all(s.attrs["bytes"] == n for s in spans)
         assert all(s.attrs["entries"] == len(state) for s in spans)
         assert transport.ledger.downlink == {0: {0: n, 1: n}}
         with tracing() as tracer:
-            cache.encode(state, token=transport.token)
+            cache.encode(state, token=transport.token, checksums=True)
         assert tracer.spans == []
 
     def test_state_fingerprint_discriminates(self):
@@ -445,15 +427,24 @@ class TestBroadcastCache:
             {"w": np.arange(4, dtype=np.float32)})
 
 
+def _codec_raises(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("fault-free transfer hit the codec")
+    for name in ("serialize", "serialize_scratch", "deserialize"):
+        monkeypatch.setattr(wire, name, boom)
+
+
 class TestCodecValidate:
     def test_emits_matched_span_pair_with_exact_bytes(self):
-        """A traced fault-free transfer makes one validating pass through
-        arena scratch, inside the span that carries the charged bytes."""
+        """A checksummed transfer makes one validating pass through the
+        codec, inside the span that carries the charged bytes."""
         state = _rand_state(12)
-        transport = Transport()
+        transport = Transport(FaultModel(seed=0))
         with tracing() as tracer:
-            assert transport.upload(3, 7, state) is state
-        n = payload_nbytes(state)
+            received = transport.upload(3, 7, state)
+        for k in state:
+            np.testing.assert_array_equal(received[k], state[k], err_msg=k)
+        n = payload_nbytes(state, checksums=True)
         assert transport.ledger.uplink == {3: {7: n}}
         ser = [s for s in tracer.spans if s.name == "serialize"]
         de = [s for s in tracer.spans if s.name == "deserialize"]
@@ -461,18 +452,43 @@ class TestCodecValidate:
         assert len(ser) == 1 and len(de) == 1 and len(up) == 1
         assert ser[0].attrs["bytes"] == de[0].attrs["bytes"] == n
         assert up[0].attrs == {"round": 3, "client": 7, "bytes": n}
-        assert ser[0].attrs["scratch"] is True
         assert de[0].attrs["zero_copy"] is True
         assert ser[0].attrs["entries"] == de[0].attrs["entries"] == len(state)
         assert ser[0].depth == de[0].depth == up[0].depth + 1
 
+    def test_traced_transfer_does_an_untraced_ones_work(self, monkeypatch):
+        """Tracing adds no codec pass: a traced fault-free transfer sizes,
+        charges and reports the charge on its span, nothing more."""
+        _codec_raises(monkeypatch)
+        state = _rand_state(12)
+        transport = Transport(broadcast=BroadcastCache())
+        with tracing() as tracer:
+            assert transport.download(0, 1, state) is state
+            assert transport.upload(0, 1, state) is state
+        n = payload_nbytes(state)
+        assert transport.ledger.round_bytes(0) == 2 * n
+        assert transport.broadcast.misses == 0
+        assert [(s.name, s.attrs["bytes"]) for s in tracer.spans] == [
+            ("download", n), ("upload", n)]
+
+    @pytest.mark.parametrize("name", ["fedavg", "spatl"])
+    def test_traced_round_enters_no_codec(self, name, monkeypatch):
+        from tests import matrix
+        algo = matrix.algorithm(name)
+        _codec_raises(monkeypatch)
+        try:
+            with tracing() as tracer:
+                algo.run_round(0)
+        finally:
+            algo.close()
+        spans = {s.name for s in tracer.spans}
+        assert {"download", "upload"} <= spans
+        assert not spans & {"serialize", "deserialize"}
+
     def test_untraced_transfer_only_sizes_and_charges(self, monkeypatch):
         """Off the traced path the codec is never entered: one
         ``payload_nbytes``, one ledger write."""
-        def boom(*args, **kwargs):
-            raise AssertionError("untraced fault-free transfer hit the codec")
-        for name in ("serialize", "serialize_scratch", "deserialize"):
-            monkeypatch.setattr(wire, name, boom)
+        _codec_raises(monkeypatch)
         state = _rand_state(12)
         transport = Transport(broadcast=BroadcastCache())
         assert transport.download(0, 1, state) is state

@@ -165,7 +165,7 @@ def test_conv_slot_shared_across_input_shapes(padded, shapes, grows):
     # more (83 712 B at (16, 3, 6, 6) padded: 12 288 + 62 208 + 9 216).
     want = max(_conv_stack_bytes((n, 3, hw, hw), 4, 3, 1, int(padded), True)
                for n, hw in shapes)
-    assert workspace.resident_bytes([workspace.transient]) == {
+    assert workspace.resident_bytes() == {
         "transient": want}, want
 
 
@@ -226,7 +226,7 @@ def test_shared_pad_border_across_paddings():
     want = [_conv_stack_bytes((6, 3, hw, hw), 4, k, 1, p, True)
             for k, p, hw in ((5, 2, 14), (3, 1, 16))]
     assert want == [395008, 213824]
-    assert workspace.resident_bytes([workspace.transient]) == {
+    assert workspace.resident_bytes() == {
         "transient": max(want)}
 
 
@@ -359,7 +359,7 @@ def test_patch_matrix_residency_is_one_layer(arch, compiled, monkeypatch):
         opt.step()
     assert sum(matrices) > 3 * max(matrices)     # many layers, one base
     # Batch-norm kernels need one input-sized array: never the largest.
-    assert workspace.resident_bytes([workspace.transient]) == {
+    assert workspace.resident_bytes() == {
         "transient": max(kernels)}
     assert max(matrices) < max(kernels) < 2 * max(matrices)
     assert "conv2d.cols" not in workspace.resident_bytes()
@@ -435,5 +435,3 @@ def test_max_pool_backward_one_base_per_geometry():
             assert grads[0].tobytes() == grads[1].tobytes(), (k, n)
     assert list(pooling._POOL_BASE) == [(8, 10, 10, 4, 4, 2)]
     assert workspace.shared_bytes()["maxpool.base"] == 8 * 4 * 4 * 8
-    assert not workspace.resident_bytes(
-        workspace.slot_for(layer) for layer in layers)

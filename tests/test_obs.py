@@ -282,10 +282,12 @@ class TestTracedFederatedRun:
 
     @pytest.mark.parametrize("cell", matrix.params("ledger"))
     def test_codec_span_bytes_match_ledger(self, cell):
-        """Σ serialize == Σ deserialize == ledger == Σ download+upload
-        bytes, whichever driver sends and whatever storage framing
-        (spill, store, checkpoint, pool plumbing) runs beside it
-        (DESIGN.md §17).  Each reference of the matrix runs traced."""
+        """ledger == Σ download+upload bytes, whichever driver sends and
+        whatever storage framing (spill, store, checkpoint, pool
+        plumbing) runs beside it; under faults, where the checksummed
+        codec runs, Σ serialize == Σ deserialize == ledger too, and a
+        fault-free run enters no codec (DESIGN.md §17).  Each reference
+        of the matrix runs traced."""
         ref = matrix.reference(cell)
         if cell.faults:     # retransmissions were charged
             assert ref.fault_stats["n_corrupt"] > 0
@@ -297,7 +299,8 @@ class TestTracedFederatedRun:
         assert trace["kept"]
         total = ref.ledger_bytes
         assert total > 0
-        assert trace["codec"] == {"serialize": total, "deserialize": total}
+        codec = total if cell.faults else 0
+        assert trace["codec"] == {"serialize": codec, "deserialize": codec}
         # transfer spans carry the same per-transfer byte attributes
         assert trace["transfer"] == total
 
@@ -377,7 +380,5 @@ class TestTracedFederatedRun:
         assert len(blob) == payload_nbytes(state)
         with tracing() as tracer:
             Transport().download(0, 0, state)
-        spans = [s for s in tracer.spans if s.name == "serialize"]
-        assert len(spans) == 1
-        assert spans[0].attrs["bytes"] == len(blob)
-        assert spans[0].attrs["entries"] == 2
+        assert [(s.name, s.attrs) for s in tracer.spans] == [
+            ("download", {"round": 0, "client": 0, "bytes": len(blob)})]

@@ -1,7 +1,7 @@
 """Workspace arena, gradient donation, dtype guard, and the eval forward.
 
-Covers the DESIGN.md §10 machinery: buffer identity/zero semantics and
-hit/miss accounting, slot lifetime tied to the owner, metrics export,
+Covers the DESIGN.md §10 machinery: the transient stack's hit/miss
+accounting and residency, the optimizer's own scratch, metrics export,
 the ``_accumulate`` donation protocol (leaf grads never alias arena
 memory), the float64 upcast guard over a full train step, and the
 evaluation forward (``eval()`` + ``no_grad``, the same kernels as
@@ -9,15 +9,12 @@ training — there is no folded variant) against the oracle.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.tensor import Tensor, forbid_dtype, no_grad, workspace
-
-
-class Owner:
-    """Weak-referenceable slot owner."""
 
 
 def _spy_stack(monkeypatch):
@@ -60,73 +57,26 @@ def _spy_stack(monkeypatch):
 
 
 class TestWorkspaceSlot:
-    def test_buffer_identity_and_keying(self):
-        ws = workspace.slot_for(Owner())
-        a = ws.buffer("t.x", (4, 4), np.float32)
-        assert ws.buffer("t.x", (4, 4), np.float32) is a
-        assert ws.buffer("t.x", (4, 4), np.float64) is not a
-        assert ws.buffer("t.x", (2, 8), np.float32) is not a
-        assert ws.buffer("t.y", (4, 4), np.float32) is not a
-
-    def test_zero_semantics(self):
-        ws = workspace.slot_for(Owner())
-        never = ws.buffer("t.never", (3,), np.float32)
-        never[:] = 7
-        assert np.all(ws.buffer("t.never", (3,), np.float32) == 7)
-
-    def test_cohort_shapes_share_one_base_per_tag(self):
-        # Cohort-mode stacks k clients into one (k*n, ...) batch, and
-        # non-IID shards end in partial batches; the same slot then serves
-        # several batch extents under one tag.  They are prefixes of one
-        # base sized to the largest: alternating between them reuses that
-        # memory (no reallocation once the largest has been seen), and
-        # ``generation`` moves exactly when the base had to grow.
-        owner = Owner()                           # keeps the slot live
-        ws = workspace.slot_for(owner)
-        small = ws.buffer("t.cohort", (8, 3, 4, 4), np.float32)
-        assert ws.generation == 0                 # first allocation: no growth
-        big = ws.buffer("t.cohort", (32, 3, 4, 4), np.float32)
-        assert ws.generation == 1                 # grew past the (8, ...) base
-        assert not np.shares_memory(small, big)   # the old base is dead
-        small = ws.buffer("t.cohort", (8, 3, 4, 4), np.float32)
-        assert small.ctypes.data == big.ctypes.data
-        assert small.flags["C_CONTIGUOUS"] and small.shape == (8, 3, 4, 4)
-        st = workspace.tag_stats("t.cohort")
-        hits0, misses0, growths0 = st.hits, st.misses, st.growths
-        for _ in range(3):
-            assert ws.buffer("t.cohort", (32, 3, 4, 4), np.float32) is big
-            assert ws.buffer("t.cohort", (8, 3, 4, 4), np.float32) is small
-        assert (st.misses, st.growths) == (misses0, growths0)
-        assert st.hits == hits0 + 6
-        assert ws.generation == 1
-        assert workspace.resident_bytes()["t.cohort"] >= big.nbytes
-
     def test_hit_miss_and_bytes_accounting(self):
-        ws = workspace.slot_for(Owner())
+        workspace.reset()
+        stack = workspace.transient
         before = workspace.tag_stats("t.acct")
         h0, m0, s0 = before.hits, before.misses, before.bytes_saved
-        ws.buffer("t.acct", (8,), np.float32)
-        ws.buffer("t.acct", (8,), np.float32)
+        for _ in range(2):
+            stack.reset()
+            stack.buffer("t.acct", (8,), np.float32)
         st = workspace.tag_stats("t.acct")
         assert st.misses == m0 + 1
         assert st.hits == h0 + 1
         assert st.bytes_saved == s0 + 32
         assert 0 < st.hit_rate <= 1
 
-    def test_slot_dies_with_owner(self):
-        owner = Owner()
-        slot = workspace.slot_for(owner)
-        assert workspace.slot_for(owner) is slot
-        ref_count = len(workspace._slots)
-        del owner
-        gc.collect()
-        assert len(workspace._slots) < ref_count
-
     def test_publish_metrics(self):
         from repro.obs.metrics import MetricsRegistry
-        ws = workspace.slot_for(Owner())
-        ws.buffer("t.pub", (4,), np.float32)
-        ws.buffer("t.pub", (4,), np.float32)
+        stack = workspace.transient
+        for _ in range(2):
+            stack.reset()
+            stack.buffer("t.pub", (4,), np.float32)
         reg = MetricsRegistry()
         workspace.publish_metrics(reg)
         st = workspace.tag_stats("t.pub")
@@ -139,18 +89,19 @@ class TestWorkspaceSlot:
     def test_publish_metrics_reports_residency(self):
         from repro.nn import conv
         from repro.obs.metrics import MetricsRegistry
-        owner = Owner()                           # keeps the slot live
-        ws = workspace.slot_for(owner)
-        ws.buffer("t.res", (4,), np.float32)
-        ws.buffer("t.res", (16,), np.float32)
+        workspace.reset()
+        stack = workspace.transient
+        for n in (4, 16, 16):
+            stack.reset()
+            stack.buffer("t.res", (n,), np.float32)
         conv._gather_indices((2, 3, 6, 6), 3, 3, 1)
         reg = MetricsRegistry()
         workspace.publish_metrics(reg)
         snap = reg.snapshot()
         st = workspace.tag_stats("t.res")
         assert snap["counters"]["workspace.growths{tag=t.res}"] == st.growths >= 1
-        assert snap["gauges"]["workspace.resident_bytes{tag=t.res}"] \
-            == workspace.resident_bytes()["t.res"] >= 64
+        assert snap["gauges"]["workspace.resident_bytes{tag=transient}"] \
+            == workspace.resident_bytes()["transient"] >= 64
         assert snap["gauges"]["conv.gather_idx_bytes"] \
             == workspace.shared_bytes()["conv.gather_idx"] > 0
 
@@ -170,8 +121,6 @@ class TestWorkspaceSlot:
         arrays, and the next reset sizes the base to that high-water mark."""
         from repro.obs.metrics import MetricsRegistry
         workspace.reset()
-        owner = Owner()
-        workspace.slot_for(owner).buffer("t.both", (4,), np.float32)
         stack = workspace.transient
         for _ in range(2):
             stack.reset()
@@ -182,11 +131,11 @@ class TestWorkspaceSlot:
         st = workspace.tag_stats("t.only")
         assert (st.misses, st.hits, st.bytes_alloc, st.bytes_saved) \
             == (1, 1, 8, 8)
-        assert workspace.resident_bytes() == {"t.both": 16, "transient": 72}
+        assert workspace.resident_bytes() == {"transient": 72}
         reg = MetricsRegistry()
         workspace.publish_metrics(reg)
         gauges = reg.snapshot()["gauges"]
-        assert gauges["workspace.resident_bytes{tag=t.both}"] == 16
+        assert gauges["workspace.resident_bytes{tag=t.both}"] == 0
         assert gauges["workspace.resident_bytes{tag=t.only}"] == 0
         assert gauges["workspace.resident_bytes{tag=transient}"] == 72
         held = workspace.transient
@@ -216,23 +165,43 @@ class TestWorkspaceSlot:
         stack.reset()
         assert stack.nbytes == 192 + 4096 and stack.generation == 2
 
+    def test_slot_dies_with_owner(self):
+        """Scratch kept across calls belongs to its owner and dies with
+        it: the optimizer's update bases are freed with the optimizer."""
+        from repro.models import build_model
+        from repro.optim.sgd import SGD
+        model = build_model("cnn2", input_size=16, seed=2)
+        opt = SGD(model.named_parameters(), lr=0.05)
+        for _, p in model.named_parameters():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        alive = [weakref.ref(buf.base) for _, _, *bufs in opt._plan
+                 for buf in bufs]
+        assert all(ref() is not None for ref in alive)
+        del opt
+        gc.collect()
+        assert all(ref() is None for ref in alive)
+
     def test_sgd_plan_holds_one_base_per_tag(self):
-        # Parameters of every shape alias one base per tag; the largest is
-        # requested first, so nothing grows and no retained view is dead.
+        # Parameters of every shape alias one base per tag and dtype, sized
+        # to the largest parameter; the optimizer owns them, not the arena.
         from repro.models import build_model
         from repro.optim.sgd import SGD
         model = build_model("resnet20", width_mult=0.25, input_size=16, seed=2)
         opt = SGD(model.named_parameters(), lr=0.05, weight_decay=5e-4)
         for _, p in model.named_parameters():
             p.grad = np.ones_like(p.data)
+        workspace.reset()
         opt.step()
-        ws = workspace.slot_for(opt)
-        assert ws.generation == 0
+        assert workspace.resident_bytes() == {}
+        bases = {id(buf.base): buf.base for _, _, *bufs in opt._plan
+                 for buf in bufs}
+        assert len(bases) == 3
         largest = max(p.data.nbytes for _, p in model.named_parameters())
-        assert {b.nbytes for b in ws._bases.values()} == {largest}
-        for _, _, *bufs in opt._plan:
-            for tag, buf in zip(("sgd.g", "sgd.decay", "sgd.lrg"), bufs):
-                assert np.shares_memory(buf, ws._bases[tag, buf.dtype])
+        assert {b.nbytes for b in bases.values()} == {largest}
+        for _, p, *bufs in opt._plan:
+            assert [b.shape for b in bufs] == [p.data.shape] * 3
+            assert all(b.flags["C_CONTIGUOUS"] for b in bufs)
 
     def test_resident_bytes_set_by_largest_shape_only(self):
         """One resnet20 driven through a non-IID client's batch sizes ends
@@ -291,16 +260,12 @@ class TestWorkspaceSlot:
         with no_grad():
             evaluated(Tensor(x))
         peak = max(call["end"] for call in calls)
-        assert workspace.resident_bytes([workspace.transient]) == {
-            "transient": peak}
+        assert workspace.resident_bytes() == {"transient": peak}
         assert peak < sum(largest.values()) / 2
         assert {"conv2d.pad", "conv2d.out", "conv2d.gmat", "conv2d.dcols",
                 "conv2d.cols", "conv2d.col2im", "batchnorm.xhat",
                 "batchnorm.scratch", "maxpool.cand", "maxpool.take",
                 "maxpool.isnum", "maxpool.g", "maxpool.hit"} == set(largest)
-        for model in (trained, evaluated):
-            assert not workspace.resident_bytes(
-                workspace.slot_for(m) for m in model.modules())
         total = (sum(workspace.resident_bytes().values())
                  + sum(workspace.shared_bytes().values()))
         assert total <= 24 * 2 ** 20, total
