@@ -142,8 +142,8 @@ class SPATL(FederatedAlgorithm):
                                      max_grad_norm=self.max_grad_norm,
                                      correction_hook=hook,
                                      compiler=self.step_compiler)
-        after = {n: p.data.copy()
-                 for n, p in self._work.encoder.named_parameters()}
+        # Live parameters: nothing moves them before the variate reads them.
+        after = {n: p.data for n, p in self._work.encoder.named_parameters()}
 
         eff_steps = self._effective_steps(steps)
         if self.use_gradient_control:
@@ -159,8 +159,12 @@ class SPATL(FederatedAlgorithm):
                                                  round_idx)
         client.local_state["selection_keep"] = selection.keep
         salient = select_salient(self._work.encoder, selection)
-        dense = {k: v for k, v in self._work.encoder.state_dict().items()
-                 if k not in self._prunable_weight_keys}
+        # The encoder state minus the prunable weights (sent as salient
+        # rows), in ``state_dict`` order; only what is returned is copied.
+        encoder = self._work.encoder
+        dense = {n: p.data.copy() for n, p in encoder.named_parameters()
+                 if n not in self._prunable_weight_keys}
+        dense.update((n, b.copy()) for n, b in encoder.named_buffers())
         return {"salient": salient, "dense": dense, "n": client.num_train,
                 "train_loss": loss, "steps": steps, "eff_steps": eff_steps,
                 "before": before, "predictor_state": predictor_state}

@@ -44,20 +44,20 @@ pool is rebuilt for the next collect.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.fl.comm import (CommLedger, decode_update, deserialize_state,
                            encode_update)
 from repro.fl.resilience import ClientFailure, FaultStats, WorkerCrashed
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import NullTracer, Tracer, get_tracer, set_tracer
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class RoundExecutor:
@@ -264,6 +264,10 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     """
 
     def __init__(self, workers: int):
+        # Imported here, not at module scope: a serial run never loads
+        # ``multiprocessing`` or ``concurrent.futures`` (~2 MB of RSS).
+        import multiprocessing as mp
+
         if workers < 2:
             raise ValueError("ProcessPoolRoundExecutor needs >= 2 workers; "
                              "use SerialExecutor (or make_executor) instead")
@@ -299,6 +303,8 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         Each pool gets its own temporary directory; ``<dir>/sync`` is
         where :meth:`collect` puts the round's sync blob.
         """
+        from concurrent.futures import ProcessPoolExecutor
+
         if self._pool is not None and self._pool_algorithm is algorithm:
             return self._pool
         self.close()
@@ -318,6 +324,8 @@ class ProcessPoolRoundExecutor(RoundExecutor):
 
     def collect(self, algorithm, selected, round_idx, salt, stats):
         """Dispatch the cohort to workers; commit results in cohort order."""
+        from concurrent.futures.process import BrokenProcessPool
+
         tracer = get_tracer()
         pool = self._ensure_pool(algorithm)
         self._sync_version += 1

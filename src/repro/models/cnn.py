@@ -35,9 +35,10 @@ class TwoLayerCNNEncoder(EncoderBase):
         self.final_channels = c2
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.pool1(self.conv1(x).relu())
+        # Each conv output is read only by its ReLU, which writes over it.
+        h = self.pool1(self.conv1(x).relu(donate=True))
         h = self._apply_mask("conv1", h)
-        h = self.pool2(self.conv2(h).relu())
+        h = self.pool2(self.conv2(h).relu(donate=True))
         h = self._apply_mask("conv2", h)
         return h.flatten_from(1)
 

@@ -55,11 +55,14 @@ class BasicBlock(Module):
         return out
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        h = self.bn1(self.conv1(x)).relu()
+        # Conv outputs, batch-norm outputs and the residual sum are read by
+        # nothing but the next op, which may write over them (DESIGN.md
+        # §10.2); ``x`` is read again by the shortcut and conv1's backward.
+        h = self.bn1(self.conv1(x), donate=True).relu(donate=True)
         if mask is not None:
             h = h * Tensor(mask.reshape(1, -1, 1, 1))
-        h = self.bn2(self.conv2(h))
-        return (h + self._shortcut(x)).relu()
+        h = self.bn2(self.conv2(h), donate=True)
+        return (h + self._shortcut(x)).relu(donate=True)
 
 
 class ResNetEncoder(EncoderBase):
@@ -103,7 +106,7 @@ class ResNetEncoder(EncoderBase):
         self.final_size = size
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.bn1(self.conv1(x)).relu()
+        h = self.bn1(self.conv1(x), donate=True).relu(donate=True)
         for i, block in enumerate(self.blocks):
             mask = self._channel_masks.get(f"blocks.{i}.conv1")
             h = block(h, mask=mask)

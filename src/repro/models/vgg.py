@@ -72,7 +72,13 @@ class VGGEncoder(EncoderBase):
     def forward(self, x: Tensor) -> Tensor:
         mask_for = {name.split(".", 1)[1]: name for name in self._prunable}
         for child_name, layer in self.features._modules.items():
-            x = layer(x)
+            # A batch norm's input (a conv output, or its masked copy) and
+            # a ReLU's (a batch-norm or conv output) are read by nothing
+            # else, so both layers may write over them (DESIGN.md §10.2).
+            if isinstance(layer, (BatchNorm2d, ReLU)):
+                x = layer(x, donate=True)
+            else:
+                x = layer(x)
             full = mask_for.get(child_name)
             if full is not None:
                 x = self._apply_mask(full, x)

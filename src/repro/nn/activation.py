@@ -8,9 +8,9 @@ from repro.tensor.tensor import Tensor
 
 
 class ReLU(Module):
-    """max(x, 0) as a layer."""
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+    """max(x, 0) as a layer; ``donate`` as in :meth:`Tensor.relu`."""
+    def forward(self, x: Tensor, donate: bool = False) -> Tensor:
+        return x.relu(donate=donate)
 
     def __repr__(self) -> str:
         return "ReLU()"

@@ -14,9 +14,11 @@ intermediates are kept by lifetime (DESIGN.md §10.1): a kernel's work
 array comes off the ``workspace.transient`` stack, which each kernel
 resets on entry; the normalised input ``xhat`` lives from the forward to
 the backward that reads it, and the input gradient as long as the
-parent's gradient — eager allocates both (the backward closure owns
-``xhat``; ``dx`` is donated), a replay plans both as handles.  A layer
-owns no memory of its own.  The elementwise chain runs in place
+parent's gradient — eager allocates both, or writes ``xhat`` over a
+donated input and ``dx`` over the output gradient (DESIGN.md §10.2; the
+backward closure owns ``xhat``, ``dx`` is donated to the parent), a
+replay plans both as handles.  A layer owns no memory of its own.  The
+elementwise chain runs in place
 (``out=``), in the operand and accumulation order of the allocating
 reference kernels the golden-state tests keep, so training *and*
 evaluation numerics are byte-identical to them.  Under ``no_grad`` the
@@ -29,7 +31,7 @@ import numpy as np
 
 from repro.nn.module import Module, Parameter
 from repro.tensor import workspace
-from repro.tensor.tensor import Tensor, is_grad_enabled
+from repro.tensor.tensor import Tensor, donatable, is_grad_enabled
 
 
 def _forward_data(xdata: np.ndarray, wdata: np.ndarray | None,
@@ -167,16 +169,23 @@ class _BatchNorm(Module):
             self.set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
         return out, inv_std
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, donate: bool = False) -> Tensor:
+        """Normalise ``x``.  ``donate=True`` is the caller's promise that
+        nothing reads ``x.data`` again: the ``xhat`` the backward keeps is
+        written over it when :func:`~repro.tensor.tensor.donatable` allows
+        (DESIGN.md §10.2)."""
         axes = self._axes(x)
         shape = self._shape(x)
         w, b = self.weight, self.bias
         records = is_grad_enabled() and (
             x.requires_grad or (w is not None and
                                 (w.requires_grad or b.requires_grad)))
-        # The backward closure owns xhat; without one it is transient
-        # scratch of the kernel.
-        xhat = np.empty(x.data.shape, x.data.dtype) if records else None
+        # The backward closure owns xhat, in the donated input if it may
+        # be; without a closure it is transient scratch of the kernel.
+        xhat = None
+        if records:
+            xhat = x.data if donate and donatable(x.data, x.data.dtype) \
+                else np.empty(x.data.shape, x.data.dtype)
         out_data, inv_std = self._normalize(x.data, axes, shape, xhat)
         out_data = out_data.astype(x.dtype, copy=False)
         if not records:
@@ -191,7 +200,9 @@ class _BatchNorm(Module):
             if w is not None and w.requires_grad:
                 dw = np.empty(w.shape, g.dtype)
             if x.requires_grad:
-                dx = np.empty(g.shape, g.dtype)
+                # Written over ``g`` when it may be: the kernel reads ``g``
+                # for db and dw before it first writes dx.
+                dx = g if donatable(g, x.dtype) else np.empty(g.shape, g.dtype)
             _backward_data(g, xhat, inv_std, None if w is None else w.data,
                            axes, shape, training, db, dw, dx)
             if db is not None:

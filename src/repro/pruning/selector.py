@@ -107,5 +107,6 @@ def select_salient(encoder: EncoderBase,
     travels dense (handled by the FL layer).
     """
     weights = _weights(encoder, selection.indices)
-    return {name: (idx.copy(), weights[name][idx].copy())
+    # Indexing with an index array already copies the rows.
+    return {name: (idx.copy(), weights[name][idx])
             for name, idx in selection.indices.items()}

@@ -33,6 +33,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.tensor.tensor import donatable
+
 _ALIGN = 64
 
 
@@ -118,10 +120,20 @@ class PlanBuilder:
         self.handles.append(h)
         return h
 
-    def persistent(self, shape, dtype) -> np.ndarray:
-        """Allocate a buffer that lives across steps (inputs, parameter
-        gradients) — plain memory, never part of the reuse arena."""
-        arr = np.empty(shape, dtype=dtype)
+    def persistent(self, shape, dtype, adopt=None) -> np.ndarray:
+        """A buffer that lives across steps (inputs, parameter gradients)
+        — plain memory, never part of the reuse arena.
+
+        ``adopt`` is an array the caller hands over (the capture step's
+        own gradient): it becomes the buffer when it is C-contiguous,
+        writeable and of this shape and dtype, so the plan holds no
+        second copy; otherwise one is allocated.
+        """
+        if (adopt is not None and adopt.shape == tuple(shape)
+                and donatable(adopt, np.dtype(dtype))):
+            arr = adopt
+        else:
+            arr = np.empty(shape, dtype=dtype)
         self.persistent_bytes += arr.nbytes
         return arr
 

@@ -58,7 +58,11 @@ def _base_of(value):
 
 
 class Record:
-    """One captured op: output tensor, parents, op name, declared operands."""
+    """One captured op: output, parents, op name, declared operands.
+
+    Recorded with tensors; the planner reads it frozen (:meth:`frozen`),
+    with every op output a :class:`Node`.
+    """
 
     __slots__ = ("out", "parents", "op", "args")
 
@@ -67,6 +71,40 @@ class Record:
         self.parents = parents
         self.op = op
         self.args = args
+
+    @staticmethod
+    def frozen(records: list["Record"]) -> tuple[list["Record"], dict]:
+        """The tape with each op output replaced by its :class:`Node`,
+        and ``{id(tensor): node}``.
+
+        Taken while the recorded tensors are alive, so their ids are
+        distinct; leaves (parameters, the step input, captured constants)
+        stay tensors, since the plan reads their arrays.
+        """
+        nodes = {id(r.out): Node(r.out) for r in records}
+
+        def node(t):
+            return nodes.get(id(t), t)
+
+        return [Record(node(r.out), tuple(node(p) for p in r.parents), r.op,
+                       r.args) for r in records], nodes
+
+
+class Node:
+    """What the planner reads of a captured op output: its shape, dtype and
+    ``requires_grad``, not its array — so the capture step frees its
+    activations during the backward, as an eager step does."""
+
+    __slots__ = ("shape", "dtype", "requires_grad")
+
+    def __init__(self, t):
+        self.shape = t.data.shape
+        self.dtype = t.data.dtype
+        self.requires_grad = t.requires_grad
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
 
 
 class Build:
@@ -110,10 +148,12 @@ class Build:
     # ----------------------------------------------------- contributions
     def _grad_target(self, parent, name):
         if id(parent) in self.params:
-            buf = self.pb.persistent(parent.data.shape, parent.data.dtype)
+            # The capture step's gradient is the replays' buffer.
+            buf = self.pb.persistent(parent.shape, parent.dtype,
+                                     adopt=parent.grad)
             self.param_grads.append((parent, buf))
             return buf
-        return self.pb.alloc(parent.data.shape, parent.data.dtype, name)
+        return self.pb.alloc(parent.shape, parent.dtype, name)
 
     def contrib_kernel(self, outs, make, uses):
         """Contributions eager computes into fresh arrays, one instruction
@@ -132,13 +172,13 @@ class Build:
             if parent is None or not parent.requires_grad:
                 targets.append(None)
                 continue
-            if np.dtype(dtype) != parent.data.dtype:
+            if np.dtype(dtype) != parent.dtype:
                 raise Unsupported("gradient dtype mismatch")
             cur = self.gref.get(id(parent))
             if cur is None:
                 target = self.gref[id(parent)] = self._grad_target(parent, name)
             else:
-                target = self.pb.alloc(parent.data.shape, dtype, name + ".tmp")
+                target = self.pb.alloc(parent.shape, dtype, name + ".tmp")
                 adds.append((cur, target))
             targets.append(target)
 
@@ -207,7 +247,7 @@ def fwd_conv2d(ctx: Build, rec: Record) -> None:
     stride, padding = rec.args
     x, weight, *bias = rec.parents
     xref = ctx.val(x)
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "conv.out")
+    out_h = ctx.pb.alloc(rec.out.shape, rec.out.dtype, "conv.out")
     wdata = weight.data
     bdata = bias[0].data if bias else None
 
@@ -223,8 +263,8 @@ def fwd_conv2d(ctx: Build, rec: Record) -> None:
 def fwd_batchnorm(ctx: Build, rec: Record) -> None:
     """Emit the layer's own array-level forward (kernel + running stats)."""
     mod, axes, shape = rec.args
-    oshape, dtype = rec.out.data.shape, rec.out.data.dtype
-    if dtype != rec.parents[0].data.dtype:
+    oshape, dtype = rec.out.shape, rec.out.dtype
+    if dtype != rec.parents[0].dtype:
         raise Unsupported("batchnorm dtype change")
     xref = ctx.val(rec.parents[0])
     out_h = ctx.pb.alloc(oshape, dtype, "bn.out")
@@ -249,8 +289,8 @@ def fwd_batchnorm(ctx: Build, rec: Record) -> None:
 def fwd_relu(ctx: Build, rec: Record) -> None:
     """Emit ReLU forward and stash the positive mask for the backward."""
     a = rec.parents[0]
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "relu.out")
-    mask_h = ctx.pb.alloc(rec.out.data.shape, np.bool_, "relu.mask")
+    out_h = ctx.pb.alloc(rec.out.shape, rec.out.dtype, "relu.out")
+    mask_h = ctx.pb.alloc(rec.out.shape, np.bool_, "relu.mask")
     pend = ctx.pending_fusion.pop(id(a), None)
     if pend is not None:
         # Fused bias-add/residual-add -> ReLU: the add lands straight in
@@ -298,7 +338,7 @@ def fwd_add(ctx: Build, rec: Record) -> None:
         return
     a, b = rec.parents
     ar, br = ctx.val(a), ctx.val(b)
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "add.out")
+    out_h = ctx.pb.alloc(rec.out.shape, rec.out.dtype, "add.out")
 
     def factory(r):
         aa, bb, oa = r(ar), r(br), r(out_h)
@@ -312,7 +352,7 @@ def fwd_mul(ctx: Build, rec: Record) -> None:
     """Emit elementwise (broadcasting) multiply."""
     a, b = rec.parents
     ar, br = ctx.val(a), ctx.val(b)
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "mul.out")
+    out_h = ctx.pb.alloc(rec.out.shape, rec.out.dtype, "mul.out")
 
     def factory(r):
         aa, bb, oa = r(ar), r(br), r(out_h)
@@ -325,10 +365,10 @@ def fwd_mul(ctx: Build, rec: Record) -> None:
 def fwd_matmul(ctx: Build, rec: Record) -> None:
     """Emit a 2-D matmul; higher ranks are unsupported."""
     a, b = rec.parents
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.ndim != 2 or b.ndim != 2:
         raise Unsupported("non-2d matmul")
     ar, br = ctx.val(a), ctx.val(b)
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "matmul.out")
+    out_h = ctx.pb.alloc(rec.out.shape, rec.out.dtype, "matmul.out")
 
     def factory(r):
         aa, bb, oa = r(ar), r(br), r(out_h)
@@ -342,7 +382,7 @@ def fwd_sum(ctx: Build, rec: Record) -> None:
     """Emit a reduction matching the recorded axis/keepdims."""
     axis, keepdims = rec.args
     xref = ctx.val(rec.parents[0])
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "sum.out")
+    out_h = ctx.pb.alloc(rec.out.shape, rec.out.dtype, "sum.out")
 
     def factory(r):
         xr, oa = r(xref), r(out_h)
@@ -353,20 +393,16 @@ def fwd_sum(ctx: Build, rec: Record) -> None:
 
 
 def fwd_reshape(ctx: Build, rec: Record) -> None:
-    """Emit reshape as a no-copy arena view when possible, else a copy."""
-    a = rec.parents[0]
-    shape = rec.out.data.shape
-    try:
-        np.reshape(a.data, shape, copy=False)
-    except ValueError:
-        raise Unsupported("copying reshape") from None
-    xref = ctx.val(a)
+    """Emit reshape as a no-copy arena view; one that must copy is
+    unsupported."""
+    shape = rec.out.shape
+    xref = ctx.val(rec.parents[0])
 
     def build(r):
         try:
             return np.reshape(r(xref), shape, copy=False)
         except ValueError:
-            raise Unsupported("copying reshape at bind") from None
+            raise Unsupported("copying reshape") from None
 
     ctx.vals[id(rec.out)] = View(_base_of(xref), build)
 
@@ -392,8 +428,8 @@ def fwd_concatenate(ctx: Build, rec: Record) -> None:
     """Emit concatenate as per-part copies into one arena slot."""
     axis, offsets = rec.args
     srcs = [ctx.val(t) for t in rec.parents]
-    out_h = ctx.pb.alloc(rec.out.data.shape, rec.out.data.dtype, "concat.out")
-    ndim = rec.out.data.ndim
+    out_h = ctx.pb.alloc(rec.out.shape, rec.out.dtype, "concat.out")
+    ndim = rec.out.ndim
     sls = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         sl = [slice(None)] * ndim
@@ -417,7 +453,7 @@ def fwd_max_pool2d(ctx: Build, rec: Record) -> None:
     """Emit the max-pool forward kernel, keeping the argmaxes for backward."""
     k, s = rec.args
     xref = ctx.val(rec.parents[0])
-    oshape, dtype = rec.out.data.shape, rec.out.data.dtype
+    oshape, dtype = rec.out.shape, rec.out.dtype
     arg_h = ctx.pb.alloc(oshape, np.uint8, "maxpool.arg")
     out_h = ctx.pb.alloc(oshape, dtype, "maxpool.out")
 
@@ -434,12 +470,12 @@ def fwd_cross_entropy(ctx: Build, rec: Record) -> None:
     """Emit the cross-entropy forward kernel (the loss root) into the
     scalar loss cell."""
     logits = rec.parents[0]
-    if ctx.lab_buf.shape != logits.data.shape[:1]:
+    if ctx.lab_buf.shape != logits.shape[:1]:
         raise Unsupported("label shape mismatch")
-    ldtype = logits.data.dtype
+    ldtype = logits.dtype
     xref = ctx.val(logits)
-    logp = ctx.pb.alloc(logits.data.shape, ldtype, "ce.logp")
-    soft = ctx.pb.alloc(logits.data.shape, ldtype, "ce.soft")
+    logp = ctx.pb.alloc(logits.shape, ldtype, "ce.logp")
+    soft = ctx.pb.alloc(logits.shape, ldtype, "ce.soft")
     loss_cell, lab = ctx.loss_cell, ctx.lab_buf
 
     def factory(r):
@@ -465,13 +501,13 @@ def bwd_cross_entropy(ctx: Build, rec: Record, g) -> None:
     soft, lab = ctx.aux[id(rec.out)], ctx.lab_buf
     # Root of the backward pass: the implicit seed is 1.0, so eager's
     # ``float(g) / n`` is exactly ``1.0 / n``.
-    scale = 1.0 / a.data.shape[0]
+    scale = 1.0 / a.shape[0]
 
     def make(r, out):
         sf = r(soft)
         return lambda: _F._cross_entropy_backward(sf, lab, scale, out)
 
-    ctx.contrib_compute(a, a.data.dtype, make, [soft], "ce.dlogits")
+    ctx.contrib_compute(a, a.dtype, make, [soft], "ce.dlogits")
 
 
 def bwd_relu(ctx: Build, rec: Record, g) -> None:
@@ -483,13 +519,13 @@ def bwd_relu(ctx: Build, rec: Record, g) -> None:
         ga, mk = r(g), r(mask_h)
         return lambda: np.multiply(ga, mk, out=out)
 
-    ctx.contrib_compute(a, rec.out.data.dtype, make, [g, mask_h], "relu.dx")
+    ctx.contrib_compute(a, rec.out.dtype, make, [g, mask_h], "relu.dx")
 
 
 def _unbroadcast_contrib(ctx: Build, rec: Record, g, parent) -> None:
     """One side of add's backward: ``unbroadcast(g, parent.shape)``."""
-    gshape = rec.out.data.shape
-    pshape = parent.data.shape
+    gshape = rec.out.shape
+    pshape = parent.shape
     if gshape == pshape:
         ctx.contrib_view(parent, g, [g], "add.dx")
         return
@@ -501,7 +537,7 @@ def _unbroadcast_contrib(ctx: Build, rec: Record, g, parent) -> None:
             ga = r(g)
             return lambda: np.sum(ga, axis=axes, out=out)
 
-        ctx.contrib_compute(parent, parent.data.dtype, make, [g], "add.dbias")
+        ctx.contrib_compute(parent, parent.dtype, make, [g], "add.dbias")
         return
     raise Unsupported("unbroadcast with extent-1 axes")
 
@@ -516,11 +552,11 @@ def bwd_add(ctx: Build, rec: Record, g) -> None:
 def bwd_mul(ctx: Build, rec: Record, g) -> None:
     """Emit multiply backward with eager's unbroadcast-sum discipline."""
     a, b = rec.parents
-    gshape = rec.out.data.shape
+    gshape = rec.out.shape
     for this, other in ((a, b), (b, a)):
         if not this.requires_grad:
             continue
-        if this.data.shape != gshape or other.data.shape not in ((), gshape):
+        if this.shape != gshape or other.shape not in ((), gshape):
             raise Unsupported("broadcasting mul backward")
         oref = ctx.val(other)
 
@@ -528,13 +564,13 @@ def bwd_mul(ctx: Build, rec: Record, g) -> None:
             ga, ov = r(g), r(oref)
             return lambda: np.multiply(ga, ov, out=out)
 
-        ctx.contrib_compute(this, this.data.dtype, make, [g, oref], "mul.dx")
+        ctx.contrib_compute(this, this.dtype, make, [g, oref], "mul.dx")
 
 
 def bwd_matmul(ctx: Build, rec: Record, g) -> None:
     """Emit 2-D matmul backward (g @ b.T and a.T @ g)."""
     a, b = rec.parents
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.ndim != 2 or b.ndim != 2:
         raise Unsupported("non-2d matmul backward")
     aref, bref = ctx.val(a), ctx.val(b)
     if a.requires_grad:
@@ -543,14 +579,14 @@ def bwd_matmul(ctx: Build, rec: Record, g) -> None:
             bswap = np.swapaxes(r(bref), -1, -2)
             return lambda: np.matmul(ga, bswap, out=out)
 
-        ctx.contrib_compute(a, a.data.dtype, make_a, [g, bref], "matmul.da")
+        ctx.contrib_compute(a, a.dtype, make_a, [g, bref], "matmul.da")
     if b.requires_grad:
         def make_b(r, out):
             ga = r(g)
             aswap = np.swapaxes(r(aref), -1, -2)
             return lambda: np.matmul(aswap, ga, out=out)
 
-        ctx.contrib_compute(b, b.data.dtype, make_b, [g, aref], "matmul.db")
+        ctx.contrib_compute(b, b.dtype, make_b, [g, aref], "matmul.db")
 
 
 def bwd_transpose(ctx: Build, rec: Record, g) -> None:
@@ -564,7 +600,7 @@ def bwd_transpose(ctx: Build, rec: Record, g) -> None:
 def bwd_reshape(ctx: Build, rec: Record, g) -> None:
     """Emit reshape backward as a reshape of the incoming gradient."""
     a = rec.parents[0]
-    pshape = a.data.shape
+    pshape = a.shape
     view = View(_base_of(g), lambda r: r(g).reshape(pshape))
     ctx.contrib_view(a, view, [g], "reshape.dx")
 
@@ -573,9 +609,9 @@ def bwd_sum(ctx: Build, rec: Record, g) -> None:
     """Emit sum backward by broadcasting the gradient over the reduced axes."""
     axis, keepdims = rec.args
     a = rec.parents[0]
-    if a.data.dtype != rec.out.data.dtype:
+    if a.dtype != rec.out.dtype:
         raise Unsupported("sum dtype change")
-    pshape = a.data.shape
+    pshape = a.shape
 
     def build(r):
         garr = np.asarray(r(g))
@@ -601,13 +637,13 @@ def bwd_getitem(ctx: Build, rec: Record, g) -> None:
             out[idx] = ga
         return run
 
-    ctx.contrib_compute(a, a.data.dtype, make, [g], "getitem.dx")
+    ctx.contrib_compute(a, a.dtype, make, [g], "getitem.dx")
 
 
 def bwd_concatenate(ctx: Build, rec: Record, g) -> None:
     """Emit concatenate backward by splitting the gradient at the offsets."""
     axis, offsets = rec.args
-    ndim = rec.out.data.ndim
+    ndim = rec.out.ndim
     for t, lo, hi in zip(rec.parents, offsets[:-1], offsets[1:]):
         if not t.requires_grad:
             continue
@@ -623,14 +659,14 @@ def bwd_conv2d(ctx: Build, rec: Record, g) -> None:
     planned buffers, the input gradient into a padded handle of its own."""
     stride, padding = rec.args
     x, weight, *bias = rec.parents
-    dtype = rec.out.data.dtype
+    dtype = rec.out.dtype
     wdata = weight.data
     # The kernel re-gathers the patch matrix from the conv's input: listing
     # it as a use keeps its planned buffer alive up to this instruction.
     xref = ctx.val(x)
     dxp = None
     if x.requires_grad:
-        dxp = ctx.pb.alloc(_conv._padded_shape(x.data.shape, padding), dtype,
+        dxp = ctx.pb.alloc(_conv._padded_shape(x.shape, padding), dtype,
                            "conv.dx")
 
     def make(r, db, dw):
@@ -652,12 +688,12 @@ def bwd_batchnorm(ctx: Build, rec: Record, g) -> None:
     _, axes, shape = rec.args
     x, *affine = rec.parents
     w, b = affine or (None, None)
-    dtype = rec.out.data.dtype
+    dtype = rec.out.dtype
     wdata = None if w is None else w.data
     xhat_h, saved = ctx.aux[id(rec.out)]
     gx = None
     if x.requires_grad:
-        gx = ctx.pb.alloc(rec.out.data.shape, dtype, "bn.dx")
+        gx = ctx.pb.alloc(rec.out.shape, dtype, "bn.dx")
 
     def make(r, db, dw):
         ga, xhat, gxa = r(g), r(xhat_h), r(gx)
@@ -684,7 +720,7 @@ def bwd_max_pool2d(ctx: Build, rec: Record, g) -> None:
         ga, arg = r(g), r(arg_h)
         return lambda: _pooling._max_backward_data(ga, arg, k, s, out)
 
-    ctx.contrib_compute(a, a.data.dtype, make, [g, arg_h], "maxpool.dx")
+    ctx.contrib_compute(a, a.dtype, make, [g, arg_h], "maxpool.dx")
 
 
 FWD = {

@@ -6,7 +6,9 @@ by :func:`repro.fl.local.train_local`:
 - On the first call for a ``(model, input-signature)`` pair it runs the
   step *eagerly* with a capture hook installed on :meth:`Tensor._make`,
   so the capture step IS a normal training step (same results, no warmup
-  throwaway), then builds a static plan from the recorded tape.
+  throwaway), then builds a static plan from the recorded tape.  The
+  tape is frozen to shapes, dtypes and ids before the backward, so the
+  capture step frees its activations as an eager step does.
 - Later calls with the same signature replay the plan: two ``np.copyto``
   for input/labels, a flat closure list, and a parameter-gradient swap.
   No tensors, no graph, no topological sort, no per-op allocation.
@@ -192,28 +194,19 @@ class StepCompiler:
         from repro.obs.trace import get_tracer
         with get_tracer().span("compile.capture", model=type(model).__name__,
                                batch=int(xb.shape[0])):
-            records: list[Record] = []
-
-            def hook(out, parents, backward, args):
-                records.append(Record(out, parents,
-                                      _backward_op_name(backward), args))
-
-            prev = set_graph_capture_hook(hook)
-            try:
-                x_in = Tensor(xb)
-                logits = model(x_in)
-                loss = F.cross_entropy(logits, yarr)
-            finally:
-                set_graph_capture_hook(prev)
-            # Snapshot the backward schedule before backward() frees the
-            # graph edges.
-            schedule = backward_schedule(loss)
+            x_in = Tensor(xb)
+            loss, records, nodes = _record(model, x_in, yarr)
+            # The backward schedule, snapshot before backward() frees the
+            # graph edges; like the tape, it holds no activation.
+            schedule = [nodes[id(t)] for t in backward_schedule(loss)
+                        if id(t) in nodes]
             model.zero_grad()
             loss.backward()
             loss_val = loss.item()
             try:
-                plan = _build_plan(model, records, schedule, loss, x_in, xb,
-                                   yarr, self._arena and self._arena())
+                plan = _build_plan(model, records, schedule, nodes[id(loss)],
+                                   x_in, xb, yarr,
+                                   self._arena and self._arena())
             except Unsupported as exc:
                 plan = FALLBACK
                 _counter("compile.fallbacks", reason=str(exc)).inc()
@@ -222,6 +215,23 @@ class StepCompiler:
                 _counter("compile.captures").inc()
             entry.plans[sig] = plan
         return loss_val
+
+
+def _record(model, x_in, yarr):
+    """Run the step's forward under the capture hook: ``(loss, tape,
+    nodes)``, the tape frozen (:meth:`Record.frozen`) so that it pins no
+    activation through the backward."""
+    records: list[Record] = []
+
+    def hook(out, parents, backward, args):
+        records.append(Record(out, parents, _backward_op_name(backward), args))
+
+    prev = set_graph_capture_hook(hook)
+    try:
+        loss = F.cross_entropy(model(x_in), yarr)
+    finally:
+        set_graph_capture_hook(prev)
+    return (loss, *Record.frozen(records))
 
 
 def _build_plan(model, recs, schedule, loss, x_in, xb, yarr,

@@ -169,6 +169,19 @@ def backward_schedule(root: "Tensor") -> list["Tensor"]:
     return topo
 
 
+def donatable(arr: np.ndarray, dtype) -> bool:
+    """Whether an op may write a ``dtype`` result over ``arr`` in place.
+
+    Only a C-contiguous, writeable array of exactly that dtype qualifies
+    (DESIGN.md §10.2): a strided view (a padded conv's interior gradient)
+    would hand a strided result to the next op, whose BLAS call could then
+    take another kernel and other bits; a read-only array may be shared.
+    A refused donation allocates, as an undonated call does.
+    """
+    return (arr.dtype == dtype and arr.flags.c_contiguous
+            and arr.flags.writeable)
+
+
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` (shape of a broadcast result) back to ``shape``.
 
@@ -326,7 +339,10 @@ class Tensor:
         A node is dropped from the schedule once its closure has run, and
         its edges, closure and gradient are released: an activation lives
         only until the last backward that reads it, not until the walk
-        ends (DESIGN.md §10.1).
+        ends (DESIGN.md §10.1).  The gradient is released *before* the
+        closure runs, so the closure holds the only reference and may
+        write its input gradient over it (DESIGN.md §10.2); the root keeps
+        ``.grad``, so its closure gets a copy.
 
         While the tracer is enabled each closure is timed and charged to
         ``op.seconds{op=<name>.backward}`` (:func:`repro.obs.metrics.
@@ -347,18 +363,22 @@ class Tensor:
         schedule.reverse()              # popped from the end, in order
         while schedule:
             node = schedule.pop()
-            if node._backward is not None and node.grad is not None:
-                if not traced:
-                    node._backward(node.grad)
-                else:
-                    t0 = time.perf_counter()
-                    node._backward(node.grad)
-                    observe_op(_backward_op_name(node._backward) + ".backward",
-                               time.perf_counter() - t0)
-                if node is not self:
-                    node._backward = None
-                    node._parents = ()
-                    node.grad = None
+            fn, g = node._backward, node.grad
+            if fn is None or g is None:
+                continue
+            if node is self:
+                g = g.copy()
+            else:
+                node._backward = None
+                node._parents = ()
+                node.grad = None
+            if not traced:
+                fn(g)
+            else:
+                t0 = time.perf_counter()
+                fn(g)
+                observe_op(_backward_op_name(fn) + ".backward",
+                           time.perf_counter() - t0)
 
     # ------------------------------------------------------------------ #
     # arithmetic                                                           #
@@ -634,15 +654,23 @@ class Tensor:
 
         return Tensor._make(out_data, (a,), backward)
 
-    def relu(self):
+    def relu(self, donate: bool = False):
+        """``x * (x > 0)``.  ``donate=True`` is the caller's promise that
+        nothing reads ``self.data`` again: the output is written over it
+        when :func:`donatable` allows (DESIGN.md §10.2)."""
         a = self
-        out_data = self.data * (self.data > 0)
+        x = self.data
+        out = x if donate and donatable(x, x.dtype) else None
+        out_data = np.multiply(x, x > 0, out=out)
 
         def backward(g):
             # ``out > 0`` is ``x > 0`` for every float: a positive x passes
             # through, and 0, -0, a negative, -inf (-> NaN) and NaN all
-            # leave an ``out`` that is not positive.  No mask is kept.
-            a._accumulate(g * (out_data > 0), donate="fresh")
+            # leave an ``out`` that is not positive.  No mask is kept.  The
+            # input gradient is written over ``g`` when it may be.
+            dx = g if donatable(g, a.data.dtype) else None
+            a._accumulate(np.multiply(g, out_data > 0, out=dx),
+                          donate="fresh")
 
         return Tensor._make(out_data, (a,), backward)
 

@@ -136,8 +136,9 @@ def reference_avg_pool2d(x, kernel_size, stride=None):
 # --------------------------------------------------------------------- #
 # batch norm (original allocating forward/backward)                      #
 # --------------------------------------------------------------------- #
-def reference_batchnorm_forward(self, x):
-    """The pre-PR ``_BatchNorm.forward`` (bound as a method when patched)."""
+def reference_batchnorm_forward(self, x, donate=False):
+    """The pre-PR ``_BatchNorm.forward`` (bound as a method when patched);
+    it never writes over its input, so ``donate`` is ignored."""
     axes = self._axes(x)
     shape = self._shape(x)
     a = x
@@ -226,8 +227,9 @@ def reference_sgd_step(self):
 # --------------------------------------------------------------------- #
 # Tensor.relu (original copy-on-accumulate backward, no donation)        #
 # --------------------------------------------------------------------- #
-def reference_relu(self):
-    """Pre-PR relu: allocating mask-multiply forward/backward."""
+def reference_relu(self, donate=False):
+    """Pre-PR relu: allocating mask-multiply forward/backward; ``donate``
+    is ignored."""
     a = self
     mask = self.data > 0
     out_data = self.data * mask

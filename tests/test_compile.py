@@ -503,6 +503,35 @@ class TestCompiledStep:
                                   m_ref.named_parameters()):
             assert np.array_equal(p.grad, q.grad), n
 
+    def test_capture_step_frees_activations_like_an_eager_step(self):
+        # The capture step is an eager step: its tape and schedule pin no
+        # activation through the backward, and the plan holds no second
+        # copy of the parameter gradients, so beyond an eager step's peak
+        # it pays at most the plan arena.  Both steps follow an eager warm
+        # step, with the same gradients alive going in.
+        import tracemalloc
+        from repro.tensor import workspace
+        rng = np.random.default_rng(3)
+        xb = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+        yb = rng.integers(0, 10, size=4)
+
+        def peak(step):
+            model = _vgg()
+            workspace.reset()
+            _eager_step(model, xb, yb)
+            tracemalloc.start()
+            try:
+                step(model)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        comp = StepCompiler()
+        eager = peak(lambda model: _eager_step(model, xb, yb))
+        capture = peak(lambda model: comp.try_step(model, xb, yb))
+        assert comp.arena_bytes() > 0
+        assert capture <= eager + comp.arena_bytes(), (capture, eager)
+
     def test_compiler_pickles_empty(self):
         import pickle
         model = _make_model()

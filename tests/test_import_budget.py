@@ -5,7 +5,8 @@ scope is paid by every process of every workload, forked pool workers
 included: ``networkx``, imported for one export function, cost each of
 them 20 MB of RSS and a third of the import time.  One subprocess builds
 and runs the tiny FedAvg and SPATL-RL settings and reports the
-third-party top-level packages it ended up with.
+third-party top-level packages it ended up with, and whether it loaded
+the process-pool machinery a serial run never uses.
 """
 
 import json
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 _SCRIPT = """
 import json, sys
@@ -27,18 +30,34 @@ for name, overrides in (("fedavg", {}), ("spatl", {"use_rl_policy": True})):
 # modules loaded from a file: not __mp_main__ or Cython's runtime shims
 after = {name.partition(".")[0] for name, module in sys.modules.items()
          if getattr(module, "__file__", None)}
-print(json.dumps(sorted(after - before - set(sys.stdlib_module_names)
-                        - {"repro"})))
+print(json.dumps({
+    "third_party": sorted(after - before - set(sys.stdlib_module_names)
+                          - {"repro"}),
+    "pool": sorted({name.partition(".")[0] for name in sys.modules}
+                   & {"multiprocessing", "concurrent"}),
+}))
 """
 
 
-def test_a_training_run_imports_numpy_and_nothing_else():
+@pytest.fixture(scope="module")
+def imported():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == ["numpy"], (
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_training_run_imports_numpy_and_nothing_else(imported):
+    assert imported["third_party"] == ["numpy"], (
         "a module under repro imports a third-party package at module "
         "scope; import it in the one function that needs it")
+
+
+def test_a_serial_run_loads_no_process_pool(imported):
+    # ~2 MB of RSS in every single-process run (DESIGN.md §9).
+    assert imported["pool"] == [], (
+        "a serial run imported multiprocessing / concurrent.futures; "
+        "import them where the process pool is built")
