@@ -149,8 +149,7 @@ JOINER_ROUND = 3
 def downlink_rows(size: dict):
     """One row per algorithm x model: full vs delta downlink bytes per
     round, the payload build / memo-hit time, and a late joiner's bytes."""
-    from repro.experiments.configs import (config_for, make_algorithm,
-                                           make_setting)
+    from repro.experiments import build, config_for
     from repro.fl import payload_nbytes
 
     n_clients = size["downlink_clients"]
@@ -159,8 +158,8 @@ def downlink_rows(size: dict):
             cfg = config_for("tiny", seed=0, model=model, n_clients=n_clients,
                              n_samples=80 * n_clients, sample_ratio=1.0,
                              local_epochs=1, **model_cfg, **algo_cfg)
-            model_fn, clients = make_setting(cfg)
-            algo = make_algorithm(algorithm, cfg, model_fn, clients)
+            algo = build(cfg, algorithm)
+            clients = algo.clients
             full, delta, build_ms, hit_ms = [], [], [], []
             for r in range(DOWNLINK_ROUNDS):
                 algo.transport.new_round()

@@ -102,8 +102,7 @@ def e2e_rows(size: dict):
     """Serial FedAvg local-training phase, compiled vs eager: a warm-up
     round each (arenas, plans), then every further round's cohort-training
     phase timed on its own, alternating sides."""
-    from repro.experiments.configs import (config_for, make_algorithm,
-                                           make_setting)
+    from repro.experiments import build, config_for
     from repro.fl.base import sample_clients
     from repro.fl.comm import serialize_state
     from repro.obs.metrics import get_registry
@@ -135,8 +134,7 @@ def e2e_rows(size: dict):
                              n_clients=size["clients"],
                              n_samples=size["samples"], sample_ratio=1.0,
                              seed=SEED, compile=compiled, **overrides)
-            algos[compiled] = make_algorithm("fedavg", cfg,
-                                             *make_setting(cfg))
+            algos[compiled] = build(cfg, "fedavg")
             train_phase(algos[compiled], 0)
         r_comp, r_eager = itertools.count(1), itertools.count(1)
         timing = interleaved(

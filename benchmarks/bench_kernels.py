@@ -163,15 +163,14 @@ def micro_rows(size: dict):
 
 def _fedavg(model_name: str, clients: int, samples: int):
     """A serial FedAvg algorithm over a fresh tiny-scale setting."""
-    from repro.experiments.configs import (config_for, make_algorithm,
-                                           make_setting)
+    from repro.experiments import build, config_for
     overrides = {}
     if model_name.startswith("vgg"):
         overrides["input_size"] = 32        # five maxpools need 32x32
     cfg = config_for("tiny", model=model_name, n_clients=clients,
                      n_samples=samples, sample_ratio=1.0, seed=SEED,
                      **overrides)
-    return make_algorithm("fedavg", cfg, *make_setting(cfg))
+    return build(cfg, "fedavg")
 
 
 def arena_footprint(model_name: str) -> dict:

@@ -65,14 +65,12 @@ def run_once(cfg, spec: dict) -> tuple[float, bytes, list, float | None]:
     """One full run under one executor; returns (wall_s, state, accs,
     worker_peak_rss_mb).  The last is the largest ``VmHWM`` over the
     pool's workers, read before shutdown (``None`` for serial)."""
-    from repro.experiments.configs import make_algorithm, make_setting
+    from repro.experiments import build
     from repro.fl.comm import serialize_state
     from repro.fl.parallel import make_executor
     from repro.obs.metrics import peak_rss_bytes
 
-    model_fn, clients = make_setting(cfg)
-    algo = make_algorithm("fedavg", cfg, model_fn, clients,
-                          executor=make_executor(spec["workers"]))
+    algo = build(cfg, "fedavg", executor=make_executor(spec["workers"]))
     worker_peak = None
     try:
         t0 = time.perf_counter()

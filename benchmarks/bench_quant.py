@@ -43,10 +43,10 @@ ACCURACY_CLIENTS = 4
 def micro_rows(size: dict):
     import numpy as np
     from repro.fl.quant import (QuantConfig, encode_record, decode_record,
-                                naive_pack_nibbles, naive_unpack_nibbles,
                                 pack_nibbles, stochastic_quantize,
                                 unpack_nibbles)
     from repro.utils.rng import spawn_rng
+    from tests.reference import naive_pack_nibbles, naive_unpack_nibbles
 
     n = MICRO_N
     rng = np.random.default_rng(0)
@@ -93,8 +93,7 @@ def micro_rows(size: dict):
 def ratio_rows(size: dict):
     """One FedAvg round on a full-width resnet20 at each bit width:
     ledger-charged uplink bytes beside the codec's sizing."""
-    from repro.experiments.configs import (config_for, make_algorithm,
-                                           make_setting)
+    from repro.experiments import build, config_for
     from repro.fl.quant import QuantConfig, quant_payload_nbytes
     from repro.fl.wire import payload_nbytes
 
@@ -105,7 +104,7 @@ def ratio_rows(size: dict):
                          input_size=32, n_clients=clients,
                          n_samples=size["ratio_samples"], local_epochs=1,
                          sample_ratio=1.0, seed=SEED, quant_bits=bits)
-        algo = make_algorithm("fedavg", cfg, *make_setting(cfg))
+        algo = build(cfg, "fedavg")
         t0 = time.perf_counter()
         algo.run_round(0)
         round_s = time.perf_counter() - t0
@@ -128,8 +127,7 @@ def ratio_rows(size: dict):
 
 def accuracy_rows(size: dict):
     """Tiny-scale FedAvg at fp32 / int8+EF / int8 no-EF / int4+EF."""
-    from repro.experiments.configs import (config_for, make_algorithm,
-                                           make_setting)
+    from repro.experiments import build, config_for
 
     rounds = size["acc_rounds"]
     fp32_acc = None
@@ -138,7 +136,7 @@ def accuracy_rows(size: dict):
         cfg = config_for("tiny", n_clients=ACCURACY_CLIENTS,
                          n_samples=size["acc_samples"], rounds=rounds,
                          seed=SEED, quant_bits=bits, quant_ef=ef)
-        algo = make_algorithm("fedavg", cfg, *make_setting(cfg))
+        algo = build(cfg, "fedavg")
         acc = [algo.run_round(r).avg_val_acc for r in range(rounds)][-1]
         uplink = sum(sum(per.values()) for per in algo.ledger.uplink.values())
         algo.close()

@@ -22,7 +22,7 @@ Usage::
 
 import argparse
 
-from repro.experiments import config_for, make_algorithm, make_setting
+from repro.experiments import config_for, train
 from repro.experiments.communication import paper_scale_mb_per_round
 from repro.fl import payload_nbytes
 from repro.models import paper_model_size_mb
@@ -49,9 +49,7 @@ def main() -> None:
     spatl_ratio = None
     last = ROUNDS - 1
     for method in METHODS:
-        model_fn, clients = make_setting(cfg)
-        algo = make_algorithm(method, cfg, model_fn, clients)
-        algo.run(ROUNDS)
+        algo = train(cfg, method, ROUNDS).algo
         cold = _mb_per_client(algo.ledger.downlink[0])
         down = _mb_per_client(algo.ledger.downlink[last])
         up = _mb_per_client(algo.ledger.uplink[last])

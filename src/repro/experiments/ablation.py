@@ -16,21 +16,14 @@ confound.
 
 from __future__ import annotations
 
-from repro.experiments.configs import ExperimentConfig, make_algorithm, \
-    make_setting
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.harness import train
 from repro.utils.logging import ExperimentLog
 
 
 def _run_spatl(cfg: ExperimentConfig, rounds: int | None = None,
                **spatl_kwargs) -> ExperimentLog:
-    model_fn, clients = make_setting(cfg)
-    algo = make_algorithm("spatl", cfg, model_fn, clients, **spatl_kwargs)
-    try:
-        log = algo.run(rounds or cfg.rounds)
-    finally:
-        algo.close()   # release executor pools
-    log.meta["final_acc"] = log.last("val_acc")
-    return log
+    return train(cfg, "spatl", rounds or cfg.rounds, **spatl_kwargs).log
 
 
 def ablation_selection(cfg: ExperimentConfig,

@@ -28,6 +28,7 @@ import math
 
 from repro.experiments.configs import (ExperimentConfig, make_algorithm,
                                        make_setting)
+from repro.experiments.harness import train
 from repro.fl.async_runtime import AsyncConfig, AsyncFederatedRunner
 from repro.fl.base import sample_clients
 from repro.fl.faults import AsyncProfile
@@ -82,12 +83,8 @@ def async_convergence(cfg: ExperimentConfig, algorithm: str = "fedavg",
     profile = profile or AsyncProfile(seed=cfg.seed, **STRAGGLER_PROFILE)
 
     # --- synchronous reference ------------------------------------------
-    model_fn, clients = make_setting(cfg)
-    sync_algo = make_algorithm(algorithm, cfg, model_fn, clients)
-    try:
-        sync_log = sync_algo.run(rounds)
-    finally:
-        sync_algo.close()   # release executor pools
+    sync = train(cfg, algorithm, rounds)
+    sync_algo, sync_log = sync.algo, sync.log
     sync_times = _sync_round_times(sync_algo, profile, rounds)
     sync_losses = list(sync_log["train_loss"])
     target = min(loss for loss in sync_losses if math.isfinite(loss))

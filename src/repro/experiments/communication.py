@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.configs import ExperimentConfig, make_algorithm, \
-    make_setting
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.harness import train
 from repro.models import paper_model_size_mb
 from repro.utils.logging import ExperimentLog, render_table
 from repro.utils.metrics import best_smoothed, rounds_to_target
@@ -64,24 +64,15 @@ def paper_scale_mb_per_round(method: str, model: str,
     return base * factor
 
 
-def _run_to_target(cfg: ExperimentConfig, method: str, target: float,
-                   max_rounds: int) -> ExperimentLog:
-    model_fn, clients = make_setting(cfg)
-    algo = make_algorithm(method, cfg, model_fn, clients)
-    try:
-        return algo.run(max_rounds, target_accuracy=target)
-    finally:
-        algo.close()   # release executor pools
-
-
 def table1_target_cost(cfg: ExperimentConfig, target: float = 0.6,
                        methods=("fedavg", "fedprox", "fednova", "scaffold",
                                 "spatl"),
                        max_rounds: int | None = None) -> list[CostRow]:
     """Table I: cost to reach ``target`` average accuracy."""
     max_rounds = max_rounds or cfg.rounds
-    logs = {m: _run_to_target(cfg, m, target, max_rounds) for m in methods}
-    return _rows_from_logs(cfg, logs, target=target)
+    logs = {m: train(cfg, m, max_rounds, target_accuracy=target).log
+            for m in methods}
+    return cost_rows(cfg, logs, target=target)
 
 
 def table2_convergence(cfg: ExperimentConfig, patience: int = 5,
@@ -90,19 +81,16 @@ def table2_convergence(cfg: ExperimentConfig, patience: int = 5,
                        max_rounds: int | None = None) -> list[CostRow]:
     """Table II: cost and accuracy when trained to convergence."""
     max_rounds = max_rounds or cfg.rounds
-    logs = {}
-    for m in methods:
-        model_fn, clients = make_setting(cfg)
-        algo = make_algorithm(m, cfg, model_fn, clients)
-        try:
-            logs[m] = algo.run(max_rounds, patience=patience)
-        finally:
-            algo.close()
-    return _rows_from_logs(cfg, logs, target=None)
+    logs = {m: train(cfg, m, max_rounds, patience=patience).log
+            for m in methods}
+    return cost_rows(cfg, logs, target=None)
 
 
-def _rows_from_logs(cfg: ExperimentConfig, logs: dict[str, ExperimentLog],
-                    target: float | None) -> list[CostRow]:
+def cost_rows(cfg: ExperimentConfig, logs: dict[str, ExperimentLog],
+              target: float | None) -> list[CostRow]:
+    """Tables I and II's reader: one row per method's log, each log as its
+    run's stop rule left it (:func:`~repro.utils.metrics.rounds_to_target`
+    for Table I, :func:`~repro.utils.metrics.rounds_to_converge` for II)."""
     fedavg_log = logs.get("fedavg")
     fedavg_gb = fedavg_log.meta["total_gb"] if fedavg_log else None
     fedavg_acc = (best_smoothed(fedavg_log["val_acc"], 3)
@@ -143,16 +131,15 @@ def rounds_to_target_figure(cfg: ExperimentConfig, targets=(0.5, 0.6, 0.7),
                             max_rounds: int | None = None) -> dict:
     """The train-rounds figure: rounds each method needs per target level."""
     max_rounds = max_rounds or cfg.rounds
-    out: dict[str, dict[float, int | None]] = {}
-    for method in methods:
-        model_fn, clients = make_setting(cfg)
-        algo = make_algorithm(method, cfg, model_fn, clients)
-        try:
-            log = algo.run(max_rounds)
-        finally:
-            algo.close()
-        out[method] = {t: rounds_to_target(log["val_acc"], t) for t in targets}
-    return out
+    return target_rounds({m: train(cfg, m, max_rounds).log for m in methods},
+                         targets)
+
+
+def target_rounds(logs: dict[str, ExperimentLog],
+                  targets) -> dict[str, dict[float, int | None]]:
+    """The train-rounds figure's reader: each log's rounds to each target."""
+    return {method: {t: rounds_to_target(log["val_acc"], t) for t in targets}
+            for method, log in logs.items()}
 
 
 def render_cost_table(rows: list[CostRow], title: str) -> str:

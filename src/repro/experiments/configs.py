@@ -137,14 +137,18 @@ def make_setting(cfg: ExperimentConfig) -> tuple[Callable, list[Client]]:
                                     seed=cfg.seed)
     clients = make_federated_clients(ds, parts, batch_size=cfg.batch_size,
                                      seed=cfg.seed)
-    in_size = cfg.input_size
+    return make_model_fn(cfg), clients
+
+
+def make_model_fn(cfg: ExperimentConfig) -> Callable:
+    """The config's model factory: every call builds the same fresh model."""
 
     def model_fn():
         return build_model(cfg.model, num_classes=cfg.num_classes,
-                           input_size=in_size, width_mult=cfg.width_mult,
-                           seed=cfg.seed + 1)
+                           input_size=cfg.input_size,
+                           width_mult=cfg.width_mult, seed=cfg.seed + 1)
 
-    return model_fn, clients
+    return model_fn
 
 
 def make_fault_model(cfg: ExperimentConfig) -> FaultModel | None:

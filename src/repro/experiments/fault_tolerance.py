@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.configs import (ExperimentConfig, make_algorithm,
-                                       make_setting)
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.harness import Run, train
 from repro.utils.logging import render_table
 
 DEFAULT_RATES = (0.0, 0.1, 0.3)
@@ -34,27 +34,29 @@ def fault_degradation_curve(cfg: ExperimentConfig,
     reference every degradation is measured against.
     """
     rounds = rounds if rounds is not None else cfg.rounds
-    results: dict[str, dict[float, dict]] = {}
-    for name in algorithms:
-        per_rate: dict[float, dict] = {}
-        for p in drop_probs:
-            fcfg = cfg.scaled(
-                fault_drop_prob=p,
-                fault_corrupt_prob=corrupt_prob if p > 0 else 0.0)
-            model_fn, clients = make_setting(fcfg)
-            algo = make_algorithm(name, fcfg, model_fn, clients)
-            try:
-                log = algo.run(rounds)
-            finally:
-                algo.close()   # release executor pools
-            per_rate[p] = {
-                "final_acc": log.last("val_acc"),
-                "total_gb": algo.ledger.total_gb(),
-                "rounds_run": log.meta["rounds_run"],
-                **algo.fault_stats.as_dict(),
-            }
-        results[name] = per_rate
-    return results
+    return {name: {p: fault_row(train(fault_config(cfg, p, corrupt_prob),
+                                      name, rounds))
+                   for p in drop_probs}
+            for name in algorithms}
+
+
+def fault_config(cfg: ExperimentConfig, drop_prob: float,
+                 corrupt_prob: float) -> ExperimentConfig:
+    """``cfg`` at one column of the curve: ``drop_prob`` drops, and
+    ``corrupt_prob`` corruption wherever anything is dropped."""
+    return cfg.scaled(fault_drop_prob=drop_prob,
+                      fault_corrupt_prob=corrupt_prob if drop_prob > 0
+                      else 0.0)
+
+
+def fault_row(run: Run) -> dict:
+    """The curve's reader: one run's final accuracy, bytes and counters."""
+    return {
+        "final_acc": run.log.last("val_acc"),
+        "total_gb": run.algo.ledger.total_gb(),
+        "rounds_run": run.log.meta["rounds_run"],
+        **run.algo.fault_stats.as_dict(),
+    }
 
 
 def render_fault_table(results: dict, title: str | None = None) -> str:

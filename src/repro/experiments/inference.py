@@ -10,22 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.configs import ExperimentConfig, make_algorithm, \
-    make_setting
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.harness import Run, train
 from repro.utils.logging import render_table
 
 
 def inference_acceleration_table(cfg: ExperimentConfig,
                                  rounds: int | None = None) -> dict:
     """Run SPATL, return FLOPs-reduction stats of final client selections."""
-    rounds = rounds or cfg.rounds
-    model_fn, clients = make_setting(cfg)
-    algo = make_algorithm("spatl", cfg, model_fn, clients)
-    try:
-        log = algo.run(rounds)
-    finally:
-        algo.close()   # release executor pools
-    report = algo.inference_report()
+    return inference_stats(cfg, train(cfg, "spatl", rounds or cfg.rounds))
+
+
+def inference_stats(cfg: ExperimentConfig, run: Run) -> dict:
+    """The table's reader: FLOPs-reduction stats of the clients' current
+    selections in a SPATL run."""
+    report = run.algo.inference_report()
     if not report:
         raise RuntimeError("no client selections were recorded")
     flops_red = np.asarray([1.0 - r["flops_ratio"] for r in report.values()])
@@ -37,7 +36,7 @@ def inference_acceleration_table(cfg: ExperimentConfig,
         "max_flops_reduction": float(flops_red.max()),
         "min_flops_reduction": float(flops_red.min()),
         "avg_keep_ratio": float(params_kept.mean()),
-        "final_acc": log.meta.get("final_acc", log.last("val_acc")),
+        "final_acc": run.log.last("val_acc"),
         "per_client": report,
     }
 

@@ -10,29 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.configs import ExperimentConfig, make_algorithm, \
-    make_setting
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.harness import train
+
+
+def client_accuracy_stats(algo) -> dict:
+    """The figure's reader: each client's accuracy under ``algo`` now,
+    plus their mean / std / min / max."""
+    accs = np.asarray(algo.per_client_accuracy())
+    return {
+        "per_client": accs.tolist(),
+        "mean": float(accs.mean()),
+        "std": float(accs.std()),
+        "min": float(accs.min()),
+        "max": float(accs.max()),
+    }
 
 
 def local_accuracy_figure(cfg: ExperimentConfig,
                           methods=("spatl", "scaffold"),
                           rounds: int | None = None) -> dict[str, dict]:
     """Per-client accuracies plus mean/std per method."""
-    rounds = rounds or cfg.rounds
-    out = {}
-    for method in methods:
-        model_fn, clients = make_setting(cfg)
-        algo = make_algorithm(method, cfg, model_fn, clients)
-        try:
-            algo.run(rounds)
-        finally:
-            algo.close()   # release executor pools
-        accs = np.asarray(algo.per_client_accuracy())
-        out[method] = {
-            "per_client": accs.tolist(),
-            "mean": float(accs.mean()),
-            "std": float(accs.std()),
-            "min": float(accs.min()),
-            "max": float(accs.max()),
-        }
-    return out
+    return {method: client_accuracy_stats(
+                train(cfg, method, rounds or cfg.rounds).algo)
+            for method in methods}

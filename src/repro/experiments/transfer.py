@@ -10,24 +10,38 @@ baselines.
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
 from repro.core.transfer import transfer_accuracy
 from repro.data import dirichlet_partition
 from repro.data.datasets import ArrayDataset, train_val_split
 from repro.fl import make_federated_clients
-from repro.experiments.configs import ExperimentConfig, make_algorithm, \
-    make_dataset
+from repro.experiments.configs import (ExperimentConfig, make_dataset,
+                                       make_model_fn)
+from repro.experiments.harness import Run, train
 from repro.utils.rng import spawn_rng
 
 
-def transferability_table(cfg: ExperimentConfig,
-                          methods=("fedavg", "fednova", "scaffold", "spatl"),
-                          holdout_fraction: float = 0.2,
-                          transfer_epochs: int = 3,
-                          rounds: int | None = None) -> dict[str, dict]:
-    """FL-train on one split, transfer-finetune on the held-out split."""
-    rounds = rounds or cfg.rounds
+@dataclasses.dataclass(frozen=True)
+class HoldoutSplit:
+    """The dataset cut in two: the federated part, partitioned over the
+    clients, and the held-out part the trained network transfers to."""
+
+    fl_data: ArrayDataset
+    parts: list
+    transfer_train: ArrayDataset
+    transfer_test: ArrayDataset
+
+    def setting(self, cfg: ExperimentConfig) -> tuple:
+        """A fresh ``(model_fn, clients)`` over the federated part."""
+        return make_model_fn(cfg), make_federated_clients(
+            self.fl_data, self.parts, batch_size=cfg.batch_size,
+            seed=cfg.seed)
+
+
+def holdout_split(cfg: ExperimentConfig,
+                  holdout_fraction: float = 0.2) -> HoldoutSplit:
+    """Hold ``holdout_fraction`` of the config's dataset out of FL."""
     full = make_dataset(cfg)
     rng = spawn_rng(cfg.seed, "transfer_split")
     order = rng.permutation(len(full))
@@ -38,34 +52,39 @@ def transferability_table(cfg: ExperimentConfig,
                                                     seed=cfg.seed + 5)
     parts = dirichlet_partition(fl_data.y, cfg.n_clients, beta=cfg.beta,
                                 seed=cfg.seed)
-    results: dict[str, dict] = {}
-    for method in methods:
-        clients = make_federated_clients(fl_data, parts,
-                                         batch_size=cfg.batch_size,
-                                         seed=cfg.seed)
+    return HoldoutSplit(fl_data, parts, transfer_train, transfer_test)
 
-        def model_fn():
-            from repro.models import build_model
-            return build_model(cfg.model, num_classes=cfg.num_classes,
-                               input_size=cfg.input_size,
-                               width_mult=cfg.width_mult, seed=cfg.seed + 1)
 
-        algo = make_algorithm(method, cfg, model_fn, clients)
-        try:
-            log = algo.run(rounds)
-        finally:
-            algo.close()   # release executor pools
-        model = algo.global_model
-        acc_before = _plain_accuracy(model, transfer_test)
-        acc_after = transfer_accuracy(model, transfer_train, transfer_test,
-                                      epochs=transfer_epochs, lr=cfg.lr / 2,
-                                      seed=cfg.seed)
-        results[method] = {
-            "fl_acc": log.meta.get("final_acc", log.last("val_acc")),
-            "transfer_acc": acc_after,
-            "zero_shot_acc": acc_before,
-        }
-    return results
+def transferability_table(cfg: ExperimentConfig,
+                          methods=("fedavg", "fednova", "scaffold", "spatl"),
+                          holdout_fraction: float = 0.2,
+                          transfer_epochs: int = 3,
+                          rounds: int | None = None) -> dict[str, dict]:
+    """FL-train on one split, transfer-finetune on the held-out split."""
+    rounds = rounds or cfg.rounds
+    split = holdout_split(cfg, holdout_fraction)
+    return {method: transfer_row(cfg, train(cfg, method, rounds,
+                                            setting=split.setting(cfg)),
+                                 split, transfer_epochs)
+            for method in methods}
+
+
+def transfer_row(cfg: ExperimentConfig, run: Run, split: HoldoutSplit,
+                 transfer_epochs: int = 3) -> dict:
+    """The table's reader: zero-shot and fine-tuned accuracy of the run's
+    global model on the held-out data.  Fine-tuning trains that model in
+    place, so this is the last read of the run."""
+    model = run.algo.global_model
+    acc_before = _plain_accuracy(model, split.transfer_test)
+    acc_after = transfer_accuracy(model, split.transfer_train,
+                                  split.transfer_test,
+                                  epochs=transfer_epochs, lr=cfg.lr / 2,
+                                  seed=cfg.seed)
+    return {
+        "fl_acc": run.log.last("val_acc"),
+        "transfer_acc": acc_after,
+        "zero_shot_acc": acc_before,
+    }
 
 
 def _plain_accuracy(model, data: ArrayDataset) -> float:

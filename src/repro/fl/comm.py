@@ -227,19 +227,23 @@ class CommLedger:
         down = sum(self.downlink.get(round_idx, {}).values())
         return up + down
 
-    def total_bytes(self, up_to_round: int | None = None) -> int:
+    def _rounds(self, up_to_round: int | None) -> set[int]:
         rounds = set(self.uplink) | set(self.downlink)
         if up_to_round is not None:
             rounds = {r for r in rounds if r <= up_to_round}
-        return sum(self.round_bytes(r) for r in rounds)
+        return rounds
+
+    def total_bytes(self, up_to_round: int | None = None) -> int:
+        return sum(self.round_bytes(r) for r in self._rounds(up_to_round))
 
     def total_gb(self, up_to_round: int | None = None) -> float:
         return self.total_bytes(up_to_round) / 2 ** 30
 
-    def per_round_per_client_mb(self) -> float:
-        """Mean per-client per-round payload (Tables' "Cost Round/Client")."""
+    def per_round_per_client_mb(self, up_to_round: int | None = None) -> float:
+        """Mean per-client per-round payload (Tables' "Cost Round/Client"),
+        over the rounds up to ``up_to_round`` (all of them by default)."""
         total, n = 0, 0
-        for r in set(self.uplink) | set(self.downlink):
+        for r in self._rounds(up_to_round):
             clients = set(self.uplink.get(r, {})) | set(self.downlink.get(r, {}))
             for c in clients:
                 total += self.uplink.get(r, {}).get(c, 0)

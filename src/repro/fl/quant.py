@@ -52,8 +52,7 @@ __all__ = ["QuantConfig", "QUANT_SUFFIX", "QUANT_WIRE_KEY",
            "stochastic_quantize", "dequantize_values",
            "pack_nibbles", "unpack_nibbles",
            "encode_record", "decode_record", "record_nbytes",
-           "quantize_payload", "dequantize_payload", "quant_payload_nbytes",
-           "naive_pack_nibbles", "naive_unpack_nibbles"]
+           "quantize_payload", "dequantize_payload", "quant_payload_nbytes"]
 
 #: Wire-entry name suffix marking a quantized record.  ``"\x00"`` cannot
 #: appear in any state-dict key produced by the model layer, so suffixed
@@ -188,26 +187,6 @@ def unpack_nibbles(packed: np.ndarray, n: int) -> np.ndarray:
     out[0::2] = packed & np.uint8(0x0F)
     out[1::2] = packed >> np.uint8(4)
     return out[:n]
-
-
-def naive_pack_nibbles(codes: np.ndarray) -> np.ndarray:
-    """Per-element reference packer (the bench's 10x-slower comparator)."""
-    codes = list(np.asarray(codes, dtype=np.uint8))
-    if len(codes) % 2:
-        codes.append(np.uint8(0))
-    out = np.empty(len(codes) // 2, dtype=np.uint8)
-    for i in range(out.size):
-        out[i] = (int(codes[2 * i]) | (int(codes[2 * i + 1]) << 4)) & 0xFF
-    return out
-
-
-def naive_unpack_nibbles(packed: np.ndarray, n: int) -> np.ndarray:
-    """Per-element reference unpacker matching :func:`unpack_nibbles`."""
-    out = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        byte = int(packed[i // 2])
-        out[i] = (byte & 0x0F) if i % 2 == 0 else (byte >> 4)
-    return out
 
 
 # ---------------------------------------------------------- wire records

@@ -71,17 +71,21 @@ class VGGEncoder(EncoderBase):
 
     def forward(self, x: Tensor) -> Tensor:
         mask_for = {name.split(".", 1)[1]: name for name in self._prunable}
+        pending = None
         for child_name, layer in self.features._modules.items():
-            # A batch norm's input (a conv output, or its masked copy) and
-            # a ReLU's (a batch-norm or conv output) are read by nothing
-            # else, so both layers may write over them (DESIGN.md §10.2).
+            # A batch norm's input (a conv output) and a ReLU's (a
+            # batch-norm or conv output) are read by nothing else, so both
+            # layers may write over them (DESIGN.md §10.2).
             if isinstance(layer, (BatchNorm2d, ReLU)):
                 x = layer(x, donate=True)
             else:
                 x = layer(x)
-            full = mask_for.get(child_name)
-            if full is not None:
-                x = self._apply_mask(full, x)
+            pending = mask_for.get(child_name, pending)
+            if isinstance(layer, ReLU) and pending is not None:
+                # A conv's channel mask applies to its block's output: a
+                # masked filter leaves the block as 0, not as relu(beta).
+                x = self._apply_mask(pending, x)
+                pending = None
         return x.flatten_from(1)
 
     def prunable_layers(self) -> list[str]:

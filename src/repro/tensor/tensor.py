@@ -323,7 +323,11 @@ class Tensor:
                 f"tensor of shape {self.shape} inside forbid_dtype()")
         grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
-            self.grad = grad if donate == "fresh" else np.array(grad)
+            # Always C order: a transposed view's copy (a Linear weight's
+            # gradient) would otherwise keep its F layout, which the step
+            # compiler cannot adopt as a plan buffer.
+            self.grad = grad if donate == "fresh" and grad.flags.c_contiguous \
+                else np.array(grad, order="C")
         else:
             self.grad += grad
 

@@ -83,3 +83,17 @@ def rounds_to_target(series, target: float) -> int | None:
         if v >= target:
             return i + 1
     return None
+
+
+def rounds_to_converge(series, patience: int) -> int | None:
+    """First 1-based index at which :class:`EarlyStopper` declares
+    convergence (Table II's stop rule), or ``None`` if it never does —
+    as :meth:`~repro.fl.base.FederatedAlgorithm.run` applies it, where a
+    patience of 0 means no rule."""
+    if not patience:
+        return None
+    stopper = EarlyStopper(patience=patience)
+    for i, v in enumerate(series):
+        if stopper.update(v):
+            return i + 1
+    return None

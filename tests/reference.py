@@ -10,8 +10,10 @@ manager that patches them back in so golden-state tests and
 ``benchmarks/bench_kernels.py`` can run the exact pre-PR code path and
 compare final model states byte-for-byte against the optimized kernels.
 
-It lives beside its users, outside the package: nothing on the training
-path imports it.  See DESIGN.md §10.
+It also keeps the per-element int4 nibble packer, the oracle of the
+quantized codec's vectorized one (``repro.fl.quant``).  It lives beside
+its users, outside the package: nothing on the training path imports
+it.  See DESIGN.md §10.
 """
 
 from __future__ import annotations
@@ -22,6 +24,30 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tensor.tensor import Tensor
+
+
+# --------------------------------------------------------------------- #
+# int4 nibble packing (per-element, the codec's vectorized pack's oracle) #
+# --------------------------------------------------------------------- #
+def naive_pack_nibbles(codes: np.ndarray) -> np.ndarray:
+    """Per-element reference packer (the bench's 10x-slower comparator)."""
+    codes = list(np.asarray(codes, dtype=np.uint8))
+    if len(codes) % 2:
+        codes.append(np.uint8(0))
+    out = np.empty(len(codes) // 2, dtype=np.uint8)
+    for i in range(out.size):
+        out[i] = (int(codes[2 * i]) | (int(codes[2 * i + 1]) << 4)) & 0xFF
+    return out
+
+
+def naive_unpack_nibbles(packed: np.ndarray, n: int) -> np.ndarray:
+    """Per-element reference unpacker matching
+    :func:`repro.fl.quant.unpack_nibbles`."""
+    out = np.empty(n, dtype=np.uint8)
+    for i in range(n):
+        byte = int(packed[i // 2])
+        out[i] = (byte & 0x0F) if i % 2 == 0 else (byte >> 4)
+    return out
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """The one bench harness (``benchmarks/_harness.py``) and the tables on it.
 
 Pure: nothing here measures.  The harness's rules are exercised on
-synthetic records and throw-away benches; the eight ``bench_<name>.py``
+synthetic records and throw-away benches; the nine ``bench_<name>.py``
 tables are imported, never run, and their floors are fed synthetic rows
 — every floor a bench alone enforces must still fail the run when it is
 violated — and the committed ``BENCH_*.json`` histories are read as data.
@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 _REPO = Path(__file__).resolve().parent.parent
-_BENCHES = ["async", "comm", "compile", "e2e", "kernels", "parallel",
-            "quant", "scale"]
+_BENCHES = ["async", "claims", "comm", "compile", "e2e", "kernels",
+            "parallel", "quant", "scale"]
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +427,40 @@ def test_floor_fails_when_violated(bench, name, key, broken, smoke, message):
     assert len(failures) == 1 and message in failures[0], failures
 
 
+def _claims_record():
+    return json.loads((_REPO / "BENCH_claims.json").read_text())[-1]
+
+
+def _claim_row(record, claim_id):
+    return next(row for row in record["rows"]
+                if row["case"] == "claims" and row["name"] == claim_id)
+
+
+def test_claims_floors_judge_the_table_s_bounds_on_recorded_operands(bench):
+    claims = bench("claims")
+    record = _claims_record()
+    assert claims.floors(record) == []
+    ids = [row["name"] for row in record["rows"] if row["case"] == "claims"]
+    assert ids == [claim.id for claim in _bench_module("claims").CLAIMS]
+    # a broken operand fails its claim, whatever bound the record wrote
+    broken = copy.deepcopy(record)
+    row = _claim_row(broken, "table1.scaffold_2x")
+    row["measured"]["scaffold_mb"] = row["measured"]["fedavg_mb"]
+    row["bound"], row["holds"] = "True", True
+    failures = claims.floors(broken)
+    assert len(failures) == 1 and failures[0].startswith(
+        "table1.scaffold_2x (table1): 1.6 < scaffold_mb / fedavg_mb < 2.4")
+    # a guard the assert had still guards: an unreached target is vacuous
+    guarded = copy.deepcopy(record)
+    _claim_row(guarded, "table1.spatl_cheapest_to_target")["measured"].update(
+        spatl_reached=False, spatl_gb=9.0, cheapest_gb=1.0)
+    assert claims.floors(guarded) == []
+    # a claim the record lacks fails
+    dropped = copy.deepcopy(record)
+    dropped["rows"].remove(_claim_row(dropped, "fig6.tiny_agent"))
+    assert claims.floors(dropped) == ["fig6.tiny_agent: no row in the record"]
+
+
 def test_full_run_floors_are_skipped_on_smoke(bench):
     """One timed round on a shared CI core cannot carry a speedup floor."""
     for name, key, broken in (
@@ -456,6 +490,7 @@ def test_timed_rows_are_gated(bench):
     assert watched["quant"] == {("micro", "opt_ms", 1.5, 0.15)}
     assert watched["async"] == {("loop_overhead", "us_per_event", 1.5, 3.0)}
     assert watched["parallel"] == {("sweep", "worker_peak_rss_mb", 1.10, 0.0)}
+    assert watched["claims"] == set()          # claims have bounds, not gates
 
 
 # ------------------------------------------------------- bench_e2e pairs

@@ -101,6 +101,20 @@ class TestCompiledStep:
         assert counters["compile.captures"] == 1
         assert counters["compile.replays"] == 4
 
+    def test_parameter_gradients_are_c_contiguous(self, fresh_registry):
+        # A Linear weight's gradient arrives as a transposed view; its
+        # first accumulation owns a C-ordered copy, which a plan can adopt.
+        xb, yb = _batches(1, size=32)[0]
+        eager = _vgg()
+        _eager_step(eager, xb, yb)
+        replayed, comp = _vgg(), StepCompiler()
+        for _ in range(2):                      # capture, then replay
+            assert comp.try_step(replayed, xb, yb) is not None
+        assert fresh_registry.snapshot()["counters"]["compile.replays"] == 1
+        for model in (eager, replayed):
+            for name, p in model.named_parameters():
+                assert p.grad.flags.c_contiguous, name
+
     def test_partial_batch_gets_own_plan(self, fresh_registry):
         batches = _batches(3, bs=8) + _batches(3, bs=5, seed=4)
         m_eager = _make_model()

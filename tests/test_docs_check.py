@@ -2,8 +2,9 @@
 
 Asserts the current tree passes, and that the checks are not vacuous:
 they must fail if ``--workers`` disappeared from README.md, if README
-mentioned a flag nothing defines, or if a ``DESIGN.md §N`` reference
-pointed at a missing section.
+mentioned a flag nothing defines, if a ``DESIGN.md §N`` reference
+pointed at a missing section, or if a doc named a bench file or a claim
+id that does not exist.
 """
 
 import importlib.util
@@ -36,13 +37,11 @@ def test_removing_workers_from_readme_fails():
 
 def test_readme_mentions_only_known_flags():
     """The reverse direction: every --flag README mentions is defined by
-    the CLI parser, a benchmark/tool/example script, or the external
-    allowlist."""
+    the CLI parser or a benchmark/tool/example script."""
     readme = (REPO_ROOT / "README.md").read_text()
     known = docs_check.known_flags()
     assert docs_check.unknown_readme_flags(readme, known) == []
-    # the allowlist and the scrape both feed the known set
-    assert "--benchmark-only" in known          # external (pytest-benchmark)
+    # the parser and the scrape both feed the known set
     assert "--executors" in known               # scraped from bench_parallel
     assert "--workers" in known                 # repro.cli parser
     assert "--executor" not in known            # --workers selects the engine
@@ -69,3 +68,28 @@ def test_main_exits_zero_on_current_tree(capsys):
     """The CLI entry point agrees with the pure functions."""
     assert docs_check.main() == 0
     assert "docs-check: OK" in capsys.readouterr().out
+
+
+def test_docs_name_only_existing_benches_and_claims():
+    """Every bench path and claim id the docs name exists."""
+    ids = docs_check.claim_ids()
+    assert "table1.scaffold_2x" in ids and len(ids) > 50
+    for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md"):
+        text = (REPO_ROOT / doc).read_text()
+        assert docs_check.stale_bench_refs(text, ids) == [], doc
+
+
+def test_stale_bench_file_mention_fails():
+    """A doc naming a deleted bench file is a failure."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    doctored = readme + ("\nRun `python -m pytest "
+                         "benchmarks/test_bench_table1_comm_cost.py`.\n")
+    assert docs_check.stale_bench_refs(doctored, docs_check.claim_ids()) \
+        == ["benchmarks/test_bench_table1_comm_cost.py"]
+
+
+def test_unknown_claim_id_fails():
+    """A backticked id under a known artifact must be a declared claim."""
+    text = "`table1.scaffold_2x` holds; `table1.scaffold_3x` is gone."
+    assert docs_check.stale_bench_refs(text, docs_check.claim_ids()) \
+        == ["table1.scaffold_3x"]

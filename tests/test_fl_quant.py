@@ -35,13 +35,13 @@ from repro.fl.comm import PayloadError, deserialize_state, payload_nbytes, \
 from repro.fl.quant import (QUANT_SUFFIX, QuantConfig,
                             decode_record, dequantize_payload,
                             dequantize_values, encode_record,
-                            naive_pack_nibbles, naive_unpack_nibbles,
                             pack_nibbles, quant_payload_nbytes,
                             quantize_payload, record_nbytes,
                             stochastic_quantize, unpack_nibbles)
 from repro.fl.sparse_init import SSFL, SalientGrads
 
 from tests import matrix
+from tests.reference import naive_pack_nibbles, naive_unpack_nibbles
 
 INT8 = QuantConfig(bits=8)
 INT4 = QuantConfig(bits=4)

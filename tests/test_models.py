@@ -5,6 +5,8 @@ import pytest
 
 from repro.models import (build_model, make_resnet20, make_two_layer_cnn,
                           make_vgg11, paper_model_size_mb, MODEL_REGISTRY)
+from repro.models.vgg import VGGEncoder
+from repro.nn import BatchNorm2d, Conv2d
 from repro.tensor import Tensor
 
 
@@ -115,6 +117,75 @@ class TestChannelMasks:
             params = dict(m.encoder.named_parameters())
             for layer in m.encoder.prunable_layers():
                 assert layer + ".weight" in params
+
+
+def _perturb_batch_norms(module, seed=1):
+    """Non-zero beta, gamma != 1 and running statistics away from (0, 1):
+    what a trained network's batch norms hold."""
+    rng = np.random.default_rng(seed)
+    for _name, mod in module.named_modules():
+        if isinstance(mod, BatchNorm2d):
+            n = mod.weight.data.shape[0]
+            mod.weight.data[...] = rng.uniform(0.5, 1.5, n)
+            mod.bias.data[...] = rng.uniform(0.2, 1.0, n)
+            mod.set_buffer("running_mean",
+                           rng.normal(size=n).astype(np.float32))
+            mod.set_buffer("running_var",
+                           rng.uniform(0.5, 2.0, n).astype(np.float32))
+
+
+def _half_masks(encoder, seed=2):
+    rng = np.random.default_rng(seed)
+    specs = {s.name: s for s in encoder.conv_specs()}
+    masks = {}
+    for name in encoder.prunable_layers():
+        keep = rng.permutation(specs[name].out_channels) % 2
+        masks[name] = keep.astype(np.float32)
+    return masks
+
+
+class TestVGGMaskedBlocks:
+    """A VGG channel mask silences its filter's whole block: conv, batch
+    norm and ReLU.  Masking the conv output alone would let the channel
+    leave the block as ``relu(beta)`` in train mode and ``relu(beta -
+    gamma * mu / sigma)`` in eval mode."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("plan", [[8], [8, "M", 6], [8, 8, "M", 6, 6]])
+    def test_masked_channels_leave_the_block_as_zero(self, plan, training):
+        enc = VGGEncoder(plan, input_size=8, rng=np.random.default_rng(0))
+        _perturb_batch_norms(enc)
+        masks = _half_masks(enc)
+        enc.set_channel_masks(masks)
+        enc.train(training)
+        x = Tensor(np.random.default_rng(3).normal(
+            size=(4, 3, 8, 8)).astype(np.float32))
+        out = enc(x).data.reshape(4, enc.final_channels, -1)
+        last = masks[enc.prunable_layers()[-1]]
+        assert (out[:, last == 0] == 0).all()
+        assert (out[:, last == 1] != 0).any()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_masked_logits_equal_zeroed_filters(self, training):
+        masked = make_vgg11(input_size=32, width_mult=0.25, seed=0)
+        _perturb_batch_norms(masked)
+        zeroed = make_vgg11(input_size=32, width_mult=0.25, seed=0)
+        zeroed.load_state_dict(masked.state_dict())
+        masks = _half_masks(masked.encoder)
+        masked.encoder.set_channel_masks(masks)
+        # the masked filters' conv rows and their batch norms' gamma/beta
+        layers = list(zeroed.encoder.features)
+        for name, keep in masks.items():
+            i = int(name.split(".")[1])
+            conv, bn = layers[i], layers[i + 1]
+            assert isinstance(conv, Conv2d) and isinstance(bn, BatchNorm2d)
+            conv.weight.data[keep == 0] = 0
+            bn.weight.data[keep == 0] = 0
+            bn.bias.data[keep == 0] = 0
+        masked.train(training)
+        zeroed.train(training)
+        x = _x(masked, n=4)
+        np.testing.assert_array_equal(masked(x).data, zeroed(x).data)
 
 
 class TestRegistry:

@@ -1,18 +1,22 @@
 """CI docs-check: keep user-facing docs in sync with the code.
 
-Three invariants, all cheap and mechanical so they can gate CI:
+Four invariants, all cheap and mechanical so they can gate CI:
 
 1. **CLI coverage** — every option flag exposed by ``repro.cli`` must be
    mentioned in README.md.  PRs 1-2 added whole flag groups without
    README coverage; this check makes that class of drift a CI failure.
 2. **Flag existence** — the reverse direction: every ``--flag`` README
-   mentions must be defined somewhere — the ``repro.cli`` parser, an
-   ``add_argument`` in a benchmark/tool/example script, or the short
-   allowlist of external-tool flags (``pytest --benchmark-only``).
-   Renaming or deleting a flag without sweeping README is a CI failure.
+   mentions must be defined somewhere — the ``repro.cli`` parser or an
+   ``add_argument`` in a benchmark/tool/example script.  Renaming or
+   deleting a flag without sweeping README is a CI failure.
 3. **DESIGN section references** — every ``DESIGN.md §N`` reference in
    the source tree and docs must point at an existing ``## N.`` heading,
    so refactoring DESIGN.md cannot silently strand pointers.
+4. **Bench files and claim ids** — every ``benchmarks/<name>.py`` path
+   and every claim id (`` `table1.scaffold_2x` ``: an artifact of the
+   claims table, a dot, a claim) that README.md, EXPERIMENTS.md or
+   DESIGN.md names must exist, so deleting a bench or renaming a claim
+   cannot leave the docs pointing at nothing.
 
 Run from the repo root (CI does)::
 
@@ -44,8 +48,12 @@ _SCRIPT_GLOBS = ("benchmarks/*.py", "tools/*.py", "examples/*.py")
 _ADD_ARGUMENT = re.compile(r"add_argument\(\s*\"(--[A-Za-z][\w-]*)\"")
 _FLAG_MENTION = re.compile(r"--[A-Za-z][\w-]*")
 
-#: Flags owned by external tools that README documents invoking.
-_EXTERNAL_FLAGS = frozenset({"--benchmark-only"})  # pytest-benchmark
+# Docs whose bench paths and claim ids must resolve, and the claims table
+# (scraped, like the scripts' flags: checking it never runs it).
+_BENCH_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+_BENCH_PATH = re.compile(r"benchmarks/[\w/]+\.py")
+_CLAIMS_TABLE = "benchmarks/bench_claims.py"
+_CLAIM_ID = re.compile(r"Claim\(\s*\"([a-z0-9_.]+)\"")
 
 
 def undocumented_flags(readme_text: str, parser=None) -> list[str]:
@@ -63,8 +71,8 @@ def undocumented_flags(readme_text: str, parser=None) -> list[str]:
 
 def known_flags(root: Path = REPO_ROOT, parser=None) -> set[str]:
     """Every ``--flag`` README is allowed to mention: the ``repro.cli``
-    parser's option strings, ``add_argument`` flags scraped from the
-    benchmark/tool/example scripts, and the external-tool allowlist."""
+    parser's option strings and ``add_argument`` flags scraped from the
+    benchmark/tool/example scripts."""
     if parser is None:
         from repro.cli import build_parser
         parser = build_parser()
@@ -76,7 +84,7 @@ def known_flags(root: Path = REPO_ROOT, parser=None) -> set[str]:
                 flags.update(_ADD_ARGUMENT.findall(path.read_text()))
             except (OSError, UnicodeDecodeError):
                 continue
-    return flags | _EXTERNAL_FLAGS
+    return flags
 
 
 def unknown_readme_flags(readme_text: str, known: set[str]) -> list[str]:
@@ -108,8 +116,29 @@ def missing_design_sections(design_text: str,
             if section not in present}
 
 
+def claim_ids(root: Path = REPO_ROOT) -> set[str]:
+    """The claim ids the claims table declares."""
+    return set(_CLAIM_ID.findall((root / _CLAIMS_TABLE).read_text()))
+
+
+def stale_bench_refs(text: str, ids: set[str],
+                     root: Path = REPO_ROOT) -> list[str]:
+    """``benchmarks/*.py`` paths ``text`` names that do not exist, and the
+    claim ids it names (backticked, under a known artifact) that ``ids``
+    lacks."""
+    stale = {path for path in _BENCH_PATH.findall(text)
+             if not (root / path).exists()}
+    artifacts = sorted({claim.split(".", 1)[0] for claim in ids})
+    if artifacts:
+        named = re.compile(r"`((?:%s)\.[\w.]*\w)`"
+                           % "|".join(map(re.escape, artifacts)))
+        stale.update(claim for claim in named.findall(text)
+                     if claim not in ids)
+    return sorted(stale)
+
+
 def main() -> int:
-    """Run both checks against the working tree; print violations."""
+    """Run every check against the working tree; print violations."""
     failures = 0
 
     readme = (REPO_ROOT / "README.md").read_text()
@@ -130,6 +159,12 @@ def main() -> int:
         print(f"docs-check: DESIGN.md §{section} referenced by {where} "
               f"but DESIGN.md has no '## {section}.' heading")
         failures += 1
+
+    ids = claim_ids()
+    for doc in _BENCH_DOCS:
+        for ref in stale_bench_refs((REPO_ROOT / doc).read_text(), ids):
+            print(f"docs-check: {doc} names {ref}, which does not exist")
+            failures += 1
 
     if failures:
         print(f"docs-check: {failures} violation(s)")
