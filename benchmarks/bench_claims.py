@@ -11,6 +11,7 @@ the same code.
 Runs are shared.  A run is keyed by its config without rounds, its
 method, its overrides and its setting (:class:`Key`); it trains once
 (:func:`repro.experiments.train`), to the most rounds any read asks of
+it, or, when every read of it stops by one rule, until that rule stops
 it.  A log read gets the log of the first ``r`` rounds, cut where its
 stop rule fires (Table I's target, Table II's patience); a state read
 gets the algorithm at exactly ``r`` rounds, served in ascending ``r``.
@@ -27,8 +28,6 @@ One scale, tiny at seed 0: ``--smoke`` runs the same table.  A smaller
 one would be a second configuration of every claim, and shrinking data
 until a claim holds is what this table exists to prevent.
 """
-
-from __future__ import annotations
 
 import dataclasses
 import functools
@@ -82,16 +81,25 @@ class Key:
 class Read:
     key: Key
     rounds: int
-    #: log read: the rule that stops the run within its first ``rounds``
-    #: accuracies (rounds, or ``None`` for no stop)
-    stop: Callable | None = None
+    #: log read: the stop rule that may end the run within its first
+    #: ``rounds`` rounds, as ``train`` takes it (``target_accuracy`` or
+    #: ``patience``), as ``(name, value)`` pairs
+    stop: tuple = ()
     #: state read: the reader of the run at exactly ``rounds`` rounds
     state: Callable | None = None
 
 
 def log(cfg, method, rounds, stop=None, **overrides) -> Read:
     return Read(Key(cfg, method, tuple(sorted(overrides.items()))), rounds,
-                stop=stop)
+                stop=tuple((stop or {}).items()))
+
+
+def _stop_round(series, target_accuracy=None, patience=None):
+    """The round at which ``train(target_accuracy=, patience=)`` stops
+    within ``series``, or ``None`` where it does not."""
+    if target_accuracy is not None:
+        return rounds_to_target(series, target_accuracy)
+    return rounds_to_converge(series, patience)
 
 
 def state(cfg, method, rounds, reader, holdout=None, **overrides) -> Read:
@@ -124,7 +132,7 @@ POLICIES = {
 _split = functools.cache(holdout_split)
 
 
-def _train(key: Key, rounds: int, at: dict):
+def _train(key: Key, rounds: int, at: dict, stop: dict):
     overrides = dict(key.overrides)
     if "selection_policy" in overrides:
         overrides["selection_policy"] = \
@@ -132,7 +140,7 @@ def _train(key: Key, rounds: int, at: dict):
     setting = None if key.holdout is None else \
         _split(key.cfg, key.holdout).setting(key.cfg)
     return train(key.cfg, key.method, rounds, setting=setting, at=at,
-                 **overrides)
+                 **stop, **overrides)
 
 
 def label(key: Key) -> str:
@@ -275,14 +283,14 @@ def rl_agent():
 
 def table1():
     cfg = _cfg(model="resnet20", n_clients=6, sample_ratio=1.0)
-    reads = {m: log(cfg, m, 14, stop=lambda s: rounds_to_target(s, 0.6))
+    reads = {m: log(cfg, m, 14, stop={"target_accuracy": 0.6})
              for m in FIVE}
     return reads, lambda got: cost_rows(cfg, got, target=0.6)
 
 
 def table2():
     cfg = _cfg(model="resnet20", n_clients=10, sample_ratio=0.4, beta=0.3)
-    reads = {m: log(cfg, m, 12, stop=lambda s: rounds_to_converge(s, 6))
+    reads = {m: log(cfg, m, 12, stop={"patience": 6})
              for m in ("fedavg", "fednova", "scaffold", "spatl")}
     return reads, lambda got: cost_rows(cfg, got, target=None)
 
@@ -637,15 +645,18 @@ def _served() -> tuple[dict, list[dict]]:
             for name, what, read in items:
                 got[name][what] = read.state(run)
 
+        # a run every read of which stops by one rule stops by it, as the
+        # run of that read alone would
+        rules = {read.stop for *_, read in reads}
+        stop = dict(rules.pop()) if len(rules) == 1 and not at else {}
         t0 = time.perf_counter()
         run = _train(key, max(read.rounds for *_, read in reads),
                      {r: functools.partial(serve, items=items)
-                      for r, items in at.items()})
+                      for r, items in at.items()}, stop)
         for name, what, read in reads:
             if read.state is None:
-                rounds = read.rounds
-                if read.stop is not None:
-                    rounds = read.stop(run.log["val_acc"][:rounds]) or rounds
+                rounds = _stop_round(run.log["val_acc"][:read.rounds],
+                                     **dict(read.stop)) or read.rounds
                 got[name][what] = run.upto(rounds)
         rows.append({"name": label(key), "rounds": run.log.meta["rounds_run"],
                      "wall_s": round(time.perf_counter() - t0, 3),
