@@ -1,10 +1,9 @@
-"""The one bench harness: flags, BLAS pin, timing, record, gate, history.
+"""The one bench harness: flags, BLAS pin, timing, record, bounds, history.
 
 Each ``bench_<name>.py`` declares a :class:`Bench` — a table of
-``(case name, callable)`` rows, its full and ``--smoke`` sizes, the
-floors only it knows and the row fields the baseline rule watches — and
-its ``main`` delegates here.  Everything the benches used to repeat is
-written once in this file:
+``(case name, callable)`` rows, its full and ``--smoke`` sizes and the
+floors only it knows — and its ``main`` delegates here.  Everything the
+benches used to repeat is written once in this file:
 
 - **flags** — ``--smoke``, ``--check``, ``--out`` (plus what a bench adds
   through ``Bench.flags``); every other size is a constant of the bench;
@@ -14,15 +13,15 @@ written once in this file:
 - **record** — one shape for every bench (:data:`RECORD_KEYS`); a row is
   a flat dict carrying ``case`` (the table entry that produced it) and
   ``name`` (unique within the case);
-- **gate** — :func:`check_baseline`: a watched field of a row against the
-  same row of the last full record, ``> factor x + slack`` fails; the
-  bench's floors judge that record as well as the run's, its ``checks``
-  the run's record only;
-- **history** — ``BENCH_<name>.json`` is an append-only list.  An
+- **check** — :meth:`Bench.check`, a pure function of the run's own
+  record: :func:`bounds` (a timed row carries ``min_speedup``, a floor
+  on its ratio to the reference it is timed against, which load moves on
+  both sides; a byte count its ceiling) and the bench's ``floors``.  No
+  check reads an older record, from another box or commit;
+- **history** — ``BENCH_<name>.json`` is an append-only trajectory.  An
   unreadable history stops the run, a ``--smoke`` record never lands
-  beside a full one, ``--check`` reads its baseline before appending, and
-  a full run that fails its check lands in ``bench_<name>_failed.json``
-  (cwd, git-ignored) instead of becoming the next baseline.
+  beside a full one, and a full run that fails its check lands in
+  ``bench_<name>_failed.json`` (cwd, git-ignored) instead.
 
 Benches measure; tier-1 asserts.  A case may :func:`require` an identity
 between two states it already holds (that aborts the run, no record is
@@ -73,13 +72,15 @@ RECORD_KEYS = ("bench", "commit", "timestamp", "smoke", "env",
 
 # ---------------------------------------------------------------- timing
 def interleaved(fn_opt: Callable, fn_ref: Callable, repeats: int,
-                self_timed: bool = False) -> dict:
+                self_timed: bool = False,
+                min_speedup: float | None = None) -> dict:
     """Min-of-``repeats`` per side, alternating opt/ref every iteration so
     drift and frequency noise land on both.
 
     Each call is timed whole, unless ``self_timed``: then both sides
     return the seconds of the part of themselves that counts (a backward
-    after an untimed forward) and those are what is compared.
+    after an untimed forward) and those are what is compared.  A
+    ``min_speedup`` is carried into the row, for :func:`bounds`.
     """
     best = [float("inf"), float("inf")]
     for _ in range(repeats):
@@ -88,9 +89,13 @@ def interleaved(fn_opt: Callable, fn_ref: Callable, repeats: int,
             own = fn()
             whole = time.perf_counter() - t0
             best[side] = min(best[side], own if self_timed else whole)
-    return {"opt_ms": round(best[0] * 1e3, 4),
-            "ref_ms": round(best[1] * 1e3, 4),
-            "speedup": round(best[1] / best[0], 4)}
+    # 4 significant digits: a ratio may be ~0.005 (the async loop's)
+    row = {"opt_ms": round(best[0] * 1e3, 4),
+           "ref_ms": round(best[1] * 1e3, 4),
+           "speedup": float(f"{best[1] / best[0]:.4g}")}
+    if min_speedup is not None:
+        row["min_speedup"] = min_speedup
+    return row
 
 
 def require(ok: bool, what: str) -> None:
@@ -191,7 +196,7 @@ def load_history(path: Path) -> list[dict]:
 
 
 def last_full(history: list[dict]) -> dict | None:
-    """The baseline: the newest record of a full (non-smoke) run."""
+    """The newest record of a full (non-smoke) run."""
     return next((r for r in reversed(history)
                  if isinstance(r, dict) and r.get("smoke") is False), None)
 
@@ -234,52 +239,31 @@ def resolve_out(out: str | None, committed: Path, smoke: bool) -> Path:
     return out
 
 
-# ------------------------------------------------------------------ gate
-@dataclasses.dataclass(frozen=True)
-class Gate:
-    """One field the baseline rule watches on every row of ``case``."""
-    case: str
-    field: str
-    #: absolute allowance in the field's unit: a quiet-box min-of-many
-    #: baseline against a low-repeat run on a shared CI core jitters past
-    #: any pure ratio on sub-millisecond rows.
-    slack: float = 0.0
-    factor: float = 1.5
-
-
-def check_baseline(rows: list[dict], baseline: dict | None,
-                   gates: Iterable[Gate]) -> list[str]:
-    """The one baseline rule: ``row[field] > factor * base[field] + slack``
-    fails, for each gate, where ``base`` is the row of the same
-    ``(case, name)`` in ``baseline`` (the last full record).  Rows or
-    fields the baseline does not have are skipped — a new row has nothing
-    to regress from."""
-    gates = list(gates)
-    if not gates:
-        return []
-    if baseline is None:
-        return ["no full-run record in the committed history to check "
-                "against"]
-    base_rows = {(r["case"], r["name"]): r for r in baseline["rows"]}
+# ---------------------------------------------------------------- bounds
+def bounds(record: dict) -> list[str]:
+    """The bounds the rows carry: ``min_<field>`` / ``max_<field>`` hold
+    the row's ``<field>``; a bound whose field is missing fails too."""
     failures = []
-    for gate in gates:
-        for row in rows:
-            base = base_rows.get((row["case"], row["name"]), {})
-            if row["case"] != gate.case or gate.field not in row \
-                    or base.get(gate.field) is None:
+    for row in record["rows"]:
+        for key, bound in row.items():
+            kind, _, field = key.partition("_")
+            if kind not in ("min", "max") or not field:
                 continue
-            now, then = row[gate.field], base[gate.field]
-            if now > gate.factor * then + gate.slack:
-                failures.append(
-                    f"{row['case']}/{row['name']}: {gate.field} {now} vs "
-                    f"baseline {then} (> {gate.factor}x + {gate.slack})")
+            value = row.get(field)
+            where = f"{row['case']}/{row['name']}: {field} {value}"
+            if value is None:
+                failures.append(f"{where}, but the row carries {key}")
+            elif kind == "min" and value < bound:
+                failures.append(f"{where} below its floor {bound}")
+            elif kind == "max" and value > bound:
+                failures.append(f"{where} above its ceiling {bound}")
     return failures
 
 
 # ----------------------------------------------------------------- bench
 @dataclasses.dataclass(frozen=True)
 class Bench:
-    """One bench: a table of cases over the shared record and gate."""
+    """One bench: a table of cases over the shared record and check."""
     name: str
     doc: str
     #: ``(case name, callable)``: the callable takes the run's ``size``
@@ -287,21 +271,21 @@ class Bench:
     cases: tuple[tuple[str, Callable[[dict], Iterable[dict]]], ...]
     full: dict
     smoke: dict
-    gates: tuple[Gate, ...] = ()
     #: ``floors(record) -> failures``: what only this bench knows, judged
     #: on a record's own ``rows`` / ``smoke`` / ``env``.  Pure, so it reads
     #: a committed record — or tier-1's synthetic one — as it reads a run.
     floors: Callable[[dict], list[str]] = lambda record: []
-    #: ``checks(record) -> failures``: what ``--check`` asks of the run's
-    #: own record only — unlike the floors, never of the baseline (a
-    #: paired bench judges its own pairs, not an older record's).
-    checks: Callable[[dict], list[str]] = lambda record: []
     #: adds this bench's own flags; parsed values land in ``size``.
     flags: Callable[[argparse.ArgumentParser], None] | None = None
 
     @property
     def committed(self) -> Path:
         return REPO / f"BENCH_{self.name}.json"
+
+    def check(self, record: dict) -> list[str]:
+        """What ``--check`` asks of a record: its rows' bounds and the
+        bench's floors, read from the record alone."""
+        return bounds(record) + self.floors(record)
 
     def main(self, argv=None) -> int:
         parser = argparse.ArgumentParser(
@@ -310,9 +294,8 @@ class Bench:
                             help="CI-sized run; appends to "
                                  f"bench_{self.name}_smoke.json in the cwd")
         parser.add_argument("--check", action="store_true",
-                            help="exit non-zero on a broken floor or a "
-                                 "regression against the last full record "
-                                 f"of {self.committed.name}")
+                            help="exit non-zero on a broken bound or floor "
+                                 "of this run's record")
         parser.add_argument("--out", default=None,
                             help="history to append to (default: "
                                  f"{self.committed.name}, or the smoke file)")
@@ -322,7 +305,6 @@ class Bench:
         smoke, check, out = (args.pop(k) for k in ("smoke", "check", "out"))
         out = resolve_out(out, self.committed, smoke)
         load_history(out)                # unreadable: stop before any work
-        baseline = last_full(load_history(self.committed)) if check else None
 
         size = {**(self.smoke if smoke else self.full), **args}
         rows = []
@@ -331,17 +313,9 @@ class Bench:
                 rows.append({"case": case, **row})
                 _print_row(rows[-1])
         record = stamp(self.name, smoke, size, rows)
-        failures = []
-        if check:
-            # The baseline answers to the floors too: a record appended
-            # unjudged (no --check) below one fails every later check
-            # instead of quietly becoming what runs are compared with.
-            old = self.floors(baseline) if baseline else []
-            failures = self.floors(record) + self.checks(record) \
-                + [f"baseline {baseline['commit']}: {f}" for f in old] \
-                + check_baseline(rows, baseline, self.gates)
+        failures = self.check(record) if check else []
         if failures and out.resolve() == self.committed.resolve():
-            # a run that failed its check is not the next baseline
+            # a run that failed its check stays out of the trajectory
             out = Path(f"bench_{self.name}_failed.json")
         append_record(out, record)
         print(f"appended to {out}")

@@ -28,14 +28,15 @@ file per round (DESIGN.md §14), and pool end-to-end time is
 
     python benchmarks/bench_comm.py --smoke --check    # the CI gate
 
-Gated (``--check``): each codec/aggregate ``opt_ms`` against the last
-full record (1.5x beyond a 0.15 ms noise floor), and the delta
-downlink's byte rules — no payload exceeds the full state; a first
-contact (round 0, the late joiner) costs FedAvg exactly the full state,
-SPATL less at any round and SCAFFOLD less at round 0 (``c`` is born zero
-on both sides and its zero rows do not travel; SCAFFOLD's first fold
-moves every row of it, SPATL's Eq. 11 only the uploaded filters'); and
-SPATL's round >= 1 delta is smaller than the full state.
+Checked (``--check``): each codec / aggregate row against the
+``min_speedup`` declared beside it (the committed full-run speedup / 1.5
+when it was set), and the delta downlink's byte rules — no payload
+exceeds the full state; a first contact (round 0, the late joiner) costs
+FedAvg exactly the full state, SPATL less at any round and SCAFFOLD less
+at round 0 (``c`` is born zero on both sides and its zero rows do not
+travel; SCAFFOLD's first fold moves every row of it, SPATL's Eq. 11 only
+the uploaded filters'); and SPATL's round >= 1 delta is smaller than
+the full state.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import struct
 import time
 import zlib
 
-from _harness import Bench, Gate, interleaved, require
+from _harness import Bench, interleaved, require
 
 
 def legacy_serialize(state, checksums=False):
@@ -81,33 +82,33 @@ def codec_rows(size: dict):
             "join-based encoder that defines it")
     cache = wire.BroadcastCache()
     cache.encode(state, token=1)
-    pairs = {
+    pairs = {      # name: (optimized, reference, min_speedup)
         # serialize to immutable bytes: single-buffer writer vs joins
         "serialize.vgg11": (lambda: wire.serialize(state),
-                            lambda: legacy_serialize(state)),
+                            lambda: legacy_serialize(state), 0.67),
         "serialize.vgg11.checksums": (
             lambda: wire.serialize(state, checksums=True),
-            lambda: legacy_serialize(state, checksums=True)),
-        # serialize into reusable arena scratch (the traced-path encode)
-        "serialize.vgg11.scratch": (lambda: wire.serialize_scratch(state),
-                                    lambda: legacy_serialize(state)),
-        # deserialize: read-only views vs per-entry copies
+            lambda: legacy_serialize(state, checksums=True), 0.70),
+        # read-only views vs per-entry copies, and below a cache hit vs
+        # the encode it saves: two paths of the shared codec, held to the
+        # ratio each row exists to show (the codec's own time is judged
+        # end to end, by bench_e2e's paired cpu_s_total)
         "deserialize.vgg11.zero_copy": (
             lambda: wire.deserialize(blob, copy=False),
-            lambda: wire.deserialize(blob, copy=True)),
-        # the acceptance case: one full round trip, fast path (scratch
-        # encode + zero-copy decode) vs pre-PR path (join encode + copying
-        # decode)
+            lambda: wire.deserialize(blob, copy=True), 15.95),
+        # one full round trip: single-buffer encode + zero-copy decode vs
+        # join encode + copying decode
         "roundtrip.vgg11": (
-            lambda: wire.deserialize(wire.serialize_scratch(state),
-                                     copy=False),
-            lambda: wire.deserialize(legacy_serialize(state), copy=True)),
+            lambda: wire.deserialize(wire.serialize(state), copy=False),
+            lambda: wire.deserialize(legacy_serialize(state), copy=True),
+            0.86),
         # broadcast cache: a token hit vs re-encoding for every client
         "broadcast.hit.vgg11": (lambda: cache.encode(state, token=1),
-                                lambda: wire.serialize(state)),
+                                lambda: wire.serialize(state), 1031.5),
     }
-    for name, (opt, ref) in pairs.items():
-        yield {"name": name, **interleaved(opt, ref, size["repeats"])}
+    for name, (opt, ref, floor) in pairs.items():
+        yield {"name": name,
+               **interleaved(opt, ref, size["repeats"], min_speedup=floor)}
 
 
 def aggregate_rows(size: dict):
@@ -117,8 +118,9 @@ def aggregate_rows(size: dict):
     from tests.reference_agg import reference_salient_aggregate
 
     rng = np.random.default_rng(0)
-    for label, shape in (("conv", (256, 256, 3, 3)), ("fc", (512, 512)),
-                         ("bias", (512,))):
+    for label, shape, floor in (("conv", (256, 256, 3, 3), 1.13),
+                                ("fc", (512, 512), 1.24),
+                                ("bias", (512,), 0.57)):
         g = rng.normal(size=shape).astype(np.float32)
         uploads = []
         for _ in range(5):                       # 5 clients, ~50% selection
@@ -135,7 +137,8 @@ def aggregate_rows(size: dict):
 
         require(opt().tobytes() == ref().tobytes(),
                 f"aggregation drifted from the oracle ({label})")
-        yield {"name": label, **interleaved(opt, ref, size["repeats"])}
+        yield {"name": label, **interleaved(opt, ref, size["repeats"],
+                                            min_speedup=floor)}
 
 
 DOWNLINK_ALGOS = (("fedavg", "fedavg", {}), ("scaffold", "scaffold", {}),
@@ -227,8 +230,6 @@ BENCH = Bench(
            ("downlink", downlink_rows)),
     full=dict(repeats=30, downlink_clients=4),
     smoke=dict(repeats=8, downlink_clients=2),
-    gates=(Gate("codec", "opt_ms", slack=0.15),
-           Gate("aggregate", "opt_ms", slack=0.15)),
     floors=floors)
 
 

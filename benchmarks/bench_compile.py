@@ -22,12 +22,12 @@ the eager one), at two granularities:
 
     python benchmarks/bench_compile.py --smoke --check    # the CI gate
 
-Gated (``--check``): any steady-state arena miss, a compiled micro time
-beyond 1.5x the last full record (past a 0.15 ms noise floor), and — on
-full runs and on the baseline record — a resnet20 e2e speedup below
-1.2x (the quiet-box target is >= 1.3x; smoke runs skip it on their own
-rows: one timed round on a shared CI core jitters past any honest
-threshold).
+Checked (``--check``): any steady-state arena miss, a micro row below
+the ``min_speedup`` declared beside it (the committed full-run speedup /
+1.5 when it was set: replay vs eager through the shared kernels, whose
+own time ``bench_e2e`` judges end to end), and — on full runs — a
+resnet20 e2e speedup below 1.2x (the quiet-box target is >= 1.3x; smoke
+runs skip it: one timed round on a shared CI core jitters past it).
 """
 
 from __future__ import annotations
@@ -35,14 +35,15 @@ from __future__ import annotations
 import itertools
 import time
 
-from _harness import SEED, Bench, Gate, interleaved, require
+from _harness import SEED, Bench, interleaved, require
 
 MIN_E2E_SPEEDUP = 1.2       # full-run floor on the resnet20 e2e row
-# (model, size, chans, batch) — cnn2.bs4 is the dispatch-overhead probe,
-# resnet20.bs4 the headline config (and the arena-miss probe), bs16/bs32
-# the progressively kernel-bound limit.
-MICRO = (("cnn2", 16, 1, 4), ("resnet20", 16, 3, 4), ("resnet20", 16, 3, 16),
-         ("resnet20", 16, 3, 32), ("vgg11", 32, 3, 8))
+# (model, size, chans, batch, min_speedup) — cnn2.bs4 is the
+# dispatch-overhead probe, resnet20.bs4 the headline config (and the
+# arena-miss probe), bs16/bs32 the progressively kernel-bound limit.
+MICRO = (("cnn2", 16, 1, 4, 0.88), ("resnet20", 16, 3, 4, 0.87),
+         ("resnet20", 16, 3, 16, 0.79), ("resnet20", 16, 3, 32, 0.71),
+         ("vgg11", 32, 3, 8, 0.69))
 ARENA_PROBE = "resnet20.bs4"
 MODELS = ("resnet20", "vgg11")
 
@@ -64,7 +65,7 @@ def micro_rows(size: dict):
     from repro.tensor.compile import StepCompiler
     from repro.tensor.workspace import stats_snapshot
 
-    for model_name, side, chans, bs in MICRO:
+    for model_name, side, chans, bs, floor in MICRO:
         name = f"{model_name}.bs{bs}"
         rng = np.random.default_rng(SEED)
         xb = rng.standard_normal((bs, chans, side, side)).astype(np.float32)
@@ -89,7 +90,8 @@ def micro_rows(size: dict):
             compiled_step()
         before = stats_snapshot()
         row = {"name": name,
-               **interleaved(compiled_step, eager_step, size["repeats"])}
+               **interleaved(compiled_step, eager_step, size["repeats"],
+                             min_speedup=floor)}
         if name == ARENA_PROBE:
             row["arena_misses_steady"] = int(sum(
                 st[1] - (before[tag][1] if tag in before else 0)
@@ -169,7 +171,6 @@ BENCH = Bench(
     cases=(("micro", micro_rows), ("e2e", e2e_rows)),
     full=dict(repeats=40, rounds=2, clients=6, samples=1200),
     smoke=dict(repeats=10, rounds=1, clients=3, samples=400),
-    gates=(Gate("micro", "opt_ms", slack=0.15),),
     floors=floors)
 
 

@@ -211,18 +211,18 @@ def e2e_rows(size: dict):
 
 
 def floors(record: dict) -> list[str]:
-    """What any record holds, the committed baseline included."""
+    """Output checks passed, no probe missing, then :func:`pair_checks`."""
     rows = record["rows"]
     return [f"e2e/{r['name']}: an output check failed" for r in rows
             if not r["correct"]] + \
            [f"e2e/{r['name']}: probes missing {r['probes_missing']}"
-            for r in rows if r["probes_missing"]]
+            for r in rows if r["probes_missing"]] + pair_checks(record)
 
 
 def pair_checks(record: dict) -> list[str]:
-    """What ``--check`` asks of this run's own pairs: equal fingerprints
-    and, on full runs, no ``worse`` verdict on a ``BENCHMARK.json`` metric
-    or ``failed_ops_ratio``, nor a resolved CPU-second ratio > 1 + DELTA."""
+    """What the record's own pairs must show: equal fingerprints and, on
+    full runs, no ``worse`` verdict on a ``BENCHMARK.json`` metric or
+    ``failed_ops_ratio``, nor a resolved CPU-second ratio > 1 + DELTA."""
     failures = []
     for row in record["rows"]:
         name, m = f"e2e/{row['name']}", row["metrics"]
@@ -257,7 +257,7 @@ def flags(parser) -> None:
 BENCH = Bench(
     name="e2e", doc=__doc__, cases=(("e2e", e2e_rows),),
     full=dict(smoke=False), smoke=dict(smoke=True),
-    floors=floors, checks=pair_checks, flags=flags)
+    floors=floors, flags=flags)
 main = BENCH.main
 
 

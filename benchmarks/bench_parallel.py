@@ -18,9 +18,9 @@ worker the pool must win (DESIGN.md §14).  The workload is the same in
 smoke and full runs: a shorter one would mostly time pool start-up.
 
 ``--check`` turns measured floors into an exit code (see
-:func:`check_rows`), and holds ``worker_peak_rss_mb`` to 1.1x the last
-full record's.  One invocation produces the whole curve, and the
-tier-1 suite already asserts the byte-identity the curve depends on.
+:func:`check_rows`) and holds ``worker_peak_rss_mb`` to
+:data:`MAX_WORKER_PEAK_MB`.  One invocation produces the whole curve,
+and the tier-1 suite asserts the byte-identity the curve depends on.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ from pathlib import Path
 if str(Path(__file__).resolve().parent) not in sys.path:
     sys.path.append(str(Path(__file__).resolve().parent))
 
-from _harness import SEED, Bench, Gate  # noqa: E402
+from _harness import SEED, Bench  # noqa: E402
 
 WORKLOAD = dict(clients=8, rounds=3)
+# 1.10 x the 53.08 MB measured at 2135744: a second copy of the replica's
+# arrays (not views of the forked memory) puts a worker ~16 % over it.
+MAX_WORKER_PEAK_MB = 58.388
 
 
 def process_floor(workers: int, cpus_usable: int) -> float:
@@ -109,19 +112,17 @@ def sweep_rows(size: dict):
                "final_acc": round(accs[-1], 4)}
         if worker_peak is not None:
             row["worker_peak_rss_mb"] = worker_peak
+            row["max_worker_peak_rss_mb"] = MAX_WORKER_PEAK_MB
         yield row
 
 
-def check_rows(rows: list[dict], cpus_usable: int,
-               floors: dict | None = None) -> list[str]:
+def check_rows(rows: list[dict], cpus_usable: int) -> list[str]:
     """Regression gate over one sweep's rows; returns human-readable errors.
 
     Every row must be byte-identical to serial, and every ``process:N``
-    row must reach :func:`process_floor` for ``cpus_usable`` (``floors``
-    maps an engine kind to a floor that replaces the computed one).
-    Pure function so tests can feed it synthetic rows.
+    row must reach :func:`process_floor` for ``cpus_usable``.  Pure
+    function so tests can feed it synthetic rows.
     """
-    floors = floors or {}
     errors = []
     for row in rows:
         spec = row["executor"]
@@ -129,10 +130,10 @@ def check_rows(rows: list[dict], cpus_usable: int,
             errors.append(f"{spec}: final state diverged from serial")
             continue
         parsed = parse_spec(spec)
-        floor = floors.get(parsed["kind"])
-        if floor is None and parsed["kind"] == "process":
-            floor = process_floor(parsed["workers"], cpus_usable)
-        if floor is not None and row["speedup_vs_serial"] < floor:
+        if parsed["kind"] != "process":
+            continue
+        floor = process_floor(parsed["workers"], cpus_usable)
+        if row["speedup_vs_serial"] < floor:
             errors.append(f"{spec}: speedup {row['speedup_vs_serial']:.3f}x "
                           f"below the {floor:.2f}x floor")
     return errors
@@ -141,9 +142,6 @@ def check_rows(rows: list[dict], cpus_usable: int,
 BENCH = Bench(
     name="parallel", doc=__doc__, cases=(("sweep", sweep_rows),),
     full=WORKLOAD, smoke=WORKLOAD,
-    # A worker's replica is views of the memory the fork shares: a second
-    # copy of its arrays puts the worker peak ~16 % over the baseline.
-    gates=(Gate("sweep", "worker_peak_rss_mb", factor=1.1),),
     # judged by the cores of the box that measured the record
     floors=lambda record: check_rows(record["rows"],
                                      record["env"]["cpus_usable"]),

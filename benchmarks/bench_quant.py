@@ -3,9 +3,10 @@
 Measures the low-bit uplink codec (DESIGN.md §16) at three levels:
 
 - **micro** — vectorized int4 nibble pack/unpack vs a per-element
-  reference (required bitwise-equal before it is timed), and stochastic
-  int8/int4 quantize/encode/decode passes over a resnet20-sized tensor
-  (a full-width resnet20 carries ~271k parameters);
+  reference (required bitwise-equal before it is timed), stochastic
+  quantize vs the per-block float64 oracle (bitwise-equal in tier-1) and
+  int4 vs int8 record encode/decode, over a resnet20-sized tensor (a
+  full-width resnet20 carries ~271k parameters);
 - **ratios** — real FedAvg rounds on a full-width resnet20 with
   ``--quant-bits 32/8/4``: uplink bytes as charged by the
   :class:`~repro.fl.comm.CommLedger`, beside the codec's own
@@ -21,18 +22,18 @@ test_bits32_config_is_byte_identical_to_unquantized``.
 
     python benchmarks/bench_quant.py --smoke --check    # the CI gate
 
-Gated (``--check``): a micro ``opt_ms`` beyond 1.5x the last full record
-(past a 0.15 ms noise floor), pack/unpack under 10x vs the per-element
-reference, int8/int4 ratios under 3.9x/7.5x, ledger and codec byte
-counts that disagree, and — on full runs — int8+EF more than one point
-from fp32.
+Checked (``--check``): a micro row below the ``min_speedup`` declared
+beside it (the committed full-run speedup / 1.5 when it was set),
+pack/unpack under 10x, int8/int4 ratios under 3.9x/7.5x, ledger and
+codec byte counts that disagree, and — on full runs — int8+EF more than
+one point from fp32.
 """
 
 from __future__ import annotations
 
 import time
 
-from _harness import SEED, Bench, Gate, interleaved, require
+from _harness import SEED, Bench, interleaved, require
 
 MICRO_N = 271_117            # values per micro case: one full-width resnet20
 MIN_NIBBLE_SPEEDUP = 10.0
@@ -46,7 +47,9 @@ def micro_rows(size: dict):
                                 pack_nibbles, stochastic_quantize,
                                 unpack_nibbles)
     from repro.utils.rng import spawn_rng
-    from tests.reference import naive_pack_nibbles, naive_unpack_nibbles
+    from tests.reference import (naive_pack_nibbles,
+                                 naive_stochastic_quantize,
+                                 naive_unpack_nibbles)
 
     n = MICRO_N
     rng = np.random.default_rng(0)
@@ -61,33 +64,35 @@ def micro_rows(size: dict):
     rec8, _ = encode_record(values, QuantConfig(bits=8), spawn_rng(0, "r8"))
     rec4, _ = encode_record(values, QuantConfig(bits=4), spawn_rng(0, "r4"))
 
-    def quantize(bits, block, key):
-        return lambda: stochastic_quantize(values, bits, block,
-                                           spawn_rng(0, key))
+    def quantize(quantizer, bits, block):
+        return lambda: quantizer(values, bits, block, spawn_rng(0, "q"))
 
     def encode(bits, key):
         return lambda: encode_record(values, QuantConfig(bits=bits),
                                      spawn_rng(0, key))
 
-    pairs = {
-        # the acceptance cases: vectorized nibble kernels vs Python loops
+    pairs = {      # name: (optimized, reference, min_speedup)
         "pack.int4": (lambda: pack_nibbles(codes),
-                      lambda: naive_pack_nibbles(codes)),
+                      lambda: naive_pack_nibbles(codes), 101.93),
         "unpack.int4": (lambda: unpack_nibbles(packed, n),
-                        lambda: naive_unpack_nibbles(packed, n)),
-        # stochastic quantize + full record encode/decode throughput: both
-        # sides optimized (the quantize rows time one function twice; the
-        # record rows put int8 on the ref side, so their ratio reads as
-        # "int4 cost relative to int8") — what --check tracks is opt_ms
-        # against the last full record
-        "quantize.int8.per_tensor": (quantize(8, 0, "b8"),) * 2,
-        "quantize.int4.block256": (quantize(4, 256, "b4"),) * 2,
-        "encode_record.int4_vs_int8": (encode(4, "r4"), encode(8, "r8")),
+                        lambda: naive_unpack_nibbles(packed, n), 195.25),
+        "quantize.int8.per_tensor": (
+            quantize(stochastic_quantize, 8, 0),
+            quantize(naive_stochastic_quantize, 8, 0), 0.63),
+        "quantize.int4.block256": (
+            quantize(stochastic_quantize, 4, 256),
+            quantize(naive_stochastic_quantize, 4, 256), 0.97),
+        # int4 vs int8 through the shared codec: held to the ratio the
+        # rows exist to show (int4's nibbles over int8's bytes); time in
+        # the codec is judged end to end (bench_e2e's cpu_s_total)
+        "encode_record.int4_vs_int8": (encode(4, "r4"), encode(8, "r8"),
+                                       0.64),
         "decode_record.int4_vs_int8": (lambda: decode_record(rec4),
-                                       lambda: decode_record(rec8)),
+                                       lambda: decode_record(rec8), 0.46),
     }
-    for name, (opt, ref) in pairs.items():
-        yield {"name": name, **interleaved(opt, ref, size["repeats"])}
+    for name, (opt, ref, floor) in pairs.items():
+        yield {"name": name,
+               **interleaved(opt, ref, size["repeats"], min_speedup=floor)}
 
 
 def ratio_rows(size: dict):
@@ -179,7 +184,6 @@ BENCH = Bench(
               acc_samples=1500),
     smoke=dict(repeats=8, ratio_clients=2, ratio_samples=48, acc_rounds=3,
                acc_samples=600),
-    gates=(Gate("micro", "opt_ms", slack=0.15),),
     floors=floors)
 
 

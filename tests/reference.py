@@ -10,8 +10,9 @@ manager that patches them back in so golden-state tests and
 ``benchmarks/bench_kernels.py`` can run the exact pre-PR code path and
 compare final model states byte-for-byte against the optimized kernels.
 
-It also keeps the per-element int4 nibble packer, the oracle of the
-quantized codec's vectorized one (``repro.fl.quant``).  It lives beside
+It also keeps the per-element int4 nibble packer and the per-block
+stochastic quantizer, the oracles of the quantized codec's vectorized
+ones (``repro.fl.quant``).  It lives beside
 its users, outside the package: nothing on the training path imports
 it.  See DESIGN.md §10.
 """
@@ -48,6 +49,31 @@ def naive_unpack_nibbles(packed: np.ndarray, n: int) -> np.ndarray:
         byte = int(packed[i // 2])
         out[i] = (byte & 0x0F) if i % 2 == 0 else (byte >> 4)
     return out
+
+
+def naive_stochastic_quantize(values: np.ndarray, bits: int, block: int,
+                              rng: np.random.Generator
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 oracle of :func:`repro.fl.quant.stochastic_quantize`, one
+    block at a time: each block's float32 scale is its absmax over qmax,
+    and each value rounds down or up by its slot of one
+    ``rng.random((nb, width))`` draw (a short last block leaves its
+    padding slots' draws unused)."""
+    qmax, bias = 2 ** (bits - 1) - 1, 2 ** (bits - 1)
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    width = flat.size if block == 0 else block
+    nb = 1 if block == 0 else -(-flat.size // block)
+    draws = rng.random((nb, width))
+    codes = np.empty(flat.size, dtype=np.uint8)
+    scales = np.empty(nb, dtype=np.float32)
+    for b in range(nb):
+        chunk = flat[b * width:(b + 1) * width]
+        scales[b] = np.abs(chunk).max() / qmax
+        y = chunk / (np.float64(scales[b]) if scales[b] > 0 else 1.0)
+        lo = np.floor(y)
+        q = np.clip(lo + (draws[b, :chunk.size] < y - lo), -qmax, qmax)
+        codes[b * width:b * width + chunk.size] = (q + bias).astype(np.uint8)
+    return codes, scales
 
 
 # --------------------------------------------------------------------- #

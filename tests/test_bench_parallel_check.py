@@ -65,12 +65,6 @@ def test_vectorized_must_beat_serial(bench):
     assert bench.check_rows([_row("process:4", 0.97)], cpus_usable=2) == []
 
 
-def test_custom_floors_override_defaults(bench):
-    rows = [_row("process:4", 0.5)]
-    assert bench.check_rows(rows, 1, floors={"process": 0.4}) == []
-    assert bench.check_rows(rows, 1, floors={"process": 0.6}) != []
-
-
 def test_spec_parsing(bench):
     assert bench.parse_spec("process:4") == {
         "spec": "process:4", "kind": "process", "workers": 4}

@@ -41,7 +41,8 @@ from repro.fl.quant import (QUANT_SUFFIX, QuantConfig,
 from repro.fl.sparse_init import SSFL, SalientGrads
 
 from tests import matrix
-from tests.reference import naive_pack_nibbles, naive_unpack_nibbles
+from tests.reference import (naive_pack_nibbles, naive_stochastic_quantize,
+                             naive_unpack_nibbles)
 
 INT8 = QuantConfig(bits=8)
 INT4 = QuantConfig(bits=4)
@@ -122,6 +123,21 @@ class TestStochasticQuantize:
     def test_block_count_rounds_up(self):
         _, scales = stochastic_quantize(np.ones(100), 8, 32, _rng(0))
         assert scales.size == 4          # ceil(100 / 32)
+
+    @pytest.mark.parametrize("bits", [8, 4])
+    @pytest.mark.parametrize("block", [0, 256])
+    def test_matches_the_per_block_oracle_bitwise(self, bits, block):
+        """Same seeded stream, same codes and scales as the float64
+        per-block loop — over a length that is no multiple of the block,
+        with one all-zero block."""
+        x = _rng(9).normal(size=1000).astype(np.float32)
+        x[256:512] = 0.0
+        got = stochastic_quantize(x, bits, block, _rng(4))
+        want = naive_stochastic_quantize(x, bits, block, _rng(4))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if block:
+            assert got[1].size == 4 and got[1][1] == 0.0
 
 
 class TestRecords:
