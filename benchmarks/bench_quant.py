@@ -90,6 +90,16 @@ def micro_rows(size: dict):
         "decode_record.int4_vs_int8": (lambda: decode_record(rec4),
                                        lambda: decode_record(rec8), 0.46),
     }
+    # One shared warm-up before anything is timed, so a row reads the
+    # same whatever ran before it in the process.  Freeing one 16 MB
+    # block raises glibc's dynamic mmap threshold past the vectorized
+    # side's ~2 MB temporaries, as a long run's large frees do: below it
+    # each call page-faults fresh mmaps (int4.block256 read 1.6x in a
+    # fresh process, 3.7x after bench_comm's codec rows).
+    np.empty(2 ** 24, dtype=np.uint8)       # allocated and freed at once
+    for opt, ref, _floor in pairs.values():
+        opt()
+        ref()
     for name, (opt, ref, floor) in pairs.items():
         yield {"name": name,
                **interleaved(opt, ref, size["repeats"], min_speedup=floor)}

@@ -1,15 +1,18 @@
-"""Command-line entry point: run any paper experiment by name.
+"""Command-line entry point: render any paper artifact by name.
 
 Usage::
 
     python -m repro.cli list
-    python -m repro.cli learning-efficiency --scale tiny --model resnet20
-    python -m repro.cli table1 --target 0.6 --clients 6
-    python -m repro.cli ablation-gradctl --rounds 12
-    python -m repro.cli all --scale tiny          # everything, sequentially
+    python -m repro.cli table1                  # Table I: cost to 60 %
+    python -m repro.cli fig3 --clients 2 --rounds 1
+    python -m repro.cli all --scale tiny        # everything, runs shared
 
-Each command prints the same rows/series its paper counterpart reports and
-exits non-zero on failure, so the CLI doubles as a smoke harness.
+A paper artifact (``repro.experiments.registry``) prints its reader's
+value; its config is the artifact's own, with each config flag the command
+line sets over it, and ``--rounds N`` caps every count it runs at N.  The
+other commands (``async-convergence``, ``scale``, ``profile``) take their
+config from the flags.  Every command exits non-zero on failure, so the
+CLI doubles as a smoke harness.
 """
 
 from __future__ import annotations
@@ -17,143 +20,77 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from repro.experiments import (ablation_gradient_control, ablation_selection,
-                               ablation_transfer, async_convergence,
-                               config_for, fault_degradation_curve,
-                               inference_acceleration_table,
-                               learning_efficiency_curves,
-                               local_accuracy_figure,
-                               pruning_comparison_table, render_fault_table,
-                               rl_finetune_figure,
-                               render_async_table, rounds_to_target_figure,
-                               table1_target_cost, table2_convergence,
-                               transferability_table)
-from repro.fl import AsyncConfig, AsyncFederatedRunner, AsyncProfile
+from repro.experiments import ExperimentConfig, async_convergence, \
+    config_for, render_async_table
 from repro.experiments.communication import render_cost_table
-from repro.experiments.configs import (make_algorithm, make_dataset,
-                                       make_setting)
-from repro.experiments.inference import render_inference_table
-from repro.experiments.learning_efficiency import converge_accuracy_summary
+from repro.experiments.configs import make_algorithm, make_dataset, \
+    make_model_fn, make_setting
 from repro.experiments.pruning_compare import render_pruning_table
+from repro.experiments.registry import ARTIFACTS, Base, serve
+from repro.fl import AsyncConfig, AsyncFederatedRunner, AsyncProfile
 from repro.obs import (MetricsRegistry, Tracer, downlink_line, get_registry,
                        get_tracer, hotspot_table, round_timeline_table,
                        set_registry, set_tracer, step_compiler_line,
                        transfer_byte_totals)
 
+#: the flags whose argparse dest is not the config field they set
+_RENAMED = {"clients": "n_clients", "fault_drop": "fault_drop_prob",
+            "fault_corrupt": "fault_corrupt_prob",
+            "fault_straggler": "fault_straggler_prob",
+            "fault_crash": "fault_crash_prob"}
+
+
+def _fields(args) -> dict:
+    """The config fields the command line sets: every config flag but
+    ``--seed`` that differs from its default."""
+    parser, names = build_parser(), {f.name for f in fields(ExperimentConfig)}
+    return {_RENAMED.get(dest, dest): value
+            for dest, value in vars(args).items()
+            if _RENAMED.get(dest, dest) in names - {"seed"}
+            and value != parser.get_default(dest)}
+
 
 def _cfg(args, **extra):
-    overrides = dict(model=args.model, n_clients=args.clients,
-                     sample_ratio=args.sample_ratio, seed=args.seed,
-                     fault_drop_prob=args.fault_drop,
-                     fault_corrupt_prob=args.fault_corrupt,
-                     fault_straggler_prob=args.fault_straggler,
-                     fault_slowdown=args.fault_slowdown,
-                     fault_timeout=args.fault_timeout,
-                     fault_crash_prob=args.fault_crash,
-                     fault_retries=args.fault_retries,
-                     fault_seed=args.fault_seed,
-                     min_clients=args.min_clients,
-                     workers=args.workers,
-                     compile=args.compile,
-                     quant_bits=args.quant_bits, quant_block=args.quant_block,
-                     quant_ef=not args.no_quant_ef,
-                     mask_density=args.mask_density)
-    if args.rounds:
-        overrides["rounds"] = args.rounds
-    overrides.update(extra)
-    return config_for(args.scale, **overrides)
+    """The config of the commands that are not paper artifacts."""
+    return config_for(args.scale, seed=args.seed,
+                      **{"model": "resnet20", "n_clients": 6,
+                         "sample_ratio": 0.7, **_fields(args), **extra})
 
 
-def cmd_learning_efficiency(args) -> None:
-    """Fig. 3: accuracy-vs-round curves for all methods."""
-    cfg = _cfg(args)
-    results = learning_efficiency_curves(cfg)
-    print(json.dumps({m: [round(a, 4) for a in log["val_acc"]]
-                      for m, log in results.items()}, indent=2))
-    print("converged:", {k: round(v, 4) for k, v in
-                         converge_accuracy_summary(results).items()})
+#: artifacts printed as a table; every other prints its reader's value
+_TABLES = {
+    "table1": lambda rows: render_cost_table(rows, "Table I: cost to 60%"),
+    "table2": lambda rows: render_cost_table(rows, "Table II: to convergence"),
+    "table4": lambda by_method: render_pruning_table(list(by_method.values())),
+}
 
 
-def cmd_table1(args) -> None:
-    """Table I: cost to reach a target accuracy."""
-    cfg = _cfg(args)
-    rows = table1_target_cost(cfg, target=args.target)
-    print(render_cost_table(rows, f"Table I: cost to {args.target:.0%}"))
+def _plain(value):
+    """A reader's value as JSON holds it: tuple keys joined by ``/``."""
+    if not isinstance(value, dict):
+        return value
+    return {"/".join(map(str, k)) if isinstance(k, tuple) else k: _plain(v)
+            for k, v in value.items()}
 
 
-def cmd_table2(args) -> None:
-    """Table II: train-to-convergence cost and accuracy."""
-    cfg = _cfg(args)
-    rows = table2_convergence(cfg, patience=args.patience)
-    print(render_cost_table(rows, "Table II: train to convergence"))
+def render(name: str, value) -> str:
+    """What ``repro <name>`` prints of the artifact's reader's value."""
+    if name in _TABLES:
+        return _TABLES[name](value)
+    return json.dumps(_plain(value), indent=2)
 
 
-def cmd_train_rounds(args) -> None:
-    """Rounds-to-target figure."""
-    cfg = _cfg(args)
-    print(json.dumps({m: {str(t): v for t, v in hits.items()}
-                      for m, hits in rounds_to_target_figure(cfg).items()},
-                     indent=2))
-
-
-def cmd_local_accuracy(args) -> None:
-    """Per-client accuracy figure (SPATL vs SCAFFOLD)."""
-    cfg = _cfg(args)
-    print(json.dumps(local_accuracy_figure(cfg), indent=2))
-
-
-def cmd_inference(args) -> None:
-    """Inference-acceleration (FLOPs) table."""
-    cfg = _cfg(args)
-    result = inference_acceleration_table(cfg)
-    print(render_inference_table([result]))
-
-
-def cmd_transfer(args) -> None:
-    """Table III: transferability to held-out data."""
-    cfg = _cfg(args)
-    print(json.dumps(transferability_table(cfg), indent=2))
-
-
-def cmd_pruning(args) -> None:
-    """Table IV: pruning-method comparison."""
-    cfg = _cfg(args)
-    print(render_pruning_table(pruning_comparison_table(cfg)))
-
-
-def cmd_ablation_selection(args) -> None:
-    """Fig. 4 ablation: selection on/off."""
-    _print_ablation(ablation_selection(_cfg(args)))
-
-
-def cmd_ablation_transfer(args) -> None:
-    """Fig. 5(a) ablation: transfer on/off."""
-    _print_ablation(ablation_transfer(_cfg(args, beta=0.2)))
-
-
-def cmd_ablation_gradctl(args) -> None:
-    """Fig. 5(b) ablation: gradient control on/off."""
-    _print_ablation(ablation_gradient_control(_cfg(args, sample_ratio=0.5)))
-
-
-def cmd_fault_tolerance(args) -> None:
-    """Degradation experiment: accuracy vs injected failure rate."""
-    cfg = _cfg(args)
-    rates = tuple(args.fault_rates) if args.fault_rates else (0.0, 0.1, 0.3)
-    results = fault_degradation_curve(cfg, drop_probs=rates,
-                                      corrupt_prob=args.fault_corrupt or 0.02)
-    print(render_fault_table(results))
-
-
-def cmd_rl_finetune(args) -> None:
-    """Fig. 6: agent pretrain/finetune rewards."""
-    cfg = _cfg(args, model="resnet56")
-    result = rl_finetune_figure(cfg)
-    print("pretrain rewards:",
-          [round(r, 3) for r in result["pretrain_rewards"]])
-    print("finetune rewards:",
-          [round(r, 3) for r in result["finetune_rewards"]])
+def cmd_artifacts(args, names) -> None:
+    """Serve the artifacts ``names`` at the command line's config, each
+    run trained once, and print each one's value."""
+    base = Base(args.scale, args.seed, tuple(sorted(_fields(args).items())))
+    results, _, _ = serve(base, names)
+    for name, value in results.items():
+        if len(results) > 1:
+            print(f"\n===== {name} ({ARTIFACTS[name][0]}) =====")
+        print(render(name, value))
 
 
 def _async_profile(args) -> AsyncProfile:
@@ -191,16 +128,16 @@ def cmd_async_convergence(args) -> None:
 
 
 def cmd_scale(args) -> None:
-    """Population-scale rounds: virtual clients over a spill-to-disk
-    client-state store and streaming fold aggregation (DESIGN.md §13).
-    Byte-identical to the materialized baseline round loop, under
-    ``--fault-*`` / ``--min-clients`` too."""
+    """Population-scale rounds over virtual clients (DESIGN.md §13).
+
+    The clients live in a spill-to-disk client-state store and fold by
+    streaming aggregation.  Byte-identical to the materialized baseline
+    round loop, under ``--fault-*`` / ``--min-clients`` too."""
     import tempfile
 
     from repro.data import dirichlet_partition
     from repro.fl import (ClientStateStore, ScaleRunner,
                           ShardedClientFactory, VirtualClientPool)
-    from repro.models import build_model
     from repro.obs import observe_peak_rss
 
     cfg = _cfg(args, n_clients=args.population)
@@ -214,14 +151,8 @@ def cmd_scale(args) -> None:
                              batch_size=cfg.batch_size, seed=cfg.seed),
         args.population, store, resident_limit=args.resident)
     del ds      # the samples are in the store directory now
-    in_size = cfg.input_size
-
-    def model_fn():
-        return build_model(cfg.model, num_classes=cfg.num_classes,
-                           input_size=in_size, width_mult=cfg.width_mult,
-                           seed=cfg.seed + 1)
-
-    algo = make_algorithm(args.algorithm, cfg, model_fn, pool.clients())
+    algo = make_algorithm(args.algorithm, cfg, make_model_fn(cfg),
+                          pool.clients())
     # Full (per-client) evaluation is O(population) forward passes;
     # large populations report loss only.
     eval_mode = "full" if args.population <= 256 else "none"
@@ -341,25 +272,7 @@ def _export_metrics(path: str) -> None:
     print(f"metrics written to {path}", file=sys.stderr)
 
 
-def _print_ablation(results) -> None:
-    for name, log in results.items():
-        print(f"{name:26s} {[round(a, 3) for a in log['val_acc']]}")
-
-
 COMMANDS = {
-    "learning-efficiency": cmd_learning_efficiency,
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "train-rounds": cmd_train_rounds,
-    "local-accuracy": cmd_local_accuracy,
-    "inference": cmd_inference,
-    "transfer": cmd_transfer,
-    "pruning": cmd_pruning,
-    "ablation-selection": cmd_ablation_selection,
-    "ablation-transfer": cmd_ablation_transfer,
-    "ablation-gradctl": cmd_ablation_gradctl,
-    "rl-finetune": cmd_rl_finetune,
-    "fault-tolerance": cmd_fault_tolerance,
     "async-convergence": cmd_async_convergence,
     "scale": cmd_scale,
     "profile": cmd_profile,
@@ -370,16 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (one subcommand per experiment)."""
     parser = argparse.ArgumentParser(prog="repro",
                                      description=__doc__.split("\n")[0])
-    parser.add_argument("command", choices=list(COMMANDS) + ["list", "all"])
+    parser.add_argument("command",
+                        choices=[*ARTIFACTS, *COMMANDS, "list", "all"])
     parser.add_argument("--scale", default="tiny",
                         choices=["tiny", "small", "paper"])
-    parser.add_argument("--model", default="resnet20")
-    parser.add_argument("--clients", type=int, default=6)
-    parser.add_argument("--sample-ratio", type=float, default=0.7)
-    parser.add_argument("--rounds", type=int, default=None)
+    parser.add_argument("--model")
+    parser.add_argument("--clients", type=int)
+    parser.add_argument("--sample-ratio", type=float)
+    parser.add_argument("--rounds", type=int)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--target", type=float, default=0.6)
-    parser.add_argument("--patience", type=int, default=5)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the per-client round loop "
                              "(1 = in-process serial executor; N>1 fans "
@@ -406,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     quant.add_argument("--quant-block", type=int, default=0,
                        help="values per quantization scale block "
                             "(0 = one float32 scale per tensor)")
-    quant.add_argument("--no-quant-ef", action="store_true",
+    quant.add_argument("--no-quant-ef", dest="quant_ef", action="store_false",
                        help="disable error feedback (per-client residuals "
                             "of the rounding error, folded into the next "
                             "round's upload)")
@@ -436,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fault RNG seed (defaults to --seed)")
     faults.add_argument("--min-clients", type=int, default=1,
                         help="quorum: min surviving updates to commit a round")
-    faults.add_argument("--fault-rates", type=float, nargs="+", default=None,
-                        help="drop rates swept by the fault-tolerance command")
     asyn = parser.add_argument_group(
         "asynchronous runtime",
         "Event-driven buffered-aggregation server on a deterministic "
@@ -516,9 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_commands(args) -> None:
     """Execute the selected command (or every command for ``all``)."""
     if args.command == "all":
+        cmd_artifacts(args, list(ARTIFACTS))
         for name, fn in COMMANDS.items():
             print(f"\n===== {name} =====")
             fn(args)
+    elif args.command in ARTIFACTS:
+        cmd_artifacts(args, [args.command])
     else:
         COMMANDS[args.command](args)
 
@@ -527,7 +440,10 @@ def main(argv=None) -> int:
     """Dispatch a CLI invocation; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        print("\n".join(COMMANDS))
+        for name, (section, _) in ARTIFACTS.items():
+            print(f"{name:18s} {section}")
+        for name, fn in COMMANDS.items():
+            print(f"{name:18s} {fn.__doc__.splitlines()[0]}")
         return 0
     # The profile command owns its tracer (and its exports); every other
     # command gets a run-scoped tracer only when an export was requested.

@@ -33,37 +33,38 @@ import numpy as np
 class SalientAccumulator:
     """Running Eq. 12 state for one layer: the repo's one scatter/count body.
 
-    Holds the float64 snapshot of the pre-round global weight (every diff
-    is taken against it), the scatter-add of ``w_i * (W_i[idx] - W[idx])``
-    and the per-filter coverage denominators — float64 sums of covering
-    weights, added in upload order (exactly ``np.bincount(...,
-    weights=...)`` over the concatenated indices).  Unit weights make
-    both exact: ``1.0 * diff`` is ``diff`` and the coverage sums are
-    integers, so they are bitwise the unweighted reduction.  Uploads fold
-    in one at a time, so a batch reduction and a streaming one are the
-    same code.
+    Reads the pre-round global weight (every diff is taken against it, so
+    it must not move before :meth:`result`) and holds the scatter-add of
+    ``w_i * (W_i[idx] - W[idx])`` and the per-filter coverage
+    denominators — float64 sums of covering weights, added in upload
+    order (exactly ``np.bincount(..., weights=...)`` over the
+    concatenated indices).  Unit weights make both exact: ``1.0 * diff``
+    is ``diff`` and the coverage sums are integers, so they are bitwise
+    the unweighted reduction.  Uploads fold in one at a time, so a batch
+    reduction and a streaming one are the same code.
     """
 
     def __init__(self, global_weight: np.ndarray):
-        self.out = np.array(global_weight, dtype=np.float64)
-        self.acc = np.zeros_like(self.out)
-        self.counts = np.zeros(self.out.shape[0], dtype=np.float64)
+        self.weight = np.asarray(global_weight)
+        self.acc = np.zeros(self.weight.shape, dtype=np.float64)
+        self.counts = np.zeros(self.weight.shape[0], dtype=np.float64)
         # The fancy-add fast path pays a fixed uniqueness check per upload;
         # for near-scalar rows (biases, BN stats) the buffered scatter is
         # already cheaper than that check, so only wide rows take it.
-        self._wide = int(np.prod(self.out.shape[1:], dtype=np.int64)) >= 8
+        self._wide = int(np.prod(self.weight.shape[1:], dtype=np.int64)) >= 8
 
     def add(self, indices: np.ndarray, rows: np.ndarray,
             weight: float = 1.0) -> None:
         """Fold one client's ``(indices, rows)`` upload in."""
-        n_filters = self.out.shape[0]
+        n_filters = self.weight.shape[0]
         indices = np.asarray(indices, dtype=np.int64)
         rows = np.asarray(rows)
         if rows.shape[0] != len(indices):
             raise ValueError("upload rows/indices mismatch")
         if len(indices) and (indices.min() < 0 or indices.max() >= n_filters):
             raise IndexError("salient index out of range")
-        diff = float(weight) * (rows.astype(np.float64) - self.out[indices])
+        diff = float(weight) * (rows.astype(np.float64)
+                                - self.weight[indices].astype(np.float64))
         np.add.at(self.counts, indices.ravel(), float(weight))
         if self._wide and indices.size == np.unique(indices).size:
             # Unique indices: the fancy add sums the identical terms in
@@ -74,17 +75,17 @@ class SalientAccumulator:
             np.add.at(self.acc, indices, diff)
 
     def result(self, step_size: float = 1.0) -> np.ndarray:
-        """Apply the covered-coordinate means; returns the float64 tensor.
+        """Apply the covered-coordinate means; returns a new float64 tensor.
 
-        Rows no upload selected are untouched.  Single use: the mean is
-        applied to the held snapshot in place.
+        Rows no upload selected are the global weight's, widened.
         """
+        out = self.weight.astype(np.float64)
         covered = self.counts > 0
         if covered.any():
             denom = self.counts[covered].reshape(
-                (-1,) + (1,) * (self.out.ndim - 1))
-            self.out[covered] += step_size * self.acc[covered] / denom
-        return self.out
+                (-1,) + (1,) * (out.ndim - 1))
+            out[covered] += step_size * self.acc[covered] / denom
+        return out
 
 
 def salient_aggregate(global_weight: np.ndarray,

@@ -105,6 +105,19 @@ class SPATL(FederatedAlgorithm):
                 self.global_model.encoder.named_parameters())
         return client.local_state["c_i"]
 
+    def _correction_hook(self, client: Client):
+        """Eq. 9's gradient correction for ``client``, or ``None`` without
+        gradient control."""
+        if not self.use_gradient_control:
+            return None
+        prefix = SplitModel.ENCODER_PREFIX
+
+        def name_map(name: str) -> str | None:
+            return name[len(prefix):] if name.startswith(prefix) else None
+
+        return make_correction_hook(self.c_global,
+                                    self._client_variate(client), name_map)
+
     # ------------------------------------------------------------ hooks
     def downlink_state(self) -> dict[str, np.ndarray]:
         payload = {f"enc.{k}": v for k, v in self.global_model.encoder_state().items()}
@@ -125,23 +138,16 @@ class SPATL(FederatedAlgorithm):
 
         before = {n: p.data.copy()
                   for n, p in self._work.encoder.named_parameters()}
-        hook = None
-        if self.use_gradient_control:
-            c_i = self._client_variate(client)
-            prefix = SplitModel.ENCODER_PREFIX
-
-            def name_map(name: str) -> str | None:
-                return name[len(prefix):] if name.startswith(prefix) else None
-
-            hook = make_correction_hook(self.c_global, c_i, name_map)
-
-        loss, steps, _ = train_local(self._work, client, round_idx,
-                                     epochs=self.epochs_for(client, round_idx), lr=self.lr,
-                                     momentum=self.momentum,
-                                     weight_decay=self.weight_decay,
-                                     max_grad_norm=self.max_grad_norm,
-                                     correction_hook=hook,
-                                     compiler=self.step_compiler)
+        # Neither the optimizer (its momentum buffers) nor the Eq. 9 hook
+        # (the client's previous c_i) is bound here: both are freed
+        # before selection runs.
+        loss, steps = train_local(self._work, client, round_idx,
+                                  epochs=self.epochs_for(client, round_idx),
+                                  lr=self.lr, momentum=self.momentum,
+                                  weight_decay=self.weight_decay,
+                                  max_grad_norm=self.max_grad_norm,
+                                  correction_hook=self._correction_hook(client),
+                                  compiler=self.step_compiler)[:2]
         # Live parameters: nothing moves them before the variate reads them.
         after = {n: p.data for n, p in self._work.encoder.named_parameters()}
 

@@ -1,11 +1,11 @@
-"""Communication-cost experiments (Table I, Table II, train-rounds figure).
+"""Communication-cost readers (Table I, Table II, train-rounds figure).
 
-Table I: train every method to a *target accuracy*, report rounds,
+Table I: each method trained to a *target accuracy*: rounds,
 per-round/per-client payload, total cost, and speed-up relative to FedAvg
 (Eq. 13 defines cost as the sum of per-round payloads).
 
-Table II: train to *convergence* (no improvement for ``patience`` rounds),
-report converge rounds, cost, and converged accuracy deltas vs FedAvg.
+Table II: trained to *convergence* (no improvement for ``patience``
+rounds): converge rounds, cost, and converged accuracy deltas vs FedAvg.
 
 Absolute payload sizes depend on model scale, so alongside the measured
 scaled-run costs we report the **full-size per-round payload** each
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.harness import train
 from repro.models import paper_model_size_mb
 from repro.utils.logging import ExperimentLog, render_table
 from repro.utils.metrics import best_smoothed, rounds_to_target
@@ -64,28 +63,6 @@ def paper_scale_mb_per_round(method: str, model: str,
     return base * factor
 
 
-def table1_target_cost(cfg: ExperimentConfig, target: float = 0.6,
-                       methods=("fedavg", "fedprox", "fednova", "scaffold",
-                                "spatl"),
-                       max_rounds: int | None = None) -> list[CostRow]:
-    """Table I: cost to reach ``target`` average accuracy."""
-    max_rounds = max_rounds or cfg.rounds
-    logs = {m: train(cfg, m, max_rounds, target_accuracy=target).log
-            for m in methods}
-    return cost_rows(cfg, logs, target=target)
-
-
-def table2_convergence(cfg: ExperimentConfig, patience: int = 5,
-                       methods=("fedavg", "fedprox", "fednova", "scaffold",
-                                "spatl"),
-                       max_rounds: int | None = None) -> list[CostRow]:
-    """Table II: cost and accuracy when trained to convergence."""
-    max_rounds = max_rounds or cfg.rounds
-    logs = {m: train(cfg, m, max_rounds, patience=patience).log
-            for m in methods}
-    return cost_rows(cfg, logs, target=None)
-
-
 def cost_rows(cfg: ExperimentConfig, logs: dict[str, ExperimentLog],
               target: float | None) -> list[CostRow]:
     """Tables I and II's reader: one row per method's log, each log as its
@@ -103,7 +80,7 @@ def cost_rows(cfg: ExperimentConfig, logs: dict[str, ExperimentLog],
             rounds = hit if hit is not None else len(accs)
             reached = hit is not None
             total_gb = log.meta["total_gb"] if hit is None else \
-                _gb_up_to(log, hit)
+                float(np.sum(log["round_gb"][:hit]))
         else:
             rounds = len(accs)
             reached = True
@@ -118,21 +95,6 @@ def cost_rows(cfg: ExperimentConfig, logs: dict[str, ExperimentLog],
                                if fedavg_gb and total_gb else float("nan")),
             final_acc=best, acc_delta_vs_fedavg=best - fedavg_acc))
     return rows
-
-
-def _gb_up_to(log: ExperimentLog, rounds: int) -> float:
-    series = log["round_gb"]
-    return float(np.sum(series[:rounds]))
-
-
-def rounds_to_target_figure(cfg: ExperimentConfig, targets=(0.5, 0.6, 0.7),
-                            methods=("fedavg", "fedprox", "fednova",
-                                     "scaffold", "spatl"),
-                            max_rounds: int | None = None) -> dict:
-    """The train-rounds figure: rounds each method needs per target level."""
-    max_rounds = max_rounds or cfg.rounds
-    return target_rounds({m: train(cfg, m, max_rounds).log for m in methods},
-                         targets)
 
 
 def target_rounds(logs: dict[str, ExperimentLog],

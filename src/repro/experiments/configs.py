@@ -166,18 +166,16 @@ def make_fault_model(cfg: ExperimentConfig) -> FaultModel | None:
     )
 
 
-def make_spatl_policy(cfg: ExperimentConfig,
-                      pretrained: SalientParameterAgent | None = None):
+def make_spatl_policy(cfg: ExperimentConfig):
     """SPATL's selection policy per config: RL agent or static saliency."""
     if cfg.use_rl_policy:
-        agent = pretrained or SalientParameterAgent(seed=cfg.seed)
-        return RLSelectionPolicy(agent, flops_target=cfg.flops_target,
+        return RLSelectionPolicy(SalientParameterAgent(seed=cfg.seed),
+                                 flops_target=cfg.flops_target,
                                  finetune_rounds=2, finetune_updates=1)
     return StaticSaliencyPolicy(cfg.selection_sparsity)
 
 
 def make_algorithm(name: str, cfg: ExperimentConfig, model_fn, clients,
-                   pretrained_agent: SalientParameterAgent | None = None,
                    **overrides):
     """Instantiate any algorithm (baseline or SPATL) for a setting.
 
@@ -202,7 +200,7 @@ def make_algorithm(name: str, cfg: ExperimentConfig, model_fn, clients,
     common.update(overrides)
     if name == "spatl":
         policy = common.pop("selection_policy", None) or \
-            make_spatl_policy(cfg, pretrained_agent)
+            make_spatl_policy(cfg)
         return SPATL(model_fn, clients, selection_policy=policy, **common)
     if name in ALGORITHMS:
         if name == "scaffold":

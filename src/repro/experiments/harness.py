@@ -1,10 +1,9 @@
 """The one train loop every experiment runs, and the multi-method harness.
 
 :func:`train` builds a config's setting and algorithm, runs it and closes
-it; every table and figure in this package reads the :class:`Run` it
-returns, and so does ``benchmarks/bench_claims.py``, which shares one run
-between every artifact that reads the same ``(config, method,
-overrides)``.  That sharing rests on a property tier-1 pins
+it; the artifacts of :mod:`repro.experiments.registry` read the
+:class:`Run` it returns, one run per ``(config, method, overrides)``.
+That sharing rests on a property tier-1 pins
 (``tests/test_run_prefix.py``): the first ``r`` rounds of a run do not
 depend on how many rounds follow, so :meth:`Run.upto` is the log a run
 stopped after ``r`` rounds would have returned.

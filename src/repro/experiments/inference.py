@@ -11,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.harness import Run, train
-from repro.utils.logging import render_table
-
-
-def inference_acceleration_table(cfg: ExperimentConfig,
-                                 rounds: int | None = None) -> dict:
-    """Run SPATL, return FLOPs-reduction stats of final client selections."""
-    return inference_stats(cfg, train(cfg, "spatl", rounds or cfg.rounds))
+from repro.experiments.harness import Run
 
 
 def inference_stats(cfg: ExperimentConfig, run: Run) -> dict:
@@ -39,13 +32,3 @@ def inference_stats(cfg: ExperimentConfig, run: Run) -> dict:
         "final_acc": run.log.last("val_acc"),
         "per_client": report,
     }
-
-
-def render_inference_table(results: list[dict]) -> str:
-    """Render the FLOPs table rows as text."""
-    headers = ["model", "avg FLOPs drop", "max FLOPs drop", "keep ratio",
-               "final acc"]
-    rows = [[r["model"], f"{r['avg_flops_reduction']:.1%}",
-             f"{r['max_flops_reduction']:.1%}", f"{r['avg_keep_ratio']:.2f}",
-             f"{r['final_acc']:.3f}"] for r in results]
-    return render_table(headers, rows, title="Inference acceleration (SPATL)")

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.configs import ExperimentConfig
-from repro.experiments.harness import train
-
 
 def client_accuracy_stats(algo) -> dict:
     """The figure's reader: each client's accuracy under ``algo`` now,
@@ -25,12 +22,3 @@ def client_accuracy_stats(algo) -> dict:
         "min": float(accs.min()),
         "max": float(accs.max()),
     }
-
-
-def local_accuracy_figure(cfg: ExperimentConfig,
-                          methods=("spatl", "scaffold"),
-                          rounds: int | None = None) -> dict[str, dict]:
-    """Per-client accuracies plus mean/std per method."""
-    return {method: client_accuracy_stats(
-                train(cfg, method, rounds or cfg.rounds).algo)
-            for method in methods}

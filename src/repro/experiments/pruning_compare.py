@@ -11,19 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import train_val_split
-from repro.experiments.configs import ExperimentConfig, make_dataset
-from repro.models import build_model
+from repro.experiments.configs import (ExperimentConfig, make_dataset,
+                                       make_model_fn)
 from repro.pruning import (PruneResult, prune_dsa, prune_fpgm, prune_magnitude,
                            prune_random, prune_sfp)
 from repro.pruning.baselines import evaluate, finetune
 from repro.rl import pretrain_agent
 from repro.utils.logging import render_table
-
-
-def _fresh_model(cfg: ExperimentConfig):
-    return build_model(cfg.model, num_classes=cfg.num_classes,
-                       input_size=cfg.input_size, width_mult=cfg.width_mult,
-                       seed=cfg.seed + 1)
 
 
 def pruning_comparison_table(cfg: ExperimentConfig, sparsity: float = 0.25,
@@ -34,13 +28,14 @@ def pruning_comparison_table(cfg: ExperimentConfig, sparsity: float = 0.25,
     """Run every pruning method from the same dense checkpoint."""
     ds = make_dataset(cfg)
     train, val = train_val_split(ds, 0.25, seed=cfg.seed)
-    dense = _fresh_model(cfg)
+    fresh_model = make_model_fn(cfg)
+    dense = fresh_model()
     finetune(dense, train, epochs=train_epochs, lr=cfg.lr, seed=cfg.seed)
     dense_state = dense.state_dict()
     flops_target = flops_target or cfg.flops_target
 
     def checkpoint():
-        model = _fresh_model(cfg)
+        model = fresh_model()
         model.load_state_dict(dense_state)
         return model
 

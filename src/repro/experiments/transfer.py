@@ -18,7 +18,7 @@ from repro.data.datasets import ArrayDataset, train_val_split
 from repro.fl import make_federated_clients
 from repro.experiments.configs import (ExperimentConfig, make_dataset,
                                        make_model_fn)
-from repro.experiments.harness import Run, train
+from repro.experiments.harness import Run
 from repro.utils.rng import spawn_rng
 
 
@@ -53,20 +53,6 @@ def holdout_split(cfg: ExperimentConfig,
     parts = dirichlet_partition(fl_data.y, cfg.n_clients, beta=cfg.beta,
                                 seed=cfg.seed)
     return HoldoutSplit(fl_data, parts, transfer_train, transfer_test)
-
-
-def transferability_table(cfg: ExperimentConfig,
-                          methods=("fedavg", "fednova", "scaffold", "spatl"),
-                          holdout_fraction: float = 0.2,
-                          transfer_epochs: int = 3,
-                          rounds: int | None = None) -> dict[str, dict]:
-    """FL-train on one split, transfer-finetune on the held-out split."""
-    rounds = rounds or cfg.rounds
-    split = holdout_split(cfg, holdout_fraction)
-    return {method: transfer_row(cfg, train(cfg, method, rounds,
-                                            setting=split.setting(cfg)),
-                                 split, transfer_epochs)
-            for method in methods}
 
 
 def transfer_row(cfg: ExperimentConfig, run: Run, split: HoldoutSplit,

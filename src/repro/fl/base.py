@@ -165,17 +165,22 @@ class Round:
             wave = self.wave or len(cohort) or 1
             for lo in range(0, len(cohort), wave):
                 chunk = cohort[lo:lo + wave]
-                updates, losses = algo.executor.collect(
-                    algo, chunk, self.round_idx, self.salt, self.stats)
-                for update in updates:
-                    self.fold.add(update)
-                self.losses.extend(losses)
+                self._fold_wave(chunk)
                 if self.evict is not None:
                     for client in chunk:
                         self.evict(client.client_id)
         except BaseException:
             self._drop_spill()
             raise
+
+    def _fold_wave(self, chunk: list[Client]) -> None:
+        """Collect ``chunk``'s uploads and fold them in.  The uploads die
+        with this frame, before the next wave is collected."""
+        updates, losses = self.algo.executor.collect(
+            self.algo, chunk, self.round_idx, self.salt, self.stats)
+        for update in updates:
+            self.fold.add(update)
+        self.losses.extend(losses)
 
     def finish(self, evaluate: bool = True) -> RoundResult:
         """Exchange with whoever remains, settle quorum, commit.

@@ -6,36 +6,58 @@ import json
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import COMMANDS, _fields, build_parser, main, render
+from repro.experiments.registry import ARTIFACTS, Base, serve
+
+#: every artifact's runs at two clients, one round, 200 samples
+SHRINK = (("local_epochs", 1), ("n_clients", 2), ("n_samples", 200),
+          ("rounds", 1), ("sample_ratio", 1.0))
 
 
 @pytest.fixture(scope="session")
-def learning_efficiency(tmp_path_factory):
-    """One ``learning-efficiency`` run its smokes share: ``(exit code,
-    stdout, JSONL trace)``.  It runs traced, which is numerically
-    identical to untraced by design (tests/test_obs.py)."""
-    trace = tmp_path_factory.mktemp("learning_efficiency") / "trace.jsonl"
+def femnist(tmp_path_factory):
+    """One ``femnist`` command its smokes share: ``(exit code, stdout,
+    JSONL trace)``.  It runs traced, which is numerically identical to
+    untraced by design (tests/test_obs.py)."""
+    trace = tmp_path_factory.mktemp("femnist") / "trace.jsonl"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = main(["learning-efficiency", "--clients", "2", "--rounds", "1",
+        rc = main(["femnist", "--clients", "2", "--rounds", "1",
                    "--sample-ratio", "1.0", "--trace-out", str(trace)])
     return rc, out.getvalue(), trace.read_text()
+
+
+@pytest.fixture(scope="session")
+def served():
+    """Every artifact at :data:`SHRINK`, runs shared as ``repro all``
+    shares them."""
+    return serve(Base(shrink=SHRINK))[0]
 
 
 class TestParser:
     def test_all_commands_parse(self):
         parser = build_parser()
-        for cmd in COMMANDS:
+        for cmd in [*ARTIFACTS, *COMMANDS]:
             args = parser.parse_args([cmd])
             assert args.command == cmd
 
     def test_overrides(self):
         args = build_parser().parse_args(
-            ["table1", "--scale", "small", "--clients", "12",
-             "--target", "0.7"])
+            ["table1", "--scale", "small", "--clients", "12"])
         assert args.scale == "small"
         assert args.clients == 12
-        assert args.target == pytest.approx(0.7)
+
+    def test_flags_set_over_the_artifact_s_config(self):
+        args = build_parser().parse_args(
+            ["table2", "--clients", "3", "--rounds", "2", "--min-clients",
+             "1", "--no-quant-ef"])
+        fields = _fields(args)
+        # a flag at its default leaves the artifact's own value
+        assert fields == {"n_clients": 3, "rounds": 2, "quant_ef": False}
+        reads, _ = ARTIFACTS["table2"][1](Base(shrink=tuple(fields.items())))
+        for read in reads.values():
+            assert read.rounds == 2          # the cap: table2 reads 12
+            assert (read.key.cfg.n_clients, read.key.cfg.beta) == (3, 0.3)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -43,14 +65,12 @@ class TestParser:
 
     def test_fault_knobs_parse(self):
         args = build_parser().parse_args(
-            ["fault-tolerance", "--fault-drop", "0.3", "--fault-corrupt",
-             "0.05", "--fault-timeout", "6", "--min-clients", "3",
-             "--fault-rates", "0.0", "0.2"])
+            ["fault_degradation", "--fault-drop", "0.3", "--fault-corrupt",
+             "0.05", "--fault-timeout", "6", "--min-clients", "3"])
         assert args.fault_drop == pytest.approx(0.3)
         assert args.fault_corrupt == pytest.approx(0.05)
         assert args.fault_timeout == pytest.approx(6.0)
         assert args.min_clients == 3
-        assert args.fault_rates == [0.0, 0.2]
 
     def test_fault_knobs_default_off(self):
         args = build_parser().parse_args(["table1"])
@@ -62,22 +82,25 @@ class TestParser:
 class TestDispatch:
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for cmd in COMMANDS:
-            assert cmd in out
+        names = [line.split()[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert names == [*ARTIFACTS, *COMMANDS]
 
-    def test_learning_efficiency_smoke(self, learning_efficiency):
-        rc, out, _ = learning_efficiency
+    def test_artifact_command_smoke(self, femnist):
+        rc, out, _ = femnist
         assert rc == 0
-        assert "spatl" in out and "fedavg" in out
+        assert set(json.loads(out)) == {"fedavg", "fedprox", "spatl"}
 
-    def test_fault_tolerance_smoke(self, capsys):
-        rc = main(["fault-tolerance", "--clients", "2", "--rounds", "1",
-                   "--sample-ratio", "1.0", "--fault-rates", "0.0", "0.5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "fedavg" in out and "spatl" in out
-        assert "drop p" in out
+    @pytest.mark.parametrize("name", list(ARTIFACTS))
+    def test_artifact_renders(self, served, name):
+        out = render(name, served[name])
+        assert out.strip()
+        if name in ("fault_degradation", "arch_sweep"):
+            # tuple keys print joined: "fedavg/0.3", "vgg11/spatl"
+            assert all("/" in key for key in json.loads(out))
+        if name == "fault_degradation":
+            clean = served[name][("fedavg", 0.0)]
+            assert clean["n_dropped"] == clean["n_corrupt"] == 0
 
     def test_scale_composes_with_faults(self, capsys, tmp_path):
         rc = main(["scale", "--scale", "tiny", "--population", "32",
@@ -156,8 +179,8 @@ class TestObservability:
         assert line, "profile --compile must say what bypassed the op table"
         assert int(line.group(1)) >= 1 and int(line.group(2)) > 0
 
-    def test_trace_out_on_regular_command(self, learning_efficiency):
-        rc, _, trace = learning_efficiency
+    def test_trace_out_on_regular_command(self, femnist):
+        rc, _, trace = femnist
         assert rc == 0
         records = [json.loads(line) for line in trace.splitlines()]
         assert any(r["name"] == "algorithm" for r in records)

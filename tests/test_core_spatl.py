@@ -168,3 +168,57 @@ class TestBehaviour:
         for k, v in m.predictor_state().items():
             np.testing.assert_array_equal(
                 v, algo.global_model.predictor_state()[k])
+
+
+class TestExchangeFrees:
+    """What the rest of an exchange no longer reads is freed, checked
+    by weak references from inside a spy on the next step."""
+
+    def test_local_update_drops_optimizer_and_hook_before_selection(
+            self, monkeypatch):
+        import weakref
+
+        from repro.core import spatl as spatl_module
+        algo, clients = _fresh()
+        refs, alive = {}, []
+        train_local = spatl_module.train_local
+
+        def train_spy(*args, **kwargs):
+            out = train_local(*args, **kwargs)
+            refs["optimizer"] = weakref.ref(out[2])
+            refs["hook"] = weakref.ref(kwargs["correction_hook"])
+            refs["previous c_i"] = weakref.ref(
+                clients[0].local_state["c_i"])
+            return out
+
+        select = algo.selection_policy.select
+
+        def select_spy(*args):
+            alive.extend(name for name, ref in refs.items()
+                         if ref() is not None)
+            return select(*args)
+
+        monkeypatch.setattr(spatl_module, "train_local", train_spy)
+        monkeypatch.setattr(algo.selection_policy, "select", select_spy)
+        algo.local_update(clients[0], 0)
+        assert len(refs) == 3 and alive == []
+
+    def test_a_folded_wave_is_dropped_before_the_next_collect(
+            self, monkeypatch):
+        import weakref
+
+        from repro.fl.base import Round
+        algo, _ = _fresh()
+        collect = algo.executor.collect
+        held, alive = [], []
+
+        def collect_spy(*args):
+            alive.extend(ref for ref in held if ref() is not None)
+            updates, losses = collect(*args)
+            held.extend(weakref.ref(before) for update in updates
+                        for before in update["before"].values())
+            return updates, losses
+
+        monkeypatch.setattr(algo.executor, "collect", collect_spy)
+        Round(algo, 0, wave=1).finish()
+        assert held and alive == []

@@ -3,8 +3,8 @@
 Asserts the current tree passes, and that the checks are not vacuous:
 they must fail if ``--workers`` disappeared from README.md, if README
 mentioned a flag nothing defines, if a ``DESIGN.md §N`` reference
-pointed at a missing section, or if a doc named a bench file or a claim
-id that does not exist.
+pointed at a missing section, if a doc named a bench file or a claim
+id that does not exist, or if a doc ran a CLI command the parser lacks.
 """
 
 import importlib.util
@@ -93,3 +93,15 @@ def test_unknown_claim_id_fails():
     text = "`table1.scaffold_2x` holds; `table1.scaffold_3x` is gone."
     assert docs_check.stale_bench_refs(text, docs_check.claim_ids()) \
         == ["table1.scaffold_3x"]
+
+
+def test_docs_run_only_existing_cli_commands():
+    """Every ``python -m repro.cli <command>`` the docs run exists, and a
+    renamed command fails: the old ``learning-efficiency`` is ``fig3``."""
+    for doc in ("README.md", "EXPERIMENTS.md"):
+        text = (REPO_ROOT / doc).read_text()
+        assert docs_check.unknown_cli_commands(text) == [], doc
+    stale = ("python -m repro.cli fig3 --rounds 2\n"
+             "python -m repro.cli learning-efficiency --clients 2\n"
+             "python -m repro.cli COMMAND [flags]\n")
+    assert docs_check.unknown_cli_commands(stale) == ["learning-efficiency"]

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.experiments import (ExperimentConfig, compare_table, config_for,
-                               fault_degradation_curve, make_algorithm,
-                               make_fault_model, make_setting,
-                               render_fault_table, run_algorithms)
+                               make_algorithm, make_fault_model, make_setting,
+                               run_algorithms, train)
 from repro.experiments.ablation import stability
-from repro.experiments.communication import (CostRow, paper_scale_mb_per_round,
-                                             render_cost_table,
-                                             table1_target_cost)
+from repro.experiments.communication import (CostRow, cost_rows,
+                                             paper_scale_mb_per_round,
+                                             render_cost_table)
 from repro.experiments.configs import make_dataset
+from repro.experiments.registry import Base, serve
 
 
 class TestConfig:
@@ -79,18 +79,16 @@ class TestFaultConfig:
         assert fm2.seed == 99
 
     def test_degradation_curve_smoke(self):
-        cfg = config_for("tiny", n_samples=300, n_clients=2, local_epochs=1,
-                         sample_ratio=1.0)
-        results = fault_degradation_curve(cfg, drop_probs=(0.0, 0.5),
-                                          algorithms=("fedavg",), rounds=1)
-        assert set(results) == {"fedavg"}
-        assert set(results["fedavg"]) == {0.0, 0.5}
-        clean = results["fedavg"][0.0]
-        assert clean["n_dropped"] == 0 and clean["n_corrupt"] == 0
-        assert all(0.0 <= r["final_acc"] <= 1.0
-                   for r in results["fedavg"].values())
-        table = render_fault_table(results)
-        assert "fedavg" in table and "drop p" in table
+        base = Base(shrink=(("local_epochs", 1), ("n_clients", 2),
+                            ("n_samples", 300), ("rounds", 1)))
+        results = serve(base, ["fault_degradation"])[0]["fault_degradation"]
+        assert set(results) == {(m, p) for m in ("fedavg", "spatl")
+                                for p in (0.0, 0.3)}
+        for method in ("fedavg", "spatl"):
+            clean = results[(method, 0.0)]
+            assert clean["n_dropped"] == 0 and clean["n_corrupt"] == 0
+        assert all(0.0 <= r["final_acc"] <= 1.0 and r["rounds_run"] == 1
+                   for r in results.values())
 
 
 class TestHarness:
@@ -132,8 +130,8 @@ class TestCommunicationHelpers:
     def test_table1_tiny(self):
         cfg = config_for("tiny", n_samples=400, n_clients=3, local_epochs=1,
                          rounds=2)
-        rows = table1_target_cost(cfg, target=0.99,
-                                  methods=("fedavg", "spatl"), max_rounds=2)
+        rows = cost_rows(cfg, {m: train(cfg, m, target_accuracy=0.99).log
+                               for m in ("fedavg", "spatl")}, target=0.99)
         assert len(rows) == 2
         assert all(not r.reached_target for r in rows)
         assert all(r.total_gb > 0 for r in rows)
@@ -143,14 +141,3 @@ def test_stability_metric():
     assert stability([0.5, 0.5, 0.5]) == 0.0
     assert stability([0.0, 1.0, 0.0]) == pytest.approx(1.0)
     assert stability([0.5]) == 0.0
-
-
-class TestMultiSetting:
-    def test_multi_setting_curves_micro(self):
-        from repro.experiments.learning_efficiency import multi_setting_curves
-        grid = multi_setting_curves(config_for("tiny", rounds=1, seed=1),
-                                    settings=((2, 1.0),),
-                                    methods=("fedavg",))
-        assert (2, 1.0) in grid
-        assert "fedavg" in grid[(2, 1.0)]
-        assert len(grid[(2, 1.0)]["fedavg"]["val_acc"]) > 0

@@ -1,7 +1,8 @@
 """A run's first rounds do not depend on how many rounds follow.
 
-The claims table (``benchmarks/bench_claims.py``) trains each ``(config,
-method, overrides)`` once and serves every artifact that reads it: a log
+The artifact registry (``repro.experiments.registry``, which ``repro
+<artifact>`` and the claims table serve) trains each ``(config, method,
+overrides)`` once and serves every artifact that reads it: a log
 read takes the first *r* rounds of a longer run (``Run.upto``), a state
 read stops the run at exactly *r* rounds and lets it go on.  Both rest on
 the property pinned here for every algorithm: the first *r* rounds'

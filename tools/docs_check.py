@@ -1,6 +1,6 @@
 """CI docs-check: keep user-facing docs in sync with the code.
 
-Four invariants, all cheap and mechanical so they can gate CI:
+Five invariants, all cheap and mechanical so they can gate CI:
 
 1. **CLI coverage** — every option flag exposed by ``repro.cli`` must be
    mentioned in README.md.  PRs 1-2 added whole flag groups without
@@ -17,6 +17,9 @@ Four invariants, all cheap and mechanical so they can gate CI:
    claims table, a dot, a claim) that README.md, EXPERIMENTS.md or
    DESIGN.md names must exist, so deleting a bench or renaming a claim
    cannot leave the docs pointing at nothing.
+5. **CLI commands** — every ``python -m repro.cli <command>`` that
+   README.md or EXPERIMENTS.md runs must be a command the parser has, so
+   renaming a command cannot strand a doc line.
 
 Run from the repo root (CI does)::
 
@@ -54,6 +57,10 @@ _BENCH_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
 _BENCH_PATH = re.compile(r"benchmarks/[\w/]+\.py")
 _CLAIMS_TABLE = "benchmarks/bench_claims.py"
 _CLAIM_ID = re.compile(r"Claim\(\s*\"([a-z0-9_.]+)\"")
+
+# Docs whose ``python -m repro.cli <command>`` lines must name a command.
+_CLI_DOCS = ("README.md", "EXPERIMENTS.md")
+_CLI_RUN = re.compile(r"python -m repro\.cli\s+([a-z][\w-]*)")
 
 
 def undocumented_flags(readme_text: str, parser=None) -> list[str]:
@@ -137,6 +144,18 @@ def stale_bench_refs(text: str, ids: set[str],
     return sorted(stale)
 
 
+def unknown_cli_commands(text: str, parser=None) -> list[str]:
+    """Commands ``text`` runs as ``python -m repro.cli <command>`` that
+    the ``repro.cli`` parser does not have."""
+    if parser is None:
+        from repro.cli import build_parser
+        parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if action.dest == "command")
+    return sorted({name for name in _CLI_RUN.findall(text)
+                   if name not in commands})
+
+
 def main() -> int:
     """Run every check against the working tree; print violations."""
     failures = 0
@@ -164,6 +183,12 @@ def main() -> int:
     for doc in _BENCH_DOCS:
         for ref in stale_bench_refs((REPO_ROOT / doc).read_text(), ids):
             print(f"docs-check: {doc} names {ref}, which does not exist")
+            failures += 1
+
+    for doc in _CLI_DOCS:
+        for name in unknown_cli_commands((REPO_ROOT / doc).read_text()):
+            print(f"docs-check: {doc} runs `python -m repro.cli {name}`, "
+                  f"a command the parser does not have")
             failures += 1
 
     if failures:
